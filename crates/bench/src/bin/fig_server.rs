@@ -31,21 +31,11 @@ use reprocmp_bench::{fmt_dur, Recorder};
 use reprocmp_server::{
     execute_spec, pair, serve_connection, JobSpec, ObjectRef, Server, ServerClient, ServerConfig,
 };
-use serde::{Serialize, Value};
 
 const CHUNK: usize = 4096;
 const VALUES: usize = 1 << 16; // 64 Ki f32 = 256 KiB per object
 const JOBS_PER_CLIENT: usize = 24;
 const CLIENT_COUNTS: [usize; 3] = [1, 4, 16];
-
-/// The vendored serde has no blanket `Serialize` for `Value`.
-struct Shim(Value);
-
-impl Serialize for Shim {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
 
 fn fresh_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("reprocmp-figsv-{tag}-{}", std::process::id()));
@@ -177,7 +167,7 @@ fn write_profile() {
         return;
     }
     let path = dir.join("server_compare_profile.json");
-    let mut json = serde_json::to_string_pretty(&Shim(report)).expect("encode profile");
+    let mut json = serde_json::to_string_pretty(&report).expect("encode profile");
     json.push('\n');
     if std::fs::write(&path, json).is_err() {
         eprintln!("warning: could not write {}", path.display());

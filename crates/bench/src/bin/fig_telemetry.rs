@@ -29,7 +29,6 @@ use reprocmp_bench::Recorder;
 use reprocmp_server::{
     execute_spec, pair, serve_connection, JobSpec, ObjectRef, Server, ServerClient, ServerConfig,
 };
-use serde::{Serialize, Value};
 
 const CHUNK: usize = 4096;
 const VALUES: usize = 1 << 16; // 64 Ki f32 = 256 KiB per object
@@ -37,15 +36,6 @@ const JOBS_PER_CLIENT: usize = 24;
 const CLIENTS: usize = 4;
 /// Sampling cadences under test, expressed in Hz (0 = sampler off).
 const CADENCES_HZ: [u64; 3] = [0, 10, 100];
-
-/// The vendored serde has no blanket `Serialize` for `Value`.
-struct Shim(Value);
-
-impl Serialize for Shim {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
 
 fn fresh_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("reprocmp-figtm-{tag}-{}", std::process::id()));
@@ -175,7 +165,7 @@ fn write_profile() {
         return;
     }
     let path = dir.join("telemetry_profile.json");
-    let mut json = serde_json::to_string_pretty(&Shim(report)).expect("encode profile");
+    let mut json = serde_json::to_string_pretty(&report).expect("encode profile");
     json.push('\n');
     if std::fs::write(&path, json).is_err() {
         eprintln!("warning: could not write {}", path.display());

@@ -147,23 +147,13 @@ fn region_map_from_layout(layout: &ObjectLayout) -> reprocmp_core::RegionMap {
     )
 }
 
-/// Renders an already-lowered [`serde::Value`] verbatim (the vendored
-/// serialize-only serde's `Value` does not implement `Serialize`).
-struct RawValue(serde::Value);
-
-impl serde::Serialize for RawValue {
-    fn to_value(&self) -> serde::Value {
-        self.0.clone()
-    }
-}
-
 /// The `--json` report object: the serialized [`CompareReport`] plus
 /// additive `"histograms"` (quantiles, sums, and log2 bucket arrays)
 /// and `"gauges"` keys from the registry.
 fn report_with_histograms(
     report: &reprocmp_core::CompareReport,
     obs: &reprocmp_obs::Observer,
-) -> RawValue {
+) -> serde::Value {
     use serde::Serialize as _;
     let baseline =
         reprocmp_obs::ProfileBaseline::from_registry(report.stages, &obs.registry.snapshot());
@@ -172,7 +162,7 @@ fn report_with_histograms(
         fields.push(("histograms".to_owned(), baseline.histograms.to_value()));
         fields.push(("gauges".to_owned(), baseline.gauges.to_value()));
     }
-    RawValue(value)
+    value
 }
 
 /// `compare`: compare two checkpoint files, or — with `--store D` —
@@ -1815,23 +1805,13 @@ fn render_status(status: &reprocmp_server::RemoteStatus) -> String {
         let _ = writeln!(
             out,
             "{}",
-            serde_json::to_string_pretty(&ValueShim(result.clone())).expect("encode result")
+            serde_json::to_string_pretty(result).expect("encode result")
         );
     }
     if let Some(error) = &status.error {
         let _ = writeln!(out, "error: {error}");
     }
     out
-}
-
-/// The vendored serde has no blanket `Serialize` for [`serde::Value`];
-/// this shim renders wire result documents as JSON.
-struct ValueShim(serde::Value);
-
-impl serde::Serialize for ValueShim {
-    fn to_value(&self) -> serde::Value {
-        self.0.clone()
-    }
 }
 
 /// `serve`: run the comparison daemon. Claims the store exclusively
@@ -2019,7 +1999,7 @@ pub fn metrics(map: &ArgMap) -> Result<String, CliError> {
             .map_err(|e| fail(format!("malformed telemetry snapshot: {e}")))?;
         return Ok(reprocmp_obs::prometheus_text(&snapshot));
     }
-    let mut out = serde_json::to_string_pretty(&RawValue(value)).map_err(fail)?;
+    let mut out = serde_json::to_string_pretty(&value).map_err(fail)?;
     out.push('\n');
     Ok(out)
 }
@@ -2040,7 +2020,7 @@ fn render_frames(frames: &[String]) -> String {
 fn parse_telemetry_jsonl(text: &str) -> Vec<reprocmp_obs::TelemetrySnapshot> {
     text.lines()
         .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| reprocmp_server::json::parse(l).ok())
+        .filter_map(|l| serde_json::from_str(l).ok())
         .filter_map(|v| reprocmp_obs::TelemetrySnapshot::from_value(&v).ok())
         .collect()
 }
@@ -3097,16 +3077,9 @@ mod tests {
             "--json",
         ])
         .unwrap();
-        // The vendored serde_json serializes only; scrape the fields.
         let field = |s: &str, key: &str| -> u64 {
-            let pat = format!("\"{key}\": ");
-            let at = s.find(&pat).map(|i| i + pat.len()).unwrap();
-            s[at..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse()
-                .unwrap()
+            let stats = serde_json::from_str(s).unwrap();
+            stats.get(key).and_then(serde::Value::as_u64).unwrap()
         };
         assert!(field(&first, "bytes_physical") > 0, "{first}");
         assert_eq!(field(&second, "bytes_physical"), 0, "{second}");

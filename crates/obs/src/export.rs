@@ -180,15 +180,7 @@ pub fn chrome_trace(spans: &[SpanRecord], events: &[Event], ledger: &JournalLedg
             ]),
         ),
     ]);
-    serde_json::to_string_pretty(&ShimValue(root)).unwrap_or_default()
-}
-
-// `Value` itself does not implement `Serialize`; a one-field shim does.
-struct ShimValue(Value);
-impl serde::Serialize for ShimValue {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
+    serde_json::to_string_pretty(&root).unwrap_or_default()
 }
 
 /// Renders the span tree as folded stacks (`a;b;c self_ns` lines,

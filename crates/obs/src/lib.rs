@@ -4,7 +4,7 @@
 //! plus Merkle pruning beats element-wise comparison — so every layer
 //! of this workspace needs a way to say where its time and bytes went.
 //! This crate is that substrate. It is deliberately zero-dependency
-//! (std plus the vendored serialize-only `serde`) and clock-agnostic:
+//! (std plus the vendored `serde`/`serde_json` stand-ins) and clock-agnostic:
 //! all timestamps come from an [`ObsClock`], a closure that can read
 //! wall time, a simulated clock, or a device's modeled-time
 //! accumulator, so instrumented code behaves identically under

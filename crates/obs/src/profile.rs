@@ -7,8 +7,7 @@
 //! that regressed past it — the engine behind `reprocmp perf-diff` and
 //! the CI gate's profile check.
 //!
-//! The vendored serde is serialize-only, so [`ProfileBaseline::parse`]
-//! is a small hand-written JSON parser. It accepts three shapes:
+//! [`ProfileBaseline::parse`] accepts three shapes:
 //!
 //! 1. a full `ProfileBaseline` object (`{"stages": …, "histograms": …}`),
 //! 2. a full `CompareReport` (anything with a `"stages"` key), and
@@ -20,7 +19,7 @@
 
 use crate::metrics::{HistogramBucket, MetricValue, RegistrySnapshot};
 use crate::stage::{PhaseCost, StageBreakdown};
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::time::Duration;
 
 /// The committed quantiles of one histogram, plus (since the telemetry
@@ -106,14 +105,16 @@ impl ProfileBaseline {
     ///
     /// A description of the first syntax or shape problem found.
     pub fn parse(text: &str) -> Result<ProfileBaseline, String> {
-        let value = Parser::new(text).parse()?;
-        let root = value.as_object().ok_or("top level must be an object")?;
+        let root = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        if root.as_object().is_none() {
+            return Err("top level must be an object".into());
+        }
         // Shape 1/2: {"stages": {...}} — a baseline or a CompareReport.
         // Shape 3: a bare StageBreakdown.
-        let stages_obj = match find(root, "stages") {
-            Some(v) => v.as_object().ok_or("\"stages\" must be an object")?,
-            None => root,
-        };
+        let stages_obj = root.get("stages").unwrap_or(&root);
+        if stages_obj.as_object().is_none() {
+            return Err("\"stages\" must be an object".into());
+        }
         let mut stages = StageBreakdown::default();
         for name in [
             "quantize",
@@ -125,13 +126,12 @@ impl ProfileBaseline {
             "store_read",
             "delta_capture",
         ] {
-            let Some(phase) = find(stages_obj, name) else {
+            let Some(phase) = stages_obj.get(name) else {
                 continue; // older schema: phase defaults to zero
             };
-            let phase = phase
-                .as_object()
-                .ok_or_else(|| format!("phase {name:?} must be an object"))?;
-            let cost = parse_phase(phase).map_err(|e| format!("phase {name:?}: {e}"))?;
+            let cost = parse_phase(phase).ok_or_else(|| {
+                format!("phase {name:?} needs a {{secs, nanos}} \"time\" and integer \"bytes\" and \"ops\"")
+            })?;
             match name {
                 "quantize" => stages.quantize = cost,
                 "leaf_hash" => stages.leaf_hash = cost,
@@ -143,58 +143,72 @@ impl ProfileBaseline {
                 _ => stages.delta_capture = cost,
             }
         }
-        let mut histograms = Vec::new();
-        if let Some(Json::Arr(items)) = find(root, "histograms") {
-            for item in items {
-                let obj = item
-                    .as_object()
-                    .ok_or("histogram entries must be objects")?;
-                // `sum` and `buckets` arrived with the telemetry plane;
-                // pre-telemetry files simply lack them.
-                let mut buckets = Vec::new();
-                if let Some(Json::Arr(raw)) = find(obj, "buckets") {
-                    for b in raw {
-                        let b = b.as_object().ok_or("buckets must hold objects")?;
-                        buckets.push(HistogramBucket {
-                            low: get_u64(b, "low")?,
-                            high: get_u64(b, "high")?,
-                            count: get_u64(b, "count")?,
-                        });
-                    }
-                }
-                histograms.push(HistogramQuantiles {
-                    name: find(obj, "name")
-                        .and_then(Json::as_str)
-                        .ok_or("histogram entry missing \"name\"")?
-                        .to_owned(),
-                    count: get_u64(obj, "count")?,
-                    p50: get_u64(obj, "p50")?,
-                    p95: get_u64(obj, "p95")?,
-                    p99: get_u64(obj, "p99")?,
-                    sum: get_u64_or(obj, "sum", 0)?,
-                    buckets,
-                });
-            }
-        }
-        let mut gauges = Vec::new();
-        if let Some(Json::Arr(items)) = find(root, "gauges") {
-            for item in items {
-                let obj = item.as_object().ok_or("gauge entries must be objects")?;
-                gauges.push(MetricValue {
-                    name: find(obj, "name")
-                        .and_then(Json::as_str)
-                        .ok_or("gauge entry missing \"name\"")?
-                        .to_owned(),
-                    value: get_i64(obj, "value")?,
-                });
-            }
-        }
+        let entries = |key| {
+            root.get(key)
+                .and_then(Value::as_array)
+                .unwrap_or_default()
+                .iter()
+        };
         Ok(ProfileBaseline {
             stages,
-            histograms,
-            gauges,
+            histograms: entries("histograms")
+                .map(parse_histogram)
+                .collect::<Option<_>>()
+                .ok_or("histogram entries need a string \"name\" and integer count/p50/p95/p99 (and sum/buckets, when present)")?,
+            gauges: entries("gauges")
+                .map(|g| {
+                    Some(MetricValue {
+                        name: g.get("name")?.as_str()?.to_owned(),
+                        value: g.get("value")?.as_i64()?,
+                    })
+                })
+                .collect::<Option<_>>()
+                .ok_or("gauge entries need a string \"name\" and an integer \"value\"")?,
         })
     }
+}
+
+fn parse_phase(phase: &Value) -> Option<PhaseCost> {
+    let time = phase.get("time")?;
+    // `subsec_nanos` is what the writer emits; `Duration::new` panics
+    // when carrying whole seconds out of a larger value overflows.
+    let nanos = u32::try_from(time.get("nanos")?.as_u64()?)
+        .ok()
+        .filter(|n| *n < 1_000_000_000)?;
+    Some(PhaseCost {
+        time: Duration::new(time.get("secs")?.as_u64()?, nanos),
+        bytes: phase.get("bytes")?.as_u64()?,
+        ops: phase.get("ops")?.as_u64()?,
+    })
+}
+
+fn parse_histogram(h: &Value) -> Option<HistogramQuantiles> {
+    Some(HistogramQuantiles {
+        name: h.get("name")?.as_str()?.to_owned(),
+        count: h.get("count")?.as_u64()?,
+        p50: h.get("p50")?.as_u64()?,
+        p95: h.get("p95")?.as_u64()?,
+        p99: h.get("p99")?.as_u64()?,
+        // `sum` and `buckets` arrived with the telemetry plane;
+        // pre-telemetry files simply lack them.
+        sum: match h.get("sum") {
+            Some(sum) => sum.as_u64()?,
+            None => 0,
+        },
+        buckets: h
+            .get("buckets")
+            .and_then(Value::as_array)
+            .unwrap_or_default()
+            .iter()
+            .map(|b| {
+                Some(HistogramBucket {
+                    low: b.get("low")?.as_u64()?,
+                    high: b.get("high")?.as_u64()?,
+                    count: b.get("count")?.as_u64()?,
+                })
+            })
+            .collect::<Option<_>>()?,
+    })
 }
 
 /// One metric that moved past the budget.
@@ -392,272 +406,6 @@ fn duration_f64(d: Duration) -> f64 {
     d.as_nanos() as f64
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON parser (the vendored serde is serialize-only).
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-fn find<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    find(obj, key)
-        .and_then(Json::as_f64)
-        .map(|v| v as u64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn get_u64_or(obj: &[(String, Json)], key: &str, default: u64) -> Result<u64, String> {
-    match find(obj, key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .map(|v| v as u64)
-            .ok_or_else(|| format!("field {key:?} must be numeric")),
-    }
-}
-
-#[allow(clippy::cast_possible_truncation)]
-fn get_i64(obj: &[(String, Json)], key: &str) -> Result<i64, String> {
-    find(obj, key)
-        .and_then(Json::as_f64)
-        .map(|v| v as i64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn parse_phase(obj: &[(String, Json)]) -> Result<PhaseCost, String> {
-    let time = find(obj, "time")
-        .and_then(Json::as_object)
-        .ok_or("missing \"time\" object")?;
-    let secs = get_u64(time, "secs")?;
-    let nanos = get_u64(time, "nanos")?;
-    Ok(PhaseCost {
-        time: Duration::new(
-            secs,
-            u32::try_from(nanos).map_err(|_| "nanos out of range")?,
-        ),
-        bytes: get_u64(obj, "bytes")?,
-        ops: get_u64(obj, "ops")?,
-    })
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse(mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing data at byte {}", self.pos));
-        }
-        Ok(v)
-    }
-
-    fn ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.bytes.get(self.pos).copied();
-                    self.pos += 1;
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                }
-                Some(&b) if b < 0x80 => {
-                    out.push(char::from(b));
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().ok_or("unexpected end of string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,17 +550,35 @@ mod tests {
     }
 
     #[test]
-    fn parser_handles_escapes_arrays_and_nesting() {
-        let v = Parser::new(r#"{"a\n":[1,2.5,-3,true,false,null,"xA"]}"#)
-            .parse()
-            .unwrap();
-        let Json::Obj(fields) = v else { panic!() };
-        assert_eq!(fields[0].0, "a\n");
-        let Json::Arr(items) = &fields[0].1 else {
-            panic!()
-        };
-        assert_eq!(items.len(), 7);
-        assert_eq!(items[6], Json::Str("xA".into()));
+    fn counters_above_2_pow_53_survive_parse_and_diff() {
+        // Integers must never pass through `f64`: 2^53 + 1 is the first
+        // counter that would come back changed.
+        let mut b = sample();
+        b.stages.stage2_stream.bytes = u64::MAX;
+        b.stages.verify.ops = (1 << 53) + 1;
+        b.histograms[0].sum = u64::MAX - 1;
+        assert!(b.to_json().contains("\"bytes\": 18446744073709551615"));
+        let parsed = ProfileBaseline::parse(&b.to_json()).expect("parse own output");
+        assert_eq!(parsed, b);
+        assert_eq!(parsed.stages.stage2_stream.bytes, u64::MAX);
+        assert!(diff_profiles(&b, &parsed, 0.0).passed());
+    }
+
+    #[test]
+    fn mistyped_fields_are_errors_not_panics() {
+        for bad in [
+            r#"{"bfs": 3}"#,
+            r#"{"bfs": {"time": {"secs": 1, "nanos": 4000000000}, "bytes": 0, "ops": 0}}"#,
+            r#"{"bfs": {"time": {"secs": 18446744073709551615, "nanos": 1000000000}, "bytes": 0, "ops": 0}}"#,
+            r#"{"bfs": {"time": {"secs": 1, "nanos": 0}, "bytes": -1, "ops": 0}}"#,
+            r#"{"bfs": {"time": {"secs": 1, "nanos": 0}, "bytes": 1.5, "ops": 0}}"#,
+            r#"{"stages": 5}"#,
+            r#"{"stages": {}, "histograms": [7]}"#,
+            r#"{"stages": {}, "histograms": [{"name": "h", "count": 1, "p50": 1, "p95": 1, "p99": 1, "sum": "x"}]}"#,
+            r#"{"stages": {}, "gauges": [{"name": "g"}]}"#,
+        ] {
+            assert!(ProfileBaseline::parse(bad).is_err(), "{bad} must not parse");
+        }
     }
 
     #[test]

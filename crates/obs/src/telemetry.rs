@@ -157,80 +157,52 @@ impl Default for TelemetrySnapshot {
 // fields default to zero so older snapshots keep parsing).
 // -------------------------------------------------------------------
 
-fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    match v {
-        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn num_u64(v: &Value, key: &str) -> u64 {
-    match field(v, key) {
-        Some(Value::UInt(n)) => *n,
-        Some(Value::Int(n)) => u64::try_from(*n).unwrap_or(0),
-        _ => 0,
-    }
-}
-
-fn num_i64(v: &Value, key: &str) -> i64 {
-    match field(v, key) {
-        Some(Value::Int(n)) => *n,
-        Some(Value::UInt(n)) => i64::try_from(*n).unwrap_or(i64::MAX),
-        _ => 0,
-    }
-}
-
-fn flag(v: &Value, key: &str) -> bool {
-    matches!(field(v, key), Some(Value::Bool(true)))
-}
-
-fn str_of(v: &Value, key: &str) -> Option<String> {
-    match field(v, key) {
-        Some(Value::String(s)) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-fn arr_of<'a>(v: &'a Value, key: &str) -> &'a [Value] {
-    match field(v, key) {
-        Some(Value::Array(items)) => items.as_slice(),
-        _ => &[],
-    }
-}
-
 fn decode_ledger(v: &Value) -> JournalLedger {
     JournalLedger {
-        events_emitted: num_u64(v, "events_emitted"),
-        events_written: num_u64(v, "events_written"),
-        events_dropped: num_u64(v, "events_dropped"),
+        events_emitted: v.get("events_emitted").and_then(Value::as_u64).unwrap_or(0),
+        events_written: v.get("events_written").and_then(Value::as_u64).unwrap_or(0),
+        events_dropped: v.get("events_dropped").and_then(Value::as_u64).unwrap_or(0),
     }
 }
 
 fn decode_metric(v: &Value) -> Result<MetricValue, String> {
     Ok(MetricValue {
-        name: str_of(v, "name").ok_or("metric entry missing `name`")?,
-        value: num_i64(v, "value"),
+        name: v
+            .get("name")
+            .and_then(Value::as_str)
+            .ok_or("metric entry missing `name`")?
+            .to_owned(),
+        value: v.get("value").and_then(Value::as_i64).unwrap_or(0),
     })
 }
 
 fn decode_histogram(v: &Value) -> Result<NamedHistogram, String> {
-    let h = field(v, "histogram").ok_or("histogram entry missing `histogram`")?;
-    let buckets = arr_of(h, "buckets")
+    let h = v
+        .get("histogram")
+        .ok_or("histogram entry missing `histogram`")?;
+    let buckets = h
+        .get("buckets")
+        .and_then(Value::as_array)
+        .unwrap_or_default()
         .iter()
         .map(|b| HistogramBucket {
-            low: num_u64(b, "low"),
-            high: num_u64(b, "high"),
-            count: num_u64(b, "count"),
+            low: b.get("low").and_then(Value::as_u64).unwrap_or(0),
+            high: b.get("high").and_then(Value::as_u64).unwrap_or(0),
+            count: b.get("count").and_then(Value::as_u64).unwrap_or(0),
         })
         .collect();
     Ok(NamedHistogram {
-        name: str_of(v, "name").ok_or("histogram entry missing `name`")?,
+        name: v
+            .get("name")
+            .and_then(Value::as_str)
+            .ok_or("histogram entry missing `name`")?
+            .to_owned(),
         histogram: HistogramSnapshot {
-            count: num_u64(h, "count"),
-            sum: num_u64(h, "sum"),
-            p50: num_u64(h, "p50"),
-            p95: num_u64(h, "p95"),
-            p99: num_u64(h, "p99"),
+            count: h.get("count").and_then(Value::as_u64).unwrap_or(0),
+            sum: h.get("sum").and_then(Value::as_u64).unwrap_or(0),
+            p50: h.get("p50").and_then(Value::as_u64).unwrap_or(0),
+            p95: h.get("p95").and_then(Value::as_u64).unwrap_or(0),
+            p99: h.get("p99").and_then(Value::as_u64).unwrap_or(0),
             buckets,
         },
     })
@@ -245,67 +217,88 @@ impl TelemetrySnapshot {
     /// A human-readable message when a required field is absent or the
     /// schema revision is unknown (`schema == 0`).
     pub fn from_value(v: &Value) -> Result<Self, String> {
-        let schema = num_u64(v, "schema");
+        let schema = v.get("schema").and_then(Value::as_u64).unwrap_or(0);
         if schema == 0 {
             return Err("telemetry snapshot missing `schema`".to_owned());
         }
-        let queue = field(v, "queue").ok_or("snapshot missing `queue`")?;
-        let jobs = field(v, "jobs").ok_or("snapshot missing `jobs`")?;
-        let store = field(v, "store").ok_or("snapshot missing `store`")?;
-        let registry = field(v, "registry").ok_or("snapshot missing `registry`")?;
+        let queue = v.get("queue").ok_or("snapshot missing `queue`")?;
+        let jobs = v.get("jobs").ok_or("snapshot missing `jobs`")?;
+        let store = v.get("store").ok_or("snapshot missing `store`")?;
+        let registry = v.get("registry").ok_or("snapshot missing `registry`")?;
+        let metrics = |key| {
+            registry
+                .get(key)
+                .and_then(Value::as_array)
+                .unwrap_or_default()
+                .iter()
+                .map(decode_metric)
+                .collect::<Result<_, _>>()
+        };
         Ok(TelemetrySnapshot {
             schema,
-            seq: num_u64(v, "seq"),
-            ts_ns: num_u64(v, "ts_ns"),
+            seq: v.get("seq").and_then(Value::as_u64).unwrap_or(0),
+            ts_ns: v.get("ts_ns").and_then(Value::as_u64).unwrap_or(0),
             queue: QueueTelemetry {
-                capacity: num_u64(queue, "capacity"),
-                queued: num_u64(queue, "queued"),
-                in_flight: num_u64(queue, "in_flight"),
-                admitted: num_u64(queue, "admitted"),
-                refused: num_u64(queue, "refused"),
-                shutting_down: flag(queue, "shutting_down"),
+                capacity: queue.get("capacity").and_then(Value::as_u64).unwrap_or(0),
+                queued: queue.get("queued").and_then(Value::as_u64).unwrap_or(0),
+                in_flight: queue.get("in_flight").and_then(Value::as_u64).unwrap_or(0),
+                admitted: queue.get("admitted").and_then(Value::as_u64).unwrap_or(0),
+                refused: queue.get("refused").and_then(Value::as_u64).unwrap_or(0),
+                shutting_down: queue
+                    .get("shutting_down")
+                    .and_then(Value::as_bool)
+                    .unwrap_or(false),
             },
-            workers: arr_of(v, "workers")
+            workers: v
+                .get("workers")
+                .and_then(Value::as_array)
+                .unwrap_or_default()
                 .iter()
                 .map(|w| WorkerTelemetry {
-                    worker: num_u64(w, "worker"),
-                    jobs_executed: num_u64(w, "jobs_executed"),
-                    busy_ns: num_u64(w, "busy_ns"),
-                    idle_ns: num_u64(w, "idle_ns"),
+                    worker: w.get("worker").and_then(Value::as_u64).unwrap_or(0),
+                    jobs_executed: w.get("jobs_executed").and_then(Value::as_u64).unwrap_or(0),
+                    busy_ns: w.get("busy_ns").and_then(Value::as_u64).unwrap_or(0),
+                    idle_ns: w.get("idle_ns").and_then(Value::as_u64).unwrap_or(0),
                 })
                 .collect(),
             jobs: JobStateCounts {
-                queued: num_u64(jobs, "queued"),
-                running: num_u64(jobs, "running"),
-                done: num_u64(jobs, "done"),
-                failed: num_u64(jobs, "failed"),
+                queued: jobs.get("queued").and_then(Value::as_u64).unwrap_or(0),
+                running: jobs.get("running").and_then(Value::as_u64).unwrap_or(0),
+                done: jobs.get("done").and_then(Value::as_u64).unwrap_or(0),
+                failed: jobs.get("failed").and_then(Value::as_u64).unwrap_or(0),
             },
             store: StoreTelemetry {
-                objects: num_u64(store, "objects"),
-                packs: num_u64(store, "packs"),
-                bytes_logical: num_u64(store, "bytes_logical"),
-                bytes_physical: num_u64(store, "bytes_physical"),
-                bytes_deduped: num_u64(store, "bytes_deduped"),
-                bytes_garbage: num_u64(store, "bytes_garbage"),
-                pack_file_bytes: num_u64(store, "pack_file_bytes"),
+                objects: store.get("objects").and_then(Value::as_u64).unwrap_or(0),
+                packs: store.get("packs").and_then(Value::as_u64).unwrap_or(0),
+                bytes_logical: store
+                    .get("bytes_logical")
+                    .and_then(Value::as_u64)
+                    .unwrap_or(0),
+                bytes_physical: store
+                    .get("bytes_physical")
+                    .and_then(Value::as_u64)
+                    .unwrap_or(0),
+                bytes_deduped: store
+                    .get("bytes_deduped")
+                    .and_then(Value::as_u64)
+                    .unwrap_or(0),
+                bytes_garbage: store
+                    .get("bytes_garbage")
+                    .and_then(Value::as_u64)
+                    .unwrap_or(0),
+                pack_file_bytes: store
+                    .get("pack_file_bytes")
+                    .and_then(Value::as_u64)
+                    .unwrap_or(0),
             },
-            journal: field(v, "journal")
-                .map(decode_ledger)
-                .unwrap_or(JournalLedger {
-                    events_emitted: 0,
-                    events_written: 0,
-                    events_dropped: 0,
-                }),
+            journal: decode_ledger(v.get("journal").unwrap_or(&Value::Null)),
             registry: RegistrySnapshot {
-                counters: arr_of(registry, "counters")
-                    .iter()
-                    .map(decode_metric)
-                    .collect::<Result<_, _>>()?,
-                gauges: arr_of(registry, "gauges")
-                    .iter()
-                    .map(decode_metric)
-                    .collect::<Result<_, _>>()?,
-                histograms: arr_of(registry, "histograms")
+                counters: metrics("counters")?,
+                gauges: metrics("gauges")?,
+                histograms: registry
+                    .get("histograms")
+                    .and_then(Value::as_array)
+                    .unwrap_or_default()
                     .iter()
                     .map(decode_histogram)
                     .collect::<Result<_, _>>()?,
@@ -719,10 +712,8 @@ mod tests {
     fn snapshot_round_trips_through_its_json_line() {
         let snap = sample_snapshot(7);
         let line = snap.to_json_line();
-        // The server-side JSON parser lives in reprocmp-server; here we
-        // round-trip through to_value directly, which is what the
-        // parser produces for this line.
-        let decoded = TelemetrySnapshot::from_value(&snap.to_value()).expect("decode");
+        let parsed = serde_json::from_str(&line).expect("line parses");
+        let decoded = TelemetrySnapshot::from_value(&parsed).expect("decode");
         assert_eq!(decoded, snap);
         assert!(!line.contains('\n'), "one line per snapshot");
     }

@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod json;
 pub mod proto;
 pub mod queue;
 pub mod server;

@@ -18,8 +18,6 @@
 
 use serde::{Serialize, Value};
 
-use crate::json::{self, get, get_array, get_str, get_u64};
-
 /// Protocol revision spoken by this build. Bumped only for additive
 /// changes; peers accept any `protocol >= 1` hello.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -34,7 +32,7 @@ pub enum ProtoError {
     /// Socket/pipe failure.
     Io(std::io::Error),
     /// The frame payload was not valid JSON.
-    Json(json::JsonError),
+    Json(serde_json::Error),
     /// The JSON did not shape up as any known message.
     Schema(String),
 }
@@ -172,10 +170,15 @@ impl ObjectRef {
 
     fn from_value(v: &Value) -> Result<Self, ProtoError> {
         Ok(ObjectRef {
-            name: get_str(v, "name")
+            name: v
+                .get("name")
+                .and_then(Value::as_str)
                 .ok_or_else(|| schema("object ref missing `name`"))?
                 .to_owned(),
-            version: get_u64(v, "version").ok_or_else(|| schema("object ref missing `version`"))?,
+            version: v
+                .get("version")
+                .and_then(Value::as_u64)
+                .ok_or_else(|| schema("object ref missing `version`"))?,
         })
     }
 }
@@ -278,13 +281,21 @@ impl Request {
     /// [`ProtoError`] on bad JSON or an unknown/missing shape.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtoError> {
         let v = parse_payload(payload)?;
-        let tag = get_str(&v, "type").ok_or_else(|| schema("request missing `type`"))?;
+        let tag = v
+            .get("type")
+            .and_then(Value::as_str)
+            .ok_or_else(|| schema("request missing `type`"))?;
         match tag {
             "hello" => Ok(Request::Hello {
-                client: get_str(&v, "client")
+                client: v
+                    .get("client")
+                    .and_then(Value::as_str)
                     .ok_or_else(|| schema("hello missing `client`"))?
                     .to_owned(),
-                protocol: get_u64(&v, "protocol").unwrap_or(PROTOCOL_VERSION),
+                protocol: v
+                    .get("protocol")
+                    .and_then(Value::as_u64)
+                    .unwrap_or(PROTOCOL_VERSION),
             }),
             "ingest" => Ok(Request::Ingest {
                 name: req_str(&v, "name")?,
@@ -294,17 +305,22 @@ impl Request {
             }),
             "compare" => Ok(Request::Compare {
                 left: ObjectRef::from_value(
-                    get(&v, "left").ok_or_else(|| schema("compare missing `left`"))?,
+                    v.get("left")
+                        .ok_or_else(|| schema("compare missing `left`"))?,
                 )?,
                 right: ObjectRef::from_value(
-                    get(&v, "right").ok_or_else(|| schema("compare missing `right`"))?,
+                    v.get("right")
+                        .ok_or_else(|| schema("compare missing `right`"))?,
                 )?,
             }),
             "compare_many" => {
                 let baseline = ObjectRef::from_value(
-                    get(&v, "baseline").ok_or_else(|| schema("compare_many missing `baseline`"))?,
+                    v.get("baseline")
+                        .ok_or_else(|| schema("compare_many missing `baseline`"))?,
                 )?;
-                let runs = get_array(&v, "runs")
+                let runs = v
+                    .get("runs")
+                    .and_then(Value::as_array)
                     .ok_or_else(|| schema("compare_many missing `runs`"))?
                     .iter()
                     .map(ObjectRef::from_value)
@@ -317,14 +333,14 @@ impl Request {
             }),
             "status" => Ok(Request::Status {
                 job: req_u64(&v, "job")?,
-                wait: matches!(get(&v, "wait"), Some(Value::Bool(true))),
+                wait: v.get("wait").and_then(Value::as_bool).unwrap_or(false),
             }),
             "watch" => Ok(Request::Watch {
                 job: req_u64(&v, "job")?,
             }),
             "metrics" => Ok(Request::Metrics),
             "subscribe_telemetry" => Ok(Request::SubscribeTelemetry {
-                max: get_u64(&v, "max").unwrap_or(0),
+                max: v.get("max").and_then(Value::as_u64).unwrap_or(0),
             }),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(schema(format!("unknown request type `{other}`"))),
@@ -536,12 +552,15 @@ impl Response {
     /// [`ProtoError`] on bad JSON or an unknown/missing shape.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtoError> {
         let v = parse_payload(payload)?;
-        let tag = get_str(&v, "type").ok_or_else(|| schema("response missing `type`"))?;
+        let tag = v
+            .get("type")
+            .and_then(Value::as_str)
+            .ok_or_else(|| schema("response missing `type`"))?;
         match tag {
             "hello_ok" => Ok(Response::HelloOk {
                 server: req_str(&v, "server")?,
                 protocol: req_u64(&v, "protocol")?,
-                queue_capacity: get_u64(&v, "queue_capacity").unwrap_or(0),
+                queue_capacity: v.get("queue_capacity").and_then(Value::as_u64).unwrap_or(0),
             }),
             "accepted" => Ok(Response::Accepted {
                 job: req_u64(&v, "job")?,
@@ -550,14 +569,16 @@ impl Response {
                 reason: req_str(&v, "reason")?,
             }),
             "status" => {
-                let state = get_str(&v, "state")
+                let state = v
+                    .get("state")
+                    .and_then(Value::as_str)
                     .and_then(JobState::parse)
                     .ok_or_else(|| schema("status missing `state`"))?;
                 Ok(Response::Status {
                     job: req_u64(&v, "job")?,
                     state,
-                    result: get(&v, "result").cloned(),
-                    error: get_str(&v, "error").map(str::to_owned),
+                    result: v.get("result").cloned(),
+                    error: v.get("error").and_then(Value::as_str).map(str::to_owned),
                 })
             }
             "event" => Ok(Response::Event {
@@ -568,24 +589,27 @@ impl Response {
                 kind: req_str(&v, "kind")?,
             }),
             "done" => {
-                let state = get_str(&v, "state")
+                let state = v
+                    .get("state")
+                    .and_then(Value::as_str)
                     .and_then(JobState::parse)
                     .ok_or_else(|| schema("done missing `state`"))?;
                 Ok(Response::Done {
                     job: req_u64(&v, "job")?,
                     state,
-                    events_emitted: get_u64(&v, "events_emitted").unwrap_or(0),
-                    events_written: get_u64(&v, "events_written").unwrap_or(0),
-                    events_dropped: get_u64(&v, "events_dropped").unwrap_or(0),
+                    events_emitted: v.get("events_emitted").and_then(Value::as_u64).unwrap_or(0),
+                    events_written: v.get("events_written").and_then(Value::as_u64).unwrap_or(0),
+                    events_dropped: v.get("events_dropped").and_then(Value::as_u64).unwrap_or(0),
                 })
             }
             "telemetry" => Ok(Response::Telemetry {
-                snapshot: get(&v, "snapshot")
+                snapshot: v
+                    .get("snapshot")
                     .cloned()
                     .ok_or_else(|| schema("telemetry missing `snapshot`"))?,
             }),
             "telemetry_end" => Ok(Response::TelemetryEnd {
-                snapshots: get_u64(&v, "snapshots").unwrap_or(0),
+                snapshots: v.get("snapshots").and_then(Value::as_u64).unwrap_or(0),
             }),
             "error" => Ok(Response::Error {
                 message: req_str(&v, "message")?,
@@ -680,7 +704,7 @@ pub fn encode(msg: &impl Serialize) -> Vec<u8> {
 
 fn parse_payload(payload: &[u8]) -> Result<Value, ProtoError> {
     let text = std::str::from_utf8(payload).map_err(|_| schema("frame payload is not UTF-8"))?;
-    json::parse(text).map_err(ProtoError::Json)
+    serde_json::from_str(text).map_err(ProtoError::Json)
 }
 
 fn schema(msg: impl Into<String>) -> ProtoError {
@@ -688,13 +712,16 @@ fn schema(msg: impl Into<String>) -> ProtoError {
 }
 
 fn req_str(v: &Value, key: &str) -> Result<String, ProtoError> {
-    get_str(v, key)
+    v.get(key)
+        .and_then(Value::as_str)
         .map(str::to_owned)
         .ok_or_else(|| schema(format!("missing string field `{key}`")))
 }
 
 fn req_u64(v: &Value, key: &str) -> Result<u64, ProtoError> {
-    get_u64(v, key).ok_or_else(|| schema(format!("missing integer field `{key}`")))
+    v.get(key)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| schema(format!("missing integer field `{key}`")))
 }
 
 #[cfg(test)]

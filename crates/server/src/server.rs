@@ -564,7 +564,7 @@ impl Server {
             for line in text.lines() {
                 // A torn final line (crash mid-append) parses as an
                 // error and is simply skipped.
-                let Ok(value) = crate::json::parse(line) else {
+                let Ok(value) = serde_json::from_str(line) else {
                     continue;
                 };
                 let Ok(snap) = TelemetrySnapshot::from_value(&value) else {

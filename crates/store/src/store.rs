@@ -725,141 +725,8 @@ impl ChunkStore {
         chunk_bytes: usize,
         meta: &[u8],
     ) -> StoreResult<IngestStats> {
-        if name.is_empty() || name.contains(['/', '\\', '\0']) {
-            return Err(StoreError::Config(format!(
-                "invalid checkpoint name {name:?}"
-            )));
-        }
-        if chunk_bytes == 0 || chunk_bytes > u32::MAX as usize {
-            return Err(StoreError::Config(format!(
-                "invalid chunk size {chunk_bytes}"
-            )));
-        }
-        let total: u64 = segments.iter().map(|(_, b)| b.len() as u64).sum();
-        if total == 0 {
-            return Err(StoreError::Config("checkpoint has no bytes".into()));
-        }
-
         let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let key = (name.to_owned(), version);
-        if inner.manifests.contains_key(&key) {
-            return Err(StoreError::Exists {
-                name: name.to_owned(),
-                version,
-            });
-        }
-
-        // Chunk and address every segment; queue first occurrences of
-        // unknown (or quarantined-only) digests for the new pack.
-        let mut manifest_segments = Vec::with_capacity(segments.len());
-        let mut new_chunks: Vec<(Digest128, &[u8])> = Vec::new();
-        let mut queued: HashSet<Digest128> = HashSet::new();
-        let mut stats = IngestStats {
-            bytes_logical: total,
-            ..IngestStats::default()
-        };
-        for &(seg_name, bytes) in segments {
-            let mut digests =
-                Vec::with_capacity(chunk_count(bytes.len() as u64, chunk_bytes as u32) as usize);
-            for chunk in bytes.chunks(chunk_bytes) {
-                let digest = raw_chunk_digest(chunk);
-                stats.chunk_refs += 1;
-                let healthy_copy = inner
-                    .index
-                    .get(&digest)
-                    .is_some_and(|e| !inner.quarantined.contains(&e.pack));
-                if healthy_copy || queued.contains(&digest) {
-                    stats.chunks_deduped += 1;
-                    stats.bytes_deduped += chunk.len() as u64;
-                } else {
-                    queued.insert(digest);
-                    new_chunks.push((digest, chunk));
-                    stats.chunks_stored += 1;
-                    stats.bytes_physical += chunk.len() as u64;
-                }
-                digests.push(digest);
-            }
-            manifest_segments.push(Segment::full(
-                seg_name.to_owned(),
-                bytes.len() as u64,
-                digests,
-            ));
-        }
-
-        // Declare the intent before the first file mutation.
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let pack_id = (!new_chunks.is_empty()).then_some(inner.next_pack);
-        self.journal_append(&IntentRecord::IngestBegin {
-            seq,
-            name: name.to_owned(),
-            version,
-            pack: pack_id,
-        })?;
-
-        // Publish step 1: the pack (only if something is new).
-        if let Some(pack_id) = pack_id {
-            let path = self.packs_dir().join(pack_file_name(pack_id));
-            let records = write_pack(self.fs.as_ref(), &path, &new_chunks, self.parity_width)?;
-            for r in records {
-                // A repointed chunk keeps the references its
-                // quarantined copy had accumulated.
-                let prev_refcount = inner.index.get(&r.digest).map_or(0, |e| e.refcount);
-                inner.index.insert(
-                    r.digest,
-                    IndexEntry {
-                        pack: pack_id,
-                        data_offset: r.data_offset,
-                        len: r.len,
-                        refcount: prev_refcount,
-                    },
-                );
-            }
-            inner.next_pack += 1;
-            stats.pack = Some(pack_id);
-        }
-
-        // Publish step 2: the manifest.
-        let manifest = Manifest {
-            name: name.to_owned(),
-            version,
-            kind: ManifestKind::Full,
-            chunk_bytes: chunk_bytes as u32,
-            meta: meta.to_vec(),
-            segments: manifest_segments,
-        };
-        let manifest_path = self.manifests_dir().join(manifest_file_name(name, version));
-        self.fs.write_atomic(
-            &manifest_path,
-            &manifest.encode(),
-            MutationKind::ManifestPublish,
-        )?;
-
-        // Publish step 3: refcounts + the swapped index. Refcounts
-        // come from the *owned* view (all references, for a full
-        // manifest), mirroring `remove` and `rebuild_index`.
-        for (digest, _) in manifest.own_chunk_lens() {
-            if let Some(e) = inner.index.get_mut(&digest) {
-                e.refcount += 1;
-            }
-        }
-        save_index(self.fs.as_ref(), &self.index_path(), &inner.index)?;
-        inner.manifests.insert(key, manifest);
-
-        // Commit: all mutations landed.
-        self.journal_append(&IntentRecord::IngestCommit { seq })?;
-
-        self.metrics.chunks_stored.add(stats.chunks_stored);
-        self.metrics.chunks_deduped.add(stats.chunks_deduped);
-        self.metrics.bytes_logical.add(stats.bytes_logical);
-        self.metrics.bytes_physical.add(stats.bytes_physical);
-        self.metrics.bytes_deduped.add(stats.bytes_deduped);
-        if stats.pack.is_some() {
-            self.metrics.packs.add(1);
-        }
-        self.metrics.objects.add(1);
-        Ok(stats)
+        self.ingest_locked(&mut inner, name, version, segments, chunk_bytes, meta, None)
     }
 
     /// Differential capture: ingests `name`@`version` by diffing the
@@ -892,6 +759,43 @@ impl ChunkStore {
         meta: &[u8],
         policy: &DeltaPolicy,
     ) -> StoreResult<IngestStats> {
+        let mut inner = self.inner.lock();
+
+        // Pick the diff base: the latest strictly older version whose
+        // geometry matches and whose own chain is intact, provided the
+        // policy permits one more link.
+        let base = inner
+            .manifests
+            .keys()
+            .filter(|(n, v)| n == name && *v < version)
+            .map(|&(_, v)| v)
+            .max()
+            .filter(|&pv| {
+                inner.manifests[&(name.to_owned(), pv)].chunk_bytes as usize == chunk_bytes
+            })
+            .and_then(|pv| {
+                let chain = chain_versions(&inner.manifests, name, pv).ok()?;
+                let depth = chain.len() as u64; // parent depth + 1
+                (!policy.forces_anchor(depth)).then_some((pv, depth))
+            });
+        self.ingest_locked(&mut inner, name, version, segments, chunk_bytes, meta, base)
+    }
+
+    /// The one ingest body. `base` is `(parent version, new depth)` for
+    /// a delta against that parent — which the caller found in
+    /// `inner.manifests` under this same lock — or `None` for a full
+    /// capture.
+    #[allow(clippy::too_many_arguments)]
+    fn ingest_locked(
+        &self,
+        inner: &mut Inner,
+        name: &str,
+        version: u64,
+        segments: &[(&str, &[u8])],
+        chunk_bytes: usize,
+        meta: &[u8],
+        base: Option<(u64, u64)>,
+    ) -> StoreResult<IngestStats> {
         if name.is_empty() || name.contains(['/', '\\', '\0']) {
             return Err(StoreError::Config(format!(
                 "invalid checkpoint name {name:?}"
@@ -906,9 +810,6 @@ impl ChunkStore {
         if total == 0 {
             return Err(StoreError::Config("checkpoint has no bytes".into()));
         }
-
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
         let key = (name.to_owned(), version);
         if inner.manifests.contains_key(&key) {
             return Err(StoreError::Exists {
@@ -917,51 +818,28 @@ impl ChunkStore {
             });
         }
 
-        // Pick the diff base: the latest strictly older version whose
-        // geometry matches and whose own chain is intact, provided the
-        // policy permits one more link.
-        let mut base: Option<(u64, u64)> = None; // (parent version, new depth)
-        let parent_version = inner
-            .manifests
-            .keys()
-            .filter(|(n, v)| n == name && *v < version)
-            .map(|&(_, v)| v)
-            .max();
-        if let Some(pv) = parent_version {
-            let parent = &inner.manifests[&(name.to_owned(), pv)];
-            if parent.chunk_bytes as usize == chunk_bytes {
-                if let Ok(chain) = chain_versions(&inner.manifests, name, pv) {
-                    let depth = chain.len() as u64; // parent depth + 1
-                    if !policy.forces_anchor(depth) {
-                        base = Some((pv, depth));
-                    }
-                }
-            }
-        }
-        let Some((parent_version, depth)) = base else {
-            drop(guard);
-            return self.ingest(name, version, segments, chunk_bytes, meta);
-        };
-
-        // Diff every segment against the parent's same-named segment:
-        // an identical (digest, len) at the same chunk index is a
-        // capture-time skip; everything else goes down the normal
-        // dedup-or-store path and lands in the `changed` set. A chunk
-        // whose only stored copy is quarantined is never skipped — we
-        // hold healthy bytes, so re-storing heals the store exactly as
-        // a full ingest would.
-        let parent = inner.manifests[&(name.to_owned(), parent_version)].clone();
+        // Chunk and address every segment; queue first occurrences of
+        // unknown (or quarantined-only) digests for the new pack.
+        //
+        // Against a delta base, each segment is diffed with the
+        // parent's same-named segment first: an identical (digest,
+        // len) at the same chunk index is a capture-time skip;
+        // everything else goes down the dedup-or-store path and lands
+        // in the `changed` set. A chunk whose only stored copy is
+        // quarantined is never skipped — we hold healthy bytes, so
+        // re-storing heals the store exactly as a full ingest would.
+        let parent = base.map(|(pv, _)| &inner.manifests[&(name.to_owned(), pv)]);
         let mut manifest_segments = Vec::with_capacity(segments.len());
         let mut new_chunks: Vec<(Digest128, &[u8])> = Vec::new();
         let mut queued: HashSet<Digest128> = HashSet::new();
         let mut stats = IngestStats {
             bytes_logical: total,
-            parent: Some(parent_version),
-            depth,
+            parent: base.map(|(pv, _)| pv),
+            depth: base.map_or(0, |(_, depth)| depth),
             ..IngestStats::default()
         };
         for &(seg_name, bytes) in segments {
-            let parent_seg = parent.segments.iter().find(|s| s.name == seg_name);
+            let parent_seg = parent.and_then(|p| p.segments.iter().find(|s| s.name == seg_name));
             let cb = chunk_bytes as u64;
             let mut digests =
                 Vec::with_capacity(chunk_count(bytes.len() as u64, chunk_bytes as u32) as usize);
@@ -999,13 +877,13 @@ impl ChunkStore {
                 name: seg_name.to_owned(),
                 len: bytes.len() as u64,
                 digests,
-                changed: Some(changed),
+                changed: base.is_some().then_some(changed),
             });
         }
 
-        // Same journaled publish sequence as a full ingest; replay
-        // semantics are identical because the begin record carries the
-        // same undo information (the orphan pack id).
+        // Declare the intent before the first file mutation. Full and
+        // delta ingests replay identically: the begin record carries
+        // the same undo information (the orphan pack id).
         let seq = inner.next_seq;
         inner.next_seq += 1;
         let pack_id = (!new_chunks.is_empty()).then_some(inner.next_pack);
@@ -1016,10 +894,13 @@ impl ChunkStore {
             pack: pack_id,
         })?;
 
+        // Publish step 1: the pack (only if something is new).
         if let Some(pack_id) = pack_id {
             let path = self.packs_dir().join(pack_file_name(pack_id));
             let records = write_pack(self.fs.as_ref(), &path, &new_chunks, self.parity_width)?;
             for r in records {
+                // A repointed chunk keeps the references its
+                // quarantined copy had accumulated.
                 let prev_refcount = inner.index.get(&r.digest).map_or(0, |e| e.refcount);
                 inner.index.insert(
                     r.digest,
@@ -1035,12 +916,13 @@ impl ChunkStore {
             stats.pack = Some(pack_id);
         }
 
+        // Publish step 2: the manifest.
         let manifest = Manifest {
             name: name.to_owned(),
             version,
-            kind: ManifestKind::Delta {
-                parent: parent_version,
-            },
+            kind: base.map_or(ManifestKind::Full, |(parent, _)| ManifestKind::Delta {
+                parent,
+            }),
             chunk_bytes: chunk_bytes as u32,
             meta: meta.to_vec(),
             segments: manifest_segments,
@@ -1052,7 +934,10 @@ impl ChunkStore {
             MutationKind::ManifestPublish,
         )?;
 
-        // Only the changed chunks are refcounted: the skipped ones are
+        // Publish step 3: refcounts + the swapped index. Refcounts
+        // come from the *owned* view, mirroring `remove` and
+        // `rebuild_index`: every reference for a full manifest, only
+        // the changed chunks for a delta — the skipped ones are
         // borrowed from the parent chain, which `remove` keeps alive.
         for (digest, _) in manifest.own_chunk_lens() {
             if let Some(e) = inner.index.get_mut(&digest) {
@@ -1062,6 +947,7 @@ impl ChunkStore {
         save_index(self.fs.as_ref(), &self.index_path(), &inner.index)?;
         inner.manifests.insert(key, manifest);
 
+        // Commit: all mutations landed.
         self.journal_append(&IntentRecord::IngestCommit { seq })?;
 
         self.metrics.chunks_stored.add(stats.chunks_stored);
@@ -1071,21 +957,23 @@ impl ChunkStore {
         self.metrics.bytes_physical.add(stats.bytes_physical);
         self.metrics.bytes_deduped.add(stats.bytes_deduped);
         self.metrics.bytes_skipped.add(stats.bytes_skipped);
-        self.metrics.chain_depth.set(depth as i64);
         if stats.pack.is_some() {
             self.metrics.packs.add(1);
         }
         self.metrics.objects.add(1);
-        self.obs.emit(
-            "store",
-            EventKind::DeltaCapture {
-                version,
-                parent: parent_version,
-                depth,
-                bytes_written: stats.bytes_physical,
-                bytes_skipped: stats.bytes_skipped,
-            },
-        );
+        if let Some((parent, depth)) = base {
+            self.metrics.chain_depth.set(depth as i64);
+            self.obs.emit(
+                "store",
+                EventKind::DeltaCapture {
+                    version,
+                    parent,
+                    depth,
+                    bytes_written: stats.bytes_physical,
+                    bytes_skipped: stats.bytes_skipped,
+                },
+            );
+        }
         Ok(stats)
     }
 

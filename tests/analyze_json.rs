@@ -28,6 +28,9 @@ use reprocmp::io::Timeline;
 use reprocmp::obs::Observer;
 use std::path::PathBuf;
 
+mod common;
+use common::{added_keys, assert_additive, golden_object};
+
 const CHUNK: usize = 256; // 64 values per chunk
 const VALUES: usize = 1024;
 
@@ -146,164 +149,6 @@ fn report_json_is_deterministic_and_duration_free() {
 // Legacy-schema compatibility
 // ---------------------------------------------------------------------
 
-/// Minimal JSON value for schema comparisons; numbers keep their raw
-/// lexemes so equality is exact.
-#[derive(Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-/// Recursive-descent parser for the subset our documents emit (the
-/// vendored `serde_json` stand-in only serializes).
-fn parse_json(text: &str) -> Json {
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-    impl P<'_> {
-        fn ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-        fn expect(&mut self, c: u8) {
-            self.ws();
-            assert_eq!(
-                self.b[self.i], c,
-                "expected {} at byte {}",
-                c as char, self.i
-            );
-            self.i += 1;
-        }
-        fn string(&mut self) -> String {
-            self.expect(b'"');
-            let mut out = String::new();
-            loop {
-                let c = self.b[self.i];
-                self.i += 1;
-                match c {
-                    b'"' => return out,
-                    b'\\' => {
-                        let e = self.b[self.i];
-                        self.i += 1;
-                        out.push(match e {
-                            b'n' => '\n',
-                            b't' => '\t',
-                            other => other as char,
-                        });
-                    }
-                    other => out.push(other as char),
-                }
-            }
-        }
-        fn value(&mut self) -> Json {
-            self.ws();
-            match self.b[self.i] {
-                b'{' => {
-                    self.i += 1;
-                    let mut fields = Vec::new();
-                    self.ws();
-                    if self.b[self.i] == b'}' {
-                        self.i += 1;
-                        return Json::Obj(fields);
-                    }
-                    loop {
-                        let key = self.string();
-                        self.expect(b':');
-                        fields.push((key, self.value()));
-                        self.ws();
-                        match self.b[self.i] {
-                            b',' => self.i += 1,
-                            b'}' => {
-                                self.i += 1;
-                                return Json::Obj(fields);
-                            }
-                            other => panic!("bad object separator {}", other as char),
-                        }
-                        self.ws();
-                    }
-                }
-                b'[' => {
-                    self.i += 1;
-                    let mut items = Vec::new();
-                    self.ws();
-                    if self.b[self.i] == b']' {
-                        self.i += 1;
-                        return Json::Arr(items);
-                    }
-                    loop {
-                        items.push(self.value());
-                        self.ws();
-                        match self.b[self.i] {
-                            b',' => self.i += 1,
-                            b']' => {
-                                self.i += 1;
-                                return Json::Arr(items);
-                            }
-                            other => panic!("bad array separator {}", other as char),
-                        }
-                    }
-                }
-                b'"' => Json::Str(self.string()),
-                b't' => {
-                    self.i += 4;
-                    Json::Bool(true)
-                }
-                b'f' => {
-                    self.i += 5;
-                    Json::Bool(false)
-                }
-                b'n' => {
-                    self.i += 4;
-                    Json::Null
-                }
-                _ => {
-                    let start = self.i;
-                    while self.i < self.b.len()
-                        && matches!(
-                            self.b[self.i],
-                            b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-                        )
-                    {
-                        self.i += 1;
-                    }
-                    Json::Num(String::from_utf8(self.b[start..self.i].to_vec()).unwrap())
-                }
-            }
-        }
-    }
-    let mut p = P {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let v = p.value();
-    p.ws();
-    assert_eq!(p.i, text.len(), "trailing garbage after JSON value");
-    v
-}
-
-/// Recursive *additive* comparison: every field the legacy document
-/// has must exist in the current one with an additively-equal value.
-fn assert_additive(legacy: &Json, current: &Json, path: &str) {
-    match (legacy, current) {
-        (Json::Obj(old), Json::Obj(new)) => {
-            for (key, old_value) in old {
-                let (_, new_value) = new
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .unwrap_or_else(|| panic!("new schema dropped `{path}.{key}`"));
-                assert_additive(old_value, new_value, &format!("{path}.{key}"));
-            }
-        }
-        _ => assert_eq!(current, legacy, "value of `{path}` changed"),
-    }
-}
-
 /// Documents written by the schema's first consumers (bisection +
 /// front tracking only, before per-region attribution and boundary
 /// detail) must stay readable: every field they parse is present with
@@ -311,12 +156,7 @@ fn assert_additive(legacy: &Json, current: &Json, path: &str) {
 /// `regions` and `boundary` sections.
 #[test]
 fn v1_analyze_documents_remain_readable_and_schema_is_additive() {
-    let legacy_text =
-        std::fs::read_to_string(golden_path("legacy_analyze_v1")).expect("legacy fixture");
-    let Json::Obj(legacy) = parse_json(&legacy_text) else {
-        panic!("legacy fixture is not an object")
-    };
-    let legacy_keys: Vec<&str> = legacy.iter().map(|(k, _)| k.as_str()).collect();
+    let legacy = golden_object("legacy_analyze_v1");
     for key in [
         "schema_version",
         "divergent",
@@ -325,33 +165,18 @@ fn v1_analyze_documents_remain_readable_and_schema_is_additive() {
         "bisection",
         "front",
     ] {
-        assert!(legacy_keys.contains(&key), "legacy document lost `{key}`");
+        assert!(legacy.get(key).is_some(), "legacy document lost `{key}`");
     }
     assert!(
-        !legacy_keys.contains(&"regions") && !legacy_keys.contains(&"boundary"),
+        legacy.get("regions").is_none() && legacy.get("boundary").is_none(),
         "the legacy fixture must predate per-region attribution"
     );
 
-    let current_text =
-        std::fs::read_to_string(golden_path("analyze_divergence")).expect("current golden");
-    let Json::Obj(current) = parse_json(&current_text) else {
-        panic!("current golden is not an object")
-    };
-    for (key, legacy_value) in &legacy {
-        let (_, current_value) = current
-            .iter()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("new schema dropped `{key}`"));
-        assert_additive(legacy_value, current_value, key);
-    }
-    let added: Vec<&str> = current
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .filter(|k| !legacy_keys.contains(k))
-        .collect();
+    let current = golden_object("analyze_divergence");
+    assert_additive(&legacy, &current, "document");
     assert_eq!(
-        added,
-        vec!["regions", "boundary"],
+        added_keys(&legacy, &current),
+        ["regions", "boundary"],
         "additions beyond the attribution sections"
     );
 }

@@ -4,9 +4,7 @@
 //! a report.
 //!
 //! Everything runs on a simulated timeline, so event timestamps and
-//! reports are deterministic; the JSON produced by the exporters is
-//! read back through a hand-written parser because the vendored
-//! `serde_json` stand-in is serialize-only.
+//! reports are deterministic.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,6 +13,7 @@ use reprocmp::core::{CheckpointSource, CompareEngine, CompareReport, EngineConfi
 use reprocmp::device::Device;
 use reprocmp::io::{BackendKind, CostModel, PipelineConfig, SimClock, Timeline};
 use reprocmp::obs::{chrome_trace, EventKind, Journal, ObsClock, Observer};
+use serde::Value;
 
 // ---------------------------------------------------------------------
 // Scenario plumbing
@@ -83,152 +82,6 @@ fn compare_with(
 const BACKENDS: [BackendKind; 3] = [BackendKind::Uring, BackendKind::Mmap, BackendKind::Blocking];
 
 // ---------------------------------------------------------------------
-// A minimal JSON reader (the vendored serde_json only serializes)
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Json {
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-    impl P<'_> {
-        fn ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-        fn string(&mut self) -> String {
-            assert_eq!(self.b[self.i], b'"', "expected string at byte {}", self.i);
-            self.i += 1;
-            let mut out = String::new();
-            loop {
-                let c = self.b[self.i];
-                self.i += 1;
-                match c {
-                    b'"' => return out,
-                    b'\\' => {
-                        let e = self.b[self.i];
-                        self.i += 1;
-                        out.push(match e {
-                            b'n' => '\n',
-                            b't' => '\t',
-                            other => other as char,
-                        });
-                    }
-                    other => out.push(other as char),
-                }
-            }
-        }
-        fn value(&mut self) -> Json {
-            self.ws();
-            match self.b[self.i] {
-                b'{' => {
-                    self.i += 1;
-                    let mut fields = Vec::new();
-                    loop {
-                        self.ws();
-                        if self.b[self.i] == b'}' {
-                            self.i += 1;
-                            return Json::Obj(fields);
-                        }
-                        if self.b[self.i] == b',' {
-                            self.i += 1;
-                            self.ws();
-                        }
-                        let key = self.string();
-                        self.ws();
-                        assert_eq!(self.b[self.i], b':');
-                        self.i += 1;
-                        fields.push((key, self.value()));
-                    }
-                }
-                b'[' => {
-                    self.i += 1;
-                    let mut items = Vec::new();
-                    loop {
-                        self.ws();
-                        if self.b[self.i] == b']' {
-                            self.i += 1;
-                            return Json::Arr(items);
-                        }
-                        if self.b[self.i] == b',' {
-                            self.i += 1;
-                        }
-                        items.push(self.value());
-                    }
-                }
-                b'"' => Json::Str(self.string()),
-                b't' => {
-                    self.i += 4;
-                    Json::Bool(true)
-                }
-                b'f' => {
-                    self.i += 5;
-                    Json::Bool(false)
-                }
-                b'n' => {
-                    self.i += 4;
-                    Json::Null
-                }
-                _ => {
-                    let start = self.i;
-                    while self.i < self.b.len()
-                        && matches!(
-                            self.b[self.i],
-                            b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-                        )
-                    {
-                        self.i += 1;
-                    }
-                    Json::Num(String::from_utf8(self.b[start..self.i].to_vec()).unwrap())
-                }
-            }
-        }
-    }
-    let mut p = P {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let v = p.value();
-    p.ws();
-    assert_eq!(p.i, text.len(), "trailing garbage after JSON value");
-    v
-}
-
-// ---------------------------------------------------------------------
 // Journaling never changes a report
 // ---------------------------------------------------------------------
 
@@ -285,11 +138,11 @@ proptest! {
         let jsonl = journal.to_jsonl();
         let mut last_seq = None;
         for line in jsonl.lines() {
-            let obj = parse_json(line);
-            let seq = obj.get("seq").and_then(Json::as_u64).expect("seq");
-            obj.get("ts_ns").and_then(Json::as_u64).expect("ts_ns");
-            obj.get("lane").and_then(Json::as_str).expect("lane");
-            obj.get("type").and_then(Json::as_str).expect("type");
+            let obj = serde_json::from_str(line).expect("valid JSON line");
+            let seq = obj.get("seq").and_then(Value::as_u64).expect("seq");
+            obj.get("ts_ns").and_then(Value::as_u64).expect("ts_ns");
+            obj.get("lane").and_then(Value::as_str).expect("lane");
+            obj.get("type").and_then(Value::as_str).expect("type");
             if let Some(prev) = last_seq {
                 prop_assert!(seq > prev, "seq went backwards: {prev} -> {seq}");
             }
@@ -335,14 +188,14 @@ fn chrome_trace_has_worker_and_ring_lanes_and_every_chunk_read() {
     let (report, obs) = compare_with(BackendKind::Uring, 11, 32 << 10, true);
     let journal = obs.journal();
     let text = chrome_trace(&obs.tracer.records(), &journal.events(), &journal.ledger());
-    let trace = parse_json(&text);
+    let trace = serde_json::from_str(&text).expect("valid JSON trace");
 
-    let Some(Json::Arr(trace_events)) = trace.get("traceEvents") else {
+    let Some(Value::Array(trace_events)) = trace.get("traceEvents") else {
         panic!("no traceEvents array")
     };
     let lanes: Vec<&str> = trace_events
         .iter()
-        .filter(|e| e.get("name").and_then(Json::as_str) == Some("thread_name"))
+        .filter(|e| e.get("name").and_then(Value::as_str) == Some("thread_name"))
         .filter_map(|e| e.get("args")?.get("name")?.as_str())
         .collect();
     for side in ["run_a", "run_b"] {
@@ -361,7 +214,7 @@ fn chrome_trace_has_worker_and_ring_lanes_and_every_chunk_read() {
 
     let chunk_reads = trace_events
         .iter()
-        .filter(|e| e.get("name").and_then(Json::as_str) == Some("chunk_read"))
+        .filter(|e| e.get("name").and_then(Value::as_str) == Some("chunk_read"))
         .count() as u64;
     assert_eq!(
         chunk_reads, report.io.completed,
@@ -372,7 +225,7 @@ fn chrome_trace_has_worker_and_ring_lanes_and_every_chunk_read() {
     // Worker lanes hold the chunk_read intervals; every interval event
     // carries ts + dur.
     for e in trace_events {
-        if e.get("name").and_then(Json::as_str) == Some("chunk_read") {
+        if e.get("name").and_then(Value::as_str) == Some("chunk_read") {
             assert!(e.get("ts").is_some() && e.get("dur").is_some());
         }
     }
@@ -380,15 +233,15 @@ fn chrome_trace_has_worker_and_ring_lanes_and_every_chunk_read() {
     let ledger = journal.ledger();
     let other = trace.get("otherData").expect("otherData");
     assert_eq!(
-        other.get("events_emitted").and_then(Json::as_u64),
+        other.get("events_emitted").and_then(Value::as_u64),
         Some(ledger.events_emitted)
     );
     assert_eq!(
-        other.get("events_written").and_then(Json::as_u64),
+        other.get("events_written").and_then(Value::as_u64),
         Some(ledger.events_written)
     );
     assert_eq!(
-        other.get("events_dropped").and_then(Json::as_u64),
+        other.get("events_dropped").and_then(Value::as_u64),
         Some(ledger.events_dropped)
     );
     assert_eq!(
@@ -477,15 +330,15 @@ fn online_abort_emits_a_typed_divergence_event() {
     let line = journal
         .to_jsonl()
         .lines()
-        .map(parse_json)
-        .find(|obj| obj.get("type").and_then(Json::as_str) == Some("divergence"))
+        .map(|line| serde_json::from_str(line).expect("valid JSON line"))
+        .find(|obj| obj.get("type").and_then(Value::as_str) == Some("divergence"))
         .expect("divergence line in JSONL");
-    assert_eq!(line.get("lane").and_then(Json::as_str), Some("online"));
-    assert_eq!(line.get("rank").and_then(Json::as_u64), Some(0));
-    assert_eq!(line.get("iteration").and_then(Json::as_u64), Some(20));
-    assert_eq!(line.get("threshold").and_then(Json::as_u64), Some(10));
+    assert_eq!(line.get("lane").and_then(Value::as_str), Some("online"));
+    assert_eq!(line.get("rank").and_then(Value::as_u64), Some(0));
+    assert_eq!(line.get("iteration").and_then(Value::as_u64), Some(20));
+    assert_eq!(line.get("threshold").and_then(Value::as_u64), Some(10));
     assert_eq!(
-        line.get("total_diffs").and_then(Json::as_u64),
+        line.get("total_diffs").and_then(Value::as_u64),
         Some(online.total_diffs())
     );
 }

@@ -25,7 +25,11 @@ use rand::{Rng, SeedableRng};
 use reprocmp::core::{CheckpointSource, CompareEngine, EngineConfig};
 use reprocmp::device::Device;
 use reprocmp::io::{CostModel, SimClock, Timeline};
+use serde::Value;
 use std::path::PathBuf;
+
+mod common;
+use common::{added_keys, assert_additive, golden_object, parse_object};
 
 /// One golden scenario: a seed plus the workload shape it drives.
 struct Scenario {
@@ -168,165 +172,13 @@ fn golden_seed3_identical() {
 // Legacy-schema compatibility
 // ---------------------------------------------------------------------
 
-/// A minimal JSON value for schema comparisons. Numbers keep their raw
-/// lexemes so comparisons are exact (no float round-trips).
-#[derive(Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-/// A tiny recursive-descent JSON parser — the vendored `serde_json`
-/// stand-in only serializes, so reading the checked-in fixtures back
-/// needs its own parser. Handles exactly the subset our reports emit.
-fn parse_json(text: &str) -> Json {
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-    impl P<'_> {
-        fn ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
+/// Every number in each named top-level block is zero.
+fn assert_blocks_all_zero(report: &Value, blocks: &[&str]) {
+    for block in blocks {
+        let fields = report.get(block).and_then(Value::as_object);
+        for (name, value) in fields.unwrap_or_else(|| panic!("{block} is not an object")) {
+            assert_eq!(value, &Value::UInt(0), "{block}.{name} nonzero");
         }
-        fn expect(&mut self, c: u8) {
-            self.ws();
-            assert_eq!(
-                self.b[self.i], c,
-                "expected {} at byte {}",
-                c as char, self.i
-            );
-            self.i += 1;
-        }
-        fn string(&mut self) -> String {
-            self.expect(b'"');
-            let mut out = String::new();
-            loop {
-                let c = self.b[self.i];
-                self.i += 1;
-                match c {
-                    b'"' => return out,
-                    b'\\' => {
-                        let e = self.b[self.i];
-                        self.i += 1;
-                        out.push(match e {
-                            b'n' => '\n',
-                            b't' => '\t',
-                            other => other as char,
-                        });
-                    }
-                    other => out.push(other as char),
-                }
-            }
-        }
-        fn value(&mut self) -> Json {
-            self.ws();
-            match self.b[self.i] {
-                b'{' => {
-                    self.i += 1;
-                    let mut fields = Vec::new();
-                    self.ws();
-                    if self.b[self.i] == b'}' {
-                        self.i += 1;
-                        return Json::Obj(fields);
-                    }
-                    loop {
-                        let key = self.string();
-                        self.expect(b':');
-                        fields.push((key, self.value()));
-                        self.ws();
-                        match self.b[self.i] {
-                            b',' => self.i += 1,
-                            b'}' => {
-                                self.i += 1;
-                                return Json::Obj(fields);
-                            }
-                            other => panic!("bad object separator {}", other as char),
-                        }
-                        self.ws();
-                    }
-                }
-                b'[' => {
-                    self.i += 1;
-                    let mut items = Vec::new();
-                    self.ws();
-                    if self.b[self.i] == b']' {
-                        self.i += 1;
-                        return Json::Arr(items);
-                    }
-                    loop {
-                        items.push(self.value());
-                        self.ws();
-                        match self.b[self.i] {
-                            b',' => self.i += 1,
-                            b']' => {
-                                self.i += 1;
-                                return Json::Arr(items);
-                            }
-                            other => panic!("bad array separator {}", other as char),
-                        }
-                    }
-                }
-                b'"' => Json::Str(self.string()),
-                b't' => {
-                    self.i += 4;
-                    Json::Bool(true)
-                }
-                b'f' => {
-                    self.i += 5;
-                    Json::Bool(false)
-                }
-                b'n' => {
-                    self.i += 4;
-                    Json::Null
-                }
-                _ => {
-                    let start = self.i;
-                    while self.i < self.b.len()
-                        && matches!(
-                            self.b[self.i],
-                            b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-                        )
-                    {
-                        self.i += 1;
-                    }
-                    Json::Num(String::from_utf8(self.b[start..self.i].to_vec()).unwrap())
-                }
-            }
-        }
-    }
-    let mut p = P {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let v = p.value();
-    p.ws();
-    assert_eq!(p.i, text.len(), "trailing garbage after JSON value");
-    v
-}
-
-/// Recursive *additive* schema comparison: every field the legacy
-/// value has must exist in the current value with an additively-equal
-/// value (objects may gain fields at any depth — e.g. `stages` gained
-/// `store_read` with the flight recorder — but may never lose or
-/// change one).
-fn assert_additive(legacy: &Json, current: &Json, path: &str) {
-    match (legacy, current) {
-        (Json::Obj(old), Json::Obj(new)) => {
-            for (key, old_value) in old {
-                let (_, new_value) = new
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .unwrap_or_else(|| panic!("new schema dropped `{path}.{key}`"));
-                assert_additive(old_value, new_value, &format!("{path}.{key}"));
-            }
-        }
-        _ => assert_eq!(current, legacy, "value of `{path}` changed"),
     }
 }
 
@@ -336,12 +188,7 @@ fn assert_additive(legacy: &Json, current: &Json, path: &str) {
 /// the identical value, and the only new field is the cache ledger.
 #[test]
 fn pre_cache_reports_remain_readable_and_schema_is_additive() {
-    let legacy_text =
-        std::fs::read_to_string(golden_path("legacy_pre_cache")).expect("legacy fixture");
-    let Json::Obj(legacy) = parse_json(&legacy_text) else {
-        panic!("legacy fixture is not an object")
-    };
-    let legacy_keys: Vec<&str> = legacy.iter().map(|(k, _)| k.as_str()).collect();
+    let legacy = golden_object("legacy_pre_cache");
     for key in [
         "stats",
         "differences",
@@ -350,47 +197,24 @@ fn pre_cache_reports_remain_readable_and_schema_is_additive() {
         "io",
         "unverified",
     ] {
-        assert!(legacy_keys.contains(&key), "legacy report lost `{key}`");
+        assert!(legacy.get(key).is_some(), "legacy report lost `{key}`");
     }
     assert!(
-        !legacy_keys.contains(&"cache"),
+        legacy.get("cache").is_none(),
         "the legacy fixture must predate the cache ledger"
     );
 
     // The regenerated golden for the same scenario: identical on every
     // field the old schema had, plus exactly the `cache` object.
-    let current_text =
-        std::fs::read_to_string(golden_path("seed2_moderate")).expect("current golden");
-    let Json::Obj(current) = parse_json(&current_text) else {
-        panic!("current golden is not an object")
-    };
-    for (key, legacy_value) in &legacy {
-        let (_, current_value) = current
-            .iter()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("new schema dropped `{key}`"));
-        assert_additive(legacy_value, current_value, key);
-    }
-    let added: Vec<&str> = current
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .filter(|k| !legacy_keys.contains(k))
-        .collect();
+    let current = golden_object("seed2_moderate");
+    assert_additive(&legacy, &current, "report");
     assert_eq!(
-        added,
-        vec!["cache", "store", "capture", "chain"],
+        added_keys(&legacy, &current),
+        ["cache", "store", "capture", "chain"],
         "additions beyond the cache/store/capture/chain ledgers"
     );
     // A plain pairwise in-memory report carries all-zero ledgers.
-    for block in ["cache", "store", "capture", "chain"] {
-        let (_, value) = current.iter().find(|(k, _)| k == block).unwrap();
-        let Json::Obj(fields) = value else {
-            panic!("{block} is not an object")
-        };
-        for (name, value) in fields {
-            assert_eq!(value, &Json::Num("0".into()), "{block}.{name} nonzero");
-        }
-    }
+    assert_blocks_all_zero(&current, &["cache", "store", "capture", "chain"]);
 }
 
 /// Reports written before the persistent capture store existed (no
@@ -399,41 +223,21 @@ fn pre_cache_reports_remain_readable_and_schema_is_additive() {
 /// accounting block.
 #[test]
 fn pre_store_reports_remain_readable_and_schema_is_additive() {
-    let legacy_text =
-        std::fs::read_to_string(golden_path("legacy_pre_store")).expect("legacy fixture");
-    let Json::Obj(legacy) = parse_json(&legacy_text) else {
-        panic!("legacy fixture is not an object")
-    };
-    let legacy_keys: Vec<&str> = legacy.iter().map(|(k, _)| k.as_str()).collect();
+    let legacy = golden_object("legacy_pre_store");
     assert!(
-        legacy_keys.contains(&"cache"),
+        legacy.get("cache").is_some(),
         "the pre-store fixture postdates the cache ledger"
     );
     assert!(
-        !legacy_keys.contains(&"store"),
+        legacy.get("store").is_none(),
         "the pre-store fixture must predate the store ledger"
     );
 
-    let current_text =
-        std::fs::read_to_string(golden_path("seed2_moderate")).expect("current golden");
-    let Json::Obj(current) = parse_json(&current_text) else {
-        panic!("current golden is not an object")
-    };
-    for (key, legacy_value) in &legacy {
-        let (_, current_value) = current
-            .iter()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("new schema dropped `{key}`"));
-        assert_additive(legacy_value, current_value, key);
-    }
-    let added: Vec<&str> = current
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .filter(|k| !legacy_keys.contains(k))
-        .collect();
+    let current = golden_object("seed2_moderate");
+    assert_additive(&legacy, &current, "report");
     assert_eq!(
-        added,
-        vec!["store", "capture", "chain"],
+        added_keys(&legacy, &current),
+        ["store", "capture", "chain"],
         "additions beyond the store/capture/chain ledgers"
     );
 }
@@ -444,70 +248,38 @@ fn pre_store_reports_remain_readable_and_schema_is_additive() {
 /// must not have perturbed a single simulated value anywhere else.
 #[test]
 fn pre_flightrec_reports_remain_readable_and_schema_is_additive() {
-    let legacy_text =
-        std::fs::read_to_string(golden_path("legacy_pre_flightrec")).expect("legacy fixture");
-    let Json::Obj(legacy) = parse_json(&legacy_text) else {
-        panic!("legacy fixture is not an object")
-    };
-    let legacy_keys: Vec<&str> = legacy.iter().map(|(k, _)| k.as_str()).collect();
+    let legacy = golden_object("legacy_pre_flightrec");
     assert!(
-        legacy_keys.contains(&"store"),
+        legacy.get("store").is_some(),
         "the pre-flight-recorder fixture postdates the store ledger"
     );
-    let stages_of = |obj: &[(String, Json)]| -> Vec<String> {
-        let Some((_, Json::Obj(stages))) = obj.iter().find(|(k, _)| k == "stages") else {
-            panic!("report has no stages object")
-        };
-        stages.iter().map(|(k, _)| k.clone()).collect()
-    };
+    let legacy_stages = legacy.get("stages").expect("report has no stages object");
     assert!(
-        !stages_of(&legacy).contains(&"store_read".to_owned()),
+        legacy_stages.get("store_read").is_none(),
         "the fixture must predate the store_read phase"
     );
 
-    let current_text =
-        std::fs::read_to_string(golden_path("seed2_moderate")).expect("current golden");
-    let Json::Obj(current) = parse_json(&current_text) else {
-        panic!("current golden is not an object")
-    };
-    for (key, legacy_value) in &legacy {
-        let (_, current_value) = current
-            .iter()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("new schema dropped `{key}`"));
-        assert_additive(legacy_value, current_value, key);
-    }
+    let current = golden_object("seed2_moderate");
+    assert_additive(&legacy, &current, "report");
     // The only top-level additions since are the differential-capture
     // ledgers; the stage additions are the overlap/informational
     // phases, all-zero for an in-memory comparison.
-    let added: Vec<&str> = current
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .filter(|k| !legacy_keys.contains(k))
-        .collect();
     assert_eq!(
-        added,
-        vec!["capture", "chain"],
+        added_keys(&legacy, &current),
+        ["capture", "chain"],
         "unexpected top-level additions"
     );
-    let new_stages: Vec<String> = stages_of(&current)
-        .into_iter()
-        .filter(|k| !stages_of(&legacy).contains(k))
-        .collect();
+    let stages = current.get("stages").expect("report has no stages object");
     assert_eq!(
-        new_stages,
-        vec!["store_read", "delta_capture"],
+        added_keys(legacy_stages, stages),
+        ["store_read", "delta_capture"],
         "stage additions"
     );
-    let Some((_, Json::Obj(stages))) = current.iter().find(|(k, _)| k == "stages") else {
-        unreachable!()
-    };
     for phase in ["store_read", "delta_capture"] {
-        let (_, cost) = stages.iter().find(|(k, _)| k == phase).unwrap();
-        let flat = format!("{cost:?}");
-        assert!(
-            !flat.contains(|c: char| c.is_ascii_digit() && c != '0'),
-            "in-memory comparison charged the {phase} phase: {flat}"
+        assert_eq!(
+            serde_json::to_string(stages.get(phase).unwrap()).unwrap(),
+            r#"{"time":{"secs":0,"nanos":0},"bytes":0,"ops":0}"#,
+            "in-memory comparison charged the {phase} phase"
         );
     }
 }
@@ -519,70 +291,37 @@ fn pre_flightrec_reports_remain_readable_and_schema_is_additive() {
 /// simulated value anywhere else.
 #[test]
 fn pre_delta_reports_remain_readable_and_schema_is_additive() {
-    let legacy_text =
-        std::fs::read_to_string(golden_path("legacy_pre_delta")).expect("legacy fixture");
-    let Json::Obj(legacy) = parse_json(&legacy_text) else {
-        panic!("legacy fixture is not an object")
-    };
-    let legacy_keys: Vec<&str> = legacy.iter().map(|(k, _)| k.as_str()).collect();
+    let legacy = golden_object("legacy_pre_delta");
     assert!(
-        legacy_keys.contains(&"store"),
+        legacy.get("store").is_some(),
         "the pre-delta fixture postdates the store ledger"
     );
     assert!(
-        !legacy_keys.contains(&"capture") && !legacy_keys.contains(&"chain"),
+        legacy.get("capture").is_none() && legacy.get("chain").is_none(),
         "the fixture must predate the differential-capture blocks"
     );
-    let stages_of = |obj: &[(String, Json)]| -> Vec<String> {
-        let Some((_, Json::Obj(stages))) = obj.iter().find(|(k, _)| k == "stages") else {
-            panic!("report has no stages object")
-        };
-        stages.iter().map(|(k, _)| k.clone()).collect()
-    };
+    let legacy_stages = legacy.get("stages").expect("report has no stages object");
     assert!(
-        stages_of(&legacy).contains(&"store_read".to_owned())
-            && !stages_of(&legacy).contains(&"delta_capture".to_owned()),
+        legacy_stages.get("store_read").is_some() && legacy_stages.get("delta_capture").is_none(),
         "the fixture must postdate store_read and predate delta_capture"
     );
 
-    let current_text =
-        std::fs::read_to_string(golden_path("seed2_moderate")).expect("current golden");
-    let Json::Obj(current) = parse_json(&current_text) else {
-        panic!("current golden is not an object")
-    };
-    for (key, legacy_value) in &legacy {
-        let (_, current_value) = current
-            .iter()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("new schema dropped `{key}`"));
-        assert_additive(legacy_value, current_value, key);
-    }
-    let added: Vec<&str> = current
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .filter(|k| !legacy_keys.contains(k))
-        .collect();
+    let current = golden_object("seed2_moderate");
+    assert_additive(&legacy, &current, "report");
     assert_eq!(
-        added,
-        vec!["capture", "chain"],
+        added_keys(&legacy, &current),
+        ["capture", "chain"],
         "additions beyond the capture/chain blocks"
     );
-    let new_stages: Vec<String> = stages_of(&current)
-        .into_iter()
-        .filter(|k| !stages_of(&legacy).contains(k))
-        .collect();
-    assert_eq!(new_stages, vec!["delta_capture"], "stage additions");
+    let stages = current.get("stages").expect("report has no stages object");
+    assert_eq!(
+        added_keys(legacy_stages, stages),
+        ["delta_capture"],
+        "stage additions"
+    );
     // Neither side of an in-memory comparison is a store-backed delta:
     // every added number is zero.
-    for block in ["capture", "chain"] {
-        let (_, value) = current.iter().find(|(k, _)| k == block).unwrap();
-        let Json::Obj(fields) = value else {
-            panic!("{block} is not an object")
-        };
-        for (name, value) in fields {
-            assert_eq!(value, &Json::Num("0".into()), "{block}.{name} nonzero");
-        }
-    }
+    assert_blocks_all_zero(&current, &["capture", "chain"]);
 }
 
 /// The golden serialization is itself reproducible: two fresh
@@ -626,53 +365,37 @@ fn pre_telemetry_profiles_remain_readable_and_schema_is_additive() {
 
     // Re-serialize under today's schema and compare structurally.
     let current_text = parsed.to_json();
-    let Json::Obj(legacy) = parse_json(&legacy_text) else {
-        panic!("legacy fixture is not an object")
-    };
-    let Json::Obj(current) = parse_json(&current_text) else {
-        panic!("re-serialized baseline is not an object")
-    };
+    let legacy = parse_object(&legacy_text);
+    let current = parse_object(&current_text);
     // Top level: everything kept, exactly `gauges` added.
-    for (key, legacy_value) in &legacy {
+    for (key, legacy_value) in legacy.as_object().unwrap() {
         if key == "histograms" {
             continue; // compared element-wise below
         }
-        let (_, current_value) = current
-            .iter()
-            .find(|(k, _)| k == key)
+        let current_value = current
+            .get(key)
             .unwrap_or_else(|| panic!("new schema dropped `{key}`"));
         assert_additive(legacy_value, current_value, key);
     }
-    let added: Vec<&str> = current
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .filter(|k| !legacy.iter().any(|(lk, _)| lk == k))
-        .collect();
-    assert_eq!(added, vec!["gauges"], "unexpected top-level additions");
+    assert_eq!(
+        added_keys(&legacy, &current),
+        ["gauges"],
+        "unexpected top-level additions"
+    );
     // Histogram entries: everything kept, exactly sum + buckets added.
-    fn entries(obj: &[(String, Json)]) -> &[Json] {
-        match obj.iter().find(|(k, _)| k == "histograms") {
-            Some((_, Json::Arr(items))) => items,
-            _ => panic!("no histograms array"),
-        }
+    fn entries(profile: &Value) -> &[Value] {
+        let histograms = profile.get("histograms").and_then(Value::as_array);
+        histograms.expect("no histograms array")
     }
-    for (old_entry, new_entry) in entries(&legacy).iter().zip(entries(&current).iter()) {
-        let (Json::Obj(old), Json::Obj(new)) = (old_entry, new_entry) else {
-            panic!("histogram entries must be objects")
-        };
-        for (key, old_value) in old {
-            let (_, new_value) = new
-                .iter()
-                .find(|(k, _)| k == key)
-                .unwrap_or_else(|| panic!("histogram entry dropped `{key}`"));
-            assert_additive(old_value, new_value, &format!("histograms.{key}"));
-        }
-        let added: Vec<&str> = new
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .filter(|k| !old.iter().any(|(ok, _)| ok == k))
-            .collect();
-        assert_eq!(added, vec!["sum", "buckets"], "histogram entry additions");
+    assert_eq!(entries(&legacy).len(), entries(&current).len());
+    for (old, new) in entries(&legacy).iter().zip(entries(&current)) {
+        assert!(old.as_object().is_some() && new.as_object().is_some());
+        assert_additive(old, new, "histograms[]");
+        assert_eq!(
+            added_keys(old, new),
+            ["sum", "buckets"],
+            "histogram entry additions"
+        );
     }
     // And the regression gate sees no drift between the eras.
     let reparsed = reprocmp::obs::ProfileBaseline::parse(&current_text).expect("round trip");

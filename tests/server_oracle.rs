@@ -191,13 +191,7 @@ fn normalize_lane(lane: &str) -> String {
 }
 
 fn encode_value(v: &serde::Value) -> String {
-    struct Shim(serde::Value);
-    impl serde::Serialize for Shim {
-        fn to_value(&self) -> serde::Value {
-            self.0.clone()
-        }
-    }
-    serde_json::to_string(&Shim(v.clone())).expect("value encodes")
+    serde_json::to_string(v).expect("value encodes")
 }
 
 /// The oracle proper: N concurrent wire clients against one daemon,

@@ -27,12 +27,13 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 use reprocmp::server::{execute_spec, JobSpec, JobState, ObjectRef, Server, ServerConfig};
 use reprocmp_core::{CompareEngine, EngineConfig};
 use reprocmp_io::{CrashMode, CrashPlan};
 use reprocmp_store::{ChunkStore, CrashFs, StoreFs};
-use serde::{Serialize, Value};
+use serde::Value;
 
 const CHUNK: usize = 64;
 const VALUES_PER_OBJECT: usize = 64;
@@ -45,19 +46,10 @@ fn fresh_root(tag: &str) -> PathBuf {
     root
 }
 
-/// The vendored serde has no blanket `Serialize` for `Value`; this
-/// shim lets `serde_json` render result documents for byte-identity
-/// checks (same idiom as the concurrency oracle).
-struct Shim(Value);
-
-impl Serialize for Shim {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
+/// Renders a result document for byte-identity checks (same idiom as
+/// the concurrency oracle).
 fn encode_value(v: &Value) -> String {
-    serde_json::to_string(&Shim(v.clone())).expect("encode result document")
+    serde_json::to_string(v).expect("encode result document")
 }
 
 /// Each object's payload sits in its own value band (`salt * 100`),
@@ -126,6 +118,12 @@ fn daemon_config(root: &Path, fs: Arc<dyn StoreFs>) -> ServerConfig {
         queue_capacity: 32,
         quantum: 4,
         fs,
+        // The background sampler appends to `telemetry.jsonl` through
+        // `fs` on a wall-clock cadence, and every append is a counted
+        // crash point: left on, the counting pass's total depends on
+        // how long it ran and a plan can target a mutation the armed
+        // pass never reaches.
+        telemetry_cadence: Duration::ZERO,
         ..ServerConfig::rooted_at(root)
     }
 }

@@ -272,7 +272,7 @@ fn subscribe_streams_match_ring_and_persisted_jsonl() {
             .lines()
             .filter(|l| !l.trim().is_empty())
             .map(|l| {
-                let v = reprocmp::server::json::parse(l).expect("jsonl line parses");
+                let v = serde_json::from_str(l).expect("jsonl line parses");
                 TelemetrySnapshot::from_value(&v).expect("jsonl snapshot decodes")
             })
             .collect();
@@ -283,7 +283,8 @@ fn subscribe_streams_match_ring_and_persisted_jsonl() {
 }
 
 /// A restarted daemon replays `telemetry.jsonl` into its ring and
-/// continues the sequence numbers where the previous life stopped.
+/// continues the sequence numbers where the previous life stopped,
+/// whatever else the file has come to hold.
 #[test]
 fn restart_replays_persisted_history_and_continues_the_sequence() {
     let root = fresh_root("restart");
@@ -303,6 +304,14 @@ fn restart_replays_persisted_history_and_continues_the_sequence() {
     assert_eq!(seqs, vec![1, 2, 3]);
     first.shutdown();
     drop(first);
+
+    // A crash mid-append, or a disk gone bad, leaves lines that are not
+    // snapshots: each is skipped, none stops the daemon coming up.
+    let jsonl = root.join("telemetry.jsonl");
+    let mut history = std::fs::read_to_string(&jsonl).expect("telemetry.jsonl written");
+    history.push_str("{\"schema\":1,\"seq\":9,\"que\n");
+    history.push_str(&"[".repeat(200_000));
+    std::fs::write(&jsonl, history).expect("append hostile lines");
 
     let second = Server::start(config()).expect("second life");
     let replayed: Vec<u64> = second.telemetry_history().iter().map(|s| s.seq).collect();
@@ -329,11 +338,11 @@ fn job_results_are_byte_identical_with_and_without_telemetry() {
                 .ingest("sci", version, CHUNK as u64, &data)
                 .expect("submit");
             let status = s.wait(job).expect("wait");
-            results.push(serde_json::to_string(&Raw(status.result.expect("result"))).unwrap());
+            results.push(serde_json::to_string(&status.result.expect("result")).unwrap());
         }
         let job = s.compare(obj("sci", 1), obj("sci", 2)).expect("submit");
         let status = s.wait(job).expect("wait");
-        results.push(serde_json::to_string(&Raw(status.result.expect("result"))).unwrap());
+        results.push(serde_json::to_string(&status.result.expect("result")).unwrap());
         server.shutdown();
         results
     };
@@ -343,15 +352,6 @@ fn job_results_are_byte_identical_with_and_without_telemetry() {
         silent, sampled,
         "telemetry sampling perturbed a job result document"
     );
-}
-
-/// The vendored serde has no blanket `Serialize` for `Value`.
-struct Raw(serde::Value);
-
-impl serde::Serialize for Raw {
-    fn to_value(&self) -> serde::Value {
-        self.0.clone()
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -19,8 +19,12 @@
 //!    against a hand-written frame from that imagined future).
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use reprocmp::server::{JobState, ObjectRef, Request, Response, PROTOCOL_VERSION};
+use reprocmp::server::{
+    Conn, JobState, ObjectRef, ProtoError, Request, Response, Server, ServerClient, ServerConfig,
+    TcpConn, TcpTransport, PROTOCOL_VERSION,
+};
 use serde::{Serialize, Value};
 
 fn golden_path(name: &str) -> PathBuf {
@@ -332,4 +336,78 @@ fn encoding_is_deterministic() {
     for (_, resp) in canonical_responses() {
         assert_eq!(pretty(&resp), pretty(&resp));
     }
+}
+
+/// A frame of nothing but `[` (or `{"a":`) is refused as bad JSON at
+/// the decoder's depth bound; recursing into it instead overflows the
+/// stack long before the 64 MiB frame cap says no.
+#[test]
+fn deeply_nested_frames_are_json_errors() {
+    for open in ["[", "{\"a\":"] {
+        let bomb = open.repeat(200_000);
+        for decoded in [
+            Request::decode(bomb.as_bytes()).map(|_| ()),
+            Response::decode(bomb.as_bytes()).map(|_| ()),
+        ] {
+            match decoded {
+                Err(ProtoError::Json(e)) => {
+                    assert!(e.to_string().ends_with("nesting deeper than 128 levels"));
+                }
+                other => panic!("depth bomb decoded as {other:?}"),
+            }
+        }
+    }
+}
+
+/// The same frame over loopback TCP costs its sender one `error`
+/// response — the daemon keeps serving that connection and every other.
+#[test]
+fn daemon_answers_a_depth_bomb_with_an_error_frame_and_keeps_serving() {
+    let root = std::env::temp_dir().join(format!("reprocmp-wire-bomb-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let server = Arc::new(Server::start(ServerConfig::rooted_at(&root)).expect("daemon start"));
+    let transport = TcpTransport::bind("127.0.0.1:0").expect("bind");
+    let addr = transport.addr();
+    let accept = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || transport.run(&server))
+    };
+
+    let mut hostile = TcpConn::connect(addr).expect("connect");
+    hostile
+        .send("[".repeat(200_000).as_bytes())
+        .expect("send bomb");
+    let answer = hostile.recv().expect("recv").expect("an answer frame");
+    assert_eq!(
+        Response::decode(&answer).expect("answer decodes"),
+        Response::Error {
+            message: "wire frame is not JSON: invalid JSON at byte 128: \
+                      nesting deeper than 128 levels"
+                .to_owned(),
+        }
+    );
+    hostile
+        .send(&reprocmp::server::proto::encode(&Request::Metrics))
+        .expect("same connection still open");
+    let answer = hostile.recv().expect("recv").expect("an answer frame");
+    assert!(matches!(
+        Response::decode(&answer),
+        Ok(Response::Telemetry { .. })
+    ));
+
+    let mut client =
+        ServerClient::connect(addr, "bystander").expect("hello on a second connection");
+    assert_eq!(client.server_info().protocol, PROTOCOL_VERSION);
+    let data: Vec<u8> = (0..4096u32)
+        .flat_map(|i| (i as f32).to_le_bytes())
+        .collect();
+    let job = client.ingest("obj", 1, 4096, &data).expect("submit");
+    assert_eq!(client.wait(job).expect("status").state, JobState::Done);
+
+    client.shutdown_server().expect("shutdown ack");
+    accept
+        .join()
+        .expect("accept thread")
+        .expect("transport run returns cleanly");
+    std::fs::remove_dir_all(&root).ok();
 }

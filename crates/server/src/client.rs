@@ -10,7 +10,9 @@ use std::net::SocketAddr;
 
 use serde::Value;
 
-use crate::proto::{encode, hex_encode, JobState, ObjectRef, Request, Response, PROTOCOL_VERSION};
+use crate::proto::{
+    encode, recycle, write_ingest_request, JobState, ObjectRef, Request, Response, PROTOCOL_VERSION,
+};
 use crate::transport::{Conn, TcpConn};
 
 /// A client-side failure.
@@ -125,6 +127,9 @@ pub struct WatchSummary {
 pub struct ServerClient {
     conn: Box<dyn Conn>,
     info: ServerInfo,
+    /// The session's frame buffers, reused from call to call.
+    outgoing: Vec<u8>,
+    incoming: Vec<u8>,
 }
 
 impl std::fmt::Debug for ServerClient {
@@ -160,6 +165,8 @@ impl ServerClient {
                     protocol,
                     queue_capacity,
                 },
+                outgoing: Vec::new(),
+                incoming: Vec::new(),
             }),
             Response::Error { message } => Err(ClientError::Server { message }),
             other => Err(ClientError::UnexpectedResponse {
@@ -185,12 +192,26 @@ impl ServerClient {
 
     fn call(&mut self, req: &Request) -> ClientResult<Response> {
         self.conn.send(&encode(req))?;
-        let payload = self.conn.recv()?.ok_or(ClientError::Disconnected)?;
-        Ok(Response::decode(&payload)?)
+        self.answer()
+    }
+
+    /// Reads and decodes the next frame.
+    fn answer(&mut self) -> ClientResult<Response> {
+        if !self.conn.recv_into(&mut self.incoming)? {
+            return Err(ClientError::Disconnected);
+        }
+        let response = Response::decode(&self.incoming);
+        recycle(&mut self.incoming);
+        Ok(response?)
     }
 
     fn submit(&mut self, req: &Request) -> ClientResult<u64> {
-        match self.call(req)? {
+        let response = self.call(req)?;
+        Self::accepted(response)
+    }
+
+    fn accepted(response: Response) -> ClientResult<u64> {
+        match response {
             Response::Accepted { job } => Ok(job),
             Response::Rejected { reason } => Err(ClientError::Rejected { reason }),
             Response::Error { message } => Err(ClientError::Server { message }),
@@ -213,12 +234,12 @@ impl ServerClient {
         chunk_bytes: u64,
         data: &[u8],
     ) -> ClientResult<u64> {
-        self.submit(&Request::Ingest {
-            name: name.to_owned(),
-            version,
-            chunk_bytes,
-            data: hex_encode(data),
-        })
+        write_ingest_request(&mut self.outgoing, name, version, chunk_bytes, data);
+        let sent = self.conn.send(&self.outgoing);
+        recycle(&mut self.outgoing);
+        sent?;
+        let response = self.answer()?;
+        Self::accepted(response)
     }
 
     /// Submits a pairwise compare job.
@@ -296,8 +317,7 @@ impl ServerClient {
         self.conn.send(&encode(&Request::Watch { job }))?;
         let mut events = Vec::new();
         loop {
-            let payload = self.conn.recv()?.ok_or(ClientError::Disconnected)?;
-            match Response::decode(&payload)? {
+            match self.answer()? {
                 Response::Event {
                     seq,
                     ts_ns,
@@ -368,8 +388,7 @@ impl ServerClient {
             .send(&encode(&Request::SubscribeTelemetry { max }))?;
         let mut snapshots = Vec::new();
         loop {
-            let payload = self.conn.recv()?.ok_or(ClientError::Disconnected)?;
-            match Response::decode(&payload)? {
+            match self.answer()? {
                 Response::Telemetry { snapshot } => snapshots.push(snapshot),
                 Response::TelemetryEnd { .. } => return Ok(snapshots),
                 Response::Error { message } => return Err(ClientError::Server { message }),

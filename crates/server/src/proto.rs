@@ -63,39 +63,104 @@ impl From<std::io::Error> for ProtoError {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write`: the length
+/// and the payload leave in one buffer, so a frame is never split
+/// across two segments with the peer's delayed ACK between them.
+///
+/// One buffer and not `write_vectored`: on a socket that is
+/// `writev(2)`, which the kernel accounts as file output (`wchar` in
+/// `/proc/self/io`) where `send(2)` is not — every payload byte would
+/// then count as a byte the store wrote.
 ///
 /// # Errors
 ///
 /// Underlying write failures.
 pub fn write_frame(w: &mut dyn std::io::Write, payload: &[u8]) -> std::io::Result<()> {
+    write_frame_with(w, &mut Vec::new(), payload)
+}
+
+/// [`write_frame`] assembling the frame in `scratch`, which a
+/// connection keeps from one frame to the next (see [`recycle`]).
+///
+/// # Errors
+///
+/// Underlying write failures.
+pub(crate) fn write_frame_with(
+    w: &mut dyn std::io::Write,
+    scratch: &mut Vec<u8>,
+    payload: &[u8],
+) -> std::io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    scratch.clear();
+    scratch.reserve(4 + payload.len());
+    scratch.extend_from_slice(&len.to_le_bytes());
+    scratch.extend_from_slice(payload);
+    let sent = w.write_all(scratch).and_then(|()| w.flush());
+    recycle(scratch);
+    sent
 }
+
+/// The largest frame buffer a connection keeps between frames. A 1 MiB
+/// object travels as 2 MiB of hex, and a buffer that grew by doubling
+/// to hold it has 4 MiB.
+const SCRATCH_RETAIN_BYTES: usize = 4 << 20;
+
+/// Empties a connection's frame buffer for its next frame, keeping the
+/// memory unless an unusually large frame grew it past
+/// [`SCRATCH_RETAIN_BYTES`]. Frames of one size class then reuse one
+/// allocation: freeing and reallocating megabytes per frame costs a
+/// page fault per 4 KiB each time the allocator hands them back to the
+/// kernel, which it does or does not do depending on heap layout.
+pub(crate) fn recycle(buf: &mut Vec<u8>) {
+    if buf.capacity() > SCRATCH_RETAIN_BYTES {
+        *buf = Vec::new();
+    } else {
+        buf.clear();
+    }
+}
+
+/// The most [`read_frame`] allocates before payload bytes arrive; the
+/// buffer then grows with what the peer actually sends.
+const READ_FRAME_FIRST_ALLOC: usize = 256 << 10;
 
 /// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
 /// boundary.
+///
+/// The declared length bounds the read, never the allocation: a peer
+/// that announces a large frame and stalls holds at most 256 KiB of
+/// this process.
 ///
 /// # Errors
 ///
 /// Underlying read failures, EOF mid-frame, or an implausible length
 /// prefix (> [`MAX_FRAME_BYTES`]).
 pub fn read_frame(r: &mut dyn std::io::Read) -> std::io::Result<Option<Vec<u8>>> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
+}
+
+/// [`read_frame`] into `payload`, replacing its contents and reusing
+/// its memory; `Ok(false)` on clean EOF at a frame boundary.
+///
+/// # Errors
+///
+/// As [`read_frame`].
+pub(crate) fn read_frame_into(
+    r: &mut dyn std::io::Read,
+    payload: &mut Vec<u8>,
+) -> std::io::Result<bool> {
+    use std::io::Read as _;
+    payload.clear();
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
         let n = r.read(&mut len_bytes[filled..])?;
         if n == 0 {
             if filled == 0 {
-                return Ok(None);
+                return Ok(false);
             }
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-frame",
-            ));
+            return Err(mid_frame_eof());
         }
         filled += n;
     }
@@ -106,22 +171,67 @@ pub fn read_frame(r: &mut dyn std::io::Read) -> std::io::Result<Option<Vec<u8>>>
             format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    let len = len as usize;
+    payload.reserve(len.min(READ_FRAME_FIRST_ALLOC));
+    r.take(len as u64).read_to_end(payload)?;
+    if payload.len() < len {
+        return Err(mid_frame_eof());
+    }
+    Ok(true)
+}
+
+fn mid_frame_eof() -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        "connection closed mid-frame",
+    )
 }
 
 /// Lowercase-hex encoding for payload bytes on the wire.
 #[must_use]
 pub fn hex_encode(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push(DIGITS[usize::from(b >> 4)] as char);
-        out.push(DIGITS[usize::from(b & 0xf)] as char);
-    }
-    out
+    let mut out = vec![0u8; bytes.len() * 2];
+    hex_fill(&mut out, bytes);
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
+
+/// Appends [`hex_encode`]'s digits for `bytes` to `out`.
+fn hex_encode_into(out: &mut Vec<u8>, bytes: &[u8]) {
+    let start = out.len();
+    out.resize(start + bytes.len() * 2, 0);
+    hex_fill(&mut out[start..], bytes);
+}
+
+fn hex_fill(digits: &mut [u8], bytes: &[u8]) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    for (pair, b) in digits.chunks_exact_mut(2).zip(bytes) {
+        pair[0] = DIGITS[usize::from(b >> 4)];
+        pair[1] = DIGITS[usize::from(b & 0xf)];
+    }
+}
+
+/// Marks a byte that is not a hex digit in [`HEX_VALUE`]. Digit values
+/// stay below 16, so a high bit in an OR of lookups means one of them
+/// was this.
+const NOT_HEX: u8 = 0xff;
+
+/// Byte → nibble value, [`NOT_HEX`] for everything outside
+/// `[0-9a-fA-F]`.
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 10 {
+        table[b'0' as usize + i] = i as u8;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 6 {
+        table[b'a' as usize + i] = 10 + i as u8;
+        table[b'A' as usize + i] = 10 + i as u8;
+        i += 1;
+    }
+    table
+};
 
 /// Decodes [`hex_encode`]'s output.
 ///
@@ -132,23 +242,75 @@ pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
     if !s.len().is_multiple_of(2) {
         return Err(format!("hex payload has odd length {}", s.len()));
     }
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in bytes.chunks_exact(2) {
-        let hi = hex_digit(pair[0])?;
-        let lo = hex_digit(pair[1])?;
-        out.push((hi << 4) | lo);
+    // Every lookup is OR-ed into `seen`, so the loop has no branch and
+    // validity is one test per buffer.
+    let mut seen = 0u8;
+    let out: Vec<u8> = s
+        .as_bytes()
+        .chunks_exact(2)
+        .map(|pair| {
+            let hi = HEX_VALUE[usize::from(pair[0])];
+            let lo = HEX_VALUE[usize::from(pair[1])];
+            seen |= hi | lo;
+            (hi << 4) | lo
+        })
+        .collect();
+    if seen & 0xf0 != 0 {
+        let bad = s
+            .bytes()
+            .find(|&b| HEX_VALUE[usize::from(b)] == NOT_HEX)
+            .expect("a lookup set a high bit");
+        return Err(format!("invalid hex digit {:?}", bad as char));
     }
     Ok(out)
 }
 
-fn hex_digit(b: u8) -> Result<u8, String> {
-    match b {
-        b'0'..=b'9' => Ok(b - b'0'),
-        b'a'..=b'f' => Ok(b - b'a' + 10),
-        b'A'..=b'F' => Ok(b - b'A' + 10),
-        other => Err(format!("invalid hex digit {:?}", other as char)),
+/// [`hex_decode`] of a string the caller is done with, into the
+/// string's own memory: byte `i` lands where digits `2i` and `2i + 1`
+/// were read, so an ingest frame's payload costs the connection one
+/// allocation, not one for the digits and one for the bytes.
+///
+/// # Errors
+///
+/// As [`hex_decode`], with the same messages.
+pub(crate) fn hex_decode_owned(s: String) -> Result<Vec<u8>, String> {
+    if !s.len().is_multiple_of(2) {
+        return Err(format!("hex payload has odd length {}", s.len()));
     }
+    // A block's digits are copied out before its bytes are written, so
+    // the writes never run over digits still to be read, and a bad
+    // digit is reported from the copy.
+    const BLOCK: usize = 32;
+    let mut bytes = s.into_bytes();
+    let decoded_len = bytes.len() / 2;
+    let mut digits = [0u8; 2 * BLOCK];
+    let mut done = 0;
+    while done < decoded_len {
+        let block = BLOCK.min(decoded_len - done);
+        let digits = &mut digits[..2 * block];
+        digits.copy_from_slice(&bytes[2 * done..2 * (done + block)]);
+        let mut seen = 0u8;
+        for (byte, pair) in bytes[done..done + block]
+            .iter_mut()
+            .zip(digits.chunks_exact(2))
+        {
+            let hi = HEX_VALUE[usize::from(pair[0])];
+            let lo = HEX_VALUE[usize::from(pair[1])];
+            seen |= hi | lo;
+            *byte = (hi << 4) | lo;
+        }
+        if seen & 0xf0 != 0 {
+            let bad = digits
+                .iter()
+                .find(|&&b| HEX_VALUE[usize::from(b)] == NOT_HEX)
+                .expect("a lookup set a high bit");
+            return Err(format!("invalid hex digit {:?}", *bad as char));
+        }
+        done += block;
+    }
+    bytes.truncate(decoded_len);
+    bytes.shrink_to_fit();
+    Ok(bytes)
 }
 
 /// A stored object reference: `name@version`.
@@ -280,28 +442,22 @@ impl Request {
     ///
     /// [`ProtoError`] on bad JSON or an unknown/missing shape.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtoError> {
-        let v = parse_payload(payload)?;
-        let tag = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| schema("request missing `type`"))?;
-        match tag {
+        let mut v = parse_payload(payload)?;
+        let tag = take_str(&mut v, "type").ok_or_else(|| schema("request missing `type`"))?;
+        match tag.as_str() {
             "hello" => Ok(Request::Hello {
-                client: v
-                    .get("client")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| schema("hello missing `client`"))?
-                    .to_owned(),
+                client: take_str(&mut v, "client")
+                    .ok_or_else(|| schema("hello missing `client`"))?,
                 protocol: v
                     .get("protocol")
                     .and_then(Value::as_u64)
                     .unwrap_or(PROTOCOL_VERSION),
             }),
             "ingest" => Ok(Request::Ingest {
-                name: req_str(&v, "name")?,
+                name: req_str(&mut v, "name")?,
                 version: req_u64(&v, "version")?,
                 chunk_bytes: req_u64(&v, "chunk_bytes")?,
-                data: req_str(&v, "data")?,
+                data: req_str(&mut v, "data")?,
             }),
             "compare" => Ok(Request::Compare {
                 left: ObjectRef::from_value(
@@ -328,7 +484,7 @@ impl Request {
                 Ok(Request::CompareMany { baseline, runs })
             }
             "materialize" => Ok(Request::Materialize {
-                name: req_str(&v, "name")?,
+                name: req_str(&mut v, "name")?,
                 version: req_u64(&v, "version")?,
             }),
             "status" => Ok(Request::Status {
@@ -551,14 +707,11 @@ impl Response {
     ///
     /// [`ProtoError`] on bad JSON or an unknown/missing shape.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtoError> {
-        let v = parse_payload(payload)?;
-        let tag = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| schema("response missing `type`"))?;
-        match tag {
+        let mut v = parse_payload(payload)?;
+        let tag = take_str(&mut v, "type").ok_or_else(|| schema("response missing `type`"))?;
+        match tag.as_str() {
             "hello_ok" => Ok(Response::HelloOk {
-                server: req_str(&v, "server")?,
+                server: req_str(&mut v, "server")?,
                 protocol: req_u64(&v, "protocol")?,
                 queue_capacity: v.get("queue_capacity").and_then(Value::as_u64).unwrap_or(0),
             }),
@@ -566,7 +719,7 @@ impl Response {
                 job: req_u64(&v, "job")?,
             }),
             "rejected" => Ok(Response::Rejected {
-                reason: req_str(&v, "reason")?,
+                reason: req_str(&mut v, "reason")?,
             }),
             "status" => {
                 let state = v
@@ -577,16 +730,16 @@ impl Response {
                 Ok(Response::Status {
                     job: req_u64(&v, "job")?,
                     state,
-                    result: v.get("result").cloned(),
-                    error: v.get("error").and_then(Value::as_str).map(str::to_owned),
+                    result: take(&mut v, "result"),
+                    error: take_str(&mut v, "error"),
                 })
             }
             "event" => Ok(Response::Event {
                 job: req_u64(&v, "job")?,
                 seq: req_u64(&v, "seq")?,
                 ts_ns: req_u64(&v, "ts_ns")?,
-                lane: req_str(&v, "lane")?,
-                kind: req_str(&v, "kind")?,
+                lane: req_str(&mut v, "lane")?,
+                kind: req_str(&mut v, "kind")?,
             }),
             "done" => {
                 let state = v
@@ -603,16 +756,14 @@ impl Response {
                 })
             }
             "telemetry" => Ok(Response::Telemetry {
-                snapshot: v
-                    .get("snapshot")
-                    .cloned()
+                snapshot: take(&mut v, "snapshot")
                     .ok_or_else(|| schema("telemetry missing `snapshot`"))?,
             }),
             "telemetry_end" => Ok(Response::TelemetryEnd {
                 snapshots: v.get("snapshots").and_then(Value::as_u64).unwrap_or(0),
             }),
             "error" => Ok(Response::Error {
-                message: req_str(&v, "message")?,
+                message: req_str(&mut v, "message")?,
             }),
             other => Err(schema(format!("unknown response type `{other}`"))),
         }
@@ -696,6 +847,61 @@ impl Serialize for Response {
     }
 }
 
+/// Writes the payload of `Request::Ingest { data: hex_encode(data), .. }`
+/// into `out`, byte for byte what [`encode`] gives, without building
+/// the hex string, the message or its tree: the digits are written
+/// where they travel from.
+pub(crate) fn write_ingest_request(
+    out: &mut Vec<u8>,
+    name: &str,
+    version: u64,
+    chunk_bytes: u64,
+    data: &[u8],
+) {
+    out.clear();
+    out.reserve(data.len() * 2 + name.len() + 96);
+    out.extend_from_slice(br#"{"type":"ingest","name":"#);
+    write_json_str(out, name);
+    out.extend_from_slice(
+        format!(r#","version":{version},"chunk_bytes":{chunk_bytes},"data":""#).as_bytes(),
+    );
+    hex_encode_into(out, data);
+    out.extend_from_slice(br#""}"#);
+}
+
+/// Writes the payload of `Response::Status { .. }` into `out`, byte for
+/// byte what [`encode`] gives, from a borrowed result: the job table
+/// keeps its document and nothing is copied but the text that leaves.
+pub(crate) fn write_status_response(
+    out: &mut Vec<u8>,
+    job: u64,
+    state: JobState,
+    result: Option<&Value>,
+    error: Option<&str>,
+) {
+    out.clear();
+    out.extend_from_slice(
+        format!(
+            r#"{{"type":"status","job":{job},"state":"{}""#,
+            state.as_str()
+        )
+        .as_bytes(),
+    );
+    if let Some(result) = result {
+        out.extend_from_slice(br#","result":"#);
+        serde_json::write_compact(out, result);
+    }
+    if let Some(error) = error {
+        out.extend_from_slice(br#","error":"#);
+        write_json_str(out, error);
+    }
+    out.push(b'}');
+}
+
+fn write_json_str(out: &mut Vec<u8>, s: &str) {
+    serde_json::write_compact(out, &Value::String(s.to_owned()));
+}
+
 /// Serializes any protocol message to its frame payload bytes.
 #[must_use]
 pub fn encode(msg: &impl Serialize) -> Vec<u8> {
@@ -711,11 +917,27 @@ fn schema(msg: impl Into<String>) -> ProtoError {
     ProtoError::Schema(msg.into())
 }
 
-fn req_str(v: &Value, key: &str) -> Result<String, ProtoError> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| schema(format!("missing string field `{key}`")))
+/// Moves field `key` out of a decoded object, so a multi-megabyte
+/// `data`/`result` is handed on rather than copied.
+fn take(v: &mut Value, key: &str) -> Option<Value> {
+    let Value::Object(fields) = v else {
+        return None;
+    };
+    fields
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .map(|(_, field)| std::mem::replace(field, Value::Null))
+}
+
+fn take_str(v: &mut Value, key: &str) -> Option<String> {
+    match take(v, key) {
+        Some(Value::String(s)) => Some(s),
+        _ => None,
+    }
+}
+
+fn req_str(v: &mut Value, key: &str) -> Result<String, ProtoError> {
+    take_str(v, key).ok_or_else(|| schema(format!("missing string field `{key}`")))
 }
 
 fn req_u64(v: &Value, key: &str) -> Result<u64, ProtoError> {
@@ -861,6 +1083,219 @@ mod tests {
         assert_eq!(hex_decode(&hex_encode(&data)).unwrap(), data);
         assert!(hex_decode("abc").is_err(), "odd length");
         assert!(hex_decode("zz").is_err(), "non-hex digit");
+    }
+
+    /// The decoder this one replaced: one checked digit at a time. Kept
+    /// as the oracle for the accept set and the error text.
+    fn hex_decode_reference(s: &str) -> Result<Vec<u8>, String> {
+        fn digit(b: u8) -> Result<u8, String> {
+            match b {
+                b'0'..=b'9' => Ok(b - b'0'),
+                b'a'..=b'f' => Ok(b - b'a' + 10),
+                b'A'..=b'F' => Ok(b - b'A' + 10),
+                other => Err(format!("invalid hex digit {:?}", other as char)),
+            }
+        }
+        if !s.len().is_multiple_of(2) {
+            return Err(format!("hex payload has odd length {}", s.len()));
+        }
+        s.as_bytes()
+            .chunks_exact(2)
+            .map(|pair| Ok((digit(pair[0])? << 4) | digit(pair[1])?))
+            .collect()
+    }
+
+    /// `hex_decode`'s answer, once the in-place decoder has given the
+    /// same one.
+    fn decode_both_ways(s: &str) -> Result<Vec<u8>, String> {
+        let borrowed = hex_decode(s);
+        assert_eq!(hex_decode_owned(s.to_owned()), borrowed, "{s:?}");
+        borrowed
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn hex_round_trips_in_any_case(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            upper_mask in proptest::prelude::any::<u64>(),
+        ) {
+            let lower = hex_encode(&bytes);
+            proptest::prop_assert_eq!(lower.len(), bytes.len() * 2);
+            proptest::prop_assert_eq!(&decode_both_ways(&lower).unwrap(), &bytes);
+            proptest::prop_assert_eq!(&decode_both_ways(&lower.to_uppercase()).unwrap(), &bytes);
+            let mixed: String = lower
+                .chars()
+                .enumerate()
+                .map(|(i, c)| match upper_mask >> (i % 64) & 1 {
+                    1 => c.to_ascii_uppercase(),
+                    _ => c,
+                })
+                .collect();
+            proptest::prop_assert_eq!(&decode_both_ways(&mixed).unwrap(), &bytes);
+        }
+    }
+
+    #[test]
+    fn every_non_hex_byte_at_every_position_is_rejected_with_the_old_text() {
+        let good = "0123abCDef";
+        for pos in 0..good.len() {
+            for b in 0u8..128 {
+                let mut s = good.as_bytes().to_vec();
+                s[pos] = b;
+                let s = String::from_utf8(s).expect("ASCII");
+                assert_eq!(decode_both_ways(&s), hex_decode_reference(&s), "{s:?}");
+                assert_eq!(hex_decode(&s).is_ok(), b.is_ascii_hexdigit(), "{s:?}");
+            }
+            // A two-byte char keeps the length even; the message names
+            // its first byte, as the digit-at-a-time decoder did.
+            let mut s = good.to_owned();
+            s.replace_range(pos..(pos + 2).min(good.len()), "é");
+            assert_eq!(decode_both_ways(&s), hex_decode_reference(&s), "{s:?}");
+        }
+        // Two bad digits: the first in the text is the one reported.
+        assert_eq!(decode_both_ways("0g0h"), hex_decode_reference("0g0h"));
+        assert_eq!(decode_both_ways("abc"), hex_decode_reference("abc"));
+        assert_eq!(decode_both_ways(""), Ok(Vec::new()));
+        // Past the in-place decoder's first block, where the bytes it
+        // has written no longer overlap the digits it reads.
+        let long = "5a".repeat(100);
+        for pos in [63, 64, 65, 127, 128, 199] {
+            let mut s = long.clone();
+            s.replace_range(pos..=pos, "x");
+            assert_eq!(decode_both_ways(&s), hex_decode_reference(&s), "{pos}");
+        }
+    }
+
+    /// Counts the calls `write_frame` makes, accepting every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_small_or_large_is_one_write() {
+        for len in [100usize, 2 << 20] {
+            let payload = vec![b'x'; len];
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.calls, 1, "{len}-byte frame");
+            assert_eq!(w.bytes[..4], (len as u32).to_le_bytes());
+            assert_eq!(w.bytes[4..], payload[..]);
+        }
+    }
+
+    #[test]
+    fn a_frame_cut_at_any_offset_is_unexpected_eof() {
+        let golden = include_bytes!("../../../tests/goldens/wire/req_ingest.json");
+        let mut frame = Vec::new();
+        write_frame(&mut frame, golden).unwrap();
+        assert_eq!(read_frame(&mut &frame[..]).unwrap().unwrap(), golden);
+        assert_eq!(read_frame(&mut &frame[..0]).unwrap(), None, "clean EOF");
+        for cut in 1..frame.len() {
+            let err = read_frame(&mut &frame[..cut]).expect_err("torn frame");
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::UnexpectedEof,
+                "cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_kept_buffer_is_reused_frame_after_frame_until_one_outgrows_it() {
+        let mut wire = Vec::new();
+        for payload in [&b"first frame"[..], &b"2nd"[..], &b""[..]] {
+            write_frame(&mut wire, payload).unwrap();
+        }
+        let mut r = &wire[..];
+        let mut buf = Vec::with_capacity(64);
+        let kept = buf.as_ptr();
+        for payload in [&b"first frame"[..], &b"2nd"[..], &b""[..]] {
+            assert!(read_frame_into(&mut r, &mut buf).unwrap());
+            assert_eq!(buf, payload);
+            assert_eq!(buf.as_ptr(), kept, "no new allocation");
+            recycle(&mut buf);
+        }
+        assert!(!read_frame_into(&mut r, &mut buf).unwrap(), "clean EOF");
+
+        let mut scratch = Vec::new();
+        let mut w = CountingWriter::default();
+        write_frame_with(&mut w, &mut scratch, &vec![b'x'; 2 << 20]).unwrap();
+        let kept = (scratch.as_ptr(), scratch.capacity());
+        write_frame_with(&mut w, &mut scratch, b"small").unwrap();
+        assert_eq!((scratch.as_ptr(), scratch.capacity()), kept);
+        assert_eq!(w.calls, 2, "still one write per frame");
+        write_frame_with(&mut w, &mut scratch, &vec![b'x'; SCRATCH_RETAIN_BYTES]).unwrap();
+        assert_eq!(
+            scratch.capacity(),
+            0,
+            "an outsized frame's buffer is let go"
+        );
+    }
+
+    #[test]
+    fn payload_frames_written_from_borrowed_parts_match_the_message_codec() {
+        let payloads: [&[u8]; 3] = [&[], &[0x00, 0x7f, 0xff], &[0xa5; 1000]];
+        for name in ["run", "a \"quoted\"\\name\n", "é✓"] {
+            for data in payloads {
+                let mut out = b"stale".to_vec();
+                write_ingest_request(&mut out, name, 7, 4096, data);
+                let message = Request::Ingest {
+                    name: name.to_owned(),
+                    version: 7,
+                    chunk_bytes: 4096,
+                    data: hex_encode(data),
+                };
+                assert_eq!(out, encode(&message), "{name:?}");
+            }
+        }
+        let result = Value::Object(vec![
+            ("bytes".to_owned(), Value::UInt(3)),
+            ("data".to_owned(), Value::String("00ff".to_owned())),
+            (
+                "nested".to_owned(),
+                Value::Array(vec![Value::Null, Value::Float(0.5)]),
+            ),
+        ]);
+        for state in [
+            JobState::Queued,
+            JobState::Running,
+            JobState::Done,
+            JobState::Failed,
+        ] {
+            for result in [None, Some(&result)] {
+                for error in [None, Some("no such object \"x\"\n")] {
+                    let mut out = b"stale".to_vec();
+                    write_status_response(&mut out, 41, state, result, error);
+                    let message = Response::Status {
+                        job: 41,
+                        state,
+                        result: result.cloned(),
+                        error: error.map(str::to_owned),
+                    };
+                    assert_eq!(out, encode(&message));
+                }
+            }
+        }
     }
 
     #[test]

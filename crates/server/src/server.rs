@@ -15,7 +15,7 @@
 //! and serially through the same function and asserts byte-identical
 //! results.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,7 +33,7 @@ use reprocmp_obs::{
 use reprocmp_store::{real_fs, ChunkStore, StoreConfig, StoreError, StoreFs};
 use serde::{Serialize, Value};
 
-use crate::proto::{hex_decode, hex_encode, JobState, ObjectRef, Request};
+use crate::proto::{hex_decode_owned, hex_encode, JobState, ObjectRef, Request};
 use crate::queue::{AdmitError, JobQueue};
 
 /// Daemon-level failures.
@@ -136,6 +136,13 @@ impl ServerConfig {
     }
 }
 
+/// Result and event bytes the table keeps for finished jobs. Past it,
+/// finished records retire oldest-first, so the daemon's memory does
+/// not grow with the number of jobs it has served. Sixteen 1 MiB
+/// materialize results fit; a client that reads a result within the
+/// next dozen large jobs always finds it.
+const RETAINED_BYTES_BUDGET: usize = 32 << 20;
+
 /// One job's lifecycle record in the daemon's table.
 #[derive(Debug)]
 struct JobRecord {
@@ -143,10 +150,42 @@ struct JobRecord {
     verb: &'static str,
     state: JobState,
     spec: Option<JobSpec>,
-    result: Option<Value>,
+    result: Option<Arc<Value>>,
     error: Option<String>,
     events: Vec<Event>,
     ledger: Option<JournalLedger>,
+    /// What the record holds against [`RETAINED_BYTES_BUDGET`]; zero
+    /// until the job is terminal.
+    retained_bytes: usize,
+}
+
+impl JobRecord {
+    fn status(&self, job: u64) -> JobStatus {
+        JobStatus {
+            job,
+            client: self.client.clone(),
+            verb: self.verb,
+            state: self.state,
+            result: self.result.clone(),
+            error: self.error.clone(),
+        }
+    }
+}
+
+/// Heap bytes a result document holds: its strings and containers.
+fn value_heap_bytes(value: &Value) -> usize {
+    match value {
+        Value::String(s) => s.len(),
+        Value::Array(items) => items
+            .iter()
+            .map(|v| std::mem::size_of::<Value>() + value_heap_bytes(v))
+            .sum(),
+        Value::Object(fields) => fields
+            .iter()
+            .map(|(k, v)| std::mem::size_of::<(String, Value)>() + k.len() + value_heap_bytes(v))
+            .sum(),
+        _ => 0,
+    }
 }
 
 /// A queued unit of work, decoupled from the wire encoding.
@@ -187,34 +226,29 @@ pub enum JobSpec {
 }
 
 impl JobSpec {
-    /// Builds the spec for a job-carrying request; `None` for session
-    /// and control verbs.
+    /// Builds the spec for a job-carrying request, taking its payload
+    /// over; `None` for session and control verbs.
     #[must_use]
-    pub fn from_request(req: &Request) -> Option<Result<JobSpec, String>> {
+    pub fn from_request(req: Request) -> Option<Result<JobSpec, String>> {
         match req {
             Request::Ingest {
                 name,
                 version,
                 chunk_bytes,
                 data,
-            } => Some(hex_decode(data).map(|bytes| JobSpec::Ingest {
-                name: name.clone(),
-                version: *version,
-                chunk_bytes: usize::try_from(*chunk_bytes).unwrap_or(usize::MAX),
-                data: bytes,
+            } => Some(hex_decode_owned(data).map(|data| JobSpec::Ingest {
+                name,
+                version,
+                chunk_bytes: usize::try_from(chunk_bytes).unwrap_or(usize::MAX),
+                data,
             })),
-            Request::Compare { left, right } => Some(Ok(JobSpec::Compare {
-                left: left.clone(),
-                right: right.clone(),
-            })),
-            Request::CompareMany { baseline, runs } => Some(Ok(JobSpec::CompareMany {
-                baseline: baseline.clone(),
-                runs: runs.clone(),
-            })),
-            Request::Materialize { name, version } => Some(Ok(JobSpec::Materialize {
-                name: name.clone(),
-                version: *version,
-            })),
+            Request::Compare { left, right } => Some(Ok(JobSpec::Compare { left, right })),
+            Request::CompareMany { baseline, runs } => {
+                Some(Ok(JobSpec::CompareMany { baseline, runs }))
+            }
+            Request::Materialize { name, version } => {
+                Some(Ok(JobSpec::Materialize { name, version }))
+            }
             _ => None,
         }
     }
@@ -363,9 +397,107 @@ fn run_spec(
     }
 }
 
+/// The job table proper, behind [`JobTable`]'s one mutex.
+#[derive(Debug, Default)]
+struct Jobs {
+    records: HashMap<u64, JobRecord>,
+    /// Terminal jobs still in `records`, oldest completion first — the
+    /// order they retire in. A queued or running job is never in it.
+    finished: VecDeque<u64>,
+    /// Sum of `retained_bytes` over `finished`.
+    retained_bytes: usize,
+    /// Jobs by state since start. Retired records stay counted under
+    /// `done`/`failed`, so the telemetry series never runs backwards.
+    counts: JobStateCounts,
+}
+
+impl Jobs {
+    fn admit(&mut self, id: u64, client: &str, spec: JobSpec) {
+        self.counts.queued += 1;
+        self.records.insert(
+            id,
+            JobRecord {
+                client: client.to_owned(),
+                verb: spec.verb(),
+                state: JobState::Queued,
+                spec: Some(spec),
+                result: None,
+                error: None,
+                events: Vec::new(),
+                ledger: None,
+                retained_bytes: 0,
+            },
+        );
+    }
+
+    /// Forgets a job the queue refused: not admitted means not a job.
+    fn withdraw(&mut self, id: u64) {
+        if self.records.remove(&id).is_some() {
+            self.counts.queued -= 1;
+        }
+    }
+
+    fn start(&mut self, id: u64) -> JobSpec {
+        let record = self.records.get_mut(&id).expect("queued jobs are recorded");
+        record.state = JobState::Running;
+        self.counts.queued -= 1;
+        self.counts.running += 1;
+        record.spec.take().expect("spec present until execution")
+    }
+
+    /// Records a finished job, then retires the oldest finished
+    /// records while they hold more than the budget. The job that just
+    /// finished is never retired by its own completion, however large:
+    /// its submitter has not had a chance to read it. The retired
+    /// records are returned so their megabytes are freed after the
+    /// table's lock is.
+    #[must_use = "drop the retired records outside the lock"]
+    fn finish(&mut self, id: u64, outcome: JobOutcome) -> Vec<JobRecord> {
+        let record = self
+            .records
+            .get_mut(&id)
+            .expect("running jobs are recorded");
+        record.retained_bytes = outcome
+            .events
+            .iter()
+            .map(|e| std::mem::size_of::<Event>() + e.lane.len())
+            .sum();
+        self.counts.running -= 1;
+        match outcome.result {
+            Ok(value) => {
+                record.state = JobState::Done;
+                record.retained_bytes += value_heap_bytes(&value);
+                record.result = Some(Arc::new(value));
+                self.counts.done += 1;
+            }
+            Err(message) => {
+                record.state = JobState::Failed;
+                record.retained_bytes += message.len();
+                record.error = Some(message);
+                self.counts.failed += 1;
+            }
+        }
+        record.events = outcome.events;
+        record.ledger = Some(outcome.ledger);
+        self.retained_bytes += record.retained_bytes;
+        self.finished.push_back(id);
+        let mut retired = Vec::new();
+        while self.retained_bytes > RETAINED_BYTES_BUDGET && self.finished.len() > 1 {
+            let oldest = self.finished.pop_front().expect("len checked");
+            let record = self
+                .records
+                .remove(&oldest)
+                .expect("finished jobs are recorded");
+            self.retained_bytes -= record.retained_bytes;
+            retired.push(record);
+        }
+        retired
+    }
+}
+
 #[derive(Debug, Default)]
 struct JobTable {
-    jobs: Mutex<HashMap<u64, JobRecord>>,
+    jobs: Mutex<Jobs>,
     changed: Condvar,
 }
 
@@ -435,15 +567,7 @@ impl TelemetryCtx {
     /// filesystem seam, and wakes subscribers.
     fn sample_now(&self) -> TelemetrySnapshot {
         let qs = self.queue.stats();
-        let mut jobs = JobStateCounts::default();
-        for r in self.jobs.jobs.lock().values() {
-            match r.state {
-                JobState::Queued => jobs.queued += 1,
-                JobState::Running => jobs.running += 1,
-                JobState::Done => jobs.done += 1,
-                JobState::Failed => jobs.failed += 1,
-            }
-        }
+        let jobs = self.jobs.jobs.lock().counts;
         let st = self.store.stats();
         let mut snap = TelemetrySnapshot {
             schema: TELEMETRY_SCHEMA_VERSION,
@@ -512,8 +636,9 @@ pub struct JobStatus {
     pub verb: &'static str,
     /// Lifecycle state.
     pub state: JobState,
-    /// Result document when done.
-    pub result: Option<Value>,
+    /// Result document when done — shared with the table's record, so
+    /// asking for a status never copies a payload.
+    pub result: Option<Arc<Value>>,
     /// Failure message when failed.
     pub error: Option<String>,
 }
@@ -597,9 +722,12 @@ impl Server {
             let store = Arc::clone(&store);
             let engine = Arc::clone(&engine);
             let telemetry = Arc::clone(&telemetry);
-            workers.push(std::thread::spawn(move || {
-                worker_loop(&store, &engine, &telemetry, i);
-            }));
+            workers.push(
+                std::thread::Builder::new()
+                    .name(format!("reprocmp-job-{i}"))
+                    .spawn(move || worker_loop(&store, &engine, &telemetry, i))
+                    .expect("spawn worker"),
+            );
         }
 
         let stop_requested = Arc::new((Mutex::new(false), Condvar::new()));
@@ -681,66 +809,38 @@ impl Server {
             id
         };
         let cost = spec.cost();
-        {
-            let mut jobs = self.jobs.jobs.lock();
-            jobs.insert(
-                id,
-                JobRecord {
-                    client: client.to_owned(),
-                    verb: spec.verb(),
-                    state: JobState::Queued,
-                    spec: Some(spec),
-                    result: None,
-                    error: None,
-                    events: Vec::new(),
-                    ledger: None,
-                },
-            );
-        }
+        self.jobs.jobs.lock().admit(id, client, spec);
         match self.queue.enqueue(client, id, cost) {
             Ok(()) => Ok(id),
             Err(e) => {
                 // Not admitted ⇒ not a job: drop the record so the
                 // "accepted jobs are never dropped" invariant stays
                 // crisp (rejected ≠ accepted-then-lost).
-                self.jobs.jobs.lock().remove(&id);
+                self.jobs.jobs.lock().withdraw(id);
                 Err(e)
             }
         }
     }
 
-    /// A job's current status, or `None` for an unknown id.
+    /// A job's current status, or `None` for an id the table does not
+    /// hold: never issued, or finished long enough ago that its record
+    /// retired (the table keeps finished jobs up to a fixed byte
+    /// budget, oldest out first).
     #[must_use]
     pub fn status(&self, job: u64) -> Option<JobStatus> {
         let jobs = self.jobs.jobs.lock();
-        jobs.get(&job).map(|r| JobStatus {
-            job,
-            client: r.client.clone(),
-            verb: r.verb,
-            state: r.state,
-            result: r.result.clone(),
-            error: r.error.clone(),
-        })
+        jobs.records.get(&job).map(|r| r.status(job))
     }
 
-    /// Blocks until `job` reaches a terminal state; `None` for an
-    /// unknown id.
+    /// Blocks until `job` reaches a terminal state; `None` as for
+    /// [`Server::status`].
     #[must_use]
     pub fn wait(&self, job: u64) -> Option<JobStatus> {
         let mut jobs = self.jobs.jobs.lock();
         loop {
-            match jobs.get(&job) {
+            match jobs.records.get(&job) {
                 None => return None,
-                Some(r) if r.state.is_terminal() => {
-                    return Some(JobStatus {
-                        job,
-                        client: r.client.clone(),
-                        verb: r.verb,
-                        state: r.state,
-                        result: r.result.clone(),
-                        error: r.error.clone(),
-                    })
-                }
+                Some(r) if r.state.is_terminal() => return Some(r.status(job)),
                 Some(_) => self.jobs.changed.wait(&mut jobs),
             }
         }
@@ -752,7 +852,7 @@ impl Server {
     pub fn job_journal(&self, job: u64) -> Option<(Vec<Event>, JournalLedger)> {
         self.wait(job)?;
         let jobs = self.jobs.jobs.lock();
-        let r = jobs.get(&job)?;
+        let r = jobs.records.get(&job)?;
         Some((r.events.clone(), r.ledger?))
     }
 
@@ -868,43 +968,154 @@ fn worker_loop(store: &ChunkStore, engine: &CompareEngine, ctx: &TelemetryCtx, w
             u64::try_from(busy_from.saturating_sub(idle_from).as_nanos()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
         );
-        let spec = {
-            let mut table = jobs.jobs.lock();
-            let record = table.get_mut(&job.id).expect("queued jobs are recorded");
-            record.state = JobState::Running;
-            record.spec.take().expect("spec present until execution")
-        };
+        let spec = jobs.jobs.lock().start(job.id);
         jobs.changed.notify_all();
 
         let outcome = execute_spec(store, engine, &spec);
+        // The spec of an ingest owns its payload: free it before the
+        // result takes its place in the table.
+        drop(spec);
 
         ctx.journal_totals.add(outcome.ledger);
         cost_hist.record(job.cost);
         events_hist.record(outcome.ledger.events_emitted);
-        {
-            let mut table = jobs.jobs.lock();
-            let record = table.get_mut(&job.id).expect("running jobs are recorded");
-            match outcome.result {
-                Ok(value) => {
-                    record.state = JobState::Done;
-                    record.result = Some(value);
-                    done_counter.inc();
-                }
-                Err(message) => {
-                    record.state = JobState::Failed;
-                    record.error = Some(message);
-                    failed_counter.inc();
-                }
-            }
-            record.events = outcome.events;
-            record.ledger = Some(outcome.ledger);
+        if outcome.result.is_ok() {
+            done_counter.inc();
+        } else {
+            failed_counter.inc();
         }
+        let retired = jobs.jobs.lock().finish(job.id, outcome);
         jobs.changed.notify_all();
+        drop(retired);
         slot.jobs.fetch_add(1, Ordering::Relaxed);
         slot.busy_ns.fetch_add(
             u64::try_from(ctx.clock.now().saturating_sub(busy_from).as_nanos()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
         );
         queue.finish();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{ClientError, ServerClient};
+    use crate::transport::{pair, serve_connection};
+
+    const MIB: usize = 1 << 20;
+
+    fn outcome(result_bytes: usize) -> JobOutcome {
+        JobOutcome {
+            result: Ok(Value::String("x".repeat(result_bytes))),
+            events: Vec::new(),
+            ledger: JournalLedger {
+                events_emitted: 0,
+                events_written: 0,
+                events_dropped: 0,
+            },
+        }
+    }
+
+    fn spec() -> JobSpec {
+        JobSpec::Materialize {
+            name: "obj".to_owned(),
+            version: 1,
+        }
+    }
+
+    #[test]
+    fn finished_records_retire_oldest_first_and_unfinished_ones_never() {
+        let mut jobs = Jobs::default();
+        jobs.admit(1, "c", spec()); // stays queued throughout
+        jobs.admit(2, "c", spec());
+        jobs.start(2); // stays running throughout
+        for id in 3..67 {
+            jobs.admit(id, "c", spec());
+            jobs.start(id);
+            drop(jobs.finish(id, outcome(2 * MIB)));
+            assert!(jobs.retained_bytes <= RETAINED_BYTES_BUDGET);
+        }
+        assert_eq!(jobs.records[&1].state, JobState::Queued);
+        assert_eq!(jobs.records[&2].state, JobState::Running);
+        assert!(!jobs.records.contains_key(&3), "the oldest result retired");
+        let newest = jobs.records[&66].status(66);
+        assert_eq!(
+            newest.result.as_deref(),
+            Some(&Value::String("x".repeat(2 * MIB)))
+        );
+        // Sixteen 2 MiB results fill the budget exactly.
+        assert_eq!(jobs.finished.len(), 16);
+        assert_eq!(jobs.records.len(), 2 + 16);
+        // Retired jobs stay counted: the series is cumulative.
+        assert_eq!(
+            jobs.counts,
+            JobStateCounts {
+                queued: 1,
+                running: 1,
+                done: 64,
+                failed: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_result_larger_than_the_budget_outlives_its_own_completion() {
+        let mut jobs = Jobs::default();
+        for id in 1..=2 {
+            jobs.admit(id, "c", spec());
+            jobs.start(id);
+            drop(jobs.finish(id, outcome(RETAINED_BYTES_BUDGET + 1)));
+        }
+        assert!(!jobs.records.contains_key(&1));
+        assert!(jobs.records[&2].result.is_some(), "still there to be read");
+    }
+
+    /// The wire view of the same policy: 64 materialize jobs over a
+    /// 1 MiB object, read back after the fact.
+    #[test]
+    fn an_expired_job_answers_like_an_unknown_one() {
+        let root = std::env::temp_dir().join(format!("reprocmp-retire-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let server = Server::start(ServerConfig {
+            telemetry_cadence: Duration::ZERO,
+            ..ServerConfig::rooted_at(&root)
+        })
+        .expect("daemon start");
+        let (client_end, mut server_end) = pair();
+        std::thread::scope(|s| {
+            s.spawn(|| serve_connection(&server, &mut server_end));
+            let mut client = ServerClient::over(Box::new(client_end), "c").expect("hello");
+            let data: Vec<u8> = (0..MIB / 4)
+                .flat_map(|i| (i as f32).to_le_bytes())
+                .collect();
+            let job = client.ingest("obj", 1, 4096, &data).expect("submit");
+            assert_eq!(client.wait(job).expect("wait").state, JobState::Done);
+
+            let ids: Vec<u64> = (0..64)
+                .map(|_| {
+                    let id = client.materialize("obj", 1).expect("submit");
+                    assert_eq!(client.wait(id).expect("wait").state, JobState::Done);
+                    id
+                })
+                .collect();
+            assert!(server.jobs.jobs.lock().retained_bytes <= RETAINED_BYTES_BUDGET);
+
+            let newest = client.wait(ids[63]).expect("newest is retained");
+            let hex = newest.result.as_ref().and_then(|r| r.get("data"));
+            assert_eq!(hex.and_then(Value::as_str), Some(&*hex_encode(&data)));
+
+            let mut unknown = |id: u64| match client.wait(id) {
+                Err(ClientError::Server { message }) => message,
+                other => panic!("job {id}: expected an error frame, got {other:?}"),
+            };
+            assert_eq!(unknown(ids[0]), format!("unknown job {}", ids[0]));
+            assert_eq!(
+                unknown(9999),
+                "unknown job 9999",
+                "same answer, never issued"
+            );
+        });
+        drop(server);
+        std::fs::remove_dir_all(&root).ok();
     }
 }

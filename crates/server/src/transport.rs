@@ -20,7 +20,10 @@ use std::time::Duration;
 use crossbeam::channel::{self, Receiver, Sender};
 use serde::Serialize;
 
-use crate::proto::{encode, read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
+use crate::proto::{
+    encode, read_frame, read_frame_into, recycle, write_frame_with, write_status_response, Request,
+    Response, PROTOCOL_VERSION,
+};
 use crate::queue::AdmitError;
 use crate::server::{JobSpec, Server};
 
@@ -40,40 +43,68 @@ pub trait Conn: Send {
     ///
     /// Underlying transport failures or torn frames.
     fn recv(&mut self) -> std::io::Result<Option<Vec<u8>>>;
+
+    /// [`Conn::recv`] into a buffer the caller keeps from frame to
+    /// frame: `buf` is replaced by the payload, `Ok(false)` when the
+    /// peer hung up cleanly.
+    ///
+    /// # Errors
+    ///
+    /// As [`Conn::recv`].
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+        Ok(match self.recv()? {
+            Some(payload) => {
+                *buf = payload;
+                true
+            }
+            None => false,
+        })
+    }
 }
 
 /// [`Conn`] over a TCP stream using the length-prefixed framing.
 #[derive(Debug)]
 pub struct TcpConn {
     stream: TcpStream,
+    /// Where outgoing frames are assembled, kept between sends.
+    frame: Vec<u8>,
 }
 
 impl TcpConn {
     /// Wraps a connected stream.
     #[must_use]
     pub fn new(stream: TcpStream) -> Self {
-        TcpConn { stream }
+        TcpConn {
+            stream,
+            frame: Vec::new(),
+        }
     }
 
-    /// Connects to a daemon at `addr`.
+    /// Connects to a daemon at `addr`, with `TCP_NODELAY` set as on the
+    /// accept side: a request frame leaves when written instead of
+    /// waiting out the peer's delayed ACK of the previous one.
     ///
     /// # Errors
     ///
     /// Connection failures.
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
-        Ok(TcpConn {
-            stream: TcpStream::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(TcpConn::new(stream))
     }
 }
 
 impl Conn for TcpConn {
     fn send(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        write_frame(&mut self.stream, payload)
+        write_frame_with(&mut self.stream, &mut self.frame, payload)
     }
 
     fn recv(&mut self) -> std::io::Result<Option<Vec<u8>>> {
         read_frame(&mut self.stream)
+    }
+
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+        read_frame_into(&mut self.stream, buf)
     }
 }
 
@@ -139,8 +170,12 @@ impl Conn for ChannelConn {
 pub fn serve_connection(server: &Server, conn: &mut dyn Conn) -> std::io::Result<()> {
     // Fair-queuing identity until (and unless) the client says hello.
     let mut client = String::from("anonymous");
-    while let Some(payload) = conn.recv()? {
-        let request = match Request::decode(&payload) {
+    // This connection's frame buffers, reused from request to request.
+    let (mut payload, mut answer) = (Vec::new(), Vec::new());
+    while conn.recv_into(&mut payload)? {
+        let request = Request::decode(&payload);
+        recycle(&mut payload);
+        let request = match request {
             Ok(request) => request,
             Err(e) => {
                 conn.send(&encode(&Response::Error {
@@ -167,18 +202,26 @@ pub fn serve_connection(server: &Server, conn: &mut dyn Conn) -> std::io::Result
                 } else {
                     server.status(job)
                 };
-                let response = match status {
-                    Some(s) => Response::Status {
-                        job,
-                        state: s.state,
-                        result: s.result,
-                        error: s.error,
-                    },
-                    None => Response::Error {
+                match status {
+                    // Written from the table's own document, outside
+                    // the table's lock: the only copy of a result an
+                    // answer makes is its text.
+                    Some(s) => {
+                        write_status_response(
+                            &mut answer,
+                            job,
+                            s.state,
+                            s.result.as_deref(),
+                            s.error.as_deref(),
+                        );
+                        let sent = conn.send(&answer);
+                        recycle(&mut answer);
+                        sent?;
+                    }
+                    None => conn.send(&encode(&Response::Error {
                         message: format!("unknown job {job}"),
-                    },
-                };
-                conn.send(&encode(&response))?;
+                    }))?,
+                }
             }
             Request::Watch { job } => match server.job_journal(job) {
                 Some((events, ledger)) => {
@@ -246,7 +289,7 @@ pub fn serve_connection(server: &Server, conn: &mut dyn Conn) -> std::io::Result
                 server.request_stop();
             }
             job_request => {
-                let response = match JobSpec::from_request(&job_request)
+                let response = match JobSpec::from_request(job_request)
                     .expect("non-session verbs carry a job spec")
                 {
                     Ok(spec) => match server.submit(&client, spec) {
@@ -315,10 +358,15 @@ impl TcpTransport {
                         streams.push(clone);
                     }
                     let server = Arc::clone(server);
-                    handlers.push(std::thread::spawn(move || {
-                        let mut conn = TcpConn::new(stream);
-                        let _ = serve_connection(&server, &mut conn);
-                    }));
+                    handlers.push(
+                        std::thread::Builder::new()
+                            .name("reprocmp-conn".to_owned())
+                            .spawn(move || {
+                                let mut conn = TcpConn::new(stream);
+                                let _ = serve_connection(&server, &mut conn);
+                            })
+                            .expect("spawn handler"),
+                    );
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -356,5 +404,12 @@ mod tests {
         assert_eq!(a.recv().unwrap().as_deref(), Some(&b"pong"[..]));
         drop(a);
         assert_eq!(b.recv().unwrap(), None, "peer drop is clean EOF");
+    }
+
+    #[test]
+    fn a_connecting_client_disables_nagle_like_the_accept_side() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let conn = TcpConn::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(conn.stream.nodelay().unwrap());
     }
 }

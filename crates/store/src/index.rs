@@ -4,9 +4,14 @@
 //! (packs + manifests): locations come from scanning pack record
 //! tables, refcounts from counting manifest references. It exists so
 //! `ingest` can answer "have I seen this chunk?" and `reader` can
-//! resolve byte ranges without touching every pack. Every mutation
-//! rewrites the whole file via `.tmp` + atomic rename — the "atomically
-//! swapped index" that makes GC crash-safe. Format:
+//! resolve byte ranges without touching every pack. On disk it is a
+//! *checkpoint*: `ingest`/`remove`/`flatten` change the in-memory form
+//! only, and the file is rewritten — whole, via `.tmp` + atomic rename,
+//! the "atomically swapped index" that makes GC crash-safe — on clean
+//! close, inside `gc`/`compact`, after a rebuild, and once the
+//! operations since the last write outnumber the entries it held (see
+//! [`ChunkStore::open`](crate::ChunkStore::open_observed_with) for
+//! when the file is trusted). Format:
 //!
 //! ```text
 //! magic "RCMPIDX1" (8) | format u32 = 1 | n_entries u64

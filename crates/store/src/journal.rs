@@ -1,13 +1,12 @@
 //! The write-ahead intent journal: multi-file atomicity for the store.
 //!
 //! Individual files are crash-consistent (`.tmp` + rename), but store
-//! operations mutate *several* files — `ingest` publishes a pack, a
-//! manifest, and the index; `gc` swaps the index and unlinks packs;
-//! `remove` unlinks a manifest and rewrites the index. A crash between
-//! those steps used to rely on `open`'s consistency check, which
-//! verifies digest *presence* but not refcounts: a crash after a
-//! manifest publish but before the index swap left stale refcounts
-//! that could miscount the ledger or let GC sweep live data.
+//! operations mutate *several* files — `ingest` publishes a pack and a
+//! manifest; `gc` swaps the index and unlinks packs; `remove` unlinks a
+//! manifest — and each moves refcounts that `index.bin`, a checkpoint,
+//! records only later. `open`'s consistency check verifies digest
+//! *presence* but not refcounts: trusting it alone, a stale refcount
+//! could miscount the ledger or let GC sweep live data.
 //!
 //! `journal.bin` closes the gap. Before its first file mutation, every
 //! multi-file operation appends a checksummed *begin* record declaring
@@ -19,9 +18,11 @@
 //! and [`pending_intents`] yields the begins with no commit. On
 //! `Store::open`, pending intents are replayed: incomplete ingests have
 //! their orphan pack unlinked (undo), incomplete GCs have their
-//! provably-dead packs unlinked (redo), and any journal activity at
-//! all forces an index rebuild from the authoritative packs +
-//! manifests, which recomputes refcounts exactly. Replay is
+//! provably-dead packs unlinked (redo), and any journal content at
+//! all — committed records included, since the journal is reset only
+//! behind a saved index — forces an index rebuild from the
+//! authoritative packs + manifests, which recomputes refcounts
+//! exactly. Replay is
 //! idempotent: crashing *during* replay and replaying again reaches
 //! the same state.
 //!

@@ -15,15 +15,19 @@
 //! Every file is individually crash-consistent (`.tmp` + fsync +
 //! rename, all through the [`StoreFs`] seam so the torture harness can
 //! cut power at any boundary). Multi-file operations — `ingest`
-//! publishes a pack, a manifest, and the index; `gc` swaps the index
-//! and unlinks packs; `compact` seals a pack, swaps the index, and
-//! unlinks the sources — bracket their mutations with intent-journal
-//! *begin*/*commit* records. [`ChunkStore::open`] replays any pending
-//! intent (undoing a half-done ingest's orphan pack, redoing a GC's
-//! unlinks, finishing a remove) and rebuilds the index from the
-//! authoritative packs + manifests, so a crash at *any* mutation
-//! boundary recovers to a state where every committed checkpoint
-//! materializes byte-exactly and the dedup ledger balances.
+//! publishes a pack and a manifest and changes the index; `gc` swaps
+//! the index and unlinks packs; `compact` seals a pack, swaps the
+//! index, and unlinks the sources — bracket their mutations with
+//! intent-journal *begin*/*commit* records. `index.bin` is a
+//! checkpoint of the in-memory index, written on clean close and at a
+//! geometric cadence rather than per operation, with the journal reset
+//! behind it; [`ChunkStore::open`] replays any pending intent (undoing
+//! a half-done ingest's orphan pack, redoing a GC's unlinks, finishing
+//! a remove) and, whenever the journal shows operations after the
+//! checkpoint, rebuilds the index from the authoritative packs +
+//! manifests, so a crash at *any* mutation boundary recovers to a
+//! state where every committed checkpoint materializes byte-exactly
+//! and the dedup ledger balances.
 //!
 //! Sealed packs carry interleaved XOR parity (see [`crate::pack`]):
 //! [`ChunkStore::fsck`] re-hashes every chunk and, with `repair`,
@@ -340,6 +344,17 @@ struct Inner {
     quarantined: HashSet<u32>,
     next_pack: u32,
     next_seq: u64,
+    /// Intents this handle began and has not committed. Zero between
+    /// operations; an operation that fails midway leaves it non-zero
+    /// for good, and from then on `index` may hold that operation's
+    /// half-applied changes — it is never checkpointed again, and the
+    /// next open resolves the pending intent and rebuilds.
+    open_intents: u32,
+    /// Operations committed since `index.bin` last equalled `index`
+    /// (and the journal was last reset).
+    ops_since_checkpoint: u64,
+    /// Entries `index.bin` held when it was last written.
+    checkpoint_entries: u64,
 }
 
 /// A persistent content-addressed chunk store rooted at one directory.
@@ -361,6 +376,17 @@ pub struct ChunkStore {
 
 impl Drop for ChunkStore {
     fn drop(&mut self) {
+        // Clean close: bring `index.bin` up to date, once, if anything
+        // changed. Like open's recovery this runs on the real
+        // filesystem, not the seam — the seam numbers an operation's
+        // mutations, and a handle whose operation it cut down holds an
+        // open intent and skips the checkpoint. A failure here is not
+        // reported: the journal stays behind and the next open rebuilds.
+        let mut inner = self.inner.lock();
+        if inner.ops_since_checkpoint > 0 {
+            let _ = self.checkpoint(&mut inner, &crate::fs::RealFs);
+        }
+        drop(inner);
         if let Some(path) = &self.lock {
             let _ = std::fs::remove_file(path);
         }
@@ -450,13 +476,17 @@ impl ChunkStore {
     ///    pack is unlinked (undo), a half-done GC's dead packs are
     ///    unlinked (redo), a half-done remove's manifest is unlinked
     ///    (redo), a half-done compaction needs no file action;
-    /// 3. if anything was pending, the index is rebuilt from the
+    /// 3. `index.bin` is a checkpoint, current only as of the last
+    ///    journal reset. If the journal holds anything at all —
+    ///    committed records, pending ones, a torn tail — operations
+    ///    have run since and the index is rebuilt from the
     ///    authoritative packs + manifests (which recomputes every
     ///    refcount exactly) regardless of what `index.bin` claims;
-    ///    otherwise the on-disk index is validated and rebuilt only on
-    ///    disagreement;
-    /// 4. the journal is reset — replay is idempotent, so a crash
-    ///    anywhere inside recovery just replays again.
+    ///    with an empty journal the on-disk index is validated and
+    ///    rebuilt only on disagreement;
+    /// 4. the journal is reset behind the saved index — replay is
+    ///    idempotent, so a crash anywhere inside recovery just replays
+    ///    again.
     ///
     /// # Errors
     ///
@@ -525,8 +555,8 @@ impl ChunkStore {
         // the seam: the torture harness arms its plan only after open
         // returns, and replay must always run to completion.
         let journal_path = root.join(JOURNAL_FILE);
-        let records = read_journal(&std::fs::read(&journal_path).unwrap_or_default());
-        let pending = pending_intents(&records);
+        let journal_bytes = std::fs::read(&journal_path).unwrap_or_default();
+        let pending = pending_intents(&read_journal(&journal_bytes));
         for intent in &pending {
             match intent {
                 IntentRecord::IngestBegin {
@@ -597,8 +627,13 @@ impl ChunkStore {
         let mut quarantined = load_quarantine(&root.join(QUARANTINE_FILE));
         quarantined.retain(|id| pack_ids.binary_search(id).is_ok());
 
+        // The trust rule. Every operation appends its begin record
+        // before it touches the in-memory index, and the journal is
+        // reset only behind a saved index, so journal bytes mean the
+        // checkpoint may predate a refcount change. `index_consistent`
+        // checks membership only and could not tell.
         let index_path = root.join("index.bin");
-        let loaded = if pending.is_empty() {
+        let loaded = if journal_bytes.is_empty() {
             std::fs::read(&index_path)
                 .ok()
                 .and_then(|bytes| load_index(&bytes).ok())
@@ -617,7 +652,7 @@ impl ChunkStore {
         if !pending.is_empty() {
             metrics.journal_replays.add(1);
         }
-        if !records.is_empty() {
+        if !journal_bytes.is_empty() {
             std::fs::remove_file(&journal_path)?;
         }
 
@@ -631,11 +666,14 @@ impl ChunkStore {
             obs: JournalSlot::new(),
             lock,
             inner: Mutex::new(Inner {
+                checkpoint_entries: index.len() as u64,
                 index,
                 manifests,
                 quarantined,
                 next_pack,
                 next_seq: 1,
+                open_intents: 0,
+                ops_since_checkpoint: 0,
             }),
         })
     }
@@ -680,6 +718,69 @@ impl ChunkStore {
             &encode_record(record),
             MutationKind::JournalAppend,
         )?;
+        Ok(())
+    }
+
+    /// Declares an intent before an operation's first mutation and
+    /// returns its sequence number. The intent counts as open from
+    /// before the append: a torn begin record is still a journal byte.
+    fn begin_intent(
+        &self,
+        inner: &mut Inner,
+        record: impl FnOnce(u64) -> IntentRecord,
+    ) -> StoreResult<u64> {
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        inner.open_intents += 1;
+        self.journal_append(&record(seq))?;
+        Ok(seq)
+    }
+
+    /// Appends an operation's commit record after its last mutation.
+    fn commit_intent(&self, inner: &mut Inner, record: &IntentRecord) -> StoreResult<()> {
+        self.journal_append(record)?;
+        inner.open_intents -= 1;
+        inner.ops_since_checkpoint += 1;
+        Ok(())
+    }
+
+    /// Saves the index and resets the journal behind it — unless an
+    /// operation on this handle failed midway (see
+    /// `Inner::open_intents`), when only the next open may.
+    fn checkpoint(&self, inner: &mut Inner, fs: &dyn StoreFs) -> StoreResult<()> {
+        if inner.open_intents > 0 {
+            return Ok(());
+        }
+        save_index(fs, &self.index_path(), &inner.index)?;
+        self.journal_reset(inner, fs)
+    }
+
+    /// Drops the journal once `index.bin` equals the in-memory index:
+    /// no record postdates the checkpoint, so the next open may trust
+    /// it. Resetting here is also what bounds `journal.bin` in a
+    /// long-lived daemon.
+    fn journal_reset(&self, inner: &mut Inner, fs: &dyn StoreFs) -> StoreResult<()> {
+        if inner.open_intents > 0 {
+            return Ok(());
+        }
+        match fs.remove(&self.root.join(JOURNAL_FILE), MutationKind::Unlink) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
+        inner.ops_since_checkpoint = 0;
+        inner.checkpoint_entries = inner.index.len() as u64;
+        Ok(())
+    }
+
+    /// Checkpoints once the operations since the last checkpoint
+    /// outnumber the entries it held. Each checkpoint therefore costs
+    /// at most a constant per operation it covers — the index grew by
+    /// those operations' own chunks at most — where a save per
+    /// operation cost the whole store's index every time.
+    fn checkpoint_if_due(&self, inner: &mut Inner) -> StoreResult<()> {
+        if inner.ops_since_checkpoint > inner.checkpoint_entries {
+            self.checkpoint(inner, self.fs.as_ref())?;
+        }
         Ok(())
     }
 
@@ -884,10 +985,8 @@ impl ChunkStore {
         // Declare the intent before the first file mutation. Full and
         // delta ingests replay identically: the begin record carries
         // the same undo information (the orphan pack id).
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
         let pack_id = (!new_chunks.is_empty()).then_some(inner.next_pack);
-        self.journal_append(&IntentRecord::IngestBegin {
+        let seq = self.begin_intent(inner, |seq| IntentRecord::IngestBegin {
             seq,
             name: name.to_owned(),
             version,
@@ -934,21 +1033,23 @@ impl ChunkStore {
             MutationKind::ManifestPublish,
         )?;
 
-        // Publish step 3: refcounts + the swapped index. Refcounts
-        // come from the *owned* view, mirroring `remove` and
-        // `rebuild_index`: every reference for a full manifest, only
-        // the changed chunks for a delta — the skipped ones are
-        // borrowed from the parent chain, which `remove` keeps alive.
+        // Step 3: refcounts, in memory only — `index.bin` is a
+        // checkpoint, and what this ingest writes is proportional to
+        // its own chunks, not the store's. Refcounts come from the
+        // *owned* view, mirroring `remove` and `rebuild_index`: every
+        // reference for a full manifest, only the changed chunks for a
+        // delta — the skipped ones are borrowed from the parent chain,
+        // which `remove` keeps alive.
         for (digest, _) in manifest.own_chunk_lens() {
             if let Some(e) = inner.index.get_mut(&digest) {
                 e.refcount += 1;
             }
         }
-        save_index(self.fs.as_ref(), &self.index_path(), &inner.index)?;
         inner.manifests.insert(key, manifest);
 
         // Commit: all mutations landed.
-        self.journal_append(&IntentRecord::IngestCommit { seq })?;
+        self.commit_intent(inner, &IntentRecord::IngestCommit { seq })?;
+        self.checkpoint_if_due(inner)?;
 
         self.metrics.chunks_stored.add(stats.chunks_stored);
         self.metrics.chunks_deduped.add(stats.chunks_deduped);
@@ -1046,13 +1147,11 @@ impl ChunkStore {
         for seg in &mut flat.segments {
             seg.changed = None;
         }
-        // Journaled: a crash between the manifest publish and the
-        // index swap must force a rebuild, or the persisted refcounts
-        // would still be the delta's and a later ancestor remove + gc
-        // could sweep chunks the flattened manifest owns.
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        self.journal_append(&IntentRecord::FlattenBegin {
+        // Journaled: once the manifest is republished the persisted
+        // refcounts are the delta's, and a later ancestor remove + gc
+        // could sweep chunks the flattened manifest owns — the journal
+        // record is what makes the next open rebuild instead.
+        let seq = self.begin_intent(inner, |seq| IntentRecord::FlattenBegin {
             seq,
             name: name.to_owned(),
             version,
@@ -1068,9 +1167,9 @@ impl ChunkStore {
                 e.refcount += 1;
             }
         }
-        save_index(self.fs.as_ref(), &self.index_path(), &inner.index)?;
         inner.manifests.insert(key, flat);
-        self.journal_append(&IntentRecord::FlattenCommit { seq })?;
+        self.commit_intent(inner, &IntentRecord::FlattenCommit { seq })?;
+        self.checkpoint_if_due(inner)?;
         Ok(true)
     }
 
@@ -1197,6 +1296,7 @@ impl ChunkStore {
     /// version as parent; filesystem failures.
     pub fn remove(&self, name: &str, version: u64) -> StoreResult<()> {
         let mut inner = self.inner.lock();
+        let inner = &mut *inner;
         let key = (name.to_owned(), version);
         if !inner.manifests.contains_key(&key) {
             return Err(StoreError::NotFound {
@@ -1217,9 +1317,7 @@ impl ChunkStore {
             });
         }
         let manifest = inner.manifests.remove(&key).expect("checked above");
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        self.journal_append(&IntentRecord::RemoveBegin {
+        let seq = self.begin_intent(inner, |seq| IntentRecord::RemoveBegin {
             seq,
             name: name.to_owned(),
             version,
@@ -1231,10 +1329,9 @@ impl ChunkStore {
         }
         let path = self.manifests_dir().join(manifest_file_name(name, version));
         self.fs.remove(&path, MutationKind::Unlink)?;
-        save_index(self.fs.as_ref(), &self.index_path(), &inner.index)?;
-        self.journal_append(&IntentRecord::RemoveCommit { seq })?;
+        self.commit_intent(inner, &IntentRecord::RemoveCommit { seq })?;
         self.metrics.objects.add(-1);
-        Ok(())
+        self.checkpoint_if_due(inner)
     }
 
     /// Refcount sweep: deletes every on-disk pack holding no
@@ -1275,9 +1372,7 @@ impl ChunkStore {
         if dead.is_empty() {
             return Ok(GcStats::default());
         }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        self.journal_append(&IntentRecord::GcBegin {
+        let seq = self.begin_intent(inner, |seq| IntentRecord::GcBegin {
             seq,
             dead_packs: dead.clone(),
         })?;
@@ -1304,7 +1399,9 @@ impl ChunkStore {
         if quarantine_pruned {
             self.save_quarantine(&inner.quarantined)?;
         }
-        self.journal_append(&IntentRecord::GcCommit { seq })?;
+        self.commit_intent(inner, &IntentRecord::GcCommit { seq })?;
+        // The index swapped in above is current: reset the journal.
+        self.journal_reset(inner, self.fs.as_ref())?;
         self.metrics.gc_packs.add(stats.packs_deleted);
         self.metrics.gc_reclaimed_bytes.add(stats.bytes_reclaimed);
         self.metrics.packs.add(-(stats.packs_deleted as i64));
@@ -1368,9 +1465,7 @@ impl ChunkStore {
             .collect();
 
         let dst = inner.next_pack;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        self.journal_append(&IntentRecord::CompactBegin {
+        let seq = self.begin_intent(inner, |seq| IntentRecord::CompactBegin {
             seq,
             src_packs: srcs.clone(),
             dst_pack: dst,
@@ -1407,7 +1502,9 @@ impl ChunkStore {
             self.fs.remove(&path, MutationKind::Unlink)?;
             stats.packs_rewritten += 1;
         }
-        self.journal_append(&IntentRecord::CompactCommit { seq })?;
+        self.commit_intent(inner, &IntentRecord::CompactCommit { seq })?;
+        // As in `gc`: the swapped-in index is current.
+        self.journal_reset(inner, self.fs.as_ref())?;
         let dst_file_bytes = std::fs::metadata(&dst_path).map(|m| m.len()).unwrap_or(0);
         stats.bytes_reclaimed = src_file_bytes.saturating_sub(dst_file_bytes);
         self.metrics.gc_reclaimed_bytes.add(stats.bytes_reclaimed);

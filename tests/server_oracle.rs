@@ -421,7 +421,7 @@ fn oracle_repeat_run_is_byte_identical() {
             let status = server.wait(job).expect("known job");
             out.push((
                 status.state,
-                status.result.as_ref().map(encode_value),
+                status.result.as_deref().map(encode_value),
                 status.error,
             ));
         }

@@ -193,7 +193,12 @@ fn run_lifecycle(
                 spec.verb(),
                 status.state
             );
-            (spec, status.state, status.result, status.error)
+            (
+                spec,
+                status.state,
+                status.result.as_deref().cloned(),
+                status.error,
+            )
         })
         .collect();
     drop(server);

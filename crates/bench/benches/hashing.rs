@@ -44,12 +44,7 @@ fn bench_chunk_hash(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(chunk_bytes),
             &values,
-            |b, values| {
-                let mut scratch = Vec::new();
-                b.iter(|| {
-                    hasher.hash_chunk_with_scratch(std::hint::black_box(values), &mut scratch)
-                });
-            },
+            |b, values| b.iter(|| hasher.hash_chunk(std::hint::black_box(values))),
         );
     }
     group.finish();

@@ -203,11 +203,10 @@ fn main() {
     let q = Quantizer::new(1e-5).unwrap();
     for block in [16usize, 64, 256, 1024] {
         let h = ChunkHasher::with_block_bytes(q, block);
-        let mut scratch = Vec::new();
         let t0 = Instant::now();
         let reps = 20;
         for _ in 0..reps {
-            std::hint::black_box(h.hash_chunk_with_scratch(&chunk, &mut scratch));
+            std::hint::black_box(h.hash_chunk(&chunk));
         }
         let per = t0.elapsed() / reps;
         let gbps = (chunk.len() * 4) as f64 / per.as_secs_f64() / 1e9;

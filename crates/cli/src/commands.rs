@@ -84,14 +84,15 @@ pub fn create_tree(map: &ArgMap) -> Result<String, CliError> {
     let engine = engine_from(map)?;
 
     let (bytes, off, len) = locate_payload(&input)?;
-    let values = payload_values(&bytes, off, len);
-    if values.is_empty() {
+    let payload = &bytes[off as usize..(off + len) as usize];
+    let n_values = payload.len() / 4;
+    if n_values == 0 {
         return Err(CliError::Failed(format!(
             "{} holds no f32 payload",
             input.display()
         )));
     }
-    let encoded = engine.encode_metadata(&values);
+    let encoded = engine.encode_payload_metadata(payload);
     std::fs::write(&output, &encoded).map_err(fail)?;
 
     let mut out = String::new();
@@ -104,10 +105,10 @@ pub fn create_tree(map: &ArgMap) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "payload: {} values, chunk {} B, bound {:e}, metadata/data ratio {:.4}",
-        values.len(),
+        n_values,
         engine.config().chunk_bytes,
         engine.config().error_bound,
-        encoded.len() as f64 / (values.len() * 4) as f64,
+        encoded.len() as f64 / (n_values * 4) as f64,
     );
     Ok(out)
 }
@@ -1383,14 +1384,14 @@ pub fn ingest(map: &ArgMap) -> Result<String, CliError> {
         let payload_len = parsed
             .as_ref()
             .map_or(bytes.len() as u64, |f| f.payload_len);
-        let values = payload_values(&bytes, payload_offset, payload_len);
-        if values.is_empty() {
+        let payload = &bytes[payload_offset as usize..(payload_offset + payload_len) as usize];
+        if payload.len() < 4 {
             return Err(CliError::Failed(format!(
                 "{} holds no f32 payload to build metadata from",
                 input.display()
             )));
         }
-        engine.encode_metadata(&values)
+        engine.encode_payload_metadata(payload)
     } else {
         Vec::new()
     };

@@ -1,7 +1,7 @@
 //! The two-stage comparison engine.
 
 use reprocmp_device::{Device, TimingModel, Workload};
-use reprocmp_hash::{ChunkHasher, Quantizer};
+use reprocmp_hash::{ChunkHasher, Floats, Quantizer};
 use reprocmp_io::pipeline::{PipelineConfig, PipelineMetrics, StreamPipeline};
 use reprocmp_io::storage::{AccessMode, Storage};
 use reprocmp_io::{RingStats, Timeline};
@@ -151,8 +151,12 @@ impl CompareEngine {
     /// payload (one parallel hashing pass + one pass per tree level).
     #[must_use]
     pub fn build_metadata(&self, values: &[f32]) -> MerkleTree {
-        MerkleTree::build_from_f32(
-            values,
+        self.build(Floats::Values(values))
+    }
+
+    fn build(&self, data: Floats<'_>) -> MerkleTree {
+        MerkleTree::build(
+            data,
             self.config.chunk_bytes,
             &self.hasher,
             &self.config.device,
@@ -177,6 +181,18 @@ impl CompareEngine {
     #[must_use]
     pub fn encode_metadata(&self, values: &[f32]) -> Vec<u8> {
         encode_tree(&self.build_metadata(values))
+    }
+
+    /// [`CompareEngine::encode_metadata`] over a payload's little-endian
+    /// `f32` bytes as they sit in a checkpoint file, hashed in place
+    /// (a trailing partial value is ignored).
+    ///
+    /// # Panics
+    ///
+    /// If `payload` holds no whole value.
+    #[must_use]
+    pub fn encode_payload_metadata(&self, payload: &[u8]) -> Vec<u8> {
+        encode_tree(&self.build(Floats::LeBytes(payload)))
     }
 
     /// Compares two checkpoints, timing phases with the wall clock.

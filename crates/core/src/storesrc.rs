@@ -66,16 +66,14 @@ impl CheckpointSource {
         }
 
         let chunk_bytes = engine.config().chunk_bytes;
-        let geometry_matches = layout.chunk_bytes as usize == chunk_bytes
-            && layout
-                .payload_offset
-                .is_multiple_of(u64::from(layout.chunk_bytes));
         let mut capture = StageBreakdown::default();
 
-        // Raw leaf digests: free when the manifest's chunk geometry
-        // lines up with the engine's (same seed, same boundaries);
-        // recomputed from the payload bytes otherwise.
-        let manifest_leaves = if geometry_matches {
+        // Raw leaf digests: free when the manifest chunked the payload
+        // the way the engine does (same seed, same boundaries);
+        // recomputed from the payload bytes otherwise. The manifest's
+        // digests are payload-relative — the header is its own segment
+        // — so where the header ends does not matter.
+        let manifest_leaves = if layout.chunk_bytes as usize == chunk_bytes {
             layout.payload_chunk_digests.clone()
         } else {
             None
@@ -235,6 +233,37 @@ mod tests {
         let twin = CheckpointSource::in_memory(&values, &e).unwrap();
         let report = e.compare(&s, &twin).unwrap();
         assert!(report.identical());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn an_unaligned_header_still_takes_the_manifest_digests_without_reading_packs() {
+        let root = temp_root("unaligned");
+        let store = ChunkStore::open(&root).unwrap();
+        let e = engine();
+        let values: Vec<f32> = (0..1024).map(|i| (i as f32 * 0.1).sin()).collect();
+        let payload = payload_bytes(&values);
+        let header = [7u8; 26]; // ends mid-chunk at 64-byte chunks
+        store
+            .ingest(
+                "h",
+                1,
+                &[(reprocmp_store::HEADER_SEGMENT, &header), ("x", &payload)],
+                64,
+                &e.encode_metadata(&values),
+            )
+            .unwrap();
+        let manifest = store.layout("h", 1).unwrap().payload_chunk_digests.unwrap();
+        assert_eq!(manifest, raw_chunk_digests(&payload, 64));
+        // Zero every pack byte: a source that re-read the object would
+        // hash zeros instead of returning the manifest's digests.
+        for entry in std::fs::read_dir(root.join("packs")).unwrap() {
+            let path = entry.unwrap().path();
+            let len = std::fs::metadata(&path).unwrap().len() as usize;
+            std::fs::write(&path, vec![0u8; len]).unwrap();
+        }
+        let s = CheckpointSource::from_store(&store, "h", 1, &e).unwrap();
+        assert_eq!(s.raw_leaves.as_deref().unwrap(), &manifest);
         std::fs::remove_dir_all(&root).ok();
     }
 

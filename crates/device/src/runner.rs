@@ -238,7 +238,9 @@ impl Device {
     }
 
     /// Applies `f(chunk_index, chunk)` to consecutive `chunk_len`-sized
-    /// pieces of `data`, in parallel. The final chunk may be short.
+    /// pieces of `data`, in parallel. The final chunk may be short. A
+    /// single piece runs on the calling thread, so a caller sizes pieces
+    /// to decide what is worth a thread.
     pub fn parallel_chunks_mut<T, F>(
         &self,
         data: &mut [T],
@@ -251,7 +253,13 @@ impl Device {
     {
         assert!(chunk_len > 0, "chunk_len must be non-zero");
         self.charge(workload);
+        let single = data.len() <= chunk_len;
         match self.backend {
+            _ if single => {
+                if !data.is_empty() {
+                    f(0, data);
+                }
+            }
             Backend::Serial => {
                 for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
                     f(i, chunk);
@@ -436,6 +444,17 @@ mod tests {
         let mut data: Vec<u32> = Vec::new();
         dev.parallel_chunks_mut(&mut data, 16, Workload::memory(0), |_, _| {
             panic!("no chunks to visit")
+        });
+    }
+
+    #[test]
+    fn a_single_piece_runs_on_the_calling_thread() {
+        let dev = Device::host_parallel(4);
+        let caller = std::thread::current().id();
+        let mut data = vec![0u8; 10];
+        dev.parallel_chunks_mut(&mut data, 10, Workload::memory(0), |i, piece| {
+            assert_eq!((i, piece.len()), (0, 10));
+            assert_eq!(std::thread::current().id(), caller);
         });
     }
 

@@ -44,6 +44,60 @@ const CODE_NAN: i64 = i64::MAX;
 const CODE_POS_INF: i64 = i64::MAX - 1;
 const CODE_NEG_INF: i64 = i64::MIN + 1;
 
+/// `|x / ε|` below this (2^51) takes the fast `floor`.
+const FAST_RANGE: f64 = 2_251_799_813_685_248.0;
+
+/// 1.5 × 2^52: adding it to any `|s| < 2^51` rounds `s` to the nearest
+/// integer and leaves that integer in the sum's low mantissa bits.
+const ROUNDER: f64 = 6_755_399_441_055_744.0;
+
+/// `floor(s)` for `|s| < 2^51`, without libm, integer conversions or
+/// branches: round to nearest through [`ROUNDER`], read the integer
+/// straight out of the bits, and subtract one where rounding went up.
+/// Every operation is exact in that range — the sum lies in
+/// `[2^52, 2^53]`, where consecutive `f64`s are one apart and the bit
+/// pattern is linear in the value. Outside the range the result is
+/// garbage, never a panic.
+#[inline(always)]
+fn fast_floor(s: f64) -> i64 {
+    let m = s + ROUNDER;
+    let nearest = (m.to_bits() as i64).wrapping_sub(ROUNDER.to_bits() as i64);
+    nearest.wrapping_sub(i64::from(m - ROUNDER > s))
+}
+
+/// The grid code of `x`, given `scaled = x × 1/ε`: [`fast_floor`] in
+/// range; NaN, ±∞ and large magnitudes fail the range test and take
+/// [`grid_code_cold`].
+#[inline(always)]
+fn grid_code(x: f64, scaled: f64) -> i64 {
+    if scaled.abs() < FAST_RANGE {
+        fast_floor(scaled)
+    } else {
+        grid_code_cold(x, scaled)
+    }
+}
+
+/// Non-finite values and magnitudes at or beyond 2^51.
+#[cold]
+#[inline(never)]
+fn grid_code_cold(x: f64, scaled: f64) -> i64 {
+    if x.is_nan() {
+        return CODE_NAN;
+    }
+    if x.is_infinite() {
+        return if x > 0.0 { CODE_POS_INF } else { CODE_NEG_INF };
+    }
+    // f32::MAX / 1e-7 ≈ 3.4e45 overflows i64; saturate just inside the
+    // sentinel codes so finite values can never collide with them.
+    if scaled >= (CODE_POS_INF - 1) as f64 {
+        CODE_POS_INF - 1
+    } else if scaled <= (CODE_NEG_INF + 1) as f64 {
+        CODE_NEG_INF + 1
+    } else {
+        scaled.floor() as i64
+    }
+}
+
 /// Snaps `f32` values onto an `ε`-spaced grid.
 ///
 /// Cloning is cheap; the quantizer is just the bound and its reciprocal.
@@ -92,40 +146,46 @@ impl Quantizer {
     #[must_use]
     #[inline]
     pub fn quantize(&self, x: f32) -> i64 {
-        if x.is_nan() {
-            return CODE_NAN;
-        }
-        if x.is_infinite() {
-            return if x > 0.0 { CODE_POS_INF } else { CODE_NEG_INF };
-        }
-        let scaled = f64::from(x) * self.inv_bound;
-        // f32::MAX / 1e-7 ≈ 3.4e45 overflows i64; saturate just inside the
-        // sentinel codes so finite values can never collide with them.
-        if scaled >= (CODE_POS_INF - 1) as f64 {
-            CODE_POS_INF - 1
-        } else if scaled <= (CODE_NEG_INF + 1) as f64 {
-            CODE_NEG_INF + 1
-        } else {
-            scaled.floor() as i64
-        }
+        let x = f64::from(x);
+        grid_code(x, x * self.inv_bound)
     }
 
     /// Quantizes a slice into a caller-provided buffer of codes.
     ///
     /// `out` is resized to `data.len()`.
     pub fn quantize_into(&self, data: &[f32], out: &mut Vec<i64>) {
-        out.clear();
-        out.reserve(data.len());
-        out.extend(data.iter().map(|&x| self.quantize(x)));
+        out.resize(data.len(), 0);
+        self.quantize_run(data.iter().copied(), out);
+    }
+
+    /// Quantizes `values` into `out`, pairwise. The loop has no branch
+    /// on the values: every code takes [`fast_floor`] while one flag
+    /// records whether all were in its range, and only a run that held
+    /// a non-finite or huge value is redone value by value.
+    #[inline(always)]
+    pub(crate) fn quantize_run<I>(&self, values: I, out: &mut [i64])
+    where
+        I: Iterator<Item = f32> + Clone,
+    {
+        let mut in_range = true;
+        for (code, x) in out.iter_mut().zip(values.clone()) {
+            let scaled = f64::from(x) * self.inv_bound;
+            in_range &= scaled.abs() < FAST_RANGE;
+            *code = fast_floor(scaled);
+        }
+        if !in_range {
+            for (code, x) in out.iter_mut().zip(values) {
+                *code = self.quantize(x);
+            }
+        }
     }
 
     /// Quantizes a slice directly into little-endian code bytes, the form
     /// consumed by the chunk hasher.
     pub fn quantize_to_bytes(&self, data: &[f32], out: &mut Vec<u8>) {
-        out.clear();
-        out.reserve(data.len() * 8);
-        for &x in data {
-            out.extend_from_slice(&self.quantize(x).to_le_bytes());
+        out.resize(data.len() * 8, 0);
+        for (code, &x) in out.chunks_exact_mut(8).zip(data) {
+            code.copy_from_slice(&self.quantize(x).to_le_bytes());
         }
     }
 
@@ -199,23 +259,7 @@ impl QuantizerF64 {
     #[must_use]
     #[inline]
     pub fn quantize(&self, x: f64) -> i64 {
-        if x.is_nan() {
-            return CODE_NAN;
-        }
-        if x.is_infinite() {
-            return if x > 0.0 { CODE_POS_INF } else { CODE_NEG_INF };
-        }
-        let scaled = x * self.inv_bound;
-        // f64::MAX / ε overflows i64 by hundreds of orders of
-        // magnitude; saturate just inside the sentinel codes so finite
-        // values can never collide with them.
-        if scaled >= (CODE_POS_INF - 1) as f64 {
-            CODE_POS_INF - 1
-        } else if scaled <= (CODE_NEG_INF + 1) as f64 {
-            CODE_NEG_INF + 1
-        } else {
-            scaled.floor() as i64
-        }
+        grid_code(x, x * self.inv_bound)
     }
 
     /// Quantizes a slice into a caller-provided buffer of codes.
@@ -230,10 +274,9 @@ impl QuantizerF64 {
     /// Quantizes a slice directly into little-endian code bytes, the
     /// form consumed by the chunk hasher.
     pub fn quantize_to_bytes(&self, data: &[f64], out: &mut Vec<u8>) {
-        out.clear();
-        out.reserve(data.len() * 8);
-        for &x in data {
-            out.extend_from_slice(&self.quantize(x).to_le_bytes());
+        out.resize(data.len() * 8, 0);
+        for (code, &x) in out.chunks_exact_mut(8).zip(data) {
+            code.copy_from_slice(&self.quantize(x).to_le_bytes());
         }
     }
 
@@ -350,6 +393,22 @@ mod tests {
         assert!(!q.differs(1.0, 1.0 + 9e-3));
         assert!(q.differs(1.0, 1.0 + 2e-2));
         assert!(!q.differs(-1.0, -1.0));
+    }
+
+    #[test]
+    fn fast_floor_is_floor_across_its_whole_range() {
+        // At ε = 1 the code is floor(x) itself; walk every binade up to
+        // and past the 2^51 edge with quarter, half and ulp fractions.
+        let q = QuantizerF64::new(1.0).unwrap();
+        for exp in 0..56 {
+            let base = 2f64.powi(exp);
+            for frac in [0.0, 0.25, 0.5, 0.75, -0.25, -0.5] {
+                for x in [base + frac, -(base + frac), base - base * f64::EPSILON] {
+                    assert_eq!(q.quantize(x), x.floor() as i64, "x = {x}");
+                    assert_eq!(q.quantize(-x), (-x).floor() as i64, "x = {}", -x);
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,12 +7,87 @@
 //! value in the chunk while the hash primitive only ever sees small,
 //! fixed-size inputs. Across chunks everything is embarrassingly
 //! parallel.
+//!
+//! # The leaf kernel
+//!
+//! One chain is a sequence of dependent Murmur3F rounds, so a single
+//! chunk is latency-bound no matter how fast the core is. The kernel
+//! ([`ChunkHasher::hash_leaves_into`]) therefore quantizes [`LANES`]
+//! whole chunks at a time into a small reused `i64` tile and advances
+//! their chains in lockstep, one block of each per step: the rounds of
+//! different chains are independent, so the core overlaps them. Fewer
+//! than [`LANES`] remaining chunks run the same code one lane wide, and
+//! non-default block sizes take the plain byte path.
+
+use std::ops::Range;
 
 use crate::bounded::Quantizer;
-use crate::murmur3::{Digest128, Murmur3x64_128};
+use crate::murmur3::{finish, mix_block, mix_k1, Digest128, Murmur3x64_128};
 
 /// Default block size in bytes (128 bits, the paper's granularity).
 pub const DEFAULT_BLOCK_BYTES: usize = 16;
+
+/// Chunks whose chains one kernel step advances together. Four keeps
+/// the multiply units busy; two and eight both measured slower.
+pub const LANES: usize = 4;
+
+/// Codes per lane held in the tile at once: `LANES × STRIP` codes is
+/// 32 KiB, so the tile stays in L1 between quantizing and hashing.
+const STRIP: usize = 1024;
+
+/// `f32` values as the leaf kernel reads them: a float slice, or the
+/// little-endian bytes of a checkpoint payload exactly as they sit in
+/// the file, so a payload is hashed in place rather than first copied
+/// into a `Vec<f32>`.
+#[derive(Debug, Clone, Copy)]
+pub enum Floats<'a> {
+    /// Native floats.
+    Values(&'a [f32]),
+    /// Little-endian `f32` bytes; a trailing partial value is ignored.
+    LeBytes(&'a [u8]),
+}
+
+impl<'a> Floats<'a> {
+    /// Number of values.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self {
+            Floats::Values(v) => v.len(),
+            Floats::LeBytes(b) => b.len() / 4,
+        }
+    }
+
+    /// True when there are no values.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The values in `range` (value indices, not bytes).
+    ///
+    /// # Panics
+    ///
+    /// If `range` is out of bounds.
+    #[must_use]
+    pub fn slice(&self, range: Range<usize>) -> Floats<'a> {
+        match *self {
+            Floats::Values(v) => Floats::Values(&v[range]),
+            Floats::LeBytes(b) => Floats::LeBytes(&b[range.start * 4..range.end * 4]),
+        }
+    }
+
+    /// Quantizes the first `out.len()` values into `out`.
+    fn quantize_into(&self, q: &Quantizer, out: &mut [i64]) {
+        match *self {
+            Floats::Values(v) => q.quantize_run(v.iter().copied(), out),
+            Floats::LeBytes(b) => q.quantize_run(
+                b.chunks_exact(4)
+                    .map(|x| f32::from_le_bytes(x.try_into().expect("4 bytes"))),
+                out,
+            ),
+        }
+    }
+}
 
 /// Hashes chunks of `f32` data under an error bound.
 ///
@@ -73,17 +148,12 @@ impl ChunkHasher {
     /// Hashes one chunk of floats: quantize, then chain 128-bit blocks.
     #[must_use]
     pub fn hash_chunk(&self, chunk: &[f32]) -> Digest128 {
-        let mut scratch = Vec::new();
-        self.hash_chunk_with_scratch(chunk, &mut scratch)
-    }
-
-    /// Like [`ChunkHasher::hash_chunk`] but reuses a scratch buffer, the
-    /// form used by the data-parallel tree builder to avoid per-chunk
-    /// allocation.
-    #[must_use]
-    pub fn hash_chunk_with_scratch(&self, chunk: &[f32], scratch: &mut Vec<u8>) -> Digest128 {
-        self.quantizer.quantize_to_bytes(chunk, scratch);
-        self.hash_quantized_bytes(scratch)
+        if chunk.is_empty() {
+            return self.hash_quantized_bytes(&[]);
+        }
+        let mut digest = [Digest128::ZERO];
+        self.hash_leaves_into(Floats::Values(chunk), chunk.len(), &mut digest);
+        digest[0]
     }
 
     /// Hashes pre-quantized little-endian code bytes with block chaining.
@@ -109,10 +179,165 @@ impl ChunkHasher {
     #[must_use]
     pub fn hash_leaves(&self, data: &[f32], chunk_len: usize) -> Vec<Digest128> {
         assert!(chunk_len > 0, "chunk_len must be non-zero");
-        let mut scratch = Vec::new();
-        data.chunks(chunk_len)
-            .map(|c| self.hash_chunk_with_scratch(c, &mut scratch))
-            .collect()
+        let mut leaves = vec![Digest128::ZERO; data.len().div_ceil(chunk_len)];
+        self.hash_leaves_into(Floats::Values(data), chunk_len, &mut leaves);
+        leaves
+    }
+
+    /// The leaf kernel: hashes `data` split into `chunk_len`-value
+    /// chunks (the final one may be short) into `out`, one digest per
+    /// chunk, [`LANES`] chains at a time.
+    ///
+    /// # Panics
+    ///
+    /// If `chunk_len` is zero or `out` does not hold exactly one slot
+    /// per chunk.
+    pub fn hash_leaves_into(&self, data: Floats<'_>, chunk_len: usize, out: &mut [Digest128]) {
+        assert!(chunk_len > 0, "chunk_len must be non-zero");
+        assert_eq!(
+            out.len(),
+            data.len().div_ceil(chunk_len),
+            "one digest slot per chunk"
+        );
+        let chunk = |i: usize| data.slice(i * chunk_len..((i + 1) * chunk_len).min(data.len()));
+        if self.block_bytes != DEFAULT_BLOCK_BYTES {
+            let mut codes = Vec::new();
+            for (i, slot) in out.iter_mut().enumerate() {
+                let c = chunk(i);
+                codes.resize(c.len(), 0);
+                c.quantize_into(&self.quantizer, &mut codes);
+                *slot = self.hash_codes_bytewise(&codes);
+            }
+            return;
+        }
+        // Strips hold whole blocks; only a chunk's last strip can end
+        // on a lone 8-byte code.
+        let strip = STRIP.min(chunk_len).next_multiple_of(2);
+        let mut tile = vec![0i64; LANES * strip];
+        let grouped = data.len() / chunk_len / LANES * LANES;
+        for (g, slots) in out[..grouped].chunks_exact_mut(LANES).enumerate() {
+            let lanes = data.slice(g * LANES * chunk_len..(g + 1) * LANES * chunk_len);
+            slots.copy_from_slice(&self.chain_lanes::<LANES>(lanes, chunk_len, &mut tile));
+        }
+        for (i, slot) in out.iter_mut().enumerate().skip(grouped) {
+            let c = chunk(i);
+            *slot = self.chain_lanes::<1>(c, c.len(), &mut tile)[0];
+        }
+    }
+
+    /// Quantizes `data` into `out`, one code per value — the first half
+    /// of the leaf kernel, for callers that time the halves apart.
+    ///
+    /// # Panics
+    ///
+    /// If `out.len() != data.len()`.
+    pub fn quantize_codes(&self, data: Floats<'_>, out: &mut [i64]) {
+        assert_eq!(out.len(), data.len(), "one code slot per value");
+        data.quantize_into(&self.quantizer, out);
+    }
+
+    /// The second half of the leaf kernel: chains pre-quantized `codes`
+    /// split into `chunk_len`-code chunks into `out`, [`LANES`] chains
+    /// at a time. Equal to [`ChunkHasher::hash_leaves_into`] over the
+    /// values the codes came from.
+    ///
+    /// # Panics
+    ///
+    /// As [`ChunkHasher::hash_leaves_into`].
+    pub fn hash_codes_into(&self, codes: &[i64], chunk_len: usize, out: &mut [Digest128]) {
+        assert!(chunk_len > 0, "chunk_len must be non-zero");
+        assert_eq!(
+            out.len(),
+            codes.len().div_ceil(chunk_len),
+            "one digest slot per chunk"
+        );
+        if self.block_bytes != DEFAULT_BLOCK_BYTES {
+            for (slot, chunk) in out.iter_mut().zip(codes.chunks(chunk_len)) {
+                *slot = self.hash_codes_bytewise(chunk);
+            }
+            return;
+        }
+        let grouped = codes.len() / chunk_len / LANES * LANES;
+        let (whole, rest) = codes.split_at(grouped * chunk_len);
+        for (group, slots) in whole
+            .chunks_exact(LANES * chunk_len)
+            .zip(out[..grouped].chunks_exact_mut(LANES))
+        {
+            let mut state = [[0u64; 2]; LANES];
+            advance(
+                &mut state,
+                std::array::from_fn(|l| &group[l * chunk_len..(l + 1) * chunk_len]),
+            );
+            for (slot, s) in slots.iter_mut().zip(state) {
+                *slot = Digest128(s);
+            }
+        }
+        for (slot, chunk) in out[grouped..].iter_mut().zip(rest.chunks(chunk_len)) {
+            let mut state = [[0u64; 2]];
+            advance(&mut state, [chunk]);
+            *slot = Digest128(state[0]);
+        }
+    }
+
+    /// `W` chunks of `chunk_len` values, back to back in `data`, hashed
+    /// as `W` chains in lockstep through `tile` strip by strip.
+    fn chain_lanes<const W: usize>(
+        &self,
+        data: Floats<'_>,
+        chunk_len: usize,
+        tile: &mut [i64],
+    ) -> [Digest128; W] {
+        let strip = tile.len() / LANES;
+        let mut state = [[0u64; 2]; W];
+        let mut done = 0;
+        while done < chunk_len {
+            let n = strip.min(chunk_len - done);
+            for (l, codes) in tile.chunks_exact_mut(strip).take(W).enumerate() {
+                let at = l * chunk_len + done;
+                data.slice(at..at + n)
+                    .quantize_into(&self.quantizer, &mut codes[..n]);
+            }
+            advance(
+                &mut state,
+                std::array::from_fn(|l| &tile[l * strip..l * strip + n]),
+            );
+            done += n;
+        }
+        state.map(Digest128)
+    }
+
+    /// The path for non-default block sizes: codes to bytes, then one
+    /// Murmur3F call per block.
+    fn hash_codes_bytewise(&self, codes: &[i64]) -> Digest128 {
+        let bytes: Vec<u8> = codes.iter().flat_map(|c| c.to_le_bytes()).collect();
+        self.hash_quantized_bytes(&bytes)
+    }
+}
+
+/// Advances `W` chains over equal-length code runs, one 16-byte block
+/// of each per step. `state[l]` is chain `l`'s digest so far (the seed
+/// of its next block); a run of odd length ends on an 8-byte block,
+/// which only a chunk's final run may do.
+#[inline(always)]
+fn advance<const W: usize>(state: &mut [[u64; 2]; W], lanes: [&[i64]; W]) {
+    let n = lanes[0].len();
+    let pairs = n / 2;
+    for b in 0..pairs {
+        for l in 0..W {
+            let (h1, h2) = mix_block(
+                state[l][0],
+                state[l][1],
+                lanes[l][2 * b] as u64,
+                lanes[l][2 * b + 1] as u64,
+            );
+            state[l] = finish(h1, h2, 16).0;
+        }
+    }
+    if n % 2 == 1 {
+        for l in 0..W {
+            let k1 = lanes[l][n - 1] as u64;
+            state[l] = finish(state[l][0] ^ mix_k1(k1), state[l][1], 8).0;
+        }
     }
 }
 

@@ -50,7 +50,7 @@ pub mod chunk;
 pub mod murmur3;
 
 pub use bounded::{Quantizer, QuantizerF64};
-pub use chunk::ChunkHasher;
+pub use chunk::{ChunkHasher, Floats};
 pub use murmur3::{Digest128, Murmur3x64_128};
 
 /// Seed for *raw-content* chunk digests — the content addresses used by

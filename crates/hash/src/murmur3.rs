@@ -38,13 +38,15 @@ impl Digest128 {
     /// Combines two digests into one by hashing their concatenation.
     ///
     /// This is the interior-node operation of the Merkle tree: the parent
-    /// digest is `hash(left ‖ right)`.
+    /// digest is `hash(left ‖ right)` with seed 0 — two full blocks whose
+    /// little-endian words are the digests' lanes, so no byte buffer is
+    /// needed.
     #[must_use]
+    #[inline]
     pub fn combine(left: Digest128, right: Digest128) -> Digest128 {
-        let mut buf = [0u8; 32];
-        buf[..16].copy_from_slice(&left.to_bytes());
-        buf[16..].copy_from_slice(&right.to_bytes());
-        Murmur3x64_128::new(0).hash(&buf)
+        let (h1, h2) = mix_block(0, 0, left.0[0], left.0[1]);
+        let (h1, h2) = mix_block(h1, h2, right.0[0], right.0[1]);
+        finish(h1, h2, 32)
     }
 }
 
@@ -71,6 +73,51 @@ fn fmix64(mut k: u64) -> u64 {
     k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
     k ^= k >> 33;
     k
+}
+
+/// One 16-byte body round: mixes the block's little-endian words
+/// `k1`, `k2` into the state.
+#[inline(always)]
+pub(crate) fn mix_block(mut h1: u64, mut h2: u64, k1: u64, k2: u64) -> (u64, u64) {
+    h1 ^= mix_k1(k1);
+    h1 = h1
+        .rotate_left(27)
+        .wrapping_add(h2)
+        .wrapping_mul(5)
+        .wrapping_add(0x52dc_e729);
+    h2 ^= mix_k2(k2);
+    h2 = h2
+        .rotate_left(31)
+        .wrapping_add(h1)
+        .wrapping_mul(5)
+        .wrapping_add(0x3849_5ab5);
+    (h1, h2)
+}
+
+/// The first-lane word scramble, shared by body rounds and tails.
+#[inline(always)]
+pub(crate) fn mix_k1(k1: u64) -> u64 {
+    k1.wrapping_mul(C1).rotate_left(31).wrapping_mul(C2)
+}
+
+/// The second-lane word scramble.
+#[inline(always)]
+fn mix_k2(k2: u64) -> u64 {
+    k2.wrapping_mul(C2).rotate_left(33).wrapping_mul(C1)
+}
+
+/// Finalization over a message of `len` bytes.
+#[inline(always)]
+pub(crate) fn finish(mut h1: u64, mut h2: u64, len: u64) -> Digest128 {
+    h1 ^= len;
+    h2 ^= len;
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    h1 = fmix64(h1);
+    h2 = fmix64(h2);
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    Digest128([h1, h2])
 }
 
 /// The MurmurHash3 x64 128-bit hasher.
@@ -116,32 +163,15 @@ impl Murmur3x64_128 {
     pub fn hash(self, data: &[u8]) -> Digest128 {
         let mut h1 = self.h1;
         let mut h2 = self.h2;
-        let n_blocks = data.len() / 16;
-
-        for block in 0..n_blocks {
-            let off = block * 16;
-            let k1 = u64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-            let k2 = u64::from_le_bytes(data[off + 8..off + 16].try_into().expect("8 bytes"));
-
-            let k1 = k1.wrapping_mul(C1).rotate_left(31).wrapping_mul(C2);
-            h1 ^= k1;
-            h1 = h1
-                .rotate_left(27)
-                .wrapping_add(h2)
-                .wrapping_mul(5)
-                .wrapping_add(0x52dc_e729);
-
-            let k2 = k2.wrapping_mul(C2).rotate_left(33).wrapping_mul(C1);
-            h2 ^= k2;
-            h2 = h2
-                .rotate_left(31)
-                .wrapping_add(h1)
-                .wrapping_mul(5)
-                .wrapping_add(0x3849_5ab5);
+        let blocks = data.chunks_exact(16);
+        let tail = blocks.remainder();
+        for block in blocks {
+            let k1 = u64::from_le_bytes(block[..8].try_into().expect("8 bytes"));
+            let k2 = u64::from_le_bytes(block[8..].try_into().expect("8 bytes"));
+            (h1, h2) = mix_block(h1, h2, k1, k2);
         }
 
         // Tail.
-        let tail = &data[n_blocks * 16..];
         let mut k1: u64 = 0;
         let mut k2: u64 = 0;
         for (i, &b) in tail.iter().enumerate() {
@@ -153,23 +183,11 @@ impl Murmur3x64_128 {
         }
         if !tail.is_empty() {
             if tail.len() > 8 {
-                k2 = k2.wrapping_mul(C2).rotate_left(33).wrapping_mul(C1);
-                h2 ^= k2;
+                h2 ^= mix_k2(k2);
             }
-            k1 = k1.wrapping_mul(C1).rotate_left(31).wrapping_mul(C2);
-            h1 ^= k1;
+            h1 ^= mix_k1(k1);
         }
-
-        h1 ^= data.len() as u64;
-        h2 ^= data.len() as u64;
-        h1 = h1.wrapping_add(h2);
-        h2 = h2.wrapping_add(h1);
-        h1 = fmix64(h1);
-        h2 = fmix64(h2);
-        h1 = h1.wrapping_add(h2);
-        h2 = h2.wrapping_add(h1);
-
-        Digest128([h1, h2])
+        finish(h1, h2, data.len() as u64)
     }
 }
 

@@ -1,9 +1,14 @@
 //! The flattened Merkle tree and its data-parallel construction.
 
 use reprocmp_device::{Device, Workload};
-use reprocmp_hash::{ChunkHasher, Digest128};
+use reprocmp_hash::chunk::LANES;
+use reprocmp_hash::{ChunkHasher, Digest128, Floats};
 use reprocmp_obs::{PhaseCost, StageBreakdown};
 use std::time::{Duration, Instant};
+
+/// Interior levels narrower than this many nodes are combined on the
+/// calling thread: below it a thread spawn costs more than the hashing.
+const LEVEL_GRAIN: usize = 1024;
 
 /// A complete binary Merkle tree stored as a flat array.
 ///
@@ -56,19 +61,19 @@ impl MerkleTree {
         while level_width >= 1 {
             let base = level_width - 1;
             let (uppers, lowers) = nodes.split_at_mut(base + level_width);
+            // Parent `j` of this level has its children at `lowers[2j]`
+            // and `lowers[2j + 1]`.
             let parents = &mut uppers[base..];
-            let children_base = base + level_width; // index of first child in `nodes`
-            let lowers_ref: &[Digest128] = lowers;
+            let children: &[Digest128] = lowers;
             // Hash bytes: each parent reads 32 bytes, writes 16.
             let w = Workload::new((level_width * 48) as u64, (level_width * 32) as u64);
-            device_level(
-                device,
-                parents,
-                lowers_ref,
-                children_base,
-                base + level_width,
-                w,
-            );
+            let span = level_width.div_ceil(device.lanes()).max(LEVEL_GRAIN);
+            device.parallel_chunks_mut(parents, span, w, |piece, out| {
+                let kids = children[2 * piece * span..].chunks_exact(2);
+                for (parent, pair) in out.iter_mut().zip(kids) {
+                    *parent = Digest128::combine(pair[0], pair[1]);
+                }
+            });
             if level_width == 1 {
                 break;
             }
@@ -98,6 +103,23 @@ impl MerkleTree {
         hasher: &ChunkHasher,
         device: &Device,
     ) -> Self {
+        Self::build(Floats::Values(data), chunk_bytes, hasher, device)
+    }
+
+    /// [`MerkleTree::build_from_f32`] over any [`Floats`] — in
+    /// particular a checkpoint payload's little-endian bytes, hashed
+    /// where they lie instead of first copied into a `Vec<f32>`.
+    ///
+    /// # Panics
+    ///
+    /// If `data` is empty or `chunk_bytes < 4`.
+    #[must_use]
+    pub fn build(
+        data: Floats<'_>,
+        chunk_bytes: usize,
+        hasher: &ChunkHasher,
+        device: &Device,
+    ) -> Self {
         assert!(!data.is_empty(), "cannot build a tree over no data");
         assert!(chunk_bytes >= 4, "chunk must hold at least one f32");
         let floats_per_chunk = chunk_bytes / 4;
@@ -110,11 +132,12 @@ impl MerkleTree {
         // GPU hashing thousands of chunks concurrently stays
         // bandwidth-bound (the paper's Figure 8 gap).
         let w = Workload::new((data.len() * 4) as u64, (data.len() * 40) as u64);
-        let leaves = device.parallel_map(n_chunks, w, |i| {
-            let lo = i * floats_per_chunk;
-            let hi = ((i + 1) * floats_per_chunk).min(data.len());
-            let mut scratch = Vec::new();
-            hasher.hash_chunk_with_scratch(&data[lo..hi], &mut scratch)
+        let mut leaves = vec![Digest128::ZERO; n_chunks];
+        let span = worker_span(n_chunks, device);
+        device.parallel_chunks_mut(&mut leaves, span, w, |piece, out| {
+            let first = piece * span * floats_per_chunk;
+            let end = (first + out.len() * floats_per_chunk).min(data.len());
+            hasher.hash_leaves_into(data.slice(first..end), floats_per_chunk, out);
         });
 
         Self::from_leaves(
@@ -154,29 +177,30 @@ impl MerkleTree {
 
         // Phase 1 — quantize every chunk onto the ε-grid. One pass over
         // the floats, ~10 scalar ops per byte (cast, scale, floor).
+        let span = worker_span(n_chunks, device);
         let w_quant = Workload::new(data_bytes, data_bytes.saturating_mul(10));
-        let (codes, quantize_time) = measured(device, || {
-            device.parallel_map(n_chunks, w_quant, |i| {
-                let lo = i * floats_per_chunk;
-                let hi = ((i + 1) * floats_per_chunk).min(data.len());
-                let mut bytes = Vec::new();
-                hasher
-                    .quantizer()
-                    .quantize_to_bytes(&data[lo..hi], &mut bytes);
-                bytes
-            })
+        let mut codes = vec![0i64; data.len()];
+        let ((), quantize_time) = measured(device, || {
+            let values_per_piece = span * floats_per_chunk;
+            device.parallel_chunks_mut(&mut codes, values_per_piece, w_quant, |piece, out| {
+                let first = piece * values_per_piece;
+                hasher.quantize_codes(Floats::Values(&data[first..first + out.len()]), out);
+            });
         });
-        let code_bytes: u64 = codes.iter().map(|c| c.len() as u64).sum();
+        let code_bytes = (codes.len() * 8) as u64;
 
         // Phase 2 — block-chained hashing of the quantized codes, the
         // Murmur3F rounds that dominate capture (paper Figure 8).
         let w_hash = Workload::new(data_bytes, data_bytes.saturating_mul(30));
-        let codes_ref = &codes;
-        let (leaves, leaf_hash_time) = measured(device, || {
-            device.parallel_map(n_chunks, w_hash, |i| {
-                hasher.hash_quantized_bytes(&codes_ref[i])
-            })
+        let mut leaves = vec![Digest128::ZERO; n_chunks];
+        let ((), leaf_hash_time) = measured(device, || {
+            device.parallel_chunks_mut(&mut leaves, span, w_hash, |piece, out| {
+                let first = piece * span * floats_per_chunk;
+                let end = (first + out.len() * floats_per_chunk).min(codes.len());
+                hasher.hash_codes_into(&codes[first..end], floats_per_chunk, out);
+            });
         });
+        drop(codes);
 
         // Phase 3 — interior levels, bottom-up.
         let (tree, level_build_time) = measured(device, || {
@@ -375,12 +399,16 @@ impl MerkleTree {
         let values_per_chunk = self.chunk_bytes / 4;
         let first = dirty.start / values_per_chunk;
         let last = (dirty.end - 1) / values_per_chunk;
-        let mut scratch = Vec::new();
-        for chunk in first..=last {
-            let lo = chunk * values_per_chunk;
-            let hi = (lo + values_per_chunk).min(values.len());
-            let digest = hasher.hash_chunk_with_scratch(&values[lo..hi], &mut scratch);
-            self.update_leaf(chunk, digest);
+        let lo = first * values_per_chunk;
+        let hi = ((last + 1) * values_per_chunk).min(values.len());
+        let mut digests = vec![Digest128::ZERO; last + 1 - first];
+        hasher.hash_leaves_into(
+            Floats::Values(&values[lo..hi]),
+            values_per_chunk,
+            &mut digests,
+        );
+        for (i, digest) in digests.into_iter().enumerate() {
+            self.update_leaf(first + i, digest);
         }
     }
 
@@ -411,26 +439,10 @@ fn measured<T>(device: &Device, f: impl FnOnce() -> T) -> (T, Duration) {
     (out, time)
 }
 
-/// Runs one interior level as a device kernel. `parents` is the level
-/// being written; the children of parent slot `j` (flat index `base+j`)
-/// live at flat indices `2(base+j)+1` and `2(base+j)+2`, both inside
-/// `lowers` which starts at flat index `lowers_base`.
-fn device_level(
-    device: &Device,
-    parents: &mut [Digest128],
-    lowers: &[Digest128],
-    _children_base: usize,
-    lowers_base: usize,
-    workload: Workload,
-) {
-    let base = lowers_base - parents.len(); // flat index of parents[0]
-    let computed = device.parallel_map(parents.len(), workload, |j| {
-        let flat = base + j;
-        let left = lowers[2 * flat + 1 - lowers_base];
-        let right = lowers[2 * flat + 2 - lowers_base];
-        Digest128::combine(left, right)
-    });
-    parents.copy_from_slice(&computed);
+/// Leaves per device worker: an even split, rounded up to whole
+/// kernel groups so only the last worker runs a partial group.
+fn worker_span(n_chunks: usize, device: &Device) -> usize {
+    n_chunks.div_ceil(device.lanes()).next_multiple_of(LANES)
 }
 
 #[cfg(test)]
@@ -506,6 +518,51 @@ mod tests {
         let a = MerkleTree::build_from_f32(&d, 256, &h, &Device::host_serial());
         let b = MerkleTree::build_from_f32(&d, 256, &h, &Device::host_parallel(8));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn every_builder_and_device_agree() {
+        // 2 500 leaves of 25 values plus a short tail: odd chunks, every
+        // worker split, and a leaf-parent level wide enough for threads.
+        let d = data(25 * 2500 + 11);
+        let h = hasher(1e-5);
+        let reference = MerkleTree::build_from_f32(&d, 100, &h, &Device::host_serial());
+        for dev in [1, 2, 3, 7]
+            .map(Device::host_parallel)
+            .into_iter()
+            .chain([Device::sim_gpu()])
+        {
+            assert_eq!(
+                MerkleTree::build_from_f32(&d, 100, &h, &dev),
+                reference,
+                "{}",
+                dev.name()
+            );
+            assert_eq!(
+                MerkleTree::build_from_f32_profiled(&d, 100, &h, &dev).0,
+                reference,
+                "{} profiled",
+                dev.name()
+            );
+        }
+        let mut rewritten =
+            MerkleTree::build_from_f32(&vec![0.0; d.len()], 100, &h, &Device::host_serial());
+        rewritten.update_region(&d, 0..d.len(), &h);
+        assert_eq!(rewritten, reference, "update_region after a full rewrite");
+    }
+
+    #[test]
+    fn payload_bytes_build_the_same_tree_at_any_alignment() {
+        let d = data(4 * 64 + 5);
+        let h = hasher(1e-4);
+        let dev = Device::host_parallel(2);
+        let expect = MerkleTree::build_from_f32(&d, 64, &h, &dev);
+        for offset in 0..4 {
+            let mut file = vec![0xffu8; offset];
+            file.extend(d.iter().flat_map(|v| v.to_le_bytes()));
+            let tree = MerkleTree::build(Floats::LeBytes(&file[offset..]), 64, &h, &dev);
+            assert_eq!(tree, expect, "offset {offset}");
+        }
     }
 
     #[test]

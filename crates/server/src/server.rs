@@ -320,11 +320,7 @@ fn run_spec(
             // stored tree verbatim — the capture profile in their
             // reports stays zero, exactly like the offline path.
             let meta = if !data.is_empty() && data.len().is_multiple_of(4) {
-                let values: Vec<f32> = data
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-                    .collect();
-                engine.encode_metadata(&values)
+                engine.encode_payload_metadata(data)
             } else {
                 Vec::new()
             };

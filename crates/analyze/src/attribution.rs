@@ -94,6 +94,20 @@ impl TypedRegionMap {
         TypedRegionMap { spans }
     }
 
+    /// Reads named payload regions `(name, byte length)` — a checkpoint
+    /// layout's, which carries no dtype — as all-f32. `None` when there
+    /// are none, or when one is not 4-byte aligned: attribution would
+    /// misread every later region.
+    #[must_use]
+    pub fn from_f32_regions(regions: &[(String, u64)]) -> Option<Self> {
+        if regions.is_empty() || regions.iter().any(|(_, len)| len % 4 != 0) {
+            return None;
+        }
+        Some(Self::from_regions(regions.iter().map(|(name, len)| {
+            (name.as_str(), RegionDType::F32, len / 4)
+        })))
+    }
+
     /// The spans, in payload order.
     #[must_use]
     pub fn spans(&self) -> &[TypedRegionSpan] {
@@ -233,6 +247,16 @@ mod tests {
         // region — which is exactly why dtype must travel with the
         // span. At f32 precision 3.0 + 5e-9 rounds back to 3.0.
         assert_eq!(3.0f32, (3.0f64 + 5e-9) as f32);
+    }
+
+    #[test]
+    fn layout_regions_read_as_f32_only_when_aligned() {
+        let map =
+            TypedRegionMap::from_f32_regions(&[("x".to_owned(), 12), ("e".to_owned(), 0)]).unwrap();
+        assert_eq!(map.payload_bytes(), 12);
+        assert_eq!(map.spans()[1].count, 0, "empty regions keep their place");
+        assert!(TypedRegionMap::from_f32_regions(&[("x".to_owned(), 10)]).is_none());
+        assert!(TypedRegionMap::from_f32_regions(&[]).is_none());
     }
 
     #[test]

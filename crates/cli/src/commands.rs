@@ -3,9 +3,10 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use reprocmp_core::{CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp_core::ops::{self, Image, ObjectRef, OpError};
+use reprocmp_core::{CompareEngine, EngineConfig};
 use reprocmp_hacc::{HaccConfig, OrderPolicy, Simulation, SlabDecomposition};
-use reprocmp_store::{ChunkStore, DeltaPolicy, ObjectLayout, StoreError, HEADER_SEGMENT};
+use reprocmp_store::{ChunkStore, DeltaPolicy, StoreError};
 use reprocmp_veloc::{decode_checkpoint, Client, VelocConfig};
 
 use crate::args::ArgMap;
@@ -15,31 +16,13 @@ fn fail(e: impl std::fmt::Display) -> CliError {
     CliError::Failed(e.to_string())
 }
 
-/// Reads a checkpoint file from disk and locates its `f32` payload:
-/// VELOC-format files by header, anything else as raw f32.
-fn locate_payload(path: &Path) -> Result<(Vec<u8>, u64, u64), CliError> {
-    let bytes = std::fs::read(path).map_err(fail)?;
-    if bytes.len() >= 8 && &bytes[..8] == reprocmp_veloc::format::MAGIC {
-        let file = decode_checkpoint(&bytes).map_err(fail)?;
-        let (off, len) = (file.payload_offset, file.payload_len);
-        Ok((bytes, off, len))
-    } else {
-        if bytes.len() % 4 != 0 {
-            return Err(CliError::Failed(format!(
-                "{} is neither a reprocmp checkpoint nor a multiple-of-4-byte raw f32 file",
-                path.display()
-            )));
+impl From<OpError> for CliError {
+    fn from(e: OpError) -> Self {
+        match e {
+            OpError::Usage(what) => CliError::Usage(what),
+            other => fail(other),
         }
-        let len = bytes.len() as u64;
-        Ok((bytes, 0, len))
     }
-}
-
-fn payload_values(bytes: &[u8], offset: u64, len: u64) -> Vec<f32> {
-    bytes[offset as usize..(offset + len) as usize]
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect()
 }
 
 fn engine_from(map: &ArgMap) -> Result<CompareEngine, CliError> {
@@ -83,16 +66,10 @@ pub fn create_tree(map: &ArgMap) -> Result<String, CliError> {
     let output = PathBuf::from(map.required("output")?);
     let engine = engine_from(map)?;
 
-    let (bytes, off, len) = locate_payload(&input)?;
-    let payload = &bytes[off as usize..(off + len) as usize];
-    let n_values = payload.len() / 4;
-    if n_values == 0 {
-        return Err(CliError::Failed(format!(
-            "{} holds no f32 payload",
-            input.display()
-        )));
-    }
-    let encoded = engine.encode_payload_metadata(payload);
+    let bytes = std::fs::read(&input).map_err(fail)?;
+    let image = Image::parse(&bytes).map_err(|e| e.at(&input))?;
+    let encoded = image.metadata(&engine).map_err(|e| e.at(&input))?;
+    let n_values = image.payload().len() / 4;
     std::fs::write(&output, &encoded).map_err(fail)?;
 
     let mut out = String::new();
@@ -111,41 +88,6 @@ pub fn create_tree(map: &ArgMap) -> Result<String, CliError> {
         encoded.len() as f64 / (n_values * 4) as f64,
     );
     Ok(out)
-}
-
-/// Resolves a `name@version` run spec against the store; a bare name
-/// resolves to its newest stored version.
-fn resolve_run_spec(store: &ChunkStore, spec: &str) -> Result<(String, u64), CliError> {
-    match spec.rsplit_once('@') {
-        Some((name, raw)) => {
-            let version = raw.parse().map_err(|_| {
-                CliError::Usage(format!("run spec `{spec}`: cannot parse version `{raw}`"))
-            })?;
-            Ok((name.to_owned(), version))
-        }
-        None => {
-            let latest =
-                store.versions(spec).last().copied().ok_or_else(|| {
-                    CliError::Failed(format!("store holds no versions of `{spec}`"))
-                })?;
-            Ok((spec.to_owned(), latest))
-        }
-    }
-}
-
-/// Region attribution from a store manifest: every non-header segment
-/// is a named f32 region of `len / 4` values.
-fn region_map_from_layout(layout: &ObjectLayout) -> reprocmp_core::RegionMap {
-    // Byte-accurate construction under the store's payload rule
-    // (headers skipped only while leading): interior header segments
-    // and unaligned lengths must not shift later spans.
-    reprocmp_core::RegionMap::from_segment_bytes(
-        layout
-            .segments
-            .iter()
-            .map(|(name, len)| (name.as_str(), *len)),
-        HEADER_SEGMENT,
-    )
 }
 
 /// The `--json` report object: the serialized [`CompareReport`] plus
@@ -174,7 +116,7 @@ pub fn compare(map: &ArgMap) -> Result<String, CliError> {
     let max_diffs = map.parsed_or("max-diffs", 20usize)?;
     let engine = engine_from(map)?;
 
-    let (a, b, region_map) = match map.optional("store") {
+    let (a, b) = match map.optional("store") {
         Some(root) => {
             if map.optional("tree1").is_some() || map.optional("tree2").is_some() {
                 return Err(CliError::Usage(
@@ -184,53 +126,24 @@ pub fn compare(map: &ArgMap) -> Result<String, CliError> {
                 ));
             }
             let store = ChunkStore::open(Path::new(root)).map_err(fail)?;
-            let (n1, v1) = resolve_run_spec(&store, &run1)?;
-            let (n2, v2) = resolve_run_spec(&store, &run2)?;
-            let a = CheckpointSource::from_store(&store, &n1, v1, &engine).map_err(fail)?;
-            let b = CheckpointSource::from_store(&store, &n2, v2, &engine).map_err(fail)?;
-            let rm = store
-                .layout(&n1, v1)
-                .ok()
-                .map(|l| region_map_from_layout(&l));
-            (a, b, rm)
+            let (r1, r2) = (ops::resolve(&store, &run1)?, ops::resolve(&store, &run2)?);
+            (
+                ops::open_stored(&store, &r1, &engine)?,
+                ops::open_stored(&store, &r2, &engine)?,
+            )
         }
         None => {
-            // For canonical checkpoints, differences can be attributed
-            // to named regions (the paper's "which variables were
-            // affected").
-            let region_map = std::fs::read(Path::new(&run1))
-                .ok()
-                .and_then(|bytes| decode_checkpoint(&bytes).ok())
-                .map(|file| {
-                    reprocmp_core::RegionMap::from_lengths(
-                        file.regions.iter().map(|r| (r.name.as_str(), r.count)),
-                    )
-                });
-
-            let load =
-                |path: &str, tree_flag: Option<&str>| -> Result<CheckpointSource, CliError> {
-                    let path = Path::new(path);
-                    let (bytes, off, len) = locate_payload(path)?;
-                    match tree_flag {
-                        Some(tree_path) => {
-                            let src =
-                                CheckpointSource::from_files(path, off, len, Path::new(tree_path))
-                                    .map_err(fail)?;
-                            Ok(src)
-                        }
-                        None => {
-                            // Hash on the fly, then serve both from memory.
-                            let values = payload_values(&bytes, off, len);
-                            CheckpointSource::in_memory(&values, &engine).map_err(fail)
-                        }
-                    }
-                };
-
-            let a = load(&run1, map.optional("tree1"))?;
-            let b = load(&run2, map.optional("tree2"))?;
-            (a, b, region_map)
+            let tree = |flag| map.optional(flag).map(Path::new);
+            (
+                ops::open_file(Path::new(&run1), tree("tree1"), &engine)?,
+                ops::open_file(Path::new(&run2), tree("tree2"), &engine)?,
+            )
         }
     };
+    // Run 1's layout names the regions differences are attributed to
+    // (the paper's "which variables were affected").
+    let region_map = a.region_map();
+    let (a, b) = (a.source, b.source);
     // Flight recorder: `--trace`/`--flamegraph` turn on the event
     // journal for this comparison; otherwise the observer carries
     // spans/metrics only (journal disabled, one-branch cost).
@@ -481,36 +394,16 @@ pub fn compare_many(map: &ArgMap) -> Result<String, CliError> {
         Some(root) => Some(ChunkStore::open(Path::new(root)).map_err(fail)?),
         None => None,
     };
-    let load = |spec: &str| -> Result<CheckpointSource, CliError> {
-        match &store {
-            Some(store) => {
-                let (name, version) = resolve_run_spec(store, spec)?;
-                CheckpointSource::from_store(store, &name, version, &engine).map_err(fail)
-            }
-            None => {
-                let path = Path::new(spec);
-                let (bytes, off, len) = locate_payload(path)?;
-                let values = payload_values(&bytes, off, len);
-                if values.is_empty() {
-                    return Err(CliError::Failed(format!(
-                        "{} holds no f32 payload",
-                        path.display()
-                    )));
-                }
-                CheckpointSource::in_memory(&values, &engine).map_err(fail)
-            }
-        }
-    };
-    let runs: Vec<CheckpointSource> = run_specs
+    let runs = run_specs
         .iter()
-        .map(|p| load(p))
-        .collect::<Result<_, _>>()?;
+        .map(|spec| ops::open_run(store.as_ref(), spec, &engine).map(|o| o.source))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Source-index -> display name, matching the report's indices.
     let mut names: Vec<String> = Vec::new();
     let batch = match &baseline_spec {
         Some(bp) => {
-            let baseline = load(bp)?;
+            let baseline = ops::open_run(store.as_ref(), bp, &engine)?.source;
             names.push(bp.clone());
             names.extend(run_specs.iter().cloned());
             engine.compare_many(&baseline, &runs, &cfg).map_err(fail)?
@@ -822,17 +715,20 @@ pub fn gate(map: &ArgMap) -> Result<String, CliError> {
     })
     .map_err(fail)?;
 
-    let (cand_bytes, off, len) = locate_payload(&candidate_path)?;
-    let candidate = payload_values(&cand_bytes, off, len);
-    if (candidate.len() * 4) as u64 != golden_tree.data_len() {
+    let cand_bytes = std::fs::read(&candidate_path).map_err(fail)?;
+    let candidate = Image::parse(&cand_bytes).map_err(|e| e.at(&candidate_path))?;
+    let cand_len = candidate.payload().len() as u64;
+    if cand_len != golden_tree.data_len() {
         return Err(CliError::Failed(format!(
-            "candidate has {} payload bytes but the golden tree describes {}",
-            candidate.len() * 4,
+            "candidate has {cand_len} payload bytes but the golden tree describes {}",
             golden_tree.data_len()
         )));
     }
 
-    let candidate_tree = engine.build_metadata(&candidate);
+    let candidate_meta = candidate
+        .metadata(&engine)
+        .map_err(|e| e.at(&candidate_path))?;
+    let candidate_tree = reprocmp_merkle::decode_tree(&candidate_meta).map_err(fail)?;
     let lanes = engine.device().concurrent_kernel_threads();
     let outcome =
         compare_trees(&golden_tree, &candidate_tree, engine.device(), lanes).map_err(fail)?;
@@ -859,10 +755,10 @@ pub fn gate(map: &ArgMap) -> Result<String, CliError> {
     // Trees disagree. With golden data we can distinguish real
     // regressions from hash false positives; without, flag and fail.
     if let Some(golden_data_path) = map.optional("golden-data") {
-        let (gbytes, goff, glen) = locate_payload(Path::new(golden_data_path))?;
-        let golden_values = payload_values(&gbytes, goff, glen);
-        let a = CheckpointSource::in_memory(&golden_values, &engine).map_err(fail)?;
-        let b = CheckpointSource::in_memory(&candidate, &engine).map_err(fail)?;
+        let a = ops::open_file(Path::new(golden_data_path), None, &engine)?.source;
+        let b = candidate
+            .in_memory(&engine)
+            .map_err(|e| e.at(&candidate_path))?;
         let report = engine.compare(&a, &b).map_err(fail)?;
         if report.identical() {
             let _ = writeln!(
@@ -926,7 +822,8 @@ fn index_checkpoint_dir(
 }
 
 /// Loads two checkpoint directories into paired histories, verifying
-/// they cover the same `(rank, iteration)` set.
+/// they cover the same `(rank, iteration)` set; also returns the
+/// regions of run 1's first checkpoint.
 fn load_dir_histories(
     dir1: &Path,
     dir2: &Path,
@@ -935,6 +832,7 @@ fn load_dir_histories(
     (
         reprocmp_core::CheckpointHistory,
         reprocmp_core::CheckpointHistory,
+        Option<ops::Regions>,
     ),
     CliError,
 > {
@@ -953,20 +851,15 @@ fn load_dir_histories(
             idx2.len()
         )));
     }
-    let load = |path: &Path| -> Result<CheckpointSource, CliError> {
-        let (bytes, off, len) = locate_payload(path)?;
-        let values = payload_values(&bytes, off, len);
-        CheckpointSource::in_memory(&values, engine).map_err(fail)
+    let open_all = |idx: &std::collections::BTreeMap<(usize, u64), PathBuf>| {
+        ops::history(
+            idx.iter()
+                .map(|(&key, path)| (key, ops::open_file(path, None, engine))),
+        )
     };
-    let mut h1 = reprocmp_core::CheckpointHistory::new();
-    let mut h2 = reprocmp_core::CheckpointHistory::new();
-    for (&(rank, iteration), path) in &idx1 {
-        h1.insert(rank, iteration, load(path)?);
-    }
-    for (&(rank, iteration), path) in &idx2 {
-        h2.insert(rank, iteration, load(path)?);
-    }
-    Ok((h1, h2))
+    let (h1, regions) = open_all(&idx1)?;
+    let (h2, _) = open_all(&idx2)?;
+    Ok((h1, h2, regions))
 }
 
 /// `history`: the paper's problem statement on the command line.
@@ -977,7 +870,7 @@ pub fn history(map: &ArgMap) -> Result<String, CliError> {
     let dir1 = PathBuf::from(map.required("run1-dir")?);
     let dir2 = PathBuf::from(map.required("run2-dir")?);
     let engine = engine_from(map)?;
-    let (h1, h2) = load_dir_histories(&dir1, &dir2, &engine)?;
+    let (h1, h2, _) = load_dir_histories(&dir1, &dir2, &engine)?;
 
     let report = engine.compare_history(&h1, &h2).map_err(fail)?;
     let mut out = String::new();
@@ -1028,67 +921,6 @@ fn open_store(map: &ArgMap) -> Result<ChunkStore, CliError> {
     ChunkStore::open(&root).map_err(fail)
 }
 
-/// Loads one run's history out of the store: a bare object name takes
-/// every stored version as an iteration (rank 0); `name@version` pins
-/// a single iteration.
-fn load_store_history(
-    store: &ChunkStore,
-    spec: &str,
-    engine: &CompareEngine,
-) -> Result<(reprocmp_core::CheckpointHistory, Option<ObjectLayout>), CliError> {
-    let (name, versions) = match spec.rsplit_once('@') {
-        Some((name, raw)) => {
-            let version = raw.parse().map_err(|_| {
-                CliError::Usage(format!("run spec `{spec}`: cannot parse version `{raw}`"))
-            })?;
-            (name.to_owned(), vec![version])
-        }
-        None => {
-            let versions = store.versions(spec);
-            if versions.is_empty() {
-                return Err(CliError::Failed(format!(
-                    "store holds no versions of `{spec}`"
-                )));
-            }
-            (spec.to_owned(), versions)
-        }
-    };
-    let mut h = reprocmp_core::CheckpointHistory::new();
-    for &version in &versions {
-        h.insert(
-            0,
-            version,
-            CheckpointSource::from_store(store, &name, version, engine).map_err(fail)?,
-        );
-    }
-    let layout = store.layout(&name, versions[0]).ok();
-    Ok((h, layout))
-}
-
-/// Typed (all-f32) region map from a store manifest, skipping leading
-/// header segments like the payload rule does. `None` when a segment
-/// is not 4-byte aligned — attribution would misread every later
-/// region.
-fn typed_regions_from_layout(layout: &ObjectLayout) -> Option<reprocmp_analyze::TypedRegionMap> {
-    let mut regions: Vec<(&str, reprocmp_analyze::RegionDType, u64)> = Vec::new();
-    let mut leading = true;
-    for (name, len) in &layout.segments {
-        if leading && name == HEADER_SEGMENT {
-            continue;
-        }
-        leading = false;
-        if len % 4 != 0 {
-            return None;
-        }
-        regions.push((name.as_str(), reprocmp_analyze::RegionDType::F32, len / 4));
-    }
-    if regions.is_empty() {
-        None
-    } else {
-        Some(reprocmp_analyze::TypedRegionMap::from_regions(regions))
-    }
-}
-
 /// Parses `--regions name:f32|f64:count,...` into a typed map — the
 /// way to attribute mixed-precision payloads whose layout the store
 /// does not know.
@@ -1133,39 +965,28 @@ pub fn analyze(map: &ArgMap) -> Result<String, CliError> {
     let timeline = reprocmp_io::Timeline::wall();
     let obs = timeline.observer();
 
-    let (h1, h2, typed) = match map.optional("store") {
+    let (h1, h2, regions) = match map.optional("store") {
         Some(root) => {
             let store = ChunkStore::open(Path::new(root)).map_err(fail)?;
             let run1 = map.required("run1")?;
             let run2 = map.required("run2")?;
-            let (h1, layout) = load_store_history(&store, run1, &engine)?;
-            let (h2, _) = load_store_history(&store, run2, &engine)?;
-            let typed = layout.as_ref().and_then(typed_regions_from_layout);
-            (h1, h2, typed)
+            let (h1, regions) = ops::stored_history(&store, run1, &engine)?;
+            let (h2, _) = ops::stored_history(&store, run2, &engine)?;
+            (h1, h2, regions)
         }
         None => {
             let dir1 = PathBuf::from(map.required("run1-dir")?);
             let dir2 = PathBuf::from(map.required("run2-dir")?);
-            let (h1, h2) = load_dir_histories(&dir1, &dir2, &engine)?;
-            // Canonical checkpoints carry their region table; use the
-            // first file's as the (all-f32) layout.
-            let typed =
-                index_checkpoint_dir(&dir1)?
-                    .values()
-                    .next()
-                    .and_then(|path| std::fs::read(path).ok())
-                    .and_then(|bytes| decode_checkpoint(&bytes).ok())
-                    .map(|file| {
-                        reprocmp_analyze::TypedRegionMap::from_regions(file.regions.iter().map(
-                            |r| (r.name.as_str(), reprocmp_analyze::RegionDType::F32, r.count),
-                        ))
-                    });
-            (h1, h2, typed)
+            load_dir_histories(&dir1, &dir2, &engine)?
         }
     };
+    // Run 1's first layout, read as all-f32, unless `--regions` says
+    // otherwise.
     let typed = match map.optional("regions") {
         Some(spec) => Some(parse_typed_regions(spec)?),
-        None => typed,
+        None => regions
+            .as_deref()
+            .and_then(reprocmp_analyze::TypedRegionMap::from_f32_regions),
     };
 
     let report = reprocmp_analyze::analyze(
@@ -1349,51 +1170,15 @@ pub fn ingest(map: &ArgMap) -> Result<String, CliError> {
     };
     let name = map.optional("name").unwrap_or(&default_name).to_owned();
 
-    let is_ckpt = bytes.len() >= 8 && &bytes[..8] == reprocmp_veloc::format::MAGIC;
-    let parsed = if is_ckpt {
-        Some(decode_checkpoint(&bytes).map_err(fail)?)
-    } else {
-        if bytes.len() % 4 != 0 {
-            return Err(CliError::Failed(format!(
-                "{} is neither a reprocmp checkpoint nor a multiple-of-4-byte raw f32 file",
-                input.display()
-            )));
-        }
-        None
-    };
-    let (default_version, payload_offset, segments): (u64, u64, Vec<(&str, &[u8])>) = match &parsed
-    {
-        Some(file) => {
-            let mut segments: Vec<(&str, &[u8])> =
-                vec![(HEADER_SEGMENT, &bytes[..file.payload_offset as usize])];
-            for region in &file.regions {
-                let start = (file.payload_offset + region.value_offset * 4) as usize;
-                let len = (region.count * 4) as usize;
-                segments.push((region.name.as_str(), &bytes[start..start + len]));
-            }
-            (file.checkpoint_version, file.payload_offset, segments)
-        }
-        None => (0, 0, vec![("payload", &bytes[..])]),
-    };
-    let version = map.parsed_or("version", default_version)?;
+    let image = Image::parse(&bytes).map_err(|e| e.at(&input))?;
+    let version = map.parsed_or("version", image.version())?;
 
     // --with-meta: pay the capture pass now so store-backed compares
     // read metadata straight from the manifest.
-    let meta = if map.flag("with-meta") {
-        let engine = engine_from(map)?;
-        let payload_len = parsed
-            .as_ref()
-            .map_or(bytes.len() as u64, |f| f.payload_len);
-        let payload = &bytes[payload_offset as usize..(payload_offset + payload_len) as usize];
-        if payload.len() < 4 {
-            return Err(CliError::Failed(format!(
-                "{} holds no f32 payload to build metadata from",
-                input.display()
-            )));
-        }
-        engine.encode_payload_metadata(payload)
+    let engine = if map.flag("with-meta") {
+        Some(engine_from(map)?)
     } else {
-        Vec::new()
+        None
     };
 
     // --delta: differential capture against the previous stored
@@ -1404,19 +1189,23 @@ pub fn ingest(map: &ArgMap) -> Result<String, CliError> {
         anchor_every: map.parsed_or("anchor-every", DeltaPolicy::default().anchor_every)?,
         max_depth: map.parsed_or("max-depth", DeltaPolicy::default().max_depth)?,
     };
-    let result = if delta {
-        store.ingest_delta(&name, version, &segments, chunk_bytes, &meta, &policy)
-    } else {
-        store.ingest(&name, version, &segments, chunk_bytes, &meta)
-    };
+    let result = ops::ingest(
+        &store,
+        &name,
+        version,
+        &image,
+        chunk_bytes,
+        engine.as_ref(),
+        delta.then_some(&policy),
+    );
     let stats = match result {
         Ok(stats) => stats,
-        Err(StoreError::Exists { name, version }) => {
+        Err(OpError::Store(StoreError::Exists { name, version })) => {
             return Ok(format!(
                 "{name}@{version} already in store; ingest is idempotent, nothing written\n"
             ))
         }
-        Err(e) => return Err(fail(e)),
+        Err(e) => return Err(e.at(&input).into()),
     };
 
     if map.flag("json") {
@@ -1429,11 +1218,11 @@ pub fn ingest(map: &ArgMap) -> Result<String, CliError> {
         out,
         "ingested {name}@{version} into {} (chunk {chunk_bytes} B, {} segment(s){})",
         store.root().display(),
-        segments.len(),
-        if meta.is_empty() {
-            ""
-        } else {
+        image.segments().len(),
+        if engine.is_some() {
             ", metadata stored"
+        } else {
+            ""
         },
     );
     let _ = writeln!(
@@ -1474,7 +1263,7 @@ pub fn ingest(map: &ArgMap) -> Result<String, CliError> {
 /// its chunk references (physical bytes are reclaimed by `gc`).
 pub fn store_remove(map: &ArgMap) -> Result<String, CliError> {
     let store = open_store(map)?;
-    let (name, version) = resolve_run_spec(&store, map.required("run")?)?;
+    let ObjectRef { name, version } = ops::resolve(&store, map.required("run")?)?;
     store.remove(&name, version).map_err(fail)?;
     Ok(format!(
         "removed {name}@{version}; run `gc` to reclaim unreferenced packs\n"
@@ -1487,7 +1276,7 @@ pub fn store_remove(map: &ArgMap) -> Result<String, CliError> {
 /// (tail-first), unpinning ancestors for `store-remove` + `gc`.
 pub fn chain(map: &ArgMap) -> Result<String, CliError> {
     let store = open_store(map)?;
-    let (name, version) = resolve_run_spec(&store, map.required("run")?)?;
+    let ObjectRef { name, version } = ops::resolve(&store, map.required("run")?)?;
     if map.flag("flatten") {
         let links = store.chain(&name, version).map_err(fail)?;
         let mut rewritten = 0u64;
@@ -1769,24 +1558,6 @@ pub fn perf_diff(old_path: &str, new_path: &str, map: &ArgMap) -> Result<String,
 // Comparison-as-a-service: the daemon and its client verbs.
 // ---------------------------------------------------------------------------
 
-/// Parses a strict `name@version` object reference (the client side
-/// has no store to resolve a bare name against).
-fn parse_object_ref(spec: &str) -> Result<reprocmp_server::ObjectRef, CliError> {
-    let Some((name, raw)) = spec.rsplit_once('@') else {
-        return Err(CliError::Usage(format!(
-            "object ref `{spec}` must be name@version (the server cannot \
-             resolve bare names)"
-        )));
-    };
-    let version = raw.parse().map_err(|_| {
-        CliError::Usage(format!("object ref `{spec}`: cannot parse version `{raw}`"))
-    })?;
-    Ok(reprocmp_server::ObjectRef {
-        name: name.to_owned(),
-        version,
-    })
-}
-
 fn parse_addr(map: &ArgMap) -> Result<std::net::SocketAddr, CliError> {
     let raw = map.required("addr")?;
     raw.parse()
@@ -1888,19 +1659,19 @@ pub fn submit(map: &ArgMap) -> Result<String, CliError> {
             .ingest(name, version, chunk_bytes, &data)
             .map_err(fail)?
     } else if let Some(run1) = map.optional("run1") {
-        let left = parse_object_ref(run1)?;
-        let right = parse_object_ref(map.required("run2")?)?;
+        let left = ObjectRef::parse(run1)?;
+        let right = ObjectRef::parse(map.required("run2")?)?;
         session.compare(left, right).map_err(fail)?
     } else if let Some(baseline) = map.optional("baseline") {
-        let base = parse_object_ref(baseline)?;
+        let base = ObjectRef::parse(baseline)?;
         let runs = map
             .required("runs")?
             .split(',')
-            .map(parse_object_ref)
+            .map(ObjectRef::parse)
             .collect::<Result<Vec<_>, _>>()?;
         session.compare_many(base, runs).map_err(fail)?
     } else if let Some(spec) = map.optional("materialize") {
-        let r = parse_object_ref(spec)?;
+        let r = ObjectRef::parse(spec)?;
         session.materialize(&r.name, r.version).map_err(fail)?
     } else {
         return Err(CliError::Usage(

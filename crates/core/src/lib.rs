@@ -73,6 +73,7 @@ pub mod engine;
 pub mod history;
 pub mod metacache;
 pub mod online;
+pub mod ops;
 pub mod regions;
 pub mod report;
 pub mod schedule;

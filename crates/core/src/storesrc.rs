@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use reprocmp_io::MemStorage;
 use reprocmp_obs::StageBreakdown;
-use reprocmp_store::{ChunkStore, StoreError};
+use reprocmp_store::{ChunkStore, ObjectLayout, StoreError};
 
 use crate::engine::CompareEngine;
 use crate::source::{raw_chunk_digests, ChainProvenance, CheckpointSource};
@@ -57,6 +57,17 @@ impl CheckpointSource {
         engine: &CompareEngine,
     ) -> CoreResult<Self> {
         let layout = store.layout(name, version).map_err(store_err)?;
+        Self::from_layout(store, &layout, engine)
+    }
+
+    /// [`CheckpointSource::from_store`] for an object whose layout the
+    /// caller already holds.
+    pub(crate) fn from_layout(
+        store: &ChunkStore,
+        layout: &ObjectLayout,
+        engine: &CompareEngine,
+    ) -> CoreResult<Self> {
+        let (name, version) = (layout.name.as_str(), layout.version);
         let payload_len = layout.payload_len();
         if payload_len == 0 || !payload_len.is_multiple_of(4) {
             return Err(CoreError::Mismatch(format!(

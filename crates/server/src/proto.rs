@@ -313,36 +313,22 @@ pub(crate) fn hex_decode_owned(s: String) -> Result<Vec<u8>, String> {
     Ok(bytes)
 }
 
-/// A stored object reference: `name@version`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObjectRef {
-    /// Checkpoint name.
-    pub name: String,
-    /// Checkpoint version.
-    pub version: u64,
-}
+/// A stored object reference: `name@version` (owned by the operation
+/// layer; re-exported so wire callers keep their import).
+pub use reprocmp_core::ops::ObjectRef;
 
-impl ObjectRef {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_owned(), Value::String(self.name.clone())),
-            ("version".to_owned(), Value::UInt(self.version)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, ProtoError> {
-        Ok(ObjectRef {
-            name: v
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| schema("object ref missing `name`"))?
-                .to_owned(),
-            version: v
-                .get("version")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| schema("object ref missing `version`"))?,
-        })
-    }
+fn object_ref_from_value(v: &Value) -> Result<ObjectRef, ProtoError> {
+    Ok(ObjectRef {
+        name: v
+            .get("name")
+            .and_then(Value::as_str)
+            .ok_or_else(|| schema("object ref missing `name`"))?
+            .to_owned(),
+        version: v
+            .get("version")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| schema("object ref missing `version`"))?,
+    })
 }
 
 /// Everything a client can ask the daemon.
@@ -460,17 +446,17 @@ impl Request {
                 data: req_str(&mut v, "data")?,
             }),
             "compare" => Ok(Request::Compare {
-                left: ObjectRef::from_value(
+                left: object_ref_from_value(
                     v.get("left")
                         .ok_or_else(|| schema("compare missing `left`"))?,
                 )?,
-                right: ObjectRef::from_value(
+                right: object_ref_from_value(
                     v.get("right")
                         .ok_or_else(|| schema("compare missing `right`"))?,
                 )?,
             }),
             "compare_many" => {
-                let baseline = ObjectRef::from_value(
+                let baseline = object_ref_from_value(
                     v.get("baseline")
                         .ok_or_else(|| schema("compare_many missing `baseline`"))?,
                 )?;
@@ -479,7 +465,7 @@ impl Request {
                     .and_then(Value::as_array)
                     .ok_or_else(|| schema("compare_many missing `runs`"))?
                     .iter()
-                    .map(ObjectRef::from_value)
+                    .map(object_ref_from_value)
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Request::CompareMany { baseline, runs })
             }
@@ -536,7 +522,7 @@ impl Serialize for Request {
                 fields.push(("baseline".to_owned(), baseline.to_value()));
                 fields.push((
                     "runs".to_owned(),
-                    Value::Array(runs.iter().map(ObjectRef::to_value).collect()),
+                    Value::Array(runs.iter().map(Serialize::to_value).collect()),
                 ));
             }
             Request::Materialize { name, version } => {

@@ -23,7 +23,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use reprocmp_core::{BatchConfig, CheckpointSource, CompareEngine, EngineConfig, MetaCache};
+use reprocmp_core::ops::{self, Image};
+use reprocmp_core::{BatchConfig, CompareEngine, EngineConfig, MetaCache};
 use reprocmp_io::{MutationKind, SimClock, Timeline};
 use reprocmp_obs::telemetry::{JobStateCounts, QueueTelemetry, StoreTelemetry, WorkerTelemetry};
 use reprocmp_obs::{
@@ -227,7 +228,9 @@ pub enum JobSpec {
 
 impl JobSpec {
     /// Builds the spec for a job-carrying request, taking its payload
-    /// over; `None` for session and control verbs.
+    /// over; `None` for session and control verbs. An upload that is
+    /// not a checkpoint image (see [`Image::parse`]) is refused here,
+    /// before it is queued.
     #[must_use]
     pub fn from_request(req: Request) -> Option<Result<JobSpec, String>> {
         match req {
@@ -236,11 +239,14 @@ impl JobSpec {
                 version,
                 chunk_bytes,
                 data,
-            } => Some(hex_decode_owned(data).map(|data| JobSpec::Ingest {
-                name,
-                version,
-                chunk_bytes: usize::try_from(chunk_bytes).unwrap_or(usize::MAX),
-                data,
+            } => Some(hex_decode_owned(data).and_then(|data| {
+                Image::parse(&data).map_err(|e| e.to_string())?;
+                Ok(JobSpec::Ingest {
+                    name,
+                    version,
+                    chunk_bytes: usize::try_from(chunk_bytes).unwrap_or(usize::MAX),
+                    data,
+                })
             })),
             Request::Compare { left, right } => Some(Ok(JobSpec::Compare { left, right })),
             Request::CompareMany { baseline, runs } => {
@@ -308,6 +314,11 @@ fn run_spec(
     timeline: &Timeline,
     obs: &Observer,
 ) -> Result<Value, String> {
+    let open = |object: &ObjectRef| {
+        ops::open_stored(store, object, engine)
+            .map(|opened| opened.source)
+            .map_err(|e| e.to_string())
+    };
     match spec {
         JobSpec::Ingest {
             name,
@@ -315,24 +326,21 @@ fn run_spec(
             chunk_bytes,
             data,
         } => {
-            // Capture-side metadata is built at ingest (when the
-            // payload is valid f32s), so compare jobs later use the
-            // stored tree verbatim — the capture profile in their
-            // reports stays zero, exactly like the offline path.
-            let meta = if !data.is_empty() && data.len().is_multiple_of(4) {
-                engine.encode_payload_metadata(data)
-            } else {
-                Vec::new()
-            };
-            let stats = store
-                .ingest(
-                    name,
-                    *version,
-                    &[("data", data.as_slice())],
-                    *chunk_bytes,
-                    &meta,
-                )
-                .map_err(|e| e.to_string())?;
+            // Capture-side metadata is built at ingest, so compare jobs
+            // later use the stored tree verbatim — the capture profile
+            // in their reports stays zero, exactly like the offline
+            // `ingest --with-meta` path, whose manifest this is.
+            let image = Image::parse(data).map_err(|e| e.to_string())?;
+            let stats = ops::ingest(
+                store,
+                name,
+                *version,
+                &image,
+                *chunk_bytes,
+                Some(engine),
+                None,
+            )
+            .map_err(|e| e.to_string())?;
             // The wire result exposes the dedup ledger, not physical
             // placement: the pack id is allocated in execution order,
             // so keeping it would make the report depend on how
@@ -346,24 +354,16 @@ fn run_spec(
             ))
         }
         JobSpec::Compare { left, right } => {
-            let a = CheckpointSource::from_store(store, &left.name, left.version, engine)
-                .map_err(|e| e.to_string())?;
-            let b = CheckpointSource::from_store(store, &right.name, right.version, engine)
-                .map_err(|e| e.to_string())?;
+            let a = open(left)?;
+            let b = open(right)?;
             let report = engine
                 .compare_observed(&a, &b, timeline, obs)
                 .map_err(|e| e.to_string())?;
             Ok(report.to_value())
         }
         JobSpec::CompareMany { baseline, runs } => {
-            let base =
-                CheckpointSource::from_store(store, &baseline.name, baseline.version, engine)
-                    .map_err(|e| e.to_string())?;
-            let sources = runs
-                .iter()
-                .map(|r| CheckpointSource::from_store(store, &r.name, r.version, engine))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| e.to_string())?;
+            let base = open(baseline)?;
+            let sources = runs.iter().map(open).collect::<Result<Vec<_>, _>>()?;
             // A fresh cache per job: byte-identity with the offline
             // replay must not depend on which jobs ran earlier.
             let mut cache = MetaCache::new();

@@ -13,7 +13,7 @@ use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use reprocmp_io::{MutationKind, RetryPolicy};
 use reprocmp_obs::{Counter, EventKind, Histogram, Journal, Registry};
-use reprocmp_store::{real_fs, ChunkStore, DeltaPolicy, StoreError, StoreFs, HEADER_SEGMENT};
+use reprocmp_store::{real_fs, ChunkStore, DeltaPolicy, StoreError, StoreFs};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -786,13 +786,7 @@ fn capture_into_store(
     let Ok(file) = decode_checkpoint(&bytes) else {
         return;
     };
-    let mut segments: Vec<(&str, &[u8])> =
-        vec![(HEADER_SEGMENT, &bytes[..file.payload_offset as usize])];
-    for region in &file.regions {
-        let start = (file.payload_offset + region.value_offset * 4) as usize;
-        let len = (region.count * 4) as usize;
-        segments.push((region.name.as_str(), &bytes[start..start + len]));
-    }
+    let segments = file.segments(&bytes);
     let _ = match mode {
         CaptureMode::Full => store.ingest(name, *version, &segments, chunk_bytes, &[]),
         CaptureMode::Differential => {

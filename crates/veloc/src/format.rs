@@ -18,6 +18,8 @@
 //! `payload_offset + 4 i`" without understanding regions, while tools
 //! that do care (the CLI's `info`, restart) use the region table.
 
+use reprocmp_store::HEADER_SEGMENT;
+
 /// Format magic.
 pub const MAGIC: &[u8; 8] = b"RCMPCKP1";
 /// Current format version.
@@ -71,6 +73,27 @@ impl CheckpointFile {
             }
         }
         None
+    }
+
+    /// The capture-store segments of the image this header was decoded
+    /// from: the raw header as [`HEADER_SEGMENT`], then one segment per
+    /// region, so identical regions across versions and runs dedup.
+    /// Concatenated in order they are `image` up to the payload's end.
+    ///
+    /// # Panics
+    ///
+    /// If `image` is not the image `self` was decoded from.
+    #[must_use]
+    pub fn segments<'a>(&'a self, image: &'a [u8]) -> Vec<(&'a str, &'a [u8])> {
+        let payload = &image[self.payload_offset as usize..];
+        let mut segments = Vec::with_capacity(1 + self.regions.len());
+        segments.push((HEADER_SEGMENT, &image[..self.payload_offset as usize]));
+        for region in &self.regions {
+            let start = (region.value_offset * 4) as usize;
+            let len = (region.count * 4) as usize;
+            segments.push((region.name.as_str(), &payload[start..start + len]));
+        }
+        segments
     }
 }
 
@@ -164,7 +187,9 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointFile, CkptCodecError>
         return Err(CkptCodecError::Corrupt("absurd region count"));
     }
 
-    let mut regions = Vec::with_capacity(n_regions);
+    // The count is the file's claim; the bytes left bound what it can
+    // hold, since the smallest table entry is 10 bytes (empty name).
+    let mut regions = Vec::with_capacity(n_regions.min((bytes.len() - pos) / 10));
     let mut value_offset = 0u64;
     for _ in 0..n_regions {
         let name_len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().expect("2 bytes")) as usize;
@@ -290,6 +315,22 @@ mod tests {
         assert_eq!(first, 0.0);
         let second = f32::from_le_bytes(bytes[start + 4..start + 8].try_into().unwrap());
         assert_eq!(second, 0.5);
+    }
+
+    #[test]
+    fn segments_are_the_header_then_each_region_and_tile_the_image() {
+        let bytes = encode_checkpoint(3, &[("x", &[1.0, 2.0]), ("e", &[]), ("vx", &[3.0])]);
+        let f = decode_checkpoint(&bytes).unwrap();
+        let segments = f.segments(&bytes);
+        let names: Vec<&str> = segments.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, [HEADER_SEGMENT, "x", "e", "vx"]);
+        assert_eq!(segments[0].1.len() as u64, f.payload_offset);
+        assert_eq!(segments[3].1, &3.0f32.to_le_bytes());
+        let joined: Vec<u8> = segments
+            .iter()
+            .flat_map(|(_, s)| s.iter().copied())
+            .collect();
+        assert_eq!(joined, bytes);
     }
 
     #[test]

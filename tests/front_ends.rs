@@ -1,0 +1,379 @@
+//! The cross-front-end oracle: the CLI and the daemon are two doors to
+//! one operation layer, so the same checkpoint must come out the same
+//! whichever door it went through.
+//!
+//! * **Ingest, three ways** — `reprocmp ingest --with-meta`, the
+//!   daemon's offline executor (`execute_spec`), and a live daemon
+//!   session over the in-process transport. Each object's
+//!   `ObjectLayout` — segments, payload offset, chunk digests and the
+//!   ε-metadata blob — must be equal across the three stores.
+//! * **Compare, four ways** — the CLI on files with precomputed trees,
+//!   the CLI on files hashing on the fly, `compare --store`, and a
+//!   daemon compare job. The report documents must be equal once the
+//!   fields that describe *how* a comparison ran, rather than what it
+//!   found, are set aside (see [`PROVENANCE`]).
+//!
+//! The inputs are one pair of VELOC checkpoints from two `simulate`
+//! runs with different reduction orders, and one raw `f32` pair.
+
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Duration;
+
+use reprocmp::core::{CompareEngine, EngineConfig};
+use reprocmp::server::{
+    execute_spec, pair, serve_connection, ClientError, JobSpec, JobState, ObjectRef, Server,
+    ServerClient, ServerConfig,
+};
+use reprocmp::store::ChunkStore;
+use serde::Value;
+
+const CHUNK_BYTES: usize = 256;
+const ERROR_BOUND: f64 = 1e-9;
+
+/// Report fields excluded from the comparison, each with why it may
+/// legitimately differ between front-ends.
+const PROVENANCE: [(&str, &str); 8] = [
+    (
+        "breakdown",
+        "phase timings: wall clock in the CLI, the job's simulated clock in the daemon",
+    ),
+    (
+        "stages",
+        "per-stage time, and capture phases that only on-the-fly hashing runs",
+    ),
+    (
+        "io",
+        "stage-2 pipeline op counts depend on the storage behind the source \
+         (file, memory, pack reader)",
+    ),
+    (
+        "store",
+        "pack-read counters exist only for store-backed sources",
+    ),
+    (
+        "capture",
+        "differential-capture savings belong to store objects, not files",
+    ),
+    (
+        "chain",
+        "delta-chain depth belongs to store objects, not files",
+    ),
+    (
+        "histograms",
+        "the CLI's --json adds registry latency histograms",
+    ),
+    ("gauges", "the CLI's --json adds registry gauges"),
+];
+
+/// What must remain after [`PROVENANCE`] is set aside: the findings.
+const FINDINGS: [&str; 5] = [
+    "stats",
+    "differences",
+    "differences_truncated",
+    "unverified",
+    "cache",
+];
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("reprocmp-front-ends-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+fn cli(args: &[&str]) -> String {
+    let argv: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+    reprocmp_cli::run(&argv).unwrap_or_else(|e| panic!("reprocmp {args:?}: {e}"))
+}
+
+fn path_str(p: &Path) -> &str {
+    p.to_str().expect("utf-8 temp path")
+}
+
+fn engine_args() -> [String; 4] {
+    [
+        "--chunk-bytes".to_owned(),
+        CHUNK_BYTES.to_string(),
+        "--error-bound".to_owned(),
+        ERROR_BOUND.to_string(),
+    ]
+}
+
+fn cli_with_engine(args: &[&str]) -> String {
+    let extra = engine_args();
+    let mut all: Vec<&str> = args.to_vec();
+    all.extend(extra.iter().map(String::as_str));
+    cli(&all)
+}
+
+/// A report document reduced to its findings, as canonical JSON.
+fn findings(report: &Value) -> String {
+    let Value::Object(fields) = report else {
+        panic!("a report is an object: {report:?}");
+    };
+    let kept: Vec<(String, Value)> = fields
+        .iter()
+        .filter(|(k, _)| !PROVENANCE.iter().any(|(p, _)| p == k))
+        .cloned()
+        .collect();
+    let keys: Vec<&str> = kept.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys, FINDINGS,
+        "a report field is neither finding nor provenance"
+    );
+    // Through the text codec once, so a document that never left memory
+    // and one parsed from CLI output are compared in the same form.
+    let text = serde_json::to_string(&Value::Object(kept)).expect("encode");
+    serde_json::to_string(&serde_json::from_str(&text).expect("decode")).expect("encode")
+}
+
+/// One checkpoint pair as files, with the names it is stored under.
+struct Pair {
+    tag: &'static str,
+    files: [PathBuf; 2],
+    name: &'static str,
+}
+
+fn simulated_pair(dir: &Path) -> Pair {
+    for (run, seed) in [("run1", "1"), ("run2", "2")] {
+        cli(&[
+            "simulate",
+            "--out-dir",
+            path_str(dir),
+            "--particles",
+            "512",
+            "--steps",
+            "10",
+            "--ranks",
+            "1",
+            "--order-seed",
+            seed,
+            "--run-name",
+            run,
+        ]);
+    }
+    Pair {
+        tag: "simulated",
+        files: ["run1", "run2"].map(|run| dir.join(format!("pfs/{run}.rank0.v000008.ckpt"))),
+        name: "hacc",
+    }
+}
+
+fn raw_pair(dir: &Path) -> Pair {
+    let base: Vec<f32> = (0..3000).map(|i| (i as f32 * 0.01).sin()).collect();
+    let mut moved = base.clone();
+    for i in [17, 1500, 1501, 2999] {
+        moved[i] += 0.5;
+    }
+    let files = [dir.join("a.f32"), dir.join("b.f32")];
+    for (path, values) in files.iter().zip([&base, &moved]) {
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        std::fs::write(path, bytes).expect("write raw pair");
+    }
+    Pair {
+        tag: "raw",
+        files,
+        name: "raw",
+    }
+}
+
+fn object(name: &str, version: u64) -> ObjectRef {
+    ObjectRef {
+        name: name.to_owned(),
+        version,
+    }
+}
+
+#[test]
+fn cli_executor_and_daemon_ingest_alike_and_four_compares_agree() {
+    let dir = fresh_dir("oracle");
+    let pairs = [simulated_pair(&dir.join("sim")), raw_pair(&dir)];
+
+    let cli_store = dir.join("cli-store");
+    let executor = ChunkStore::open(&dir.join("executor-store")).expect("executor store");
+    let engine = CompareEngine::new(EngineConfig {
+        chunk_bytes: CHUNK_BYTES,
+        error_bound: ERROR_BOUND,
+        ..EngineConfig::default()
+    });
+    let server = Arc::new(
+        Server::start(ServerConfig {
+            chunk_bytes: CHUNK_BYTES,
+            error_bound: ERROR_BOUND,
+            telemetry_cadence: Duration::ZERO,
+            ..ServerConfig::rooted_at(dir.join("daemon-store"))
+        })
+        .expect("daemon"),
+    );
+    let (client_end, mut server_end) = pair();
+    let serving = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || serve_connection(&server, &mut server_end))
+    };
+    let mut session = ServerClient::over(Box::new(client_end), "oracle").expect("hello");
+
+    for p in &pairs {
+        for (file, version) in p.files.iter().zip([1u64, 2]) {
+            let version_arg = version.to_string();
+            cli_with_engine(&[
+                "ingest",
+                "--store",
+                path_str(&cli_store),
+                "--input",
+                path_str(file),
+                "--name",
+                p.name,
+                "--version",
+                &version_arg,
+                "--with-meta",
+            ]);
+            let data = std::fs::read(file).expect("read checkpoint");
+            let spec = JobSpec::Ingest {
+                name: p.name.to_owned(),
+                version,
+                chunk_bytes: CHUNK_BYTES,
+                data: data.clone(),
+            };
+            let offline = execute_spec(&executor, &engine, &spec);
+            assert!(offline.result.is_ok(), "{:?}", offline.result);
+            let job = session
+                .ingest(p.name, version, CHUNK_BYTES as u64, &data)
+                .expect("submit ingest");
+            let status = session.wait(job).expect("wait ingest");
+            assert_eq!(status.state, JobState::Done, "{:?}", status.error);
+        }
+    }
+
+    // Ingest: one manifest, whichever front-end wrote it.
+    let cli_view = ChunkStore::open(&cli_store).expect("reopen the CLI's store");
+    for p in &pairs {
+        for version in [1, 2] {
+            let by_cli = cli_view.layout(p.name, version).expect("CLI object");
+            let by_executor = executor.layout(p.name, version).expect("executor object");
+            let by_daemon = server
+                .store()
+                .layout(p.name, version)
+                .expect("daemon object");
+            assert!(!by_cli.meta.is_empty(), "{}@{version} has metadata", p.name);
+            for (door, layout) in [("execute_spec", by_executor), ("daemon", by_daemon)] {
+                // Segments first: a readable failure before the blob's.
+                assert_eq!(
+                    layout.segments, by_cli.segments,
+                    "{}@{version}: {door} vs CLI",
+                    p.name
+                );
+                assert!(layout == by_cli, "{}@{version}: {door} vs CLI", p.name);
+            }
+        }
+    }
+    let header = cli_view.layout("hacc", 1).expect("VELOC object").segments;
+    assert_eq!(
+        header[0].0, "__header",
+        "a VELOC image keeps its header apart"
+    );
+    assert!(header.len() > 2, "one segment per region");
+
+    // Compare: the same findings four ways.
+    for p in &pairs {
+        let trees = [0, 1].map(|i| dir.join(format!("{}.{i}.tree", p.tag)));
+        for (file, tree) in p.files.iter().zip(&trees) {
+            cli_with_engine(&[
+                "create-tree",
+                "--input",
+                path_str(file),
+                "--output",
+                path_str(tree),
+            ]);
+        }
+        let [f1, f2] = p.files.each_ref().map(|f| path_str(f));
+        let with_trees = cli_with_engine(&[
+            "compare",
+            "--run1",
+            f1,
+            "--run2",
+            f2,
+            "--tree1",
+            path_str(&trees[0]),
+            "--tree2",
+            path_str(&trees[1]),
+            "--json",
+        ]);
+        let on_the_fly = cli_with_engine(&["compare", "--run1", f1, "--run2", f2, "--json"]);
+        let (r1, r2) = (format!("{}@1", p.name), format!("{}@2", p.name));
+        let from_store = cli_with_engine(&[
+            "compare",
+            "--store",
+            path_str(&cli_store),
+            "--run1",
+            &r1,
+            "--run2",
+            &r2,
+            "--json",
+        ]);
+        let job = session
+            .compare(object(p.name, 1), object(p.name, 2))
+            .expect("submit compare");
+        let status = session.wait(job).expect("wait compare");
+        let by_daemon = status
+            .result
+            .unwrap_or_else(|| panic!("compare job failed: {:?}", status.error));
+
+        let parse = |text: &str| serde_json::from_str(text).expect("compare --json parses");
+        let reference = findings(&parse(&with_trees));
+        for (way, report) in [
+            ("files hashed on the fly", parse(&on_the_fly)),
+            ("compare --store", parse(&from_store)),
+            ("daemon compare job", by_daemon),
+        ] {
+            assert_eq!(
+                findings(&report),
+                reference,
+                "{} pair: {way} disagrees with files + trees",
+                p.tag
+            );
+        }
+        if p.tag == "raw" {
+            assert!(reference.contains("\"diff_count\":4"), "{reference}");
+        }
+    }
+
+    drop(session);
+    serving.join().expect("serve thread").expect("serve to EOF");
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The layout rule is the daemon's too: an upload that is neither a
+/// VELOC image nor whole `f32` values is refused with an error frame,
+/// and nothing is queued or stored.
+#[test]
+fn a_daemon_upload_of_partial_values_is_refused_at_the_wire() {
+    let dir = fresh_dir("partial");
+    let server = Arc::new(
+        Server::start(ServerConfig {
+            telemetry_cadence: Duration::ZERO,
+            ..ServerConfig::rooted_at(dir.join("store"))
+        })
+        .expect("daemon"),
+    );
+    let (client_end, mut server_end) = pair();
+    let serving = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || serve_connection(&server, &mut server_end))
+    };
+    let mut session = ServerClient::over(Box::new(client_end), "partial").expect("hello");
+    match session.ingest("odd", 1, 4096, &[1, 2, 3, 4, 5, 6, 7]) {
+        Err(ClientError::Server { message }) => {
+            assert!(message.contains("multiple-of-4"), "{message}")
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    assert_eq!(server.queue().stats().admitted, 0);
+    assert!(server.store().objects().is_empty());
+    drop(session);
+    serving.join().expect("serve thread").expect("serve to EOF");
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}

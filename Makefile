@@ -14,7 +14,7 @@ test:
 	$(CARGO) test -q
 
 lint:
-	$(CARGO) clippy --workspace -- -D warnings
+	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 fmt:
 	$(CARGO) fmt --check

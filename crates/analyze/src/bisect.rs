@@ -22,7 +22,7 @@
 //! the search resumes to the right — correctness never depends on the
 //! persistence model, only the O(log M) bound does.
 
-use reprocmp_core::{CheckpointHistory, CompareEngine, CompareReport, CoreError, CoreResult};
+use reprocmp_core::{CheckpointHistory, CompareEngine, CompareReport, CoreError, CoreResult, Ctx};
 use reprocmp_io::Timeline;
 use reprocmp_obs::{EventKind, Observer};
 
@@ -139,13 +139,19 @@ pub fn bisect_first_divergence(
     // Confirm candidate boundaries left to right until one holds a
     // real difference. With bit-identical clean prefixes (the restart
     // model) the first candidate confirms immediately.
+    // Confirmations are timed on `timeline` but record into no
+    // observer; only the divergence event below reaches `obs`.
+    let confirm_ctx = Ctx {
+        timeline: timeline.clone(),
+        ..Ctx::default()
+    };
     while lo < m {
         let (iteration, ranks) = &groups[lo];
         let mut iteration_diverged = false;
         for &rank in ranks {
             let sa = a.get(rank, *iteration).expect("key set verified");
             let sb = b.get(rank, *iteration).expect("key set verified");
-            let report = engine.compare_with_timeline(sa, sb, timeline)?;
+            let report = engine.compare(sa, sb, &confirm_ctx)?;
             result.confirmations += 1;
             result.payload_bytes_read += report.stats.bytes_reread;
             if !report.identical() {
@@ -241,7 +247,7 @@ mod tests {
         let iters: Vec<u64> = (0..32).map(|i| i * 10).collect();
         for diverge_at in [None, Some(0), Some(150), Some(310)] {
             let (a, b) = pair(&e, 1, &iters, diverge_at);
-            let linear = e.compare_history(&a, &b).unwrap();
+            let linear = e.compare_history(&a, &b, &Ctx::default()).unwrap();
             let obs = Observer::disabled();
             let bis = bisect_first_divergence(&e, &a, &b, &Timeline::wall(), &obs).unwrap();
             assert_eq!(
@@ -264,7 +270,7 @@ mod tests {
         let e = engine();
         let iters: Vec<u64> = (0..8).collect();
         let (a, b) = pair(&e, 3, &iters, Some(5));
-        let linear = e.compare_history(&a, &b).unwrap();
+        let linear = e.compare_history(&a, &b, &Ctx::default()).unwrap();
         let obs = Observer::disabled();
         let bis = bisect_first_divergence(&e, &a, &b, &Timeline::wall(), &obs).unwrap();
         assert_eq!(bis.first_divergence, Some((5, 0)));

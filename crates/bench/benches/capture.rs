@@ -1,12 +1,10 @@
 //! Capture-side overhead: what the application pays at checkpoint
 //! time. Supports the paper's §2.5.1 claim that tree creation is
 //! cheap enough to "minimize the interruptions to the application":
-//! metadata hashing vs the checkpoint write itself vs a compacted
-//! append.
+//! metadata hashing vs the checkpoint write itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use reprocmp_bench::{engine_for, DivergenceSpec, DivergentPair};
-use reprocmp_core::CompactionStore;
 use reprocmp_veloc::{Client, VelocConfig};
 
 fn bench_capture(c: &mut Criterion) {
@@ -43,23 +41,6 @@ fn bench_capture(c: &mut Criterion) {
     });
     client.wait_all().ok();
     std::fs::remove_dir_all(&dir).ok();
-
-    // Compacted append against an almost-identical predecessor.
-    let engine = engine_for(4096, 1e-5);
-    group.bench_function("compaction_append_delta", |b| {
-        b.iter_with_setup(
-            || {
-                let mut store = CompactionStore::new();
-                store.append(&engine, 0, &pair.run1).unwrap();
-                store
-            },
-            |mut store| {
-                store
-                    .append(&engine, 1, std::hint::black_box(&pair.run2))
-                    .unwrap();
-            },
-        );
-    });
     group.finish();
 }
 

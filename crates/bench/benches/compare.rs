@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use reprocmp_bench::{engine_for, DivergenceSpec, DivergentPair};
-use reprocmp_core::{AllClose, CheckpointSource, Direct};
+use reprocmp_core::{AllClose, CheckpointSource, Ctx, Direct};
 
 fn bench_methods(c: &mut Criterion) {
     let mut group = c.benchmark_group("end_to_end");
@@ -21,7 +21,7 @@ fn bench_methods(c: &mut Criterion) {
             BenchmarkId::new("ours", format!("{eps:e}")),
             &(&a, &b),
             |bch, (a, b)| {
-                bch.iter(|| engine.compare(a, b).unwrap());
+                bch.iter(|| engine.compare(a, b, &Ctx::default()).unwrap());
             },
         );
         let direct = Direct::new(eps).unwrap();
@@ -29,7 +29,7 @@ fn bench_methods(c: &mut Criterion) {
             BenchmarkId::new("direct", format!("{eps:e}")),
             &(&a, &b),
             |bch, (a, b)| {
-                bch.iter(|| direct.compare(a, b).unwrap());
+                bch.iter(|| direct.compare(a, b, &Ctx::default()).unwrap());
             },
         );
         let allclose = AllClose::new(eps).unwrap();
@@ -37,7 +37,7 @@ fn bench_methods(c: &mut Criterion) {
             BenchmarkId::new("allclose", format!("{eps:e}")),
             &(&a, &b),
             |bch, (a, b)| {
-                bch.iter(|| allclose.compare(a, b).unwrap());
+                bch.iter(|| allclose.compare(a, b, &Ctx::default()).unwrap());
             },
         );
     }

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use reprocmp_bench::{engine_for, DivergenceSpec, DivergentPair};
-use reprocmp_core::CheckpointSource;
+use reprocmp_core::{CheckpointSource, Ctx};
 use reprocmp_io::Timeline;
 use reprocmp_obs::{EventKind, Journal, ObsClock, Observer};
 
@@ -37,7 +37,7 @@ fn bench_journaled_compare(c: &mut Criterion) {
                     } else {
                         Observer::disabled()
                     };
-                    engine.compare_observed(a, b, &timeline, &obs).unwrap()
+                    engine.compare(a, b, &Ctx { timeline, obs }).unwrap()
                 });
             },
         );

@@ -69,8 +69,8 @@ fn main() {
             io,
             ..EngineConfig::default()
         });
-        let (a, b, timeline, _) = modeled_sources(&pair, &engine, model);
-        let report = engine.compare_with_timeline(&a, &b, &timeline).unwrap();
+        let (a, b, ctx, _) = modeled_sources(&pair, &engine, model);
+        let report = engine.compare(&a, &b, &ctx).unwrap();
         report.breakdown.total()
     };
 
@@ -158,12 +158,8 @@ fn main() {
             coalesce_reads: coalesce,
             ..EngineConfig::default()
         });
-        let (a, b, timeline, _) = modeled_sources(&pair, &engine, model);
-        let t = engine
-            .compare_with_timeline(&a, &b, &timeline)
-            .unwrap()
-            .breakdown
-            .total();
+        let (a, b, ctx, _) = modeled_sources(&pair, &engine, model);
+        let t = engine.compare(&a, &b, &ctx).unwrap().breakdown.total();
         println!("  {label:<20}: {}", fmt_dur(t));
         rec.push(
             "ablate-coalesce",
@@ -181,13 +177,8 @@ fn main() {
             error_bound: 1e-6,
             ..EngineConfig::default()
         });
-        let (a, b, timeline, _) =
-            reprocmp_bench::striped_sources(&pair, &engine, model, 1 << 20, osts);
-        let t = engine
-            .compare_with_timeline(&a, &b, &timeline)
-            .unwrap()
-            .breakdown
-            .total();
+        let (a, b, ctx, _) = reprocmp_bench::striped_sources(&pair, &engine, model, 1 << 20, osts);
+        let t = engine.compare(&a, &b, &ctx).unwrap().breakdown.total();
         println!("  {osts} OST(s): {}", fmt_dur(t));
         rec.push(
             "ablate-stripes",

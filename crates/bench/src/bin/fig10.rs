@@ -18,7 +18,7 @@
 
 use reprocmp_bench::{throughput_gbps, DivergenceSpec, DivergentPair, Recorder};
 use reprocmp_cluster::Cluster;
-use reprocmp_core::{CheckpointSource, CompareEngine, Direct, EngineConfig};
+use reprocmp_core::{CheckpointSource, CompareEngine, Ctx, Direct, EngineConfig};
 use reprocmp_io::{CostModel, Timeline};
 use std::time::Duration;
 
@@ -72,13 +72,16 @@ fn run_config(method: Method, eps: f64, procs: usize) -> (Duration, f64, f64) {
                 Some(clock.clone()),
             )
             .unwrap();
-            let timeline = Timeline::sim(clock.clone());
+            let sim = Ctx {
+                timeline: Timeline::sim(clock.clone()),
+                ..Ctx::default()
+            };
             match method {
                 Method::Ours => {
-                    engine.compare_with_timeline(&a, &b, &timeline).unwrap();
+                    engine.compare(&a, &b, &sim).unwrap();
                 }
                 Method::DirectCmp => {
-                    direct.compare_with_timeline(&a, &b, &timeline).unwrap();
+                    direct.compare(&a, &b, &sim).unwrap();
                 }
             }
             p += ctx.size();

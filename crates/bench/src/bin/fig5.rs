@@ -60,21 +60,15 @@ fn main() {
         for &eps in &ERROR_BOUNDS {
             // Baselines are chunk-independent: measure once per ε.
             let engine = engine_for(4096, eps);
-            let (a, b, timeline, _) = modeled_sources(&pair, &engine, model);
-            let t0 = timeline.now();
-            let _ = AllClose::new(eps)
-                .unwrap()
-                .compare_with_timeline(&a, &b, &timeline)
-                .unwrap();
-            let t_allclose = timeline.now() - t0;
+            let (a, b, ctx, _) = modeled_sources(&pair, &engine, model);
+            let t0 = ctx.timeline.now();
+            let _ = AllClose::new(eps).unwrap().compare(&a, &b, &ctx).unwrap();
+            let t_allclose = ctx.timeline.now() - t0;
 
-            let (a, b, timeline, _) = modeled_sources(&pair, &engine, model);
-            let t0 = timeline.now();
-            let _ = Direct::new(eps)
-                .unwrap()
-                .compare_with_timeline(&a, &b, &timeline)
-                .unwrap();
-            let t_direct = timeline.now() - t0;
+            let (a, b, ctx, _) = modeled_sources(&pair, &engine, model);
+            let t0 = ctx.timeline.now();
+            let _ = Direct::new(eps).unwrap().compare(&a, &b, &ctx).unwrap();
+            let t_direct = ctx.timeline.now() - t0;
 
             let gb_allclose = throughput_gbps(both, t_allclose);
             let gb_direct = throughput_gbps(both, t_direct);
@@ -94,10 +88,10 @@ fn main() {
 
             for &chunk in &CHUNK_SIZES {
                 let engine = engine_for(chunk, eps);
-                let (a, b, timeline, _) = modeled_sources(&pair, &engine, model);
-                let t0 = timeline.now();
-                let report = engine.compare_with_timeline(&a, &b, &timeline).unwrap();
-                let t_ours = report.breakdown.total().max(timeline.now() - t0);
+                let (a, b, ctx, _) = modeled_sources(&pair, &engine, model);
+                let t0 = ctx.timeline.now();
+                let report = engine.compare(&a, &b, &ctx).unwrap();
+                let t_ours = report.breakdown.total().max(ctx.timeline.now() - t0);
                 let gb_ours = throughput_gbps(both, t_ours);
                 print!(" {:>7.2}", gb_ours);
                 rec.push(

@@ -36,8 +36,8 @@ fn main() {
         );
         for &chunk in &CHUNK_SIZES {
             let engine = engine_for(chunk, eps);
-            let (a, b, timeline, _) = modeled_sources(&pair, &engine, model);
-            let report = engine.compare_with_timeline(&a, &b, &timeline).unwrap();
+            let (a, b, ctx, _) = modeled_sources(&pair, &engine, model);
+            let report = engine.compare(&a, &b, &ctx).unwrap();
             let bd = report.breakdown;
             println!(
                 "{:>8} {:>10} {:>10} {:>12} {:>13} {:>15} {:>10}",

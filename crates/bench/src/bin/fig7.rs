@@ -39,8 +39,8 @@ fn main() {
         let mut row = Vec::new();
         for &chunk in &CHUNK_SIZES {
             let engine = engine_for(chunk, eps);
-            let (a, b, timeline, _) = modeled_sources(&pair, &engine, model);
-            let report = engine.compare_with_timeline(&a, &b, &timeline).unwrap();
+            let (a, b, ctx, _) = modeled_sources(&pair, &engine, model);
+            let report = engine.compare(&a, &b, &ctx).unwrap();
             let pct = 100.0 * report.stats.flagged_fraction();
             print!(" {pct:>6.1}%");
             rec.push(
@@ -86,8 +86,8 @@ fn main() {
             .filter(|(a, b)| (f64::from(**a) - f64::from(**b)).abs() > eps)
             .count() as u64;
         let engine = engine_for(4096, eps);
-        let (a, b, timeline, _) = modeled_sources(&pair, &engine, model);
-        let report = engine.compare_with_timeline(&a, &b, &timeline).unwrap();
+        let (a, b, ctx, _) = modeled_sources(&pair, &engine, model);
+        let report = engine.compare(&a, &b, &ctx).unwrap();
         let verdict = if report.stats.diff_count == brute {
             "OK"
         } else {

@@ -15,7 +15,7 @@
 
 use reprocmp_bench::{fmt_chunk, fmt_dur, DivergenceSpec, DivergentPair, Recorder};
 use reprocmp_cluster::Cluster;
-use reprocmp_core::{CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp_core::{CheckpointSource, CompareEngine, Ctx, EngineConfig};
 use reprocmp_io::pipeline::{BackendKind, PipelineConfig};
 use reprocmp_io::{CostModel, SimClock, Timeline};
 use std::time::Duration;
@@ -55,7 +55,14 @@ fn run_backend(backend: BackendKind, chunk: usize) -> Vec<Duration> {
         )
         .unwrap();
         let report = engine
-            .compare_with_timeline(&a, &b, &Timeline::sim(clock))
+            .compare(
+                &a,
+                &b,
+                &Ctx {
+                    timeline: Timeline::sim(clock),
+                    ..Ctx::default()
+                },
+            )
             .unwrap();
         report.breakdown.total()
     })

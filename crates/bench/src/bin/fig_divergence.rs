@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reprocmp_analyze::bisect_first_divergence;
 use reprocmp_bench::Recorder;
-use reprocmp_core::{CheckpointHistory, CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp_core::{CheckpointHistory, CheckpointSource, CompareEngine, Ctx, EngineConfig};
 use reprocmp_io::{CostModel, SimClock, Timeline};
 use reprocmp_obs::Observer;
 
@@ -127,7 +127,9 @@ fn main() {
         let (a, b, diverge_at) = seeded_pair(&e, m, &clock);
         let timeline = Timeline::sim(clock);
 
-        let linear = e.compare_history(&a, &b).expect("linear scan");
+        let linear = e
+            .compare_history(&a, &b, &Ctx::default())
+            .expect("linear scan");
         let bis =
             bisect_first_divergence(&e, &a, &b, &timeline, &Observer::disabled()).expect("bisect");
         assert_eq!(

@@ -17,7 +17,7 @@
 //! ```
 
 use reprocmp_bench::{fmt_dur, Recorder};
-use reprocmp_core::{BatchConfig, CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp_core::{BatchConfig, CheckpointSource, CompareEngine, Ctx, EngineConfig, MetaCache};
 use reprocmp_io::{CostModel, SimClock, Timeline};
 use std::time::Duration;
 
@@ -76,11 +76,15 @@ fn batched(base: &[f32], runs: &[Vec<f32>]) -> Cost {
     let baseline = source(base, &e, &clock);
     let sources: Vec<CheckpointSource> = runs.iter().map(|r| source(r, &e, &clock)).collect();
     let report = e
-        .compare_many_with_timeline(
+        .compare_many(
             &baseline,
             &sources,
-            &Timeline::sim(clock),
             &BatchConfig::default(),
+            &mut MetaCache::new(),
+            &Ctx {
+                timeline: Timeline::sim(clock),
+                ..Ctx::default()
+            },
         )
         .unwrap();
     Cost {
@@ -107,7 +111,14 @@ fn pairwise(base: &[f32], runs: &[Vec<f32>]) -> Cost {
         let a = source(base, &e, &clock);
         let b = source(r, &e, &clock);
         let report = e
-            .compare_with_timeline(&a, &b, &Timeline::sim(clock))
+            .compare(
+                &a,
+                &b,
+                &Ctx {
+                    timeline: Timeline::sim(clock),
+                    ..Ctx::default()
+                },
+            )
             .unwrap();
         cost.nodes_visited += report.stages.bfs.ops;
         cost.bytes_reread += report.stats.bytes_reread;

@@ -29,7 +29,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reprocmp_core::{CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp_core::{CheckpointSource, CompareEngine, Ctx, EngineConfig};
 use reprocmp_io::{CostModel, SimClock, Timeline};
 use reprocmp_obs::StageBreakdown;
 use serde::Serialize;
@@ -250,7 +250,7 @@ pub fn engine_for(chunk_bytes: usize, error_bound: f64) -> CompareEngine {
 }
 
 /// Materializes a pair as simulated-PFS checkpoint sources sharing one
-/// virtual clock, plus the timeline reading it.
+/// virtual clock, plus a context timed on that clock.
 ///
 /// # Panics
 ///
@@ -261,13 +261,13 @@ pub fn modeled_sources(
     pair: &DivergentPair,
     engine: &CompareEngine,
     model: CostModel,
-) -> (CheckpointSource, CheckpointSource, Timeline, SimClock) {
+) -> (CheckpointSource, CheckpointSource, Ctx, SimClock) {
     let clock = SimClock::new();
     let a = CheckpointSource::in_memory_with_model(&pair.run1, engine, model, Some(clock.clone()))
         .expect("source 1");
     let b = CheckpointSource::in_memory_with_model(&pair.run2, engine, model, Some(clock.clone()))
         .expect("source 2");
-    (a, b, Timeline::sim(clock.clone()), clock)
+    (a, b, sim_ctx(&clock), clock)
 }
 
 /// As [`modeled_sources`] but on Lustre-style striped storage: the
@@ -284,7 +284,7 @@ pub fn striped_sources(
     model: CostModel,
     stripe_size: u64,
     ost_count: usize,
-) -> (CheckpointSource, CheckpointSource, Timeline, SimClock) {
+) -> (CheckpointSource, CheckpointSource, Ctx, SimClock) {
     use reprocmp_io::StripedStorage;
     use std::sync::Arc;
 
@@ -307,7 +307,14 @@ pub fn striped_sources(
     };
     let a = make(&pair.run1);
     let b = make(&pair.run2);
-    (a, b, Timeline::sim(clock.clone()), clock)
+    (a, b, sim_ctx(&clock), clock)
+}
+
+fn sim_ctx(clock: &SimClock) -> Ctx {
+    Ctx {
+        timeline: Timeline::sim(clock.clone()),
+        ..Ctx::default()
+    }
 }
 
 /// Throughput in GB/s for `bytes` of *compared checkpoint data* (both
@@ -609,7 +616,7 @@ mod tests {
     fn modeled_sources_share_a_clock() {
         let pair = DivergentPair::generate(4_096, DivergenceSpec::hacc_like(), 1);
         let engine = engine_for(4096, 1e-5);
-        let (a, b, _timeline, clock) = modeled_sources(&pair, &engine, CostModel::lustre_pfs());
+        let (a, b, _ctx, clock) = modeled_sources(&pair, &engine, CostModel::lustre_pfs());
         use reprocmp_io::storage::AccessMode;
         a.data.charge_batch(&[(0, 1024)], AccessMode::Sync);
         b.data.charge_batch(&[(0, 1024)], AccessMode::Sync);

@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use reprocmp_core::ops::{self, Image, ObjectRef, OpError};
-use reprocmp_core::{CompareEngine, EngineConfig};
+use reprocmp_core::{CompareEngine, Ctx, EngineConfig, MetaCache};
 use reprocmp_hacc::{HaccConfig, OrderPolicy, Simulation, SlabDecomposition};
 use reprocmp_store::{ChunkStore, DeltaPolicy, StoreError};
 use reprocmp_veloc::{decode_checkpoint, Client, VelocConfig};
@@ -150,14 +150,16 @@ pub fn compare(map: &ArgMap) -> Result<String, CliError> {
     let timeline = reprocmp_io::Timeline::wall();
     let trace_out = map.optional("trace").map(PathBuf::from);
     let flame_out = map.optional("flamegraph").map(PathBuf::from);
-    let obs = if trace_out.is_some() || flame_out.is_some() {
-        reprocmp_obs::Observer::with_journal(timeline.obs_clock())
-    } else {
-        timeline.observer()
+    let ctx = Ctx {
+        obs: if trace_out.is_some() || flame_out.is_some() {
+            reprocmp_obs::Observer::with_journal(timeline.obs_clock())
+        } else {
+            timeline.observer()
+        },
+        timeline,
     };
-    let report = engine
-        .compare_observed(&a, &b, &timeline, &obs)
-        .map_err(fail)?;
+    let report = engine.compare(&a, &b, &ctx).map_err(fail)?;
+    let obs = &ctx.obs;
 
     let mut exports = String::new();
     if let Some(path) = &trace_out {
@@ -193,7 +195,7 @@ pub fn compare(map: &ArgMap) -> Result<String, CliError> {
     // of the human rendering.
     if map.flag("json") {
         let mut s =
-            serde_json::to_string_pretty(&report_with_histograms(&report, &obs)).map_err(fail)?;
+            serde_json::to_string_pretty(&report_with_histograms(&report, obs)).map_err(fail)?;
         s.push('\n');
         if strict_violation {
             return Err(CliError::Failed(s));
@@ -406,11 +408,21 @@ pub fn compare_many(map: &ArgMap) -> Result<String, CliError> {
             let baseline = ops::open_run(store.as_ref(), bp, &engine)?.source;
             names.push(bp.clone());
             names.extend(run_specs.iter().cloned());
-            engine.compare_many(&baseline, &runs, &cfg).map_err(fail)?
+            engine
+                .compare_many(
+                    &baseline,
+                    &runs,
+                    &cfg,
+                    &mut MetaCache::new(),
+                    &Ctx::default(),
+                )
+                .map_err(fail)?
         }
         None => {
             names.extend(run_specs.iter().cloned());
-            engine.compare_all_pairs(&runs, &cfg).map_err(fail)?
+            engine
+                .compare_all_pairs(&runs, &cfg, &mut MetaCache::new(), &Ctx::default())
+                .map_err(fail)?
         }
     };
 
@@ -759,7 +771,7 @@ pub fn gate(map: &ArgMap) -> Result<String, CliError> {
         let b = candidate
             .in_memory(&engine)
             .map_err(|e| e.at(&candidate_path))?;
-        let report = engine.compare(&a, &b).map_err(fail)?;
+        let report = engine.compare(&a, &b, &Ctx::default()).map_err(fail)?;
         if report.identical() {
             let _ = writeln!(
                 out,
@@ -872,7 +884,9 @@ pub fn history(map: &ArgMap) -> Result<String, CliError> {
     let engine = engine_from(map)?;
     let (h1, h2, _) = load_dir_histories(&dir1, &dir2, &engine)?;
 
-    let report = engine.compare_history(&h1, &h2).map_err(fail)?;
+    let report = engine
+        .compare_history(&h1, &h2, &Ctx::default())
+        .map_err(fail)?;
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::breakdown::CostBreakdown;
+use crate::ctx::Ctx;
 use crate::report::{CompareReport, DataStats, Difference};
 use crate::source::CheckpointSource;
 use crate::{CoreError, CoreResult};
@@ -87,7 +88,7 @@ impl AllClose {
         })
     }
 
-    /// Compares with wall-clock timing.
+    /// Compares on `ctx.timeline` (the observer is unused).
     ///
     /// # Errors
     ///
@@ -96,21 +97,9 @@ impl AllClose {
         &self,
         a: &CheckpointSource,
         b: &CheckpointSource,
+        ctx: &Ctx,
     ) -> CoreResult<AllCloseReport> {
-        self.compare_with_timeline(a, b, &Timeline::wall())
-    }
-
-    /// Compares on the given timeline.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures or mismatched payload sizes.
-    pub fn compare_with_timeline(
-        &self,
-        a: &CheckpointSource,
-        b: &CheckpointSource,
-        timeline: &Timeline,
-    ) -> CoreResult<AllCloseReport> {
+        let timeline = &ctx.timeline;
         if a.payload_len != b.payload_len {
             return Err(CoreError::Mismatch(format!(
                 "payload sizes differ: {} vs {}",
@@ -187,26 +176,18 @@ impl Direct {
         self
     }
 
-    /// Compares with wall-clock timing.
+    /// Compares on `ctx.timeline` (the observer is unused).
     ///
     /// # Errors
     ///
     /// I/O failures or mismatched payload sizes.
-    pub fn compare(&self, a: &CheckpointSource, b: &CheckpointSource) -> CoreResult<CompareReport> {
-        self.compare_with_timeline(a, b, &Timeline::wall())
-    }
-
-    /// Compares on the given timeline.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures or mismatched payload sizes.
-    pub fn compare_with_timeline(
+    pub fn compare(
         &self,
         a: &CheckpointSource,
         b: &CheckpointSource,
-        timeline: &Timeline,
+        ctx: &Ctx,
     ) -> CoreResult<CompareReport> {
+        let timeline = &ctx.timeline;
         if a.payload_len != b.payload_len {
             return Err(CoreError::Mismatch(format!(
                 "payload sizes differ: {} vs {}",
@@ -463,11 +444,11 @@ mod tests {
         let a = CheckpointSource::in_memory(&data, &e).unwrap();
         let same = CheckpointSource::in_memory(&data2, &e).unwrap();
         let ac = AllClose::new(1e-5).unwrap();
-        assert!(ac.compare(&a, &same).unwrap().within_bound);
+        assert!(ac.compare(&a, &same, &Ctx::default()).unwrap().within_bound);
 
         data2[2_500] += 1.0;
         let diff = CheckpointSource::in_memory(&data2, &e).unwrap();
-        assert!(!ac.compare(&a, &diff).unwrap().within_bound);
+        assert!(!ac.compare(&a, &diff, &Ctx::default()).unwrap().within_bound);
     }
 
     #[test]
@@ -480,14 +461,14 @@ mod tests {
         assert!(
             AllClose::new(1e-2)
                 .unwrap()
-                .compare(&a, &b)
+                .compare(&a, &b, &Ctx::default())
                 .unwrap()
                 .within_bound
         );
         assert!(
             !AllClose::new(1e-5)
                 .unwrap()
-                .compare(&a, &b)
+                .compare(&a, &b, &Ctx::default())
                 .unwrap()
                 .within_bound
         );
@@ -504,8 +485,11 @@ mod tests {
         let a = CheckpointSource::in_memory(&data, &e).unwrap();
         let b = CheckpointSource::in_memory(&data2, &e).unwrap();
 
-        let ours = e.compare(&a, &b).unwrap();
-        let direct = Direct::new(1e-5).unwrap().compare(&a, &b).unwrap();
+        let ours = e.compare(&a, &b, &Ctx::default()).unwrap();
+        let direct = Direct::new(1e-5)
+            .unwrap()
+            .compare(&a, &b, &Ctx::default())
+            .unwrap();
         assert_eq!(ours.stats.diff_count, direct.stats.diff_count);
         let oi: Vec<u64> = ours.differences.iter().map(|d| d.index).collect();
         let di: Vec<u64> = direct.differences.iter().map(|d| d.index).collect();
@@ -518,7 +502,10 @@ mod tests {
         let data = wave(10_000);
         let a = CheckpointSource::in_memory(&data, &e).unwrap();
         let b = CheckpointSource::in_memory(&data, &e).unwrap();
-        let report = Direct::new(1e-5).unwrap().compare(&a, &b).unwrap();
+        let report = Direct::new(1e-5)
+            .unwrap()
+            .compare(&a, &b, &Ctx::default())
+            .unwrap();
         assert!(report.identical());
         assert_eq!(report.stats.bytes_reread, 40_000);
     }
@@ -534,7 +521,7 @@ mod tests {
         });
         let data = wave(1 << 18); // 1 MiB payload
 
-        let modeled = |f: &dyn Fn(&CheckpointSource, &CheckpointSource, &Timeline) -> Duration| {
+        let modeled = |f: &dyn Fn(&CheckpointSource, &CheckpointSource, &Ctx) -> Duration| {
             let clock = SimClock::new();
             let a = CheckpointSource::in_memory_with_model(
                 &data,
@@ -550,23 +537,29 @@ mod tests {
                 Some(clock.clone()),
             )
             .unwrap();
-            f(&a, &b, &Timeline::sim(clock))
+            f(
+                &a,
+                &b,
+                &Ctx {
+                    timeline: Timeline::sim(clock),
+                    ..Ctx::default()
+                },
+            )
         };
 
-        let t_ours =
-            modeled(&|a, b, t| e.compare_with_timeline(a, b, t).unwrap().breakdown.total());
-        let t_direct = modeled(&|a, b, t| {
+        let t_ours = modeled(&|a, b, ctx| e.compare(a, b, ctx).unwrap().breakdown.total());
+        let t_direct = modeled(&|a, b, ctx| {
             Direct::new(1e-5)
                 .unwrap()
-                .compare_with_timeline(a, b, t)
+                .compare(a, b, ctx)
                 .unwrap()
                 .breakdown
                 .total()
         });
-        let t_allclose = modeled(&|a, b, t| {
+        let t_allclose = modeled(&|a, b, ctx| {
             AllClose::new(1e-5)
                 .unwrap()
-                .compare_with_timeline(a, b, t)
+                .compare(a, b, ctx)
                 .unwrap()
                 .duration
         });
@@ -586,8 +579,14 @@ mod tests {
         let e = engine();
         let a = CheckpointSource::in_memory(&wave(100), &e).unwrap();
         let b = CheckpointSource::in_memory(&wave(200), &e).unwrap();
-        assert!(AllClose::new(1e-5).unwrap().compare(&a, &b).is_err());
-        assert!(Direct::new(1e-5).unwrap().compare(&a, &b).is_err());
+        assert!(AllClose::new(1e-5)
+            .unwrap()
+            .compare(&a, &b, &Ctx::default())
+            .is_err());
+        assert!(Direct::new(1e-5)
+            .unwrap()
+            .compare(&a, &b, &Ctx::default())
+            .is_err());
     }
 
     #[test]
@@ -620,7 +619,7 @@ mod tests {
         let stat = Statistical::new(1e-9).unwrap().compare(&a, &b).unwrap();
         assert!(stat.within_tolerance, "aggregates cannot see the swap");
 
-        let ours = e.compare(&a, &b).unwrap();
+        let ours = e.compare(&a, &b, &Ctx::default()).unwrap();
         assert_eq!(ours.stats.diff_count, 2, "our method localizes both");
         let idx: Vec<u64> = ours.differences.iter().map(|d| d.index).collect();
         assert_eq!(idx, vec![7, 4_000]);
@@ -657,7 +656,7 @@ mod tests {
         let report = Direct::new(1e-5)
             .unwrap()
             .with_max_recorded_diffs(7)
-            .compare(&a, &b)
+            .compare(&a, &b, &Ctx::default())
             .unwrap();
         assert_eq!(report.stats.diff_count, 5_000);
         assert_eq!(report.differences.len(), 7);

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::breakdown::CostBreakdown;
+use crate::ctx::Ctx;
 use crate::report::{ChunkRange, CompareReport, DataStats, Difference};
 use crate::source::CheckpointSource;
 use crate::{CoreError, CoreResult};
@@ -195,52 +196,27 @@ impl CompareEngine {
         encode_tree(&self.build(Floats::LeBytes(payload)))
     }
 
-    /// Compares two checkpoints, timing phases with the wall clock.
+    /// Compares two checkpoints, timing phases on `ctx.timeline` (a
+    /// [`Timeline::Sim`] sharing the sources' virtual clock gives
+    /// deterministic modeled results) and recording into `ctx.obs`: a
+    /// `compare` root span with per-phase children,
+    /// `stage1.bfs`/`stage1.level{n}` spans from the tree walk,
+    /// `stage2.stream`/`stage2.slice` spans from verification, the
+    /// stage-two pipelines' counters and histograms under `io.*`, and
+    /// summary counters (`stage1.nodes_visited`, `stage2.bytes_reread`,
+    /// `compare.diff_values`).
     ///
     /// # Errors
     ///
     /// Any [`CoreError`]: I/O failures, bad metadata, or incomparable
     /// checkpoints.
-    pub fn compare(&self, a: &CheckpointSource, b: &CheckpointSource) -> CoreResult<CompareReport> {
-        self.compare_with_timeline(a, b, &Timeline::wall())
-    }
-
-    /// Compares two checkpoints, timing phases on the given timeline —
-    /// pass a [`Timeline::Sim`] sharing the sources' virtual clock to
-    /// get deterministic modeled results.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CoreError`].
-    pub fn compare_with_timeline(
+    pub fn compare(
         &self,
         a: &CheckpointSource,
         b: &CheckpointSource,
-        timeline: &Timeline,
+        ctx: &Ctx,
     ) -> CoreResult<CompareReport> {
-        self.compare_observed(a, b, timeline, &Observer::disabled())
-    }
-
-    /// [`CompareEngine::compare_with_timeline`] recording spans and
-    /// metrics into `obs`: a `compare` root span with per-phase
-    /// children, `stage1.bfs`/`stage1.level{n}` spans from the tree
-    /// walk, `stage2.stream`/`stage2.slice` spans from verification,
-    /// the stage-two pipelines' counters and histograms under `io.*`,
-    /// and summary counters (`stage1.nodes_visited`,
-    /// `stage2.bytes_reread`, `compare.diff_values`). Build `obs` with
-    /// [`Timeline::observer`] so span timestamps share the phase
-    /// timers' clock.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CoreError`].
-    pub fn compare_observed(
-        &self,
-        a: &CheckpointSource,
-        b: &CheckpointSource,
-        timeline: &Timeline,
-        obs: &Observer,
-    ) -> CoreResult<CompareReport> {
+        let Ctx { timeline, obs } = ctx;
         let _root_span = obs.tracer.span("compare");
         let mut breakdown = CostBreakdown::default();
         let chunk_bytes = self.config.chunk_bytes;
@@ -389,6 +365,25 @@ impl CompareEngine {
             capture: capture_stats,
             chain: chain_info,
         })
+    }
+
+    /// [`CompareEngine::compare`] on `timeline` with the observer off.
+    /// Kept only because the benchmark's frozen API surface calls it.
+    #[doc(hidden)]
+    pub fn compare_with_timeline(
+        &self,
+        a: &CheckpointSource,
+        b: &CheckpointSource,
+        timeline: &Timeline,
+    ) -> CoreResult<CompareReport> {
+        self.compare(
+            a,
+            b,
+            &Ctx {
+                timeline: timeline.clone(),
+                ..Ctx::default()
+            },
+        )
     }
 
     pub(crate) fn validate_tree(
@@ -644,7 +639,7 @@ pub(crate) struct VerifyOutcome {
     pub(crate) unverified: Vec<ChunkRange>,
     pub(crate) io: RingStats,
     /// Time attributed to the element-wise verify kernels (see
-    /// `compare_observed`'s stage-splitting).
+    /// `compare`'s stage-splitting).
     pub(crate) verify_time: Duration,
 }
 
@@ -775,7 +770,7 @@ mod tests {
         let data = wave(10_000);
         let a = CheckpointSource::in_memory(&data, &e).unwrap();
         let b = CheckpointSource::in_memory(&data, &e).unwrap();
-        let report = e.compare(&a, &b).unwrap();
+        let report = e.compare(&a, &b, &Ctx::default()).unwrap();
         assert!(report.identical());
         assert_eq!(report.stats.chunks_flagged, 0);
         assert_eq!(report.stats.bytes_reread, 0);
@@ -793,7 +788,7 @@ mod tests {
         }
         let a = CheckpointSource::in_memory(&data, &e).unwrap();
         let b = CheckpointSource::in_memory(&data2, &e).unwrap();
-        let report = e.compare(&a, &b).unwrap();
+        let report = e.compare(&a, &b, &Ctx::default()).unwrap();
         assert_eq!(report.stats.diff_count, victims.len() as u64);
         let found: Vec<u64> = report.differences.iter().map(|d| d.index).collect();
         assert_eq!(found, victims.iter().map(|&v| v as u64).collect::<Vec<_>>());
@@ -807,7 +802,7 @@ mod tests {
         let data2: Vec<f32> = data.iter().map(|&x| x + 1e-3).collect();
         let a = CheckpointSource::in_memory(&data, &e).unwrap();
         let b = CheckpointSource::in_memory(&data2, &e).unwrap();
-        let report = e.compare(&a, &b).unwrap();
+        let report = e.compare(&a, &b, &Ctx::default()).unwrap();
         assert_eq!(report.stats.diff_count, 0);
         // Chunks may be flagged (grid straddling), but all were clean:
         assert_eq!(
@@ -837,7 +832,7 @@ mod tests {
             .count() as u64;
         let a = CheckpointSource::in_memory(&data, &e).unwrap();
         let b = CheckpointSource::in_memory(&data2, &e).unwrap();
-        let report = e.compare(&a, &b).unwrap();
+        let report = e.compare(&a, &b, &Ctx::default()).unwrap();
         assert_eq!(report.stats.diff_count, brute);
     }
 
@@ -853,7 +848,7 @@ mod tests {
         let data2: Vec<f32> = data.iter().map(|&x| x + 1.0).collect();
         let a = CheckpointSource::in_memory(&data, &e).unwrap();
         let b = CheckpointSource::in_memory(&data2, &e).unwrap();
-        let report = e.compare(&a, &b).unwrap();
+        let report = e.compare(&a, &b, &Ctx::default()).unwrap();
         assert_eq!(report.stats.diff_count, 4_096);
         assert_eq!(report.differences.len(), 10);
         assert!(report.differences_truncated);
@@ -866,7 +861,7 @@ mod tests {
         let a = CheckpointSource::in_memory(&data, &e).unwrap();
         data[999] += 1.0;
         let b = CheckpointSource::in_memory(&data, &e).unwrap();
-        let report = e.compare(&a, &b).unwrap();
+        let report = e.compare(&a, &b, &Ctx::default()).unwrap();
         assert_eq!(report.stats.diff_count, 1);
         assert_eq!(report.differences[0].index, 999);
     }
@@ -909,7 +904,7 @@ mod tests {
             });
             let a = CheckpointSource::in_memory(&data, &e).unwrap();
             let b = CheckpointSource::in_memory(&data2, &e).unwrap();
-            e.compare(&a, &b).unwrap()
+            e.compare(&a, &b, &Ctx::default()).unwrap()
         };
         let with = run(true);
         let without = run(false);
@@ -954,10 +949,17 @@ mod tests {
                 Some(clock.clone()),
             )
             .unwrap();
-            e.compare_with_timeline(&a, &b, &Timeline::sim(clock))
-                .unwrap()
-                .breakdown
-                .total()
+            e.compare(
+                &a,
+                &b,
+                &Ctx {
+                    timeline: Timeline::sim(clock),
+                    ..Ctx::default()
+                },
+            )
+            .unwrap()
+            .breakdown
+            .total()
         };
         assert!(
             modeled(true) < modeled(false),
@@ -1000,7 +1002,7 @@ mod tests {
                 end: b.payload_offset + 256,
             },
         ));
-        let report = e.compare(&a, &b).unwrap();
+        let report = e.compare(&a, &b, &Ctx::default()).unwrap();
         assert!(!report.fully_verified());
         assert_eq!(
             report.unverified,
@@ -1030,7 +1032,10 @@ mod tests {
                 end: b.payload_offset + 256,
             },
         ));
-        assert!(matches!(e.compare(&a, &b), Err(CoreError::Io(_))));
+        assert!(matches!(
+            e.compare(&a, &b, &Ctx::default()),
+            Err(CoreError::Io(_))
+        ));
     }
 
     #[test]
@@ -1041,7 +1046,7 @@ mod tests {
         data2[500] += 1.0;
         let a = CheckpointSource::in_memory(&data, &e).unwrap();
         let b = CheckpointSource::in_memory(&data2, &e).unwrap();
-        let report = e.compare(&a, &b).unwrap();
+        let report = e.compare(&a, &b, &Ctx::default()).unwrap();
         assert!(
             report.io.submitted >= 2,
             "one op per run per side: {:?}",
@@ -1057,7 +1062,10 @@ mod tests {
         let e = engine(256, 1e-5);
         let a = CheckpointSource::in_memory(&wave(100), &e).unwrap();
         let b = CheckpointSource::in_memory(&wave(101), &e).unwrap();
-        assert!(matches!(e.compare(&a, &b), Err(CoreError::Mismatch(_))));
+        assert!(matches!(
+            e.compare(&a, &b, &Ctx::default()),
+            Err(CoreError::Mismatch(_))
+        ));
     }
 
     #[test]
@@ -1068,11 +1076,17 @@ mod tests {
         let a = CheckpointSource::in_memory(&data, &e1).unwrap();
         let b = CheckpointSource::in_memory(&data, &e2).unwrap();
         // Comparing with e1: b's metadata has the wrong chunk size.
-        assert!(matches!(e1.compare(&a, &b), Err(CoreError::Mismatch(_))));
+        assert!(matches!(
+            e1.compare(&a, &b, &Ctx::default()),
+            Err(CoreError::Mismatch(_))
+        ));
         // And a bound mismatch:
         let e3 = engine(256, 1e-4);
         let c = CheckpointSource::in_memory(&data, &e3).unwrap();
-        assert!(matches!(e1.compare(&a, &c), Err(CoreError::Mismatch(_))));
+        assert!(matches!(
+            e1.compare(&a, &c, &Ctx::default()),
+            Err(CoreError::Mismatch(_))
+        ));
     }
 
     #[test]
@@ -1096,7 +1110,10 @@ mod tests {
         let a = CheckpointSource::in_memory(&data, &e).unwrap();
         let mut b = CheckpointSource::in_memory(&data, &e).unwrap();
         b.metadata = Arc::new(reprocmp_io::MemStorage::free(vec![0u8; 32]));
-        assert!(matches!(e.compare(&a, &b), Err(CoreError::Metadata(_))));
+        assert!(matches!(
+            e.compare(&a, &b, &Ctx::default()),
+            Err(CoreError::Metadata(_))
+        ));
     }
 
     #[test]
@@ -1121,8 +1138,15 @@ mod tests {
                 Some(clock.clone()),
             )
             .unwrap();
-            e.compare_with_timeline(&a, &b, &Timeline::sim(clock))
-                .unwrap()
+            e.compare(
+                &a,
+                &b,
+                &Ctx {
+                    timeline: Timeline::sim(clock),
+                    ..Ctx::default()
+                },
+            )
+            .unwrap()
         };
         let r1 = run();
         let r2 = run();
@@ -1144,7 +1168,16 @@ mod tests {
         let b = CheckpointSource::in_memory(&data2, &e).unwrap();
         let timeline = Timeline::wall();
         let obs = timeline.observer();
-        let report = e.compare_observed(&a, &b, &timeline, &obs).unwrap();
+        let report = e
+            .compare(
+                &a,
+                &b,
+                &Ctx {
+                    timeline,
+                    obs: obs.clone(),
+                },
+            )
+            .unwrap();
 
         let records = obs.tracer.records();
         let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
@@ -1220,7 +1253,15 @@ mod tests {
             .unwrap();
             let timeline = Timeline::sim(clock);
             let obs = timeline.observer();
-            e.compare_observed(&a, &b, &timeline, &obs).unwrap()
+            e.compare(
+                &a,
+                &b,
+                &Ctx {
+                    timeline,
+                    obs: obs.clone(),
+                },
+            )
+            .unwrap()
         };
         let r1 = run();
         let r2 = run();
@@ -1266,7 +1307,14 @@ mod tests {
             )
             .unwrap();
             let report = e
-                .compare_with_timeline(&a, &b, &Timeline::sim(clock))
+                .compare(
+                    &a,
+                    &b,
+                    &Ctx {
+                        timeline: Timeline::sim(clock),
+                        ..Ctx::default()
+                    },
+                )
                 .unwrap();
             report.breakdown.total()
         };

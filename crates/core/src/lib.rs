@@ -13,7 +13,8 @@
 //! and the encoded tree is stored next to the checkpoint — a few
 //! percent of the data size.
 //!
-//! **Compare side.** [`CompareEngine::compare`]:
+//! **Compare side.** [`CompareEngine::compare`], timed and observed
+//! through a [`Ctx`]:
 //!
 //! 1. *Setup* — buffers and validation.
 //! 2. *Read* — both runs' tree metadata streams in (sequential, cheap).
@@ -38,7 +39,7 @@
 //! # Example
 //!
 //! ```
-//! use reprocmp_core::{CheckpointSource, CompareEngine, EngineConfig};
+//! use reprocmp_core::{CheckpointSource, CompareEngine, Ctx, EngineConfig};
 //! use reprocmp_io::MemStorage;
 //!
 //! // Two "runs" of 64 Ki floats that disagree in one place.
@@ -54,7 +55,7 @@
 //!
 //! let a = CheckpointSource::in_memory(&run1, &engine).unwrap();
 //! let b = CheckpointSource::in_memory(&run2, &engine).unwrap();
-//! let report = engine.compare(&a, &b).unwrap();
+//! let report = engine.compare(&a, &b, &Ctx::default()).unwrap();
 //!
 //! assert_eq!(report.stats.diff_count, 1);
 //! assert_eq!(report.differences[0].index, 40_000);
@@ -68,7 +69,7 @@
 
 pub mod baseline;
 pub mod breakdown;
-pub mod compaction;
+mod ctx;
 pub mod engine;
 pub mod history;
 pub mod metacache;
@@ -84,7 +85,7 @@ pub use baseline::{
     AllClose, AllCloseReport, Direct, PayloadStats, Statistical, StatisticalReport,
 };
 pub use breakdown::CostBreakdown;
-pub use compaction::{CompactionStats, CompactionStore};
+pub use ctx::Ctx;
 pub use engine::{CompareEngine, EngineConfig, FailurePolicy};
 pub use history::{CheckpointHistory, HistoryEntryReport, HistoryReport, MultiHistoryReport};
 pub use metacache::{ChunkVerdict, MetaCache, SubtreeEntry, SubtreeKey};

@@ -16,7 +16,6 @@
 //! reproduction run early) once divergence crosses a threshold.
 
 use reprocmp_io::pipeline::StreamPipeline;
-use reprocmp_io::Timeline;
 use std::sync::Arc;
 
 use crate::engine::CompareEngine;
@@ -75,7 +74,6 @@ pub struct OnlineComparator {
     engine: CompareEngine,
     reference: CheckpointHistory,
     policy: OnlinePolicy,
-    timeline: Timeline,
     entries: Vec<OnlineEntry>,
     total_diffs: u64,
     halted: bool,
@@ -84,26 +82,13 @@ pub struct OnlineComparator {
 
 impl OnlineComparator {
     /// Starts a session comparing live checkpoints against
-    /// `reference` (wall-clock timing).
+    /// `reference`.
     #[must_use]
     pub fn new(engine: CompareEngine, reference: CheckpointHistory, policy: OnlinePolicy) -> Self {
-        Self::with_timeline(engine, reference, policy, Timeline::wall())
-    }
-
-    /// As [`OnlineComparator::new`] with an explicit timeline (pass a
-    /// sim timeline in modeled experiments).
-    #[must_use]
-    pub fn with_timeline(
-        engine: CompareEngine,
-        reference: CheckpointHistory,
-        policy: OnlinePolicy,
-        timeline: Timeline,
-    ) -> Self {
         OnlineComparator {
             engine,
             reference,
             policy,
-            timeline,
             entries: Vec::new(),
             total_diffs: 0,
             halted: false,
@@ -224,7 +209,6 @@ impl OnlineComparator {
                 }
             }
         }
-        let _ = self.timeline.now();
 
         self.total_diffs += stats.diff_count;
         self.entries.push(OnlineEntry {
@@ -299,6 +283,7 @@ impl OnlineComparator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::Ctx;
     use crate::engine::EngineConfig;
     use crate::source::CheckpointSource;
 
@@ -459,7 +444,7 @@ mod tests {
         // Offline:
         let a = h.get(0, 10).unwrap();
         let b = CheckpointSource::in_memory(&live, &e).unwrap();
-        let offline = e.compare(a, &b).unwrap();
+        let offline = e.compare(a, &b, &Ctx::default()).unwrap();
         // Online:
         let mut online = OnlineComparator::new(e.clone(), h.clone(), OnlinePolicy::Continue);
         match online.observe(0, 10, &live).unwrap() {

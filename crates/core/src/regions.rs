@@ -177,6 +177,7 @@ impl RegionMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::Ctx;
     use crate::engine::{CompareEngine, EngineConfig};
     use crate::source::CheckpointSource;
 
@@ -213,7 +214,7 @@ mod tests {
         run2[699] += 1.0; // phi[99]
         let a = CheckpointSource::in_memory(&run1, &e).unwrap();
         let b = CheckpointSource::in_memory(&run2, &e).unwrap();
-        let report = e.compare(&a, &b).unwrap();
+        let report = e.compare(&a, &b, &Ctx::default()).unwrap();
 
         let located = map.annotate(&report.differences);
         assert_eq!(located.len(), 2);

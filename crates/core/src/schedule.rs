@@ -44,12 +44,12 @@ use std::time::Duration;
 
 use reprocmp_device::{Device, Workload};
 use reprocmp_hash::Digest128;
-use reprocmp_io::Timeline;
 use reprocmp_merkle::{compare_subtree, decode_tree, start_level_for, MerkleTree, SubtreeOutcome};
 use reprocmp_obs::{CacheStats, EventKind, Observer, PhaseCost, StoreReadStats};
 use serde::Serialize;
 
 use crate::breakdown::CostBreakdown;
+use crate::ctx::Ctx;
 use crate::engine::{merge_ranges, read_fully, CompareEngine, VerifyOutcome};
 use crate::metacache::{ChunkVerdict, MetaCache, SubtreeEntry, SubtreeKey};
 use crate::report::{ChunkRange, CompareReport, DataStats, Difference};
@@ -203,7 +203,10 @@ struct JobExec {
 
 impl CompareEngine {
     /// Compares `runs` against a shared `baseline` as one scheduled
-    /// batch (wall-clock timing, fresh cache).
+    /// batch. Pass the same [`MetaCache`] across batches (e.g. per
+    /// history iteration) to carry memoized adjudications forward.
+    /// Batch totals land in `ctx.obs.registry` under `stage1.*`,
+    /// `stage2.*`, `io.*`, and `cache.*`.
     ///
     /// # Errors
     ///
@@ -213,61 +216,18 @@ impl CompareEngine {
         baseline: &CheckpointSource,
         runs: &[CheckpointSource],
         cfg: &BatchConfig,
-    ) -> CoreResult<BatchReport> {
-        self.compare_many_with_timeline(baseline, runs, &Timeline::wall(), cfg)
-    }
-
-    /// [`CompareEngine::compare_many`] on the given timeline.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CoreError`].
-    pub fn compare_many_with_timeline(
-        &self,
-        baseline: &CheckpointSource,
-        runs: &[CheckpointSource],
-        timeline: &Timeline,
-        cfg: &BatchConfig,
-    ) -> CoreResult<BatchReport> {
-        let mut cache = MetaCache::new();
-        self.compare_many_observed(
-            baseline,
-            runs,
-            timeline,
-            &Observer::disabled(),
-            cfg,
-            &mut cache,
-        )
-    }
-
-    /// [`CompareEngine::compare_many`] with observability and a
-    /// caller-owned cache — pass the same [`MetaCache`] across batches
-    /// (e.g. per history iteration) to carry memoized adjudications
-    /// forward. Batch totals land in `obs.registry` under `stage1.*`,
-    /// `stage2.*`, `io.*`, and `cache.*`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CoreError`].
-    pub fn compare_many_observed(
-        &self,
-        baseline: &CheckpointSource,
-        runs: &[CheckpointSource],
-        timeline: &Timeline,
-        obs: &Observer,
-        cfg: &BatchConfig,
         cache: &mut MetaCache,
+        ctx: &Ctx,
     ) -> CoreResult<BatchReport> {
         let mut sources: Vec<&CheckpointSource> = Vec::with_capacity(runs.len() + 1);
         sources.push(baseline);
         sources.extend(runs.iter());
         let jobs: Vec<(usize, usize)> = (1..sources.len()).map(|r| (0, r)).collect();
-        self.run_batch(&sources, &jobs, timeline, obs, cfg, cache)
+        self.run_batch(&sources, &jobs, cfg, cache, ctx)
     }
 
     /// Compares every unordered pair among `runs` — the all-pairs
-    /// triage mode for when no run is blessed as the baseline
-    /// (wall-clock timing, fresh cache).
+    /// triage mode for when no run is blessed as the baseline.
     ///
     /// # Errors
     ///
@@ -276,38 +236,8 @@ impl CompareEngine {
         &self,
         runs: &[CheckpointSource],
         cfg: &BatchConfig,
-    ) -> CoreResult<BatchReport> {
-        self.compare_all_pairs_with_timeline(runs, &Timeline::wall(), cfg)
-    }
-
-    /// [`CompareEngine::compare_all_pairs`] on the given timeline.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CoreError`].
-    pub fn compare_all_pairs_with_timeline(
-        &self,
-        runs: &[CheckpointSource],
-        timeline: &Timeline,
-        cfg: &BatchConfig,
-    ) -> CoreResult<BatchReport> {
-        let mut cache = MetaCache::new();
-        self.compare_all_pairs_observed(runs, timeline, &Observer::disabled(), cfg, &mut cache)
-    }
-
-    /// [`CompareEngine::compare_all_pairs`] with observability and a
-    /// caller-owned cache.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CoreError`].
-    pub fn compare_all_pairs_observed(
-        &self,
-        runs: &[CheckpointSource],
-        timeline: &Timeline,
-        obs: &Observer,
-        cfg: &BatchConfig,
         cache: &mut MetaCache,
+        ctx: &Ctx,
     ) -> CoreResult<BatchReport> {
         let sources: Vec<&CheckpointSource> = runs.iter().collect();
         let mut jobs = Vec::new();
@@ -316,7 +246,7 @@ impl CompareEngine {
                 jobs.push((i, j));
             }
         }
-        self.run_batch(&sources, &jobs, timeline, obs, cfg, cache)
+        self.run_batch(&sources, &jobs, cfg, cache, ctx)
     }
 
     /// The plan/execute/assemble core (see the module docs).
@@ -324,11 +254,11 @@ impl CompareEngine {
         &self,
         sources: &[&CheckpointSource],
         jobs: &[(usize, usize)],
-        timeline: &Timeline,
-        obs: &Observer,
         cfg: &BatchConfig,
         cache: &mut MetaCache,
+        ctx: &Ctx,
     ) -> CoreResult<BatchReport> {
+        let Ctx { timeline, obs } = ctx;
         let t_start = timeline.now();
         if jobs.is_empty() {
             return Ok(BatchReport::default());
@@ -837,7 +767,7 @@ fn merge_capped(
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use reprocmp_io::{CostModel, SimClock};
+    use reprocmp_io::{CostModel, SimClock, Timeline};
 
     fn engine(chunk_bytes: usize, bound: f64) -> CompareEngine {
         CompareEngine::new(EngineConfig {
@@ -886,7 +816,7 @@ mod tests {
         runs: &[CheckpointSource],
     ) -> Vec<CompareReport> {
         runs.iter()
-            .map(|r| e.compare(baseline, r).unwrap())
+            .map(|r| e.compare(baseline, r, &Ctx::default()).unwrap())
             .collect()
     }
 
@@ -895,7 +825,13 @@ mod tests {
         let e = engine(64, 1e-5);
         let (baseline, runs) = shared_deviation_runs(&e, 4, 6000);
         let batch = e
-            .compare_many(&baseline, &runs, &BatchConfig::default())
+            .compare_many(
+                &baseline,
+                &runs,
+                &BatchConfig::default(),
+                &mut MetaCache::new(),
+                &Ctx::default(),
+            )
             .unwrap();
         let pairwise = pairwise_reports(&e, &baseline, &runs);
         assert_eq!(batch.jobs.len(), 4);
@@ -920,7 +856,13 @@ mod tests {
         let e = engine(64, 1e-5);
         let (baseline, runs) = shared_deviation_runs(&e, 3, 4000);
         let on = e
-            .compare_many(&baseline, &runs, &BatchConfig::default())
+            .compare_many(
+                &baseline,
+                &runs,
+                &BatchConfig::default(),
+                &mut MetaCache::new(),
+                &Ctx::default(),
+            )
             .unwrap();
         let off = e
             .compare_many(
@@ -930,6 +872,8 @@ mod tests {
                     use_cache: false,
                     ..BatchConfig::default()
                 },
+                &mut MetaCache::new(),
+                &Ctx::default(),
             )
             .unwrap();
         assert!(off.cache.is_zero(), "cache off reports a zero ledger");
@@ -947,7 +891,13 @@ mod tests {
         let e = engine(64, 1e-5);
         let (baseline, runs) = shared_deviation_runs(&e, 4, 6000);
         let on = e
-            .compare_many(&baseline, &runs, &BatchConfig::default())
+            .compare_many(
+                &baseline,
+                &runs,
+                &BatchConfig::default(),
+                &mut MetaCache::new(),
+                &Ctx::default(),
+            )
             .unwrap();
         let off = e
             .compare_many(
@@ -957,6 +907,8 @@ mod tests {
                     use_cache: false,
                     ..BatchConfig::default()
                 },
+                &mut MetaCache::new(),
+                &Ctx::default(),
             )
             .unwrap();
         for (a, b) in on.jobs.iter().zip(&off.jobs) {
@@ -973,7 +925,13 @@ mod tests {
         let e = engine(64, 1e-5);
         let (baseline, runs) = shared_deviation_runs(&e, 4, 6000);
         let batch = e
-            .compare_many(&baseline, &runs, &BatchConfig::default())
+            .compare_many(
+                &baseline,
+                &runs,
+                &BatchConfig::default(),
+                &mut MetaCache::new(),
+                &Ctx::default(),
+            )
             .unwrap();
         assert!(batch.cache.node_hits > 0, "{:?}", batch.cache);
         assert!(batch.cache.verdict_hits > 0, "{:?}", batch.cache);
@@ -995,7 +953,13 @@ mod tests {
             .map(|_| CheckpointSource::in_memory(&dev, &e).unwrap())
             .collect();
         let batch = e
-            .compare_many(&baseline, &runs, &BatchConfig::default())
+            .compare_many(
+                &baseline,
+                &runs,
+                &BatchConfig::default(),
+                &mut MetaCache::new(),
+                &Ctx::default(),
+            )
             .unwrap();
         // Jobs 1 and 2 are digest-identical to job 0: every mismatching
         // frontier pair is a hit.
@@ -1011,15 +975,14 @@ mod tests {
         let (baseline, runs) = shared_deviation_runs(&e, 2, 4000);
         let mut cache = MetaCache::new();
         let cfg = BatchConfig::default();
-        let timeline = Timeline::wall();
-        let obs = Observer::disabled();
+        let ctx = Ctx::default();
         let first = e
-            .compare_many_observed(&baseline, &runs, &timeline, &obs, &cfg, &mut cache)
+            .compare_many(&baseline, &runs, &cfg, &mut cache, &ctx)
             .unwrap();
         assert!(first.cache.node_misses > 0);
         // Second batch over the same sources: everything hits.
         let second = e
-            .compare_many_observed(&baseline, &runs, &timeline, &obs, &cfg, &mut cache)
+            .compare_many(&baseline, &runs, &cfg, &mut cache, &ctx)
             .unwrap();
         assert_eq!(second.cache.node_misses, 0);
         assert_eq!(second.cache.verdict_misses, 0);
@@ -1050,14 +1013,12 @@ mod tests {
         dev[7] += 0.3;
         let mut cache = MetaCache::new();
         let cfg = BatchConfig::default();
-        let timeline = Timeline::wall();
-        let obs = Observer::disabled();
+        let ctx = Ctx::default();
         let run = |bound: f64, cache: &mut MetaCache| {
             let e = engine(64, bound);
             let baseline = CheckpointSource::in_memory(&data, &e).unwrap();
             let runs = vec![CheckpointSource::in_memory(&dev, &e).unwrap()];
-            e.compare_many_observed(&baseline, &runs, &timeline, &obs, &cfg, cache)
-                .unwrap()
+            e.compare_many(&baseline, &runs, &cfg, cache, &ctx).unwrap()
         };
         let first = run(1e-5, &mut cache);
         assert!(first.cache.node_misses > 0);
@@ -1075,7 +1036,14 @@ mod tests {
     fn all_pairs_covers_every_unordered_pair() {
         let e = engine(64, 1e-5);
         let (_, runs) = shared_deviation_runs(&e, 4, 3000);
-        let batch = e.compare_all_pairs(&runs, &BatchConfig::default()).unwrap();
+        let batch = e
+            .compare_all_pairs(
+                &runs,
+                &BatchConfig::default(),
+                &mut MetaCache::new(),
+                &Ctx::default(),
+            )
+            .unwrap();
         let pairs: Vec<(usize, usize)> = batch.jobs.iter().map(|j| (j.left, j.right)).collect();
         assert_eq!(pairs, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         // Runs differ only in their unique value: each pair has diffs.
@@ -1090,11 +1058,22 @@ mod tests {
         let base = wave(100);
         let baseline = CheckpointSource::in_memory(&base, &e).unwrap();
         let batch = e
-            .compare_many(&baseline, &[], &BatchConfig::default())
+            .compare_many(
+                &baseline,
+                &[],
+                &BatchConfig::default(),
+                &mut MetaCache::new(),
+                &Ctx::default(),
+            )
             .unwrap();
         assert!(batch.jobs.is_empty());
         assert!(batch.identical());
-        let one = e.compare_all_pairs(std::slice::from_ref(&baseline), &BatchConfig::default());
+        let one = e.compare_all_pairs(
+            std::slice::from_ref(&baseline),
+            &BatchConfig::default(),
+            &mut MetaCache::new(),
+            &Ctx::default(),
+        );
         assert!(one.unwrap().jobs.is_empty());
     }
 
@@ -1104,7 +1083,13 @@ mod tests {
         let baseline = CheckpointSource::in_memory(&wave(1000), &e).unwrap();
         let short = CheckpointSource::in_memory(&wave(500), &e).unwrap();
         assert!(matches!(
-            e.compare_many(&baseline, &[short], &BatchConfig::default()),
+            e.compare_many(
+                &baseline,
+                &[short],
+                &BatchConfig::default(),
+                &mut MetaCache::new(),
+                &Ctx::default()
+            ),
             Err(CoreError::Incomparable(_))
         ));
     }
@@ -1129,13 +1114,17 @@ mod tests {
                         .unwrap()
                 })
                 .collect();
-            e.compare_many_with_timeline(
+            e.compare_many(
                 &baseline,
                 &runs,
-                &Timeline::sim(clock),
                 &BatchConfig {
                     shards: Some(shards),
                     ..BatchConfig::default()
+                },
+                &mut MetaCache::new(),
+                &Ctx {
+                    timeline: Timeline::sim(clock),
+                    ..Ctx::default()
                 },
             )
             .unwrap()
@@ -1182,7 +1171,13 @@ mod tests {
         // verdict lookup lands on run 1's pending (quarantined) chunk.
         let run2 = CheckpointSource::in_memory(&dev, &e).unwrap();
         let batch = e
-            .compare_many(&baseline, &[run1, run2], &BatchConfig::default())
+            .compare_many(
+                &baseline,
+                &[run1, run2],
+                &BatchConfig::default(),
+                &mut MetaCache::new(),
+                &Ctx::default(),
+            )
             .unwrap();
         assert_eq!(
             batch.jobs[0].report.unverified,

@@ -149,6 +149,7 @@ impl CheckpointSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::Ctx;
     use crate::engine::EngineConfig;
     use std::path::PathBuf;
 
@@ -190,11 +191,11 @@ mod tests {
 
         let sa = CheckpointSource::from_store(&store, "r1", 1, &e).unwrap();
         let sb = CheckpointSource::from_store(&store, "r2", 1, &e).unwrap();
-        let stored = e.compare(&sa, &sb).unwrap();
+        let stored = e.compare(&sa, &sb, &Ctx::default()).unwrap();
 
         let ma = CheckpointSource::in_memory(&run1, &e).unwrap();
         let mb = CheckpointSource::in_memory(&run2, &e).unwrap();
-        let mem = e.compare(&ma, &mb).unwrap();
+        let mem = e.compare(&ma, &mb, &Ctx::default()).unwrap();
 
         assert_eq!(stored.stats, mem.stats);
         assert_eq!(stored.differences.len(), mem.differences.len());
@@ -242,7 +243,7 @@ mod tests {
         assert_eq!(back, meta);
         // And it actually compares clean against an in-memory twin.
         let twin = CheckpointSource::in_memory(&values, &e).unwrap();
-        let report = e.compare(&s, &twin).unwrap();
+        let report = e.compare(&s, &twin, &Ctx::default()).unwrap();
         assert!(report.identical());
         std::fs::remove_dir_all(&root).ok();
     }

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use reprocmp_core::{
-    CheckpointSource, CompareEngine, Difference, EngineConfig, RegionMap, RegionSpan,
+    CheckpointSource, CompareEngine, Ctx, Difference, EngineConfig, RegionMap, RegionSpan,
 };
 
 const HEADER: &str = "__header";
@@ -44,7 +44,7 @@ fn boundary_straddling_chunk_attributes_exactly() {
     run2[24] += 1.0; // b[0], first value of `b`, same chunk
     let a = CheckpointSource::in_memory(&run1, &e).unwrap();
     let b = CheckpointSource::in_memory(&run2, &e).unwrap();
-    let report = e.compare(&a, &b).unwrap();
+    let report = e.compare(&a, &b, &Ctx::default()).unwrap();
 
     let located = map.annotate(&report.differences);
     assert_eq!(located.len(), 2);

@@ -317,7 +317,7 @@ impl StreamPipeline {
                                         std::time::Instant::now(),
                                     )
                                 });
-                                let (result, retries) = config.retry.run_journaled(
+                                let (result, retries) = config.retry.run(
                                     clock.as_ref(),
                                     &journal,
                                     &pipeline_lane,
@@ -358,7 +358,7 @@ impl StreamPipeline {
                                         std::time::Instant::now(),
                                     )
                                 });
-                                let (result, retries) = config.retry.run_journaled(
+                                let (result, retries) = config.retry.run(
                                     clock.as_ref(),
                                     &journal,
                                     &pipeline_lane,

@@ -157,35 +157,60 @@ impl RetryPolicy {
     /// measured on the same time base and includes the time `op` itself
     /// charges; once the *next* wait would cross it, the operation
     /// gives up with the last error.
+    ///
+    /// Each backoff wait emits a `retry` event on `lane` into `journal`,
+    /// and a budget exhausted on a transient error emits `gave_up`. Pass
+    /// [`Journal::disabled`] to record nothing (the hook costs one
+    /// branch).
     pub fn run<T>(
-        &self,
-        clock: Option<&SimClock>,
-        op: impl FnMut() -> IoResult<T>,
-    ) -> (IoResult<T>, u32) {
-        self.run_observed(clock, op, |_, _| {})
-    }
-
-    /// [`RetryPolicy::run`] with flight-recorder hooks: emits a `retry`
-    /// event on `lane` for every backoff wait and a `gave_up` event if
-    /// the budget is exhausted on a transient error. A disabled journal
-    /// makes this identical to `run` (the hook costs one branch).
-    pub fn run_journaled<T>(
         &self,
         clock: Option<&SimClock>,
         journal: &Journal,
         lane: &str,
-        op: impl FnMut() -> IoResult<T>,
+        mut op: impl FnMut() -> IoResult<T>,
     ) -> (IoResult<T>, u32) {
-        let (result, retries) = self.run_observed(clock, op, |attempt, wait| {
+        let sim_start = clock.map(SimClock::now);
+        let wall_start = Instant::now();
+        let mut retries = 0u32;
+        let err = loop {
+            let e = match op() {
+                Ok(v) => return (Ok(v), retries),
+                Err(e) => e,
+            };
+            let attempts_made = retries + 1;
+            if attempts_made >= self.max_attempts.max(1) || e.class() == ErrorClass::Permanent {
+                break e;
+            }
+            let wait = self.backoff(attempts_made);
+            if let Some(deadline) = self.deadline {
+                let elapsed = match (clock, sim_start) {
+                    (Some(c), Some(s)) => c.now().saturating_sub(s),
+                    _ => wall_start.elapsed(),
+                };
+                if elapsed + wait > deadline {
+                    break e;
+                }
+            }
             journal.emit(
                 lane,
                 EventKind::Retry {
-                    attempt,
+                    attempt: attempts_made,
                     backoff_ns: u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
                 },
             );
-        });
-        if result.is_err() && retries > 0 {
+            match clock {
+                Some(c) => {
+                    c.advance(wait);
+                }
+                None => {
+                    if !wait.is_zero() {
+                        std::thread::sleep(wait);
+                    }
+                }
+            }
+            retries += 1;
+        };
+        if retries > 0 {
             journal.emit(
                 lane,
                 EventKind::GaveUp {
@@ -193,55 +218,7 @@ impl RetryPolicy {
                 },
             );
         }
-        (result, retries)
-    }
-
-    /// [`RetryPolicy::run`] with an `on_retry(attempt, wait)` callback
-    /// invoked just before each backoff wait is charged.
-    pub fn run_observed<T>(
-        &self,
-        clock: Option<&SimClock>,
-        mut op: impl FnMut() -> IoResult<T>,
-        mut on_retry: impl FnMut(u32, Duration),
-    ) -> (IoResult<T>, u32) {
-        let sim_start = clock.map(SimClock::now);
-        let wall_start = Instant::now();
-        let mut retries = 0u32;
-        loop {
-            match op() {
-                Ok(v) => return (Ok(v), retries),
-                Err(e) => {
-                    let attempts_made = retries + 1;
-                    if attempts_made >= self.max_attempts.max(1)
-                        || e.class() == ErrorClass::Permanent
-                    {
-                        return (Err(e), retries);
-                    }
-                    let wait = self.backoff(attempts_made);
-                    if let Some(deadline) = self.deadline {
-                        let elapsed = match (clock, sim_start) {
-                            (Some(c), Some(s)) => c.now().saturating_sub(s),
-                            _ => wall_start.elapsed(),
-                        };
-                        if elapsed + wait > deadline {
-                            return (Err(e), retries);
-                        }
-                    }
-                    on_retry(attempts_made, wait);
-                    match clock {
-                        Some(c) => {
-                            c.advance(wait);
-                        }
-                        None => {
-                            if !wait.is_zero() {
-                                std::thread::sleep(wait);
-                            }
-                        }
-                    }
-                    retries += 1;
-                }
-            }
-        }
+        (Err(err), retries)
     }
 }
 
@@ -386,7 +363,7 @@ mod tests {
         let clock = SimClock::new();
         let p = RetryPolicy::with_attempts(5);
         let mut calls = 0;
-        let (result, retries) = p.run(Some(&clock), || {
+        let (result, retries) = p.run(Some(&clock), &Journal::disabled(), "io", || {
             calls += 1;
             if calls < 3 {
                 Err(transient())
@@ -405,10 +382,11 @@ mod tests {
         let clock = SimClock::new();
         let p = RetryPolicy::with_attempts(3);
         let mut calls = 0;
-        let (result, retries): (IoResult<()>, u32) = p.run(Some(&clock), || {
-            calls += 1;
-            Err(transient())
-        });
+        let (result, retries): (IoResult<()>, u32) =
+            p.run(Some(&clock), &Journal::disabled(), "io", || {
+                calls += 1;
+                Err(transient())
+            });
         assert!(result.is_err());
         assert_eq!(calls, 3);
         assert_eq!(retries, 2);
@@ -419,10 +397,11 @@ mod tests {
         let clock = SimClock::new();
         let p = RetryPolicy::with_attempts(5);
         let mut calls = 0;
-        let (result, retries): (IoResult<()>, u32) = p.run(Some(&clock), || {
-            calls += 1;
-            Err(permanent())
-        });
+        let (result, retries): (IoResult<()>, u32) =
+            p.run(Some(&clock), &Journal::disabled(), "io", || {
+                calls += 1;
+                Err(permanent())
+            });
         assert!(result.is_err());
         assert_eq!(calls, 1);
         assert_eq!(retries, 0);
@@ -435,10 +414,11 @@ mod tests {
         // Deadline shorter than even one backoff wait: no retry happens.
         let p = RetryPolicy::with_attempts(10).with_deadline(Duration::from_nanos(1));
         let mut calls = 0;
-        let (result, _): (IoResult<()>, u32) = p.run(Some(&clock), || {
-            calls += 1;
-            Err(transient())
-        });
+        let (result, _): (IoResult<()>, u32) =
+            p.run(Some(&clock), &Journal::disabled(), "io", || {
+                calls += 1;
+                Err(transient())
+            });
         assert!(result.is_err());
         assert_eq!(calls, 1, "deadline forbade the first retry");
     }
@@ -446,10 +426,11 @@ mod tests {
     #[test]
     fn none_policy_makes_one_attempt() {
         let mut calls = 0;
-        let (result, retries): (IoResult<()>, u32) = RetryPolicy::none().run(None, || {
-            calls += 1;
-            Err(transient())
-        });
+        let (result, retries): (IoResult<()>, u32) =
+            RetryPolicy::none().run(None, &Journal::disabled(), "io", || {
+                calls += 1;
+                Err(transient())
+            });
         assert!(result.is_err());
         assert_eq!((calls, retries), (1, 0));
     }
@@ -461,11 +442,10 @@ mod tests {
         let journal = Journal::new(ObsClock::frozen());
         let p = RetryPolicy::with_attempts(3);
         let mut calls = 0;
-        let (result, retries): (IoResult<()>, u32) =
-            p.run_journaled(Some(&clock), &journal, "io.w0", || {
-                calls += 1;
-                Err(transient())
-            });
+        let (result, retries): (IoResult<()>, u32) = p.run(Some(&clock), &journal, "io.w0", || {
+            calls += 1;
+            Err(transient())
+        });
         assert!(result.is_err());
         assert_eq!(retries, 2);
         let events = journal.events();
@@ -496,7 +476,7 @@ mod tests {
         let journal = Journal::disabled();
         let p = RetryPolicy::with_attempts(4);
         let mut calls = 0;
-        let (result, retries) = p.run_journaled(Some(&clock), &journal, "io", || {
+        let (result, retries) = p.run(Some(&clock), &journal, "io", || {
             calls += 1;
             if calls < 2 {
                 Err(transient())

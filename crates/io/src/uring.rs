@@ -142,7 +142,7 @@ impl UringSim {
                         )
                     });
                     let (result, retries) =
-                        retry.run_journaled(clock.as_ref(), &journal, &worker_lane, || {
+                        retry.run(clock.as_ref(), &journal, &worker_lane, || {
                             storage.read_at(sqe.offset, &mut buf)
                         });
                     counters.record_retries(u64::from(retries));

@@ -7,6 +7,7 @@ use reprocmp_io::cost::{CostModel, OpSpec};
 use reprocmp_io::{
     IoError, IoResult, MemStorage, MmapSim, RetryPolicy, SimClock, Storage, UringSim,
 };
+use reprocmp_obs::Journal;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -146,7 +147,7 @@ proptest! {
             deadline: Some(deadline),
         };
         let mut calls = 0u32;
-        let (result, retries): (IoResult<()>, u32) = p.run(Some(&clock), || {
+        let (result, retries): (IoResult<()>, u32) = p.run(Some(&clock), &Journal::disabled(), "io", || {
             calls += 1;
             Err(transient())
         });
@@ -191,7 +192,7 @@ proptest! {
         let journal = Journal::new(ObsClock::frozen());
         let mut calls = 0u32;
         let (result, retries): (IoResult<()>, u32) =
-            p.run_journaled(Some(&clock), &journal, "io", || {
+            p.run(Some(&clock), &journal, "io", || {
                 calls += 1;
                 Err(transient())
             });
@@ -224,7 +225,7 @@ proptest! {
             deadline: Some(Duration::from_secs(1)),
         };
         let mut calls = 0u32;
-        let (result, retries) = p.run(Some(&clock), || {
+        let (result, retries) = p.run(Some(&clock), &Journal::disabled(), "io", || {
             calls += 1;
             if calls < succeed_on {
                 Err(transient())

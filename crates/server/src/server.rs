@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use reprocmp_core::ops::{self, Image};
-use reprocmp_core::{BatchConfig, CompareEngine, EngineConfig, MetaCache};
+use reprocmp_core::{BatchConfig, CompareEngine, Ctx, EngineConfig, MetaCache};
 use reprocmp_io::{MutationKind, SimClock, Timeline};
 use reprocmp_obs::telemetry::{JobStateCounts, QueueTelemetry, StoreTelemetry, WorkerTelemetry};
 use reprocmp_obs::{
@@ -298,12 +298,15 @@ pub struct JobOutcome {
 #[must_use]
 pub fn execute_spec(store: &ChunkStore, engine: &CompareEngine, spec: &JobSpec) -> JobOutcome {
     let timeline = Timeline::sim(SimClock::new());
-    let obs = Observer::with_journal(timeline.obs_clock());
-    let result = run_spec(store, engine, spec, &timeline, &obs);
+    let ctx = Ctx {
+        obs: Observer::with_journal(timeline.obs_clock()),
+        timeline,
+    };
+    let result = run_spec(store, engine, spec, &ctx);
     JobOutcome {
         result,
-        events: obs.journal().events(),
-        ledger: obs.journal().ledger(),
+        events: ctx.obs.journal().events(),
+        ledger: ctx.obs.journal().ledger(),
     }
 }
 
@@ -311,8 +314,7 @@ fn run_spec(
     store: &ChunkStore,
     engine: &CompareEngine,
     spec: &JobSpec,
-    timeline: &Timeline,
-    obs: &Observer,
+    ctx: &Ctx,
 ) -> Result<Value, String> {
     let open = |object: &ObjectRef| {
         ops::open_stored(store, object, engine)
@@ -356,9 +358,7 @@ fn run_spec(
         JobSpec::Compare { left, right } => {
             let a = open(left)?;
             let b = open(right)?;
-            let report = engine
-                .compare_observed(&a, &b, timeline, obs)
-                .map_err(|e| e.to_string())?;
+            let report = engine.compare(&a, &b, ctx).map_err(|e| e.to_string())?;
             Ok(report.to_value())
         }
         JobSpec::CompareMany { baseline, runs } => {
@@ -366,15 +366,13 @@ fn run_spec(
             let sources = runs.iter().map(open).collect::<Result<Vec<_>, _>>()?;
             // A fresh cache per job: byte-identity with the offline
             // replay must not depend on which jobs ran earlier.
-            let mut cache = MetaCache::new();
             let report = engine
-                .compare_many_observed(
+                .compare_many(
                     &base,
                     &sources,
-                    timeline,
-                    obs,
                     &BatchConfig::default(),
-                    &mut cache,
+                    &mut MetaCache::new(),
+                    ctx,
                 )
                 .map_err(|e| e.to_string())?;
             Ok(report.to_value())

@@ -10,7 +10,7 @@
 //! the "atomically swapped index" that makes GC crash-safe — on clean
 //! close, inside `gc`/`compact`, after a rebuild, and once the
 //! operations since the last write outnumber the entries it held (see
-//! [`ChunkStore::open`](crate::ChunkStore::open_observed_with) for
+//! [`ChunkStore::open_observed_with`](crate::ChunkStore::open_observed_with) for
 //! when the file is trusted). Format:
 //!
 //! ```text

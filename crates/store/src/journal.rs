@@ -299,7 +299,7 @@ fn decode_payload(payload: &[u8]) -> Option<IntentRecord> {
         2 => IntentRecord::IngestCommit { seq },
         3 => {
             let n = c.u32().ok()? as usize;
-            let mut dead_packs = Vec::with_capacity(n.min(4096));
+            let mut dead_packs = Vec::with_capacity(n.min(c.remaining() / 4));
             for _ in 0..n {
                 dead_packs.push(c.u32().ok()?);
             }
@@ -315,7 +315,7 @@ fn decode_payload(payload: &[u8]) -> Option<IntentRecord> {
         6 => IntentRecord::RemoveCommit { seq },
         7 => {
             let n = c.u32().ok()? as usize;
-            let mut src_packs = Vec::with_capacity(n.min(4096));
+            let mut src_packs = Vec::with_capacity(n.min(c.remaining() / 4));
             for _ in 0..n {
                 src_packs.push(c.u32().ok()?);
             }

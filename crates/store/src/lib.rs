@@ -50,9 +50,8 @@ pub use metrics::StoreMetrics;
 pub use pack::{PackRecord, PackRepair, DEFAULT_PARITY_GROUP_WIDTH};
 pub use storage::StoreStorage;
 pub use store::{
-    open_in_registry, ChainLink, ChunkStore, CompactStats, DeltaPolicy, FsckReport, GcStats,
-    IngestStats, ObjectLayout, ScrubFailure, ScrubReport, StoreConfig, StoreStats, LOCK_FILE,
-    QUARANTINE_FILE,
+    ChainLink, ChunkStore, CompactStats, DeltaPolicy, FsckReport, GcStats, IngestStats,
+    ObjectLayout, ScrubFailure, ScrubReport, StoreConfig, StoreStats, LOCK_FILE, QUARANTINE_FILE,
 };
 
 /// Reserved segment name for non-payload prefix bytes (e.g. a VELOC

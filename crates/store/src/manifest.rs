@@ -335,7 +335,9 @@ impl Manifest {
                      at chunk size {chunk_bytes} (expected {expect})"
                 )));
             }
-            let mut digests = Vec::with_capacity(n_chunks as usize);
+            // Counts are claims: reserve no more than the remaining
+            // bytes can hold (16 per digest, 4 per changed index).
+            let mut digests = Vec::with_capacity((n_chunks as usize).min(c.remaining() / 16));
             for _ in 0..n_chunks {
                 digests.push(c.digest()?);
             }
@@ -347,7 +349,7 @@ impl Manifest {
                          but only {n_chunks} chunks"
                     )));
                 }
-                let mut idx = Vec::with_capacity(n_changed as usize);
+                let mut idx = Vec::with_capacity((n_changed as usize).min(c.remaining() / 4));
                 for _ in 0..n_changed {
                     let i = c.u32()?;
                     if u64::from(i) >= n_chunks {

@@ -53,7 +53,7 @@ use crate::{StoreError, StoreResult};
 use parking_lot::Mutex;
 use reprocmp_hash::{raw_chunk_digest, Digest128};
 use reprocmp_io::MutationKind;
-use reprocmp_obs::{EventKind, JournalSlot, Registry};
+use reprocmp_obs::{EventKind, JournalSlot};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -456,18 +456,11 @@ impl ChunkStore {
         }
     }
 
-    /// As [`ChunkStore::open`], but store traffic is recorded into
-    /// `metrics` — build them with [`StoreMetrics::in_registry`] to
-    /// surface the `store.*` ledger in an external [`Registry`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ChunkStore::open`].
-    pub fn open_observed(root: &Path, metrics: StoreMetrics) -> StoreResult<Self> {
-        Self::open_observed_with(root, metrics, StoreConfig::default())
-    }
-
-    /// The full-control constructor. Recovery happens here, in order:
+    /// The full-control constructor: store traffic is recorded into
+    /// `metrics` (build them with [`StoreMetrics::in_registry`] to
+    /// surface the `store.*` ledger in an external
+    /// [`Registry`](reprocmp_obs::Registry)).
+    /// Recovery happens here, in order:
     ///
     /// 1. orphaned `*.tmp` staging files are swept;
     /// 2. the intent journal is read (leniently — a torn tail record
@@ -1757,16 +1750,6 @@ impl ChunkStore {
     }
 }
 
-/// Re-opens the store with fresh metrics in `registry` — a convenience
-/// for CLI commands that want the `store.*` ledger rendered.
-///
-/// # Errors
-///
-/// As [`ChunkStore::open`].
-pub fn open_in_registry(root: &Path, registry: &Registry) -> StoreResult<ChunkStore> {
-    ChunkStore::open_observed(root, StoreMetrics::in_registry(registry, "store"))
-}
-
 /// Decoded geometry of one stored checkpoint (see
 /// [`ChunkStore::layout`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -2497,8 +2480,13 @@ mod tests {
     #[test]
     fn stats_ledger_matches_metrics_across_many_ingests() {
         let root = temp_root("ledger");
-        let registry = Registry::new();
-        let store = open_in_registry(&root, &registry).unwrap();
+        let registry = reprocmp_obs::Registry::new();
+        let store = ChunkStore::open_observed_with(
+            &root,
+            StoreMetrics::in_registry(&registry, "store"),
+            StoreConfig::default(),
+        )
+        .unwrap();
         let base = payload(8192, 50);
         for v in 1..=4u64 {
             let mut data = base.clone();

@@ -22,7 +22,7 @@
 //! UPDATE_BASELINE=1 cargo run --example ci_regression_gate
 //! ```
 
-use reprocmp::core::{CheckpointSource, CompareEngine, CompareReport, EngineConfig};
+use reprocmp::core::{CheckpointSource, CompareEngine, CompareReport, Ctx, EngineConfig};
 use reprocmp::hacc::{HaccConfig, OrderPolicy, Simulation};
 use reprocmp::store::ChunkStore;
 use std::path::PathBuf;
@@ -51,7 +51,9 @@ fn gate(
     candidate: &[f32],
 ) -> (bool, CompareReport) {
     let cand = CheckpointSource::in_memory(candidate, engine).expect("candidate source");
-    let report = engine.compare(golden, &cand).expect("gate comparison");
+    let report = engine
+        .compare(golden, &cand, &Ctx::default())
+        .expect("gate comparison");
     let passed = if report.identical() {
         println!(
             "  PASS — trees agree; {} bytes of checkpoint data read (metadata only)",

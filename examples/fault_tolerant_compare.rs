@@ -8,7 +8,7 @@
 //! cargo run --example fault_tolerant_compare
 //! ```
 
-use reprocmp::core::{CheckpointSource, CompareEngine, EngineConfig, FailurePolicy};
+use reprocmp::core::{CheckpointSource, CompareEngine, Ctx, EngineConfig, FailurePolicy};
 use reprocmp::io::{FaultPlan, FaultyStorage, RetryPolicy};
 use std::sync::Arc;
 
@@ -45,7 +45,9 @@ fn main() {
         FaultPlan::FirstN { n: 5 },
     ));
     b.data = faulty.clone();
-    let report = e.compare(&a, &b).expect("retries heal transient faults");
+    let report = e
+        .compare(&a, &b, &Ctx::default())
+        .expect("retries heal transient faults");
     println!("scenario 1: transient outage, retry budget 8");
     println!(
         "  injected faults: {}, retried ops: {}, gave up: {}",
@@ -77,7 +79,9 @@ fn main() {
         Arc::clone(&b.data),
         FaultPlan::Range { start: 0, end: 512 },
     ));
-    let report = e.compare(&a, &b).expect("quarantine degrades gracefully");
+    let report = e
+        .compare(&a, &b, &Ctx::default())
+        .expect("quarantine degrades gracefully");
     println!("\nscenario 2: permanent bad sector at bytes 0..512, Quarantine policy");
     println!(
         "  differences found: {}, unverified chunks: {} in {} range(s)",

@@ -8,7 +8,7 @@
 //! cargo run --release --example hacc_reproducibility
 //! ```
 
-use reprocmp::core::{CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp::core::{CheckpointSource, CompareEngine, Ctx, EngineConfig};
 use reprocmp::hacc::{HaccConfig, OrderPolicy, Simulation, SlabDecomposition};
 use reprocmp::veloc::{decode_checkpoint, read_region, Client, VelocConfig};
 
@@ -83,7 +83,7 @@ fn main() {
 
             let a = CheckpointSource::in_memory(&v1, &engine).expect("source 1");
             let b = CheckpointSource::in_memory(&v2, &engine).expect("source 2");
-            let report = engine.compare(&a, &b).expect("comparison");
+            let report = engine.compare(&a, &b, &Ctx::default()).expect("comparison");
 
             let max_delta = report
                 .differences

@@ -13,7 +13,7 @@
 //! cargo run --release --example missing_halo
 //! ```
 
-use reprocmp::core::{CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp::core::{CheckpointSource, CompareEngine, Ctx, EngineConfig};
 use reprocmp::hacc::halo::halo_census;
 use reprocmp::hacc::{HaccConfig, OrderPolicy, Simulation};
 
@@ -82,7 +82,7 @@ fn main() {
             .collect();
         let a = CheckpointSource::in_memory(&fields1, &engine).expect("run 1 source");
         let b = CheckpointSource::in_memory(&fields2, &engine).expect("run 2 source");
-        let report = engine.compare(&a, &b).expect("comparison");
+        let report = engine.compare(&a, &b, &Ctx::default()).expect("comparison");
         println!(
             "  ε = {bound:>5.0e}: {:>6} positions beyond the bound ({} of {} chunks flagged)",
             report.stats.diff_count, report.stats.chunks_flagged, report.stats.chunks_total

@@ -1,23 +1,18 @@
-//! The paper's future-work features, working together:
+//! The paper's first future-work feature, online comparison: run 2
+//! compares itself against run 1's stored history *as it executes*,
+//! reading only run 1's flagged chunks from storage and aborting early
+//! when divergence explodes.
 //!
-//! 1. **Online comparison** — run 2 compares itself against run 1's
-//!    stored history *as it executes*, reading only run 1's flagged
-//!    chunks from storage and aborting early when divergence explodes.
-//! 2. **Online compaction** — the multi-run checkpoint history is
-//!    stored as a Merkle-delta chain. Within one chaotic run every
-//!    value drifts every step, so per-run deltas barely compress (and
-//!    this example shows that honestly); but *across runs* the
-//!    same-iteration checkpoints are nearly identical, so storing run
-//!    2 as a delta against run 1 elides most chunks — the history
-//!    dedup the paper's conclusion sketches.
+//! (The second, compacting the multi-run history, is the chunk store's
+//! delta chains: `reprocmp ingest --delta`.)
 //!
 //! ```sh
 //! cargo run --release --example online_history
 //! ```
 
 use reprocmp::core::{
-    CheckpointHistory, CheckpointSource, CompactionStore, CompareEngine, EngineConfig,
-    OnlineComparator, OnlinePolicy, OnlineVerdict,
+    CheckpointHistory, CheckpointSource, CompareEngine, EngineConfig, OnlineComparator,
+    OnlinePolicy, OnlineVerdict,
 };
 use reprocmp::hacc::{HaccConfig, OrderPolicy, Simulation};
 
@@ -69,7 +64,7 @@ fn main() {
     }
     println!("\nonline comparison (ε = 1e-7), run 2 observing itself against run 1:");
     let mut online = OnlineComparator::new(
-        e.clone(),
+        e,
         reference,
         OnlinePolicy::AbortAfter {
             max_total_diffs: 10_000,
@@ -99,51 +94,4 @@ fn main() {
         ),
         None => println!("  → runs agreed within ε at every captured iteration"),
     }
-
-    // ---- Compaction: per-run (honest) vs cross-run (the win) ------
-    // Per-run: a chaotic simulation drifts everywhere, so per-run
-    // deltas barely elide anything even at a loose bound.
-    let e_loose = engine(1e-4);
-    let mut per_run = CompactionStore::new();
-    for (iter, values) in &run1 {
-        per_run.append(&e_loose, *iter, values).expect("append");
-    }
-    println!(
-        "\nper-run delta chain (ε = 1e-4): stores {:.1}% of raw history — chaotic",
-        100.0 * per_run.stored_bytes() as f64 / per_run.raw_bytes() as f64
-    );
-    println!("  drift touches every chunk; per-run dedup is honestly useless here.");
-
-    // Cross-run: run 2's checkpoints as deltas against run 1's at the
-    // same iteration — most chunks agree within ε early on.
-    let e_dedup = engine(1e-7);
-    println!("\ncross-run dedup (ε = 1e-7): run 2 stored as deltas against run 1:");
-    let mut total_stored = 0u64;
-    let mut total_raw = 0u64;
-    for ((iter, v1), (_, v2)) in run1.iter().zip(&run2) {
-        let mut chain = CompactionStore::new();
-        chain.append(&e_dedup, 0, v1).expect("run 1 head");
-        let stats = chain.append(&e_dedup, 1, v2).expect("run 2 delta");
-        println!(
-            "  iter {iter:>2}: run 2 stores {:>3}/{:<3} chunks ({:>5.1}% of its raw size)",
-            stats.chunks_stored,
-            stats.chunks_stored + stats.chunks_elided,
-            100.0 * stats.stored_fraction()
-        );
-        // Reconstruction is ε-exact:
-        let rec = chain.reconstruct(1).expect("reconstruct run 2");
-        let max_err = rec
-            .iter()
-            .zip(v2)
-            .map(|(a, b)| (f64::from(*a) - f64::from(*b)).abs())
-            .fold(0.0f64, f64::max);
-        assert!(max_err <= 1e-7, "ε-exactness violated: {max_err}");
-        total_stored += stats.bytes_stored;
-        total_raw += stats.bytes_raw;
-    }
-    println!(
-        "  → run 2's history costs {:.1}% of its raw size to keep (ε-exact),",
-        100.0 * total_stored as f64 / total_raw as f64
-    );
-    println!("    growing with divergence — storage cost is itself a reproducibility signal.");
 }

@@ -4,7 +4,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use reprocmp::core::{CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp::core::{CheckpointSource, CompareEngine, Ctx, EngineConfig};
 
 fn main() {
     // A 4 MiB checkpoint payload (1 Mi f32 values).
@@ -26,7 +26,7 @@ fn main() {
 
     let a = CheckpointSource::in_memory(&run1, &engine).expect("run 1 source");
     let b = CheckpointSource::in_memory(&run2, &engine).expect("run 2 source");
-    let report = engine.compare(&a, &b).expect("comparison");
+    let report = engine.compare(&a, &b, &Ctx::default()).expect("comparison");
 
     println!(
         "checkpoint: {} values ({} bytes)",

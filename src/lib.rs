@@ -26,7 +26,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use reprocmp::core::{CheckpointSource, CompareEngine, EngineConfig};
+//! use reprocmp::core::{CheckpointSource, CompareEngine, Ctx, EngineConfig};
 //!
 //! let engine = CompareEngine::new(EngineConfig {
 //!     chunk_bytes: 4096,
@@ -40,7 +40,7 @@
 //!
 //! let a = CheckpointSource::in_memory(&run1, &engine).unwrap();
 //! let b = CheckpointSource::in_memory(&run2, &engine).unwrap();
-//! let report = engine.compare(&a, &b).unwrap();
+//! let report = engine.compare(&a, &b, &Ctx::default()).unwrap();
 //! assert_eq!(report.differences[0].index, 7_777);
 //! ```
 //!

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reprocmp::analyze::bisect_first_divergence;
-use reprocmp::core::{CheckpointHistory, CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp::core::{CheckpointHistory, CheckpointSource, CompareEngine, Ctx, EngineConfig};
 use reprocmp::hacc::{HaccConfig, OrderPolicy, Simulation};
 use reprocmp::io::Timeline;
 use reprocmp::obs::Observer;
@@ -85,7 +85,7 @@ fn assert_oracle(
     m: usize,
     label: &str,
 ) -> (u64, u64) {
-    let linear = e.compare_history(a, b).unwrap();
+    let linear = e.compare_history(a, b, &Ctx::default()).unwrap();
     let bis = bisect_first_divergence(e, a, b, &Timeline::wall(), &Observer::disabled()).unwrap();
     assert_eq!(
         bis.first_divergence,
@@ -200,7 +200,7 @@ proptest! {
         let diverge_at = has_divergence.then(|| iterations[at.index(m)]);
         let (a, b) = seeded_pair(&e, seed, ranks, &iterations, 96, churn, diverge_at);
 
-        let linear = e.compare_history(&a, &b).unwrap();
+        let linear = e.compare_history(&a, &b, &Ctx::default()).unwrap();
         let bis = bisect_first_divergence(&e, &a, &b, &Timeline::wall(), &Observer::disabled())
             .unwrap();
         prop_assert_eq!(bis.first_divergence, linear.first_divergence());

@@ -5,7 +5,8 @@
 //! policy, permanent faults degrade to an exact partial report.
 
 use reprocmp::core::{
-    CheckpointSource, ChunkRange, CompareEngine, CoreError, Direct, EngineConfig, FailurePolicy,
+    CheckpointSource, ChunkRange, CompareEngine, CoreError, Ctx, Direct, EngineConfig,
+    FailurePolicy,
 };
 use reprocmp::io::{FaultPlan, FaultyStorage, RetryPolicy};
 use std::sync::Arc;
@@ -44,7 +45,7 @@ fn faulty_pair(
 fn stage_two_device_fault_surfaces_as_error() {
     let e = engine();
     let (a, b) = faulty_pair(&e, 10_000, FaultPlan::EveryNth { n: 7 });
-    match e.compare(&a, &b) {
+    match e.compare(&a, &b, &Ctx::default()) {
         Err(CoreError::Io(_)) => {}
         other => panic!("expected Io error, got {other:?}"),
     }
@@ -56,7 +57,10 @@ fn bad_sector_in_flagged_region_is_detected() {
     // Bad sector overlapping a chunk that will be re-read (value 0 is
     // perturbed, so chunk 0 at bytes 0..256 is flagged).
     let (a, b) = faulty_pair(&e, 10_000, FaultPlan::Range { start: 0, end: 64 });
-    assert!(matches!(e.compare(&a, &b), Err(CoreError::Io(_))));
+    assert!(matches!(
+        e.compare(&a, &b, &Ctx::default()),
+        Err(CoreError::Io(_))
+    ));
 }
 
 #[test]
@@ -76,7 +80,7 @@ fn bad_sector_in_pruned_region_is_never_touched() {
         },
     ));
     b.data = faulty.clone();
-    let report = e.compare(&a, &b).unwrap();
+    let report = e.compare(&a, &b, &Ctx::default()).unwrap();
     assert_eq!(report.stats.diff_count, 1);
     assert_eq!(faulty.injected_faults(), 0, "pruned data must not be read");
 }
@@ -91,7 +95,10 @@ fn metadata_fault_surfaces_as_error() {
         Arc::clone(&b.metadata),
         FaultPlan::EveryNth { n: 1 },
     ));
-    assert!(matches!(e.compare(&a, &b), Err(CoreError::Io(_))));
+    assert!(matches!(
+        e.compare(&a, &b, &Ctx::default()),
+        Err(CoreError::Io(_))
+    ));
 }
 
 #[test]
@@ -101,20 +108,23 @@ fn direct_baseline_also_fails_cleanly() {
     // outright rather than by byte budget.
     let (a, b) = faulty_pair(&e, 10_000, FaultPlan::EveryNth { n: 1 });
     let direct = Direct::new(1e-5).unwrap();
-    assert!(matches!(direct.compare(&a, &b), Err(CoreError::Io(_))));
+    assert!(matches!(
+        direct.compare(&a, &b, &Ctx::default()),
+        Err(CoreError::Io(_))
+    ));
 }
 
 #[test]
 fn engine_is_reusable_after_a_failed_comparison() {
     let e = engine();
     let (a, b) = faulty_pair(&e, 10_000, FaultPlan::EveryNth { n: 3 });
-    assert!(e.compare(&a, &b).is_err());
+    assert!(e.compare(&a, &b, &Ctx::default()).is_err());
 
     // Same engine, healthy sources: works.
     let data = wave(10_000);
     let c = CheckpointSource::in_memory(&data, &e).unwrap();
     let d = CheckpointSource::in_memory(&data, &e).unwrap();
-    assert!(e.compare(&c, &d).unwrap().identical());
+    assert!(e.compare(&c, &d, &Ctx::default()).unwrap().identical());
 }
 
 fn engine_with(f: impl FnOnce(&mut EngineConfig)) -> CompareEngine {
@@ -144,12 +154,12 @@ fn transient_faults_healed_by_retry_leave_no_trace_in_the_report() {
         FaultPlan::FirstN { n: 5 },
     ));
     b.data = faulty.clone();
-    let report = e.compare(&a, &b).unwrap();
+    let report = e.compare(&a, &b, &Ctx::default()).unwrap();
 
     // A fault-free twin of the same comparison.
     let plain = engine();
     let (pa, pb) = faulty_pair(&plain, 10_000, FaultPlan::None);
-    let clean = plain.compare(&pa, &pb).unwrap();
+    let clean = plain.compare(&pa, &pb, &Ctx::default()).unwrap();
 
     assert!(report.fully_verified());
     assert_eq!(report.stats.diff_count, clean.stats.diff_count);
@@ -177,7 +187,7 @@ fn quarantine_partial_report_covers_exactly_the_faulted_chunks() {
     // and 1 (64 f32 per 256-byte chunk); poison exactly those chunks.
     let e = engine_with(|c| c.failure_policy = FailurePolicy::Quarantine);
     let (a, b) = faulty_pair(&e, 10_000, FaultPlan::Range { start: 0, end: 512 });
-    let report = e.compare(&a, &b).unwrap();
+    let report = e.compare(&a, &b, &Ctx::default()).unwrap();
 
     assert_eq!(report.unverified, vec![ChunkRange { first: 0, count: 2 }]);
     assert_eq!(report.unverified_chunks(), 2);
@@ -186,7 +196,7 @@ fn quarantine_partial_report_covers_exactly_the_faulted_chunks() {
     // Every difference outside the quarantined chunks is still found.
     let plain = engine();
     let (pa, pb) = faulty_pair(&plain, 10_000, FaultPlan::None);
-    let clean = plain.compare(&pa, &pb).unwrap();
+    let clean = plain.compare(&pa, &pb, &Ctx::default()).unwrap();
     let got: Vec<u64> = report.differences.iter().map(|d| d.index).collect();
     let want: Vec<u64> = clean
         .differences
@@ -210,7 +220,10 @@ fn quarantine_does_not_mask_metadata_failures() {
         Arc::clone(&b.metadata),
         FaultPlan::EveryNth { n: 1 },
     ));
-    assert!(matches!(e.compare(&a, &b), Err(CoreError::Io(_))));
+    assert!(matches!(
+        e.compare(&a, &b, &Ctx::default()),
+        Err(CoreError::Io(_))
+    ));
 }
 
 /// Acceptance (c): a client killed mid-flush recovers every local-only
@@ -267,7 +280,7 @@ fn cluster_fault_drill_quarantines_one_rank_without_stalling_the_rest() {
                 FaultPlan::Range { start: 0, end: 512 },
             ));
         }
-        e.compare(&a, &b).unwrap()
+        e.compare(&a, &b, &Ctx::default()).unwrap()
     });
     assert_eq!(reports.len(), 4);
     for (rank, report) in reports.iter().enumerate() {

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reprocmp::core::{CheckpointSource, CompareEngine, CompareReport, EngineConfig};
+use reprocmp::core::{CheckpointSource, CompareEngine, CompareReport, Ctx, EngineConfig};
 use reprocmp::device::Device;
 use reprocmp::io::{BackendKind, CostModel, PipelineConfig, SimClock, Timeline};
 use reprocmp::obs::{chrome_trace, EventKind, Journal, ObsClock, Observer};
@@ -74,7 +74,14 @@ fn compare_with(
         timeline.observer()
     };
     let report = engine
-        .compare_observed(&a, &b, &timeline, &obs)
+        .compare(
+            &a,
+            &b,
+            &Ctx {
+                timeline,
+                obs: obs.clone(),
+            },
+        )
         .expect("compare");
     (report, obs)
 }

@@ -2,7 +2,7 @@
 //! metadata files on disk → compare through real-file sources,
 //! cross-checked against the Direct baseline.
 
-use reprocmp::core::{CheckpointSource, CompareEngine, Direct, EngineConfig};
+use reprocmp::core::{CheckpointSource, CompareEngine, Ctx, Direct, EngineConfig};
 use reprocmp::hacc::{HaccConfig, OrderPolicy, Simulation, SlabDecomposition};
 use reprocmp::veloc::{decode_checkpoint, read_region, Client, VelocConfig};
 use std::path::{Path, PathBuf};
@@ -88,8 +88,8 @@ fn full_pipeline_from_simulation_to_verdict() {
 
             let a = CheckpointSource::in_memory(&v1, &engine).unwrap();
             let b = CheckpointSource::in_memory(&v2, &engine).unwrap();
-            let ours = engine.compare(&a, &b).unwrap();
-            let theirs = direct.compare(&a, &b).unwrap();
+            let ours = engine.compare(&a, &b, &Ctx::default()).unwrap();
+            let theirs = direct.compare(&a, &b, &Ctx::default()).unwrap();
 
             // The headline correctness property: our method finds
             // exactly what exhaustive comparison finds.
@@ -136,7 +136,7 @@ fn deterministic_runs_reproduce_bitwise_through_the_whole_stack() {
             assert_eq!(v1, v2, "sequential runs must be bitwise identical");
             let a = CheckpointSource::in_memory(&v1, &engine).unwrap();
             let b = CheckpointSource::in_memory(&v2, &engine).unwrap();
-            let report = engine.compare(&a, &b).unwrap();
+            let report = engine.compare(&a, &b, &Ctx::default()).unwrap();
             assert!(report.identical());
             assert_eq!(
                 report.stats.chunks_flagged, 0,
@@ -178,7 +178,7 @@ fn compare_through_real_files_on_disk() {
 
     let a = CheckpointSource::from_files(&d1, 0, 80_000, &m1).unwrap();
     let b = CheckpointSource::from_files(&d2, 0, 80_000, &m2).unwrap();
-    let report = engine.compare(&a, &b).unwrap();
+    let report = engine.compare(&a, &b, &Ctx::default()).unwrap();
 
     assert_eq!(report.stats.diff_count, 1);
     assert_eq!(report.differences[0].index, 15_000);

@@ -22,7 +22,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reprocmp::core::{CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp::core::{CheckpointSource, CompareEngine, Ctx, EngineConfig};
 use reprocmp::device::Device;
 use reprocmp::io::{CostModel, SimClock, Timeline};
 use serde::Value;
@@ -101,7 +101,14 @@ fn report_json(sc: &Scenario) -> String {
     let b = CheckpointSource::in_memory_with_model(&run2, &engine, model, Some(clock.clone()))
         .expect("source 2");
     let report = engine
-        .compare_with_timeline(&a, &b, &Timeline::sim(clock))
+        .compare(
+            &a,
+            &b,
+            &Ctx {
+                timeline: Timeline::sim(clock),
+                ..Ctx::default()
+            },
+        )
         .expect("compare");
     let mut json = serde_json::to_string_pretty(&report).expect("serialize");
     json.push('\n');

@@ -3,7 +3,7 @@
 //! strong-scaling study.
 
 use reprocmp::cluster::{Cluster, ReduceOrder};
-use reprocmp::core::{CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp::core::{CheckpointSource, CompareEngine, Ctx, EngineConfig};
 use reprocmp::io::{CostModel, Timeline};
 
 /// Synthetic pair generator: run 2 perturbs every `stride`-th value.
@@ -35,7 +35,7 @@ fn ranks_compare_their_own_pairs_and_agree_on_totals() {
             let (v1, v2) = pair(4_096, 512, seed);
             let a = CheckpointSource::in_memory(&v1, &engine).unwrap();
             let b = CheckpointSource::in_memory(&v2, &engine).unwrap();
-            let report = engine.compare(&a, &b).unwrap();
+            let report = engine.compare(&a, &b, &Ctx::default()).unwrap();
             // stride 512 over 4096 values = 8 diffs per pair.
             assert_eq!(report.stats.diff_count, 8);
             local_diffs += report.stats.diff_count;
@@ -76,7 +76,14 @@ fn per_node_clocks_isolate_storage_contention() {
             )
             .unwrap();
             engine
-                .compare_with_timeline(&a, &b, &Timeline::sim(clock.clone()))
+                .compare(
+                    &a,
+                    &b,
+                    &Ctx {
+                        timeline: Timeline::sim(clock.clone()),
+                        ..Ctx::default()
+                    },
+                )
                 .unwrap();
         }
         ctx.barrier();
@@ -125,7 +132,7 @@ fn reduction_order_nondeterminism_is_visible_to_the_comparator() {
     });
     let a = CheckpointSource::in_memory(&run1, &engine_tight).unwrap();
     let b = CheckpointSource::in_memory(&run2, &engine_tight).unwrap();
-    let tight = engine_tight.compare(&a, &b).unwrap();
+    let tight = engine_tight.compare(&a, &b, &Ctx::default()).unwrap();
 
     let engine_loose = CompareEngine::new(EngineConfig {
         chunk_bytes: 64,
@@ -134,7 +141,7 @@ fn reduction_order_nondeterminism_is_visible_to_the_comparator() {
     });
     let a = CheckpointSource::in_memory(&run1, &engine_loose).unwrap();
     let b = CheckpointSource::in_memory(&run2, &engine_loose).unwrap();
-    let loose = engine_loose.compare(&a, &b).unwrap();
+    let loose = engine_loose.compare(&a, &b, &Ctx::default()).unwrap();
 
     assert!(
         tight.stats.diff_count > 0,

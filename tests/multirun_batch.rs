@@ -5,7 +5,7 @@
 //! documented on `reprocmp_device::Device` (any `host_parallel(k)`
 //! shard count produces byte-identical results).
 
-use reprocmp::core::{BatchConfig, CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp::core::{BatchConfig, CheckpointSource, CompareEngine, Ctx, EngineConfig, MetaCache};
 use reprocmp::device::Device;
 use reprocmp::hash::{ChunkHasher, Quantizer};
 use reprocmp::io::{CostModel, SimClock, Timeline};
@@ -67,7 +67,7 @@ fn cached_batch_beats_independent_pairwise_on_every_counter() {
     let mut pairwise_decodes = 0u64;
     let mut pairwise_diffs: Vec<u64> = Vec::new();
     for run in &runs {
-        let report = e.compare(&baseline, run).unwrap();
+        let report = e.compare(&baseline, run, &Ctx::default()).unwrap();
         pairwise_nodes += report.stages.bfs.ops;
         pairwise_bytes += report.stats.bytes_reread;
         pairwise_decodes += 2; // each pairwise job decodes both trees
@@ -75,7 +75,13 @@ fn cached_batch_beats_independent_pairwise_on_every_counter() {
     }
 
     let batch = e
-        .compare_many(&baseline, &runs, &BatchConfig::default())
+        .compare_many(
+            &baseline,
+            &runs,
+            &BatchConfig::default(),
+            &mut MetaCache::new(),
+            &Ctx::default(),
+        )
         .unwrap();
 
     // Same verdicts first — a cheaper wrong answer would be worthless.
@@ -189,7 +195,13 @@ fn root_rank_batch_compares_gathered_runs() {
             })
             .collect();
         let batch = e
-            .compare_many(&baseline, &runs, &BatchConfig::default())
+            .compare_many(
+                &baseline,
+                &runs,
+                &BatchConfig::default(),
+                &mut MetaCache::new(),
+                &Ctx::default(),
+            )
             .unwrap();
         Some(batch)
     });
@@ -237,7 +249,16 @@ fn batch_reports_are_identical_across_shard_counts() {
             ..BatchConfig::default()
         };
         let batch = e
-            .compare_many_with_timeline(&baseline, &runs, &Timeline::sim(clock.clone()), &cfg)
+            .compare_many(
+                &baseline,
+                &runs,
+                &cfg,
+                &mut MetaCache::new(),
+                &Ctx {
+                    timeline: Timeline::sim(clock.clone()),
+                    ..Ctx::default()
+                },
+            )
             .unwrap();
         serde_json::to_string_pretty(&batch).unwrap()
     };

@@ -5,7 +5,7 @@
 //! timers.
 
 use proptest::prelude::*;
-use reprocmp::core::{CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp::core::{CheckpointSource, CompareEngine, Ctx, EngineConfig};
 use reprocmp::device::Device;
 use reprocmp::io::{
     BackendKind, CostModel, MemStorage, PipelineConfig, PipelineMetrics, SimClock, StreamPipeline,
@@ -199,7 +199,7 @@ proptest! {
         let b = CheckpointSource::in_memory_with_model(&run2, &engine, model, Some(clock.clone()))
             .unwrap();
         let report = engine
-            .compare_with_timeline(&a, &b, &Timeline::sim(clock))
+            .compare(&a, &b, &Ctx { timeline: Timeline::sim(clock), ..Ctx::default() })
             .unwrap();
 
         let s = &report.stages;
@@ -284,13 +284,12 @@ proptest! {
             let obs = Observer::default();
             let mut cache = reprocmp::core::MetaCache::new();
             let batch = engine
-                .compare_many_observed(
+                .compare_many(
                     &baseline,
                     &runs,
-                    &Timeline::wall(),
-                    &obs,
                     &BatchConfig { use_cache, ..BatchConfig::default() },
                     &mut cache,
+                    &Ctx { timeline: Timeline::wall(), obs: obs.clone() },
                 )
                 .unwrap();
             (batch, obs.registry)

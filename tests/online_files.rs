@@ -3,7 +3,7 @@
 //! and the history API through `StdFsStorage` sources.
 
 use reprocmp::core::{
-    CheckpointHistory, CheckpointSource, CompareEngine, EngineConfig, OnlineComparator,
+    CheckpointHistory, CheckpointSource, CompareEngine, Ctx, EngineConfig, OnlineComparator,
     OnlinePolicy, OnlineVerdict,
 };
 use reprocmp::veloc::{decode_checkpoint, Client, VelocConfig};
@@ -120,7 +120,7 @@ fn history_api_over_on_disk_histories() {
         run2.insert(0, iter, CheckpointSource::in_memory(&values, &e).unwrap());
     }
 
-    let report = e.compare_history(&run1, &run2).unwrap();
+    let report = e.compare_history(&run1, &run2, &Ctx::default()).unwrap();
     assert_eq!(report.first_divergence(), Some((20, 0)));
     let curve = report.diffs_by_iteration();
     assert_eq!(curve[&10], 0);

@@ -10,7 +10,7 @@
 //! randomly generated multi-run workloads.
 
 use proptest::prelude::*;
-use reprocmp::core::{BatchConfig, CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp::core::{BatchConfig, CheckpointSource, CompareEngine, Ctx, EngineConfig, MetaCache};
 use reprocmp::io::pipeline::{BackendKind, PipelineConfig};
 
 const BACKENDS: [BackendKind; 3] = [BackendKind::Uring, BackendKind::Mmap, BackendKind::Blocking];
@@ -82,7 +82,15 @@ fn check_against_oracle(
             use_cache,
             ..BatchConfig::default()
         };
-        let batch = e.compare_many(&baseline, &sources, &cfg).unwrap();
+        let batch = e
+            .compare_many(
+                &baseline,
+                &sources,
+                &cfg,
+                &mut MetaCache::new(),
+                &Ctx::default(),
+            )
+            .unwrap();
         prop_assert_eq!(batch.jobs.len(), runs.len());
 
         let mut per_run: Vec<Vec<u64>> = Vec::new();

@@ -2,7 +2,7 @@
 //! rests on.
 
 use proptest::prelude::*;
-use reprocmp::core::{CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp::core::{CheckpointSource, CompareEngine, Ctx, EngineConfig};
 use reprocmp::device::Device;
 use reprocmp::hash::{ChunkHasher, Quantizer};
 use reprocmp::merkle::{compare_trees, decode_tree, encode_tree, MerkleTree};
@@ -54,7 +54,7 @@ proptest! {
         let e = engine(1usize << chunk_pow, bound);
         let a = CheckpointSource::in_memory(&base, &e).unwrap();
         let b = CheckpointSource::in_memory(&other, &e).unwrap();
-        let report = e.compare(&a, &b).unwrap();
+        let report = e.compare(&a, &b, &Ctx::default()).unwrap();
 
         prop_assert_eq!(report.stats.diff_count, brute.len() as u64);
         let found: Vec<u64> = report.differences.iter().map(|d| d.index).collect();
@@ -225,11 +225,11 @@ proptest! {
             Arc::clone(&b.data),
             FaultPlan::FirstN { n: faults },
         ));
-        let report = e.compare(&a, &b).unwrap();
+        let report = e.compare(&a, &b, &Ctx::default()).unwrap();
 
         let clean_a = CheckpointSource::in_memory(&base, &e).unwrap();
         let clean_b = CheckpointSource::in_memory(&other, &e).unwrap();
-        let clean = e.compare(&clean_a, &clean_b).unwrap();
+        let clean = e.compare(&clean_a, &clean_b, &Ctx::default()).unwrap();
 
         prop_assert!(report.fully_verified());
         prop_assert_eq!(report.stats.diff_count, clean.stats.diff_count);

@@ -18,7 +18,9 @@
 //!   `quarantine.*` counters and the `pack_quarantine` event carrying
 //!   the same numbers.
 
-use reprocmp_core::{CheckpointSource, ChunkRange, CompareEngine, EngineConfig, FailurePolicy};
+use reprocmp_core::{
+    CheckpointSource, ChunkRange, CompareEngine, Ctx, EngineConfig, FailurePolicy,
+};
 use reprocmp_obs::{EventKind, Journal, ObsClock};
 use reprocmp_store::pack::{pack_file_name, scan_pack};
 use reprocmp_store::ChunkStore;
@@ -117,7 +119,7 @@ fn single_corrupt_chunk_is_repaired_from_parity() {
 
     let sa = CheckpointSource::from_store(&store, "r1", 1, &e).unwrap();
     let sb = CheckpointSource::from_store(&store, "r2", 1, &e).unwrap();
-    let clean = e.compare(&sa, &sb).unwrap();
+    let clean = e.compare(&sa, &sb, &Ctx::default()).unwrap();
     assert_eq!(clean.stats.diff_count, 3);
     assert!(clean.fully_verified());
 
@@ -146,7 +148,7 @@ fn single_corrupt_chunk_is_repaired_from_parity() {
     assert_eq!(store.materialize("r2", 1).unwrap(), payload_bytes(&run2));
     let sa = CheckpointSource::from_store(&store, "r1", 1, &e).unwrap();
     let sb = CheckpointSource::from_store(&store, "r2", 1, &e).unwrap();
-    let after = e.compare(&sa, &sb).unwrap();
+    let after = e.compare(&sa, &sb, &Ctx::default()).unwrap();
     assert!(after.fully_verified());
     assert_eq!(after.stats.diff_count, clean.stats.diff_count);
     assert_eq!(after.differences, clean.differences);
@@ -177,7 +179,7 @@ fn unrecoverable_pack_quarantines_and_comparison_degrades_exactly() {
 
     let sa = CheckpointSource::from_store(&store, "r1", 1, &e).unwrap();
     let sb = CheckpointSource::from_store(&store, "r2", 1, &e).unwrap();
-    let clean = e.compare(&sa, &sb).unwrap();
+    let clean = e.compare(&sa, &sb, &Ctx::default()).unwrap();
     assert_eq!(clean.stats.diff_count, 3);
 
     // Two corrupt chunks in the same 8-wide parity group: XOR can
@@ -198,7 +200,7 @@ fn unrecoverable_pack_quarantines_and_comparison_degrades_exactly() {
     // as unverified — nothing more, nothing less.
     let sa = CheckpointSource::from_store(&store, "r1", 1, &e).unwrap();
     let sb = CheckpointSource::from_store(&store, "r2", 1, &e).unwrap();
-    let degraded = e.compare(&sa, &sb).unwrap();
+    let degraded = e.compare(&sa, &sb, &Ctx::default()).unwrap();
     assert_eq!(
         degraded.unverified,
         vec![

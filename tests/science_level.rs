@@ -2,7 +2,7 @@
 //! against the derived-quantity baseline and the named Table 1 fields
 //! on real mini-HACC data.
 
-use reprocmp::core::{CheckpointSource, CompareEngine, EngineConfig, RegionMap, Statistical};
+use reprocmp::core::{CheckpointSource, CompareEngine, Ctx, EngineConfig, RegionMap, Statistical};
 use reprocmp::hacc::{HaccConfig, OrderPolicy, Simulation, CHECKPOINT_FIELDS};
 
 fn run(seed: u64, steps: u64) -> Simulation {
@@ -39,7 +39,7 @@ fn differences_attribute_to_the_right_physical_fields() {
     });
     let a = CheckpointSource::in_memory(&v1, &engine).unwrap();
     let b = CheckpointSource::in_memory(&v2, &engine).unwrap();
-    let report = engine.compare(&a, &b).unwrap();
+    let report = engine.compare(&a, &b, &Ctx::default()).unwrap();
     assert!(
         report.stats.diff_count > 0,
         "25 nondeterministic steps should show sub-1e-9 drift"
@@ -84,7 +84,7 @@ fn statistical_baseline_accepts_what_localization_flags() {
         stat.within_tolerance,
         "summary statistics cannot see scheduling noise"
     );
-    let ours = engine.compare(&a, &b).unwrap();
+    let ours = engine.compare(&a, &b, &Ctx::default()).unwrap();
     assert!(ours.stats.diff_count > 0, "localization can");
 }
 

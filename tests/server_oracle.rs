@@ -389,17 +389,17 @@ fn concurrency_equivalence_oracle(n_clients: usize, seed: u64) {
 
 #[test]
 fn oracle_two_concurrent_clients_match_serial_offline() {
-    concurrency_equivalence_oracle(2, 0xA11C_E5);
+    concurrency_equivalence_oracle(2, 0x00A1_1CE5);
 }
 
 #[test]
 fn oracle_eight_concurrent_clients_match_serial_offline() {
-    concurrency_equivalence_oracle(8, 0xB0B5_1ED);
+    concurrency_equivalence_oracle(8, 0x0B0B_51ED);
 }
 
 #[test]
 fn oracle_sixteen_concurrent_clients_match_serial_offline() {
-    concurrency_equivalence_oracle(16, 0xC0FF_EE);
+    concurrency_equivalence_oracle(16, 0x00C0_FFEE);
 }
 
 /// Running the *same* traffic twice (fresh daemon, fresh store) must

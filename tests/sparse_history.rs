@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use reprocmp::core::{
-    CheckpointHistory, CheckpointSource, CompareEngine, CoreError, EngineConfig,
+    CheckpointHistory, CheckpointSource, CompareEngine, CoreError, Ctx, EngineConfig,
     HistoryEntryReport, HistoryReport,
 };
 
@@ -83,7 +83,7 @@ fn gappy_iterations_order_by_value_not_position() {
     let keys: BTreeSet<_> = [(0usize, 3u64), (0, 17), (0, 1000), (0, 1001)].into();
     let divergent: BTreeSet<_> = [(0usize, 1000u64), (0, 1001)].into();
     let (a, b) = history_pair(&e, &keys, &divergent);
-    let report = e.compare_history(&a, &b).unwrap();
+    let report = e.compare_history(&a, &b, &Ctx::default()).unwrap();
     assert_eq!(report.first_divergence(), Some((1000, 0)));
     let curve = report.diffs_by_iteration();
     assert_eq!(curve[&3], 0);
@@ -108,13 +108,13 @@ fn sparse_ranks_tiebreak_iteration_then_rank() {
     // Rank 1 diverges at 20; rank 0 diverges later, at 30.
     let divergent: BTreeSet<_> = [(1usize, 20u64), (0, 30)].into();
     let (a, b) = history_pair(&e, &keys, &divergent);
-    let report = e.compare_history(&a, &b).unwrap();
+    let report = e.compare_history(&a, &b, &Ctx::default()).unwrap();
     assert_eq!(report.first_divergence(), Some((20, 1)));
 
     // Same iteration, both ranks divergent: rank 0 wins the tie.
     let divergent: BTreeSet<_> = [(0usize, 20u64), (1, 20)].into();
     let (a, b) = history_pair(&e, &keys, &divergent);
-    let report = e.compare_history(&a, &b).unwrap();
+    let report = e.compare_history(&a, &b, &Ctx::default()).unwrap();
     assert_eq!(report.first_divergence(), Some((20, 0)));
 }
 
@@ -128,7 +128,7 @@ fn missing_ranks_on_one_side_error_rather_than_skip() {
     let solo: BTreeSet<_> = [(0usize, 10u64)].into();
     let (_, b) = history_pair(&e, &solo, &BTreeSet::new());
     assert!(matches!(
-        e.compare_history(&a, &b),
+        e.compare_history(&a, &b, &Ctx::default()),
         Err(CoreError::Mismatch(_))
     ));
 }
@@ -140,13 +140,13 @@ fn single_iteration_histories() {
     let e = engine();
     let keys: BTreeSet<_> = [(2usize, 77u64)].into();
     let (a, b) = history_pair(&e, &keys, &BTreeSet::new());
-    let clean = e.compare_history(&a, &b).unwrap();
+    let clean = e.compare_history(&a, &b, &Ctx::default()).unwrap();
     assert!(clean.identical());
     assert_eq!(clean.first_divergence(), None);
 
     let divergent: BTreeSet<_> = [(2usize, 77u64)].into();
     let (a, b) = history_pair(&e, &keys, &divergent);
-    let report = e.compare_history(&a, &b).unwrap();
+    let report = e.compare_history(&a, &b, &Ctx::default()).unwrap();
     assert_eq!(report.first_divergence(), Some((77, 2)));
     assert_eq!(report.entries.len(), 1);
 }
@@ -171,7 +171,7 @@ proptest! {
         let divergent: BTreeSet<(usize, u64)> =
             picks.iter().map(|ix| keys[ix.index(keys.len())]).collect();
         let (a, b) = history_pair(&e, &raw_keys, &divergent);
-        let report = e.compare_history(&a, &b).unwrap();
+        let report = e.compare_history(&a, &b, &Ctx::default()).unwrap();
 
         prop_assert_eq!(report.first_divergence(), brute_force_first(&divergent));
         prop_assert_eq!(report.identical(), divergent.is_empty());
@@ -211,7 +211,7 @@ proptest! {
                 HistoryEntryReport {
                     rank,
                     iteration,
-                    report: e.compare(&sa, &sb).unwrap(),
+                    report: e.compare(&sa, &sb, &Ctx::default()).unwrap(),
                 }
             })
             .collect();

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reprocmp::core::{CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp::core::{CheckpointSource, CompareEngine, Ctx, EngineConfig};
 use reprocmp::hacc::{HaccConfig, Simulation, SlabDecomposition};
 use reprocmp::store::ChunkStore;
 use reprocmp::veloc::client::{Client, VelocConfig};
@@ -163,11 +163,15 @@ fn store_backed_reports_match_in_memory_on_golden_seeds() {
 
         let sa = CheckpointSource::from_store(&store, &n1, 1, &e).expect("source a");
         let sb = CheckpointSource::from_store(&store, &n2, 1, &e).expect("source b");
-        let stored = e.compare(&sa, &sb).expect("store-backed compare");
+        let stored = e
+            .compare(&sa, &sb, &Ctx::default())
+            .expect("store-backed compare");
 
         let ma = CheckpointSource::in_memory(&run1, &e).expect("mem a");
         let mb = CheckpointSource::in_memory(&run2, &e).expect("mem b");
-        let mem = e.compare(&ma, &mb).expect("in-memory compare");
+        let mem = e
+            .compare(&ma, &mb, &Ctx::default())
+            .expect("in-memory compare");
 
         assert_eq!(stored.stats, mem.stats, "seed {seed}: verdict drifted");
         assert_eq!(

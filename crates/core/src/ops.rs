@@ -16,7 +16,7 @@ use std::path::Path;
 use reprocmp_store::{ChunkStore, DeltaPolicy, IngestStats, StoreError, HEADER_SEGMENT};
 use reprocmp_veloc::format::MAGIC;
 use reprocmp_veloc::{decode_checkpoint, CheckpointFile};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::engine::CompareEngine;
 use crate::history::CheckpointHistory;
@@ -80,7 +80,7 @@ impl From<CoreError> for OpError {
 }
 
 /// A stored object reference: `name@version`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObjectRef {
     /// Checkpoint name.
     pub name: String,

@@ -45,6 +45,10 @@ pub enum MutationKind {
     JournalAppend,
     /// A file unlink (GC pack removal, manifest removal).
     Unlink,
+    /// A best-effort telemetry write (`telemetry.jsonl`): never a
+    /// crash point, since its failure is swallowed and a torn line is
+    /// skipped on replay.
+    Telemetry,
 }
 
 impl MutationKind {
@@ -59,6 +63,7 @@ impl MutationKind {
             MutationKind::IndexSwap => "index_swap",
             MutationKind::JournalAppend => "journal_append",
             MutationKind::Unlink => "unlink",
+            MutationKind::Telemetry => "telemetry",
         }
     }
 }
@@ -154,12 +159,17 @@ impl CrashPlan {
     /// Consulted by the instrumented seam at each mutation boundary.
     /// `write_len` is `Some(payload length)` for write-type mutations,
     /// enabling torn prefixes; `None` for renames and unlinks.
-    pub fn step(&self, _kind: MutationKind, write_len: Option<usize>) -> CrashDecision {
+    /// [`MutationKind::Telemetry`] writes are not counted: they proceed
+    /// until power is cut and fail after.
+    pub fn step(&self, kind: MutationKind, write_len: Option<usize>) -> CrashDecision {
         if !self.armed.load(Ordering::SeqCst) {
             return CrashDecision::Proceed;
         }
         if self.crashed.load(Ordering::SeqCst) {
             return CrashDecision::Crash;
+        }
+        if kind == MutationKind::Telemetry {
+            return CrashDecision::Proceed;
         }
         let op_no = self.mutations.fetch_add(1, Ordering::SeqCst) + 1;
         if self.point == 0 || op_no < self.point {

@@ -24,11 +24,10 @@
 //! Perfetto/flamegraph exporters in [`crate::export`] consume.
 
 use crate::ObsClock;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Tag, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
 
 /// Default total event capacity (across all stripes).
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
@@ -37,9 +36,10 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
 const STRIPES: usize = 8;
 
 /// What happened, with its payload. The variant set mirrors the
-/// instrumentation points across the workspace; see each variant's
-/// `type` tag for the JSONL spelling.
-#[derive(Debug, Clone, PartialEq)]
+/// instrumentation points across the workspace; each variant's `type`
+/// tag, its JSONL spelling, is its name in snake case.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+#[serde(tag = "type", rename_all = "snake_case")]
 pub enum EventKind {
     /// A tracer span opened (`span_begin`).
     SpanBegin {
@@ -200,26 +200,7 @@ impl EventKind {
     /// The `type` tag this kind serializes under.
     #[must_use]
     pub fn type_name(&self) -> &'static str {
-        match self {
-            EventKind::SpanBegin { .. } => "span_begin",
-            EventKind::SpanEnd { .. } => "span_end",
-            EventKind::CounterAdd { .. } => "counter_add",
-            EventKind::IoSubmit { .. } => "io_submit",
-            EventKind::ChunkRead { .. } => "chunk_read",
-            EventKind::SliceFill { .. } => "slice_fill",
-            EventKind::Retry { .. } => "retry",
-            EventKind::GaveUp { .. } => "gave_up",
-            EventKind::Quarantine { .. } => "quarantine",
-            EventKind::CacheHit { .. } => "cache_hit",
-            EventKind::CacheMiss { .. } => "cache_miss",
-            EventKind::StoreRead { .. } => "store_read",
-            EventKind::Kernel { .. } => "kernel",
-            EventKind::Flush { .. } => "flush",
-            EventKind::Repair { .. } => "repair",
-            EventKind::PackQuarantine { .. } => "pack_quarantine",
-            EventKind::DeltaCapture { .. } => "delta_capture",
-            EventKind::Divergence { .. } => "divergence",
-        }
+        self.tag()
     }
 
     /// For events that model an interval (reads, slice fills, kernels):
@@ -234,175 +215,48 @@ impl EventKind {
         }
     }
 
-    /// The kind's payload fields as a JSON object (used by exporters).
+    /// The kind's payload fields as a JSON object (used by exporters):
+    /// its serialized form without the `type` tag.
     #[must_use]
     pub fn to_args(&self) -> Value {
-        Value::Object(self.fields())
-    }
-
-    fn fields(&self) -> Vec<(String, Value)> {
-        fn s(v: &str) -> Value {
-            Value::String(v.to_owned())
+        let mut v = self.to_value();
+        if let Value::Object(fields) = &mut v {
+            fields.retain(|(k, _)| k != "type");
         }
-        fn u(v: u64) -> Value {
-            Value::UInt(v)
-        }
-        match self {
-            EventKind::SpanBegin { name } | EventKind::SpanEnd { name } => {
-                vec![("name".to_owned(), s(name))]
-            }
-            EventKind::CounterAdd { name, delta } => {
-                vec![
-                    ("name".to_owned(), s(name)),
-                    ("delta".to_owned(), u(*delta)),
-                ]
-            }
-            EventKind::IoSubmit {
-                ops,
-                bytes,
-                queue_depth,
-            } => vec![
-                ("ops".to_owned(), u(*ops)),
-                ("bytes".to_owned(), u(*bytes)),
-                ("queue_depth".to_owned(), u(*queue_depth)),
-            ],
-            EventKind::ChunkRead {
-                offset,
-                len,
-                queue_depth,
-                latency_ns,
-            } => vec![
-                ("offset".to_owned(), u(*offset)),
-                ("len".to_owned(), u(*len)),
-                ("queue_depth".to_owned(), u(*queue_depth)),
-                ("latency_ns".to_owned(), u(*latency_ns)),
-            ],
-            EventKind::SliceFill {
-                first_op,
-                ops,
-                bytes,
-                latency_ns,
-            } => vec![
-                ("first_op".to_owned(), u(*first_op)),
-                ("ops".to_owned(), u(*ops)),
-                ("bytes".to_owned(), u(*bytes)),
-                ("latency_ns".to_owned(), u(*latency_ns)),
-            ],
-            EventKind::Retry {
-                attempt,
-                backoff_ns,
-            } => vec![
-                ("attempt".to_owned(), u(u64::from(*attempt))),
-                ("backoff_ns".to_owned(), u(*backoff_ns)),
-            ],
-            EventKind::GaveUp { attempts } => {
-                vec![("attempts".to_owned(), u(u64::from(*attempts)))]
-            }
-            EventKind::Quarantine {
-                first_chunk,
-                chunks,
-            } => vec![
-                ("first_chunk".to_owned(), u(*first_chunk)),
-                ("chunks".to_owned(), u(*chunks)),
-            ],
-            EventKind::CacheHit { what } | EventKind::CacheMiss { what } => {
-                vec![("what".to_owned(), s(what))]
-            }
-            EventKind::StoreRead { bytes, deduped } => vec![
-                ("bytes".to_owned(), u(*bytes)),
-                ("deduped".to_owned(), Value::Bool(*deduped)),
-            ],
-            EventKind::Kernel {
-                name,
-                bytes,
-                latency_ns,
-            } => vec![
-                ("name".to_owned(), s(name)),
-                ("bytes".to_owned(), u(*bytes)),
-                ("latency_ns".to_owned(), u(*latency_ns)),
-            ],
-            EventKind::Flush { name, bytes, ok } => vec![
-                ("name".to_owned(), s(name)),
-                ("bytes".to_owned(), u(*bytes)),
-                ("ok".to_owned(), Value::Bool(*ok)),
-            ],
-            EventKind::Repair { pack, chunks } | EventKind::PackQuarantine { pack, chunks } => {
-                vec![
-                    ("pack".to_owned(), u(*pack)),
-                    ("chunks".to_owned(), u(*chunks)),
-                ]
-            }
-            EventKind::DeltaCapture {
-                version,
-                parent,
-                depth,
-                bytes_written,
-                bytes_skipped,
-            } => vec![
-                ("version".to_owned(), u(*version)),
-                ("parent".to_owned(), u(*parent)),
-                ("depth".to_owned(), u(*depth)),
-                ("bytes_written".to_owned(), u(*bytes_written)),
-                ("bytes_skipped".to_owned(), u(*bytes_skipped)),
-            ],
-            EventKind::Divergence {
-                rank,
-                iteration,
-                total_diffs,
-                threshold,
-            } => vec![
-                ("rank".to_owned(), u(*rank)),
-                ("iteration".to_owned(), u(*iteration)),
-                ("total_diffs".to_owned(), u(*total_diffs)),
-                ("threshold".to_owned(), u(*threshold)),
-            ],
-        }
+        v
     }
 }
 
 /// One journal entry: a sequence number, a timestamp, the lane it
-/// belongs to, and the typed payload.
-#[derive(Debug, Clone, PartialEq)]
+/// belongs to, and the typed payload. It serializes flat, as
+/// `{"seq":…,"ts_ns":…,"lane":…,"type":…,fields…}`.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Event {
     /// Global monotonic sequence number (allocation order).
     pub seq: u64,
-    /// Clock reading at emission.
-    pub ts: Duration,
+    /// Clock reading at emission, in nanoseconds (saturating past
+    /// ~584 years).
+    pub ts_ns: u64,
     /// Timeline lane, e.g. `main`, `run_a.uring.w0`, `run_b.pipeline`.
     pub lane: String,
     /// What happened.
+    #[serde(flatten)]
     pub kind: EventKind,
 }
 
 impl Event {
-    /// Timestamp in nanoseconds (saturating past ~584 years).
+    /// Timestamp in nanoseconds.
     #[must_use]
     pub fn ts_ns(&self) -> u64 {
-        u64::try_from(self.ts.as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-// Enums with payloads are beyond the vendored derive, so the event
-// flattens by hand: `{"seq":…,"ts_ns":…,"lane":…,"type":…,fields…}`.
-impl Serialize for Event {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("seq".to_owned(), Value::UInt(self.seq)),
-            ("ts_ns".to_owned(), Value::UInt(self.ts_ns())),
-            ("lane".to_owned(), Value::String(self.lane.clone())),
-            (
-                "type".to_owned(),
-                Value::String(self.kind.type_name().to_owned()),
-            ),
-        ];
-        fields.extend(self.kind.fields());
-        Value::Object(fields)
+        self.ts_ns
     }
 }
 
 /// The exact drop-accounting ledger:
-/// `events_emitted == events_written + events_dropped`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// `events_emitted == events_written + events_dropped`. A missing
+/// count decodes as zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct JournalLedger {
     /// Events handed to [`Journal::emit`] while enabled.
     pub events_emitted: u64,
@@ -487,7 +341,7 @@ impl Journal {
             return;
         };
         let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-        let ts = inner.clock.now();
+        let ts_ns = u64::try_from(inner.clock.now().as_nanos()).unwrap_or(u64::MAX);
         let stripe = &inner.stripes[(seq as usize) % inner.stripes.len()];
         let mut s = stripe.lock().unwrap_or_else(PoisonError::into_inner);
         if s.buf.len() == inner.stripe_capacity {
@@ -496,7 +350,7 @@ impl Journal {
         }
         s.buf.push_back(Event {
             seq,
-            ts,
+            ts_ns,
             lane: lane.to_owned(),
             kind,
         });
@@ -521,11 +375,7 @@ impl Journal {
     #[must_use]
     pub fn ledger(&self) -> JournalLedger {
         let Some(inner) = &self.inner else {
-            return JournalLedger {
-                events_emitted: 0,
-                events_written: 0,
-                events_dropped: 0,
-            };
+            return JournalLedger::default();
         };
         let emitted = inner.seq.load(Ordering::Relaxed);
         let mut written = 0u64;
@@ -605,6 +455,7 @@ impl JournalSlot {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64 as TestAtomicU64;
+    use std::time::Duration;
 
     fn manual_clock() -> (ObsClock, Arc<TestAtomicU64>) {
         let ns = Arc::new(TestAtomicU64::new(0));

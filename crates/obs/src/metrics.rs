@@ -12,7 +12,7 @@
 //! chunk-read latencies (microseconds) and bytes-moved distributions
 //! while keeping recording to one atomic increment.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -191,7 +191,7 @@ pub fn quantile_from_buckets(buckets: &[HistogramBucket], count: u64, q: f64) ->
 }
 
 /// One non-empty histogram bucket: observations in `[low, high]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramBucket {
     /// Inclusive lower bound.
     pub low: u64,
@@ -201,8 +201,10 @@ pub struct HistogramBucket {
     pub count: u64,
 }
 
-/// Serializable state of one histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// Serializable state of one histogram; a missing field decodes as
+/// zero (or no buckets).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct HistogramSnapshot {
     /// Number of observations.
     pub count: u64,
@@ -313,7 +315,7 @@ impl Registry {
 }
 
 /// A named scalar metric value.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricValue {
     /// Metric name.
     pub name: String,
@@ -322,7 +324,7 @@ pub struct MetricValue {
 }
 
 /// A named histogram snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NamedHistogram {
     /// Metric name.
     pub name: String,
@@ -330,8 +332,10 @@ pub struct NamedHistogram {
     pub histogram: HistogramSnapshot,
 }
 
-/// Serializable state of a whole registry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// Serializable state of a whole registry; a missing list decodes as
+/// empty.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct RegistrySnapshot {
     /// All counters, sorted by name.
     pub counters: Vec<MetricValue>,

@@ -18,14 +18,14 @@
 //! file predates (e.g. `store_read`) default to zero.
 
 use crate::metrics::{HistogramBucket, MetricValue, RegistrySnapshot};
-use crate::stage::{PhaseCost, StageBreakdown};
-use serde::{Serialize, Value};
+use crate::stage::StageBreakdown;
+use serde::{Deserialize, Serialize, Value};
 use std::time::Duration;
 
 /// The committed quantiles of one histogram, plus (since the telemetry
 /// plane) its sum and raw log2 bucket array so downstream renderers —
 /// Prometheus exposition, `top` sparklines — need no side channels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramQuantiles {
     /// Histogram name (registry key).
     pub name: String,
@@ -38,21 +38,25 @@ pub struct HistogramQuantiles {
     /// Estimated 99th percentile.
     pub p99: u64,
     /// Sum of observations (zero in pre-telemetry files).
+    #[serde(default)]
     pub sum: u64,
     /// Non-empty log2 buckets, ascending (empty in pre-telemetry
     /// files).
+    #[serde(default)]
     pub buckets: Vec<HistogramBucket>,
 }
 
 /// A committable performance profile: stage breakdown + histogram
 /// quantiles + gauge values.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct ProfileBaseline {
     /// Per-phase time/bytes/ops.
     pub stages: StageBreakdown,
     /// Quantiles of selected histograms, sorted by name.
+    #[serde(default)]
     pub histograms: Vec<HistogramQuantiles>,
     /// Gauge values, sorted by name (empty in pre-telemetry files).
+    #[serde(default)]
     pub gauges: Vec<MetricValue>,
 }
 
@@ -109,106 +113,14 @@ impl ProfileBaseline {
         if root.as_object().is_none() {
             return Err("top level must be an object".into());
         }
-        // Shape 1/2: {"stages": {...}} — a baseline or a CompareReport.
-        // Shape 3: a bare StageBreakdown.
-        let stages_obj = root.get("stages").unwrap_or(&root);
-        if stages_obj.as_object().is_none() {
-            return Err("\"stages\" must be an object".into());
-        }
-        let mut stages = StageBreakdown::default();
-        for name in [
-            "quantize",
-            "leaf_hash",
-            "level_build",
-            "bfs",
-            "stage2_stream",
-            "verify",
-            "store_read",
-            "delta_capture",
-        ] {
-            let Some(phase) = stages_obj.get(name) else {
-                continue; // older schema: phase defaults to zero
-            };
-            let cost = parse_phase(phase).ok_or_else(|| {
-                format!("phase {name:?} needs a {{secs, nanos}} \"time\" and integer \"bytes\" and \"ops\"")
-            })?;
-            match name {
-                "quantize" => stages.quantize = cost,
-                "leaf_hash" => stages.leaf_hash = cost,
-                "level_build" => stages.level_build = cost,
-                "bfs" => stages.bfs = cost,
-                "stage2_stream" => stages.stage2_stream = cost,
-                "verify" => stages.verify = cost,
-                "store_read" => stages.store_read = cost,
-                _ => stages.delta_capture = cost,
-            }
-        }
-        let entries = |key| {
-            root.get(key)
-                .and_then(Value::as_array)
-                .unwrap_or_default()
-                .iter()
+        // Shapes 1 and 2 carry "stages"; shape 3 is a bare breakdown.
+        let root = if root.get("stages").is_some() {
+            root
+        } else {
+            Value::Object(vec![("stages".to_owned(), root)])
         };
-        Ok(ProfileBaseline {
-            stages,
-            histograms: entries("histograms")
-                .map(parse_histogram)
-                .collect::<Option<_>>()
-                .ok_or("histogram entries need a string \"name\" and integer count/p50/p95/p99 (and sum/buckets, when present)")?,
-            gauges: entries("gauges")
-                .map(|g| {
-                    Some(MetricValue {
-                        name: g.get("name")?.as_str()?.to_owned(),
-                        value: g.get("value")?.as_i64()?,
-                    })
-                })
-                .collect::<Option<_>>()
-                .ok_or("gauge entries need a string \"name\" and an integer \"value\"")?,
-        })
+        serde_json::from_value(root).map_err(|e| e.to_string())
     }
-}
-
-fn parse_phase(phase: &Value) -> Option<PhaseCost> {
-    let time = phase.get("time")?;
-    // `subsec_nanos` is what the writer emits; `Duration::new` panics
-    // when carrying whole seconds out of a larger value overflows.
-    let nanos = u32::try_from(time.get("nanos")?.as_u64()?)
-        .ok()
-        .filter(|n| *n < 1_000_000_000)?;
-    Some(PhaseCost {
-        time: Duration::new(time.get("secs")?.as_u64()?, nanos),
-        bytes: phase.get("bytes")?.as_u64()?,
-        ops: phase.get("ops")?.as_u64()?,
-    })
-}
-
-fn parse_histogram(h: &Value) -> Option<HistogramQuantiles> {
-    Some(HistogramQuantiles {
-        name: h.get("name")?.as_str()?.to_owned(),
-        count: h.get("count")?.as_u64()?,
-        p50: h.get("p50")?.as_u64()?,
-        p95: h.get("p95")?.as_u64()?,
-        p99: h.get("p99")?.as_u64()?,
-        // `sum` and `buckets` arrived with the telemetry plane;
-        // pre-telemetry files simply lack them.
-        sum: match h.get("sum") {
-            Some(sum) => sum.as_u64()?,
-            None => 0,
-        },
-        buckets: h
-            .get("buckets")
-            .and_then(Value::as_array)
-            .unwrap_or_default()
-            .iter()
-            .map(|b| {
-                Some(HistogramBucket {
-                    low: b.get("low")?.as_u64()?,
-                    high: b.get("high")?.as_u64()?,
-                    count: b.get("count")?.as_u64()?,
-                })
-            })
-            .collect::<Option<_>>()?,
-    })
 }
 
 /// One metric that moved past the budget.
@@ -409,6 +321,7 @@ fn duration_f64(d: Duration) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::PhaseCost;
 
     fn cost(ns: u64, bytes: u64, ops: u64) -> PhaseCost {
         PhaseCost::new(Duration::from_nanos(ns), bytes, ops)

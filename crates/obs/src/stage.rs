@@ -19,11 +19,12 @@
 //! Per-operation latencies are **not** deterministic and never appear
 //! here — they go to registry histograms instead.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Cost of one phase: time spent, payload bytes moved, operations run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+/// Every field is required when decoding.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseCost {
     /// Time attributed to the phase.
     pub time: Duration,
@@ -59,7 +60,9 @@ impl PhaseCost {
 }
 
 /// Per-stage profile of a capture-and-compare pass (see module docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+/// A phase a file predates decodes as zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct StageBreakdown {
     /// Capture: quantizing floats onto the ε-grid.
     pub quantize: PhaseCost,

@@ -24,15 +24,14 @@
 //!
 //! Snapshots round-trip: [`TelemetrySnapshot::to_json_line`] is the
 //! JSONL persistence format and [`TelemetrySnapshot::from_value`]
-//! decodes it (additively — unknown fields are ignored, so the schema
-//! can grow without breaking old readers).
+//! decodes it through the derived `Deserialize` (additively — unknown
+//! fields are ignored, so the schema can grow without breaking old
+//! readers).
 
 use crate::journal::JournalLedger;
-use crate::metrics::{
-    HistogramBucket, HistogramSnapshot, MetricValue, NamedHistogram, RegistrySnapshot,
-};
+use crate::metrics::RegistrySnapshot;
 use crate::ObsClock;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -42,7 +41,8 @@ use std::time::Duration;
 pub const TELEMETRY_SCHEMA_VERSION: u64 = 1;
 
 /// Queue pressure at the sampling instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[serde(default)]
 pub struct QueueTelemetry {
     /// Admission bound on in-flight jobs.
     pub capacity: u64,
@@ -59,7 +59,8 @@ pub struct QueueTelemetry {
 }
 
 /// One worker thread's cumulative activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[serde(default)]
 pub struct WorkerTelemetry {
     /// Worker index (stable for the daemon's lifetime).
     pub worker: u64,
@@ -72,7 +73,8 @@ pub struct WorkerTelemetry {
 }
 
 /// Job-table population by lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[serde(default)]
 pub struct JobStateCounts {
     /// Accepted, waiting for a worker.
     pub queued: u64,
@@ -86,7 +88,8 @@ pub struct JobStateCounts {
 
 /// Store growth counters (a subset of the store's full stats that is
 /// cheap to read on every sample).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[serde(default)]
 pub struct StoreTelemetry {
     /// Checkpoints (manifests) in the store.
     pub objects: u64,
@@ -105,23 +108,29 @@ pub struct StoreTelemetry {
 }
 
 /// One schema-versioned, point-in-time reading of a live daemon.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// `schema`, `queue`, `jobs`, `store` and `registry` are required when
+/// decoding; the rest default.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Schema revision (see [`TELEMETRY_SCHEMA_VERSION`]).
     pub schema: u64,
     /// Monotonic sample number (continues across daemon restarts).
+    #[serde(default)]
     pub seq: u64,
     /// Sampling clock reading, nanoseconds since the clock's epoch.
+    #[serde(default)]
     pub ts_ns: u64,
     /// Queue pressure.
     pub queue: QueueTelemetry,
     /// Per-worker activity, ascending by worker index.
+    #[serde(default)]
     pub workers: Vec<WorkerTelemetry>,
     /// Job-table state counts.
     pub jobs: JobStateCounts,
     /// Store growth.
     pub store: StoreTelemetry,
     /// Aggregate journal ledger across all executed jobs.
+    #[serde(default)]
     pub journal: JournalLedger,
     /// The daemon's full metrics registry: counters, gauges, and
     /// histograms with their bucket arrays.
@@ -138,172 +147,28 @@ impl Default for TelemetrySnapshot {
             workers: Vec::new(),
             jobs: JobStateCounts::default(),
             store: StoreTelemetry::default(),
-            journal: JournalLedger {
-                events_emitted: 0,
-                events_written: 0,
-                events_dropped: 0,
-            },
-            registry: RegistrySnapshot {
-                counters: Vec::new(),
-                gauges: Vec::new(),
-                histograms: Vec::new(),
-            },
+            journal: JournalLedger::default(),
+            registry: RegistrySnapshot::default(),
         }
     }
-}
-
-// -------------------------------------------------------------------
-// Decoding (additive: unknown fields are ignored, missing numeric
-// fields default to zero so older snapshots keep parsing).
-// -------------------------------------------------------------------
-
-fn decode_ledger(v: &Value) -> JournalLedger {
-    JournalLedger {
-        events_emitted: v.get("events_emitted").and_then(Value::as_u64).unwrap_or(0),
-        events_written: v.get("events_written").and_then(Value::as_u64).unwrap_or(0),
-        events_dropped: v.get("events_dropped").and_then(Value::as_u64).unwrap_or(0),
-    }
-}
-
-fn decode_metric(v: &Value) -> Result<MetricValue, String> {
-    Ok(MetricValue {
-        name: v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("metric entry missing `name`")?
-            .to_owned(),
-        value: v.get("value").and_then(Value::as_i64).unwrap_or(0),
-    })
-}
-
-fn decode_histogram(v: &Value) -> Result<NamedHistogram, String> {
-    let h = v
-        .get("histogram")
-        .ok_or("histogram entry missing `histogram`")?;
-    let buckets = h
-        .get("buckets")
-        .and_then(Value::as_array)
-        .unwrap_or_default()
-        .iter()
-        .map(|b| HistogramBucket {
-            low: b.get("low").and_then(Value::as_u64).unwrap_or(0),
-            high: b.get("high").and_then(Value::as_u64).unwrap_or(0),
-            count: b.get("count").and_then(Value::as_u64).unwrap_or(0),
-        })
-        .collect();
-    Ok(NamedHistogram {
-        name: v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("histogram entry missing `name`")?
-            .to_owned(),
-        histogram: HistogramSnapshot {
-            count: h.get("count").and_then(Value::as_u64).unwrap_or(0),
-            sum: h.get("sum").and_then(Value::as_u64).unwrap_or(0),
-            p50: h.get("p50").and_then(Value::as_u64).unwrap_or(0),
-            p95: h.get("p95").and_then(Value::as_u64).unwrap_or(0),
-            p99: h.get("p99").and_then(Value::as_u64).unwrap_or(0),
-            buckets,
-        },
-    })
 }
 
 impl TelemetrySnapshot {
     /// Decodes a snapshot from its serialized [`Value`] tree (a parsed
-    /// JSONL line or a wire frame's `snapshot` field).
+    /// JSONL line or a wire frame's `snapshot` field). Unknown fields
+    /// are ignored, so the schema can grow without breaking old readers.
     ///
     /// # Errors
     ///
-    /// A human-readable message when a required field is absent or the
-    /// schema revision is unknown (`schema == 0`).
+    /// A human-readable message when a required field is absent, a
+    /// field has the wrong type, or the schema revision is unknown
+    /// (`schema == 0`).
     pub fn from_value(v: &Value) -> Result<Self, String> {
-        let schema = v.get("schema").and_then(Value::as_u64).unwrap_or(0);
-        if schema == 0 {
-            return Err("telemetry snapshot missing `schema`".to_owned());
+        let snap: Self = serde_json::from_value(v.clone()).map_err(|e| e.to_string())?;
+        if snap.schema == 0 {
+            return Err("TelemetrySnapshot: schema 0 names no revision".to_owned());
         }
-        let queue = v.get("queue").ok_or("snapshot missing `queue`")?;
-        let jobs = v.get("jobs").ok_or("snapshot missing `jobs`")?;
-        let store = v.get("store").ok_or("snapshot missing `store`")?;
-        let registry = v.get("registry").ok_or("snapshot missing `registry`")?;
-        let metrics = |key| {
-            registry
-                .get(key)
-                .and_then(Value::as_array)
-                .unwrap_or_default()
-                .iter()
-                .map(decode_metric)
-                .collect::<Result<_, _>>()
-        };
-        Ok(TelemetrySnapshot {
-            schema,
-            seq: v.get("seq").and_then(Value::as_u64).unwrap_or(0),
-            ts_ns: v.get("ts_ns").and_then(Value::as_u64).unwrap_or(0),
-            queue: QueueTelemetry {
-                capacity: queue.get("capacity").and_then(Value::as_u64).unwrap_or(0),
-                queued: queue.get("queued").and_then(Value::as_u64).unwrap_or(0),
-                in_flight: queue.get("in_flight").and_then(Value::as_u64).unwrap_or(0),
-                admitted: queue.get("admitted").and_then(Value::as_u64).unwrap_or(0),
-                refused: queue.get("refused").and_then(Value::as_u64).unwrap_or(0),
-                shutting_down: queue
-                    .get("shutting_down")
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false),
-            },
-            workers: v
-                .get("workers")
-                .and_then(Value::as_array)
-                .unwrap_or_default()
-                .iter()
-                .map(|w| WorkerTelemetry {
-                    worker: w.get("worker").and_then(Value::as_u64).unwrap_or(0),
-                    jobs_executed: w.get("jobs_executed").and_then(Value::as_u64).unwrap_or(0),
-                    busy_ns: w.get("busy_ns").and_then(Value::as_u64).unwrap_or(0),
-                    idle_ns: w.get("idle_ns").and_then(Value::as_u64).unwrap_or(0),
-                })
-                .collect(),
-            jobs: JobStateCounts {
-                queued: jobs.get("queued").and_then(Value::as_u64).unwrap_or(0),
-                running: jobs.get("running").and_then(Value::as_u64).unwrap_or(0),
-                done: jobs.get("done").and_then(Value::as_u64).unwrap_or(0),
-                failed: jobs.get("failed").and_then(Value::as_u64).unwrap_or(0),
-            },
-            store: StoreTelemetry {
-                objects: store.get("objects").and_then(Value::as_u64).unwrap_or(0),
-                packs: store.get("packs").and_then(Value::as_u64).unwrap_or(0),
-                bytes_logical: store
-                    .get("bytes_logical")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
-                bytes_physical: store
-                    .get("bytes_physical")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
-                bytes_deduped: store
-                    .get("bytes_deduped")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
-                bytes_garbage: store
-                    .get("bytes_garbage")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
-                pack_file_bytes: store
-                    .get("pack_file_bytes")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
-            },
-            journal: decode_ledger(v.get("journal").unwrap_or(&Value::Null)),
-            registry: RegistrySnapshot {
-                counters: metrics("counters")?,
-                gauges: metrics("gauges")?,
-                histograms: registry
-                    .get("histograms")
-                    .and_then(Value::as_array)
-                    .unwrap_or_default()
-                    .iter()
-                    .map(decode_histogram)
-                    .collect::<Result<_, _>>()?,
-            },
-        })
+        Ok(snap)
     }
 
     /// One compact JSON line (no trailing newline) — the

@@ -1,5 +1,5 @@
-//! The wire protocol: length-prefixed JSON frames, tagged
-//! request/response objects, and their hand-written codecs.
+//! The wire protocol: length-prefixed JSON frames and tagged
+//! request/response objects, declared once with their codecs derived.
 //!
 //! # Framing
 //!
@@ -9,14 +9,15 @@
 //!
 //! # Schema evolution
 //!
-//! Objects are tagged with a `"type"` field. Decoders read only the
-//! fields they know and ignore everything else, so the protocol can
-//! evolve **additively**: new fields and new message types never break
-//! an old peer's ability to parse what it understands. The committed
+//! Objects are tagged with a `"type"` field, the variant's name in
+//! snake case. Decoders read only the fields they know and ignore
+//! everything else, so the protocol can evolve **additively**: new
+//! fields and new message types never break an old peer's ability to
+//! parse what it understands. The committed
 //! fixtures under `tests/goldens/wire/` pin today's encodings the same
 //! way the `legacy_pre_*.json` report fixtures pin the report schema.
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Tag, Value};
 
 /// Protocol revision spoken by this build. Bumped only for additive
 /// changes; peers accept any `protocol >= 1` hello.
@@ -317,28 +318,17 @@ pub(crate) fn hex_decode_owned(s: String) -> Result<Vec<u8>, String> {
 /// layer; re-exported so wire callers keep their import).
 pub use reprocmp_core::ops::ObjectRef;
 
-fn object_ref_from_value(v: &Value) -> Result<ObjectRef, ProtoError> {
-    Ok(ObjectRef {
-        name: v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| schema("object ref missing `name`"))?
-            .to_owned(),
-        version: v
-            .get("version")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| schema("object ref missing `version`"))?,
-    })
-}
-
-/// Everything a client can ask the daemon.
-#[derive(Debug, Clone, PartialEq)]
+/// Everything a client can ask the daemon. Every field is required
+/// on decode unless it says what it defaults to.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "type", rename_all = "snake_case")]
 pub enum Request {
     /// Session opener; the server answers with [`Response::HelloOk`].
     Hello {
         /// Client identity used for fair queuing.
         client: String,
-        /// Protocol revision the client speaks.
+        /// Protocol revision the client speaks; absent, this build's.
+        #[serde(default = "protocol_version")]
         protocol: u64,
     },
     /// Store a checkpoint payload as `name@version` (job-queued).
@@ -379,7 +369,8 @@ pub enum Request {
     Status {
         /// Job id from [`Response::Accepted`].
         job: u64,
-        /// Block until the job completes or fails.
+        /// Block until the job completes or fails (default `false`).
+        #[serde(default)]
         wait: bool,
     },
     /// Stream a finished job's flight-recorder events
@@ -396,8 +387,9 @@ pub enum Request {
     /// live samples as they land — as [`Response::Telemetry`] frames
     /// followed by a terminal [`Response::TelemetryEnd`].
     SubscribeTelemetry {
-        /// Stop after this many snapshots; `0` streams until the
-        /// daemon shuts down.
+        /// Stop after this many snapshots; `0` (the default) streams
+        /// until the daemon shuts down.
+        #[serde(default)]
         max: u64,
     },
     /// Ask the daemon to drain in-flight jobs and exit.
@@ -408,18 +400,7 @@ impl Request {
     /// The `"type"` tag this request serializes under.
     #[must_use]
     pub fn type_name(&self) -> &'static str {
-        match self {
-            Request::Hello { .. } => "hello",
-            Request::Ingest { .. } => "ingest",
-            Request::Compare { .. } => "compare",
-            Request::CompareMany { .. } => "compare_many",
-            Request::Materialize { .. } => "materialize",
-            Request::Status { .. } => "status",
-            Request::Watch { .. } => "watch",
-            Request::Metrics => "metrics",
-            Request::SubscribeTelemetry { .. } => "subscribe_telemetry",
-            Request::Shutdown => "shutdown",
-        }
+        self.tag()
     }
 
     /// Decodes a request frame.
@@ -428,126 +409,17 @@ impl Request {
     ///
     /// [`ProtoError`] on bad JSON or an unknown/missing shape.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtoError> {
-        let mut v = parse_payload(payload)?;
-        let tag = take_str(&mut v, "type").ok_or_else(|| schema("request missing `type`"))?;
-        match tag.as_str() {
-            "hello" => Ok(Request::Hello {
-                client: take_str(&mut v, "client")
-                    .ok_or_else(|| schema("hello missing `client`"))?,
-                protocol: v
-                    .get("protocol")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(PROTOCOL_VERSION),
-            }),
-            "ingest" => Ok(Request::Ingest {
-                name: req_str(&mut v, "name")?,
-                version: req_u64(&v, "version")?,
-                chunk_bytes: req_u64(&v, "chunk_bytes")?,
-                data: req_str(&mut v, "data")?,
-            }),
-            "compare" => Ok(Request::Compare {
-                left: object_ref_from_value(
-                    v.get("left")
-                        .ok_or_else(|| schema("compare missing `left`"))?,
-                )?,
-                right: object_ref_from_value(
-                    v.get("right")
-                        .ok_or_else(|| schema("compare missing `right`"))?,
-                )?,
-            }),
-            "compare_many" => {
-                let baseline = object_ref_from_value(
-                    v.get("baseline")
-                        .ok_or_else(|| schema("compare_many missing `baseline`"))?,
-                )?;
-                let runs = v
-                    .get("runs")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| schema("compare_many missing `runs`"))?
-                    .iter()
-                    .map(object_ref_from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::CompareMany { baseline, runs })
-            }
-            "materialize" => Ok(Request::Materialize {
-                name: req_str(&mut v, "name")?,
-                version: req_u64(&v, "version")?,
-            }),
-            "status" => Ok(Request::Status {
-                job: req_u64(&v, "job")?,
-                wait: v.get("wait").and_then(Value::as_bool).unwrap_or(false),
-            }),
-            "watch" => Ok(Request::Watch {
-                job: req_u64(&v, "job")?,
-            }),
-            "metrics" => Ok(Request::Metrics),
-            "subscribe_telemetry" => Ok(Request::SubscribeTelemetry {
-                max: v.get("max").and_then(Value::as_u64).unwrap_or(0),
-            }),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(schema(format!("unknown request type `{other}`"))),
-        }
+        decode(payload)
     }
 }
 
-// The vendored derive handles named-field structs only, so the tagged
-// enums flatten by hand (the same pattern as `obs::Event`).
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![(
-            "type".to_owned(),
-            Value::String(self.type_name().to_owned()),
-        )];
-        match self {
-            Request::Hello { client, protocol } => {
-                fields.push(("client".to_owned(), Value::String(client.clone())));
-                fields.push(("protocol".to_owned(), Value::UInt(*protocol)));
-            }
-            Request::Ingest {
-                name,
-                version,
-                chunk_bytes,
-                data,
-            } => {
-                fields.push(("name".to_owned(), Value::String(name.clone())));
-                fields.push(("version".to_owned(), Value::UInt(*version)));
-                fields.push(("chunk_bytes".to_owned(), Value::UInt(*chunk_bytes)));
-                fields.push(("data".to_owned(), Value::String(data.clone())));
-            }
-            Request::Compare { left, right } => {
-                fields.push(("left".to_owned(), left.to_value()));
-                fields.push(("right".to_owned(), right.to_value()));
-            }
-            Request::CompareMany { baseline, runs } => {
-                fields.push(("baseline".to_owned(), baseline.to_value()));
-                fields.push((
-                    "runs".to_owned(),
-                    Value::Array(runs.iter().map(Serialize::to_value).collect()),
-                ));
-            }
-            Request::Materialize { name, version } => {
-                fields.push(("name".to_owned(), Value::String(name.clone())));
-                fields.push(("version".to_owned(), Value::UInt(*version)));
-            }
-            Request::Status { job, wait } => {
-                fields.push(("job".to_owned(), Value::UInt(*job)));
-                fields.push(("wait".to_owned(), Value::Bool(*wait)));
-            }
-            Request::Watch { job } => {
-                fields.push(("job".to_owned(), Value::UInt(*job)));
-            }
-            Request::Metrics => {}
-            Request::SubscribeTelemetry { max } => {
-                fields.push(("max".to_owned(), Value::UInt(*max)));
-            }
-            Request::Shutdown => {}
-        }
-        Value::Object(fields)
-    }
+fn protocol_version() -> u64 {
+    PROTOCOL_VERSION
 }
 
 /// Lifecycle of a queued job as reported on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum JobState {
     /// Accepted, waiting for a worker.
     Queued,
@@ -563,24 +435,7 @@ impl JobState {
     /// Wire spelling.
     #[must_use]
     pub fn as_str(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-        }
-    }
-
-    /// Parses the wire spelling.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "queued" => Some(JobState::Queued),
-            "running" => Some(JobState::Running),
-            "done" => Some(JobState::Done),
-            "failed" => Some(JobState::Failed),
-            _ => None,
-        }
+        self.tag()
     }
 
     /// Whether the job will never change state again.
@@ -590,8 +445,10 @@ impl JobState {
     }
 }
 
-/// Everything the daemon can answer.
-#[derive(Debug, Clone, PartialEq)]
+/// Everything the daemon can answer. Every field is required on
+/// decode unless it says what it defaults to.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "type", rename_all = "snake_case")]
 pub enum Response {
     /// Session accepted.
     HelloOk {
@@ -599,7 +456,8 @@ pub enum Response {
         server: String,
         /// Protocol revision the server speaks.
         protocol: u64,
-        /// Admission-control bound on in-flight jobs.
+        /// Admission-control bound on in-flight jobs (default 0).
+        #[serde(default)]
         queue_capacity: u64,
     },
     /// The job was admitted to the queue.
@@ -619,9 +477,12 @@ pub enum Response {
         /// Current lifecycle state.
         state: JobState,
         /// The job's result document (ingest stats, compare report,
-        /// …) when `state` is `done`.
+        /// …) when `state` is `done`; omitted when `None`.
+        #[serde(skip_serializing_if = "Option::is_none")]
         result: Option<Value>,
-        /// The failure message when `state` is `failed`.
+        /// The failure message when `state` is `failed`; omitted when
+        /// `None`.
+        #[serde(skip_serializing_if = "Option::is_none")]
         error: Option<String>,
     },
     /// One flight-recorder event from a watched job's execution.
@@ -644,11 +505,15 @@ pub enum Response {
         /// Final state ([`JobState::Done`] or [`JobState::Failed`]).
         state: JobState,
         /// Journal ledger of the job's execution:
-        /// `emitted == written + dropped`, always balanced.
+        /// `emitted == written + dropped`, always balanced. The three
+        /// counts default to 0.
+        #[serde(default)]
         events_emitted: u64,
         /// Events retained and streamed.
+        #[serde(default)]
         events_written: u64,
         /// Events evicted under the capacity bound.
+        #[serde(default)]
         events_dropped: u64,
     },
     /// One telemetry snapshot — the answer to `metrics` and each
@@ -660,7 +525,8 @@ pub enum Response {
     },
     /// Terminal frame of a `subscribe_telemetry` stream.
     TelemetryEnd {
-        /// Snapshots streamed before the stream ended.
+        /// Snapshots streamed before the stream ended (default 0).
+        #[serde(default)]
         snapshots: u64,
     },
     /// A request-level failure (unknown job, bad payload, …).
@@ -674,17 +540,7 @@ impl Response {
     /// The `"type"` tag this response serializes under.
     #[must_use]
     pub fn type_name(&self) -> &'static str {
-        match self {
-            Response::HelloOk { .. } => "hello_ok",
-            Response::Accepted { .. } => "accepted",
-            Response::Rejected { .. } => "rejected",
-            Response::Status { .. } => "status",
-            Response::Event { .. } => "event",
-            Response::Done { .. } => "done",
-            Response::Telemetry { .. } => "telemetry",
-            Response::TelemetryEnd { .. } => "telemetry_end",
-            Response::Error { .. } => "error",
-        }
+        self.tag()
     }
 
     /// Decodes a response frame.
@@ -693,143 +549,7 @@ impl Response {
     ///
     /// [`ProtoError`] on bad JSON or an unknown/missing shape.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtoError> {
-        let mut v = parse_payload(payload)?;
-        let tag = take_str(&mut v, "type").ok_or_else(|| schema("response missing `type`"))?;
-        match tag.as_str() {
-            "hello_ok" => Ok(Response::HelloOk {
-                server: req_str(&mut v, "server")?,
-                protocol: req_u64(&v, "protocol")?,
-                queue_capacity: v.get("queue_capacity").and_then(Value::as_u64).unwrap_or(0),
-            }),
-            "accepted" => Ok(Response::Accepted {
-                job: req_u64(&v, "job")?,
-            }),
-            "rejected" => Ok(Response::Rejected {
-                reason: req_str(&mut v, "reason")?,
-            }),
-            "status" => {
-                let state = v
-                    .get("state")
-                    .and_then(Value::as_str)
-                    .and_then(JobState::parse)
-                    .ok_or_else(|| schema("status missing `state`"))?;
-                Ok(Response::Status {
-                    job: req_u64(&v, "job")?,
-                    state,
-                    result: take(&mut v, "result"),
-                    error: take_str(&mut v, "error"),
-                })
-            }
-            "event" => Ok(Response::Event {
-                job: req_u64(&v, "job")?,
-                seq: req_u64(&v, "seq")?,
-                ts_ns: req_u64(&v, "ts_ns")?,
-                lane: req_str(&mut v, "lane")?,
-                kind: req_str(&mut v, "kind")?,
-            }),
-            "done" => {
-                let state = v
-                    .get("state")
-                    .and_then(Value::as_str)
-                    .and_then(JobState::parse)
-                    .ok_or_else(|| schema("done missing `state`"))?;
-                Ok(Response::Done {
-                    job: req_u64(&v, "job")?,
-                    state,
-                    events_emitted: v.get("events_emitted").and_then(Value::as_u64).unwrap_or(0),
-                    events_written: v.get("events_written").and_then(Value::as_u64).unwrap_or(0),
-                    events_dropped: v.get("events_dropped").and_then(Value::as_u64).unwrap_or(0),
-                })
-            }
-            "telemetry" => Ok(Response::Telemetry {
-                snapshot: take(&mut v, "snapshot")
-                    .ok_or_else(|| schema("telemetry missing `snapshot`"))?,
-            }),
-            "telemetry_end" => Ok(Response::TelemetryEnd {
-                snapshots: v.get("snapshots").and_then(Value::as_u64).unwrap_or(0),
-            }),
-            "error" => Ok(Response::Error {
-                message: req_str(&mut v, "message")?,
-            }),
-            other => Err(schema(format!("unknown response type `{other}`"))),
-        }
-    }
-}
-
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![(
-            "type".to_owned(),
-            Value::String(self.type_name().to_owned()),
-        )];
-        match self {
-            Response::HelloOk {
-                server,
-                protocol,
-                queue_capacity,
-            } => {
-                fields.push(("server".to_owned(), Value::String(server.clone())));
-                fields.push(("protocol".to_owned(), Value::UInt(*protocol)));
-                fields.push(("queue_capacity".to_owned(), Value::UInt(*queue_capacity)));
-            }
-            Response::Accepted { job } => {
-                fields.push(("job".to_owned(), Value::UInt(*job)));
-            }
-            Response::Rejected { reason } => {
-                fields.push(("reason".to_owned(), Value::String(reason.clone())));
-            }
-            Response::Status {
-                job,
-                state,
-                result,
-                error,
-            } => {
-                fields.push(("job".to_owned(), Value::UInt(*job)));
-                fields.push(("state".to_owned(), Value::String(state.as_str().to_owned())));
-                if let Some(result) = result {
-                    fields.push(("result".to_owned(), result.clone()));
-                }
-                if let Some(error) = error {
-                    fields.push(("error".to_owned(), Value::String(error.clone())));
-                }
-            }
-            Response::Event {
-                job,
-                seq,
-                ts_ns,
-                lane,
-                kind,
-            } => {
-                fields.push(("job".to_owned(), Value::UInt(*job)));
-                fields.push(("seq".to_owned(), Value::UInt(*seq)));
-                fields.push(("ts_ns".to_owned(), Value::UInt(*ts_ns)));
-                fields.push(("lane".to_owned(), Value::String(lane.clone())));
-                fields.push(("kind".to_owned(), Value::String(kind.clone())));
-            }
-            Response::Done {
-                job,
-                state,
-                events_emitted,
-                events_written,
-                events_dropped,
-            } => {
-                fields.push(("job".to_owned(), Value::UInt(*job)));
-                fields.push(("state".to_owned(), Value::String(state.as_str().to_owned())));
-                fields.push(("events_emitted".to_owned(), Value::UInt(*events_emitted)));
-                fields.push(("events_written".to_owned(), Value::UInt(*events_written)));
-                fields.push(("events_dropped".to_owned(), Value::UInt(*events_dropped)));
-            }
-            Response::Telemetry { snapshot } => {
-                fields.push(("snapshot".to_owned(), snapshot.clone()));
-            }
-            Response::TelemetryEnd { snapshots } => {
-                fields.push(("snapshots".to_owned(), Value::UInt(*snapshots)));
-            }
-            Response::Error { message } => {
-                fields.push(("message".to_owned(), Value::String(message.clone())));
-            }
-        }
-        Value::Object(fields)
+        decode(payload)
     }
 }
 
@@ -894,42 +614,13 @@ pub fn encode(msg: &impl Serialize) -> Vec<u8> {
     serde_json::to_string(msg).unwrap_or_default().into_bytes()
 }
 
-fn parse_payload(payload: &[u8]) -> Result<Value, ProtoError> {
-    let text = std::str::from_utf8(payload).map_err(|_| schema("frame payload is not UTF-8"))?;
-    serde_json::from_str(text).map_err(ProtoError::Json)
-}
-
-fn schema(msg: impl Into<String>) -> ProtoError {
-    ProtoError::Schema(msg.into())
-}
-
-/// Moves field `key` out of a decoded object, so a multi-megabyte
-/// `data`/`result` is handed on rather than copied.
-fn take(v: &mut Value, key: &str) -> Option<Value> {
-    let Value::Object(fields) = v else {
-        return None;
-    };
-    fields
-        .iter_mut()
-        .find(|(k, _)| k == key)
-        .map(|(_, field)| std::mem::replace(field, Value::Null))
-}
-
-fn take_str(v: &mut Value, key: &str) -> Option<String> {
-    match take(v, key) {
-        Some(Value::String(s)) => Some(s),
-        _ => None,
-    }
-}
-
-fn req_str(v: &mut Value, key: &str) -> Result<String, ProtoError> {
-    take_str(v, key).ok_or_else(|| schema(format!("missing string field `{key}`")))
-}
-
-fn req_u64(v: &Value, key: &str) -> Result<u64, ProtoError> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| schema(format!("missing integer field `{key}`")))
+/// Parses a frame payload and decodes the message it holds, moving
+/// its strings out of the parsed tree.
+fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, ProtoError> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|_| ProtoError::Schema("frame payload is not UTF-8".to_owned()))?;
+    let value = serde_json::from_str(text).map_err(ProtoError::Json)?;
+    serde_json::from_value(value).map_err(|e| ProtoError::Schema(e.to_string()))
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! results.
 
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -111,7 +111,8 @@ pub struct ServerConfig {
     /// sampling thread; explicit `metrics` requests still sample.
     pub telemetry_cadence: Duration,
     /// Snapshots the in-memory telemetry ring retains (and the number
-    /// of `telemetry.jsonl` lines replayed into it at startup).
+    /// of `telemetry.jsonl` lines replayed into it at startup); the
+    /// file itself never holds more than twice this many lines.
     pub telemetry_retention: usize,
 }
 
@@ -537,6 +538,9 @@ impl JournalTotals {
 struct TelemetryState {
     ring: TelemetryRing,
     next_seq: u64,
+    /// Lines appended to `telemetry.jsonl` since it was last rewritten
+    /// as the ring.
+    appended: usize,
 }
 
 /// Everything one telemetry sample reads, shared by the server's
@@ -557,8 +561,8 @@ struct TelemetryCtx {
 
 impl TelemetryCtx {
     /// Takes one sample: reads every counter, assigns the next seq,
-    /// pushes into the ring, appends the JSONL line through the store's
-    /// filesystem seam, and wakes subscribers.
+    /// pushes into the ring, persists it through the store's filesystem
+    /// seam, and wakes subscribers.
     fn sample_now(&self) -> TelemetrySnapshot {
         let qs = self.queue.stats();
         let jobs = self.jobs.jobs.lock().counts;
@@ -604,19 +608,30 @@ impl TelemetryCtx {
         snap.seq = state.next_seq;
         state.next_seq += 1;
         state.ring.push(snap.clone());
-        let mut line = snap.to_json_line();
-        line.push('\n');
         // Best-effort persistence: a full disk must not take down the
-        // sampling plane (the in-memory ring stays authoritative).
-        let _ = self.fs.append(
-            &self.jsonl_path,
-            line.as_bytes(),
-            MutationKind::JournalAppend,
-        );
+        // sampling plane (the in-memory ring stays authoritative). Once
+        // a ring's worth of lines has been appended, the file is
+        // rewritten as the ring instead, so it never holds more than
+        // twice the retention.
+        if state.appended < state.ring.capacity() {
+            let mut line = snap.to_json_line();
+            line.push('\n');
+            let _ = self
+                .fs
+                .append(&self.jsonl_path, line.as_bytes(), MutationKind::Telemetry);
+            state.appended += 1;
+        } else if rewrite_history(&*self.fs, &self.jsonl_path, &state.ring).is_ok() {
+            state.appended = 0;
+        }
         drop(state);
         cvar.notify_all();
         snap
     }
+}
+
+/// Replaces `telemetry.jsonl` with the ring's retained history.
+fn rewrite_history(fs: &dyn StoreFs, path: &Path, ring: &TelemetryRing) -> std::io::Result<()> {
+    fs.write_atomic(path, ring.to_jsonl().as_bytes(), MutationKind::Telemetry)
 }
 
 /// A point-in-time job status snapshot (what `status` answers with).
@@ -679,8 +694,10 @@ impl Server {
         let jsonl_path = config.store_root.join("telemetry.jsonl");
         let mut ring = TelemetryRing::new(config.telemetry_retention);
         let mut next_seq = 1;
+        let mut lines = 0;
         if let Ok(text) = std::fs::read_to_string(&jsonl_path) {
             for line in text.lines() {
+                lines += 1;
                 // A torn final line (crash mid-append) parses as an
                 // error and is simply skipped.
                 let Ok(value) = serde_json::from_str(line) else {
@@ -693,6 +710,14 @@ impl Server {
                 ring.push(snap);
             }
         }
+        // A file holding lines the ring did not keep is rewritten as
+        // the ring once, here, so the bound holds from the start.
+        let appended =
+            if lines > ring.len() && rewrite_history(&*config.fs, &jsonl_path, &ring).is_ok() {
+                0
+            } else {
+                lines
+            };
         let telemetry = Arc::new(TelemetryCtx {
             queue: Arc::clone(&queue),
             jobs: Arc::clone(&jobs),
@@ -706,7 +731,11 @@ impl Server {
             fs: Arc::clone(&config.fs),
             jsonl_path,
             shared: (
-                Mutex::new(TelemetryState { ring, next_seq }),
+                Mutex::new(TelemetryState {
+                    ring,
+                    next_seq,
+                    appended,
+                }),
                 Condvar::new(),
             ),
         });

@@ -32,7 +32,8 @@ pub trait StoreFs: Send + Sync + std::fmt::Debug {
     /// The `.tmp`-stage-then-rename idiom: full contents land in
     /// `{path}.tmp` (fsynced), then an atomic rename publishes them.
     /// `publish_kind` names the rename boundary (pack seal, manifest
-    /// publish, index swap, or a generic rename).
+    /// publish, index swap, or a generic rename). A telemetry rewrite
+    /// is telemetry in both halves.
     fn write_atomic(
         &self,
         path: &Path,
@@ -40,7 +41,11 @@ pub trait StoreFs: Send + Sync + std::fmt::Debug {
         publish_kind: MutationKind,
     ) -> std::io::Result<()> {
         let tmp = crate::tmp_path(path);
-        self.write_tmp(&tmp, bytes, MutationKind::TmpWrite)?;
+        let stage_kind = match publish_kind {
+            MutationKind::Telemetry => MutationKind::Telemetry,
+            _ => MutationKind::TmpWrite,
+        };
+        self.write_tmp(&tmp, bytes, stage_kind)?;
         self.publish(&tmp, path, publish_kind)
     }
 }

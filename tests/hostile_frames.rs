@@ -3,15 +3,18 @@
 //! `read_frame` once allocated (and zero-filled) whatever length the
 //! first four bytes announced, before a single payload byte arrived: an
 //! idle peer could pin the 64 MiB frame cap per connection with four
-//! bytes. This binary counts the heap under a real `read_frame` call —
-//! hence its own global allocator, and a single test so no neighbour's
-//! allocations land in the count.
+//! bytes. This binary counts the heap under a real `read_frame` call,
+//! and under a real `Request::decode` of a 2 MiB ingest frame, which
+//! must move its payload rather than copy it — hence its own global
+//! allocator, and a single test so no neighbour's allocations land in
+//! the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use reprocmp::server::proto::{read_frame, write_frame, MAX_FRAME_BYTES};
+use reprocmp::server::proto::{encode, read_frame, write_frame, MAX_FRAME_BYTES};
+use reprocmp::server::Request;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -75,4 +78,27 @@ fn a_length_prefix_alone_reserves_under_a_mebibyte() {
     let mut wire = Vec::new();
     write_frame(&mut wire, &payload).unwrap();
     assert_eq!(read_frame(&mut &wire[..]).unwrap().unwrap(), payload);
+
+    // Decoding moves an ingest frame's digits out of the parsed tree
+    // into the message: 2 MiB of hex costs one 2 MiB string, never a
+    // second copy of it.
+    let hex_len = 2 << 20;
+    let frame = encode(&Request::Ingest {
+        name: "big".to_owned(),
+        version: 1,
+        chunk_bytes: 4096,
+        data: "5a".repeat(hex_len / 2),
+    });
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let decoded = Request::decode(&frame).expect("an ingest frame decodes");
+    let grew = PEAK.load(Ordering::Relaxed) - before;
+    assert!(
+        matches!(&decoded, Request::Ingest { data, .. } if data.len() == hex_len),
+        "decoded as another message"
+    );
+    assert!(
+        grew * 10 < hex_len * 11,
+        "decoding {hex_len} hex digits grew the heap by {grew} bytes"
+    );
 }

@@ -27,7 +27,6 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use reprocmp::server::{execute_spec, JobSpec, JobState, ObjectRef, Server, ServerConfig};
 use reprocmp_core::{CompareEngine, EngineConfig};
@@ -118,12 +117,6 @@ fn daemon_config(root: &Path, fs: Arc<dyn StoreFs>) -> ServerConfig {
         queue_capacity: 32,
         quantum: 4,
         fs,
-        // The background sampler appends to `telemetry.jsonl` through
-        // `fs` on a wall-clock cadence, and every append is a counted
-        // crash point: left on, the counting pass's total depends on
-        // how long it ran and a plan can target a mutation the armed
-        // pass never reaches.
-        telemetry_cadence: Duration::ZERO,
         ..ServerConfig::rooted_at(root)
     }
 }

@@ -12,7 +12,8 @@
 //!   server's retained ring, and the persisted `telemetry.jsonl` all
 //!   describe the identical snapshot sequence;
 //! * **Restart persistence** — a restarted daemon replays its
-//!   `telemetry.jsonl` into the ring and continues the sequence;
+//!   `telemetry.jsonl` into the ring and continues the sequence, and
+//!   the file never holds more than twice the retention;
 //! * **Observation is free** — job result documents are byte-identical
 //!   whether the background sampler runs at a busy cadence or not at
 //!   all (telemetry must never perturb science);
@@ -319,6 +320,77 @@ fn restart_replays_persisted_history_and_continues_the_sequence() {
     let next = second.sample_telemetry_now();
     assert_eq!(next.seq, 4, "sequence continues after restart");
     second.shutdown();
+}
+
+/// `telemetry.jsonl` holds at most twice the retention: a restart over
+/// a file three times that long rewrites it as the ring, a live daemon
+/// keeps it there, and the sequence still continues across both.
+#[test]
+fn telemetry_jsonl_stays_within_twice_the_retention() {
+    const RETENTION: usize = 8;
+    let root = fresh_root("bound");
+    std::fs::create_dir_all(&root).expect("store root");
+    let jsonl = root.join("telemetry.jsonl");
+    let history: String = (1..=3 * RETENTION as u64)
+        .map(|seq| {
+            let snap = TelemetrySnapshot {
+                seq,
+                ..TelemetrySnapshot::default()
+            };
+            snap.to_json_line() + "\n"
+        })
+        .collect();
+    std::fs::write(&jsonl, history).expect("write a long history");
+    let lines_on_disk = || {
+        std::fs::read_to_string(&jsonl)
+            .expect("telemetry.jsonl")
+            .lines()
+            .count()
+    };
+
+    let server = Server::start(ServerConfig {
+        chunk_bytes: CHUNK,
+        workers: 1,
+        telemetry_clock: ObsClock::frozen(),
+        telemetry_cadence: Duration::ZERO,
+        telemetry_retention: RETENTION,
+        ..ServerConfig::rooted_at(root.clone())
+    })
+    .expect("daemon start");
+    assert!(
+        lines_on_disk() <= 2 * RETENTION,
+        "open left {}",
+        lines_on_disk()
+    );
+    let replayed: Vec<u64> = server.telemetry_history().iter().map(|s| s.seq).collect();
+    let newest: Vec<u64> = (2 * RETENTION as u64 + 1..=3 * RETENTION as u64).collect();
+    assert_eq!(replayed, newest, "the ring keeps the newest lines");
+
+    for expected in 3 * RETENTION as u64 + 1..=6 * RETENTION as u64 {
+        assert_eq!(server.sample_telemetry_now().seq, expected);
+        assert!(
+            lines_on_disk() <= 2 * RETENTION,
+            "{} lines",
+            lines_on_disk()
+        );
+    }
+    server.shutdown();
+    drop(server);
+
+    let persisted: Vec<u64> = std::fs::read_to_string(&jsonl)
+        .expect("telemetry.jsonl")
+        .lines()
+        .map(|l| {
+            let v = serde_json::from_str(l).expect("line parses");
+            TelemetrySnapshot::from_value(&v).expect("line decodes").seq
+        })
+        .collect();
+    assert!(
+        persisted.windows(2).all(|w| w[0] + 1 == w[1]),
+        "rewrites keep the file in sequence: {persisted:?}"
+    );
+    assert_eq!(persisted.last(), Some(&(6 * RETENTION as u64)));
+    std::fs::remove_dir_all(&root).ok();
 }
 
 // ---------------------------------------------------------------------

@@ -9,13 +9,16 @@
 //! * delta policy — [`ingest`];
 //! * `name@version` — [`ObjectRef::parse`], [`resolve`], [`versions`];
 //! * opening — [`open_file`], [`open_stored`], [`open_run`]: a source
-//!   with the regions its payload is made of, from one read.
+//!   with the regions its payload is made of; with a tree file, from
+//!   the header alone.
 
+use std::fs::File;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use reprocmp_store::{ChunkStore, DeltaPolicy, IngestStats, StoreError, HEADER_SEGMENT};
 use reprocmp_veloc::format::MAGIC;
-use reprocmp_veloc::{decode_checkpoint, CheckpointFile};
+use reprocmp_veloc::{decode_checkpoint, decode_header, CheckpointFile, CkptCodecError};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::CompareEngine;
@@ -147,13 +150,10 @@ impl<'a> Image<'a> {
     /// not touched), else raw `f32`, which must be whole values.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, OpError> {
         let header = if bytes.starts_with(MAGIC) {
-            Some(decode_checkpoint(bytes).map_err(|e| OpError::Input(e.to_string()))?)
-        } else if bytes.len().is_multiple_of(4) {
-            None
+            Some(decode_checkpoint(bytes).map_err(input)?)
         } else {
-            return Err(OpError::Input(
-                "neither a reprocmp checkpoint nor a multiple-of-4-byte raw f32 image".to_owned(),
-            ));
+            whole_values(bytes.len() as u64)?;
+            None
         };
         Ok(Image { bytes, header })
     }
@@ -162,10 +162,6 @@ impl<'a> Image<'a> {
     #[must_use]
     pub fn version(&self) -> u64 {
         self.header.as_ref().map_or(0, |h| h.checkpoint_version)
-    }
-
-    fn payload_offset(&self) -> u64 {
-        self.header.as_ref().map_or(0, |h| h.payload_offset)
     }
 
     /// The `f32` payload bytes.
@@ -189,13 +185,7 @@ impl<'a> Image<'a> {
     /// The named regions of a VELOC payload; a raw image names none.
     #[must_use]
     pub fn regions(&self) -> Option<Regions> {
-        let regions = &self.header.as_ref()?.regions;
-        Some(
-            regions
-                .iter()
-                .map(|r| (r.name.clone(), r.count * 4))
-                .collect(),
-        )
+        self.header.as_ref().map(regions_of)
     }
 
     /// Encoded ε-metadata over the payload bytes, hashed in place.
@@ -217,6 +207,55 @@ impl<'a> Image<'a> {
         match self.payload() {
             [] => Err(OpError::Input("holds no f32 payload".to_owned())),
             payload => Ok(payload),
+        }
+    }
+}
+
+fn input(e: impl ToString) -> OpError {
+    OpError::Input(e.to_string())
+}
+
+/// A raw image is whole little-endian `f32` values.
+fn whole_values(len: u64) -> Result<(), OpError> {
+    if len.is_multiple_of(4) {
+        Ok(())
+    } else {
+        Err(input(
+            "neither a reprocmp checkpoint nor a multiple-of-4-byte raw f32 image",
+        ))
+    }
+}
+
+fn regions_of(header: &CheckpointFile) -> Regions {
+    let regions = header.regions.iter();
+    regions.map(|r| (r.name.clone(), r.count * 4)).collect()
+}
+
+/// Bytes of a file read first to find its layout. A region table that
+/// runs past them doubles the read until it parses or the whole file
+/// is in.
+const HEADER_PREFIX: usize = 8 << 10;
+
+/// The layout of the file at `path` and its length, reading only the
+/// VELOC header (a raw image needs only its length). Errors read as
+/// [`Image::parse`]'s do on the whole file.
+fn read_layout(path: &Path) -> Result<(Option<CheckpointFile>, u64), OpError> {
+    let file = File::open(path).map_err(input)?;
+    let file_len = file.metadata().map_err(input)?.len();
+    let mut prefix = Vec::new();
+    loop {
+        let have = prefix.len();
+        let want = file_len.min(HEADER_PREFIX.max(2 * have) as u64) as usize;
+        prefix.resize(want, 0);
+        file.read_exact_at(&mut prefix[have..], have as u64)
+            .map_err(input)?;
+        if !prefix.starts_with(MAGIC) {
+            whole_values(file_len)?;
+            return Ok((None, file_len));
+        }
+        match decode_header(&prefix, file_len) {
+            Err(CkptCodecError::Truncated) if (want as u64) < file_len => {}
+            header => return Ok((Some(header.map_err(input)?), file_len)),
         }
     }
 }
@@ -262,24 +301,28 @@ impl Opened {
     }
 }
 
-/// Opens a checkpoint file from one read: with `tree`, stage 2 reads
-/// the file and metadata comes from the tree file; without, the payload
-/// is held in memory and hashed on the fly.
+/// Opens a checkpoint file. With `tree`, only the header is read here:
+/// metadata comes from the tree file and stage 2 reads the flagged
+/// chunks from the file. Without, the payload is read once, held in
+/// memory and hashed on the fly.
 pub fn open_file(
     path: &Path,
     tree: Option<&Path>,
     engine: &CompareEngine,
 ) -> Result<Opened, OpError> {
-    let bytes = std::fs::read(path).map_err(|e| OpError::Input(e.to_string()).at(path))?;
-    let image = Image::parse(&bytes).map_err(|e| e.at(path))?;
-    let source = match tree {
-        Some(tree) => {
-            let len = image.payload().len() as u64;
-            CheckpointSource::from_files(path, image.payload_offset(), len, tree)?
-        }
-        None => image.in_memory(engine).map_err(|e| e.at(path))?,
+    let Some(tree) = tree else {
+        let bytes = std::fs::read(path).map_err(|e| input(e).at(path))?;
+        let image = Image::parse(&bytes).map_err(|e| e.at(path))?;
+        let source = image.in_memory(engine).map_err(|e| e.at(path))?;
+        let regions = image.regions();
+        return Ok(Opened { source, regions });
     };
-    let regions = image.regions();
+    let (header, file_len) = read_layout(path).map_err(|e| e.at(path))?;
+    let (offset, len) = header
+        .as_ref()
+        .map_or((0, file_len), |h| (h.payload_offset, h.payload_len));
+    let source = CheckpointSource::from_files(path, offset, len, tree)?;
+    let regions = header.as_ref().map(regions_of);
     Ok(Opened { source, regions })
 }
 

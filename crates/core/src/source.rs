@@ -175,7 +175,8 @@ impl CheckpointSource {
         meta_path: &Path,
     ) -> CoreResult<Self> {
         let data = StdFsStorage::open(data_path)?;
-        if payload_offset + payload_len > data.len() {
+        let end = payload_offset.checked_add(payload_len);
+        if end.is_none_or(|end| end > data.len()) {
             return Err(CoreError::Mismatch(format!(
                 "payload {payload_offset}+{payload_len} exceeds file size {}",
                 data.len()
@@ -331,6 +332,23 @@ mod tests {
         rehydrated.raw_leaves = None;
         rehydrated.hydrate_raw_leaves(64).unwrap();
         assert_eq!(&*captured, &**rehydrated.raw_leaves.as_ref().unwrap());
+    }
+
+    #[test]
+    fn from_files_rejects_geometry_that_overflows() {
+        let dir = std::env::temp_dir().join(format!("reprocmp-source-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("data.bin");
+        std::fs::write(&path, [0u8; 64]).unwrap();
+        for (offset, len) in [(8, u64::MAX), (u64::MAX, 8), (8, 57)] {
+            let err = CheckpointSource::from_files(&path, offset, len, &path).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::Mismatch(m) if m.contains("exceeds file size 64")),
+                "{offset}+{len}: {err}"
+            );
+        }
+        assert!(CheckpointSource::from_files(&path, 8, 56, &path).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

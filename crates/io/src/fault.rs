@@ -334,6 +334,10 @@ impl Storage for FaultyStorage {
     fn sim_clock(&self) -> Option<crate::clock::SimClock> {
         self.inner.sim_clock()
     }
+
+    fn merges_adjacent_reads(&self) -> bool {
+        self.inner.merges_adjacent_reads()
+    }
 }
 
 #[cfg(test)]

@@ -8,12 +8,21 @@
 //!
 //! [`StreamPipeline`] implements that: a reader thread groups the
 //! requested ops into slices of roughly [`PipelineConfig::slice_bytes`],
-//! reads each slice through the configured backend, and sends it down a
-//! bounded channel whose capacity plays the role of the buffer pool —
-//! the reader blocks ("waits for a free buffer") when the consumer falls
-//! behind.
+//! fills each slice into one of the buffers the pipeline keeps, and
+//! sends it down a bounded channel. The kept buffers are the buffer
+//! pool: the reader waits for a free one when the consumer falls
+//! behind, and a dropped [`Slice`] hands its buffer back.
+//!
+//! How a slice is filled depends on the storage. Real storage — any
+//! [`Storage`] without a virtual clock: files, the capture store — is
+//! read by the reader thread itself, one positioned read per run of
+//! file-contiguous ops (where [`Storage::merges_adjacent_reads`]
+//! allows) straight into the slice buffer. Simulated storage goes
+//! through the configured [`BackendKind`], whose worker threads and
+//! per-op copies are part of the device being modelled.
 
 use crossbeam::channel::{bounded, Receiver};
+use parking_lot::{Condvar, Mutex};
 use reprocmp_obs::{EventKind, Histogram, Journal, Registry};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -48,7 +57,7 @@ fn chunk_read_event(
     }
 }
 
-/// Which I/O strategy fills the slices.
+/// Which I/O strategy the modelled device uses to fill the slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
     /// io_uring-style batched asynchronous reads (the paper's choice).
@@ -63,17 +72,23 @@ pub enum BackendKind {
 /// Streaming configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// I/O strategy.
+    /// I/O strategy of the modelled device: a policy for simulated
+    /// storage (one with a [`SimClock`]) only. Real storage is always
+    /// read by the reader thread with positioned reads.
     pub backend: BackendKind,
     /// Target payload bytes per slice (at least one op per slice is
-    /// always taken, so oversized ops still flow).
+    /// always taken, so oversized ops still flow). Also the size of
+    /// each kept buffer, capped at the total bytes the ops ask for.
     pub slice_bytes: usize,
-    /// Worker threads inside the uring backend.
+    /// Worker threads inside the uring backend (simulated storage).
     pub io_threads: usize,
-    /// Device queue depth for the uring backend.
+    /// Device queue depth for the uring backend (simulated storage).
     pub queue_depth: usize,
-    /// Buffer pool size: slices that may exist before the consumer
-    /// drains one (2 = classic double buffering).
+    /// Slices that may wait for the consumer (2 = classic double
+    /// buffering). The pipeline keeps `buffers + 1` slice buffers, so
+    /// its memory is about `(buffers + 1) × slice_bytes` whatever the
+    /// object size; an op larger than `slice_bytes` grows the buffer
+    /// it lands in.
     pub buffers: usize,
     /// Retry policy applied to every read before its failure is
     /// surfaced (default: no retries).
@@ -152,9 +167,10 @@ impl PipelineMetrics {
 
     /// Attaches a flight-recorder journal. Events appear on lanes
     /// derived from `lane`: `slice_fill` on `{lane}.pipeline`, per-op
-    /// `chunk_read` / `retry` events on `{lane}.pipeline` for the
-    /// synchronous backends or `{lane}.uring.w{i}` per uring worker,
-    /// and one `io_submit` per uring batch on `{lane}.uring.sq`.
+    /// `chunk_read` / `retry` events on `{lane}.pipeline` for real
+    /// storage and the synchronous backends or `{lane}.uring.w{i}` per
+    /// uring worker, and one `io_submit` per slice on `{lane}.pipeline`
+    /// for real storage or per uring batch on `{lane}.uring.sq`.
     #[must_use]
     pub fn with_journal(mut self, journal: Journal, lane: &str) -> Self {
         self.journal = journal;
@@ -173,6 +189,9 @@ pub struct OpFailure {
 }
 
 /// One filled buffer: a contiguous batch of ops and their payloads.
+///
+/// Dropping a slice the consumer received hands its buffers back to
+/// the pipeline for the next fill.
 #[derive(Debug)]
 pub struct Slice {
     /// Index (into the original op list) of the first op in this slice.
@@ -185,6 +204,8 @@ pub struct Slice {
     /// Ops in this slice whose reads failed after retries (empty unless
     /// [`PipelineConfig::continue_on_error`] is set).
     pub failed: Vec<OpFailure>,
+    /// Where `ops` and `data` go back to; set once the consumer has it.
+    pool: Option<Arc<Pool>>,
 }
 
 impl Slice {
@@ -213,12 +234,356 @@ impl Slice {
     }
 }
 
+impl Drop for Slice {
+    fn drop(&mut self) {
+        if let Some(pool) = self.pool.take() {
+            pool.give_back((
+                std::mem::take(&mut self.ops),
+                std::mem::take(&mut self.data),
+            ));
+        }
+    }
+}
+
+/// One kept buffer: a slice's op list and its payload bytes.
+type Buffers = (Vec<OpSpec>, Vec<u8>);
+
+/// The slice buffers one pipeline keeps for its whole life.
+///
+/// At most `buffers + 1` of them: the reader takes a free one per
+/// slice, or while the pipeline has fewer, one from [`SPARE`] (else a
+/// new allocation); a slice the consumer drops hands its buffer back.
+/// A consumer that holds every kept buffer at once is owed another
+/// slice, so the limit then grows by one instead of stalling the
+/// stream. A dropped pool leaves its buffers in [`SPARE`].
+#[derive(Debug)]
+struct Pool {
+    state: Mutex<PoolState>,
+    changed: Condvar,
+}
+
+#[derive(Debug)]
+struct PoolState {
+    free: Vec<Buffers>,
+    /// How many buffers the pipeline may keep.
+    limit: usize,
+    /// Buffers the pipeline keeps, free or out in a slice.
+    kept: usize,
+    /// Buffers in slices the consumer holds.
+    held: usize,
+    /// The pipeline was dropped: the reader stops.
+    closed: bool,
+}
+
+/// Slice buffers of dropped pipelines, for the next ones to keep. A
+/// page the process has not touched yet costs a fault and a zero-fill
+/// on first use — more than the positioned read that fills it — so a
+/// process that compares again and again (the daemon, a benchmark loop)
+/// reads into pages it already has. Holds the [`SPARE_BUFFERS`] most
+/// used buffers of at most [`SPARE_MAX_BYTES`] each.
+static SPARE: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+const SPARE_BUFFERS: usize = 6;
+const SPARE_MAX_BYTES: usize = 16 << 20;
+
+/// The spare buffer that already holds `bytes` initialized bytes with
+/// the fewest to spare, else the one closest to it, so each pipeline
+/// of a pair gets back the pages it filled last time.
+fn take_spare(bytes: usize) -> Option<Vec<u8>> {
+    let mut spare = SPARE.lock();
+    let fit = |data: &Vec<u8>| match data.len().checked_sub(bytes) {
+        Some(extra) => (0, extra),
+        None => (1, bytes - data.len()),
+    };
+    let best = (0..spare.len()).min_by_key(|&i| fit(&spare[i]))?;
+    Some(spare.swap_remove(best))
+}
+
+impl Pool {
+    fn new(limit: usize) -> Self {
+        Pool {
+            state: Mutex::new(PoolState {
+                free: Vec::new(),
+                limit,
+                kept: 0,
+                held: 0,
+                closed: false,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// A buffer for a slice of `bytes`, waiting for a free one when the
+    /// pipeline keeps its limit; `None` once the pipeline is gone.
+    fn take(&self, bytes: usize) -> Option<Buffers> {
+        let mut state = self.state.lock();
+        loop {
+            if state.closed {
+                return None;
+            }
+            if let Some(buffers) = state.free.pop() {
+                return Some(buffers);
+            }
+            if state.held == state.limit {
+                state.limit += 1;
+            }
+            if state.kept < state.limit {
+                state.kept += 1;
+                drop(state);
+                let data = take_spare(bytes).unwrap_or_else(|| Vec::with_capacity(bytes));
+                return Some((Vec::new(), data));
+            }
+            self.changed.wait(&mut state);
+        }
+    }
+
+    /// The consumer received a slice.
+    fn lend(&self) {
+        self.state.lock().held += 1;
+        self.changed.notify_all();
+    }
+
+    /// The consumer dropped a slice.
+    fn give_back(&self, buffers: Buffers) {
+        let mut state = self.state.lock();
+        state.held -= 1;
+        state.free.push(buffers);
+        drop(state);
+        self.changed.notify_all();
+    }
+
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.changed.notify_all();
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        let free = std::mem::take(&mut self.state.get_mut().free);
+        let reusable = |data: &Vec<u8>| (1..=SPARE_MAX_BYTES).contains(&data.capacity());
+        let mut spare = SPARE.lock();
+        spare.extend(free.into_iter().map(|(_, data)| data).filter(reusable));
+        spare.sort_by_key(|data| std::cmp::Reverse(data.len()));
+        spare.truncate(SPARE_BUFFERS);
+    }
+}
+
+/// How the reader thread fills slices (see the module docs).
+#[derive(Debug)]
+enum Fill {
+    /// Real storage: positioned reads straight into the slice buffer.
+    Direct,
+    /// The modelled device's batched asynchronous ring.
+    Uring(UringSim),
+    /// The modelled device's page-faulting map.
+    Mmap(MmapSim),
+    /// The modelled device's blocking reads, charged as one sync batch.
+    Blocking,
+}
+
+/// Everything the reader thread needs to fill slices.
+struct Reader {
+    storage: Arc<dyn Storage>,
+    config: PipelineConfig,
+    counters: Arc<RingCounters>,
+    journal: Journal,
+    /// `{lane}.pipeline`: slice fills and per-op events of the
+    /// synchronous paths.
+    lane: String,
+    clock: Option<SimClock>,
+}
+
+impl Reader {
+    /// Fills one slice of `batch` (whose payloads total `bytes`) into
+    /// `data`. Fail-fast configurations turn the first failed op into
+    /// the stream's terminal error.
+    fn fill(
+        &self,
+        fill: &mut Fill,
+        first_op: usize,
+        (batch, mut data): Buffers,
+        bytes: usize,
+    ) -> IoResult<Slice> {
+        let mut failed: Vec<OpFailure> = Vec::new();
+        match fill {
+            Fill::Direct => {
+                // One submission per slice, as the uring doorbell is.
+                self.journal.emit(
+                    &self.lane,
+                    EventKind::IoSubmit {
+                        ops: batch.len() as u64,
+                        bytes: bytes as u64,
+                        queue_depth: 1,
+                    },
+                );
+                data.resize(bytes, 0);
+                let merge = self.storage.merges_adjacent_reads();
+                self.read_direct(&batch, first_op, &mut data, merge, &mut failed);
+            }
+            Fill::Blocking => {
+                self.storage.charge_batch(&batch, AccessMode::Sync);
+                data.resize(bytes, 0);
+                self.read_direct(&batch, first_op, &mut data, false, &mut failed);
+            }
+            Fill::Uring(ring) => {
+                // Workers retry internally and tally the shared
+                // counters; only harvest here.
+                data.clear();
+                let results = ring.read_scattered_results(&batch)?;
+                for (k, result) in results.into_iter().enumerate() {
+                    match result {
+                        Ok(buf) => data.extend_from_slice(&buf),
+                        Err(error) => {
+                            data.resize(data.len() + batch[k].1, 0);
+                            failed.push(OpFailure {
+                                op: first_op + k,
+                                error,
+                            });
+                        }
+                    }
+                }
+            }
+            Fill::Mmap(map) => {
+                data.clear();
+                self.counters.record_submitted(batch.len() as u64);
+                for (k, &(offset, len)) in batch.iter().enumerate() {
+                    let op_started = self.op_started();
+                    let (result, retries) = self.config.retry.run(
+                        self.clock.as_ref(),
+                        &self.journal,
+                        &self.lane,
+                        || map.read(offset, len),
+                    );
+                    self.counters.record_retries(u64::from(retries));
+                    match result {
+                        Ok(buf) => {
+                            self.counters.record_completed();
+                            data.extend_from_slice(&buf);
+                            if let Some(started) = op_started {
+                                self.journal.emit(
+                                    &self.lane,
+                                    chunk_read_event(offset, len, 1, &self.clock, started),
+                                );
+                            }
+                        }
+                        Err(error) => {
+                            self.counters.record_gave_up();
+                            data.resize(data.len() + len, 0);
+                            failed.push(OpFailure {
+                                op: first_op + k,
+                                error,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        if !self.config.continue_on_error {
+            // Fail-fast: surface the first exhausted op as the
+            // stream's terminal error.
+            if let Some(first) = failed.into_iter().next() {
+                return Err(first.error);
+            }
+            failed = Vec::new();
+        }
+        Ok(Slice {
+            first_op,
+            ops: batch,
+            data,
+            failed,
+            pool: None,
+        })
+    }
+
+    /// Reads `batch` into `data` (sized to it) with positioned reads:
+    /// one per op, or with `merge` one per run of file-contiguous ops.
+    /// A run whose read fails after retries is read again op by op, so
+    /// exactly the ops that fail are zero-filled and reported.
+    fn read_direct(
+        &self,
+        batch: &[OpSpec],
+        first_op: usize,
+        data: &mut [u8],
+        merge: bool,
+        failed: &mut Vec<OpFailure>,
+    ) {
+        self.counters.record_submitted(batch.len() as u64);
+        let (mut k, mut start) = (0usize, 0usize);
+        while k < batch.len() {
+            let mut end = k + 1;
+            while merge
+                && end < batch.len()
+                && batch[end - 1].0.checked_add(batch[end - 1].1 as u64) == Some(batch[end].0)
+            {
+                end += 1;
+            }
+            let run = &batch[k..end];
+            let run_bytes: usize = run.iter().map(|&(_, len)| len).sum();
+            let buf = &mut data[start..start + run_bytes];
+            if run.len() == 1 || self.read_run(run, buf).is_err() {
+                let mut at = 0usize;
+                for (j, &(_, len)) in run.iter().enumerate() {
+                    let op_buf = &mut buf[at..at + len];
+                    if let Err(error) = self.read_run(&run[j..=j], op_buf) {
+                        self.counters.record_gave_up();
+                        op_buf.fill(0);
+                        failed.push(OpFailure {
+                            op: first_op + k + j,
+                            error,
+                        });
+                    }
+                    at += len;
+                }
+            }
+            k = end;
+            start += run_bytes;
+        }
+    }
+
+    /// One positioned read of the file-contiguous `run` into `buf`,
+    /// under the retry policy. On success every op in the run counts
+    /// as completed and gets its `chunk_read` event.
+    fn read_run(&self, run: &[OpSpec], buf: &mut [u8]) -> IoResult<()> {
+        let started = self.op_started();
+        let (result, retries) =
+            self.config
+                .retry
+                .run(self.clock.as_ref(), &self.journal, &self.lane, || {
+                    self.storage.read_at(run[0].0, buf)
+                });
+        self.counters.record_retries(u64::from(retries));
+        if result.is_ok() {
+            for &(offset, len) in run {
+                self.counters.record_completed();
+                if let Some(started) = started {
+                    self.journal.emit(
+                        &self.lane,
+                        chunk_read_event(offset, len, 1, &self.clock, started),
+                    );
+                }
+            }
+        }
+        result
+    }
+
+    /// Start times for a journaled op; `None` when nobody is watching.
+    fn op_started(&self) -> Option<(Option<std::time::Duration>, std::time::Instant)> {
+        self.journal.is_enabled().then(|| {
+            (
+                self.clock.as_ref().map(SimClock::now),
+                std::time::Instant::now(),
+            )
+        })
+    }
+}
+
 /// A running stream of [`Slice`]s; iterate to consume.
 #[derive(Debug)]
 pub struct StreamPipeline {
     rx: Receiver<IoResult<Slice>>,
     reader: Option<JoinHandle<()>>,
     counters: Arc<RingCounters>,
+    pool: Arc<Pool>,
 }
 
 impl StreamPipeline {
@@ -238,175 +603,71 @@ impl StreamPipeline {
         config: PipelineConfig,
         metrics: PipelineMetrics,
     ) -> Self {
-        let (tx, rx) = bounded::<IoResult<Slice>>(config.buffers.max(1));
+        let buffers = config.buffers.max(1);
+        let pool = Arc::new(Pool::new(buffers + 1));
+        let (tx, rx) = bounded::<IoResult<Slice>>(buffers);
         let counters = Arc::clone(&metrics.counters);
-        let reader_counters = Arc::clone(&counters);
-        let read_bytes = metrics.read_bytes.clone();
-        let slice_fill_us = metrics.slice_fill_us.clone();
-        let journal = metrics.journal.clone();
-        let pipeline_lane = format!("{}.pipeline", metrics.lane);
-        let uring_lane = format!("{}.uring", metrics.lane);
-        let reader = std::thread::spawn(move || {
-            let counters = reader_counters;
-            let mut ring = match config.backend {
-                BackendKind::Uring => Some(UringSim::with_observability(
-                    Arc::clone(&storage),
+        let PipelineMetrics {
+            read_bytes,
+            slice_fill_us,
+            journal,
+            lane,
+            ..
+        } = metrics;
+        let uring_lane = format!("{lane}.uring");
+        let reader = Reader {
+            clock: storage.sim_clock(),
+            storage,
+            config,
+            counters: Arc::clone(&counters),
+            journal,
+            lane: format!("{lane}.pipeline"),
+        };
+        let reader_pool = Arc::clone(&pool);
+        let handle = std::thread::spawn(move || {
+            let journal = &reader.journal;
+            let clock = &reader.clock;
+            let mut fill = match (clock, config.backend) {
+                (None, _) => Fill::Direct,
+                (Some(_), BackendKind::Uring) => Fill::Uring(UringSim::with_observability(
+                    Arc::clone(&reader.storage),
                     config.io_threads,
                     config.queue_depth,
                     config.retry,
-                    Arc::clone(&counters),
+                    Arc::clone(&reader.counters),
                     journal.clone(),
                     &uring_lane,
                 )),
-                _ => None,
-            };
-            let map = match config.backend {
-                BackendKind::Mmap => Some(MmapSim::with_arc(
-                    Arc::clone(&storage),
+                (Some(_), BackendKind::Mmap) => Fill::Mmap(MmapSim::with_arc(
+                    Arc::clone(&reader.storage),
                     crate::mmap::PAGE_SIZE,
                 )),
-                _ => None,
+                (Some(_), BackendKind::Blocking) => Fill::Blocking,
             };
-            let clock = storage.sim_clock();
 
             let mut i = 0usize;
             while i < ops.len() {
-                // Assemble the next slice.
+                // The next slice: one op, then more up to `slice_bytes`.
                 let first_op = i;
-                let mut batch: Vec<OpSpec> = Vec::new();
                 let mut bytes = 0usize;
-                while i < ops.len() && (batch.is_empty() || bytes < config.slice_bytes) {
-                    batch.push(ops[i]);
+                while i < ops.len() && (i == first_op || bytes < config.slice_bytes) {
                     bytes += ops[i].1;
                     i += 1;
                 }
+                let Some((mut batch, data)) = reader_pool.take(bytes) else {
+                    return; // consumer dropped the pipeline
+                };
+                batch.clear();
+                batch.extend_from_slice(&ops[first_op..i]);
 
-                let fill_started = clock.as_ref().map(crate::clock::SimClock::now);
+                let fill_started = clock.as_ref().map(SimClock::now);
                 let fill_wall = std::time::Instant::now();
-                let filled: IoResult<Slice> = (|| {
-                    let mut data = Vec::with_capacity(bytes);
-                    let mut failed: Vec<OpFailure> = Vec::new();
-                    match config.backend {
-                        BackendKind::Uring => {
-                            // Workers retry internally and tally the
-                            // shared counters; only harvest here.
-                            let results = ring
-                                .as_mut()
-                                .expect("uring backend present")
-                                .read_scattered_results(&batch)?;
-                            for (k, result) in results.into_iter().enumerate() {
-                                match result {
-                                    Ok(buf) => data.extend_from_slice(&buf),
-                                    Err(error) => {
-                                        data.resize(data.len() + batch[k].1, 0);
-                                        failed.push(OpFailure {
-                                            op: first_op + k,
-                                            error,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        BackendKind::Mmap => {
-                            let map = map.as_ref().expect("mmap backend present");
-                            counters.record_submitted(batch.len() as u64);
-                            for (k, &(offset, len)) in batch.iter().enumerate() {
-                                let op_started = journal.is_enabled().then(|| {
-                                    (
-                                        clock.as_ref().map(crate::clock::SimClock::now),
-                                        std::time::Instant::now(),
-                                    )
-                                });
-                                let (result, retries) = config.retry.run(
-                                    clock.as_ref(),
-                                    &journal,
-                                    &pipeline_lane,
-                                    || map.read(offset, len),
-                                );
-                                counters.record_retries(u64::from(retries));
-                                match result {
-                                    Ok(buf) => {
-                                        counters.record_completed();
-                                        data.extend_from_slice(&buf);
-                                        if let Some(started) = op_started {
-                                            journal.emit(
-                                                &pipeline_lane,
-                                                chunk_read_event(offset, len, 1, &clock, started),
-                                            );
-                                        }
-                                    }
-                                    Err(error) => {
-                                        counters.record_gave_up();
-                                        data.resize(data.len() + len, 0);
-                                        failed.push(OpFailure {
-                                            op: first_op + k,
-                                            error,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        BackendKind::Blocking => {
-                            storage.charge_batch(&batch, AccessMode::Sync);
-                            counters.record_submitted(batch.len() as u64);
-                            for (k, &(offset, len)) in batch.iter().enumerate() {
-                                let start = data.len();
-                                data.resize(start + len, 0);
-                                let op_started = journal.is_enabled().then(|| {
-                                    (
-                                        clock.as_ref().map(crate::clock::SimClock::now),
-                                        std::time::Instant::now(),
-                                    )
-                                });
-                                let (result, retries) = config.retry.run(
-                                    clock.as_ref(),
-                                    &journal,
-                                    &pipeline_lane,
-                                    || storage.read_at(offset, &mut data[start..]),
-                                );
-                                counters.record_retries(u64::from(retries));
-                                match result {
-                                    Ok(()) => {
-                                        counters.record_completed();
-                                        if let Some(started) = op_started {
-                                            journal.emit(
-                                                &pipeline_lane,
-                                                chunk_read_event(offset, len, 1, &clock, started),
-                                            );
-                                        }
-                                    }
-                                    Err(error) => {
-                                        counters.record_gave_up();
-                                        data[start..].fill(0);
-                                        failed.push(OpFailure {
-                                            op: first_op + k,
-                                            error,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if !config.continue_on_error {
-                        // Fail-fast: surface the first exhausted op as
-                        // the stream's terminal error.
-                        if let Some(first) = failed.into_iter().next() {
-                            return Err(first.error);
-                        }
-                        failed = Vec::new();
-                    }
-                    Ok(Slice {
-                        first_op,
-                        ops: batch,
-                        data,
-                        failed,
-                    })
-                })();
+                let filled = reader.fill(&mut fill, first_op, (batch, data), bytes);
 
                 if slice_fill_us.is_some() || journal.is_enabled() {
                     // Virtual time when the storage is simulated, so the
                     // distribution reflects the modeled device.
-                    let elapsed = match (&clock, fill_started) {
+                    let elapsed = match (clock, fill_started) {
                         (Some(c), Some(s)) => c.now().saturating_sub(s),
                         _ => fill_wall.elapsed(),
                     };
@@ -415,7 +676,7 @@ impl StreamPipeline {
                     }
                     if let Ok(slice) = &filled {
                         journal.emit(
-                            &pipeline_lane,
+                            &reader.lane,
                             EventKind::SliceFill {
                                 first_op: slice.first_op as u64,
                                 ops: slice.ops.len() as u64,
@@ -441,14 +702,20 @@ impl StreamPipeline {
         });
         StreamPipeline {
             rx,
-            reader: Some(reader),
+            reader: Some(handle),
             counters,
+            pool,
         }
     }
 
     /// Blocks for the next slice; `None` when the stream is exhausted.
     pub fn next_slice(&mut self) -> Option<IoResult<Slice>> {
-        self.rx.recv().ok()
+        let mut next = self.rx.recv().ok()?;
+        if let Ok(slice) = &mut next {
+            self.pool.lend();
+            slice.pool = Some(Arc::clone(&self.pool));
+        }
+        Some(next)
     }
 
     /// The shared traffic counters (live handle; clone before consuming
@@ -475,7 +742,9 @@ impl Iterator for StreamPipeline {
 
 impl Drop for StreamPipeline {
     fn drop(&mut self) {
-        // Drain so the bounded sender unblocks, then join the reader.
+        // Stop a reader waiting for a buffer, drain so one blocked on
+        // the bounded channel unblocks, then join it.
+        self.pool.close();
         while self.rx.try_recv().is_ok() {}
         if let Some(handle) = self.reader.take() {
             // Disconnect by dropping our receiver clone implicitly after
@@ -797,6 +1066,183 @@ mod tests {
             }
             assert!(journal.ledger().balanced(), "backend {backend:?}");
         }
+    }
+
+    /// A real file holding `data`, removed when the guard drops.
+    struct TempFile(std::path::PathBuf);
+
+    impl TempFile {
+        fn new(tag: &str, data: &[u8]) -> Self {
+            let path = std::env::temp_dir().join(format!(
+                "reprocmp-pipeline-{tag}-{}.bin",
+                std::process::id()
+            ));
+            crate::storage::StdFsStorage::create(&path, data).unwrap();
+            TempFile(path)
+        }
+
+        fn storage(&self) -> Arc<dyn Storage> {
+            Arc::new(crate::storage::StdFsStorage::open(&self.0).unwrap())
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+
+    fn collect_payloads(pipeline: StreamPipeline) -> Vec<(usize, Vec<u8>)> {
+        let mut out = Vec::new();
+        for slice in pipeline {
+            let slice = slice.unwrap();
+            out.extend(slice.payloads().map(|(i, p)| (i, p.to_vec())));
+        }
+        out
+    }
+
+    #[test]
+    fn real_files_stream_the_same_payloads_as_simulated_storage() {
+        use rand::{Rng, SeedableRng};
+        let (_, data) = make(1 << 18);
+        let file = TempFile::new("random-ops", &data);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for round in 0..24 {
+            // Runs of adjacent ops, gaps, backward jumps, and one op
+            // larger than a slice.
+            let mut ops: Vec<OpSpec> = Vec::new();
+            let mut offset = 0u64;
+            while ops.len() < 40 {
+                let len = if ops.len() == 20 {
+                    9000
+                } else {
+                    rng.gen_range(1..1500usize)
+                };
+                offset = match rng.gen_range(0..4u32) {
+                    0 => rng.gen_range(0..(data.len() - len) as u64),
+                    1 => offset + rng.gen_range(1..300u64),
+                    _ => offset,
+                };
+                if offset as usize + len > data.len() {
+                    offset = 0;
+                }
+                ops.push((offset, len));
+                offset += len as u64;
+            }
+            let cfg = PipelineConfig {
+                slice_bytes: 4096,
+                buffers: 1 + round % 3,
+                ..PipelineConfig::default()
+            };
+            let sim = Arc::new(MemStorage::free(data.clone())) as Arc<dyn Storage>;
+            let want = collect_payloads(StreamPipeline::start(sim, ops.clone(), cfg));
+            let pipeline = StreamPipeline::start(file.storage(), ops.clone(), cfg);
+            let counters = pipeline.counters();
+            assert_eq!(collect_payloads(pipeline), want, "round {round}: {ops:?}");
+            let st = counters.snapshot();
+            assert_eq!((st.submitted, st.completed), (40, 40), "round {round}");
+        }
+    }
+
+    #[test]
+    fn a_bad_range_in_a_real_file_fails_exactly_the_ops_it_overlaps() {
+        use crate::fault::{FaultPlan, FaultyStorage};
+        let (_, data) = make(1 << 16);
+        let file = TempFile::new("bad-range", &data);
+        let faulty = Arc::new(FaultyStorage::new(
+            file.storage(),
+            FaultPlan::Range {
+                start: 2 * 4096 + 100,
+                end: 3 * 4096 + 1,
+            },
+        )) as Arc<dyn Storage>;
+        let ops = chunk_ops(1 << 16, 4096);
+        let cfg = PipelineConfig {
+            slice_bytes: 8 * 4096,
+            continue_on_error: true,
+            retry: RetryPolicy::with_attempts(3),
+            ..PipelineConfig::default()
+        };
+        let pipeline = StreamPipeline::start(faulty, ops.clone(), cfg);
+        let counters = pipeline.counters();
+        let mut failed_ops = Vec::new();
+        for slice in pipeline {
+            let slice = slice.unwrap();
+            let failed: Vec<usize> = slice.failed.iter().map(|f| f.op).collect();
+            for (op, payload) in slice.payloads() {
+                if failed.contains(&op) {
+                    assert!(payload.iter().all(|&b| b == 0), "op {op} is zero-filled");
+                } else {
+                    let (off, len) = ops[op];
+                    assert_eq!(payload, &data[off as usize..off as usize + len], "op {op}");
+                }
+            }
+            failed_ops.extend(failed);
+        }
+        assert_eq!(failed_ops, vec![2, 3], "the ops overlapping the range");
+        let st = counters.snapshot();
+        assert_eq!(st.submitted, ops.len() as u64);
+        assert_eq!(st.completed + st.gave_up, st.submitted);
+        assert_eq!(st.gave_up, 2);
+    }
+
+    #[test]
+    fn a_stream_reuses_its_kept_buffers() {
+        let (storage, data) = make(1 << 18);
+        let file = TempFile::new("kept", &data);
+        let ops = chunk_ops(1 << 18, 1024);
+        for (storage, backend) in [
+            (file.storage(), BackendKind::Uring),
+            (Arc::clone(&storage), BackendKind::Uring),
+            (Arc::clone(&storage), BackendKind::Blocking),
+        ] {
+            for buffers in [1, 2, 3] {
+                let cfg = PipelineConfig {
+                    backend,
+                    slice_bytes: 4096,
+                    buffers,
+                    ..PipelineConfig::default()
+                };
+                let mut pointers = std::collections::HashSet::new();
+                let mut slices = 0;
+                for slice in StreamPipeline::start(Arc::clone(&storage), ops.clone(), cfg) {
+                    pointers.insert(slice.unwrap().data.as_ptr() as usize);
+                    slices += 1;
+                }
+                assert_eq!(slices, 64);
+                assert!(
+                    pointers.len() <= buffers + 1,
+                    "{backend:?}, {buffers} buffers: {} distinct",
+                    pointers.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_consumer_holding_every_slice_never_stalls_the_stream() {
+        let (_, data) = make(1 << 16);
+        let file = TempFile::new("hold", &data);
+        let cfg = PipelineConfig {
+            slice_bytes: 4096,
+            buffers: 1,
+            ..PipelineConfig::default()
+        };
+        let ops = chunk_ops(1 << 16, 1024);
+        let held: Vec<Slice> = StreamPipeline::start(file.storage(), ops.clone(), cfg)
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(held.len(), 16);
+        let joined: Vec<u8> = held.iter().flat_map(|s| s.data.clone()).collect();
+        assert_eq!(joined, data);
+
+        // Dropping the pipeline while holding every buffer joins the
+        // reader instead of hanging.
+        let mut pipeline = StreamPipeline::start(file.storage(), ops, cfg);
+        let first = pipeline.next_slice().unwrap().unwrap();
+        let second = pipeline.next_slice().unwrap().unwrap();
+        drop(pipeline);
+        assert_eq!(first.data.len() + second.data.len(), 2 * 4096);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 
 use parking_lot::RwLock;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,6 +67,17 @@ pub trait Storage: Send + Sync + std::fmt::Debug {
     /// backends return `None` (the default) and retries sleep for real.
     fn sim_clock(&self) -> Option<SimClock> {
         None
+    }
+
+    /// Whether one [`Storage::read_at`] may serve several adjacent
+    /// requests at once.
+    ///
+    /// Stage 2 on real storage reads each run of file-contiguous chunk
+    /// ops with one positioned read when this holds. The default is
+    /// `false`, for storages that count or journal every call (the
+    /// capture store's pack reads): their tallies stay one per request.
+    fn merges_adjacent_reads(&self) -> bool {
+        false
     }
 }
 
@@ -177,9 +189,12 @@ impl Storage for MemStorage {
 }
 
 /// A real file opened for positioned reads.
+///
+/// Each read is one `pread`, so concurrent readers of one file never
+/// queue behind a shared cursor.
 #[derive(Debug)]
 pub struct StdFsStorage {
-    file: parking_lot::Mutex<File>,
+    file: File,
     len: u64,
 }
 
@@ -192,10 +207,7 @@ impl StdFsStorage {
     pub fn open(path: &Path) -> IoResult<Self> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
-        Ok(StdFsStorage {
-            file: parking_lot::Mutex::new(file),
-            len,
-        })
+        Ok(StdFsStorage { file, len })
     }
 
     /// Creates `path` (truncating) with the given contents.
@@ -224,10 +236,12 @@ impl Storage for StdFsStorage {
                 size: self.len,
             });
         }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(offset))?;
-        file.read_exact(buf)?;
+        self.file.read_exact_at(buf, offset)?;
         Ok(())
+    }
+
+    fn merges_adjacent_reads(&self) -> bool {
+        true
     }
 }
 

@@ -164,12 +164,26 @@ pub fn encode_checkpoint(checkpoint_version: u64, regions: &[(&str, &[f32])]) ->
 ///
 /// Any [`CkptCodecError`]; input is untrusted.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointFile, CkptCodecError> {
+    decode_header(bytes, bytes.len() as u64)
+}
+
+/// Parses the header and region table from `prefix`, the first bytes
+/// of a checkpoint file that is `file_len` bytes long, so a reader need
+/// not load the payload to learn its geometry.
+///
+/// # Errors
+///
+/// Any [`CkptCodecError`]; input is untrusted.
+/// [`CkptCodecError::Truncated`] when the region table runs past
+/// `prefix` or the payload past `file_len`: a caller holding only part
+/// of the file reads more and tries again.
+pub fn decode_header(prefix: &[u8], file_len: u64) -> Result<CheckpointFile, CkptCodecError> {
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> Result<&[u8], CkptCodecError> {
-        if *pos + n > bytes.len() {
+        if *pos + n > prefix.len() {
             return Err(CkptCodecError::Truncated);
         }
-        let s = &bytes[*pos..*pos + n];
+        let s = &prefix[*pos..*pos + n];
         *pos += n;
         Ok(s)
     };
@@ -189,7 +203,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointFile, CkptCodecError>
 
     // The count is the file's claim; the bytes left bound what it can
     // hold, since the smallest table entry is 10 bytes (empty name).
-    let mut regions = Vec::with_capacity(n_regions.min((bytes.len() - pos) / 10));
+    let mut regions = Vec::with_capacity(n_regions.min((prefix.len() - pos) / 10));
     let mut value_offset = 0u64;
     for _ in 0..n_regions {
         let name_len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().expect("2 bytes")) as usize;
@@ -214,7 +228,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointFile, CkptCodecError>
     let payload_end = payload_offset
         .checked_add(payload_len)
         .ok_or(CkptCodecError::Corrupt("payload size overflow"))?;
-    if payload_end > bytes.len() as u64 {
+    if payload_end > file_len {
         return Err(CkptCodecError::Truncated);
     }
 
@@ -356,6 +370,25 @@ mod tests {
                 "cut {cut}"
             );
         }
+    }
+
+    #[test]
+    fn header_decodes_from_a_prefix_and_the_file_length() {
+        let bytes = sample();
+        let whole = decode_checkpoint(&bytes).unwrap();
+        let header_end = whole.payload_offset as usize;
+        let len = bytes.len() as u64;
+        assert_eq!(decode_header(&bytes[..header_end], len), Ok(whole));
+        assert_eq!(
+            decode_header(&bytes[..header_end - 1], len),
+            Err(CkptCodecError::Truncated),
+            "the region table runs past the prefix"
+        );
+        assert_eq!(
+            decode_header(&bytes[..header_end], len - 1),
+            Err(CkptCodecError::Truncated),
+            "the payload runs past the file"
+        );
     }
 
     #[test]

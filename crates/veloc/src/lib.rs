@@ -42,5 +42,6 @@ pub mod format;
 
 pub use client::{CaptureMode, CheckpointState, Client, ClientStats, VelocConfig, VelocError};
 pub use format::{
-    decode_checkpoint, encode_checkpoint, read_region, CheckpointFile, CkptCodecError, Region,
+    decode_checkpoint, decode_header, encode_checkpoint, read_region, CheckpointFile,
+    CkptCodecError, Region,
 };

@@ -1,12 +1,11 @@
-//! Wall-clock overhead of the I/O engines themselves (ring
-//! round-trips, pipeline slicing, page bookkeeping) on cost-free
-//! storage — the engine-implementation companion to Figure 9's
-//! modeled device times.
+//! Wall-clock overhead of the stream pipeline itself (slicing, the
+//! kept buffers, the reader thread) on cost-free storage — the
+//! implementation companion to Figure 9's modeled device times.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use reprocmp_io::cost::OpSpec;
 use reprocmp_io::pipeline::{read_all, BackendKind, PipelineConfig};
-use reprocmp_io::{MemStorage, MmapSim, UringSim};
+use reprocmp_io::MemStorage;
 use std::sync::Arc;
 
 fn scattered_ops(file_len: usize, chunk: usize, every: usize) -> Vec<OpSpec> {
@@ -14,34 +13,6 @@ fn scattered_ops(file_len: usize, chunk: usize, every: usize) -> Vec<OpSpec> {
         .filter(|i| i % every == 3)
         .map(|i| ((i * chunk) as u64, chunk))
         .collect()
-}
-
-fn bench_engines(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scattered_read_engines");
-    group.sample_size(20);
-    let file_len = 16 << 20;
-    let data: Vec<u8> = (0..file_len).map(|i| (i % 251) as u8).collect();
-    let ops = scattered_ops(file_len, 4096, 16);
-    let bytes: u64 = ops.iter().map(|&(_, l)| l as u64).sum();
-    group.throughput(Throughput::Bytes(bytes));
-
-    group.bench_function("uring_sim", |b| {
-        b.iter_with_setup(
-            || UringSim::new(MemStorage::free(data.clone()), 4, 64),
-            |mut ring| {
-                ring.read_scattered(std::hint::black_box(&ops)).unwrap();
-            },
-        );
-    });
-    group.bench_function("mmap_sim", |b| {
-        b.iter_with_setup(
-            || MmapSim::new(MemStorage::free(data.clone())),
-            |map| {
-                map.read_scattered(std::hint::black_box(&ops)).unwrap();
-            },
-        );
-    });
-    group.finish();
 }
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -77,5 +48,5 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engines, bench_pipeline);
+criterion_group!(benches, bench_pipeline);
 criterion_main!(benches);

@@ -5,8 +5,8 @@
 //!
 //! * `submit_latency` — CPU/syscall cost per operation. io_uring's win
 //!   over classic read() comes partly from batching submissions; we keep
-//!   this term small and identical across backends (the rings amortize
-//!   it further by submitting many SQEs per call).
+//!   this term small and identical across backends (the async batch
+//!   amortizes it further, one submission per `depth` operations).
 //! * `seek_latency` — device-side latency for a *discontiguous* access.
 //!   This is what makes scattered chunk reads so much more expensive
 //!   per byte than one large sequential read.

@@ -1,11 +1,11 @@
 //! Fault injection for storage and filesystem mutations.
 //!
-//! A comparison runtime that drives thousands of scattered reads
-//! through worker pools must surface device errors cleanly: no hangs,
-//! no partial results silently reported as complete. [`FaultyStorage`]
-//! wraps any [`Storage`] and fails reads according to a
-//! [`FaultPlan`], letting tests (and chaos-minded users) exercise
-//! every error path in the rings, the pipeline, and the engine.
+//! A comparison runtime that drives thousands of scattered reads must
+//! surface device errors cleanly: no hangs, no partial results silently
+//! reported as complete. [`FaultyStorage`] wraps any [`Storage`] and
+//! fails reads according to a [`FaultPlan`], letting tests (and
+//! chaos-minded users) exercise every error path in the pipeline and
+//! the engine.
 //!
 //! [`CrashPlan`] is the write-side twin: a deterministic power-failure
 //! injector for *filesystem mutation sequences*. Persistent components
@@ -345,7 +345,6 @@ mod tests {
     use super::*;
     use crate::pipeline::{read_all, BackendKind, PipelineConfig, StreamPipeline};
     use crate::storage::MemStorage;
-    use crate::uring::UringSim;
 
     fn base(n: usize) -> Arc<dyn Storage> {
         Arc::new(MemStorage::free((0..n).map(|i| (i % 251) as u8).collect()))
@@ -403,14 +402,10 @@ mod tests {
             base(1 << 16),
             FaultPlan::EveryNth { n: 5 },
         ));
-        let mut ring = UringSim::with_arc(faulty.clone(), 4, 16);
         let ops: Vec<OpSpec> = (0..20).map(|i| (i * 1000, 64)).collect();
-        let err = ring.read_scattered(&ops).unwrap_err();
+        let err = read_all(faulty.clone(), &ops, PipelineConfig::default()).unwrap_err();
         assert!(matches!(err, IoError::Os(_)));
         assert!(faulty.injected_faults() >= 1);
-        // The ring is still usable for future submissions after an
-        // error batch.
-        drop(ring);
     }
 
     #[test]

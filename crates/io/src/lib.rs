@@ -15,14 +15,14 @@
 //! * [`storage::Storage`] — positioned-read/write storage; implemented by
 //!   [`storage::MemStorage`] (in-memory, cost-charged through the model +
 //!   clock) and [`storage::StdFsStorage`] (real files, for the CLI).
-//! * [`uring::UringSim`] — an io_uring-style engine: submission and
-//!   completion rings drained by worker threads; batched scattered reads
-//!   amortize seek latency across the queue depth, exactly the property
-//!   the paper's Figure 9 measures.
-//! * [`mmap::MmapSim`] — the synchronous, page-fault-per-page backend
-//!   io_uring is compared against.
 //! * [`pipeline::StreamPipeline`] — the double-buffered I/O ⇄ compute
-//!   overlap of the paper's Figure 3.
+//!   overlap of the paper's Figure 3. One reader fills every slice with
+//!   positioned reads; on simulated storage its [`BackendKind`] decides
+//!   what those reads cost: `Uring` charges one batch per slice at the
+//!   configured queue depth, amortizing seek latency across it — the
+//!   property the paper's Figure 9 measures — while `Blocking` charges
+//!   the batch synchronously and `Mmap` charges each op's page faults
+//!   ([`mmap::MmapSim`]).
 //! * [`retry::RetryPolicy`] — bounded retries with exponential,
 //!   jittered backoff (charged to the virtual clock) and per-op
 //!   deadlines, so transient device faults heal inside the I/O layer
@@ -32,16 +32,17 @@
 //!
 //! ```
 //! use reprocmp_io::cost::CostModel;
-//! use reprocmp_io::storage::{MemStorage, Storage};
-//! use reprocmp_io::uring::UringSim;
+//! use reprocmp_io::pipeline::read_all;
+//! use reprocmp_io::{BackendKind, MemStorage, PipelineConfig, Storage};
+//! use std::sync::Arc;
 //!
 //! // A 1 MiB "checkpoint" on the simulated PFS.
 //! let data: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
 //! let storage = MemStorage::with_model(data.clone(), CostModel::lustre_pfs());
 //!
-//! let mut ring = UringSim::new(storage.clone(), 2, 64);
-//! let got = ring.read_scattered(&[(4096, 64), (900_000, 64)]).unwrap();
-//! assert_eq!(&got[0][..], &data[4096..4096 + 64]);
+//! let config = PipelineConfig { backend: BackendKind::Uring, ..PipelineConfig::default() };
+//! let got = read_all(Arc::new(storage.clone()), &[(4096, 64), (900_000, 64)], config).unwrap();
+//! assert_eq!(&got[..64], &data[4096..4096 + 64]);
 //! assert!(storage.elapsed() > std::time::Duration::ZERO);
 //! ```
 
@@ -56,7 +57,12 @@ pub mod pipeline;
 pub mod retry;
 pub mod storage;
 pub mod striped;
-pub mod uring;
+
+/// The `Uring` backend's behaviours, checked through the pipeline.
+#[cfg(test)]
+mod uring {
+    mod tests;
+}
 
 pub use clock::{SimClock, Timeline};
 pub use cost::CostModel;
@@ -66,7 +72,6 @@ pub use pipeline::{BackendKind, OpFailure, PipelineConfig, PipelineMetrics, Stre
 pub use retry::{ErrorClass, RetryPolicy, RingCounters, RingStats};
 pub use storage::{MemStorage, StdFsStorage, Storage};
 pub use striped::StripedStorage;
-pub use uring::UringSim;
 
 /// Crate-wide I/O error type.
 #[derive(Debug)]
@@ -82,7 +87,7 @@ pub enum IoError {
     },
     /// The underlying operating-system file operation failed.
     Os(std::io::Error),
-    /// An I/O worker thread disappeared (channel closed).
+    /// The pipeline's reader stopped before delivering every op.
     EngineShutDown,
 }
 

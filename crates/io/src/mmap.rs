@@ -5,10 +5,11 @@
 //! synchronous page fault: the faulting thread stalls for a full device
 //! round-trip, faults cannot be batched, and the effective granularity
 //! is the 4 KiB page regardless of how few bytes the application wants.
-//! [`MmapSim`] reproduces that cost structure over any [`Storage`]:
-//! reads are rounded out to page boundaries, a non-resident page
+//! [`MmapSim`] charges that cost structure to a [`Storage`]'s clock,
+//! for the pipeline's `Mmap` backend to charge before each op's read:
+//! ranges are rounded out to page boundaries, a non-resident page
 //! triggers a *synchronous* fault that loads a readahead window
-//! (kernel fault-around), and a resident-set models the page cache
+//! (kernel fault-around), and a resident set models the page cache
 //! (re-touching a page is free until [`MmapSim::evict_all`], the
 //! `vmtouch -e` of the experiments). Readahead is what keeps real
 //! mmap only ~3x slower than io_uring rather than orders of
@@ -22,38 +23,29 @@ use std::sync::Arc;
 
 use crate::cost::OpSpec;
 use crate::storage::{AccessMode, Storage};
-use crate::IoResult;
 
-/// Default page size (4 KiB, as on the evaluation platform).
+/// Page size (4 KiB, as on the evaluation platform).
 pub const PAGE_SIZE: usize = 4096;
 
 /// Default readahead window in pages (512 KiB, a Lustre-like client
 /// readahead).
 pub const READAHEAD_PAGES: usize = 128;
 
-/// A simulated memory-mapped view of a storage object.
+/// The page-fault cost of a simulated memory-mapped view of a storage
+/// object.
 #[derive(Debug)]
 pub struct MmapSim {
     storage: Arc<dyn Storage>,
-    page_size: usize,
     readahead_pages: usize,
     resident: Mutex<BTreeSet<u64>>,
 }
 
 impl MmapSim {
-    /// Maps `storage` with the default page size.
+    /// Maps `storage` with the default readahead and nothing resident.
     #[must_use]
-    pub fn new<S: Storage + 'static>(storage: S) -> Self {
-        Self::with_arc(Arc::new(storage), PAGE_SIZE)
-    }
-
-    /// Maps an existing storage handle with a custom page size
-    /// (clamped to at least 512 bytes) and the default readahead.
-    #[must_use]
-    pub fn with_arc(storage: Arc<dyn Storage>, page_size: usize) -> Self {
+    pub fn new(storage: Arc<dyn Storage>) -> Self {
         MmapSim {
             storage,
-            page_size: page_size.max(512),
             readahead_pages: READAHEAD_PAGES,
             resident: Mutex::new(BTreeSet::new()),
         }
@@ -65,18 +57,6 @@ impl MmapSim {
     pub fn with_readahead(mut self, pages: usize) -> Self {
         self.readahead_pages = pages.max(1);
         self
-    }
-
-    /// The readahead window in pages.
-    #[must_use]
-    pub fn readahead_pages(&self) -> usize {
-        self.readahead_pages
-    }
-
-    /// The page size in effect.
-    #[must_use]
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 
     /// Number of currently resident pages.
@@ -91,65 +71,38 @@ impl MmapSim {
         self.resident.lock().clear();
     }
 
-    /// Reads one `(offset, len)` range through the mapping.
+    /// Charges the faults of touching `(offset, len)` through the
+    /// mapping.
     ///
     /// Every non-resident page in the range triggers a synchronous
     /// fault; each fault loads a whole readahead window (made
-    /// resident), and windows are charged as synchronous ops — the
-    /// faulting thread blocks for each device round-trip. The copy
-    /// itself is then free (it is memory).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage bounds errors.
-    pub fn read(&self, offset: u64, len: usize) -> IoResult<Vec<u8>> {
-        let ps = self.page_size as u64;
-        let ra = self.readahead_pages as u64;
-        let file_pages = self.storage.len().div_ceil(ps);
-        let first_page = offset / ps;
+    /// resident), and the windows are charged as one synchronous batch
+    /// — the faulting thread blocks for each device round-trip.
+    /// Reading the bytes is then free (it is memory). The walk stops at
+    /// the object's last page: a read past it fails at the storage.
+    pub fn fault(&self, offset: u64, len: usize) {
+        let ps = PAGE_SIZE as u64;
+        let size = self.storage.len();
+        let file_pages = size.div_ceil(ps);
         let last_page = (offset + len.max(1) as u64 - 1) / ps;
+        let mut resident = self.resident.lock();
         let mut faults: Vec<OpSpec> = Vec::new();
-        {
-            let mut resident = self.resident.lock();
-            let mut page = first_page;
-            while page <= last_page {
-                if resident.contains(&page) {
-                    page += 1;
-                    continue;
-                }
-                // Fault: bring in the readahead window starting here.
-                let window_end = (page + ra).min(file_pages);
-                let mut brought = 0u64;
-                for p in page..window_end {
-                    if resident.insert(p) {
-                        brought += 1;
-                    }
-                }
-                let start = page * ps;
-                let window_len =
-                    (self.storage.len().saturating_sub(start)).min(brought * ps) as usize;
-                if window_len > 0 {
-                    faults.push((start, window_len));
-                }
-                page = window_end;
+        let mut page = offset / ps;
+        while page <= last_page && page < file_pages {
+            if resident.contains(&page) {
+                page += 1;
+                continue;
             }
+            // Fault: bring in the readahead window starting here.
+            let window_end = (page + self.readahead_pages as u64).min(file_pages);
+            let brought = (page..window_end).filter(|&p| resident.insert(p)).count() as u64;
+            let window_len = (size - page * ps).min(brought * ps) as usize;
+            faults.push((page * ps, window_len));
+            page = window_end;
         }
         if !faults.is_empty() {
             self.storage.charge_batch(&faults, AccessMode::Sync);
         }
-        let mut buf = vec![0u8; len];
-        self.storage.read_at(offset, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// Reads many scattered ranges, faulting pages as needed; buffers
-    /// are returned in op order.
-    ///
-    /// # Errors
-    ///
-    /// The first storage error encountered.
-    pub fn read_scattered(&self, ops: &[OpSpec]) -> IoResult<Vec<Vec<u8>>> {
-        ops.iter().map(|&(off, len)| self.read(off, len)).collect()
     }
 }
 
@@ -157,78 +110,87 @@ impl MmapSim {
 mod tests {
     use super::*;
     use crate::cost::CostModel;
+    use crate::pipeline::{read_all, BackendKind, PipelineConfig};
     use crate::storage::MemStorage;
     use std::time::Duration;
 
-    fn charged(n: usize) -> (MmapSim, MemStorage, Vec<u8>) {
+    fn charged(n: usize) -> (MmapSim, MemStorage) {
+        let mem = MemStorage::with_model(vec![0u8; n], CostModel::lustre_pfs());
+        (MmapSim::new(Arc::new(mem.clone())), mem)
+    }
+
+    /// Reads `ops` from `n` patterned bytes on the simulated PFS
+    /// through the pipeline: the bytes read, the bytes stored, and the
+    /// modeled time.
+    fn read_through(
+        backend: BackendKind,
+        n: usize,
+        ops: &[OpSpec],
+    ) -> (Vec<u8>, Vec<u8>, Duration) {
         let data: Vec<u8> = (0..n).map(|i| (i % 247) as u8).collect();
         let mem = MemStorage::with_model(data.clone(), CostModel::lustre_pfs());
-        (
-            MmapSim::with_arc(Arc::new(mem.clone()), PAGE_SIZE),
-            mem,
-            data,
-        )
+        let cfg = PipelineConfig {
+            backend,
+            ..PipelineConfig::default()
+        };
+        let got = read_all(Arc::new(mem.clone()), ops, cfg).unwrap();
+        (got, data, mem.elapsed())
     }
 
     #[test]
     fn reads_return_correct_bytes() {
-        let (map, _, data) = charged(1 << 16);
-        let buf = map.read(10_000, 100).unwrap();
-        assert_eq!(&buf[..], &data[10_000..10_100]);
+        let (got, data, _) = read_through(BackendKind::Mmap, 1 << 16, &[(10_000, 100)]);
+        assert_eq!(got, &data[10_000..10_100]);
     }
 
     #[test]
     fn first_touch_faults_subsequent_touch_free() {
-        let (map, mem, _) = charged(1 << 16);
-        map.read(0, 64).unwrap();
+        let (map, mem) = charged(1 << 16);
+        map.fault(0, 64);
         let after_first = mem.elapsed();
         assert!(after_first > Duration::ZERO);
-        map.read(8, 64).unwrap(); // same page
+        map.fault(8, 64); // same page
         assert_eq!(mem.elapsed(), after_first);
     }
 
     #[test]
     fn evict_all_restores_fault_cost() {
-        let (map, mem, _) = charged(1 << 16);
-        map.read(0, 64).unwrap();
+        let (map, mem) = charged(1 << 16);
+        map.fault(0, 64);
         let t1 = mem.elapsed();
         map.evict_all();
         assert_eq!(map.resident_pages(), 0);
-        map.read(0, 64).unwrap();
-        assert!(mem.elapsed() > t1);
+        map.fault(0, 64);
+        assert_eq!(mem.elapsed(), t1 * 2);
     }
 
     #[test]
     fn range_spanning_pages_faults_each_page() {
-        let data = vec![0u8; 1 << 16];
-        let mem = MemStorage::with_model(data, CostModel::lustre_pfs());
-        let map = MmapSim::with_arc(Arc::new(mem), PAGE_SIZE).with_readahead(1);
-        map.read(PAGE_SIZE as u64 - 10, 20).unwrap(); // spans 2 pages
+        let (map, _) = charged(1 << 16);
+        let map = map.with_readahead(1);
+        map.fault(PAGE_SIZE as u64 - 10, 20); // spans 2 pages
         assert_eq!(map.resident_pages(), 2);
     }
 
     #[test]
     fn readahead_window_becomes_resident_in_one_fault() {
-        let data = vec![0u8; 1 << 20];
-        let mem = MemStorage::with_model(data, CostModel::lustre_pfs());
-        let map = MmapSim::with_arc(Arc::new(mem.clone()), PAGE_SIZE).with_readahead(16);
-        map.read(0, 8).unwrap();
+        let (map, mem) = charged(1 << 20);
+        let map = map.with_readahead(16);
+        map.fault(0, 8);
         assert_eq!(map.resident_pages(), 16);
         // Touching anywhere inside the window is free.
         let t = mem.elapsed();
-        map.read(15 * PAGE_SIZE as u64, 100).unwrap();
+        map.fault(15 * PAGE_SIZE as u64, 100);
         assert_eq!(mem.elapsed(), t);
     }
 
     #[test]
     fn small_read_still_faults_whole_window_cost() {
         // 8 bytes wanted, but the charge covers the readahead window.
-        let data = vec![0u8; 1 << 16];
-        let m = CostModel::lustre_pfs();
-        let mem = MemStorage::with_model(data, m);
-        let map = MmapSim::with_arc(Arc::new(mem.clone()), PAGE_SIZE).with_readahead(4);
-        map.read(0, 8).unwrap();
-        let expected = m.sync_batch_time(&[(0, 4 * PAGE_SIZE)]);
+        let (map, mem) = charged(1 << 16);
+        let map = map.with_readahead(4);
+        map.fault(0, 8);
+        let expected = mem.model().sync_batch_time(&[(0, 4 * PAGE_SIZE)]);
         assert_eq!(mem.elapsed(), expected);
     }
 
@@ -236,18 +198,8 @@ mod tests {
     fn mmap_slower_than_uring_for_scattered_reads() {
         // The Figure 9 property, as a unit test.
         let ops: Vec<OpSpec> = (0..64).map(|i| (i * 10 * PAGE_SIZE as u64, 4096)).collect();
-        let data = vec![0u8; 1 << 23];
-
-        let mem_a = MemStorage::with_model(data.clone(), CostModel::lustre_pfs());
-        let map = MmapSim::with_arc(Arc::new(mem_a.clone()), PAGE_SIZE);
-        map.read_scattered(&ops).unwrap();
-        let t_mmap = mem_a.elapsed();
-
-        let mem_b = MemStorage::with_model(data, CostModel::lustre_pfs());
-        let mut ring = crate::uring::UringSim::new(mem_b.clone(), 4, 64);
-        ring.read_scattered(&ops).unwrap();
-        let t_uring = mem_b.elapsed();
-
+        let elapsed = |backend| read_through(backend, 1 << 23, &ops).2;
+        let (t_mmap, t_uring) = (elapsed(BackendKind::Mmap), elapsed(BackendKind::Uring));
         assert!(
             t_mmap > t_uring * 3,
             "mmap {t_mmap:?} should be >3x uring {t_uring:?}"
@@ -256,18 +208,37 @@ mod tests {
 
     #[test]
     fn tail_page_shorter_than_page_size() {
-        let (map, _, data) = charged(PAGE_SIZE + 100);
-        let buf = map.read(PAGE_SIZE as u64, 100).unwrap();
-        assert_eq!(&buf[..], &data[PAGE_SIZE..PAGE_SIZE + 100]);
+        let (map, mem) = charged(PAGE_SIZE + 100);
+        map.fault(PAGE_SIZE as u64, 100);
+        let expected = mem.model().sync_batch_time(&[(PAGE_SIZE as u64, 100)]);
+        assert_eq!(mem.elapsed(), expected, "only the bytes the object has");
+        let (got, data, _) = read_through(
+            BackendKind::Mmap,
+            PAGE_SIZE + 100,
+            &[(PAGE_SIZE as u64, 100)],
+        );
+        assert_eq!(got, &data[PAGE_SIZE..]);
     }
 
     #[test]
     fn scattered_order_preserved() {
-        let (map, _, data) = charged(1 << 16);
-        let ops = vec![(30_000u64, 16usize), (0, 16), (60_000, 16)];
-        let bufs = map.read_scattered(&ops).unwrap();
-        for (buf, &(off, len)) in bufs.iter().zip(&ops) {
-            assert_eq!(&buf[..], &data[off as usize..off as usize + len]);
+        let ops = [(30_000u64, 16usize), (0, 16), (60_000, 16)];
+        let (got, data, _) = read_through(BackendKind::Mmap, 1 << 16, &ops);
+        for (buf, &(off, len)) in got.chunks(16).zip(&ops) {
+            assert_eq!(buf, &data[off as usize..off as usize + len]);
         }
+    }
+
+    #[test]
+    fn the_fault_walk_stops_at_the_end_of_the_object() {
+        // The range ends 104 bytes past the end: only page 0 exists.
+        let (map, mem) = charged(PAGE_SIZE);
+        map.fault(4000, 200);
+        assert_eq!(map.resident_pages(), 1);
+        let expected = mem.model().sync_batch_time(&[(0, PAGE_SIZE)]);
+        assert_eq!(mem.elapsed(), expected);
+        // Entirely past the end: nothing to fault.
+        map.fault(2 * PAGE_SIZE as u64, 10);
+        assert_eq!(mem.elapsed(), expected);
     }
 }

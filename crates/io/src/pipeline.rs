@@ -13,54 +13,37 @@
 //! pool: the reader waits for a free one when the consumer falls
 //! behind, and a dropped [`Slice`] hands its buffer back.
 //!
-//! How a slice is filled depends on the storage. Real storage — any
-//! [`Storage`] without a virtual clock: files, the capture store — is
-//! read by the reader thread itself, one positioned read per run of
-//! file-contiguous ops (where [`Storage::merges_adjacent_reads`]
-//! allows) straight into the slice buffer. Simulated storage goes
-//! through the configured [`BackendKind`], whose worker threads and
-//! per-op copies are part of the device being modelled.
+//! Every slice is filled the same way: the reader thread reads its ops
+//! with positioned reads straight into the slice buffer, one per run of
+//! file-contiguous ops where [`Storage::merges_adjacent_reads`] allows,
+//! else one per op. The configured [`BackendKind`] decides only what
+//! those reads cost on simulated storage — a [`Storage`] with a
+//! virtual clock. Before reading, the reader charges that clock one
+//! asynchronous batch per slice (`Uring`), one synchronous batch per
+//! slice (`Blocking`), or each op's page faults just before the op
+//! (`Mmap`). Real storage — files, the capture store — is charged
+//! nothing: its reads take the wall time they take.
 
 use crossbeam::channel::{bounded, Receiver};
 use parking_lot::{Condvar, Mutex};
 use reprocmp_obs::{EventKind, Histogram, Journal, Registry};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::clock::SimClock;
 use crate::cost::OpSpec;
 use crate::mmap::MmapSim;
 use crate::retry::{RetryPolicy, RingCounters, RingStats};
 use crate::storage::{AccessMode, Storage};
-use crate::uring::UringSim;
 use crate::{IoError, IoResult};
 
-/// A `chunk_read` completion event for one synchronous per-op read,
-/// with latency taken on the virtual clock when the storage is
-/// simulated and on the wall clock otherwise.
-fn chunk_read_event(
-    offset: u64,
-    len: usize,
-    queue_depth: u64,
-    clock: &Option<SimClock>,
-    (sim_start, wall_start): (Option<std::time::Duration>, std::time::Instant),
-) -> EventKind {
-    let latency = match (clock.as_ref(), sim_start) {
-        (Some(c), Some(s)) => c.now().saturating_sub(s),
-        _ => wall_start.elapsed(),
-    };
-    EventKind::ChunkRead {
-        offset,
-        len: len as u64,
-        queue_depth,
-        latency_ns: u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX),
-    }
-}
-
-/// Which I/O strategy the modelled device uses to fill the slices.
+/// How the modelled device charges the reads that fill the slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// io_uring-style batched asynchronous reads (the paper's choice).
+    /// io_uring-style batched asynchronous reads (the paper's choice):
+    /// one batch per slice with [`PipelineConfig::queue_depth`] in
+    /// flight.
     Uring,
     /// mmap-style synchronous page-faulting reads (Figure 9 baseline).
     Mmap,
@@ -72,17 +55,15 @@ pub enum BackendKind {
 /// Streaming configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// I/O strategy of the modelled device: a policy for simulated
-    /// storage (one with a [`SimClock`]) only. Real storage is always
-    /// read by the reader thread with positioned reads.
+    /// What the modelled device charges for the reads: a cost policy
+    /// for simulated storage (one with a [`SimClock`]) only. Every
+    /// storage is read the same way.
     pub backend: BackendKind,
     /// Target payload bytes per slice (at least one op per slice is
     /// always taken, so oversized ops still flow). Also the size of
     /// each kept buffer, capped at the total bytes the ops ask for.
     pub slice_bytes: usize,
-    /// Worker threads inside the uring backend (simulated storage).
-    pub io_threads: usize,
-    /// Device queue depth for the uring backend (simulated storage).
+    /// Device queue depth the uring backend charges (simulated storage).
     pub queue_depth: usize,
     /// Slices that may wait for the consumer (2 = classic double
     /// buffering). The pipeline keeps `buffers + 1` slice buffers, so
@@ -106,7 +87,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             backend: BackendKind::Uring,
             slice_bytes: 8 << 20,
-            io_threads: 4,
             queue_depth: 64,
             buffers: 2,
             retry: RetryPolicy::none(),
@@ -165,12 +145,12 @@ impl PipelineMetrics {
         }
     }
 
-    /// Attaches a flight-recorder journal. Events appear on lanes
-    /// derived from `lane`: `slice_fill` on `{lane}.pipeline`, per-op
-    /// `chunk_read` / `retry` events on `{lane}.pipeline` for real
-    /// storage and the synchronous backends or `{lane}.uring.w{i}` per
-    /// uring worker, and one `io_submit` per slice on `{lane}.pipeline`
-    /// for real storage or per uring batch on `{lane}.uring.sq`.
+    /// Attaches a flight-recorder journal. Every event appears on
+    /// `{lane}.pipeline`: one `slice_fill` per slice, one `chunk_read`
+    /// per completed op and the `retry` events, plus one `io_submit`
+    /// per slice on real storage (queue depth 1) and on the uring
+    /// backend (its queue depth). The synchronous backends submit
+    /// nothing.
     #[must_use]
     pub fn with_journal(mut self, journal: Journal, lane: &str) -> Self {
         self.journal = journal;
@@ -368,27 +348,51 @@ impl Drop for Pool {
     }
 }
 
-/// How the reader thread fills slices (see the module docs).
+/// What the reader charges the storage's virtual clock for its reads
+/// (see the module docs).
 #[derive(Debug)]
-enum Fill {
-    /// Real storage: positioned reads straight into the slice buffer.
-    Direct,
-    /// The modelled device's batched asynchronous ring.
-    Uring(UringSim),
-    /// The modelled device's page-faulting map.
-    Mmap(MmapSim),
-    /// The modelled device's blocking reads, charged as one sync batch.
-    Blocking,
+enum Charge {
+    /// Real storage: nothing.
+    Nothing,
+    /// Each slice as one batch.
+    Batch(AccessMode),
+    /// The page faults of each op, just before it is read.
+    Faults(MmapSim),
+}
+
+impl Charge {
+    fn new(storage: &Arc<dyn Storage>, config: &PipelineConfig) -> Self {
+        if storage.sim_clock().is_none() {
+            return Charge::Nothing;
+        }
+        match config.backend {
+            BackendKind::Uring => Charge::Batch(AccessMode::Async {
+                depth: config.queue_depth.max(1),
+            }),
+            BackendKind::Blocking => Charge::Batch(AccessMode::Sync),
+            BackendKind::Mmap => Charge::Faults(MmapSim::new(Arc::clone(storage))),
+        }
+    }
+
+    /// The queue depth of a slice's `io_submit`; `None` for the
+    /// synchronous backends, which submit nothing.
+    fn submit_depth(&self) -> Option<usize> {
+        match self {
+            Charge::Nothing => Some(1),
+            Charge::Batch(AccessMode::Async { depth }) => Some(*depth),
+            Charge::Batch(AccessMode::Sync) | Charge::Faults(_) => None,
+        }
+    }
 }
 
 /// Everything the reader thread needs to fill slices.
 struct Reader {
     storage: Arc<dyn Storage>,
     config: PipelineConfig,
+    charge: Charge,
     counters: Arc<RingCounters>,
     journal: Journal,
-    /// `{lane}.pipeline`: slice fills and per-op events of the
-    /// synchronous paths.
+    /// `{lane}.pipeline`: every event the reader emits.
     lane: String,
     clock: Option<SimClock>,
 }
@@ -397,87 +401,23 @@ impl Reader {
     /// Fills one slice of `batch` (whose payloads total `bytes`) into
     /// `data`. Fail-fast configurations turn the first failed op into
     /// the stream's terminal error.
-    fn fill(
-        &self,
-        fill: &mut Fill,
-        first_op: usize,
-        (batch, mut data): Buffers,
-        bytes: usize,
-    ) -> IoResult<Slice> {
-        let mut failed: Vec<OpFailure> = Vec::new();
-        match fill {
-            Fill::Direct => {
-                // One submission per slice, as the uring doorbell is.
-                self.journal.emit(
-                    &self.lane,
-                    EventKind::IoSubmit {
-                        ops: batch.len() as u64,
-                        bytes: bytes as u64,
-                        queue_depth: 1,
-                    },
-                );
-                data.resize(bytes, 0);
-                let merge = self.storage.merges_adjacent_reads();
-                self.read_direct(&batch, first_op, &mut data, merge, &mut failed);
-            }
-            Fill::Blocking => {
-                self.storage.charge_batch(&batch, AccessMode::Sync);
-                data.resize(bytes, 0);
-                self.read_direct(&batch, first_op, &mut data, false, &mut failed);
-            }
-            Fill::Uring(ring) => {
-                // Workers retry internally and tally the shared
-                // counters; only harvest here.
-                data.clear();
-                let results = ring.read_scattered_results(&batch)?;
-                for (k, result) in results.into_iter().enumerate() {
-                    match result {
-                        Ok(buf) => data.extend_from_slice(&buf),
-                        Err(error) => {
-                            data.resize(data.len() + batch[k].1, 0);
-                            failed.push(OpFailure {
-                                op: first_op + k,
-                                error,
-                            });
-                        }
-                    }
-                }
-            }
-            Fill::Mmap(map) => {
-                data.clear();
-                self.counters.record_submitted(batch.len() as u64);
-                for (k, &(offset, len)) in batch.iter().enumerate() {
-                    let op_started = self.op_started();
-                    let (result, retries) = self.config.retry.run(
-                        self.clock.as_ref(),
-                        &self.journal,
-                        &self.lane,
-                        || map.read(offset, len),
-                    );
-                    self.counters.record_retries(u64::from(retries));
-                    match result {
-                        Ok(buf) => {
-                            self.counters.record_completed();
-                            data.extend_from_slice(&buf);
-                            if let Some(started) = op_started {
-                                self.journal.emit(
-                                    &self.lane,
-                                    chunk_read_event(offset, len, 1, &self.clock, started),
-                                );
-                            }
-                        }
-                        Err(error) => {
-                            self.counters.record_gave_up();
-                            data.resize(data.len() + len, 0);
-                            failed.push(OpFailure {
-                                op: first_op + k,
-                                error,
-                            });
-                        }
-                    }
-                }
-            }
+    fn fill(&self, first_op: usize, (batch, mut data): Buffers, bytes: usize) -> IoResult<Slice> {
+        if let Charge::Batch(mode) = self.charge {
+            self.storage.charge_batch(&batch, mode);
         }
+        if let Some(depth) = self.charge.submit_depth() {
+            self.journal.emit(
+                &self.lane,
+                EventKind::IoSubmit {
+                    ops: batch.len() as u64,
+                    bytes: bytes as u64,
+                    queue_depth: depth as u64,
+                },
+            );
+        }
+        data.resize(bytes, 0);
+        let mut failed: Vec<OpFailure> = Vec::new();
+        self.read_direct(&batch, first_op, &mut data, &mut failed);
         if !self.config.continue_on_error {
             // Fail-fast: surface the first exhausted op as the
             // stream's terminal error.
@@ -496,7 +436,8 @@ impl Reader {
     }
 
     /// Reads `batch` into `data` (sized to it) with positioned reads:
-    /// one per op, or with `merge` one per run of file-contiguous ops.
+    /// one per run of file-contiguous ops where the storage
+    /// [merges](Storage::merges_adjacent_reads) them, else one per op.
     /// A run whose read fails after retries is read again op by op, so
     /// exactly the ops that fail are zero-filled and reported.
     fn read_direct(
@@ -504,10 +445,10 @@ impl Reader {
         batch: &[OpSpec],
         first_op: usize,
         data: &mut [u8],
-        merge: bool,
         failed: &mut Vec<OpFailure>,
     ) {
         self.counters.record_submitted(batch.len() as u64);
+        let merge = self.storage.merges_adjacent_reads();
         let (mut k, mut start) = (0usize, 0usize);
         while k < batch.len() {
             let mut end = k + 1;
@@ -541,24 +482,37 @@ impl Reader {
     }
 
     /// One positioned read of the file-contiguous `run` into `buf`,
-    /// under the retry policy. On success every op in the run counts
-    /// as completed and gets its `chunk_read` event.
+    /// under the retry policy, after the run's page faults on the mmap
+    /// backend (a retry finds those pages resident). On success every
+    /// op in the run counts as completed and gets its `chunk_read`
+    /// event.
     fn read_run(&self, run: &[OpSpec], buf: &mut [u8]) -> IoResult<()> {
-        let started = self.op_started();
+        let started = self.journal.is_enabled().then(|| self.now());
+        let offset = run[0].0;
         let (result, retries) =
             self.config
                 .retry
                 .run(self.clock.as_ref(), &self.journal, &self.lane, || {
-                    self.storage.read_at(run[0].0, buf)
+                    if let Charge::Faults(map) = &self.charge {
+                        map.fault(offset, buf.len());
+                    }
+                    self.storage.read_at(offset, buf)
                 });
         self.counters.record_retries(u64::from(retries));
         if result.is_ok() {
+            let latency_ns = started.map(|s| nanos(self.since(s)));
+            let queue_depth = self.charge.submit_depth().unwrap_or(1) as u64;
             for &(offset, len) in run {
                 self.counters.record_completed();
-                if let Some(started) = started {
+                if let Some(latency_ns) = latency_ns {
                     self.journal.emit(
                         &self.lane,
-                        chunk_read_event(offset, len, 1, &self.clock, started),
+                        EventKind::ChunkRead {
+                            offset,
+                            len: len as u64,
+                            queue_depth,
+                            latency_ns,
+                        },
                     );
                 }
             }
@@ -566,15 +520,23 @@ impl Reader {
         result
     }
 
-    /// Start times for a journaled op; `None` when nobody is watching.
-    fn op_started(&self) -> Option<(Option<std::time::Duration>, std::time::Instant)> {
-        self.journal.is_enabled().then(|| {
-            (
-                self.clock.as_ref().map(SimClock::now),
-                std::time::Instant::now(),
-            )
-        })
+    /// A start time on both clocks, for [`Reader::since`].
+    fn now(&self) -> (Option<Duration>, Instant) {
+        (self.clock.as_ref().map(SimClock::now), Instant::now())
     }
+
+    /// Time since `now()`: virtual when the storage is simulated, so
+    /// latencies reflect the modeled device, and wall time otherwise.
+    fn since(&self, (sim, wall): (Option<Duration>, Instant)) -> Duration {
+        match (&self.clock, sim) {
+            (Some(c), Some(s)) => c.now().saturating_sub(s),
+            _ => wall.elapsed(),
+        }
+    }
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// A running stream of [`Slice`]s; iterate to consume.
@@ -614,9 +576,9 @@ impl StreamPipeline {
             lane,
             ..
         } = metrics;
-        let uring_lane = format!("{lane}.uring");
         let reader = Reader {
             clock: storage.sim_clock(),
+            charge: Charge::new(&storage, &config),
             storage,
             config,
             counters: Arc::clone(&counters),
@@ -626,25 +588,6 @@ impl StreamPipeline {
         let reader_pool = Arc::clone(&pool);
         let handle = std::thread::spawn(move || {
             let journal = &reader.journal;
-            let clock = &reader.clock;
-            let mut fill = match (clock, config.backend) {
-                (None, _) => Fill::Direct,
-                (Some(_), BackendKind::Uring) => Fill::Uring(UringSim::with_observability(
-                    Arc::clone(&reader.storage),
-                    config.io_threads,
-                    config.queue_depth,
-                    config.retry,
-                    Arc::clone(&reader.counters),
-                    journal.clone(),
-                    &uring_lane,
-                )),
-                (Some(_), BackendKind::Mmap) => Fill::Mmap(MmapSim::with_arc(
-                    Arc::clone(&reader.storage),
-                    crate::mmap::PAGE_SIZE,
-                )),
-                (Some(_), BackendKind::Blocking) => Fill::Blocking,
-            };
-
             let mut i = 0usize;
             while i < ops.len() {
                 // The next slice: one op, then more up to `slice_bytes`.
@@ -660,17 +603,11 @@ impl StreamPipeline {
                 batch.clear();
                 batch.extend_from_slice(&ops[first_op..i]);
 
-                let fill_started = clock.as_ref().map(SimClock::now);
-                let fill_wall = std::time::Instant::now();
-                let filled = reader.fill(&mut fill, first_op, (batch, data), bytes);
+                let started = reader.now();
+                let filled = reader.fill(first_op, (batch, data), bytes);
 
                 if slice_fill_us.is_some() || journal.is_enabled() {
-                    // Virtual time when the storage is simulated, so the
-                    // distribution reflects the modeled device.
-                    let elapsed = match (clock, fill_started) {
-                        (Some(c), Some(s)) => c.now().saturating_sub(s),
-                        _ => fill_wall.elapsed(),
-                    };
+                    let elapsed = reader.since(started);
                     if let Some(h) = &slice_fill_us {
                         h.record(elapsed.as_micros().try_into().unwrap_or(u64::MAX));
                     }
@@ -681,7 +618,7 @@ impl StreamPipeline {
                                 first_op: slice.first_op as u64,
                                 ops: slice.ops.len() as u64,
                                 bytes: slice.data.len() as u64,
-                                latency_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+                                latency_ns: nanos(elapsed),
                             },
                         );
                     }
@@ -1030,41 +967,60 @@ mod tests {
             let cfg = PipelineConfig {
                 backend,
                 slice_bytes: 8192,
+                queue_depth: 8,
                 ..PipelineConfig::default()
             };
-            let pipeline =
-                StreamPipeline::start_observed(Arc::clone(&storage), ops.clone(), cfg, metrics);
-            let mut total = 0usize;
-            for slice in pipeline {
-                total += slice.unwrap().data.len();
-            }
+            let pipeline = StreamPipeline::start_observed(storage, ops.clone(), cfg, metrics);
+            let total: usize = pipeline.map(|s| s.unwrap().data.len()).sum();
             assert_eq!(total, data.len());
-            let events = journal.events();
-            let reads = events
-                .iter()
-                .filter(|e| matches!(e.kind, EventKind::ChunkRead { .. }))
-                .count();
-            assert_eq!(reads, ops.len(), "backend {backend:?}: one event per op");
-            let fills: Vec<_> = events
-                .iter()
-                .filter(|e| matches!(e.kind, EventKind::SliceFill { .. }))
-                .collect();
+            // The ring submits each slice at its queue depth and reads
+            // at it; the synchronous backends submit nothing.
             let slices = (ops.len() * 4096).div_ceil(8192);
-            assert_eq!(fills.len(), slices, "backend {backend:?}");
-            assert!(fills.iter().all(|e| e.lane == "run_a.pipeline"));
-            match backend {
-                BackendKind::Uring => {
-                    assert!(events
-                        .iter()
-                        .any(|e| matches!(e.kind, EventKind::IoSubmit { .. })
-                            && e.lane == "run_a.uring.sq"));
+            let (submit, depth) = match backend {
+                BackendKind::Uring => (vec![8; slices], 8),
+                _ => (Vec::new(), 1),
+            };
+            let (mut submits, mut reads, mut fills) = (Vec::new(), 0, 0);
+            for e in journal.events() {
+                assert_eq!(e.lane, "run_a.pipeline");
+                match e.kind {
+                    EventKind::IoSubmit { queue_depth, .. } => submits.push(queue_depth),
+                    EventKind::ChunkRead { queue_depth, .. } => {
+                        assert_eq!(queue_depth, depth, "backend {backend:?}");
+                        reads += 1;
+                    }
+                    EventKind::SliceFill { .. } => fills += 1,
+                    _ => {}
                 }
-                _ => assert!(events
-                    .iter()
-                    .filter(|e| matches!(e.kind, EventKind::ChunkRead { .. }))
-                    .all(|e| e.lane == "run_a.pipeline")),
             }
+            let want = (submit, ops.len(), slices);
+            assert_eq!((submits, reads, fills), want, "backend {backend:?}");
             assert!(journal.ledger().balanced(), "backend {backend:?}");
+        }
+    }
+
+    #[test]
+    fn an_op_past_the_end_fails_out_of_bounds_on_every_backend() {
+        for backend in [BackendKind::Uring, BackendKind::Mmap, BackendKind::Blocking] {
+            // Run on a thread, so a backend that never returns fails
+            // the test instead of hanging it.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let reader = std::thread::spawn(move || {
+                let mem = MemStorage::with_model(vec![0u8; 4096], CostModel::lustre_pfs());
+                let cfg = PipelineConfig {
+                    backend,
+                    ..PipelineConfig::default()
+                };
+                tx.send(read_all(Arc::new(mem), &[(4000, 200)], cfg)).ok();
+            });
+            let result = rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("backend {backend:?} hung on an op past the end"));
+            reader.join().unwrap();
+            assert!(
+                matches!(result, Err(IoError::OutOfBounds { .. })),
+                "backend {backend:?}: {result:?}"
+            );
         }
     }
 

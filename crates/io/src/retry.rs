@@ -1,7 +1,7 @@
 //! Retry policies, backoff, and I/O fault accounting.
 //!
-//! A comparison runtime streaming thousands of scattered reads through
-//! worker pools will eventually meet a flaky device. This module gives
+//! A comparison runtime streaming thousands of scattered reads will
+//! eventually meet a flaky device. This module gives
 //! every backend a shared vocabulary for surviving it:
 //!
 //! * [`ErrorClass`] splits [`IoError`](crate::IoError)s into
@@ -228,8 +228,7 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Shared I/O accounting, updated live by ring workers and pipeline
-/// readers.
+/// Shared I/O accounting, updated live by pipeline readers.
 ///
 /// Each field is a registry-style [`Counter`] from `reprocmp-obs`. A
 /// default-constructed `RingCounters` owns detached counters (exactly

@@ -154,8 +154,8 @@ impl Storage for StripedStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{read_all, PipelineConfig};
     use crate::storage::MemStorage;
-    use crate::uring::UringSim;
 
     fn model() -> CostModel {
         CostModel::lustre_pfs()
@@ -248,11 +248,10 @@ mod tests {
         let data: Vec<u8> = (0..1 << 18).map(|i| (i % 253) as u8).collect();
         let s = StripedStorage::new(data.clone(), model(), 16 << 10, 4);
         let clock = s.clock();
-        let mut ring = UringSim::new(s, 4, 32);
         let ops: Vec<OpSpec> = (0..16).map(|i| (i * 16_000, 1024)).collect();
-        let bufs = ring.read_scattered(&ops).unwrap();
-        for (buf, &(off, len)) in bufs.iter().zip(&ops) {
-            assert_eq!(&buf[..], &data[off as usize..off as usize + len]);
+        let got = read_all(Arc::new(s), &ops, PipelineConfig::default()).unwrap();
+        for (buf, &(off, len)) in got.chunks(1024).zip(&ops) {
+            assert_eq!(buf, &data[off as usize..off as usize + len]);
         }
         assert!(clock.now() > Duration::ZERO);
     }

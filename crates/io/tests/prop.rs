@@ -4,8 +4,10 @@
 
 use proptest::prelude::*;
 use reprocmp_io::cost::{CostModel, OpSpec};
+use reprocmp_io::pipeline::read_all;
 use reprocmp_io::{
-    IoError, IoResult, MemStorage, MmapSim, RetryPolicy, SimClock, Storage, UringSim,
+    BackendKind, IoError, IoResult, MemStorage, MmapSim, PipelineConfig, RetryPolicy, SimClock,
+    Storage,
 };
 use reprocmp_obs::Journal;
 use std::sync::Arc;
@@ -16,6 +18,19 @@ fn transient() -> IoError {
         std::io::ErrorKind::Interrupted,
         "hiccup",
     ))
+}
+
+/// The bytes of `ops` in op order.
+fn expected(data: &[u8], ops: &[OpSpec]) -> Vec<u8> {
+    ops.iter()
+        .flat_map(|&(off, len)| data[off as usize..off as usize + len].to_vec())
+        .collect()
+}
+
+/// Reads `ops` from `data` on the simulated PFS through the pipeline.
+fn read_charged(data: &[u8], ops: &[OpSpec], config: PipelineConfig) -> Vec<u8> {
+    let storage = MemStorage::with_model(data.to_vec(), CostModel::lustre_pfs());
+    read_all(Arc::new(storage), ops, config).unwrap()
 }
 
 fn arbitrary_ops(file_len: usize) -> impl Strategy<Value = Vec<OpSpec>> {
@@ -65,24 +80,27 @@ proptest! {
         prop_assert!(seeks <= ops.len());
     }
 
-    /// The ring returns exactly the bytes the storage holds, for any
-    /// op layout, thread count, and queue depth.
+    /// The uring backend returns exactly the bytes the storage holds,
+    /// for any op layout, queue depth and slice size.
     #[test]
     fn uring_round_trips_arbitrary_patterns(
         ops in arbitrary_ops(1 << 16),
-        threads in 1usize..6,
         depth in 1usize..64,
+        slice_bytes in 1usize..16_384,
     ) {
         let data: Vec<u8> = (0..1 << 16).map(|i| (i % 251) as u8).collect();
-        let mut ring = UringSim::new(MemStorage::free(data.clone()), threads, depth);
-        let bufs = ring.read_scattered(&ops).unwrap();
-        for (buf, &(off, len)) in bufs.iter().zip(&ops) {
-            prop_assert_eq!(&buf[..], &data[off as usize..off as usize + len]);
-        }
+        let config = PipelineConfig {
+            backend: BackendKind::Uring,
+            queue_depth: depth,
+            slice_bytes,
+            ..PipelineConfig::default()
+        };
+        prop_assert_eq!(read_charged(&data, &ops, config), expected(&data, &ops));
     }
 
-    /// The mmap view agrees with direct storage reads for any pattern
-    /// and readahead setting, with or without eviction in between.
+    /// The mmap backend returns exactly the bytes the storage holds for
+    /// any pattern, and its faults charge as if an eviction started a
+    /// fresh mapping, for any readahead setting.
     #[test]
     fn mmap_round_trips_arbitrary_patterns(
         ops in arbitrary_ops(1 << 16),
@@ -90,19 +108,38 @@ proptest! {
         evict_at in any::<proptest::sample::Index>(),
     ) {
         let data: Vec<u8> = (0..1 << 16).map(|i| (i % 249) as u8).collect();
-        let map = MmapSim::with_arc(
-            Arc::new(MemStorage::free(data.clone())),
-            4096,
-        )
-        .with_readahead(readahead);
-        let evict_idx = evict_at.index(ops.len());
-        for (i, &(off, len)) in ops.iter().enumerate() {
-            if i == evict_idx {
-                map.evict_all();
+        let config = PipelineConfig {
+            backend: BackendKind::Mmap,
+            ..PipelineConfig::default()
+        };
+        prop_assert_eq!(read_charged(&data, &ops, config), expected(&data, &ops));
+
+        let fault_all = |map: &MmapSim, ops: &[OpSpec], evict_idx: usize| {
+            for (i, &(off, len)) in ops.iter().enumerate() {
+                if i == evict_idx {
+                    map.evict_all();
+                }
+                map.fault(off, len);
             }
-            let buf = map.read(off, len).unwrap();
-            prop_assert_eq!(&buf[..], &data[off as usize..off as usize + len]);
-        }
+        };
+        let mapped = || {
+            let mem = MemStorage::with_model(vec![0u8; 1 << 16], CostModel::lustre_pfs());
+            let map = MmapSim::new(Arc::new(mem.clone())).with_readahead(readahead);
+            (mem, map)
+        };
+        let evict_idx = evict_at.index(ops.len());
+        let (mem, map) = mapped();
+        fault_all(&map, &ops, evict_idx);
+        let total = mem.elapsed();
+        let fresh = |ops: &[OpSpec]| {
+            let (mem, map) = mapped();
+            fault_all(&map, ops, usize::MAX);
+            mem.elapsed()
+        };
+        prop_assert_eq!(total, fresh(&ops[..evict_idx]) + fresh(&ops[evict_idx..]));
+        // Touching resident pages again is free.
+        fault_all(&map, &ops[evict_idx..], usize::MAX);
+        prop_assert_eq!(mem.elapsed(), total);
     }
 
     /// Charged storage: total elapsed only ever grows, however reads

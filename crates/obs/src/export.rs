@@ -4,8 +4,8 @@
 //! The Chrome trace maps the journal's *lanes* to timeline threads:
 //! tracer spans render as nested `X` (complete) events on the `main`
 //! lane, interval events (chunk reads, slice fills, kernels) as `X`
-//! events on their own lane — one per pipeline reader and per uring
-//! worker, so the stage-2 I/O–compute overlap is visually inspectable —
+//! events on their own lane — one per pipeline reader, so the stage-2
+//! I/O–compute overlap is visually inspectable —
 //! and point events (retries, quarantines, cache hits) as `i`
 //! instants. The journal's exact drop ledger is embedded under
 //! `otherData`, so a truncated trace always says so.
@@ -250,7 +250,7 @@ mod tests {
             ns.store(5_000, Ordering::SeqCst);
         }
         journal.emit(
-            "io.uring.w0",
+            "run_a.pipeline",
             EventKind::ChunkRead {
                 offset: 0,
                 len: 4096,
@@ -259,7 +259,7 @@ mod tests {
             },
         );
         journal.emit(
-            "io.uring.sq",
+            "run_b.pipeline",
             EventKind::IoSubmit {
                 ops: 3,
                 bytes: 12_288,
@@ -269,8 +269,8 @@ mod tests {
         let trace = chrome_trace(&tracer.records(), &journal.events(), &journal.ledger());
         assert!(trace.contains("\"traceEvents\""));
         assert!(trace.contains("\"thread_name\""));
-        assert!(trace.contains("io.uring.w0"));
-        assert!(trace.contains("io.uring.sq"));
+        assert!(trace.contains("run_a.pipeline"));
+        assert!(trace.contains("run_b.pipeline"));
         assert!(trace.contains("\"events_emitted\": 4")); // 2 span + 2 io
         assert!(trace.contains("\"events_dropped\": 0"));
         // The span renders as a complete event with its 5 µs duration.

@@ -237,7 +237,7 @@ pub struct Event {
     /// Clock reading at emission, in nanoseconds (saturating past
     /// ~584 years).
     pub ts_ns: u64,
-    /// Timeline lane, e.g. `main`, `run_a.uring.w0`, `run_b.pipeline`.
+    /// Timeline lane, e.g. `main`, `run_a.pipeline`, `run_b.pipeline`.
     pub lane: String,
     /// What happened.
     #[serde(flatten)]

@@ -39,7 +39,6 @@ fn main() {
             let cfg = PipelineConfig {
                 backend,
                 slice_bytes: 8 << 20,
-                io_threads: 4,
                 queue_depth: 64,
                 buffers: 2,
                 ..PipelineConfig::default()

@@ -43,7 +43,6 @@ fn engine_for(backend: BackendKind) -> CompareEngine {
         device: Device::sim_cpu_core(),
         io: PipelineConfig {
             backend,
-            io_threads: 3,
             queue_depth: 8,
             ..PipelineConfig::default()
         },
@@ -187,9 +186,9 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// The exported Chrome trace parses, names one timeline lane per
-/// emitting pipeline worker and per uring submission ring, carries a
-/// `chunk_read` interval for every completed stage-2 read, and embeds
-/// the exact drop ledger.
+/// pipeline reader, carries on it each slice's `io_submit` at the
+/// configured queue depth and a `chunk_read` interval for every
+/// completed stage-2 read, and embeds the exact drop ledger.
 #[test]
 fn chrome_trace_has_worker_and_ring_lanes_and_every_chunk_read() {
     let (report, obs) = compare_with(BackendKind::Uring, 11, 32 << 10, true);
@@ -200,41 +199,53 @@ fn chrome_trace_has_worker_and_ring_lanes_and_every_chunk_read() {
     let Some(Value::Array(trace_events)) = trace.get("traceEvents") else {
         panic!("no traceEvents array")
     };
-    let lanes: Vec<&str> = trace_events
+    let name = |e: &Value| e.get("name").and_then(Value::as_str).map(str::to_owned);
+    let tid = |e: &Value| e.get("tid").and_then(Value::as_u64);
+    let lanes: Vec<(Option<u64>, &str)> = trace_events
         .iter()
-        .filter(|e| e.get("name").and_then(Value::as_str) == Some("thread_name"))
-        .filter_map(|e| e.get("args")?.get("name")?.as_str())
+        .filter(|e| name(e).as_deref() == Some("thread_name"))
+        .filter_map(|e| Some((tid(e), e.get("args")?.get("name")?.as_str()?)))
         .collect();
+    let lane_of = |e: &Value| {
+        lanes
+            .iter()
+            .find(|(t, _)| *t == tid(e))
+            .map(|&(_, lane)| lane)
+    };
     for side in ["run_a", "run_b"] {
+        let pipeline = format!("{side}.pipeline");
         assert!(
-            lanes.iter().any(|l| *l == format!("{side}.uring.sq")),
-            "{side}: no submission-ring lane in {lanes:?}"
+            lanes.iter().any(|&(_, l)| l == pipeline),
+            "{side}: no pipeline lane in {lanes:?}"
         );
-        assert!(
-            lanes
-                .iter()
-                .any(|l| l.starts_with(&format!("{side}.uring.w"))),
-            "{side}: no worker lane in {lanes:?}"
-        );
+        let submits: Vec<_> = trace_events
+            .iter()
+            .filter(|e| name(e).as_deref() == Some("io_submit"))
+            .filter(|e| lane_of(e) == Some(pipeline.as_str()))
+            .collect();
+        assert!(!submits.is_empty(), "{side}: no io_submit");
+        for e in submits {
+            let depth = e.get("args").and_then(|a| a.get("queue_depth"));
+            assert_eq!(depth.and_then(Value::as_u64), Some(8), "{side}");
+        }
     }
-    assert!(lanes.contains(&"main"), "span lane missing");
+    assert!(lanes.iter().any(|&(_, l)| l == "main"), "span lane missing");
 
-    let chunk_reads = trace_events
+    // The pipeline lanes hold every chunk_read interval; each carries
+    // ts + dur.
+    let chunk_reads: Vec<_> = trace_events
         .iter()
-        .filter(|e| e.get("name").and_then(Value::as_str) == Some("chunk_read"))
-        .count() as u64;
+        .filter(|e| name(e).as_deref() == Some("chunk_read"))
+        .collect();
     assert_eq!(
-        chunk_reads, report.io.completed,
+        chunk_reads.len() as u64,
+        report.io.completed,
         "trace lost or duplicated chunk reads"
     );
-    assert!(chunk_reads > 0);
-
-    // Worker lanes hold the chunk_read intervals; every interval event
-    // carries ts + dur.
-    for e in trace_events {
-        if e.get("name").and_then(Value::as_str) == Some("chunk_read") {
-            assert!(e.get("ts").is_some() && e.get("dur").is_some());
-        }
+    assert!(!chunk_reads.is_empty());
+    for e in chunk_reads {
+        assert!(lane_of(e).is_some_and(|l| l.ends_with(".pipeline")));
+        assert!(e.get("ts").is_some() && e.get("dur").is_some());
     }
 
     let ledger = journal.ledger();

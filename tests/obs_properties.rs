@@ -74,7 +74,6 @@ fn pipeline_config(backend: BackendKind) -> PipelineConfig {
     PipelineConfig {
         backend,
         slice_bytes: 4 << 10,
-        io_threads: 2,
         queue_depth: 8,
         ..PipelineConfig::default()
     }

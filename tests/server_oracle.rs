@@ -176,20 +176,6 @@ struct OnlineResult {
     ledger: (u64, u64, u64),
 }
 
-/// Strips the sim-I/O worker index from a journal lane
-/// (`run_a.uring.w3` → `run_a.uring.w*`): which pool thread serviced a
-/// chunk read is a scheduling artifact, not part of the job's result.
-fn normalize_lane(lane: &str) -> String {
-    match lane.rfind(".w") {
-        Some(at)
-            if lane[at + 2..].chars().all(|c| c.is_ascii_digit()) && !lane[at + 2..].is_empty() =>
-        {
-            format!("{}.w*", &lane[..at])
-        }
-        _ => lane.to_owned(),
-    }
-}
-
 fn encode_value(v: &serde::Value) -> String {
     serde_json::to_string(v).expect("value encodes")
 }
@@ -332,16 +318,16 @@ fn concurrency_equivalence_oracle(n_clients: usize, seed: u64) {
             ),
         }
         // Event payloads carry simulated timestamps, so they are
-        // deterministic — but the sim I/O pipeline runs real worker
-        // threads, so *intra-tick ordering* and worker-lane
-        // attribution (`uring.w0` vs `uring.w1`) are scheduling
-        // artifacts. The invariant: the normalized event multiset is
-        // identical — same kinds, same sim times, same counts.
+        // deterministic — but the two sides' pipelines read on their
+        // own threads, so *intra-tick ordering* across lanes is a
+        // scheduling artifact. The invariant: the event multiset is
+        // identical — same kinds, same lanes, same sim times, same
+        // counts.
         let on_events: Vec<(u64, String, String)> = {
             let mut v: Vec<_> = on
                 .events
                 .iter()
-                .map(|(_, ts, lane, kind)| (*ts, normalize_lane(lane), kind.clone()))
+                .map(|(_, ts, lane, kind)| (*ts, lane.clone(), kind.clone()))
                 .collect();
             v.sort();
             v
@@ -350,20 +336,14 @@ fn concurrency_equivalence_oracle(n_clients: usize, seed: u64) {
             let mut v: Vec<_> = off
                 .events
                 .iter()
-                .map(|e| {
-                    (
-                        e.ts_ns(),
-                        normalize_lane(&e.lane),
-                        e.kind.type_name().to_owned(),
-                    )
-                })
+                .map(|e| (e.ts_ns(), e.lane.clone(), e.kind.type_name().to_owned()))
                 .collect();
             v.sort();
             v
         };
         assert_eq!(
             on_events, off_events,
-            "job {job}: normalized flight-recorder event multisets must be identical"
+            "job {job}: flight-recorder event multisets must be identical"
         );
         assert_eq!(
             on.ledger,

@@ -50,23 +50,15 @@ trace-demo:
 
 # Cross-run performance regression check over the committed, fully
 # deterministic sim-backend goldens: the pre-flight-recorder report
-# vs the current one, under a 10% budget.
+# vs the current one, under a 10% budget. The three modeled compare
+# profiles must then come back byte for byte.
+PROFILES = server_compare_profile divergence_profile telemetry_profile
 perf-diff:
 	$(CARGO) run --release -p reprocmp-cli --bin reprocmp -- perf-diff \
 		tests/goldens/legacy_pre_flightrec.json tests/goldens/seed2_moderate.json \
 		--budget 10%
-	$(CARGO) run --release -p reprocmp-bench --bin fig_server -- --profile-only
-	$(CARGO) run --release -p reprocmp-cli --bin reprocmp -- perf-diff \
-		tests/goldens/server_compare_profile.json \
-		bench_results/server_compare_profile.json --budget 10%
-	$(CARGO) run --release -p reprocmp-bench --bin fig_divergence -- --profile-only
-	$(CARGO) run --release -p reprocmp-cli --bin reprocmp -- perf-diff \
-		tests/goldens/divergence_profile.json \
-		bench_results/divergence_profile.json --budget 10%
-	$(CARGO) run --release -p reprocmp-bench --bin fig_telemetry -- --profile-only
-	$(CARGO) run --release -p reprocmp-cli --bin reprocmp -- perf-diff \
-		tests/goldens/telemetry_profile.json \
-		bench_results/telemetry_profile.json --budget 10%
+	$(CARGO) run --release -p reprocmp-bench -- $(PROFILES)
+	git diff --exit-code $(foreach p,$(PROFILES),tests/goldens/$(p).json)
 
 # Divergence-forensics demo: two divergent mini-HACC runs, then the
 # analyze verb — O(log M) bisection, front tracking, and a scripted
@@ -104,8 +96,7 @@ top-demo:
 	target/release/reprocmp shutdown --addr $$ADDR
 	@echo "telemetry history persisted at $(TOP_DEMO_DIR)/store/telemetry.jsonl"
 
-# Re-run every figure/table harness; results land in bench_results/.
+# Re-run every figure and table entry: results land in bench_results/
+# (wall-clock ones as measured_*.json) and the profiles in tests/goldens/.
 bench-figures:
-	for bin in fig5 fig6 fig7 fig8 fig9 fig10 fig_multirun fig_dedup fig_delta fig_server fig_divergence fig_telemetry table1 table2 ablate; do \
-		$(CARGO) run --release -p reprocmp-bench --bin $$bin || exit 1; \
-	done
+	$(CARGO) run --release -p reprocmp-bench -- all

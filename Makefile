@@ -1,11 +1,13 @@
-# Developer entry points. `make verify` is the full pre-merge check:
-# release build, the whole test suite, lints as errors, and formatting.
+# Developer entry points. `make verify` is the full pre-merge check and
+# runs every step of CI's `verify` job: release build, the whole test
+# suite, lints as errors, formatting, byte-identical goldens and figure
+# results, the benchmark package's tests and smoke runs, and the gate.
 
 CARGO ?= cargo
 
-.PHONY: verify build test lint fmt goldens gate bench-figures trace-demo analyze-demo top-demo perf-diff
+.PHONY: verify build test lint fmt goldens goldens-check figures-check benchmark-test benchmark-smoke gate bench-figures trace-demo analyze-demo top-demo perf-diff
 
-verify: build test lint fmt gate
+verify: build test lint fmt goldens-check figures-check benchmark-test benchmark-smoke gate
 
 build:
 	$(CARGO) build --release
@@ -23,6 +25,30 @@ fmt:
 # committed baseline breakdown); exits non-zero on a regression.
 gate:
 	$(CARGO) run --release --example ci_regression_gate
+
+# Regenerating every golden must reproduce the committed bytes.
+goldens-check: goldens
+	git diff --exit-code
+
+# Every modeled figure, table and compare profile must come back byte
+# for byte (wall-clock results are git-ignored).
+figures-check:
+	$(CARGO) run --release -p reprocmp-bench -- all
+	git diff --exit-code bench_results tests/goldens
+
+# benchmark/ is its own workspace over these crates' API surface.
+benchmark-test:
+	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
+
+# One second of each compare workload on real files; every op must be
+# correct and none may fail.
+benchmark-smoke:
+	for wl in compare_sparse compare_dense; do \
+		$(CARGO) run --release --offline --manifest-path benchmark/Cargo.toml -- \
+			run --workload $$wl --seconds 1 | tail -n 1 > $$wl-smoke.json && \
+		grep -q '"correct":true,' $$wl-smoke.json && \
+		grep -q '"failed":0,' $$wl-smoke.json || exit 1; \
+	done
 
 # Regenerate the golden CompareReport JSONs, the analyze divergence
 # document, and the TUI frame snapshots after an intentional change

@@ -12,7 +12,8 @@
 //! published hardware numbers rather than this machine.
 
 use reprocmp_bench::{engine_for, fmt_chunk, fmt_dur, DivergenceSpec, DivergentPair, Recorder};
-use reprocmp_device::{Device, TimingModel, Workload};
+use reprocmp_device::{Device, TimingModel};
+use reprocmp_hash::Floats;
 use reprocmp_merkle::MerkleTree;
 use std::time::Instant;
 
@@ -35,14 +36,14 @@ pub fn run() -> String {
         let cpu = Device::sim_cpu_core();
         let t0 = Instant::now();
         let (tree_cpu, stages_cpu) =
-            MerkleTree::build_from_f32_profiled(&pair.run1, chunk, &hasher, &cpu);
+            MerkleTree::build(Floats::Values(&pair.run1), chunk, &hasher, &cpu);
         let wall_serial = t0.elapsed();
         let cpu_model = cpu.modeled_time();
 
         let gpu = Device::sim_gpu();
         let t0 = Instant::now();
         let (tree_gpu, stages_gpu) =
-            MerkleTree::build_from_f32_profiled(&pair.run1, chunk, &hasher, &gpu);
+            MerkleTree::build(Floats::Values(&pair.run1), chunk, &hasher, &gpu);
         let wall_parallel = t0.elapsed();
         let gpu_model = gpu.modeled_time();
 
@@ -90,11 +91,14 @@ pub fn run() -> String {
     }
 
     // Extrapolation to the paper's 7 GB checkpoint, straight from the
-    // roofline models (no memory needed).
-    let bytes = 7u64 << 30;
-    let w = Workload::new(bytes, bytes * 10);
-    let cpu7 = TimingModel::cpu_single_core().kernel_time(w);
-    let gpu7 = TimingModel::gpu_a100().kernel_time(w);
+    // roofline models (no memory needed): the builder's own leaf
+    // kernels, quantize then hash, at that size. Level builds depend
+    // on the chunk size, add under 1% on either device, and are left
+    // out.
+    let [quantize, hash] = MerkleTree::capture_workloads((7u64 << 30) / 4);
+    let leaf_time = |m: TimingModel| m.kernel_time(quantize) + m.kernel_time(hash);
+    let cpu7 = leaf_time(TimingModel::cpu_single_core());
+    let gpu7 = leaf_time(TimingModel::gpu_a100());
     let ratio7 = cpu7.as_secs_f64() / gpu7.as_secs_f64();
     println!("\nExtrapolated to the paper's 7 GB checkpoint:");
     println!(

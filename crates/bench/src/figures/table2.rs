@@ -5,6 +5,7 @@
 use reprocmp_bench::{
     engine_for, fmt_chunk, DivergenceSpec, DivergentPair, Recorder, CHUNK_SIZES, ERROR_BOUNDS,
 };
+use reprocmp_hash::Floats;
 
 pub fn run() -> String {
     let mut rec = Recorder::new();
@@ -49,7 +50,7 @@ pub fn run() -> String {
     // with the capture-side stage profile alongside.
     let pair = DivergentPair::generate(2 << 20, DivergenceSpec::None, 1);
     let engine = engine_for(4096, 1e-5);
-    let (tree, stages) = engine.build_metadata_profiled(&pair.run1);
+    let (tree, stages) = engine.capture(Floats::Values(&pair.run1));
     let encoded = reprocmp_merkle::encode_tree(&tree);
     let ratio = encoded.len() as f64 / (pair.run1.len() * 4) as f64;
     println!(

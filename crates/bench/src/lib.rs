@@ -578,7 +578,7 @@ mod tests {
     fn push_breakdown_records_each_nonzero_phase() {
         let pair = DivergentPair::generate(8_192, DivergenceSpec::hacc_like(), 2);
         let engine = engine_for(4096, 1e-5);
-        let (_tree, stages) = engine.build_metadata_profiled(&pair.run1);
+        let (_tree, stages) = engine.capture(reprocmp_hash::Floats::Values(&pair.run1));
         let mut rec = Recorder::new();
         rec.push_breakdown("test", &[("chunk", "4K".into())], &stages);
         let metrics: Vec<&str> = rec.measurements.iter().map(|m| m.metric.as_str()).collect();

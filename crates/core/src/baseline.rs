@@ -14,14 +14,16 @@
 
 use reprocmp_device::{TimingModel, Workload};
 use reprocmp_hash::Quantizer;
-use reprocmp_io::pipeline::{BackendKind, PipelineConfig, StreamPipeline};
+use reprocmp_io::pipeline::{BackendKind, PipelineConfig};
 use reprocmp_io::Timeline;
+use reprocmp_obs::Observer;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::breakdown::CostBreakdown;
 use crate::ctx::Ctx;
-use crate::report::{CompareReport, DataStats, Difference};
+use crate::engine::{CompareEngine, EngineConfig};
+use crate::report::{CompareReport, DataStats};
 use crate::source::CheckpointSource;
 use crate::{CoreError, CoreResult};
 
@@ -133,14 +135,11 @@ impl AllClose {
     }
 }
 
-/// The optimized element-wise baseline.
+/// The optimized element-wise baseline: the Merkle engine's stage two
+/// with every 1 MiB read chunk flagged.
 #[derive(Debug, Clone)]
 pub struct Direct {
-    quantizer: Quantizer,
-    io: PipelineConfig,
-    compute_model: Option<TimingModel>,
-    read_chunk_bytes: usize,
-    max_recorded_diffs: usize,
+    engine: CompareEngine,
 }
 
 impl Direct {
@@ -152,28 +151,22 @@ impl Direct {
     ///
     /// [`CoreError::Config`] for a non-positive bound.
     pub fn new(bound: f64) -> CoreResult<Self> {
-        let quantizer = Quantizer::new(bound).map_err(|e| CoreError::Config(e.to_string()))?;
-        Ok(Direct {
-            quantizer,
-            io: PipelineConfig::default(),
-            compute_model: Some(TimingModel::gpu_a100()),
-            read_chunk_bytes: 1 << 20,
-            max_recorded_diffs: 1024,
-        })
-    }
-
-    /// Overrides the streaming configuration.
-    #[must_use]
-    pub fn with_io(mut self, io: PipelineConfig) -> Self {
-        self.io = io;
-        self
+        let engine = CompareEngine::try_new(EngineConfig {
+            chunk_bytes: 1 << 20,
+            error_bound: bound,
+            ..EngineConfig::default()
+        })?;
+        Ok(Direct { engine })
     }
 
     /// Overrides the localized-difference cap.
     #[must_use]
-    pub fn with_max_recorded_diffs(mut self, cap: usize) -> Self {
-        self.max_recorded_diffs = cap;
-        self
+    pub fn with_max_recorded_diffs(self, cap: usize) -> Self {
+        let mut config = self.engine.config().clone();
+        config.max_recorded_diffs = cap;
+        Direct {
+            engine: CompareEngine::new(config),
+        }
     }
 
     /// Compares on `ctx.timeline` (the observer is unused).
@@ -197,86 +190,53 @@ impl Direct {
         let mut breakdown = CostBreakdown::default();
         let store_before = crate::engine::store_reads_snapshot(a, b);
         let t0 = timeline.now();
-        let n_ops = a.payload_len.div_ceil(self.read_chunk_bytes as u64) as usize;
-        let indices: Vec<usize> = (0..n_ops).collect();
-        let ops_a = a.chunk_ops(self.read_chunk_bytes, &indices);
-        let ops_b = b.chunk_ops(self.read_chunk_bytes, &indices);
+        let n_ops = a.chunk_count(self.engine.config().chunk_bytes);
+        let every_chunk: Vec<usize> = (0..n_ops as usize).collect();
         breakdown.setup = timeline.now() - t0;
 
         let t1 = timeline.now();
-        let mut stats = DataStats {
+        let verified = self.engine.verify_chunks(
+            a,
+            b,
+            &every_chunk,
+            timeline,
+            &Observer::disabled(),
+            |_, _| {},
+        )?;
+        breakdown.compare_direct = timeline.now() - t1;
+        let stats = DataStats {
             total_values: a.value_count(),
             total_bytes: a.payload_len,
-            chunks_total: n_ops as u64,
-            chunks_flagged: n_ops as u64, // Direct always reads everything
+            chunks_total: n_ops,
+            chunks_flagged: n_ops, // Direct always reads everything
             bytes_reread: a.payload_len,
             false_positive_chunks: 0,
-            diff_count: 0,
+            diff_count: verified.stats.diff_count,
         };
-        let mut differences = Vec::new();
-        let mut truncated = false;
-        let values_per_op = self.read_chunk_bytes / 4;
-
-        let pipe_a = StreamPipeline::start(Arc::clone(&a.data), ops_a, self.io);
-        let pipe_b = StreamPipeline::start(Arc::clone(&b.data), ops_b, self.io);
-        let counters_a = pipe_a.counters();
-        let counters_b = pipe_b.counters();
-        for (slice_a, slice_b) in pipe_a.zip(pipe_b) {
-            let slice_a = slice_a?;
-            let slice_b = slice_b?;
-            if let (Timeline::Sim(clock), Some(model)) = (timeline, &self.compute_model) {
-                clock.advance(model.kernel_time(Workload::new(
-                    (slice_a.data.len() + slice_b.data.len()) as u64,
-                    (slice_a.data.len() / 4) as u64,
-                )));
-            }
-            for ((op_idx, pay_a), (_, pay_b)) in slice_a.payloads().zip(slice_b.payloads()) {
-                for (j, (xa, xb)) in pay_a.chunks_exact(4).zip(pay_b.chunks_exact(4)).enumerate() {
-                    let va = f32::from_le_bytes(xa.try_into().expect("4 bytes"));
-                    let vb = f32::from_le_bytes(xb.try_into().expect("4 bytes"));
-                    if self.quantizer.differs(va, vb) {
-                        stats.diff_count += 1;
-                        if differences.len() < self.max_recorded_diffs {
-                            differences.push(Difference {
-                                index: (op_idx * values_per_op + j) as u64,
-                                a: va,
-                                b: vb,
-                            });
-                        } else {
-                            truncated = true;
-                        }
-                    }
-                }
-            }
-        }
-        breakdown.compare_direct = timeline.now() - t1;
-        let io = counters_a.snapshot().merged(counters_b.snapshot());
 
         // Direct has no capture or BFS phases — the whole pass is one
         // fused stream-and-verify, attributed to `stage2_stream`.
+        let (capture, chain) = crate::engine::chain_provenance(a, b);
         let stages = reprocmp_obs::StageBreakdown {
             stage2_stream: reprocmp_obs::PhaseCost::new(
                 breakdown.compare_direct,
                 2 * stats.total_bytes,
-                io.submitted,
+                verified.io.submitted,
+            ),
+            delta_capture: reprocmp_obs::PhaseCost::new(
+                Duration::ZERO,
+                capture.bytes_skipped,
+                capture.chunks_skipped,
             ),
             ..reprocmp_obs::StageBreakdown::default()
         };
-
-        let (capture, chain) = crate::engine::chain_provenance(a, b);
-        let mut stages = stages;
-        stages.delta_capture = reprocmp_obs::PhaseCost::new(
-            std::time::Duration::ZERO,
-            capture.bytes_skipped,
-            capture.chunks_skipped,
-        );
         Ok(CompareReport {
             breakdown,
             stages,
             stats,
-            differences,
-            differences_truncated: truncated,
-            io,
+            differences: verified.differences,
+            differences_truncated: verified.truncated,
+            io: verified.io,
             unverified: Vec::new(),
             cache: reprocmp_obs::CacheStats::default(),
             store: crate::engine::store_reads_snapshot(a, b).delta_since(store_before),

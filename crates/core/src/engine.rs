@@ -148,14 +148,16 @@ impl CompareEngine {
         self.hasher.quantizer()
     }
 
-    /// Capture-side API: builds the Merkle metadata for a checkpoint
-    /// payload (one parallel hashing pass + one pass per tree level).
+    /// The capture kernel ([`MerkleTree::build`]) under this engine's
+    /// chunking, bound and device: the Merkle metadata for a checkpoint
+    /// payload (floats, or little-endian bytes hashed in place) and the
+    /// [`StageBreakdown`] of its capture phases.
+    ///
+    /// # Panics
+    ///
+    /// If `data` holds no value.
     #[must_use]
-    pub fn build_metadata(&self, values: &[f32]) -> MerkleTree {
-        self.build(Floats::Values(values))
-    }
-
-    fn build(&self, data: Floats<'_>) -> MerkleTree {
+    pub fn capture(&self, data: Floats<'_>) -> (MerkleTree, StageBreakdown) {
         MerkleTree::build(
             data,
             self.config.chunk_bytes,
@@ -164,18 +166,10 @@ impl CompareEngine {
         )
     }
 
-    /// [`CompareEngine::build_metadata`] with a capture-phase profile:
-    /// quantize, leaf-hash, and level-build run as separate kernels and
-    /// their costs are returned as a [`StageBreakdown`] (compare-side
-    /// phases zero). The tree is identical to the unprofiled builder's.
+    /// [`CompareEngine::capture`] over floats, without the profile.
     #[must_use]
-    pub fn build_metadata_profiled(&self, values: &[f32]) -> (MerkleTree, StageBreakdown) {
-        MerkleTree::build_from_f32_profiled(
-            values,
-            self.config.chunk_bytes,
-            &self.hasher,
-            &self.config.device,
-        )
+    pub fn build_metadata(&self, values: &[f32]) -> MerkleTree {
+        self.capture(Floats::Values(values)).0
     }
 
     /// Capture-side API: metadata ready to store next to a checkpoint.
@@ -193,7 +187,7 @@ impl CompareEngine {
     /// If `payload` holds no whole value.
     #[must_use]
     pub fn encode_payload_metadata(&self, payload: &[u8]) -> Vec<u8> {
-        encode_tree(&self.build(Floats::LeBytes(payload)))
+        encode_tree(&self.capture(Floats::LeBytes(payload)).0)
     }
 
     /// Compares two checkpoints, timing phases on `ctx.timeline` (a
@@ -294,7 +288,8 @@ impl CompareEngine {
 
         // ---- Phase 5: verify flagged chunks -----------------------
         let t4 = timeline.now();
-        let verified = self.verify_chunks(a, b, &outcome.mismatched_leaves, timeline, obs)?;
+        let verified =
+            self.verify_chunks(a, b, &outcome.mismatched_leaves, timeline, obs, |_, _| {})?;
         breakdown.compare_direct = timeline.now() - t4;
         obs.registry
             .counter("stage2.bytes_reread")
@@ -417,26 +412,12 @@ impl CompareEngine {
     }
 
     /// Stage two: stream flagged chunks from both runs and compare
-    /// element-wise.
-    fn verify_chunks(
-        &self,
-        a: &CheckpointSource,
-        b: &CheckpointSource,
-        flagged: &[usize],
-        timeline: &Timeline,
-        obs: &Observer,
-    ) -> CoreResult<VerifyOutcome> {
-        self.verify_chunks_sink(a, b, flagged, timeline, obs, |_, _| {})
-    }
-
-    /// [`CompareEngine::verify_chunks`] with a per-chunk verdict sink:
-    /// after each flagged chunk is verified, `on_chunk` receives its
-    /// chunk index and the `(value_offset_in_chunk, a, b)` triples of
-    /// its real differences (empty for a hash false positive). The
-    /// batch scheduler uses the sink to memoize verdicts; quarantined
-    /// chunks never reach it. The accounting in the returned outcome
-    /// is identical to the sink-free call.
-    pub(crate) fn verify_chunks_sink(
+    /// them element-wise. After each flagged chunk is verified,
+    /// `on_chunk` receives its chunk index and the
+    /// `(value_offset_in_chunk, a, b)` triples of its real differences
+    /// (empty for a hash false positive); the batch scheduler uses this
+    /// sink to memoize verdicts. Quarantined chunks never reach it.
+    pub(crate) fn verify_chunks(
         &self,
         a: &CheckpointSource,
         b: &CheckpointSource,
@@ -565,17 +546,7 @@ impl CompareEngine {
                 {
                     let chunk_index = first_chunk + k;
                     chunk_diffs.clear();
-                    for (j, (ba, bb)) in chunk_a
-                        .chunks_exact(4)
-                        .zip(chunk_b.chunks_exact(4))
-                        .enumerate()
-                    {
-                        let va = f32::from_le_bytes(ba.try_into().expect("4 bytes"));
-                        let vb = f32::from_le_bytes(bb.try_into().expect("4 bytes"));
-                        if quantizer.differs(va, vb) {
-                            chunk_diffs.push((j as u32, va, vb));
-                        }
-                    }
+                    quantizer.diff_le_bytes(chunk_a, chunk_b, &mut chunk_diffs);
                     out.stats.diff_count += chunk_diffs.len() as u64;
                     for &(j, va, vb) in &chunk_diffs {
                         if out.differences.len() < self.config.max_recorded_diffs {

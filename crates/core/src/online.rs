@@ -15,12 +15,15 @@
 //! An [`OnlinePolicy`] can abort the analysis (e.g. stop a doomed
 //! reproduction run early) once divergence crosses a threshold.
 
-use reprocmp_io::pipeline::StreamPipeline;
+use reprocmp_hash::Floats;
+use reprocmp_io::{IoError, MemStorage};
 use std::sync::Arc;
 
+use crate::ctx::Ctx;
 use crate::engine::CompareEngine;
 use crate::history::CheckpointHistory;
 use crate::report::{DataStats, Difference};
+use crate::source::CheckpointSource;
 use crate::{CoreError, CoreResult};
 
 /// What to do as divergence accumulates.
@@ -136,79 +139,25 @@ impl OnlineComparator {
             )));
         }
 
-        // Live tree in memory; reference tree from storage.
-        let live_tree = self.engine.build_metadata(values);
-        let mut meta = vec![0u8; reference.metadata.len() as usize];
-        reference.metadata.charge_batch(
-            &[(0, meta.len())],
-            reprocmp_io::storage::AccessMode::Async {
-                depth: self.engine.config().io.queue_depth,
-            },
+        // The live side never leaves memory: its payload bytes and the
+        // tree just captured over them, so stage two reads the
+        // reference side only from storage.
+        let payload: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let (live_tree, _) = self.engine.capture(Floats::LeBytes(&payload));
+        let live = CheckpointSource::new(
+            Arc::new(MemStorage::free(payload)),
+            0,
+            reference.payload_len,
+            Arc::new(MemStorage::free(reprocmp_merkle::encode_tree(&live_tree))),
         );
-        reference.metadata.read_at(0, &mut meta)?;
-        let ref_tree = reprocmp_merkle::decode_tree(&meta)?;
-        if ref_tree.chunk_bytes() != self.engine.config().chunk_bytes
-            || ref_tree.error_bound() != self.engine.config().error_bound
-        {
-            return Err(CoreError::Mismatch(
-                "reference metadata was built with a different engine configuration".into(),
-            ));
+        let report = self.engine.compare(reference, &live, &Ctx::default())?;
+        // Quarantined chunks are unverified, not clean: online stays
+        // fail-fast on a failed read under every failure policy.
+        if let Some(r) = report.unverified.first() {
+            let what = format!("reference chunks {}.. unreadable", r.first);
+            return Err(CoreError::Io(IoError::Os(std::io::Error::other(what))));
         }
-
-        let lanes = self
-            .engine
-            .config()
-            .lane_hint
-            .unwrap_or_else(|| self.engine.config().device.concurrent_kernel_threads());
-        let outcome =
-            reprocmp_merkle::compare_trees(&ref_tree, &live_tree, self.engine.device(), lanes)?;
-
-        let chunk_bytes = self.engine.config().chunk_bytes;
-        let values_per_chunk = chunk_bytes / 4;
-        let mut stats = DataStats {
-            total_values: values.len() as u64,
-            total_bytes: (values.len() * 4) as u64,
-            chunks_total: reference.chunk_count(chunk_bytes),
-            chunks_flagged: outcome.mismatched_leaves.len() as u64,
-            ..DataStats::default()
-        };
-        let mut differences = Vec::new();
-
-        if !outcome.mismatched_leaves.is_empty() {
-            // Stage two, reference side only; the live side is `values`.
-            let ops = reference.chunk_ops(chunk_bytes, &outcome.mismatched_leaves);
-            stats.bytes_reread = ops.iter().map(|&(_, len)| len as u64).sum();
-            let quantizer = *self.engine.quantizer();
-            let pipeline =
-                StreamPipeline::start(Arc::clone(&reference.data), ops, self.engine.config().io);
-            for slice in pipeline {
-                let slice = slice?;
-                for (op_idx, ref_payload) in slice.payloads() {
-                    let chunk_index = outcome.mismatched_leaves[op_idx];
-                    let lo = chunk_index * values_per_chunk;
-                    let hi = (lo + values_per_chunk).min(values.len());
-                    let live = &values[lo..hi];
-                    let mut chunk_had_diff = false;
-                    for (j, (rb, &lv)) in ref_payload.chunks_exact(4).zip(live.iter()).enumerate() {
-                        let rv = f32::from_le_bytes(rb.try_into().expect("4 bytes"));
-                        if quantizer.differs(rv, lv) {
-                            chunk_had_diff = true;
-                            stats.diff_count += 1;
-                            if differences.len() < self.engine.config().max_recorded_diffs {
-                                differences.push(Difference {
-                                    index: (lo + j) as u64,
-                                    a: rv,
-                                    b: lv,
-                                });
-                            }
-                        }
-                    }
-                    if !chunk_had_diff {
-                        stats.false_positive_chunks += 1;
-                    }
-                }
-            }
-        }
+        let (stats, differences) = (report.stats, report.differences);
 
         self.total_diffs += stats.diff_count;
         self.entries.push(OnlineEntry {
@@ -283,9 +232,7 @@ impl OnlineComparator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::Ctx;
     use crate::engine::EngineConfig;
-    use crate::source::CheckpointSource;
 
     fn engine() -> CompareEngine {
         CompareEngine::new(EngineConfig {

@@ -16,6 +16,7 @@ use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
+use reprocmp_io::CostModel;
 use reprocmp_store::{ChunkStore, DeltaPolicy, IngestStats, StoreError, HEADER_SEGMENT};
 use reprocmp_veloc::format::MAGIC;
 use reprocmp_veloc::{decode_checkpoint, decode_header, CheckpointFile, CkptCodecError};
@@ -195,12 +196,13 @@ impl<'a> Image<'a> {
 
     /// An in-memory source over the payload, metadata built on the fly.
     pub fn in_memory(&self, engine: &CompareEngine) -> Result<CheckpointSource, OpError> {
-        let values: Vec<f32> = self
-            .nonempty_payload()?
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        Ok(CheckpointSource::in_memory(&values, engine)?)
+        let payload = self.nonempty_payload()?.to_vec();
+        Ok(CheckpointSource::from_payload(
+            payload,
+            engine,
+            CostModel::free(),
+            None,
+        )?)
     }
 
     fn nonempty_payload(&self) -> Result<&'a [u8], OpError> {

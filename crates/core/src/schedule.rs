@@ -518,7 +518,7 @@ impl CompareEngine {
             let mut verdicts: HashMap<usize, ChunkVerdict> = HashMap::new();
             let collect = s2_ref[j].collect;
             let result = self
-                .verify_chunks_sink(
+                .verify_chunks(
                     sources[l],
                     sources[r],
                     &s2_ref[j].fresh,

@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 
+use reprocmp_hash::Floats;
 use reprocmp_io::MemStorage;
 use reprocmp_obs::StageBreakdown;
 use reprocmp_store::{ChunkStore, ObjectLayout, StoreError};
@@ -77,7 +78,6 @@ impl CheckpointSource {
         }
 
         let chunk_bytes = engine.config().chunk_bytes;
-        let mut capture = StageBreakdown::default();
 
         // Raw leaf digests: free when the manifest chunked the payload
         // the way the engine does (same seed, same boundaries);
@@ -92,17 +92,12 @@ impl CheckpointSource {
 
         // Metadata: the stored blob when present, else a fresh capture
         // pass over the materialized payload.
-        let (meta_bytes, raw_leaves) = if layout.meta.is_empty() {
+        let (meta_bytes, raw_leaves, capture) = if layout.meta.is_empty() {
             let bytes = store.materialize(name, version).map_err(store_err)?;
             let payload = &bytes[layout.payload_offset as usize..];
-            let values: Vec<f32> = payload
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-                .collect();
-            let (tree, profile) = engine.build_metadata_profiled(&values);
-            capture = profile;
+            let (tree, capture) = engine.capture(Floats::LeBytes(payload));
             let leaves = manifest_leaves.unwrap_or_else(|| raw_chunk_digests(payload, chunk_bytes));
-            (reprocmp_merkle::encode_tree(&tree), leaves)
+            (reprocmp_merkle::encode_tree(&tree), leaves, capture)
         } else {
             let leaves = match manifest_leaves {
                 Some(leaves) => leaves,
@@ -111,7 +106,7 @@ impl CheckpointSource {
                     raw_chunk_digests(&bytes[layout.payload_offset as usize..], chunk_bytes)
                 }
             };
-            (layout.meta.clone(), leaves)
+            (layout.meta.clone(), leaves, StageBreakdown::default())
         };
 
         // Chain provenance: non-`None` only for delta objects, so full
@@ -232,8 +227,7 @@ mod tests {
         let store = ChunkStore::open(&root).unwrap();
         let e = engine();
         let values: Vec<f32> = (0..256).map(|i| (i as f32).cos()).collect();
-        let (tree, _) = e.build_metadata_profiled(&values);
-        let meta = reprocmp_merkle::encode_tree(&tree);
+        let meta = e.encode_metadata(&values);
         store
             .ingest("m", 1, &[("x", &payload_bytes(&values))], 64, &meta)
             .unwrap();

@@ -159,11 +159,14 @@ impl Device {
         self.modeled_ns.store(0, Ordering::Relaxed);
     }
 
-    fn charge(&self, w: Workload) {
-        if let Some(model) = &self.model {
-            let ns = model.kernel_time(w).as_nanos() as u64;
-            self.modeled_ns.fetch_add(ns, Ordering::Relaxed);
-        }
+    /// Charges one kernel launch of `w` against the model and returns
+    /// the modeled time it added ([`Duration::ZERO`] for model-less
+    /// devices). Every launch primitive below charges this way.
+    pub fn charge(&self, w: Workload) -> Duration {
+        let t = self.model.map_or(Duration::ZERO, |m| m.kernel_time(w));
+        self.modeled_ns
+            .fetch_add(t.as_nanos() as u64, Ordering::Relaxed);
+        t
     }
 
     /// Executes `f(i)` for every `i in 0..n`, in parallel when the

@@ -207,6 +207,21 @@ impl Quantizer {
             }
         }
     }
+
+    /// The verify kernel: appends `(index, a, b)` to `out` for every
+    /// value pair of two little-endian `f32` runs that
+    /// [`Quantizer::differs`], `index` counting values from the start
+    /// of the runs. A trailing partial value, and values past the end
+    /// of the shorter run, are not compared.
+    pub fn diff_le_bytes(&self, a: &[u8], b: &[u8], out: &mut Vec<(u32, f32, f32)>) {
+        for (j, (xa, xb)) in a.chunks_exact(4).zip(b.chunks_exact(4)).enumerate() {
+            let va = f32::from_le_bytes(xa.try_into().expect("4 bytes"));
+            let vb = f32::from_le_bytes(xb.try_into().expect("4 bytes"));
+            if self.differs(va, vb) {
+                out.push((j as u32, va, vb));
+            }
+        }
+    }
 }
 
 /// Snaps `f64` values onto an `ε`-spaced grid — the double-precision

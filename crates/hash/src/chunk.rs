@@ -225,60 +225,6 @@ impl ChunkHasher {
         }
     }
 
-    /// Quantizes `data` into `out`, one code per value — the first half
-    /// of the leaf kernel, for callers that time the halves apart.
-    ///
-    /// # Panics
-    ///
-    /// If `out.len() != data.len()`.
-    pub fn quantize_codes(&self, data: Floats<'_>, out: &mut [i64]) {
-        assert_eq!(out.len(), data.len(), "one code slot per value");
-        data.quantize_into(&self.quantizer, out);
-    }
-
-    /// The second half of the leaf kernel: chains pre-quantized `codes`
-    /// split into `chunk_len`-code chunks into `out`, [`LANES`] chains
-    /// at a time. Equal to [`ChunkHasher::hash_leaves_into`] over the
-    /// values the codes came from.
-    ///
-    /// # Panics
-    ///
-    /// As [`ChunkHasher::hash_leaves_into`].
-    pub fn hash_codes_into(&self, codes: &[i64], chunk_len: usize, out: &mut [Digest128]) {
-        assert!(chunk_len > 0, "chunk_len must be non-zero");
-        assert_eq!(
-            out.len(),
-            codes.len().div_ceil(chunk_len),
-            "one digest slot per chunk"
-        );
-        if self.block_bytes != DEFAULT_BLOCK_BYTES {
-            for (slot, chunk) in out.iter_mut().zip(codes.chunks(chunk_len)) {
-                *slot = self.hash_codes_bytewise(chunk);
-            }
-            return;
-        }
-        let grouped = codes.len() / chunk_len / LANES * LANES;
-        let (whole, rest) = codes.split_at(grouped * chunk_len);
-        for (group, slots) in whole
-            .chunks_exact(LANES * chunk_len)
-            .zip(out[..grouped].chunks_exact_mut(LANES))
-        {
-            let mut state = [[0u64; 2]; LANES];
-            advance(
-                &mut state,
-                std::array::from_fn(|l| &group[l * chunk_len..(l + 1) * chunk_len]),
-            );
-            for (slot, s) in slots.iter_mut().zip(state) {
-                *slot = Digest128(s);
-            }
-        }
-        for (slot, chunk) in out[grouped..].iter_mut().zip(rest.chunks(chunk_len)) {
-            let mut state = [[0u64; 2]];
-            advance(&mut state, [chunk]);
-            *slot = Digest128(state[0]);
-        }
-    }
-
     /// `W` chunks of `chunk_len` values, back to back in `data`, hashed
     /// as `W` chains in lockstep through `tile` strip by strip.
     fn chain_lanes<const W: usize>(

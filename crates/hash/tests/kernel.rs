@@ -113,28 +113,7 @@ proptest! {
         let h = ChunkHasher::with_block_bytes(q, block);
         let data = mixed(&bits);
         let want = Oracle::new(1e-4, block).hash_leaves(&data, chunk_len);
-        prop_assert_eq!(leaves(&h, Floats::Values(&data), chunk_len), want.clone());
-        let mut codes = vec![0i64; data.len()];
-        h.quantize_codes(Floats::Values(&data), &mut codes);
-        let mut split = vec![Digest128::ZERO; want.len()];
-        h.hash_codes_into(&codes, chunk_len, &mut split);
-        prop_assert_eq!(split.into_iter().map(|d| d.0).collect::<Vec<_>>(), want);
-    }
-
-    /// Quantizing and chaining as two passes gives the fused kernel's
-    /// leaves.
-    #[test]
-    fn split_halves_equal_the_fused_kernel(
-        bits in proptest::collection::vec(any::<u32>(), 1..1200),
-        chunk_len in 1usize..70,
-    ) {
-        let h = ChunkHasher::new(Quantizer::new(1e-6).unwrap());
-        let data = mixed(&bits);
-        let mut codes = vec![0i64; data.len()];
-        h.quantize_codes(Floats::Values(&data), &mut codes);
-        let mut split = vec![Digest128::ZERO; data.len().div_ceil(chunk_len)];
-        h.hash_codes_into(&codes, chunk_len, &mut split);
-        prop_assert_eq!(split, h.hash_leaves(&data, chunk_len));
+        prop_assert_eq!(leaves(&h, Floats::Values(&data), chunk_len), want);
     }
 
     /// Payload bytes hashed in place equal the decoded floats, at every

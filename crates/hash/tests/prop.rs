@@ -55,6 +55,42 @@ proptest! {
         prop_assert!(!q.differs(a, a));
     }
 
+    /// The verify kernel lists exactly the pairs `differs` flags, in
+    /// order and at their value offsets; a trailing partial value is
+    /// not compared.
+    #[test]
+    fn diff_le_bytes_lists_exactly_the_differing_pairs(
+        pairs in proptest::collection::vec((any::<u32>(), any::<u32>(), 0u8..3), 0..300),
+        tail in 0usize..4,
+    ) {
+        let q = Quantizer::new(1e-3).unwrap();
+        // Equal, one ulp apart, or unrelated bits (NaNs and infinities
+        // included).
+        let pairs: Vec<(f32, f32)> = pairs
+            .iter()
+            .map(|&(x, y, how)| {
+                let y = [x, x ^ 1, y][usize::from(how)];
+                (f32::from_bits(x), f32::from_bits(y))
+            })
+            .collect();
+        let a: Vec<u8> = pairs.iter().flat_map(|p| p.0.to_le_bytes()).collect();
+        let mut b: Vec<u8> = pairs.iter().flat_map(|p| p.1.to_le_bytes()).collect();
+        b.extend(std::iter::repeat_n(0xff, tail));
+        let mut got = vec![(u32::MAX, 0.0, 0.0)];
+        q.diff_le_bytes(&a, &b, &mut got);
+        let want = pairs
+            .iter()
+            .enumerate()
+            .filter(|(_, &(x, y))| q.differs(x, y))
+            .map(|(j, &(x, y))| (j as u32, x.to_bits(), y.to_bits()));
+        let bits = |&(j, x, y): &(u32, f32, f32)| (j, x.to_bits(), y.to_bits());
+        prop_assert_eq!(
+            got.iter().map(bits).collect::<Vec<_>>(),
+            // Appended after what `out` already held.
+            std::iter::once((u32::MAX, 0, 0)).chain(want).collect::<Vec<_>>()
+        );
+    }
+
     /// Chunk digests are a pure function of the quantized codes: two
     /// inputs with identical code sequences always hash identically.
     #[test]

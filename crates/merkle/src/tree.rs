@@ -89,9 +89,7 @@ impl MerkleTree {
         }
     }
 
-    /// Hashes `data` in `chunk_bytes`-sized chunks (chunk length in
-    /// floats is `chunk_bytes / 4`) and builds the tree, leaf hashing
-    /// running as one parallel kernel.
+    /// [`MerkleTree::build`] over a float slice, without the profile.
     ///
     /// # Panics
     ///
@@ -103,12 +101,22 @@ impl MerkleTree {
         hasher: &ChunkHasher,
         device: &Device,
     ) -> Self {
-        Self::build(Floats::Values(data), chunk_bytes, hasher, device)
+        Self::build(Floats::Values(data), chunk_bytes, hasher, device).0
     }
 
-    /// [`MerkleTree::build_from_f32`] over any [`Floats`] — in
-    /// particular a checkpoint payload's little-endian bytes, hashed
-    /// where they lie instead of first copied into a `Vec<f32>`.
+    /// The capture kernel: hashes `data` in `chunk_bytes`-sized chunks
+    /// (chunk length in floats is `chunk_bytes / 4`) and builds the
+    /// tree, returning it with a [`StageBreakdown`] of the three capture
+    /// phases (compare-side phases zero). `data` may be a checkpoint
+    /// payload's little-endian bytes, hashed where they lie.
+    ///
+    /// Leaves are quantized and hashed in one fused parallel pass. A
+    /// modeled device is charged for that pass as the two kernels of
+    /// [`MerkleTree::capture_workloads`], quantize then hash, so each
+    /// phase carries its own modeled time; an unmodeled device reports
+    /// the pass's wall time as `leaf_hash`, and `quantize` keeps its
+    /// bytes and ops with zero time. Interior levels are one kernel
+    /// each, timed on the modeled clock or else the wall clock.
     ///
     /// # Panics
     ///
@@ -119,90 +127,30 @@ impl MerkleTree {
         chunk_bytes: usize,
         hasher: &ChunkHasher,
         device: &Device,
-    ) -> Self {
-        assert!(!data.is_empty(), "cannot build a tree over no data");
-        assert!(chunk_bytes >= 4, "chunk must hold at least one f32");
-        let floats_per_chunk = chunk_bytes / 4;
-        let n_chunks = data.len().div_ceil(floats_per_chunk);
-
-        // Leaf kernel: quantize + hash each chunk. Charged as one pass
-        // over the data plus ~10 scalar ops per byte — the cost of
-        // quantization and seed-chained Murmur3F rounds, which is what
-        // makes serial CPU hashing run at a fraction of a GB/s while a
-        // GPU hashing thousands of chunks concurrently stays
-        // bandwidth-bound (the paper's Figure 8 gap).
-        let w = Workload::new((data.len() * 4) as u64, (data.len() * 40) as u64);
-        let mut leaves = vec![Digest128::ZERO; n_chunks];
-        let span = worker_span(n_chunks, device);
-        device.parallel_chunks_mut(&mut leaves, span, w, |piece, out| {
-            let first = piece * span * floats_per_chunk;
-            let end = (first + out.len() * floats_per_chunk).min(data.len());
-            hasher.hash_leaves_into(data.slice(first..end), floats_per_chunk, out);
-        });
-
-        Self::from_leaves(
-            leaves,
-            chunk_bytes,
-            (data.len() * 4) as u64,
-            hasher.quantizer().bound(),
-            device,
-        )
-    }
-
-    /// Like [`MerkleTree::build_from_f32`], but runs quantization, leaf
-    /// hashing, and level building as *separate* kernels and returns
-    /// a [`StageBreakdown`] attributing time, bytes, and operations to
-    /// each capture phase. The resulting tree is bit-identical to the
-    /// fused builder's (quantize-then-hash commutes with fusing).
-    ///
-    /// Phase times come from the device's modeled-time accumulator when
-    /// the device has a timing model — a deterministic sum of kernel
-    /// charges — and from the wall clock otherwise.
-    ///
-    /// # Panics
-    ///
-    /// If `data` is empty or `chunk_bytes < 4`.
-    #[must_use]
-    pub fn build_from_f32_profiled(
-        data: &[f32],
-        chunk_bytes: usize,
-        hasher: &ChunkHasher,
-        device: &Device,
     ) -> (Self, StageBreakdown) {
         assert!(!data.is_empty(), "cannot build a tree over no data");
         assert!(chunk_bytes >= 4, "chunk must hold at least one f32");
         let floats_per_chunk = chunk_bytes / 4;
         let n_chunks = data.len().div_ceil(floats_per_chunk);
         let data_bytes = (data.len() * 4) as u64;
+        let [w_quantize, w_hash] = Self::capture_workloads(data.len() as u64);
 
-        // Phase 1 — quantize every chunk onto the ε-grid. One pass over
-        // the floats, ~10 scalar ops per byte (cast, scale, floor).
-        let span = worker_span(n_chunks, device);
-        let w_quant = Workload::new(data_bytes, data_bytes.saturating_mul(10));
-        let mut codes = vec![0i64; data.len()];
-        let ((), quantize_time) = measured(device, || {
-            let values_per_piece = span * floats_per_chunk;
-            device.parallel_chunks_mut(&mut codes, values_per_piece, w_quant, |piece, out| {
-                let first = piece * values_per_piece;
-                hasher.quantize_codes(Floats::Values(&data[first..first + out.len()]), out);
-            });
-        });
-        let code_bytes = (codes.len() * 8) as u64;
-
-        // Phase 2 — block-chained hashing of the quantized codes, the
-        // Murmur3F rounds that dominate capture (paper Figure 8).
-        let w_hash = Workload::new(data_bytes, data_bytes.saturating_mul(30));
         let mut leaves = vec![Digest128::ZERO; n_chunks];
-        let ((), leaf_hash_time) = measured(device, || {
-            device.parallel_chunks_mut(&mut leaves, span, w_hash, |piece, out| {
+        let span = worker_span(n_chunks, device);
+        let ((), fused) = measured(device, || {
+            device.parallel_chunks_mut(&mut leaves, span, w_quantize, |piece, out| {
                 let first = piece * span * floats_per_chunk;
-                let end = (first + out.len() * floats_per_chunk).min(codes.len());
-                hasher.hash_codes_into(&codes[first..end], floats_per_chunk, out);
+                let end = (first + out.len() * floats_per_chunk).min(data.len());
+                hasher.hash_leaves_into(data.slice(first..end), floats_per_chunk, out);
             });
         });
-        drop(codes);
+        let hashed = device.charge(w_hash);
+        let (quantize_time, leaf_hash_time) = if hashed.is_zero() {
+            (Duration::ZERO, fused)
+        } else {
+            (fused, hashed)
+        };
 
-        // Phase 3 — interior levels, bottom-up.
         let (tree, level_build_time) = measured(device, || {
             Self::from_leaves(
                 leaves,
@@ -216,7 +164,8 @@ impl MerkleTree {
         let interior_nodes = (tree.node_count() - tree.leaf_count().next_power_of_two()) as u64;
         let profile = StageBreakdown {
             quantize: PhaseCost::new(quantize_time, data_bytes, data.len() as u64),
-            leaf_hash: PhaseCost::new(leaf_hash_time, code_bytes, n_chunks as u64),
+            // The kernel hashes one 8-byte ε-grid code per 4-byte value.
+            leaf_hash: PhaseCost::new(leaf_hash_time, 2 * data_bytes, n_chunks as u64),
             level_build: PhaseCost::new(
                 level_build_time,
                 tree.metadata_bytes() as u64,
@@ -225,6 +174,22 @@ impl MerkleTree {
             ..StageBreakdown::default()
         };
         (tree, profile)
+    }
+
+    /// The leaf kernel's modeled cost over `values` floats, as the two
+    /// kernels it is charged as: quantize, one pass at ~10 scalar ops
+    /// per byte (cast, scale, floor), then the seed-chained Murmur3F
+    /// rounds at ~30 ops per byte. Those rounds are what makes serial
+    /// CPU hashing run at a fraction of a GB/s while a GPU hashing
+    /// thousands of chunks concurrently stays bandwidth-bound (the
+    /// paper's Figure 8 gap).
+    #[must_use]
+    pub fn capture_workloads(values: u64) -> [Workload; 2] {
+        let bytes = values.saturating_mul(4);
+        [
+            Workload::new(bytes, bytes.saturating_mul(10)),
+            Workload::new(bytes, bytes.saturating_mul(30)),
+        ]
     }
 
     /// The root digest — a single value summarizing the checkpoint
@@ -464,7 +429,8 @@ mod tests {
         let h = hasher(1e-5);
         let dev = Device::host_serial();
         let fused = MerkleTree::build_from_f32(&d, 128, &h, &dev);
-        let (split, profile) = MerkleTree::build_from_f32_profiled(&d, 128, &h, &dev);
+        let bytes: Vec<u8> = d.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let (split, profile) = MerkleTree::build(Floats::LeBytes(&bytes), 128, &h, &dev);
         assert_eq!(fused, split);
         // 4096 floats, 128-byte chunks → 128 chunks of 32 floats.
         assert_eq!(profile.quantize.bytes, 4096 * 4);
@@ -488,7 +454,7 @@ mod tests {
         let h = hasher(1e-6);
         let run = || {
             let dev = Device::sim_gpu();
-            MerkleTree::build_from_f32_profiled(&d, 256, &h, &dev).1
+            MerkleTree::build(Floats::Values(&d), 256, &h, &dev).1
         };
         let (p1, p2) = (run(), run());
         assert_eq!(p1, p2, "modeled phase times are exact, not wall-clock");
@@ -504,11 +470,17 @@ mod tests {
     #[test]
     fn profiled_build_on_unmodeled_device_reports_wall_time() {
         let d = data(1024);
-        let (_, profile) =
-            MerkleTree::build_from_f32_profiled(&d, 64, &hasher(1e-4), &Device::host_serial());
-        // No model → wall-clock fallback; elapsed time is positive but
-        // nothing else can be asserted portably.
-        assert!(profile.capture_time() > Duration::ZERO);
+        let (_, profile) = MerkleTree::build(
+            Floats::Values(&d),
+            64,
+            &hasher(1e-4),
+            &Device::host_serial(),
+        );
+        // No model → the fused pass's wall time is all leaf_hash; its
+        // length is positive but nothing else can be asserted portably.
+        assert!(profile.leaf_hash.time > Duration::ZERO);
+        assert_eq!(profile.quantize.time, Duration::ZERO);
+        assert_eq!(profile.quantize.bytes, 1024 * 4);
     }
 
     #[test]
@@ -538,12 +510,6 @@ mod tests {
                 "{}",
                 dev.name()
             );
-            assert_eq!(
-                MerkleTree::build_from_f32_profiled(&d, 100, &h, &dev).0,
-                reference,
-                "{} profiled",
-                dev.name()
-            );
         }
         let mut rewritten =
             MerkleTree::build_from_f32(&vec![0.0; d.len()], 100, &h, &Device::host_serial());
@@ -560,7 +526,7 @@ mod tests {
         for offset in 0..4 {
             let mut file = vec![0xffu8; offset];
             file.extend(d.iter().flat_map(|v| v.to_le_bytes()));
-            let tree = MerkleTree::build(Floats::LeBytes(&file[offset..]), 64, &h, &dev);
+            let (tree, _) = MerkleTree::build(Floats::LeBytes(&file[offset..]), 64, &h, &dev);
             assert_eq!(tree, expect, "offset {offset}");
         }
     }

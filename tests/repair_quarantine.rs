@@ -52,8 +52,7 @@ fn payload_bytes(values: &[f32]) -> Vec<u8> {
 /// store-backed sources never materialize the full payload (stage 2
 /// reads only the flagged chunks — the degraded path under test).
 fn ingest(store: &ChunkStore, engine: &CompareEngine, name: &str, values: &[f32]) -> Option<u32> {
-    let (tree, _) = engine.build_metadata_profiled(values);
-    let meta = reprocmp_merkle::encode_tree(&tree);
+    let meta = engine.encode_metadata(values);
     let stats = store
         .ingest(
             name,

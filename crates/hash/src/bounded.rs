@@ -98,9 +98,13 @@ fn grid_code_cold(x: f64, scaled: f64) -> i64 {
     }
 }
 
+/// Values per strip of the verify kernel ([`Quantizer::diff_le_bytes`]).
+const STRIP: usize = 8;
+
 /// Snaps `f32` values onto an `ε`-spaced grid.
 ///
-/// Cloning is cheap; the quantizer is just the bound and its reciprocal.
+/// Cloning is cheap; the quantizer is just the bound, its reciprocal
+/// and the verify kernel's `f32` bound.
 ///
 /// ```
 /// use reprocmp_hash::bounded::Quantizer;
@@ -114,6 +118,8 @@ fn grid_code_cold(x: f64, scaled: f64) -> i64 {
 pub struct Quantizer {
     bound: f64,
     inv_bound: f64,
+    /// The largest `f32` ≤ `bound`: the verify kernel's pre-filter.
+    bound_f32: f32,
 }
 
 impl Quantizer {
@@ -127,9 +133,18 @@ impl Quantizer {
         if !(bound.is_finite() && bound > 0.0) {
             return Err(QuantizerError::InvalidBound);
         }
+        // `as` rounds to nearest (∞ above f32::MAX); step down one ulp
+        // where that went above the bound.
+        let nearest = bound as f32;
+        let bound_f32 = if f64::from(nearest) > bound {
+            f32::from_bits(nearest.to_bits() - 1)
+        } else {
+            nearest
+        };
         Ok(Quantizer {
             bound,
             inv_bound: 1.0 / bound,
+            bound_f32,
         })
     }
 
@@ -213,15 +228,55 @@ impl Quantizer {
     /// [`Quantizer::differs`], `index` counting values from the start
     /// of the runs. A trailing partial value, and values past the end
     /// of the shorter run, are not compared.
+    ///
+    /// The runs are walked in strips of [`STRIP`] values. Every lane of
+    /// a strip runs a branch-free `f32` pre-filter,
+    /// `!(|a − b| < ε₃₂)` with `ε₃₂` the largest `f32` ≤ `ε`; a strip
+    /// where no lane fires is done, and in any other only the lanes
+    /// that fired run the exact `differs`. The filter never
+    /// drops a pair `differs` flags: if the `f64` difference exceeds
+    /// `ε`, the exact `|a − b|` exceeds `ε₃₂` (rounding to `f64` is
+    /// monotone and `ε₃₂ ≤ ε` is an `f64`), so its rounding to `f32` is
+    /// at least `ε₃₂`. NaN and an `f32` overflow to ∞ pass the filter
+    /// as well.
     pub fn diff_le_bytes(&self, a: &[u8], b: &[u8], out: &mut Vec<(u32, f32, f32)>) {
-        for (j, (xa, xb)) in a.chunks_exact(4).zip(b.chunks_exact(4)).enumerate() {
-            let va = f32::from_le_bytes(xa.try_into().expect("4 bytes"));
-            let vb = f32::from_le_bytes(xb.try_into().expect("4 bytes"));
-            if self.differs(va, vb) {
-                out.push((j as u32, va, vb));
+        let len = a.len().min(b.len()) / 4 * 4;
+        let (a, b) = (&a[..len], &b[..len]);
+        let strip_bytes = STRIP * 4;
+        let strips = a.chunks_exact(strip_bytes).zip(b.chunks_exact(strip_bytes));
+        for (s, (sa, sb)) in strips.enumerate() {
+            let va: [f32; STRIP] = std::array::from_fn(|l| le_f32(sa, l));
+            let vb: [f32; STRIP] = std::array::from_fn(|l| le_f32(sb, l));
+            // `<` is false for NaN, so a NaN lane is never within.
+            let within = |l: usize| (va[l] - vb[l]).abs() < self.bound_f32;
+            let mut all_within = true;
+            for l in 0..STRIP {
+                all_within &= within(l);
+            }
+            if all_within {
+                continue;
+            }
+            for l in 0..STRIP {
+                if !within(l) && self.differs(va[l], vb[l]) {
+                    out.push(((s * STRIP + l) as u32, va[l], vb[l]));
+                }
+            }
+        }
+        let done = len / strip_bytes * STRIP;
+        let (ta, tb) = (&a[done * 4..], &b[done * 4..]);
+        for l in 0..ta.len() / 4 {
+            let (xa, xb) = (le_f32(ta, l), le_f32(tb, l));
+            if self.differs(xa, xb) {
+                out.push(((done + l) as u32, xa, xb));
             }
         }
     }
+}
+
+/// The `i`-th little-endian `f32` of `bytes`.
+#[inline(always)]
+fn le_f32(bytes: &[u8], i: usize) -> f32 {
+    f32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().expect("4 bytes"))
 }
 
 /// Snaps `f64` values onto an `ε`-spaced grid — the double-precision

@@ -8,40 +8,11 @@
 //! one double-rounding away from landing in the wrong cell. This
 //! suite aims the property precisely there.
 
+mod boundary;
+
+use boundary::{boundary_value, next_down_f64, next_up_f64};
 use proptest::prelude::*;
 use reprocmp_hash::{ChunkHasher, Quantizer};
-
-/// The next f32 toward +∞ (stable `f32::next_up` postdates our MSRV).
-fn next_up(x: f32) -> f32 {
-    assert!(x.is_finite());
-    let bits = x.to_bits();
-    let next = if x == 0.0 {
-        1 // +0 and -0 both step to the smallest positive subnormal
-    } else if bits >> 31 == 0 {
-        bits + 1
-    } else if bits == 0x8000_0001 {
-        0x8000_0000 // -min_subnormal steps to -0
-    } else {
-        bits - 1
-    };
-    f32::from_bits(next)
-}
-
-/// The next f32 toward −∞.
-fn next_down(x: f32) -> f32 {
-    -next_up(-x)
-}
-
-/// An f32 on (or, after rounding, as near as representable to) the
-/// grid boundary `k·ε`, nudged `ulps` steps: −1, 0, or +1.
-fn boundary_value(k: i64, eps: f64, ulps: i32) -> f32 {
-    let v = (k as f64 * eps) as f32;
-    match ulps {
-        -1 => next_down(v),
-        1 => next_up(v),
-        _ => v,
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -106,27 +77,6 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use reprocmp_hash::QuantizerF64;
-
-/// The next f64 toward +∞.
-fn next_up_f64(x: f64) -> f64 {
-    assert!(x.is_finite());
-    let bits = x.to_bits();
-    let next = if x == 0.0 {
-        1 // +0 and -0 both step to the smallest positive subnormal
-    } else if bits >> 63 == 0 {
-        bits + 1
-    } else if bits == 0x8000_0000_0000_0001 {
-        0x8000_0000_0000_0000 // -min_subnormal steps to -0
-    } else {
-        bits - 1
-    };
-    f64::from_bits(next)
-}
-
-/// The next f64 toward −∞.
-fn next_down_f64(x: f64) -> f64 {
-    -next_up_f64(-x)
-}
 
 /// An f64 on (or as near as representable to) the grid boundary
 /// `k·ε`, nudged `ulps` steps: −1, 0, or +1. At f64 precision a ±1-ulp

@@ -90,6 +90,12 @@ impl Default for EngineConfig {
     }
 }
 
+/// The most payload bytes (plus one op) a stage-2 slice holds when
+/// nothing models the compare: small enough that both slices of the
+/// pair are still in cache when the verify kernel reads them. Chosen by
+/// a sweep of six sizes (DESIGN.md §20).
+const HOST_SLICE_BYTES: usize = 1 << 20;
+
 /// The error-bounded Merkle comparison engine.
 #[derive(Debug, Clone)]
 pub struct CompareEngine {
@@ -463,6 +469,16 @@ impl CompareEngine {
         // terminates the stream with an error (historical behaviour).
         let mut io_cfg = self.config.io;
         io_cfg.continue_on_error = self.config.failure_policy == FailurePolicy::Quarantine;
+        // Both pipelines slice by this one config, so their slices pair
+        // op for op. When nothing models this compare — a wall timeline,
+        // and neither side charges a cost model — the slices are cut
+        // small enough to verify from cache (DESIGN.md §20). A modeled
+        // compare keeps `slice_bytes`, the size its figures assume: a
+        // sim timeline charges a kernel launch per slice, and a cost
+        // model charges each slice's batch.
+        if matches!(timeline, Timeline::Wall(_)) && !a.data.models_cost() && !b.data.models_cost() {
+            io_cfg.slice_bytes = io_cfg.slice_bytes.min(HOST_SLICE_BYTES);
+        }
 
         // Both pipelines share ONE set of registry-backed metrics
         // (`io.*`), so the counters already hold both sides' totals —
@@ -493,8 +509,15 @@ impl CompareEngine {
             let _slice_span = obs.tracer.span("stage2.slice");
             let slice_a = slice_a?;
             let slice_b = slice_b?;
-            debug_assert_eq!(slice_a.first_op, slice_b.first_op);
-            debug_assert_eq!(slice_a.ops.len(), slice_b.ops.len());
+            if (slice_a.first_op, slice_a.ops.len()) != (slice_b.first_op, slice_b.ops.len()) {
+                return Err(CoreError::Mismatch(format!(
+                    "stage-2 slices do not pair: ops {}+{} against {}+{}",
+                    slice_a.first_op,
+                    slice_a.ops.len(),
+                    slice_b.first_op,
+                    slice_b.ops.len()
+                )));
+            }
 
             // An op is unverifiable if *either* side failed to read it.
             let mut failed_ops: Vec<usize> = slice_a
@@ -1290,5 +1313,110 @@ mod tests {
             report.breakdown.total()
         };
         assert!(modeled_total(2) < modeled_total(50));
+    }
+
+    /// `src` with its payload moved to a real file at `path`.
+    fn on_file(mut src: CheckpointSource, path: &std::path::Path) -> CheckpointSource {
+        let mut payload = vec![0u8; src.payload_len as usize];
+        src.data.read_at(src.payload_offset, &mut payload).unwrap();
+        std::fs::write(path, &payload).unwrap();
+        src.data = Arc::new(reprocmp_io::StdFsStorage::open(path).unwrap());
+        src.payload_offset = 0;
+        src
+    }
+
+    /// 4 KiB chunks read in 64 KiB runs.
+    fn run_engine() -> CompareEngine {
+        CompareEngine::new(EngineConfig {
+            chunk_bytes: 4096,
+            error_bound: 1e-5,
+            max_coalesced_bytes: 64 << 10,
+            ..EngineConfig::default()
+        })
+    }
+
+    /// 3 MiB a side, every 4 KiB chunk flagged: chunk `c` differs at
+    /// every `(1 + c % 7)`-th value, so a chunk verified against the
+    /// wrong one changes the count.
+    fn dense_pair() -> (Vec<f32>, Vec<f32>) {
+        let n = 3 << 18;
+        let data = wave(n);
+        let data2 = (0..n)
+            .map(|i| data[i] + f32::from(i % (1 + (i / 1024) % 7) == 0))
+            .collect();
+        (data, data2)
+    }
+
+    #[test]
+    fn a_file_and_a_memory_source_verify_the_same_chunks() {
+        let e = run_engine();
+        let (data, data2) = dense_pair();
+        let n = data.len();
+        let brute = (0..n).filter(|&i| data[i] != data2[i]).count() as u64;
+        let mem_a = CheckpointSource::in_memory(&data, &e).unwrap();
+        let mem_b = CheckpointSource::in_memory(&data2, &e).unwrap();
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let path_a = dir.join(format!("reprocmp-engine-file-a-{pid}"));
+        let path_b = dir.join(format!("reprocmp-engine-file-b-{pid}"));
+        let file_a = on_file(CheckpointSource::in_memory(&data, &e).unwrap(), &path_a);
+        let file_b = on_file(CheckpointSource::in_memory(&data2, &e).unwrap(), &path_b);
+
+        let want = e.compare(&mem_a, &mem_b, &Ctx::default()).unwrap();
+        assert_eq!(want.stats.chunks_flagged, (n / 1024) as u64);
+        assert_eq!(want.stats.diff_count, brute);
+        for (a, b) in [(&file_a, &mem_b), (&mem_a, &file_b), (&file_a, &file_b)] {
+            let got = e.compare(a, b, &Ctx::default()).unwrap();
+            assert_eq!(got.stats, want.stats);
+            assert_eq!(got.differences, want.differences);
+            assert_eq!(got.unverified, want.unverified);
+        }
+        std::fs::remove_file(path_a).ok();
+        std::fs::remove_file(path_b).ok();
+    }
+
+    /// The payload bytes of each stage-2 slice the compare read, both
+    /// sides.
+    fn slices_read(a: &CheckpointSource, b: &CheckpointSource, timeline: Timeline) -> Vec<u64> {
+        let ctx = Ctx {
+            timeline,
+            obs: Observer::with_journal(reprocmp_obs::ObsClock::wall()),
+        };
+        run_engine().compare(a, b, &ctx).unwrap();
+        let events = ctx.obs.journal().events();
+        events
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                reprocmp_obs::EventKind::IoSubmit { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn only_a_compare_nothing_models_cuts_host_slices() {
+        let e = run_engine();
+        let (data, data2) = dense_pair();
+        let side = |values: &[f32], model| {
+            CheckpointSource::in_memory_with_model(values, &e, model, None).unwrap()
+        };
+        let (free_a, free_b) = (
+            side(&data, CostModel::free()),
+            side(&data2, CostModel::free()),
+        );
+        let (pfs_a, pfs_b) = (
+            side(&data, CostModel::lustre_pfs()),
+            side(&data2, CostModel::lustre_pfs()),
+        );
+        // Wall clock, cost-free storage: 1 MiB slices (16 runs each).
+        let host = slices_read(&free_a, &free_b, Timeline::wall());
+        assert_eq!(host, [HOST_SLICE_BYTES as u64; 6]);
+        // A modeled side, or a modeled timeline: one 3 MiB slice a side,
+        // as `slice_bytes` (8 MiB) cuts it.
+        let whole = [3 << 20; 2];
+        assert_eq!(slices_read(&pfs_a, &free_b, Timeline::wall()), whole);
+        assert_eq!(slices_read(&free_a, &pfs_b, Timeline::wall()), whole);
+        let clock = SimClock::new();
+        assert_eq!(slices_read(&free_a, &free_b, Timeline::sim(clock)), whole);
     }
 }

@@ -6,9 +6,9 @@ use std::sync::Arc;
 
 use reprocmp_core::{
     CheckpointHistory, CheckpointSource, CompareEngine, CoreError, EngineConfig, FailurePolicy,
-    OnlineComparator, OnlinePolicy,
+    OnlineComparator, OnlinePolicy, OnlineVerdict,
 };
-use reprocmp_io::{FaultPlan, FaultyStorage};
+use reprocmp_io::{FaultPlan, FaultyStorage, StdFsStorage};
 use reprocmp_store::{ChunkStore, HEADER_SEGMENT};
 
 fn engine(failure_policy: FailurePolicy) -> CompareEngine {
@@ -78,4 +78,40 @@ fn the_metaless_fallback_hashes_an_unaligned_payload_like_capture() {
     assert_eq!(tree_bytes(&s), tree_bytes(&mem));
     assert_eq!(s.capture, mem.capture);
     std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_file_backed_reference_is_verified_chunk_for_chunk() {
+    // 3 MiB in 64 KiB runs, every 4 KiB chunk diverged, each by a
+    // different count: the live side is in memory, the reference on a
+    // file, and both must be read in the same slices.
+    let e = CompareEngine::new(EngineConfig {
+        chunk_bytes: 4096,
+        error_bound: 1e-5,
+        max_coalesced_bytes: 64 << 10,
+        ..EngineConfig::default()
+    });
+    let n = 3 << 18;
+    let values: Vec<f32> = (0..n).map(|i| (i as f32 * 0.01).sin()).collect();
+    let live: Vec<f32> = (0..n)
+        .map(|i| values[i] + f32::from(i % (1 + (i / 1024) % 7) == 0))
+        .collect();
+    let want = (0..n).filter(|&i| values[i] != live[i]).count() as u64;
+
+    let path = std::env::temp_dir().join(format!(
+        "reprocmp-core-online-file-reference-{}",
+        std::process::id()
+    ));
+    let payload: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    std::fs::write(&path, &payload).unwrap();
+    let mut reference = CheckpointSource::in_memory(&values, &e).unwrap();
+    reference.data = Arc::new(StdFsStorage::open(&path).unwrap());
+    let mut h = CheckpointHistory::new();
+    h.insert(0, 10, reference);
+    let mut online = OnlineComparator::new(e, h, OnlinePolicy::Continue);
+    match online.observe(0, 10, &live).unwrap() {
+        OnlineVerdict::Diverged { diff_count, .. } => assert_eq!(diff_count, want),
+        other => panic!("{other:?}"),
+    }
+    std::fs::remove_file(path).ok();
 }

@@ -335,6 +335,10 @@ impl Storage for FaultyStorage {
         self.inner.sim_clock()
     }
 
+    fn models_cost(&self) -> bool {
+        self.inner.models_cost()
+    }
+
     fn merges_adjacent_reads(&self) -> bool {
         self.inner.merges_adjacent_reads()
     }
@@ -609,5 +613,8 @@ mod tests {
         s.charge_batch(&[(0, 4096)], AccessMode::Sync);
         assert!(clock.now() > Duration::ZERO);
         assert_eq!(s.elapsed(), clock.now());
+        assert!(s.models_cost());
+        let free = FaultyStorage::new(Arc::new(MemStorage::free(vec![0u8; 64])), FaultPlan::None);
+        assert!(!free.models_cost());
     }
 }

@@ -69,6 +69,15 @@ pub trait Storage: Send + Sync + std::fmt::Debug {
         None
     }
 
+    /// Whether reads are charged to a cost model that costs anything:
+    /// simulated storage whose modeled time a result reports. Real
+    /// storage (the default) and cost-free [`MemStorage::free`] say
+    /// `false`; a compare on a wall timeline cuts its stage-2 slices
+    /// for the CPU cache only when neither side says `true`.
+    fn models_cost(&self) -> bool {
+        false
+    }
+
     /// Whether one [`Storage::read_at`] may serve several adjacent
     /// requests at once.
     ///
@@ -185,6 +194,10 @@ impl Storage for MemStorage {
 
     fn sim_clock(&self) -> Option<SimClock> {
         Some(self.clock.clone())
+    }
+
+    fn models_cost(&self) -> bool {
+        self.model != CostModel::free()
     }
 }
 

@@ -149,6 +149,10 @@ impl Storage for StripedStorage {
     fn sim_clock(&self) -> Option<SimClock> {
         Some(self.clock.clone())
     }
+
+    fn models_cost(&self) -> bool {
+        self.model != CostModel::free()
+    }
 }
 
 #[cfg(test)]

@@ -40,19 +40,21 @@ impl ProbeStats {
 ///
 /// # Errors
 ///
-/// Storage and codec failures; [`CoreError::Mismatch`] when the
-/// metadata was built under a different chunk size or error bound, or
-/// describes a different payload length than the source claims.
+/// Storage and codec failures; [`CoreError::NoMetadata`] for a source
+/// opened without a tree; [`CoreError::Mismatch`] when the metadata
+/// was built under a different chunk size or error bound, or describes
+/// a different payload length than the source claims.
 pub fn load_tree(source: &CheckpointSource, engine: &CompareEngine) -> CoreResult<MerkleTree> {
-    let len = source.metadata.len() as usize;
+    let metadata = source.require_metadata("a probed checkpoint")?;
+    let len = metadata.len() as usize;
     let mut encoded = vec![0u8; len];
-    source.metadata.charge_batch(
+    metadata.charge_batch(
         &[(0, len)],
         AccessMode::Async {
             depth: engine.config().io.queue_depth,
         },
     );
-    source.metadata.read_at(0, &mut encoded)?;
+    metadata.read_at(0, &mut encoded)?;
     let tree = reprocmp_merkle::decode_tree(&encoded)?;
     if tree.chunk_bytes() != engine.config().chunk_bytes {
         return Err(CoreError::Mismatch(format!(
@@ -94,7 +96,8 @@ pub fn probe_pair(
 ) -> CoreResult<CompareOutcome> {
     let ta = load_tree(a, engine)?;
     let tb = load_tree(b, engine)?;
-    stats.metadata_bytes_read += a.metadata.len() + b.metadata.len();
+    let loaded = |s: &CheckpointSource| s.metadata.as_ref().map_or(0, |m| m.len());
+    stats.metadata_bytes_read += loaded(a) + loaded(b);
     let lanes = engine
         .config()
         .lane_hint
@@ -177,10 +180,8 @@ mod tests {
         let outcome = probe_pair(&a, &b, &e, &mut stats).unwrap();
         assert_eq!(outcome.mismatched_leaves, vec![6]);
         assert_eq!(stats.tree_compares, 1);
-        assert_eq!(
-            stats.metadata_bytes_read,
-            a.metadata.len() + b.metadata.len()
-        );
+        let meta = |s: &CheckpointSource| s.require_metadata("probed").unwrap().len();
+        assert_eq!(stats.metadata_bytes_read, meta(&a) + meta(&b));
         assert!(stats.nodes_visited > 0);
     }
 

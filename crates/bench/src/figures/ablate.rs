@@ -61,12 +61,11 @@ pub fn run() -> String {
 
     // Ablations 2–4c change one knob of the same modeled compare
     // (ε = 1e-6, 16K chunks); `osts` 0 is the flat simulated PFS.
-    let run = |io: PipelineConfig, coalesce_reads: bool, osts: usize| {
+    let run = |io: PipelineConfig, osts: usize| {
         let engine = CompareEngine::new(EngineConfig {
             chunk_bytes: 16 << 10,
             error_bound: 1e-6,
             io,
-            coalesce_reads,
             ..EngineConfig::default()
         });
         let (a, b, ctx, _) = if osts == 0 {
@@ -83,20 +82,20 @@ pub fn run() -> String {
     let base = PipelineConfig::default();
 
     println!("\n=== Ablation 2: stage-two I/O strategy (modeled time, ε = 1e-6, 16K chunks) ===");
-    let t_uring = run(base, false, 0);
+    let t_uring = run(base, 0);
     for (label, backend) in [
         ("uring", BackendKind::Uring),
         ("mmap", BackendKind::Mmap),
         ("blocking", BackendKind::Blocking),
     ] {
-        let t = run(PipelineConfig { backend, ..base }, false, 0);
+        let t = run(PipelineConfig { backend, ..base }, 0);
         record("ablate-io", ("backend", label.into()), t);
         assert!(t_uring <= t, "{label} must not beat uring rings");
     }
 
     println!("\n=== Ablation 3: pipeline buffer pool (1 = no overlap, 2 = double buffering) ===");
     for buffers in [1usize, 2, 4] {
-        let t = run(PipelineConfig { buffers, ..base }, false, 0);
+        let t = run(PipelineConfig { buffers, ..base }, 0);
         record("ablate-buffers", ("buffers", buffers.to_string()), t);
     }
     println!("  (the virtual clock charges device time, not host stalls, so buffer");
@@ -110,7 +109,6 @@ pub fn run() -> String {
                 queue_depth: depth,
                 ..base
             },
-            false,
             0,
         );
         record("ablate-qd", ("depth", depth.to_string()), t);
@@ -118,21 +116,12 @@ pub fn run() -> String {
         prev = t;
     }
 
-    println!("\n=== Ablation 4b: coalescing adjacent flagged chunks into one request ===");
-    for (label, coalesce) in [("coalesced", true), ("per-chunk requests", false)] {
-        record(
-            "ablate-coalesce",
-            ("mode", label.into()),
-            run(base, coalesce, 0),
-        );
-    }
-
     println!("\n=== Ablation 4c: file striping over OSTs (modeled, ε = 1e-6, 16K chunks) ===");
     for osts in [1usize, 2, 4, 8] {
         record(
             "ablate-stripes",
             ("osts", osts.to_string()),
-            run(base, false, osts),
+            run(base, osts),
         );
     }
     rec.into_json()

@@ -307,7 +307,7 @@ pub fn striped_sources(
     };
     for src in [&mut a, &mut b] {
         src.data = restripe(&src.data);
-        src.metadata = restripe(&src.metadata);
+        src.metadata = src.metadata.as_ref().map(restripe);
     }
     (a, b, ctx, clock)
 }

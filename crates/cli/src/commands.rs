@@ -135,8 +135,8 @@ pub fn compare(map: &ArgMap) -> Result<String, CliError> {
         None => {
             let tree = |flag| map.optional(flag).map(Path::new);
             (
-                ops::open_file(Path::new(&run1), tree("tree1"), &engine)?,
-                ops::open_file(Path::new(&run2), tree("tree2"), &engine)?,
+                ops::open_file(Path::new(&run1), tree("tree1"))?,
+                ops::open_file(Path::new(&run2), tree("tree2"))?,
             )
         }
     };
@@ -144,6 +144,7 @@ pub fn compare(map: &ArgMap) -> Result<String, CliError> {
     // (the paper's "which variables were affected").
     let region_map = a.region_map();
     let (a, b) = (a.source, b.source);
+    let without_metadata = a.metadata.is_none() || b.metadata.is_none();
     // Flight recorder: `--trace`/`--flamegraph` turn on the event
     // journal for this comparison; otherwise the observer carries
     // spans/metrics only (journal disabled, one-branch cost).
@@ -212,14 +213,22 @@ pub fn compare(map: &ArgMap) -> Result<String, CliError> {
         engine.config().error_bound,
         engine.config().chunk_bytes,
     );
-    let _ = writeln!(
-        out,
-        "chunks: {} total, {} flagged, {} false positives; {} bytes re-read",
-        report.stats.chunks_total,
-        report.stats.chunks_flagged,
-        report.stats.false_positive_chunks,
-        report.stats.bytes_reread,
-    );
+    let _ = if without_metadata {
+        writeln!(
+            out,
+            "no ε-metadata: all {} chunks verified",
+            report.stats.chunks_total
+        )
+    } else {
+        writeln!(
+            out,
+            "chunks: {} total, {} flagged, {} false positives; {} bytes re-read",
+            report.stats.chunks_total,
+            report.stats.chunks_flagged,
+            report.stats.false_positive_chunks,
+            report.stats.bytes_reread,
+        )
+    };
     let _ = writeln!(
         out,
         "io: {} ops submitted, {} completed, {} retried, {} gave up",
@@ -767,10 +776,8 @@ pub fn gate(map: &ArgMap) -> Result<String, CliError> {
     // Trees disagree. With golden data we can distinguish real
     // regressions from hash false positives; without, flag and fail.
     if let Some(golden_data_path) = map.optional("golden-data") {
-        let a = ops::open_file(Path::new(golden_data_path), None, &engine)?.source;
-        let b = candidate
-            .in_memory(&engine)
-            .map_err(|e| e.at(&candidate_path))?;
+        let a = ops::open_file(Path::new(golden_data_path), None)?.source;
+        let b = ops::open_file(&candidate_path, None)?.source;
         let report = engine.compare(&a, &b, &Ctx::default()).map_err(fail)?;
         if report.identical() {
             let _ = writeln!(
@@ -778,6 +785,11 @@ pub fn gate(map: &ArgMap) -> Result<String, CliError> {
                 "PASS — {} chunk(s) flagged by the hash were false positives; \
                  no value exceeds ε",
                 outcome.mismatched_leaves.len()
+            );
+            let _ = writeln!(
+                out,
+                "       (no ε-metadata on the data: all {} chunks verified)",
+                report.stats.chunks_flagged
             );
             return Ok(out);
         }
@@ -866,7 +878,7 @@ fn load_dir_histories(
     let open_all = |idx: &std::collections::BTreeMap<(usize, u64), PathBuf>| {
         ops::history(
             idx.iter()
-                .map(|(&key, path)| (key, ops::open_file(path, None, engine))),
+                .map(|(&key, path)| (key, ops::open_hashed(path, engine))),
         )
     };
     let (h1, regions) = open_all(&idx1)?;
@@ -2045,6 +2057,10 @@ mod tests {
         .unwrap();
         assert!(out.contains("1 values differ"), "{out}");
         assert!(out.contains("[123]"), "{out}");
+        assert!(
+            out.contains("no ε-metadata: all 32 chunks verified"),
+            "{out}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2553,6 +2569,7 @@ mod tests {
         ]);
         let out = res.unwrap();
         assert!(out.contains("PASS"), "{out}");
+        assert!(out.contains("all 32 chunks verified"), "{out}");
 
         // A real regression: FAIL with localization.
         let mut broken = golden.clone();
@@ -2936,6 +2953,22 @@ mod tests {
         .unwrap();
         assert!(out.contains("agree within the bound"), "{out}");
         assert!(out.contains("0 false positives"), "{out}");
+        // One tree is not enough to prune: every chunk is verified.
+        let out = run_cli(&[
+            "compare",
+            "--run1",
+            a.to_str().unwrap(),
+            "--run2",
+            b.to_str().unwrap(),
+            "--tree1",
+            ta.to_str().unwrap(),
+        ])
+        .unwrap();
+        assert!(
+            out.contains("no ε-metadata: all 4 chunks verified"),
+            "{out}"
+        );
+        assert!(!out.contains("false positives"), "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,29 +9,28 @@
 //!   reproducibility analytics", implemented the way the paper's
 //!   optimized baseline is: element-wise comparison of the full
 //!   payloads with io_uring-style streaming I/O and the parallel
-//!   device, localizing every difference. It reads *everything*,
+//!   device, localizing every difference. It is the engine's compare
+//!   on two sides without ε-metadata, so it reads *everything*,
 //!   always — the cost our Merkle method avoids.
 
 use reprocmp_device::{TimingModel, Workload};
 use reprocmp_hash::Quantizer;
 use reprocmp_io::pipeline::{BackendKind, PipelineConfig};
 use reprocmp_io::Timeline;
-use reprocmp_obs::Observer;
+use reprocmp_obs::StageBreakdown;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::breakdown::CostBreakdown;
 use crate::ctx::Ctx;
 use crate::engine::{CompareEngine, EngineConfig};
-use crate::report::{CompareReport, DataStats};
+use crate::report::CompareReport;
 use crate::source::CheckpointSource;
 use crate::{CoreError, CoreResult};
 
 /// An interpreter-flavoured compute model for the AllClose baseline:
 /// NumPy's `allclose` materializes temporaries and runs on one socket,
 /// sustaining a few GB/s end to end.
-#[must_use]
-pub fn python_numpy_model() -> TimingModel {
+fn python_numpy_model() -> TimingModel {
     TimingModel {
         launch_latency: Duration::from_micros(50),
         bandwidth_bytes_per_sec: 6.0e9,
@@ -159,17 +158,9 @@ impl Direct {
         Ok(Direct { engine })
     }
 
-    /// Overrides the localized-difference cap.
-    #[must_use]
-    pub fn with_max_recorded_diffs(self, cap: usize) -> Self {
-        let mut config = self.engine.config().clone();
-        config.max_recorded_diffs = cap;
-        Direct {
-            engine: CompareEngine::new(config),
-        }
-    }
-
-    /// Compares on `ctx.timeline` (the observer is unused).
+    /// [`CompareEngine::compare`] on `a` and `b` with their ε-metadata
+    /// (and its capture profile) set aside: every chunk is read and
+    /// verified.
     ///
     /// # Errors
     ///
@@ -180,192 +171,12 @@ impl Direct {
         b: &CheckpointSource,
         ctx: &Ctx,
     ) -> CoreResult<CompareReport> {
-        let timeline = &ctx.timeline;
-        if a.payload_len != b.payload_len {
-            return Err(CoreError::Mismatch(format!(
-                "payload sizes differ: {} vs {}",
-                a.payload_len, b.payload_len
-            )));
-        }
-        let mut breakdown = CostBreakdown::default();
-        let store_before = crate::engine::store_reads_snapshot(a, b);
-        let t0 = timeline.now();
-        let n_ops = a.chunk_count(self.engine.config().chunk_bytes);
-        let every_chunk: Vec<usize> = (0..n_ops as usize).collect();
-        breakdown.setup = timeline.now() - t0;
-
-        let t1 = timeline.now();
-        let verified = self.engine.verify_chunks(
-            a,
-            b,
-            &every_chunk,
-            timeline,
-            &Observer::disabled(),
-            |_, _| {},
-        )?;
-        breakdown.compare_direct = timeline.now() - t1;
-        let stats = DataStats {
-            total_values: a.value_count(),
-            total_bytes: a.payload_len,
-            chunks_total: n_ops,
-            chunks_flagged: n_ops, // Direct always reads everything
-            bytes_reread: a.payload_len,
-            false_positive_chunks: 0,
-            diff_count: verified.stats.diff_count,
+        let bare = |s: &CheckpointSource| CheckpointSource {
+            metadata: None,
+            capture: StageBreakdown::default(),
+            ..s.clone()
         };
-
-        // Direct has no capture or BFS phases — the whole pass is one
-        // fused stream-and-verify, attributed to `stage2_stream`.
-        let (capture, chain) = crate::engine::chain_provenance(a, b);
-        let stages = reprocmp_obs::StageBreakdown {
-            stage2_stream: reprocmp_obs::PhaseCost::new(
-                breakdown.compare_direct,
-                2 * stats.total_bytes,
-                verified.io.submitted,
-            ),
-            delta_capture: reprocmp_obs::PhaseCost::new(
-                Duration::ZERO,
-                capture.bytes_skipped,
-                capture.chunks_skipped,
-            ),
-            ..reprocmp_obs::StageBreakdown::default()
-        };
-        Ok(CompareReport {
-            breakdown,
-            stages,
-            stats,
-            differences: verified.differences,
-            differences_truncated: verified.truncated,
-            io: verified.io,
-            unverified: Vec::new(),
-            cache: reprocmp_obs::CacheStats::default(),
-            store: crate::engine::store_reads_snapshot(a, b).delta_since(store_before),
-            capture,
-            chain,
-        })
-    }
-}
-
-/// Summary statistics of one checkpoint payload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PayloadStats {
-    /// Value count.
-    pub count: u64,
-    /// Arithmetic mean (f64 accumulation).
-    pub mean: f64,
-    /// Population variance.
-    pub variance: f64,
-    /// Minimum value.
-    pub min: f32,
-    /// Maximum value.
-    pub max: f32,
-}
-
-/// The result of a [`Statistical`] comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StatisticalReport {
-    /// Run 1's summary.
-    pub a: PayloadStats,
-    /// Run 2's summary.
-    pub b: PayloadStats,
-    /// Whether every derived quantity agrees within the tolerance.
-    pub within_tolerance: bool,
-}
-
-/// The derived-quantity baseline from the paper's related work: "an
-/// alternative … measures the statistical significance of the end
-/// results using derived quantities such as the variance and standard
-/// deviation". Cheap — one pass, no localization — and, as §1 argues,
-/// blind: a handful of badly wrong values can hide inside unchanged
-/// aggregates. Provided so the blindness is demonstrable (see the
-/// crate tests), not as a recommendation.
-#[derive(Debug, Clone)]
-pub struct Statistical {
-    tolerance: f64,
-    io: PipelineConfig,
-}
-
-impl Statistical {
-    /// A baseline that accepts runs whose mean, standard deviation,
-    /// min and max each differ by at most `tolerance`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Config`] for a non-positive tolerance.
-    pub fn new(tolerance: f64) -> CoreResult<Self> {
-        if !(tolerance.is_finite() && tolerance > 0.0) {
-            return Err(CoreError::Config(
-                "tolerance must be a finite positive number".into(),
-            ));
-        }
-        Ok(Statistical {
-            tolerance,
-            io: PipelineConfig {
-                backend: BackendKind::Blocking,
-                ..PipelineConfig::default()
-            },
-        })
-    }
-
-    /// Summarizes one payload.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn stats(&self, src: &CheckpointSource) -> CoreResult<PayloadStats> {
-        let bytes = read_payload(src, self.io)?;
-        let mut count = 0u64;
-        let mut mean = 0.0f64;
-        let mut m2 = 0.0f64;
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
-        for raw in bytes.chunks_exact(4) {
-            let v = f32::from_le_bytes(raw.try_into().expect("4 bytes"));
-            count += 1;
-            // Welford's online algorithm, f64 accumulation.
-            let d = f64::from(v) - mean;
-            mean += d / count as f64;
-            m2 += d * (f64::from(v) - mean);
-            min = min.min(v);
-            max = max.max(v);
-        }
-        Ok(PayloadStats {
-            count,
-            mean,
-            variance: if count > 0 { m2 / count as f64 } else { 0.0 },
-            min,
-            max,
-        })
-    }
-
-    /// Compares two payloads' derived quantities.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures or mismatched sizes.
-    pub fn compare(
-        &self,
-        a: &CheckpointSource,
-        b: &CheckpointSource,
-    ) -> CoreResult<StatisticalReport> {
-        if a.payload_len != b.payload_len {
-            return Err(CoreError::Mismatch(format!(
-                "payload sizes differ: {} vs {}",
-                a.payload_len, b.payload_len
-            )));
-        }
-        let sa = self.stats(a)?;
-        let sb = self.stats(b)?;
-        let t = self.tolerance;
-        let within = (sa.mean - sb.mean).abs() <= t
-            && (sa.variance.sqrt() - sb.variance.sqrt()).abs() <= t
-            && (f64::from(sa.min) - f64::from(sb.min)).abs() <= t
-            && (f64::from(sa.max) - f64::from(sb.max)).abs() <= t;
-        Ok(StatisticalReport {
-            a: sa,
-            b: sb,
-            within_tolerance: within,
-        })
+        self.engine.compare(&bare(a), &bare(b), ctx)
     }
 }
 
@@ -550,63 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn statistical_summary_is_correct() {
-        let e = engine();
-        let values = vec![1.0f32, 2.0, 3.0, 4.0];
-        let s = CheckpointSource::in_memory(&values, &e).unwrap();
-        let stats = Statistical::new(1e-6).unwrap().stats(&s).unwrap();
-        assert_eq!(stats.count, 4);
-        assert!((stats.mean - 2.5).abs() < 1e-12);
-        assert!((stats.variance - 1.25).abs() < 1e-12);
-        assert_eq!(stats.min, 1.0);
-        assert_eq!(stats.max, 4.0);
-    }
-
-    #[test]
-    fn statistical_baseline_is_blind_to_compensating_changes() {
-        // The §1 critique, as a test: swap two values — every derived
-        // quantity is identical, but the runs differ in two places.
-        let e = engine();
-        let mut data = wave(5_000);
-        data[7] = 1.5;
-        data[4_000] = -1.5;
-        let mut swapped = data.clone();
-        swapped.swap(7, 4_000);
-
-        let a = CheckpointSource::in_memory(&data, &e).unwrap();
-        let b = CheckpointSource::in_memory(&swapped, &e).unwrap();
-
-        let stat = Statistical::new(1e-9).unwrap().compare(&a, &b).unwrap();
-        assert!(stat.within_tolerance, "aggregates cannot see the swap");
-
-        let ours = e.compare(&a, &b, &Ctx::default()).unwrap();
-        assert_eq!(ours.stats.diff_count, 2, "our method localizes both");
-        let idx: Vec<u64> = ours.differences.iter().map(|d| d.index).collect();
-        assert_eq!(idx, vec![7, 4_000]);
-    }
-
-    #[test]
-    fn statistical_baseline_does_catch_gross_shifts() {
-        let e = engine();
-        let data = wave(1_000);
-        let shifted: Vec<f32> = data.iter().map(|v| v + 0.5).collect();
-        let a = CheckpointSource::in_memory(&data, &e).unwrap();
-        let b = CheckpointSource::in_memory(&shifted, &e).unwrap();
-        let stat = Statistical::new(1e-3).unwrap().compare(&a, &b).unwrap();
-        assert!(!stat.within_tolerance, "a global shift moves the mean");
-    }
-
-    #[test]
-    fn statistical_rejects_bad_inputs() {
-        assert!(Statistical::new(0.0).is_err());
-        assert!(Statistical::new(f64::NAN).is_err());
-        let e = engine();
-        let a = CheckpointSource::in_memory(&wave(10), &e).unwrap();
-        let b = CheckpointSource::in_memory(&wave(20), &e).unwrap();
-        assert!(Statistical::new(1e-3).unwrap().compare(&a, &b).is_err());
-    }
-
-    #[test]
     fn direct_diff_cap() {
         let e = engine();
         let data = wave(5_000);
@@ -615,11 +369,10 @@ mod tests {
         let b = CheckpointSource::in_memory(&data2, &e).unwrap();
         let report = Direct::new(1e-5)
             .unwrap()
-            .with_max_recorded_diffs(7)
             .compare(&a, &b, &Ctx::default())
             .unwrap();
         assert_eq!(report.stats.diff_count, 5_000);
-        assert_eq!(report.differences.len(), 7);
+        assert_eq!(report.differences.len(), 1024, "the engine's default cap");
         assert!(report.differences_truncated);
     }
 }

@@ -53,17 +53,6 @@ pub struct EngineConfig {
     /// Cap on localized differences kept in the report (the count is
     /// always exact).
     pub max_recorded_diffs: usize,
-    /// Merge runs of *adjacent* flagged chunks into single read
-    /// requests. Off by default: the paper's runtime issues one
-    /// request per flagged chunk (which is exactly why its Figure 5
-    /// shows a chunk-size trade-off at tight bounds), so fidelity
-    /// requires per-chunk requests. Turning this on is a beyond-paper
-    /// optimization — the ablation harness and
-    /// `coalescing_reduces_virtual_read_time_for_contiguous_bursts`
-    /// quantify what it buys.
-    pub coalesce_reads: bool,
-    /// Upper bound on one coalesced request, to keep slices bounded.
-    pub max_coalesced_bytes: usize,
     /// Compute cost model charged to the virtual clock when comparing
     /// under a [`Timeline::Sim`]; ignored for wall-clock runs.
     pub compute_model: Option<TimingModel>,
@@ -83,8 +72,6 @@ impl Default for EngineConfig {
             lane_hint: None,
             max_recorded_diffs: 1024,
             compute_model: Some(TimingModel::gpu_a100()),
-            coalesce_reads: false,
-            max_coalesced_bytes: 4 << 20,
             failure_policy: FailurePolicy::default(),
         }
     }
@@ -206,6 +193,13 @@ impl CompareEngine {
     /// summary counters (`stage1.nodes_visited`, `stage2.bytes_reread`,
     /// `compare.diff_values`).
     ///
+    /// When either side has no ε-metadata, nothing is read, decoded or
+    /// walked before stage two, which verifies every chunk: the report's
+    /// `chunks_flagged` is `chunks_total`, `bytes_reread` the payload
+    /// size and `false_positive_chunks` the chunks found clean, so
+    /// `chunks_flagged − false_positive_chunks` counts the differing
+    /// chunks on both paths.
+    ///
     /// # Errors
     ///
     /// Any [`CoreError`]: I/O failures, bad metadata, or incomparable
@@ -247,55 +241,75 @@ impl CompareEngine {
         drop(setup_span);
         breakdown.setup = timeline.now() - t0;
 
-        // ---- Phase 2: read metadata -------------------------------
-        let t1 = timeline.now();
-        let read_span = obs.tracer.span("compare.read_meta");
-        let meta_a = read_fully(&a.metadata, self.config.io.queue_depth)?;
-        let meta_b = read_fully(&b.metadata, self.config.io.queue_depth)?;
-        drop(read_span);
-        breakdown.read = timeline.now() - t1;
+        // Phases 2-4 need a tree on both sides. Without one, there is
+        // nothing to prune: phase 5 verifies every chunk.
+        let outcome = match (&a.metadata, &b.metadata) {
+            (Some(meta_a), Some(meta_b)) => {
+                // ---- Phase 2: read metadata ---------------------------
+                let t1 = timeline.now();
+                let read_span = obs.tracer.span("compare.read_meta");
+                let meta_a = read_fully(meta_a, self.config.io.queue_depth)?;
+                let meta_b = read_fully(meta_b, self.config.io.queue_depth)?;
+                drop(read_span);
+                breakdown.read = timeline.now() - t1;
 
-        // ---- Phase 3: deserialize ---------------------------------
-        let t2 = timeline.now();
-        let deser_span = obs.tracer.span("compare.deserialize");
-        let tree_a = decode_tree(&meta_a)?;
-        let tree_b = decode_tree(&meta_b)?;
-        self.validate_tree(&tree_a, a, "run 1")?;
-        self.validate_tree(&tree_b, b, "run 2")?;
-        self.charge_compute(
-            timeline,
-            Workload::memory((meta_a.len() + meta_b.len()) as u64),
-        );
-        drop(deser_span);
-        breakdown.deserialize = timeline.now() - t2;
+                // ---- Phase 3: deserialize -----------------------------
+                let t2 = timeline.now();
+                let deser_span = obs.tracer.span("compare.deserialize");
+                let tree_a = decode_tree(&meta_a)?;
+                let tree_b = decode_tree(&meta_b)?;
+                self.validate_tree(&tree_a, a, "run 1")?;
+                self.validate_tree(&tree_b, b, "run 2")?;
+                self.charge_compute(
+                    timeline,
+                    Workload::memory((meta_a.len() + meta_b.len()) as u64),
+                );
+                drop(deser_span);
+                breakdown.deserialize = timeline.now() - t2;
 
-        // ---- Phase 4: compare trees -------------------------------
-        let t3 = timeline.now();
-        let lanes = self
-            .config
-            .lane_hint
-            .unwrap_or_else(|| self.config.device.concurrent_kernel_threads());
-        let outcome =
-            compare_trees_traced(&tree_a, &tree_b, &self.config.device, lanes, &obs.tracer)?;
-        self.charge_compute(
-            timeline,
-            Workload::new(
-                outcome.nodes_visited as u64 * 32,
-                outcome.nodes_visited as u64,
-            ),
-        );
-        breakdown.compare_tree = timeline.now() - t3;
-        obs.registry
-            .counter("stage1.nodes_visited")
-            .add(outcome.nodes_visited as u64);
-        obs.registry
-            .counter("stage1.chunks_flagged")
-            .add(outcome.mismatched_leaves.len() as u64);
+                // ---- Phase 4: compare trees ---------------------------
+                let t3 = timeline.now();
+                let lanes = self
+                    .config
+                    .lane_hint
+                    .unwrap_or_else(|| self.config.device.concurrent_kernel_threads());
+                let outcome = compare_trees_traced(
+                    &tree_a,
+                    &tree_b,
+                    &self.config.device,
+                    lanes,
+                    &obs.tracer,
+                )?;
+                self.charge_compute(
+                    timeline,
+                    Workload::new(
+                        outcome.nodes_visited as u64 * 32,
+                        outcome.nodes_visited as u64,
+                    ),
+                );
+                breakdown.compare_tree = timeline.now() - t3;
+                obs.registry
+                    .counter("stage1.nodes_visited")
+                    .add(outcome.nodes_visited as u64);
+                obs.registry
+                    .counter("stage1.chunks_flagged")
+                    .add(outcome.mismatched_leaves.len() as u64);
+                Some(outcome)
+            }
+            _ => None,
+        };
+        let every_chunk: Vec<usize>;
+        let flagged = match &outcome {
+            Some(outcome) => &outcome.mismatched_leaves,
+            None => {
+                every_chunk = (0..chunks_total as usize).collect();
+                &every_chunk
+            }
+        };
 
         // ---- Phase 5: verify flagged chunks -----------------------
         let t4 = timeline.now();
-        let verified =
-            self.verify_chunks(a, b, &outcome.mismatched_leaves, timeline, obs, |_, _| {})?;
+        let verified = self.verify_chunks(a, b, flagged, timeline, obs, |_, _| {})?;
         breakdown.compare_direct = timeline.now() - t4;
         obs.registry
             .counter("stage2.bytes_reread")
@@ -311,7 +325,9 @@ impl CompareEngine {
         // everything else — the stream machinery and its I/O waits.
         let bytes_reread = verified.stats.bytes_reread;
         let mut stages = a.capture.merged(b.capture);
-        stages.bfs = outcome.phase_cost(breakdown.compare_tree);
+        if let Some(outcome) = &outcome {
+            stages.bfs = outcome.phase_cost(breakdown.compare_tree);
+        }
         stages.verify = PhaseCost::new(
             verified.verify_time.min(breakdown.compare_direct),
             bytes_reread * 2,
@@ -347,7 +363,7 @@ impl CompareEngine {
             total_values: stats_total_values,
             total_bytes: a.payload_len,
             chunks_total,
-            chunks_flagged: outcome.mismatched_leaves.len() as u64,
+            chunks_flagged: flagged.len() as u64,
             bytes_reread: verified.stats.bytes_reread,
             false_positive_chunks: verified.stats.false_positive_chunks,
             diff_count: verified.stats.diff_count,
@@ -438,27 +454,19 @@ impl CompareEngine {
         }
         let _stream_span = obs.tracer.span("stage2.stream");
 
+        // One op per flagged chunk: the pipeline merges adjacent ops
+        // into one read where its storage does (DESIGN.md §20).
         let chunk_bytes = self.config.chunk_bytes;
-        // Coalesce runs of adjacent flagged chunks into single read
-        // requests: the chunks are contiguous on disk, so one RPC
-        // fetches the whole run.
-        let runs = coalesce_runs(
-            flagged,
-            if self.config.coalesce_reads {
-                (self.config.max_coalesced_bytes / chunk_bytes).max(1)
-            } else {
-                1
-            },
-        );
-        let run_op = |src: &CheckpointSource, &(first, count): &(usize, usize)| {
-            let start = (first * chunk_bytes) as u64;
-            let len = ((first + count) as u64 * chunk_bytes as u64)
-                .min(src.payload_len)
-                .saturating_sub(start) as usize;
+        let chunk_op = |src: &CheckpointSource, chunk: usize| {
+            let start = (chunk * chunk_bytes) as u64;
+            let len = src
+                .payload_len
+                .saturating_sub(start)
+                .min(chunk_bytes as u64) as usize;
             (src.payload_offset + start, len)
         };
-        let ops_a: Vec<_> = runs.iter().map(|r| run_op(a, r)).collect();
-        let ops_b: Vec<_> = runs.iter().map(|r| run_op(b, r)).collect();
+        let ops_a: Vec<_> = flagged.iter().map(|&c| chunk_op(a, c)).collect();
+        let ops_b: Vec<_> = flagged.iter().map(|&c| chunk_op(b, c)).collect();
         out.stats.bytes_reread = ops_a.iter().map(|&(_, len)| len as u64).sum();
 
         let quantizer = self.quantizer();
@@ -529,16 +537,13 @@ impl CompareEngine {
             failed_ops.sort_unstable();
             failed_ops.dedup();
             for &op in &failed_ops {
-                let (first, count) = runs[op];
-                out.unverified.push(ChunkRange {
-                    first: first as u64,
-                    count: count as u64,
-                });
+                let first = flagged[op] as u64;
+                out.unverified.push(ChunkRange { first, count: 1 });
                 journal.emit(
                     "engine",
                     reprocmp_obs::EventKind::Quarantine {
-                        first_chunk: first as u64,
-                        chunks: count as u64,
+                        first_chunk: first,
+                        chunks: 1,
                     },
                 );
             }
@@ -556,37 +561,29 @@ impl CompareEngine {
             );
             let verify_wall = Instant::now();
 
-            for ((op_idx, pay_a), (_, pay_b)) in slice_a.payloads().zip(slice_b.payloads()) {
+            for ((op_idx, chunk_a), (_, chunk_b)) in slice_a.payloads().zip(slice_b.payloads()) {
                 if failed_ops.binary_search(&op_idx).is_ok() {
                     continue; // quarantined: zero-filled, never compared
                 }
-                let (first_chunk, _) = runs[op_idx];
-                // Walk the run chunk by chunk.
-                for (k, (chunk_a, chunk_b)) in pay_a
-                    .chunks(chunk_bytes)
-                    .zip(pay_b.chunks(chunk_bytes))
-                    .enumerate()
-                {
-                    let chunk_index = first_chunk + k;
-                    chunk_diffs.clear();
-                    quantizer.diff_le_bytes(chunk_a, chunk_b, &mut chunk_diffs);
-                    out.stats.diff_count += chunk_diffs.len() as u64;
-                    for &(j, va, vb) in &chunk_diffs {
-                        if out.differences.len() < self.config.max_recorded_diffs {
-                            out.differences.push(Difference {
-                                index: (chunk_index * values_per_chunk + j as usize) as u64,
-                                a: va,
-                                b: vb,
-                            });
-                        } else {
-                            out.truncated = true;
-                        }
+                let chunk_index = flagged[op_idx];
+                chunk_diffs.clear();
+                quantizer.diff_le_bytes(chunk_a, chunk_b, &mut chunk_diffs);
+                out.stats.diff_count += chunk_diffs.len() as u64;
+                for &(j, va, vb) in &chunk_diffs {
+                    if out.differences.len() < self.config.max_recorded_diffs {
+                        out.differences.push(Difference {
+                            index: (chunk_index * values_per_chunk + j as usize) as u64,
+                            a: va,
+                            b: vb,
+                        });
+                    } else {
+                        out.truncated = true;
                     }
-                    if chunk_diffs.is_empty() {
-                        out.stats.false_positive_chunks += 1;
-                    }
-                    on_chunk(chunk_index, &chunk_diffs);
                 }
+                if chunk_diffs.is_empty() {
+                    out.stats.false_positive_chunks += 1;
+                }
+                on_chunk(chunk_index, &chunk_diffs);
             }
             let kernel_time = if charged > Duration::ZERO {
                 charged
@@ -649,21 +646,6 @@ pub(crate) fn merge_ranges(ranges: Vec<ChunkRange>) -> Vec<ChunkRange> {
         }
     }
     merged
-}
-
-/// Groups sorted chunk indices into `(first, count)` runs of adjacent
-/// chunks, each at most `max_chunks` long.
-fn coalesce_runs(flagged: &[usize], max_chunks: usize) -> Vec<(usize, usize)> {
-    let mut runs: Vec<(usize, usize)> = Vec::new();
-    for &c in flagged {
-        match runs.last_mut() {
-            Some((first, count)) if *first + *count == c && *count < max_chunks => {
-                *count += 1;
-            }
-            _ => runs.push((c, 1)),
-        }
-    }
-    runs
 }
 
 /// RAII guard arming the flight-recorder slots of store-backed
@@ -861,104 +843,28 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_runs_groups_adjacent_chunks() {
-        assert_eq!(coalesce_runs(&[], 8), vec![]);
-        assert_eq!(coalesce_runs(&[3], 8), vec![(3, 1)]);
-        assert_eq!(
-            coalesce_runs(&[0, 1, 2, 5, 6, 9], 8),
-            vec![(0, 3), (5, 2), (9, 1)]
-        );
-        // Cap splits long runs.
-        assert_eq!(
-            coalesce_runs(&[0, 1, 2, 3, 4], 2),
-            vec![(0, 2), (2, 2), (4, 1)]
-        );
-        // max_chunks = 1 disables coalescing entirely.
-        assert_eq!(coalesce_runs(&[0, 1, 2], 1), vec![(0, 1), (1, 1), (2, 1)]);
-    }
-
-    #[test]
-    fn coalescing_does_not_change_results() {
-        let data = wave(50_000);
+    fn a_side_without_metadata_verifies_every_chunk_and_nothing_else() {
+        let e = engine(256, 1e-5);
+        let data = wave(10_000); // 157 chunks, the last one short
         let mut data2 = data.clone();
-        // A contiguous burst of changes (chunks 10..14 at 256 B chunks)
-        // plus isolated ones.
-        for v in &mut data2[640..900] {
-            *v += 1.0;
+        data2[17] += 1.0;
+        data2[9_999] += 1.0;
+        let a = CheckpointSource::in_memory(&data, &e).unwrap();
+        let mut b = CheckpointSource::in_memory(&data2, &e).unwrap();
+        let with_trees = e.compare(&a, &b, &Ctx::default()).unwrap();
+        b.metadata = None;
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let r = e.compare(x, y, &Ctx::default()).unwrap();
+            assert_eq!(r.stats.diff_count, 2);
+            assert_eq!(r.stats.chunks_flagged, 157);
+            assert_eq!(r.stats.false_positive_chunks, 155);
+            assert_eq!(r.stats.bytes_reread, 40_000);
+            assert_eq!(r.breakdown.read + r.breakdown.deserialize, Duration::ZERO);
+            assert_eq!(r.breakdown.compare_tree, Duration::ZERO);
+            assert_eq!(r.stages.bfs, PhaseCost::default());
         }
-        data2[30_000] += 1.0;
-        data2[49_999] += 1.0;
-
-        let run = |coalesce: bool| {
-            let e = CompareEngine::new(EngineConfig {
-                chunk_bytes: 256,
-                error_bound: 1e-5,
-                coalesce_reads: coalesce,
-                ..EngineConfig::default()
-            });
-            let a = CheckpointSource::in_memory(&data, &e).unwrap();
-            let b = CheckpointSource::in_memory(&data2, &e).unwrap();
-            e.compare(&a, &b, &Ctx::default()).unwrap()
-        };
-        let with = run(true);
-        let without = run(false);
-        assert_eq!(with.stats.diff_count, without.stats.diff_count);
-        assert_eq!(with.stats.chunks_flagged, without.stats.chunks_flagged);
-        assert_eq!(with.stats.bytes_reread, without.stats.bytes_reread);
-        assert_eq!(
-            with.stats.false_positive_chunks,
-            without.stats.false_positive_chunks
-        );
-        let wi: Vec<u64> = with.differences.iter().map(|d| d.index).collect();
-        let wo: Vec<u64> = without.differences.iter().map(|d| d.index).collect();
-        assert_eq!(wi, wo);
-    }
-
-    #[test]
-    fn coalescing_reduces_virtual_read_time_for_contiguous_bursts() {
-        let data = wave(1 << 18);
-        let mut data2 = data.clone();
-        for v in &mut data2[4096..65_536] {
-            *v += 1.0; // a long contiguous burst
-        }
-        let modeled = |coalesce: bool| {
-            let e = CompareEngine::new(EngineConfig {
-                chunk_bytes: 4096,
-                error_bound: 1e-5,
-                coalesce_reads: coalesce,
-                ..EngineConfig::default()
-            });
-            let clock = SimClock::new();
-            let a = CheckpointSource::in_memory_with_model(
-                &data,
-                &e,
-                CostModel::lustre_pfs(),
-                Some(clock.clone()),
-            )
-            .unwrap();
-            let b = CheckpointSource::in_memory_with_model(
-                &data2,
-                &e,
-                CostModel::lustre_pfs(),
-                Some(clock.clone()),
-            )
-            .unwrap();
-            e.compare(
-                &a,
-                &b,
-                &Ctx {
-                    timeline: Timeline::sim(clock),
-                    ..Ctx::default()
-                },
-            )
-            .unwrap()
-            .breakdown
-            .total()
-        };
-        assert!(
-            modeled(true) < modeled(false),
-            "coalescing must cut per-request costs"
-        );
+        let r = e.compare(&a, &b, &Ctx::default()).unwrap();
+        assert_eq!(r.differences, with_trees.differences);
     }
 
     #[test]
@@ -1103,7 +1009,7 @@ mod tests {
         let data = wave(2_048);
         let a = CheckpointSource::in_memory(&data, &e).unwrap();
         let mut b = CheckpointSource::in_memory(&data, &e).unwrap();
-        b.metadata = Arc::new(reprocmp_io::MemStorage::free(vec![0u8; 32]));
+        b.metadata = Some(Arc::new(reprocmp_io::MemStorage::free(vec![0u8; 32])));
         assert!(matches!(
             e.compare(&a, &b, &Ctx::default()),
             Err(CoreError::Metadata(_))
@@ -1325,14 +1231,9 @@ mod tests {
         src
     }
 
-    /// 4 KiB chunks read in 64 KiB runs.
+    /// 4 KiB chunks.
     fn run_engine() -> CompareEngine {
-        CompareEngine::new(EngineConfig {
-            chunk_bytes: 4096,
-            error_bound: 1e-5,
-            max_coalesced_bytes: 64 << 10,
-            ..EngineConfig::default()
-        })
+        engine(4096, 1e-5)
     }
 
     /// 3 MiB a side, every 4 KiB chunk flagged: chunk `c` differs at
@@ -1408,7 +1309,7 @@ mod tests {
             side(&data, CostModel::lustre_pfs()),
             side(&data2, CostModel::lustre_pfs()),
         );
-        // Wall clock, cost-free storage: 1 MiB slices (16 runs each).
+        // Wall clock, cost-free storage: 1 MiB slices (256 chunks each).
         let host = slices_read(&free_a, &free_b, Timeline::wall());
         assert_eq!(host, [HOST_SLICE_BYTES as u64; 6]);
         // A modeled side, or a modeled timeline: one 3 MiB slice a side,

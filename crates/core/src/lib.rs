@@ -27,14 +27,15 @@
 //!
 //! The five phases are timed separately ([`CostBreakdown`], the
 //! paper's Figure 6) and the report carries the flagged/false-positive
-//! accounting of Figure 7.
+//! accounting of Figure 7. When either side has no ε-metadata, phases
+//! 2–4 do not run and phase 5 verifies every chunk.
 //!
 //! # Baselines
 //!
 //! [`baseline::AllClose`] (NumPy-style whole-buffer boolean, blocking
-//! I/O, no localization) and [`baseline::Direct`] (element-wise with
-//! the same optimized streaming I/O as our method) — the two
-//! comparison points of the paper's evaluation.
+//! I/O, no localization) and [`baseline::Direct`] (phase 5 over every
+//! chunk, the engine's compare without metadata) — the two comparison
+//! points of the paper's evaluation.
 //!
 //! # Example
 //!
@@ -81,9 +82,7 @@ pub mod schedule;
 pub mod source;
 pub mod storesrc;
 
-pub use baseline::{
-    AllClose, AllCloseReport, Direct, PayloadStats, Statistical, StatisticalReport,
-};
+pub use baseline::{AllClose, AllCloseReport, Direct};
 pub use breakdown::CostBreakdown;
 pub use ctx::Ctx;
 pub use engine::{CompareEngine, EngineConfig, FailurePolicy};
@@ -110,6 +109,9 @@ pub enum CoreError {
     Mismatch(String),
     /// The engine configuration is invalid (bad bound or chunk size).
     Config(String),
+    /// A verb that needs a tree on every side met a source opened
+    /// without ε-metadata; names the source.
+    NoMetadata(String),
 }
 
 impl std::fmt::Display for CoreError {
@@ -120,6 +122,7 @@ impl std::fmt::Display for CoreError {
             CoreError::Incomparable(e) => write!(f, "{e}"),
             CoreError::Mismatch(what) => write!(f, "metadata/config mismatch: {what}"),
             CoreError::Config(what) => write!(f, "invalid engine config: {what}"),
+            CoreError::NoMetadata(what) => write!(f, "{what} has no ε-metadata"),
         }
     }
 }

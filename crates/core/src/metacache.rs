@@ -134,12 +134,14 @@ impl MetaCache {
     }
 
     /// Number of memoized subtree adjudications.
+    #[cfg(test)]
     #[must_use]
     pub fn subtree_len(&self) -> usize {
         self.subtrees.len()
     }
 
     /// Number of memoized chunk verdicts.
+    #[cfg(test)]
     #[must_use]
     pub fn verdict_len(&self) -> usize {
         self.verdicts.len()

@@ -9,8 +9,8 @@
 //! * delta policy — [`ingest`];
 //! * `name@version` — [`ObjectRef::parse`], [`resolve`], [`versions`];
 //! * opening — [`open_file`], [`open_stored`], [`open_run`]: a source
-//!   with the regions its payload is made of; with a tree file, from
-//!   the header alone.
+//!   with the regions its payload is made of; a file from its header
+//!   alone, with or without a tree.
 
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -194,17 +194,6 @@ impl<'a> Image<'a> {
         Ok(engine.encode_payload_metadata(self.nonempty_payload()?))
     }
 
-    /// An in-memory source over the payload, metadata built on the fly.
-    pub fn in_memory(&self, engine: &CompareEngine) -> Result<CheckpointSource, OpError> {
-        let payload = self.nonempty_payload()?.to_vec();
-        Ok(CheckpointSource::from_payload(
-            payload,
-            engine,
-            CostModel::free(),
-            None,
-        )?)
-    }
-
     fn nonempty_payload(&self) -> Result<&'a [u8], OpError> {
         match self.payload() {
             [] => Err(OpError::Input("holds no f32 payload".to_owned())),
@@ -303,28 +292,34 @@ impl Opened {
     }
 }
 
-/// Opens a checkpoint file. With `tree`, only the header is read here:
-/// metadata comes from the tree file and stage 2 reads the flagged
-/// chunks from the file. Without, the payload is read once, held in
-/// memory and hashed on the fly.
-pub fn open_file(
-    path: &Path,
-    tree: Option<&Path>,
-    engine: &CompareEngine,
-) -> Result<Opened, OpError> {
-    let Some(tree) = tree else {
-        let bytes = std::fs::read(path).map_err(|e| input(e).at(path))?;
-        let image = Image::parse(&bytes).map_err(|e| e.at(path))?;
-        let source = image.in_memory(engine).map_err(|e| e.at(path))?;
-        let regions = image.regions();
-        return Ok(Opened { source, regions });
-    };
+/// Opens a checkpoint file, reading only its header here. With `tree`,
+/// stage 1 compares trees and stage 2 reads the flagged chunks from the
+/// file; without, the source has no ε-metadata and a compare streams
+/// and verifies every chunk.
+pub fn open_file(path: &Path, tree: Option<&Path>) -> Result<Opened, OpError> {
     let (header, file_len) = read_layout(path).map_err(|e| e.at(path))?;
     let (offset, len) = header
         .as_ref()
         .map_or((0, file_len), |h| (h.payload_offset, h.payload_len));
-    let source = CheckpointSource::from_files(path, offset, len, tree)?;
+    let source = match tree {
+        Some(tree) => CheckpointSource::from_files(path, offset, len, tree)?,
+        None if len == 0 => return Err(input("holds no f32 payload").at(path)),
+        None => CheckpointSource::from_file(path, offset, len)?,
+    };
     let regions = header.as_ref().map(regions_of);
+    Ok(Opened { source, regions })
+}
+
+/// Reads a checkpoint file whole and builds its ε-metadata in memory,
+/// for the multi-run verbs on files (`history`, `analyze`,
+/// `compare-many` without a store), whose batch scheduler and stage-1
+/// probes need a tree on every side.
+pub fn open_hashed(path: &Path, engine: &CompareEngine) -> Result<Opened, OpError> {
+    let bytes = std::fs::read(path).map_err(|e| input(e).at(path))?;
+    let image = Image::parse(&bytes).map_err(|e| e.at(path))?;
+    let payload = image.nonempty_payload().map_err(|e| e.at(path))?;
+    let source = CheckpointSource::from_payload(payload.to_vec(), engine, CostModel::free(), None)?;
+    let regions = image.regions();
     Ok(Opened { source, regions })
 }
 
@@ -350,7 +345,7 @@ pub fn open_stored(
 }
 
 /// A run as the multi-run verbs name one: a run spec in `store` when
-/// there is one, else a checkpoint file hashed on the fly.
+/// there is one, else a checkpoint file hashed in memory.
 pub fn open_run(
     store: Option<&ChunkStore>,
     spec: &str,
@@ -358,7 +353,7 @@ pub fn open_run(
 ) -> Result<Opened, OpError> {
     match store {
         Some(store) => open_stored(store, &resolve(store, spec)?, engine),
-        None => open_file(Path::new(spec), None, engine),
+        None => open_hashed(Path::new(spec), engine),
     }
 }
 
@@ -478,7 +473,42 @@ mod tests {
         assert!(matches!(Image::parse(&bytes[..7]), Err(OpError::Input(_))));
         let empty = Image::parse(&[]).unwrap();
         assert!(matches!(empty.metadata(&engine()), Err(OpError::Input(_))));
-        assert!(matches!(empty.in_memory(&engine()), Err(OpError::Input(_))));
+    }
+
+    #[test]
+    fn a_file_without_a_tree_fails_as_a_whole_file_read_did() {
+        let dir = std::env::temp_dir().join(format!("reprocmp-ops-bare-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let veloc = encode_checkpoint(1, &[("x", &[1.0; 4])]);
+        let cases: [(&str, &[u8], &str); 3] = [
+            ("empty.f32", &[], "holds no f32 payload"),
+            (
+                "odd.f32",
+                &[0; 7],
+                "neither a reprocmp checkpoint nor a multiple-of-4-byte raw f32 image",
+            ),
+            ("cut.ckpt", &veloc[..20], "checkpoint file truncated"),
+        ];
+        for (name, bytes, what) in cases {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            let err = open_file(&path, None).unwrap_err();
+            assert!(matches!(err, OpError::Input(_)), "{name}: {err:?}");
+            assert_eq!(err.to_string(), format!("{}: {what}", path.display()));
+        }
+        let (short, long) = (dir.join("short.f32"), dir.join("long.f32"));
+        std::fs::write(&short, raw(&[1.0; 2])).unwrap();
+        std::fs::write(&long, raw(&[1.0; 3])).unwrap();
+        let open = |path: &Path| open_file(path, None).unwrap().source;
+        let err = engine()
+            .compare(&open(&short), &open(&long), &crate::Ctx::default())
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Mismatch(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "metadata/config mismatch: payload sizes differ: 8 vs 12"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

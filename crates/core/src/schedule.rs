@@ -286,9 +286,10 @@ impl CompareEngine {
                     s.payload_len
                 )));
             }
-            let meta = read_fully(&s.metadata, self.config().io.queue_depth)?;
+            let label = format!("source {i}");
+            let meta = read_fully(s.require_metadata(&label)?, self.config().io.queue_depth)?;
             let tree = decode_tree(&meta)?;
-            self.validate_tree(&tree, s, &format!("source {i}"))?;
+            self.validate_tree(&tree, s, &label)?;
             self.charge_compute(timeline, Workload::memory(meta.len() as u64));
             trees.push(tree);
         }

@@ -28,8 +28,8 @@ pub struct ChainProvenance {
 
 /// One run's checkpoint as the comparison engine sees it: a storage
 /// object holding the raw `f32` payload (at some byte offset, e.g.
-/// past a VELOC header) and a storage object holding the encoded
-/// Merkle metadata.
+/// past a VELOC header) and, when it was captured, a storage object
+/// holding the encoded Merkle metadata.
 #[derive(Debug, Clone)]
 pub struct CheckpointSource {
     /// Storage holding the checkpoint file.
@@ -38,8 +38,10 @@ pub struct CheckpointSource {
     pub payload_offset: u64,
     /// Payload length in bytes (must be a multiple of 4).
     pub payload_len: u64,
-    /// Storage holding the encoded Merkle tree.
-    pub metadata: Arc<dyn Storage>,
+    /// Storage holding the encoded Merkle tree; `None` for a source
+    /// opened without ε-metadata, which a compare verifies chunk by
+    /// chunk.
+    pub metadata: Option<Arc<dyn Storage>>,
     /// Capture-phase cost profile (quantize, leaf-hash, level-build)
     /// recorded when this source built its own metadata; zero for
     /// sources wrapping pre-existing metadata. The engine merges both
@@ -96,10 +98,18 @@ impl CheckpointSource {
         metadata: Arc<dyn Storage>,
     ) -> Self {
         CheckpointSource {
+            metadata: Some(metadata),
+            ..Self::bare(data, payload_offset, payload_len)
+        }
+    }
+
+    /// A payload with no metadata, capture profile or provenance.
+    fn bare(data: Arc<dyn Storage>, payload_offset: u64, payload_len: u64) -> Self {
+        CheckpointSource {
             data,
             payload_offset,
             payload_len,
-            metadata,
+            metadata: None,
             capture: StageBreakdown::default(),
             raw_leaves: None,
             store_reads: None,
@@ -156,15 +166,9 @@ impl CheckpointSource {
         let data = MemStorage::with_clock(payload, model, clock.clone());
         let metadata = MemStorage::with_clock(meta_bytes, model, clock);
         Ok(CheckpointSource {
-            data: Arc::new(data),
-            payload_offset: 0,
-            payload_len,
-            metadata: Arc::new(metadata),
             capture,
             raw_leaves: Some(Arc::new(raw_leaves)),
-            store_reads: None,
-            store_journal: None,
-            chain: None,
+            ..Self::new(Arc::new(data), 0, payload_len, Arc::new(metadata))
         })
     }
 
@@ -181,6 +185,18 @@ impl CheckpointSource {
         payload_len: u64,
         meta_path: &Path,
     ) -> CoreResult<Self> {
+        let mut source = Self::from_file(data_path, payload_offset, payload_len)?;
+        source.metadata = Some(Arc::new(StdFsStorage::open(meta_path)?));
+        Ok(source)
+    }
+
+    /// [`CheckpointSource::from_files`] without a tree: a compare
+    /// streams every chunk of the payload and verifies it.
+    ///
+    /// # Errors
+    ///
+    /// File-open failures or inconsistent geometry.
+    pub fn from_file(data_path: &Path, payload_offset: u64, payload_len: u64) -> CoreResult<Self> {
         let data = StdFsStorage::open(data_path)?;
         let end = payload_offset.checked_add(payload_len);
         if end.is_none_or(|end| end > data.len()) {
@@ -189,33 +205,19 @@ impl CheckpointSource {
                 data.len()
             )));
         }
-        let metadata = StdFsStorage::open(meta_path)?;
-        Ok(CheckpointSource {
-            data: Arc::new(data),
-            payload_offset,
-            payload_len,
-            metadata: Arc::new(metadata),
-            capture: StageBreakdown::default(),
-            raw_leaves: None,
-            store_reads: None,
-            store_journal: None,
-            chain: None,
-        })
+        Ok(Self::bare(Arc::new(data), payload_offset, payload_len))
     }
 
-    /// Computes and attaches [`CheckpointSource::raw_leaves`] by
-    /// reading the payload back from storage — the opt-in for
-    /// file-backed sources that want to participate in the batch
-    /// scheduler's stage-2 verdict cache.
+    /// The encoded ε-metadata, for the verbs that need a tree on every
+    /// side.
     ///
     /// # Errors
     ///
-    /// Propagates payload read failures.
-    pub fn hydrate_raw_leaves(&mut self, chunk_bytes: usize) -> CoreResult<()> {
-        let mut payload = vec![0u8; self.payload_len as usize];
-        self.data.read_at(self.payload_offset, &mut payload)?;
-        self.raw_leaves = Some(Arc::new(raw_chunk_digests(&payload, chunk_bytes)));
-        Ok(())
+    /// [`CoreError::NoMetadata`] naming `label` when the source was
+    /// opened without one.
+    pub fn require_metadata(&self, label: &str) -> CoreResult<&Arc<dyn Storage>> {
+        let missing = || CoreError::NoMetadata(label.to_owned());
+        self.metadata.as_ref().ok_or_else(missing)
     }
 
     /// Number of `f32` values in the payload.
@@ -278,9 +280,10 @@ mod tests {
     fn metadata_is_decodable() {
         let values: Vec<f32> = (0..256).map(|i| i as f32 * 0.5).collect();
         let s = CheckpointSource::in_memory(&values, &engine()).unwrap();
-        let mut meta = vec![0u8; s.metadata.len() as usize];
-        s.metadata.read_at(0, &mut meta).unwrap();
-        let tree = reprocmp_merkle::decode_tree(&meta).unwrap();
+        let meta = s.require_metadata("run").unwrap();
+        let mut bytes = vec![0u8; meta.len() as usize];
+        meta.read_at(0, &mut bytes).unwrap();
+        let tree = reprocmp_merkle::decode_tree(&bytes).unwrap();
         assert_eq!(tree.chunk_bytes(), 64);
         assert_eq!(tree.data_len(), 1024);
     }
@@ -303,18 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn hydrate_raw_leaves_matches_capture_time_digests() {
-        let e = engine();
-        let values: Vec<f32> = (0..300).map(|i| (i as f32).sin()).collect();
-        let s = CheckpointSource::in_memory(&values, &e).unwrap();
-        let captured = Arc::clone(s.raw_leaves.as_ref().unwrap());
-        let mut rehydrated = s.clone();
-        rehydrated.raw_leaves = None;
-        rehydrated.hydrate_raw_leaves(64).unwrap();
-        assert_eq!(&*captured, &**rehydrated.raw_leaves.as_ref().unwrap());
-    }
-
-    #[test]
     fn from_files_rejects_geometry_that_overflows() {
         let dir = std::env::temp_dir().join(format!("reprocmp-source-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -328,6 +319,11 @@ mod tests {
             );
         }
         assert!(CheckpointSource::from_files(&path, 8, 56, &path).is_ok());
+        let bare = CheckpointSource::from_file(&path, 8, 56).unwrap();
+        assert!(matches!(
+            bare.require_metadata("run 2"),
+            Err(CoreError::NoMetadata(label)) if label == "run 2"
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -344,8 +340,9 @@ mod tests {
         .unwrap();
         use reprocmp_io::storage::AccessMode;
         s.data.charge_batch(&[(0, 128)], AccessMode::Sync);
-        s.metadata.charge_batch(&[(0, 128)], AccessMode::Sync);
+        let meta = s.require_metadata("run").unwrap();
+        meta.charge_batch(&[(0, 128)], AccessMode::Sync);
         assert!(clock.now() > std::time::Duration::ZERO);
-        assert_eq!(s.data.elapsed(), s.metadata.elapsed());
+        assert_eq!(s.data.elapsed(), meta.elapsed());
     }
 }

@@ -131,7 +131,7 @@ impl CheckpointSource {
             data: Arc::new(storage),
             payload_offset: layout.payload_offset,
             payload_len,
-            metadata: Arc::new(MemStorage::free(meta_bytes)),
+            metadata: Some(Arc::new(MemStorage::free(meta_bytes))),
             capture,
             raw_leaves: Some(Arc::new(raw_leaves)),
             store_reads: Some(counters),
@@ -232,8 +232,9 @@ mod tests {
             .ingest("m", 1, &[("x", &payload_bytes(&values))], 64, &meta)
             .unwrap();
         let s = CheckpointSource::from_store(&store, "m", 1, &e).unwrap();
-        let mut back = vec![0u8; s.metadata.len() as usize];
-        s.metadata.read_at(0, &mut back).unwrap();
+        let stored = s.require_metadata("stored").unwrap();
+        let mut back = vec![0u8; stored.len() as usize];
+        stored.read_at(0, &mut back).unwrap();
         assert_eq!(back, meta);
         // And it actually compares clean against an in-memory twin.
         let twin = CheckpointSource::in_memory(&values, &e).unwrap();

@@ -71,8 +71,9 @@ fn the_metaless_fallback_hashes_an_unaligned_payload_like_capture() {
     assert_eq!(s.payload_offset, 26);
     let mem = CheckpointSource::in_memory(&values, &e).unwrap();
     let tree_bytes = |src: &CheckpointSource| {
-        let mut bytes = vec![0u8; src.metadata.len() as usize];
-        src.metadata.read_at(0, &mut bytes).unwrap();
+        let meta = src.require_metadata("run").unwrap();
+        let mut bytes = vec![0u8; meta.len() as usize];
+        meta.read_at(0, &mut bytes).unwrap();
         bytes
     };
     assert_eq!(tree_bytes(&s), tree_bytes(&mem));
@@ -88,7 +89,6 @@ fn a_file_backed_reference_is_verified_chunk_for_chunk() {
     let e = CompareEngine::new(EngineConfig {
         chunk_bytes: 4096,
         error_bound: 1e-5,
-        max_coalesced_bytes: 64 << 10,
         ..EngineConfig::default()
     });
     let n = 3 << 18;

@@ -8,43 +8,18 @@
 //! hence its own global allocator, and a single test so no neighbour's
 //! allocations land in the count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "../../../tests/common/alloc.rs"]
+mod alloc;
 
 use reprocmp_veloc::format::{FORMAT_VERSION, MAGIC};
 use reprocmp_veloc::{decode_checkpoint, encode_checkpoint, CkptCodecError};
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters touch no allocation.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-        PEAK.fetch_max(live, Ordering::Relaxed);
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `ptr` came from `alloc` above with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
 /// Peak bytes held above the starting level while decoding `image`.
 fn held_while_decoding(image: &[u8]) -> (usize, Result<usize, CkptCodecError>) {
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let decoded = decode_checkpoint(image).map(|f| f.regions.len());
-    (PEAK.load(Ordering::Relaxed) - before, decoded)
+    alloc::peak_growth(|| decode_checkpoint(image).map(|f| f.regions.len()))
 }
 
 /// A header announcing `n_regions`, followed by `entries` one-byte-named

@@ -232,7 +232,7 @@ fn main() {
     println!(
         "  golden payload {} bytes, metadata {} bytes",
         golden.payload_len,
-        golden.metadata.len()
+        golden.require_metadata("golden").expect("captured").len()
     );
 
     println!("\ncandidate A: refactoring with no numerical effect");

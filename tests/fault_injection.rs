@@ -91,10 +91,10 @@ fn metadata_fault_surfaces_as_error() {
     let data = wave(5_000);
     let a = CheckpointSource::in_memory(&data, &e).unwrap();
     let mut b = CheckpointSource::in_memory(&data, &e).unwrap();
-    b.metadata = Arc::new(FaultyStorage::new(
-        Arc::clone(&b.metadata),
+    b.metadata = Some(Arc::new(FaultyStorage::new(
+        Arc::clone(b.metadata.as_ref().unwrap()),
         FaultPlan::EveryNth { n: 1 },
-    ));
+    )));
     assert!(matches!(
         e.compare(&a, &b, &Ctx::default()),
         Err(CoreError::Io(_))
@@ -216,10 +216,10 @@ fn quarantine_does_not_mask_metadata_failures() {
     let data = wave(5_000);
     let a = CheckpointSource::in_memory(&data, &e).unwrap();
     let mut b = CheckpointSource::in_memory(&data, &e).unwrap();
-    b.metadata = Arc::new(FaultyStorage::new(
-        Arc::clone(&b.metadata),
+    b.metadata = Some(Arc::new(FaultyStorage::new(
+        Arc::clone(b.metadata.as_ref().unwrap()),
         FaultPlan::EveryNth { n: 1 },
-    ));
+    )));
     assert!(matches!(
         e.compare(&a, &b, &Ctx::default()),
         Err(CoreError::Io(_))

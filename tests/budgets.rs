@@ -2,11 +2,17 @@
 //! counted work, not as stopwatch thresholds.
 //!
 //! `compare` with trees reads the VELOC header, both trees and the
-//! chunks stage 1 flags — never the whole payload. The budget counts
-//! `rchar` from `/proc/self/io`, which every `read`/`pread` in the
-//! process adds to, page-cache hits included. That counter is per
-//! process, so this file holds exactly one `#[test]`: a second test
-//! running beside it would read into the same window.
+//! chunks stage 1 flags — never the whole payload. Without trees it
+//! reads each payload byte once and holds a few stage-2 slices of it,
+//! never a whole payload. The budget counts `rchar` from
+//! `/proc/self/io`, which every `read`/`pread` in the process adds to,
+//! page-cache hits included, and the live heap through a counting
+//! allocator. Both counters are per process, so this file holds exactly
+//! one `#[test]`: a second test running beside it would read into the
+//! same window.
+
+#[path = "common/alloc.rs"]
+mod alloc;
 
 use std::path::{Path, PathBuf};
 
@@ -16,6 +22,13 @@ use serde::Value;
 
 /// Slack for both VELOC headers and the reads of `/proc/self/io`.
 const HEADER_SLACK: u64 = 64 << 10;
+
+/// Heap a compare without trees may grow by: a few 1 MiB stage-2 slices
+/// a side, against the 16 MiB of either payload.
+const STREAM_HEAP: usize = 12 << 20;
+
+#[global_allocator]
+static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
 /// Bytes this process has read so far.
 fn rchar() -> u64 {
@@ -131,6 +144,36 @@ fn compare_with_trees_reads_headers_trees_and_flagged_chunks_only() {
          + 2 x {reread} flagged"
     );
 
+    // Without trees: every chunk verified, each payload byte read once,
+    // the payloads streamed rather than held.
+    let payload = (VALUES * 4) as u64;
+    let before = rchar();
+    let (held, out) = alloc::peak_growth(|| {
+        cli(&[
+            "compare",
+            "--run1",
+            path_str(&file("run1.ckpt")),
+            "--run2",
+            path_str(&file("run2.ckpt")),
+            "--json",
+        ])
+    });
+    let read = rchar() - before;
+    let streamed: Value = serde_json::from_str(&out).expect("compare --json");
+    assert_eq!(report_u64(&streamed, "stats", "chunks_flagged"), 4096);
+    assert_eq!(report_u64(&streamed, "stats", "bytes_reread"), payload);
+    assert_eq!(streamed.get("differences"), report.get("differences"));
+    let budget = HEADER_SLACK + 2 * payload;
+    assert!(
+        read <= budget,
+        "compare without trees read {read} B; budget {budget} B = {HEADER_SLACK} headers \
+         + 2 x {payload} payload"
+    );
+    assert!(
+        held < STREAM_HEAP,
+        "compare without trees grew the heap by {held} B; budget {STREAM_HEAP} B"
+    );
+
     // A region table far larger than the first header read: the open
     // grows its read until the table parses, and agrees with decoding
     // the whole file.
@@ -145,7 +188,7 @@ fn compare_with_trees_reads_headers_trees_and_flagged_chunks_only() {
     std::fs::write(&wide, &image).unwrap();
     let engine = CompareEngine::new(EngineConfig::default());
     let tree = file("run1.tree");
-    let opened = ops::open_file(&wide, Some(&tree), &engine).expect("header-only open");
+    let opened = ops::open_file(&wide, Some(&tree)).expect("header-only open");
     let whole = decode_checkpoint(&image).expect("whole-file decode");
     assert!(
         whole.payload_offset > 64 << 10,
@@ -153,7 +196,7 @@ fn compare_with_trees_reads_headers_trees_and_flagged_chunks_only() {
     );
     assert_eq!(opened.source.payload_offset, whole.payload_offset);
     assert_eq!(opened.source.payload_len, whole.payload_len);
-    let in_memory = ops::open_file(&wide, None, &engine).expect("whole-file open");
+    let in_memory = ops::open_hashed(&wide, &engine).expect("whole-file open");
     assert_eq!(opened.regions, in_memory.regions);
     assert_eq!(opened.regions.as_ref().map(Vec::len), Some(5000));
 
@@ -161,8 +204,8 @@ fn compare_with_trees_reads_headers_trees_and_flagged_chunks_only() {
     // path's error text.
     let cut = file("cut.ckpt");
     std::fs::write(&cut, &image[..image.len() / 2]).unwrap();
-    let header_only = ops::open_file(&cut, Some(&tree), &engine).unwrap_err();
-    let whole_file = ops::open_file(&cut, None, &engine).unwrap_err();
+    let header_only = ops::open_file(&cut, Some(&tree)).unwrap_err();
+    let whole_file = ops::open_hashed(&cut, &engine).unwrap_err();
     assert_eq!(header_only.to_string(), whole_file.to_string());
     assert!(
         header_only

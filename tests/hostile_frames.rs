@@ -9,37 +9,16 @@
 //! allocator, and a single test so no neighbour's allocations land in
 //! the count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+#[path = "common/alloc.rs"]
+mod alloc;
+
 use std::io::Read;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use reprocmp::server::proto::{encode, read_frame, write_frame, MAX_FRAME_BYTES};
 use reprocmp::server::Request;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters touch no allocation.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-        PEAK.fetch_max(live, Ordering::Relaxed);
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `ptr` came from `alloc` above with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
 /// Sends `head`, then stalls: every further read times out.
 struct Stalls<'a>(&'a [u8]);
@@ -62,10 +41,8 @@ fn a_length_prefix_alone_reserves_under_a_mebibyte() {
     );
     let prefix = announced.to_le_bytes();
 
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let err = read_frame(&mut Stalls(&prefix)).expect_err("the peer stalled");
-    let held = PEAK.load(Ordering::Relaxed) - before;
+    let (held, err) = alloc::peak_growth(|| read_frame(&mut Stalls(&prefix)));
+    let err = err.expect_err("the peer stalled");
     assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
     assert!(
         held < 1 << 20,
@@ -89,10 +66,8 @@ fn a_length_prefix_alone_reserves_under_a_mebibyte() {
         chunk_bytes: 4096,
         data: "5a".repeat(hex_len / 2),
     });
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let decoded = Request::decode(&frame).expect("an ingest frame decodes");
-    let grew = PEAK.load(Ordering::Relaxed) - before;
+    let (grew, decoded) = alloc::peak_growth(|| Request::decode(&frame));
+    let decoded = decoded.expect("an ingest frame decodes");
     assert!(
         matches!(&decoded, Request::Ingest { data, .. } if data.len() == hex_len),
         "decoded as another message"

@@ -222,28 +222,30 @@ fn regions_of(header: &CheckpointFile) -> Regions {
     regions.map(|r| (r.name.clone(), r.count * 4)).collect()
 }
 
-/// Bytes of a file read first to find its layout. A region table that
-/// runs past them doubles the read until it parses or the whole file
-/// is in.
-const HEADER_PREFIX: usize = 8 << 10;
+/// Bytes of a VELOC image read after its magic to find its layout: a
+/// header with a few short region names fits. A region table that runs
+/// past them doubles the read until it parses or the whole file is in.
+const HEADER_PREFIX: usize = 256;
 
 /// The layout of the file at `path` and its length, reading only the
-/// VELOC header (a raw image needs only its length). Errors read as
-/// [`Image::parse`]'s do on the whole file.
+/// VELOC header: a raw image needs only its length, and the magic that
+/// tells it apart, so no payload byte is read here that stage 2 reads
+/// again. Errors read as [`Image::parse`]'s do on the whole file.
 fn read_layout(path: &Path) -> Result<(Option<CheckpointFile>, u64), OpError> {
     let file = File::open(path).map_err(input)?;
     let file_len = file.metadata().map_err(input)?.len();
-    let mut prefix = Vec::new();
+    let mut prefix = vec![0; file_len.min(MAGIC.len() as u64) as usize];
+    file.read_exact_at(&mut prefix, 0).map_err(input)?;
+    if !prefix.starts_with(MAGIC) {
+        whole_values(file_len)?;
+        return Ok((None, file_len));
+    }
     loop {
         let have = prefix.len();
         let want = file_len.min(HEADER_PREFIX.max(2 * have) as u64) as usize;
         prefix.resize(want, 0);
         file.read_exact_at(&mut prefix[have..], have as u64)
             .map_err(input)?;
-        if !prefix.starts_with(MAGIC) {
-            whole_values(file_len)?;
-            return Ok((None, file_len));
-        }
         match decode_header(&prefix, file_len) {
             Err(CkptCodecError::Truncated) if (want as u64) < file_len => {}
             header => return Ok((Some(header.map_err(input)?), file_len)),

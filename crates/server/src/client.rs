@@ -11,7 +11,8 @@ use std::net::SocketAddr;
 use serde::Value;
 
 use crate::proto::{
-    encode, recycle, write_ingest_request, JobState, ObjectRef, Request, Response, PROTOCOL_VERSION,
+    decode_response, encode, fill_data, recycle, write_ingest_request, JobState, ObjectRef,
+    Payloads, Request, Response, PROTOCOL_VERSION,
 };
 use crate::transport::{Conn, TcpConn};
 
@@ -82,6 +83,9 @@ pub struct ServerInfo {
     pub protocol: u64,
     /// Its admission-control bound.
     pub queue_capacity: u64,
+    /// How this session's payloads travel: raw when the server took the
+    /// client's offer of raw sections, hex otherwise.
+    pub payloads: Payloads,
 }
 
 /// A job's status as seen over the wire.
@@ -95,6 +99,18 @@ pub struct RemoteStatus {
     pub result: Option<Value>,
     /// Failure message when failed.
     pub error: Option<String>,
+    /// A materialize's bytes, when they arrived as a raw section.
+    payload: Option<Vec<u8>>,
+}
+
+impl RemoteStatus {
+    /// A materialize's bytes as they arrived, in a session whose
+    /// payloads travel raw; `None` otherwise. `result`'s `"data"` holds
+    /// the same bytes in hex either way.
+    #[must_use]
+    pub fn payload(&self) -> Option<&[u8]> {
+        self.payload.as_deref()
+    }
 }
 
 /// One streamed flight-recorder event from a watch.
@@ -142,7 +158,8 @@ impl std::fmt::Debug for ServerClient {
 
 impl ServerClient {
     /// Opens a session over `conn`, identifying as `client` for fair
-    /// queuing.
+    /// queuing and offering raw payload sections, which the session
+    /// uses if the server takes them.
     ///
     /// # Errors
     ///
@@ -151,6 +168,7 @@ impl ServerClient {
         conn.send(&encode(&Request::Hello {
             client: client.to_owned(),
             protocol: PROTOCOL_VERSION,
+            raw_sections: true,
         }))?;
         let payload = conn.recv()?.ok_or(ClientError::Disconnected)?;
         match Response::decode(&payload)? {
@@ -158,12 +176,14 @@ impl ServerClient {
                 server,
                 protocol,
                 queue_capacity,
+                raw_sections,
             } => Ok(ServerClient {
                 conn,
                 info: ServerInfo {
                     server,
                     protocol,
                     queue_capacity,
+                    payloads: Payloads::agreed(raw_sections),
                 },
                 outgoing: Vec::new(),
                 incoming: Vec::new(),
@@ -191,18 +211,25 @@ impl ServerClient {
     }
 
     fn call(&mut self, req: &Request) -> ClientResult<Response> {
+        Ok(self.call_for_section(req)?.0)
+    }
+
+    /// [`ServerClient::call`], with the raw section the answer carried.
+    fn call_for_section(&mut self, req: &Request) -> ClientResult<(Response, Option<Vec<u8>>)> {
         self.conn.send(&encode(req))?;
         self.answer()
     }
 
-    /// Reads and decodes the next frame.
-    fn answer(&mut self) -> ClientResult<Response> {
+    /// Reads and decodes the next frame, copying out the raw section
+    /// its header declared.
+    fn answer(&mut self) -> ClientResult<(Response, Option<Vec<u8>>)> {
         if !self.conn.recv_into(&mut self.incoming)? {
             return Err(ClientError::Disconnected);
         }
-        let response = Response::decode(&self.incoming);
+        let decoded = decode_response(&self.incoming, self.info.payloads)
+            .map(|(response, section)| (response, section.map(<[u8]>::to_vec)));
         recycle(&mut self.incoming);
-        Ok(response?)
+        Ok(decoded?)
     }
 
     fn submit(&mut self, req: &Request) -> ClientResult<u64> {
@@ -221,7 +248,10 @@ impl ServerClient {
         }
     }
 
-    /// Submits an ingest job; the payload travels hex-encoded.
+    /// Submits an ingest job. The payload travels as the frame's raw
+    /// section when the session agreed to raw sections (see
+    /// [`ServerInfo::payloads`]), and hex-encoded in its `"data"`
+    /// otherwise; either way it is copied once, into the outgoing frame.
     ///
     /// # Errors
     ///
@@ -234,11 +264,18 @@ impl ServerClient {
         chunk_bytes: u64,
         data: &[u8],
     ) -> ClientResult<u64> {
-        write_ingest_request(&mut self.outgoing, name, version, chunk_bytes, data);
-        let sent = self.conn.send(&self.outgoing);
+        let section = write_ingest_request(
+            &mut self.outgoing,
+            name,
+            version,
+            chunk_bytes,
+            data,
+            self.info.payloads,
+        );
+        let sent = self.conn.send_parts(&self.outgoing, section);
         recycle(&mut self.outgoing);
         sent?;
-        let response = self.answer()?;
+        let (response, _) = self.answer()?;
         Self::accepted(response)
     }
 
@@ -273,26 +310,37 @@ impl ServerClient {
     }
 
     /// Queries a job's status; with `wait` the server holds the reply
-    /// until the job is terminal (no client-side polling).
+    /// until the job is terminal (no client-side polling). A
+    /// materialize's bytes are in `result`'s `"data"` as hex, however
+    /// they travelled.
     ///
     /// # Errors
     ///
     /// [`ClientError::Server`] for unknown jobs; transport failures.
     pub fn status(&mut self, job: u64, wait: bool) -> ClientResult<RemoteStatus> {
-        match self.call(&Request::Status { job, wait })? {
-            Response::Status {
-                job,
-                state,
-                result,
-                error,
-            } => Ok(RemoteStatus {
-                job,
-                state,
-                result,
-                error,
-            }),
-            Response::Error { message } => Err(ClientError::Server { message }),
-            other => Err(ClientError::UnexpectedResponse {
+        match self.call_for_section(&Request::Status { job, wait })? {
+            (
+                Response::Status {
+                    job,
+                    state,
+                    mut result,
+                    error,
+                },
+                payload,
+            ) => {
+                if let (Some(doc), Some(bytes)) = (&mut result, &payload) {
+                    fill_data(doc, bytes);
+                }
+                Ok(RemoteStatus {
+                    job,
+                    state,
+                    result,
+                    error,
+                    payload,
+                })
+            }
+            (Response::Error { message }, _) => Err(ClientError::Server { message }),
+            (other, _) => Err(ClientError::UnexpectedResponse {
                 got: other.type_name(),
             }),
         }
@@ -317,7 +365,7 @@ impl ServerClient {
         self.conn.send(&encode(&Request::Watch { job }))?;
         let mut events = Vec::new();
         loop {
-            match self.answer()? {
+            match self.answer()?.0 {
                 Response::Event {
                     seq,
                     ts_ns,
@@ -388,7 +436,7 @@ impl ServerClient {
             .send(&encode(&Request::SubscribeTelemetry { max }))?;
         let mut snapshots = Vec::new();
         loop {
-            match self.answer()? {
+            match self.answer()?.0 {
                 Response::Telemetry { snapshot } => snapshots.push(snapshot),
                 Response::TelemetryEnd { .. } => return Ok(snapshots),
                 Response::Error { message } => return Err(ClientError::Server { message }),

@@ -17,7 +17,8 @@
 //! ```
 //!
 //! * [`proto`] — the length-prefixed JSON wire protocol, evolvable
-//!   additively (decoders ignore unknown fields);
+//!   additively (decoders ignore unknown fields), with payloads as raw
+//!   sections in sessions whose `hello` agreed to them;
 //! * [`queue`] — deficit-round-robin fair queuing with a hard
 //!   admission bound (backpressure instead of unbounded backlog);
 //! * [`server`] — the daemon: exclusive store ownership, the worker
@@ -47,7 +48,7 @@ pub mod transport;
 pub use client::{
     ClientError, ClientResult, RemoteStatus, ServerClient, ServerInfo, WatchSummary, WatchedEvent,
 };
-pub use proto::{JobState, ObjectRef, ProtoError, Request, Response, PROTOCOL_VERSION};
+pub use proto::{JobState, ObjectRef, Payloads, ProtoError, Request, Response, PROTOCOL_VERSION};
 pub use queue::{AdmitError, JobQueue, QueueStats, QueuedJob};
 pub use server::{
     execute_spec, JobOutcome, JobSpec, JobStatus, Server, ServerConfig, ServerError, ServerResult,

@@ -7,6 +7,20 @@
 //! followed by that many bytes of UTF-8 JSON. [`write_frame`] /
 //! [`read_frame`] implement it over any `Write`/`Read`.
 //!
+//! # Raw sections
+//!
+//! Payload bytes travel as lowercase hex in a `"data"` string, which
+//! every peer reads. Two peers that both set `raw_sections` in
+//! `hello` / `hello_ok` send them raw instead ([`Payloads::Raw`]): a
+//! frame is then the JSON header, one NUL byte, and the section. JSON
+//! text never holds a NUL (inside a string a control character is
+//! escaped), so the first one ends the header. The header's `"data"`
+//! is `""` and its top-level `"raw_bytes"` declares the section's
+//! length, which must equal what follows the NUL. Only a client's
+//! `ingest` and a server's `status` answer with a result document may
+//! carry one; [`decode_request`] / [`decode_response`] refuse a section
+//! anywhere else, and a hex session decodes every frame as JSON alone.
+//!
 //! # Schema evolution
 //!
 //! Objects are tagged with a `"type"` field, the variant's name in
@@ -77,11 +91,12 @@ impl From<std::io::Error> for ProtoError {
 ///
 /// Underlying write failures.
 pub fn write_frame(w: &mut dyn std::io::Write, payload: &[u8]) -> std::io::Result<()> {
-    write_frame_with(w, &mut Vec::new(), payload)
+    write_frame_with(w, &mut Vec::new(), payload, &[])
 }
 
-/// [`write_frame`] assembling the frame in `scratch`, which a
-/// connection keeps from one frame to the next (see [`recycle`]).
+/// [`write_frame`] of the payload `head` followed by `tail`, assembled
+/// in `scratch`, which a connection keeps from one frame to the next
+/// (see [`recycle`]): a raw section is copied once, into the frame.
 ///
 /// # Errors
 ///
@@ -89,14 +104,16 @@ pub fn write_frame(w: &mut dyn std::io::Write, payload: &[u8]) -> std::io::Resul
 pub(crate) fn write_frame_with(
     w: &mut dyn std::io::Write,
     scratch: &mut Vec<u8>,
-    payload: &[u8],
+    head: &[u8],
+    tail: &[u8],
 ) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len())
+    let len = u32::try_from(head.len() + tail.len())
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
     scratch.clear();
-    scratch.reserve(4 + payload.len());
+    scratch.reserve(4 + head.len() + tail.len());
     scratch.extend_from_slice(&len.to_le_bytes());
-    scratch.extend_from_slice(payload);
+    scratch.extend_from_slice(head);
+    scratch.extend_from_slice(tail);
     let sent = w.write_all(scratch).and_then(|()| w.flush());
     recycle(scratch);
     sent
@@ -330,6 +347,10 @@ pub enum Request {
         /// Protocol revision the client speaks; absent, this build's.
         #[serde(default = "protocol_version")]
         protocol: u64,
+        /// Whether the client sends and reads raw payload sections
+        /// (default `false`: hex only); omitted when `false`.
+        #[serde(default, skip_serializing_if = "is_false")]
+        raw_sections: bool,
     },
     /// Store a checkpoint payload as `name@version` (job-queued).
     Ingest {
@@ -339,7 +360,8 @@ pub enum Request {
         version: u64,
         /// Store chunk size for this object.
         chunk_bytes: u64,
-        /// Raw payload bytes, hex-encoded.
+        /// Raw payload bytes, hex-encoded; `""` when they travel as the
+        /// frame's raw section.
         data: String,
     },
     /// Compare two stored objects (job-queued).
@@ -417,6 +439,10 @@ fn protocol_version() -> u64 {
     PROTOCOL_VERSION
 }
 
+fn is_false(flag: &bool) -> bool {
+    !*flag
+}
+
 /// Lifecycle of a queued job as reported on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
@@ -459,6 +485,11 @@ pub enum Response {
         /// Admission-control bound on in-flight jobs (default 0).
         #[serde(default)]
         queue_capacity: u64,
+        /// Whether this session's payloads travel as raw sections: the
+        /// client offered them and the server takes them (default
+        /// `false`); omitted when `false`.
+        #[serde(default, skip_serializing_if = "is_false")]
+        raw_sections: bool,
     },
     /// The job was admitted to the queue.
     Accepted {
@@ -553,38 +584,91 @@ impl Response {
     }
 }
 
-/// Writes the payload of `Request::Ingest { data: hex_encode(data), .. }`
-/// into `out`, byte for byte what [`encode`] gives, without building
-/// the hex string, the message or its tree: the digits are written
-/// where they travel from.
-pub(crate) fn write_ingest_request(
+/// How one session's payload-carrying frames travel, as agreed in
+/// `hello`: see the module documentation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Payloads {
+    /// Hex digits in the `"data"` string; what a peer that did not
+    /// offer `raw_sections` sends and reads.
+    #[default]
+    Hex,
+    /// A raw section after the JSON header and a NUL byte.
+    Raw,
+}
+
+impl Payloads {
+    /// What a hello's `raw_sections` flag agrees to.
+    #[must_use]
+    pub fn agreed(raw_sections: bool) -> Self {
+        if raw_sections {
+            Payloads::Raw
+        } else {
+            Payloads::Hex
+        }
+    }
+}
+
+/// Ends a frame's JSON header when a raw section follows it.
+const SECTION_MARK: u8 = 0;
+
+/// The header field declaring the raw section's length.
+const RAW_BYTES: &str = "raw_bytes";
+
+/// Writes the frame of an `ingest` of `data` into `out` and returns
+/// what must follow it on the wire. Under [`Payloads::Hex`] that is
+/// nothing: `out` is byte for byte what [`encode`] gives for
+/// `Request::Ingest { data: hex_encode(data), .. }`, the digits written
+/// where they travel from. Under [`Payloads::Raw`], `out` is the header
+/// and `data` itself is the section.
+pub(crate) fn write_ingest_request<'d>(
     out: &mut Vec<u8>,
     name: &str,
     version: u64,
     chunk_bytes: u64,
-    data: &[u8],
-) {
+    data: &'d [u8],
+    payloads: Payloads,
+) -> &'d [u8] {
     out.clear();
-    out.reserve(data.len() * 2 + name.len() + 96);
+    if payloads == Payloads::Hex {
+        out.reserve(data.len() * 2 + name.len() + 96);
+    }
     out.extend_from_slice(br#"{"type":"ingest","name":"#);
     write_json_str(out, name);
     out.extend_from_slice(
         format!(r#","version":{version},"chunk_bytes":{chunk_bytes},"data":""#).as_bytes(),
     );
-    hex_encode_into(out, data);
-    out.extend_from_slice(br#""}"#);
+    match payloads {
+        Payloads::Hex => {
+            hex_encode_into(out, data);
+            out.extend_from_slice(br#""}"#);
+            &[]
+        }
+        Payloads::Raw => {
+            out.push(b'"');
+            end_header(out, data.len());
+            data
+        }
+    }
 }
 
-/// Writes the payload of `Response::Status { .. }` into `out`, byte for
-/// byte what [`encode`] gives, from a borrowed result: the job table
-/// keeps its document and nothing is copied but the text that leaves.
-pub(crate) fn write_status_response(
+/// Writes a `status` answer into `out` from a borrowed result and
+/// returns what must follow it on the wire: the job table keeps its
+/// document and payload, and nothing is copied but what leaves.
+///
+/// `payload`, when there is one, is the result's `"data"`: appended to
+/// the document as hex under [`Payloads::Hex`] — byte for byte what
+/// [`encode`] gives for the message with that field — and as `""`
+/// with the bytes as the section under [`Payloads::Raw`]. A payload
+/// needs a result, which must be an object.
+pub(crate) fn write_status_response<'p>(
     out: &mut Vec<u8>,
     job: u64,
     state: JobState,
     result: Option<&Value>,
+    payload: Option<&'p [u8]>,
     error: Option<&str>,
-) {
+    payloads: Payloads,
+) -> &'p [u8] {
     out.clear();
     out.extend_from_slice(
         format!(
@@ -596,12 +680,149 @@ pub(crate) fn write_status_response(
     if let Some(result) = result {
         out.extend_from_slice(br#","result":"#);
         serde_json::write_compact(out, result);
+        if let Some(payload) = payload {
+            // Reopen the document for its last field.
+            debug_assert_eq!(out.last(), Some(&b'}'), "a payload's result is an object");
+            out.pop();
+            if out.last() != Some(&b'{') {
+                out.push(b',');
+            }
+            out.extend_from_slice(br#""data":""#);
+            if payloads == Payloads::Hex {
+                out.reserve(payload.len() * 2 + error.map_or(0, str::len) + 64);
+                hex_encode_into(out, payload);
+            }
+            out.extend_from_slice(br#""}"#);
+        }
     }
     if let Some(error) = error {
         out.extend_from_slice(br#","error":"#);
         write_json_str(out, error);
     }
-    out.push(b'}');
+    match (payloads, payload) {
+        (Payloads::Raw, Some(payload)) if result.is_some() => {
+            end_header(out, payload.len());
+            payload
+        }
+        _ => {
+            out.push(b'}');
+            &[]
+        }
+    }
+}
+
+/// Closes a header whose object is still open with the field declaring
+/// a `len`-byte section, and marks the section's start.
+fn end_header(out: &mut Vec<u8>, len: usize) {
+    out.extend_from_slice(format!(r#","{RAW_BYTES}":{len}}}"#).as_bytes());
+    out.push(SECTION_MARK);
+}
+
+/// Sets `doc`'s `"data"` field to `bytes` in hex, appending the field
+/// when the document has none: how a result whose bytes were kept or
+/// sent raw becomes the one document a hex reader knows.
+pub(crate) fn fill_data(doc: &mut Value, bytes: &[u8]) {
+    let Value::Object(fields) = doc else {
+        return;
+    };
+    let hex = Value::String(hex_encode(bytes));
+    match fields.iter_mut().find(|(key, _)| key == "data") {
+        Some((_, value)) => *value = hex,
+        None => fields.push(("data".to_owned(), hex)),
+    }
+}
+
+/// Decodes a request frame of a session whose payloads travel as
+/// `payloads`: the message and, for an `ingest` whose header declared
+/// one, its raw section, borrowed from `payload`. Under
+/// [`Payloads::Hex`] this is [`Request::decode`].
+///
+/// # Errors
+///
+/// [`ProtoError`] as for [`Request::decode`], and
+/// [`ProtoError::Schema`] for a section that is not the declared
+/// length, is not declared, or rides on anything but an `ingest` with
+/// empty `"data"`.
+pub fn decode_request(
+    payload: &[u8],
+    payloads: Payloads,
+) -> Result<(Request, Option<&[u8]>), ProtoError> {
+    let (header, section) = split_section(payload, payloads)?;
+    let request: Request = decode_value(header)?;
+    match (&request, section) {
+        (Request::Ingest { data, .. }, Some(_)) if !data.is_empty() => Err(ProtoError::Schema(
+            "an `ingest` with both hex `data` and a raw section".to_owned(),
+        )),
+        (Request::Ingest { .. }, _) | (_, None) => Ok((request, section)),
+        (other, Some(_)) => Err(no_payload_on(other.type_name())),
+    }
+}
+
+/// [`decode_request`]'s counterpart for answers: a section may ride
+/// only on a `status` whose result's `"data"` is `""`.
+///
+/// # Errors
+///
+/// As [`decode_request`].
+pub fn decode_response(
+    payload: &[u8],
+    payloads: Payloads,
+) -> Result<(Response, Option<&[u8]>), ProtoError> {
+    let (header, section) = split_section(payload, payloads)?;
+    let response: Response = decode_value(header)?;
+    let carries = |r: &Response| match r {
+        Response::Status {
+            result: Some(result),
+            ..
+        } => result.get("data").and_then(Value::as_str) == Some(""),
+        _ => false,
+    };
+    match section {
+        Some(_) if !carries(&response) => Err(no_payload_on(response.type_name())),
+        _ => Ok((response, section)),
+    }
+}
+
+fn no_payload_on(verb: &str) -> ProtoError {
+    ProtoError::Schema(format!(
+        "a raw section on a `{verb}`, which carries no payload"
+    ))
+}
+
+/// Parses a frame's JSON header and finds the raw section it declared.
+/// The section is only sought in a session that agreed to one.
+fn split_section(payload: &[u8], payloads: Payloads) -> Result<(Value, Option<&[u8]>), ProtoError> {
+    let mark = match payloads {
+        Payloads::Raw => payload.iter().position(|&b| b == SECTION_MARK),
+        Payloads::Hex => None,
+    };
+    let (header, section) = match mark {
+        Some(at) => (&payload[..at], Some(&payload[at + 1..])),
+        None => (payload, None),
+    };
+    let header = parse(header)?;
+    if payloads == Payloads::Hex {
+        return Ok((header, None));
+    }
+    let declared = header
+        .get(RAW_BYTES)
+        .map(|len| {
+            len.as_u64()
+                .ok_or_else(|| ProtoError::Schema(format!("`{RAW_BYTES}` is not a byte count")))
+        })
+        .transpose()?;
+    match (declared, section) {
+        (None, None) => Ok((header, None)),
+        (Some(len), Some(section)) if len == section.len() as u64 => Ok((header, Some(section))),
+        (Some(len), section) => Err(ProtoError::Schema(format!(
+            "the header declares a {len}-byte raw section; the frame carries {}",
+            section.map_or(0, <[u8]>::len)
+        ))),
+        (None, Some(section)) => Err(ProtoError::Schema(format!(
+            "a {}-byte raw section the header does not declare",
+            section.len()
+        ))),
+    }
 }
 
 fn write_json_str(out: &mut Vec<u8>, s: &str) {
@@ -617,9 +838,16 @@ pub fn encode(msg: &impl Serialize) -> Vec<u8> {
 /// Parses a frame payload and decodes the message it holds, moving
 /// its strings out of the parsed tree.
 fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, ProtoError> {
+    decode_value(parse(payload)?)
+}
+
+fn parse(payload: &[u8]) -> Result<Value, ProtoError> {
     let text = std::str::from_utf8(payload)
         .map_err(|_| ProtoError::Schema("frame payload is not UTF-8".to_owned()))?;
-    let value = serde_json::from_str(text).map_err(ProtoError::Json)?;
+    serde_json::from_str(text).map_err(ProtoError::Json)
+}
+
+fn decode_value<T: Deserialize>(value: Value) -> Result<T, ProtoError> {
     serde_json::from_value(value).map_err(|e| ProtoError::Schema(e.to_string()))
 }
 
@@ -633,6 +861,12 @@ mod tests {
             Request::Hello {
                 client: "c1".into(),
                 protocol: PROTOCOL_VERSION,
+                raw_sections: false,
+            },
+            Request::Hello {
+                client: "c2".into(),
+                protocol: PROTOCOL_VERSION,
+                raw_sections: true,
             },
             Request::Ingest {
                 name: "run".into(),
@@ -690,6 +924,13 @@ mod tests {
                 server: "reprocmp-server".into(),
                 protocol: 1,
                 queue_capacity: 64,
+                raw_sections: false,
+            },
+            Response::HelloOk {
+                server: "reprocmp-server".into(),
+                protocol: 1,
+                queue_capacity: 64,
+                raw_sections: true,
             },
             Response::Accepted { job: 9 },
             Response::Rejected {
@@ -916,12 +1157,16 @@ mod tests {
 
         let mut scratch = Vec::new();
         let mut w = CountingWriter::default();
-        write_frame_with(&mut w, &mut scratch, &vec![b'x'; 2 << 20]).unwrap();
+        write_frame_with(&mut w, &mut scratch, &vec![b'x'; 2 << 20], &[]).unwrap();
         let kept = (scratch.as_ptr(), scratch.capacity());
-        write_frame_with(&mut w, &mut scratch, b"small").unwrap();
+        write_frame_with(&mut w, &mut scratch, b"small", b" head, raw tail").unwrap();
         assert_eq!((scratch.as_ptr(), scratch.capacity()), kept);
         assert_eq!(w.calls, 2, "still one write per frame");
-        write_frame_with(&mut w, &mut scratch, &vec![b'x'; SCRATCH_RETAIN_BYTES]).unwrap();
+        assert_eq!(
+            w.bytes[w.bytes.len() - 24..],
+            b"\x14\0\0\0small head, raw tail"[..]
+        );
+        write_frame_with(&mut w, &mut scratch, &vec![b'x'; SCRATCH_RETAIN_BYTES], &[]).unwrap();
         assert_eq!(
             scratch.capacity(),
             0,
@@ -935,7 +1180,8 @@ mod tests {
         for name in ["run", "a \"quoted\"\\name\n", "é✓"] {
             for data in payloads {
                 let mut out = b"stale".to_vec();
-                write_ingest_request(&mut out, name, 7, 4096, data);
+                let tail = write_ingest_request(&mut out, name, 7, 4096, data, Payloads::Hex);
+                assert!(tail.is_empty());
                 let message = Request::Ingest {
                     name: name.to_owned(),
                     version: 7,
@@ -943,6 +1189,18 @@ mod tests {
                     data: hex_encode(data),
                 };
                 assert_eq!(out, encode(&message), "{name:?}");
+
+                let tail = write_ingest_request(&mut out, name, 7, 4096, data, Payloads::Raw);
+                assert_eq!(tail, data);
+                let frame = [&out[..], tail].concat();
+                let (decoded, section) = decode_request(&frame, Payloads::Raw).unwrap();
+                let header = Request::Ingest {
+                    name: name.to_owned(),
+                    version: 7,
+                    chunk_bytes: 4096,
+                    data: String::new(),
+                };
+                assert_eq!((decoded, section), (header, Some(data)), "{name:?}");
             }
         }
         let result = Value::Object(vec![
@@ -961,18 +1219,89 @@ mod tests {
         ] {
             for result in [None, Some(&result)] {
                 for error in [None, Some("no such object \"x\"\n")] {
-                    let mut out = b"stale".to_vec();
-                    write_status_response(&mut out, 41, state, result, error);
                     let message = Response::Status {
                         job: 41,
                         state,
                         result: result.cloned(),
                         error: error.map(str::to_owned),
                     };
-                    assert_eq!(out, encode(&message));
+                    for payloads in [Payloads::Hex, Payloads::Raw] {
+                        let mut out = b"stale".to_vec();
+                        let tail = write_status_response(
+                            &mut out, 41, state, result, None, error, payloads,
+                        );
+                        assert!(tail.is_empty());
+                        assert_eq!(out, encode(&message));
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_kept_payload_is_the_documents_last_field_in_hex_or_the_raw_section() {
+        let kept = Value::Object(vec![
+            ("name".to_owned(), Value::String("obj".to_owned())),
+            ("bytes".to_owned(), Value::UInt(3)),
+        ]);
+        let bytes = [0x00, 0x7f, 0xff];
+        let mut whole = kept.clone();
+        fill_data(&mut whole, &bytes);
+        for error in [None, Some("late")] {
+            let mut out = Vec::new();
+            let tail = write_status_response(
+                &mut out,
+                5,
+                JobState::Done,
+                Some(&kept),
+                Some(&bytes),
+                error,
+                Payloads::Hex,
+            );
+            assert!(tail.is_empty());
+            let message = Response::Status {
+                job: 5,
+                state: JobState::Done,
+                result: Some(whole.clone()),
+                error: error.map(str::to_owned),
+            };
+            assert_eq!(out, encode(&message));
+
+            let tail = write_status_response(
+                &mut out,
+                5,
+                JobState::Done,
+                Some(&kept),
+                Some(&bytes),
+                error,
+                Payloads::Raw,
+            );
+            assert_eq!(tail, bytes);
+            let frame = [&out[..], tail].concat();
+            let (mut decoded, section) = decode_response(&frame, Payloads::Raw).unwrap();
+            assert_eq!(section, Some(&bytes[..]));
+            if let Response::Status {
+                result: Some(doc), ..
+            } = &mut decoded
+            {
+                assert_eq!(doc.get("data").and_then(Value::as_str), Some(""));
+                fill_data(doc, &bytes);
+            }
+            assert_eq!(decoded, message, "re-hexed, the raw answer is the hex one");
+        }
+        // An empty document takes the field without a leading comma.
+        let mut out = Vec::new();
+        let empty = Value::Object(Vec::new());
+        write_status_response(
+            &mut out,
+            5,
+            JobState::Done,
+            Some(&empty),
+            Some(&bytes),
+            None,
+            Payloads::Hex,
+        );
+        assert!(Response::decode(&out).is_ok());
     }
 
     #[test]

@@ -282,12 +282,6 @@ impl JobQueue {
         self.wake.notify_all();
     }
 
-    /// Whether [`JobQueue::shutdown`] was called.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.state.lock().shutting_down
-    }
-
     /// Jobs admitted but not yet served.
     #[must_use]
     pub fn queued(&self) -> usize {

@@ -34,7 +34,7 @@ use reprocmp_obs::{
 use reprocmp_store::{real_fs, ChunkStore, StoreConfig, StoreError, StoreFs};
 use serde::{Serialize, Value};
 
-use crate::proto::{hex_decode_owned, hex_encode, JobState, ObjectRef, Request};
+use crate::proto::{fill_data, hex_decode_owned, JobState, ObjectRef, Request};
 use crate::queue::{AdmitError, JobQueue};
 
 /// Daemon-level failures.
@@ -140,9 +140,9 @@ impl ServerConfig {
 
 /// Result and event bytes the table keeps for finished jobs. Past it,
 /// finished records retire oldest-first, so the daemon's memory does
-/// not grow with the number of jobs it has served. Sixteen 1 MiB
-/// materialize results fit; a client that reads a result within the
-/// next dozen large jobs always finds it.
+/// not grow with the number of jobs it has served. Thirty-two 1 MiB
+/// materialize results fit, their bytes kept raw; a client that reads
+/// a result within the next two dozen large jobs always finds it.
 const RETAINED_BYTES_BUDGET: usize = 32 << 20;
 
 /// One job's lifecycle record in the daemon's table.
@@ -153,6 +153,9 @@ struct JobRecord {
     state: JobState,
     spec: Option<JobSpec>,
     result: Option<Arc<Value>>,
+    /// A materialize's bytes, kept raw beside `result` rather than as
+    /// hex in it: the document goes without its `"data"` field.
+    payload: Option<Arc<Vec<u8>>>,
     error: Option<String>,
     events: Vec<Event>,
     ledger: Option<JournalLedger>,
@@ -229,26 +232,33 @@ pub enum JobSpec {
 
 impl JobSpec {
     /// Builds the spec for a job-carrying request, taking its payload
-    /// over; `None` for session and control verbs. An upload that is
-    /// not a checkpoint image (see [`Image::parse`]) is refused here,
-    /// before it is queued.
+    /// over — from `section`, the frame's raw section, when it carried
+    /// one, else from the hex `data`; `None` for session and control
+    /// verbs. An upload that is not a checkpoint image (see
+    /// [`Image::parse`]) is refused here, before it is queued.
     #[must_use]
-    pub fn from_request(req: Request) -> Option<Result<JobSpec, String>> {
+    pub fn from_request(req: Request, section: Option<&[u8]>) -> Option<Result<JobSpec, String>> {
         match req {
             Request::Ingest {
                 name,
                 version,
                 chunk_bytes,
                 data,
-            } => Some(hex_decode_owned(data).and_then(|data| {
-                Image::parse(&data).map_err(|e| e.to_string())?;
-                Ok(JobSpec::Ingest {
-                    name,
-                    version,
-                    chunk_bytes: usize::try_from(chunk_bytes).unwrap_or(usize::MAX),
-                    data,
-                })
-            })),
+            } => Some(
+                match section {
+                    Some(raw) => Ok(raw.to_vec()),
+                    None => hex_decode_owned(data),
+                }
+                .and_then(|data| {
+                    Image::parse(&data).map_err(|e| e.to_string())?;
+                    Ok(JobSpec::Ingest {
+                        name,
+                        version,
+                        chunk_bytes: usize::try_from(chunk_bytes).unwrap_or(usize::MAX),
+                        data,
+                    })
+                }),
+            ),
             Request::Compare { left, right } => Some(Ok(JobSpec::Compare { left, right })),
             Request::CompareMany { baseline, runs } => {
                 Some(Ok(JobSpec::CompareMany { baseline, runs }))
@@ -295,28 +305,50 @@ pub struct JobOutcome {
 
 /// Executes one job spec against `store` with `engine`, on a fresh
 /// deterministic timeline — the single execution path shared by the
-/// daemon's workers and the oracle suite's offline serial replay.
+/// daemon's workers and the oracle suite's offline serial replay. A
+/// materialize's bytes are the result's `"data"` field, in hex.
 #[must_use]
 pub fn execute_spec(store: &ChunkStore, engine: &CompareEngine, spec: &JobSpec) -> JobOutcome {
+    let (mut outcome, payload) = execute(store, engine, spec);
+    if let (Ok(doc), Some(bytes)) = (&mut outcome.result, payload) {
+        fill_data(doc, &bytes);
+    }
+    outcome
+}
+
+/// [`execute_spec`] with a materialize's bytes returned raw beside its
+/// outcome, whose document then has no `"data"` field.
+fn execute(
+    store: &ChunkStore,
+    engine: &CompareEngine,
+    spec: &JobSpec,
+) -> (JobOutcome, Option<Vec<u8>>) {
     let timeline = Timeline::sim(SimClock::new());
     let ctx = Ctx {
         obs: Observer::with_journal(timeline.obs_clock()),
         timeline,
     };
-    let result = run_spec(store, engine, spec, &ctx);
-    JobOutcome {
+    let (result, payload) = match run_spec(store, engine, spec, &ctx) {
+        Ok((doc, payload)) => (Ok(doc), payload),
+        Err(message) => (Err(message), None),
+    };
+    let outcome = JobOutcome {
         result,
         events: ctx.obs.journal().events(),
         ledger: ctx.obs.journal().ledger(),
-    }
+    };
+    (outcome, payload)
 }
+
+/// A job's result document and, for a materialize, the object's bytes.
+type Produced = (Value, Option<Vec<u8>>);
 
 fn run_spec(
     store: &ChunkStore,
     engine: &CompareEngine,
     spec: &JobSpec,
     ctx: &Ctx,
-) -> Result<Value, String> {
+) -> Result<Produced, String> {
     let open = |object: &ObjectRef| {
         ops::open_stored(store, object, engine)
             .map(|opened| opened.source)
@@ -352,15 +384,14 @@ fn run_spec(
             let Value::Object(fields) = stats.to_value() else {
                 unreachable!("IngestStats serializes as an object");
             };
-            Ok(Value::Object(
-                fields.into_iter().filter(|(k, _)| k != "pack").collect(),
-            ))
+            let doc = Value::Object(fields.into_iter().filter(|(k, _)| k != "pack").collect());
+            Ok((doc, None))
         }
         JobSpec::Compare { left, right } => {
             let a = open(left)?;
             let b = open(right)?;
             let report = engine.compare(&a, &b, ctx).map_err(|e| e.to_string())?;
-            Ok(report.to_value())
+            Ok((report.to_value(), None))
         }
         JobSpec::CompareMany { baseline, runs } => {
             let base = open(baseline)?;
@@ -376,18 +407,18 @@ fn run_spec(
                     ctx,
                 )
                 .map_err(|e| e.to_string())?;
-            Ok(report.to_value())
+            Ok((report.to_value(), None))
         }
         JobSpec::Materialize { name, version } => {
             let bytes = store
                 .materialize(name, *version)
                 .map_err(|e| e.to_string())?;
-            Ok(Value::Object(vec![
+            let doc = Value::Object(vec![
                 ("name".to_owned(), Value::String(name.clone())),
                 ("version".to_owned(), Value::UInt(*version)),
                 ("bytes".to_owned(), Value::UInt(bytes.len() as u64)),
-                ("data".to_owned(), Value::String(hex_encode(&bytes))),
-            ]))
+            ]);
+            Ok((doc, Some(bytes)))
         }
     }
 }
@@ -417,6 +448,7 @@ impl Jobs {
                 state: JobState::Queued,
                 spec: Some(spec),
                 result: None,
+                payload: None,
                 error: None,
                 events: Vec::new(),
                 ledger: None,
@@ -447,7 +479,7 @@ impl Jobs {
     /// records are returned so their megabytes are freed after the
     /// table's lock is.
     #[must_use = "drop the retired records outside the lock"]
-    fn finish(&mut self, id: u64, outcome: JobOutcome) -> Vec<JobRecord> {
+    fn finish(&mut self, id: u64, outcome: JobOutcome, payload: Option<Vec<u8>>) -> Vec<JobRecord> {
         let record = self
             .records
             .get_mut(&id)
@@ -461,8 +493,10 @@ impl Jobs {
         match outcome.result {
             Ok(value) => {
                 record.state = JobState::Done;
-                record.retained_bytes += value_heap_bytes(&value);
+                record.retained_bytes +=
+                    value_heap_bytes(&value) + payload.as_ref().map_or(0, Vec::len);
                 record.result = Some(Arc::new(value));
+                record.payload = payload.map(Arc::new);
                 self.counts.done += 1;
             }
             Err(message) => {
@@ -646,7 +680,9 @@ pub struct JobStatus {
     /// Lifecycle state.
     pub state: JobState,
     /// Result document when done — shared with the table's record, so
-    /// asking for a status never copies a payload.
+    /// asking for a status never copies one, except a materialize's,
+    /// whose bytes the table keeps raw: its document is a copy with
+    /// them as hex `"data"`.
     pub result: Option<Arc<Value>>,
     /// Failure message when failed.
     pub error: Option<String>,
@@ -848,22 +884,35 @@ impl Server {
     /// A job's current status, or `None` for an id the table does not
     /// hold: never issued, or finished long enough ago that its record
     /// retired (the table keeps finished jobs up to a fixed byte
-    /// budget, oldest out first).
+    /// budget, oldest out first). A materialize's result carries its
+    /// bytes as hex `"data"`, as [`execute_spec`] reports them.
     #[must_use]
     pub fn status(&self, job: u64) -> Option<JobStatus> {
-        let jobs = self.jobs.jobs.lock();
-        jobs.records.get(&job).map(|r| r.status(job))
+        self.kept_status(job, false).map(in_one_document)
     }
 
     /// Blocks until `job` reaches a terminal state; `None` as for
     /// [`Server::status`].
     #[must_use]
     pub fn wait(&self, job: u64) -> Option<JobStatus> {
+        self.kept_status(job, true).map(in_one_document)
+    }
+
+    /// The status as the table keeps it, a materialize's bytes beside
+    /// its document, after blocking until the job is terminal when
+    /// `wait` is set; `None` as for [`Server::status`].
+    pub(crate) fn kept_status(
+        &self,
+        job: u64,
+        wait: bool,
+    ) -> Option<(JobStatus, Option<Arc<Vec<u8>>>)> {
         let mut jobs = self.jobs.jobs.lock();
         loop {
             match jobs.records.get(&job) {
                 None => return None,
-                Some(r) if r.state.is_terminal() => return Some(r.status(job)),
+                Some(r) if r.state.is_terminal() || !wait => {
+                    return Some((r.status(job), r.payload.clone()))
+                }
                 Some(_) => self.jobs.changed.wait(&mut jobs),
             }
         }
@@ -873,7 +922,7 @@ impl Server {
     /// (blocks until terminal); `None` for an unknown id.
     #[must_use]
     pub fn job_journal(&self, job: u64) -> Option<(Vec<Event>, JournalLedger)> {
-        self.wait(job)?;
+        self.kept_status(job, true)?;
         let jobs = self.jobs.jobs.lock();
         let r = jobs.records.get(&job)?;
         Some((r.events.clone(), r.ledger?))
@@ -940,15 +989,6 @@ impl Server {
         *self.stop_requested.0.lock()
     }
 
-    /// Blocks until [`Server::request_stop`] is called.
-    pub fn wait_for_stop(&self) {
-        let (flag, cvar) = &*self.stop_requested;
-        let mut stopped = flag.lock();
-        while !*stopped {
-            cvar.wait(&mut stopped);
-        }
-    }
-
     /// Graceful shutdown: admission closes immediately, every already
     /// admitted job is executed to completion, workers drain and join.
     /// Idempotent. The store lock is released when the server is
@@ -970,6 +1010,15 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// A status whose kept payload is hex-encoded into its document's
+/// `"data"` field: the one document [`execute_spec`] reports.
+fn in_one_document((mut status, payload): (JobStatus, Option<Arc<Vec<u8>>>)) -> JobStatus {
+    if let (Some(result), Some(bytes)) = (&mut status.result, payload) {
+        fill_data(Arc::make_mut(result), &bytes);
+    }
+    status
 }
 
 fn worker_loop(store: &ChunkStore, engine: &CompareEngine, ctx: &TelemetryCtx, worker: usize) {
@@ -994,7 +1043,7 @@ fn worker_loop(store: &ChunkStore, engine: &CompareEngine, ctx: &TelemetryCtx, w
         let spec = jobs.jobs.lock().start(job.id);
         jobs.changed.notify_all();
 
-        let outcome = execute_spec(store, engine, &spec);
+        let (outcome, payload) = execute(store, engine, &spec);
         // The spec of an ingest owns its payload: free it before the
         // result takes its place in the table.
         drop(spec);
@@ -1007,7 +1056,7 @@ fn worker_loop(store: &ChunkStore, engine: &CompareEngine, ctx: &TelemetryCtx, w
         } else {
             failed_counter.inc();
         }
-        let retired = jobs.jobs.lock().finish(job.id, outcome);
+        let retired = jobs.jobs.lock().finish(job.id, outcome, payload);
         jobs.changed.notify_all();
         drop(retired);
         slot.jobs.fetch_add(1, Ordering::Relaxed);
@@ -1023,6 +1072,7 @@ fn worker_loop(store: &ChunkStore, engine: &CompareEngine, ctx: &TelemetryCtx, w
 mod tests {
     use super::*;
     use crate::client::{ClientError, ServerClient};
+    use crate::proto::hex_encode;
     use crate::transport::{pair, serve_connection};
 
     const MIB: usize = 1 << 20;
@@ -1055,7 +1105,7 @@ mod tests {
         for id in 3..67 {
             jobs.admit(id, "c", spec());
             jobs.start(id);
-            drop(jobs.finish(id, outcome(2 * MIB)));
+            drop(jobs.finish(id, outcome(2 * MIB), None));
             assert!(jobs.retained_bytes <= RETAINED_BYTES_BUDGET);
         }
         assert_eq!(jobs.records[&1].state, JobState::Queued);
@@ -1087,7 +1137,7 @@ mod tests {
         for id in 1..=2 {
             jobs.admit(id, "c", spec());
             jobs.start(id);
-            drop(jobs.finish(id, outcome(RETAINED_BYTES_BUDGET + 1)));
+            drop(jobs.finish(id, outcome(RETAINED_BYTES_BUDGET + 1), None));
         }
         assert!(!jobs.records.contains_key(&1));
         assert!(jobs.records[&2].result.is_some(), "still there to be read");

@@ -21,8 +21,8 @@ use crossbeam::channel::{self, Receiver, Sender};
 use serde::Serialize;
 
 use crate::proto::{
-    encode, read_frame, read_frame_into, recycle, write_frame_with, write_status_response, Request,
-    Response, PROTOCOL_VERSION,
+    decode_request, encode, read_frame, read_frame_into, recycle, write_frame_with,
+    write_status_response, Payloads, Request, Response, PROTOCOL_VERSION,
 };
 use crate::queue::AdmitError;
 use crate::server::{JobSpec, Server};
@@ -35,6 +35,20 @@ pub trait Conn: Send {
     ///
     /// Underlying transport failures (peer gone, socket error).
     fn send(&mut self, payload: &[u8]) -> std::io::Result<()>;
+
+    /// Sends one frame whose payload is `head` followed by `tail` — a
+    /// header and its raw section — as [`Conn::send`] would send the
+    /// two joined.
+    ///
+    /// # Errors
+    ///
+    /// As [`Conn::send`].
+    fn send_parts(&mut self, head: &[u8], tail: &[u8]) -> std::io::Result<()> {
+        if tail.is_empty() {
+            return self.send(head);
+        }
+        self.send(&[head, tail].concat())
+    }
 
     /// Receives one frame payload; `Ok(None)` when the peer hung up
     /// cleanly.
@@ -96,7 +110,11 @@ impl TcpConn {
 
 impl Conn for TcpConn {
     fn send(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        write_frame_with(&mut self.stream, &mut self.frame, payload)
+        write_frame_with(&mut self.stream, &mut self.frame, payload, &[])
+    }
+
+    fn send_parts(&mut self, head: &[u8], tail: &[u8]) -> std::io::Result<()> {
+        write_frame_with(&mut self.stream, &mut self.frame, head, tail)
     }
 
     fn recv(&mut self) -> std::io::Result<Option<Vec<u8>>> {
@@ -145,8 +163,12 @@ pub fn pair() -> (ChannelConn, ChannelConn) {
 
 impl Conn for ChannelConn {
     fn send(&mut self, payload: &[u8]) -> std::io::Result<()> {
+        self.send_parts(payload, &[])
+    }
+
+    fn send_parts(&mut self, head: &[u8], tail: &[u8]) -> std::io::Result<()> {
         self.tx
-            .send(payload.to_vec())
+            .send([head, tail].concat())
             .map_err(|_| std::io::Error::new(std::io::ErrorKind::BrokenPipe, "peer disconnected"))
     }
 
@@ -170,13 +192,19 @@ impl Conn for ChannelConn {
 pub fn serve_connection(server: &Server, conn: &mut dyn Conn) -> std::io::Result<()> {
     // Fair-queuing identity until (and unless) the client says hello.
     let mut client = String::from("anonymous");
+    // How payloads travel, as the last hello agreed.
+    let mut payloads = Payloads::Hex;
     // This connection's frame buffers, reused from request to request.
     let (mut payload, mut answer) = (Vec::new(), Vec::new());
-    while conn.recv_into(&mut payload)? {
-        let request = Request::decode(&payload);
+    loop {
+        // An ingest's raw section is read from `payload` until its job
+        // is admitted, so the buffer is let go only before the next.
         recycle(&mut payload);
-        let request = match request {
-            Ok(request) => request,
+        if !conn.recv_into(&mut payload)? {
+            break;
+        }
+        let (request, section) = match decode_request(&payload, payloads) {
+            Ok(decoded) => decoded,
             Err(e) => {
                 conn.send(&encode(&Response::Error {
                     message: e.to_string(),
@@ -188,33 +216,33 @@ pub fn serve_connection(server: &Server, conn: &mut dyn Conn) -> std::io::Result
             Request::Hello {
                 client: name,
                 protocol: _,
+                raw_sections,
             } => {
                 client = name;
+                payloads = Payloads::agreed(raw_sections);
                 conn.send(&encode(&Response::HelloOk {
                     server: "reprocmp-server".to_owned(),
                     protocol: PROTOCOL_VERSION,
                     queue_capacity: server.queue().capacity() as u64,
+                    raw_sections,
                 }))?;
             }
             Request::Status { job, wait } => {
-                let status = if wait {
-                    server.wait(job)
-                } else {
-                    server.status(job)
-                };
-                match status {
-                    // Written from the table's own document, outside
-                    // the table's lock: the only copy of a result an
-                    // answer makes is its text.
-                    Some(s) => {
-                        write_status_response(
+                match server.kept_status(job, wait) {
+                    // Written from the table's own document and
+                    // payload, outside the table's lock: the only copy
+                    // of a result an answer makes is the frame.
+                    Some((s, kept)) => {
+                        let section = write_status_response(
                             &mut answer,
                             job,
                             s.state,
                             s.result.as_deref(),
+                            kept.as_deref().map(Vec::as_slice),
                             s.error.as_deref(),
+                            payloads,
                         );
-                        let sent = conn.send(&answer);
+                        let sent = conn.send_parts(&answer, section);
                         recycle(&mut answer);
                         sent?;
                     }
@@ -235,8 +263,8 @@ pub fn serve_connection(server: &Server, conn: &mut dyn Conn) -> std::io::Result
                         }))?;
                     }
                     let state = server
-                        .status(job)
-                        .map_or(crate::proto::JobState::Done, |s| s.state);
+                        .kept_status(job, false)
+                        .map_or(crate::proto::JobState::Done, |(s, _)| s.state);
                     conn.send(&encode(&Response::Done {
                         job,
                         state,
@@ -289,7 +317,7 @@ pub fn serve_connection(server: &Server, conn: &mut dyn Conn) -> std::io::Result
                 server.request_stop();
             }
             job_request => {
-                let response = match JobSpec::from_request(job_request)
+                let response = match JobSpec::from_request(job_request, section)
                     .expect("non-session verbs carry a job spec")
                 {
                     Ok(spec) => match server.submit(&client, spec) {

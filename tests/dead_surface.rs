@@ -68,8 +68,6 @@ const KEPT: &[(&str, &str, &str)] = &[
     ("crates/obs/src/stage.rs", "compare_time", "item 15"),
     ("crates/obs/src/telemetry.rs", "period", "item 11"),
     ("crates/obs/src/telemetry.rs", "prometheus_name", "item 11"),
-    ("crates/server/src/queue.rs", "is_shutting_down", "item 11"),
-    ("crates/server/src/server.rs", "wait_for_stop", "item 11"),
     ("crates/store/src/journal.rs", "is_begin", "item 11"),
     ("crates/store/src/manifest.rs", "skipped_refs", "item 11"),
     ("crates/store/src/storage.rs", "pack_count", "item 11"),

@@ -41,6 +41,7 @@ fn canonical_requests() -> Vec<(&'static str, Request)> {
             Request::Hello {
                 client: "rank-0".into(),
                 protocol: PROTOCOL_VERSION,
+                raw_sections: false,
             },
         ),
         (
@@ -117,6 +118,7 @@ fn canonical_responses() -> Vec<(&'static str, Response)> {
                 server: "reprocmp-server".into(),
                 protocol: PROTOCOL_VERSION,
                 queue_capacity: 64,
+                raw_sections: false,
             },
         ),
         ("resp_accepted", Response::Accepted { job: 42 }),
@@ -316,6 +318,7 @@ fn future_hello_fixture_remains_acceptable() {
             server,
             protocol,
             queue_capacity,
+            ..
         } => {
             assert_eq!(server, "reprocmp-server/9.9");
             assert_eq!(protocol, 99, "future revisions advertise themselves");

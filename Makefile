@@ -40,10 +40,11 @@ figures-check:
 benchmark-test:
 	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
 
-# One second of each compare workload on real files; every op must be
-# correct and none may fail.
+# One second of each compare workload on real files, and of the daemon
+# over loopback TCP with eight jobs in flight; every op must be correct
+# and none may fail.
 benchmark-smoke:
-	for wl in compare_sparse compare_dense; do \
+	for wl in compare_sparse compare_dense daemon_mix; do \
 		$(CARGO) run --release --offline --manifest-path benchmark/Cargo.toml -- \
 			run --workload $$wl --seconds 1 | tail -n 1 > $$wl-smoke.json && \
 		grep -q '"correct":true,' $$wl-smoke.json && \

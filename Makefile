@@ -40,11 +40,12 @@ figures-check:
 benchmark-test:
 	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
 
-# One second of each compare workload on real files, and of the daemon
-# over loopback TCP with eight jobs in flight; every op must be correct
-# and none may fail.
+# One second of each compare workload on real files, of the daemon
+# over loopback TCP with eight jobs in flight, and of a delta-chain
+# store cycle through the CLI; every op must be correct and none may
+# fail.
 benchmark-smoke:
-	for wl in compare_sparse compare_dense daemon_mix; do \
+	for wl in compare_sparse compare_dense daemon_mix store_cycle; do \
 		$(CARGO) run --release --offline --manifest-path benchmark/Cargo.toml -- \
 			run --workload $$wl --seconds 1 | tail -n 1 > $$wl-smoke.json && \
 		grep -q '"correct":true,' $$wl-smoke.json && \

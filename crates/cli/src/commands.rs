@@ -1225,7 +1225,7 @@ pub fn ingest(map: &ArgMap) -> Result<String, CliError> {
         delta.then_some(&policy),
     );
     let stats = match result {
-        Ok(stats) => stats,
+        Ok(done) => done.stats,
         Err(OpError::Store(StoreError::Exists { name, version })) => {
             return Ok(format!(
                 "{name}@{version} already in store; ingest is idempotent, nothing written\n"

@@ -183,6 +183,34 @@ impl CompareEngine {
         encode_tree(&self.capture(Floats::LeBytes(payload)).0)
     }
 
+    /// [`CompareEngine::encode_payload_metadata`] seeded by `parent`,
+    /// this engine's tree over an earlier payload of the same length:
+    /// only the chunks `dirty` lists (ascending) are hashed, a run of
+    /// them at a time through [`MerkleTree::update_region`], and every
+    /// other leaf is the parent's. The result is byte-identical to a
+    /// fresh capture when the other chunks' bytes are the parent's.
+    ///
+    /// # Panics
+    ///
+    /// If `parent` was not built under this engine's chunking and bound
+    /// over a payload of this length, or a chunk index is out of range.
+    #[must_use]
+    pub fn encode_payload_metadata_from(
+        &self,
+        payload: &[u8],
+        mut parent: MerkleTree,
+        dirty: &[usize],
+    ) -> Vec<u8> {
+        let values = Floats::LeBytes(payload);
+        let per_chunk = self.config.chunk_bytes / 4;
+        for run in dirty.chunk_by(|a, b| a + 1 == *b) {
+            let (first, last) = (run[0], run[run.len() - 1]);
+            let end = ((last + 1) * per_chunk).min(values.len());
+            parent.update_region(values, first * per_chunk..end, &self.hasher);
+        }
+        encode_tree(&parent)
+    }
+
     /// Compares two checkpoints, timing phases on `ctx.timeline` (a
     /// [`Timeline::Sim`] sharing the sources' virtual clock gives
     /// deterministic modeled results) and recording into `ctx.obs`: a

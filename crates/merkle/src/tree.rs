@@ -316,14 +316,12 @@ impl MerkleTree {
     }
 
     /// Replaces leaf `i`'s digest and recomputes its root path —
-    /// `O(log n)` instead of a full rebuild. This is the incremental
-    /// capture path: an application that knows which chunks it dirtied
-    /// since the last checkpoint updates only those leaves.
+    /// `O(log n)` instead of a full rebuild.
     ///
     /// # Panics
     ///
     /// If `i >= leaf_count()`.
-    pub fn update_leaf(&mut self, i: usize, digest: Digest128) {
+    fn update_leaf(&mut self, i: usize, digest: Digest128) {
         assert!(i < self.leaf_count, "leaf index out of range");
         let mut idx = self.leaf_base() + i;
         self.nodes[idx] = digest;
@@ -333,9 +331,13 @@ impl MerkleTree {
         }
     }
 
-    /// Re-hashes the chunks covering `values[dirty]` and updates their
-    /// leaves. `values` must be the full payload this tree describes
-    /// and `hasher` must match the tree's chunking and bound.
+    /// Re-hashes the chunks covering `values[dirty]` (value indices)
+    /// and updates their leaves and root paths. This is the incremental
+    /// capture path: a capture that knows which chunks changed since
+    /// the tree was built hashes only those. `values` must be the full
+    /// payload this tree describes, floats or little-endian bytes
+    /// hashed in place, and `hasher` must match the tree's chunking and
+    /// bound.
     ///
     /// # Panics
     ///
@@ -343,7 +345,7 @@ impl MerkleTree {
     /// bound disagrees, or the range is out of bounds.
     pub fn update_region(
         &mut self,
-        values: &[f32],
+        values: Floats<'_>,
         dirty: std::ops::Range<usize>,
         hasher: &ChunkHasher,
     ) {
@@ -367,11 +369,7 @@ impl MerkleTree {
         let lo = first * values_per_chunk;
         let hi = ((last + 1) * values_per_chunk).min(values.len());
         let mut digests = vec![Digest128::ZERO; last + 1 - first];
-        hasher.hash_leaves_into(
-            Floats::Values(&values[lo..hi]),
-            values_per_chunk,
-            &mut digests,
-        );
+        hasher.hash_leaves_into(values.slice(lo..hi), values_per_chunk, &mut digests);
         for (i, digest) in digests.into_iter().enumerate() {
             self.update_leaf(first + i, digest);
         }
@@ -513,7 +511,7 @@ mod tests {
         }
         let mut rewritten =
             MerkleTree::build_from_f32(&vec![0.0; d.len()], 100, &h, &Device::host_serial());
-        rewritten.update_region(&d, 0..d.len(), &h);
+        rewritten.update_region(Floats::Values(&d), 0..d.len(), &h);
         assert_eq!(rewritten, reference, "update_region after a full rewrite");
     }
 
@@ -649,7 +647,7 @@ mod tests {
             for v in &mut d[lo..hi] {
                 *v += 3.0;
             }
-            t.update_region(&d, lo..hi, &h);
+            t.update_region(Floats::Values(&d), lo..hi, &h);
         }
         let rebuilt = MerkleTree::build_from_f32(&d, 128, &h, &dev);
         assert_eq!(t, rebuilt, "incremental path must equal full rebuild");
@@ -678,7 +676,7 @@ mod tests {
         let h = hasher(1e-5);
         let mut t = MerkleTree::build_from_f32(&d, 64, &h, &Device::host_serial());
         let before = t.clone();
-        t.update_region(&d, 500..500, &h);
+        t.update_region(Floats::Values(&d), 500..500, &h);
         assert_eq!(t, before);
     }
 
@@ -687,7 +685,7 @@ mod tests {
     fn update_with_wrong_bound_panics() {
         let d = data(256);
         let mut t = MerkleTree::build_from_f32(&d, 64, &hasher(1e-5), &Device::host_serial());
-        t.update_region(&d, 0..10, &hasher(1e-4));
+        t.update_region(Floats::Values(&d), 0..10, &hasher(1e-4));
     }
 
     #[test]

@@ -375,7 +375,8 @@ fn run_spec(
                 Some(engine),
                 None,
             )
-            .map_err(|e| e.to_string())?;
+            .map_err(|e| e.to_string())?
+            .stats;
             // The wire result exposes the dedup ledger, not physical
             // placement: the pack id is allocated in execution order,
             // so keeping it would make the report depend on how

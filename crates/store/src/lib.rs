@@ -50,7 +50,7 @@ pub use metrics::StoreMetrics;
 pub use pack::{PackRecord, PackRepair, DEFAULT_PARITY_GROUP_WIDTH};
 pub use storage::StoreStorage;
 pub use store::{
-    ChainLink, ChunkStore, CompactStats, DeltaPolicy, FsckReport, GcStats, IngestStats,
+    ChainLink, ChunkStore, CompactStats, DeltaPolicy, Digested, FsckReport, GcStats, IngestStats,
     ObjectLayout, ScrubFailure, ScrubReport, StoreConfig, StoreStats, LOCK_FILE, QUARANTINE_FILE,
 };
 

@@ -4,7 +4,9 @@
 //! `compare` with trees reads the VELOC header, both trees and the
 //! chunks stage 1 flags — never the whole payload. Without trees it
 //! reads each payload byte once and holds a few stage-2 slices of it,
-//! never a whole payload. The budget counts `rchar` from
+//! never a whole payload. A delta ingest hashes an ε-leaf for no more
+//! chunks than changed since its parent, and its metadata is still
+//! byte for byte a fresh capture's. The read budget counts `rchar` from
 //! `/proc/self/io`, which every `read`/`pread` in the process adds to,
 //! page-cache hits included, and the live heap through a counting
 //! allocator. Both counters are per process, so this file holds exactly
@@ -16,7 +18,9 @@ mod alloc;
 
 use std::path::{Path, PathBuf};
 
-use reprocmp::core::{ops, CompareEngine, EngineConfig};
+use reprocmp::core::ops::{self, Image};
+use reprocmp::core::{CompareEngine, EngineConfig};
+use reprocmp::store::{ChunkStore, DeltaPolicy};
 use reprocmp::veloc::{decode_checkpoint, encode_checkpoint};
 use serde::Value;
 
@@ -66,8 +70,8 @@ fn values(seed: u64, n: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Writes a VELOC checkpoint of `data` split into four regions.
-fn write_checkpoint(path: &Path, data: &[f32]) {
+/// A VELOC checkpoint image of `data` split into four regions.
+fn checkpoint(version: u64, data: &[f32]) -> Vec<u8> {
     let quarter = data.len() / 4;
     let names = ["x", "y", "z", "phi"];
     let regions: Vec<(&str, &[f32])> = names
@@ -75,7 +79,73 @@ fn write_checkpoint(path: &Path, data: &[f32]) {
         .zip(data.chunks(quarter))
         .map(|(n, c)| (*n, c))
         .collect();
-    std::fs::write(path, encode_checkpoint(1, &regions)).expect("write checkpoint");
+    encode_checkpoint(version, &regions)
+}
+
+/// Writes a VELOC checkpoint of `data` split into four regions.
+fn write_checkpoint(path: &Path, data: &[f32]) {
+    std::fs::write(path, checkpoint(1, data)).expect("write checkpoint");
+}
+
+/// A four-version chain, each version rewriting three runs of eight
+/// 4 KiB chunks (about 5 % of 512), ingested `--with-meta --delta`: each
+/// delta hashes at most its changed payload chunks, and every manifest's
+/// metadata equals a fresh capture of its payload.
+fn delta_capture_hashes_only_changed_chunks(dir: &Path) {
+    const VALUES: usize = 512 << 10;
+    const PER_CHUNK: usize = 1024;
+    let store = ChunkStore::open(&dir.join("delta-store")).expect("store");
+    let engine = CompareEngine::new(EngineConfig::default());
+    let mut payload = values(3, VALUES);
+    let mut prev: Option<Vec<f32>> = None;
+    for version in 1..=4u64 {
+        if version > 1 {
+            for run in 0..3 {
+                let first = (version as usize * 97 + run * 151) % (VALUES / PER_CHUNK - 8);
+                for chunk in first..first + 8 {
+                    payload[chunk * PER_CHUNK + 5] += 0.5;
+                }
+            }
+        }
+        let changed = prev.as_ref().map(|old: &Vec<f32>| {
+            let pairs = old.chunks(PER_CHUNK).zip(payload.chunks(PER_CHUNK));
+            pairs.filter(|(a, b)| a != b).count() as u64
+        });
+        let bytes = checkpoint(version, &payload);
+        let image = Image::parse(&bytes).expect("a VELOC image");
+        let delta = DeltaPolicy::default();
+        let done = ops::ingest(
+            &store,
+            "chain",
+            version,
+            &image,
+            4096,
+            Some(&engine),
+            Some(&delta),
+        )
+        .expect("ingest");
+        match changed {
+            None => assert_eq!(done.leaves_hashed, (VALUES / PER_CHUNK) as u64),
+            Some(changed) => {
+                assert_eq!(
+                    done.stats.parent,
+                    Some(version - 1),
+                    "v{version} is a delta"
+                );
+                assert!(
+                    done.leaves_hashed <= changed,
+                    "v{version} hashed {} ε-leaves for {changed} changed chunks",
+                    done.leaves_hashed
+                );
+            }
+        }
+        let stored = store.layout("chain", version).expect("stored").meta;
+        assert!(
+            stored == engine.encode_payload_metadata(image.payload()),
+            "v{version}: stored metadata differs from a fresh capture"
+        );
+        prev = Some(payload.clone());
+    }
 }
 
 fn report_u64(report: &Value, section: &str, field: &str) -> u64 {
@@ -217,6 +287,8 @@ fn compare_with_trees_reads_headers_trees_and_flagged_chunks_only() {
             .ends_with("checkpoint file truncated"),
         "{header_only}"
     );
+
+    delta_capture_hashes_only_changed_chunks(&dir);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -55,8 +55,6 @@ const KEPT: &[(&str, &str, &str)] = &[
     ("crates/io/src/mmap.rs", "resident_pages", "item 11"),
     ("crates/io/src/retry.rs", "with_deadline", "item 11"),
     ("crates/io/src/storage.rs", "write_at", "item 11"),
-    ("crates/merkle/src/tree.rs", "update_leaf", "item 19"),
-    ("crates/merkle/src/tree.rs", "update_region", "item 19"),
     ("crates/obs/src/cache.rs", "node_lookups", "item 22"),
     ("crates/obs/src/cache.rs", "verdict_lookups", "item 22"),
     ("crates/obs/src/metrics.rs", "bucket_index", "item 15"),

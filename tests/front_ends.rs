@@ -16,19 +16,27 @@
 //!   `false_positive_chunks` are derived exactly from the reference's
 //!   (see [`without_trees`]).
 //!
+//! * **A delta chain** — `ingest --with-meta --delta` and the daemon's
+//!   ingest of the same four versions store equal layouts, each version's
+//!   metadata a fresh capture's though the parent lent most leaves; and
+//!   every case where a parent cannot lend them captures fresh.
+//!
 //! The inputs are one pair of VELOC checkpoints from two `simulate`
-//! runs with different reduction orders, and one raw `f32` pair.
+//! runs with different reduction orders, one raw `f32` pair, and a
+//! generated four-version chain.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use reprocmp::core::ops::{self, Image};
 use reprocmp::core::{CompareEngine, EngineConfig};
 use reprocmp::server::{
     execute_spec, pair, serve_connection, ClientError, JobSpec, JobState, ObjectRef, Server,
     ServerClient, ServerConfig,
 };
-use reprocmp::store::ChunkStore;
+use reprocmp::store::{ChunkStore, DeltaPolicy};
+use reprocmp::veloc::encode_checkpoint;
 use serde::Value;
 
 const CHUNK_BYTES: usize = 256;
@@ -377,6 +385,199 @@ fn cli_executor_and_daemon_ingest_alike_and_four_compares_agree() {
     drop(session);
     serving.join().expect("serve thread").expect("serve to EOF");
     drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn engine_with(chunk_bytes: usize, error_bound: f64) -> CompareEngine {
+    CompareEngine::new(EngineConfig {
+        chunk_bytes,
+        error_bound,
+        ..EngineConfig::default()
+    })
+}
+
+/// A VELOC image of `data` cut into regions of `region_values` values.
+fn image(version: u64, data: &[f32], region_values: usize) -> Vec<u8> {
+    let names: Vec<String> = (0..data.len().div_ceil(region_values))
+        .map(|i| format!("r{i}"))
+        .collect();
+    let regions: Vec<(&str, &[f32])> = names
+        .iter()
+        .map(String::as_str)
+        .zip(data.chunks(region_values))
+        .collect();
+    encode_checkpoint(version, &regions)
+}
+
+/// `data` with one value moved in each of the 64-value chunks listed.
+fn churned(data: &[f32], chunks: &[usize]) -> Vec<f32> {
+    let mut out = data.to_vec();
+    for &c in chunks {
+        out[c * 64 + 7] += 0.25;
+    }
+    out
+}
+
+#[test]
+fn a_delta_chain_ingests_alike_and_every_fallback_captures_fresh() {
+    let dir = fresh_dir("delta");
+    let engine = engine_with(CHUNK_BYTES, ERROR_BOUND);
+    let base: Vec<f32> = (0..2560).map(|i| (i as f32 * 0.003).cos()).collect();
+    let mut versions = vec![base.clone()];
+    for churn in [[3, 4, 5], [20, 21, 39], [0, 17, 18]] {
+        versions.push(churned(versions.last().unwrap(), &churn));
+    }
+
+    let cli_store = dir.join("cli-store");
+    let server = Arc::new(
+        Server::start(ServerConfig {
+            chunk_bytes: CHUNK_BYTES,
+            error_bound: ERROR_BOUND,
+            telemetry_cadence: Duration::ZERO,
+            ..ServerConfig::rooted_at(dir.join("daemon-store"))
+        })
+        .expect("daemon"),
+    );
+    let (client_end, mut server_end) = pair();
+    let serving = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || serve_connection(&server, &mut server_end))
+    };
+    let mut session = ServerClient::over(Box::new(client_end), "delta").expect("hello");
+    for (i, values) in versions.iter().enumerate() {
+        let version = i as u64 + 1;
+        let data = image(version, values, 640);
+        let file = dir.join(format!("chain.v{version}.ckpt"));
+        std::fs::write(&file, &data).expect("write version");
+        let version_arg = version.to_string();
+        cli_with_engine(&[
+            "ingest",
+            "--store",
+            path_str(&cli_store),
+            "--input",
+            path_str(&file),
+            "--name",
+            "chain",
+            "--version",
+            &version_arg,
+            "--with-meta",
+            "--delta",
+        ]);
+        let job = session
+            .ingest("chain", version, CHUNK_BYTES as u64, &data)
+            .expect("submit ingest");
+        let status = session.wait(job).expect("wait ingest");
+        assert_eq!(status.state, JobState::Done, "{:?}", status.error);
+    }
+    let cli_view = ChunkStore::open(&cli_store).expect("reopen the CLI's store");
+    assert_eq!(cli_view.chain("chain", 4).expect("chain").len(), 4);
+    for (i, values) in versions.iter().enumerate() {
+        let version = i as u64 + 1;
+        let by_cli = cli_view.layout("chain", version).expect("CLI object");
+        let by_daemon = server.store().layout("chain", version).expect("daemon");
+        assert!(by_daemon == by_cli, "chain@{version}: daemon vs CLI");
+        let fresh =
+            engine.encode_payload_metadata(Image::parse(&image(1, values, 640)).unwrap().payload());
+        assert!(by_cli.meta == fresh, "chain@{version}: not a fresh capture");
+    }
+    drop(session);
+    serving.join().expect("serve thread").expect("serve to EOF");
+    drop(server);
+
+    // One parent, one child: the child's metadata is a fresh capture's
+    // whatever the parent holds, and it hashes every leaf unless the
+    // parent can lend them.
+    let child = churned(&base, &[9, 10]);
+    let leaves = (child.len() * 4).div_ceil(CHUNK_BYTES) as u64;
+    let captured = |what: &str, parent: (&[u8], usize, Vec<u8>), child: (&[u8], usize)| {
+        let store = ChunkStore::open(&dir.join(what.replace(' ', "-"))).expect("store");
+        let first = Image::parse(parent.0).unwrap();
+        store
+            .ingest("row", 1, &first.segments(), parent.1, &parent.2)
+            .expect("parent");
+        let image = Image::parse(child.0).unwrap();
+        let delta = DeltaPolicy::default();
+        let done = ops::ingest(
+            &store,
+            "row",
+            2,
+            &image,
+            child.1,
+            Some(&engine),
+            Some(&delta),
+        )
+        .expect("child");
+        let meta = store.layout("row", 2).expect("child").meta;
+        assert!(
+            meta == engine.encode_payload_metadata(image.payload()),
+            "{what}: not a fresh capture"
+        );
+        done.leaves_hashed
+    };
+    let meta = |e: &CompareEngine, data: &[u8]| {
+        e.encode_payload_metadata(Image::parse(data).unwrap().payload())
+    };
+    let (parent, kid) = (image(1, &base, 640), image(2, &child, 640));
+    let own = meta(&engine, &parent);
+    let lent = captured(
+        "parent lends",
+        (&parent, CHUNK_BYTES, own.clone()),
+        (&kid, CHUNK_BYTES),
+    );
+    assert_eq!(lent, 2, "only the two changed chunks are hashed");
+    let short = image(1, &base[..2304], 576);
+    let unaligned = (image(1, &base, 600), image(2, &child, 600));
+    for (what, parent, child) in [
+        (
+            "parent eps differs",
+            (
+                &parent[..],
+                CHUNK_BYTES,
+                meta(&engine_with(CHUNK_BYTES, 1e-6), &parent),
+            ),
+            (&kid[..], CHUNK_BYTES),
+        ),
+        (
+            "parent chunk size differs",
+            (
+                &parent[..],
+                512,
+                meta(&engine_with(512, ERROR_BOUND), &parent),
+            ),
+            (&kid[..], CHUNK_BYTES),
+        ),
+        (
+            "store chunk size is not the engine's",
+            (&parent[..], 512, own.clone()),
+            (&kid[..], 512),
+        ),
+        (
+            "payload length differs",
+            (&short[..], CHUNK_BYTES, meta(&engine, &short)),
+            (&kid[..], CHUNK_BYTES),
+        ),
+        (
+            "parent metadata empty",
+            (&parent[..], CHUNK_BYTES, Vec::new()),
+            (&kid[..], CHUNK_BYTES),
+        ),
+        (
+            "parent metadata undecodable",
+            (&parent[..], CHUNK_BYTES, b"not a tree".to_vec()),
+            (&kid[..], CHUNK_BYTES),
+        ),
+        (
+            "regions not chunk-aligned",
+            (&unaligned.0[..], CHUNK_BYTES, meta(&engine, &unaligned.0)),
+            (&unaligned.1[..], CHUNK_BYTES),
+        ),
+    ] {
+        assert_eq!(
+            captured(what, parent, child),
+            leaves,
+            "{what}: a fresh capture"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

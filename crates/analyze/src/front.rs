@@ -67,14 +67,6 @@ pub struct FrontTrack {
     pub growth_per_iteration: f64,
 }
 
-impl FrontTrack {
-    /// Snapshot of the first flagged iteration, if any.
-    #[must_use]
-    pub fn first_flagged(&self) -> Option<&FrontSnapshot> {
-        self.snapshots.iter().find(|s| s.flagged > 0)
-    }
-}
-
 fn classify(snapshots: &[FrontSnapshot]) -> (SpreadClass, f64) {
     let flagged: Vec<&FrontSnapshot> = snapshots.iter().filter(|s| s.flagged > 0).collect();
     let Some(first) = flagged.first() else {
@@ -227,7 +219,6 @@ mod tests {
         assert_eq!(track.classification, SpreadClass::Clean);
         assert_eq!(track.growth_per_iteration, 0.0);
         assert!(track.snapshots.iter().all(|s| s.flagged == 0));
-        assert!(track.first_flagged().is_none());
     }
 
     #[test]
@@ -237,7 +228,8 @@ mod tests {
         let (a, b) = pair(&e, &[&[], &[3], &[3], &[3]]);
         let track = track_front(&e, &a, &b, &Observer::disabled()).unwrap();
         assert_eq!(track.classification, SpreadClass::Contained);
-        assert_eq!(track.first_flagged().unwrap().iteration, 1);
+        let first = track.snapshots.iter().find(|s| s.flagged > 0);
+        assert_eq!(first.unwrap().iteration, 1);
         assert_eq!(track.growth_per_iteration, 0.0);
         // The chunk is new only at its first appearance.
         assert_eq!(track.snapshots[1].new_flagged, 1);

@@ -117,12 +117,6 @@ impl Explorer {
         Ok(Explorer::new(iterations))
     }
 
-    /// The iteration the cursor points at.
-    #[must_use]
-    pub fn cursor_iteration(&self) -> Option<u64> {
-        self.iterations.get(self.cursor).map(|d| d.iteration)
-    }
-
     /// True once `q` was pressed.
     #[must_use]
     pub fn quit_requested(&self) -> bool {
@@ -236,6 +230,10 @@ mod tests {
         })
     }
 
+    fn cursor_iteration(x: &Explorer) -> Option<u64> {
+        x.iterations.get(x.cursor).map(|d| d.iteration)
+    }
+
     fn pair(e: &CompareEngine) -> (CheckpointHistory, CheckpointHistory) {
         let mut a = CheckpointHistory::new();
         let mut b = CheckpointHistory::new();
@@ -256,7 +254,7 @@ mod tests {
         let e = engine();
         let (a, b) = pair(&e);
         let x = Explorer::build(&e, &a, &b).unwrap();
-        assert_eq!(x.cursor_iteration(), Some(2));
+        assert_eq!(cursor_iteration(&x), Some(2));
     }
 
     #[test]
@@ -265,12 +263,12 @@ mod tests {
         let (a, b) = pair(&e);
         let mut x = Explorer::build(&e, &a, &b).unwrap();
         x.handle_key('h');
-        assert_eq!(x.cursor_iteration(), Some(1));
+        assert_eq!(cursor_iteration(&x), Some(1));
         x.handle_key('l');
         x.handle_key('l');
-        assert_eq!(x.cursor_iteration(), Some(3));
+        assert_eq!(cursor_iteration(&x), Some(3));
         x.handle_key('l'); // clamped at the end
-        assert_eq!(x.cursor_iteration(), Some(3));
+        assert_eq!(cursor_iteration(&x), Some(3));
         assert_eq!(x.view, View::Tree);
         x.handle_key('t');
         assert_eq!(x.view, View::Heatmap);

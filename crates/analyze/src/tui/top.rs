@@ -70,12 +70,6 @@ impl TopView {
         self.history.is_empty()
     }
 
-    /// The sequence number under the cursor.
-    #[must_use]
-    pub fn cursor_seq(&self) -> Option<u64> {
-        self.history.get(self.cursor).map(|s| s.seq)
-    }
-
     /// True once `q` was pressed.
     #[must_use]
     pub fn quit_requested(&self) -> bool {
@@ -328,6 +322,10 @@ mod tests {
         JobStateCounts, QueueTelemetry, StoreTelemetry, WorkerTelemetry,
     };
 
+    fn cursor_seq(v: &TopView) -> Option<u64> {
+        v.history.get(v.cursor).map(|s| s.seq)
+    }
+
     fn snapshot(seq: u64) -> TelemetrySnapshot {
         let registry = Registry::new();
         registry.counter("jobs.done").add(seq * 2);
@@ -388,14 +386,14 @@ mod tests {
     #[test]
     fn cursor_starts_on_the_newest_snapshot_and_keys_navigate() {
         let mut v = view();
-        assert_eq!(v.cursor_seq(), Some(3));
+        assert_eq!(cursor_seq(&v), Some(3));
         v.handle_key('h');
-        assert_eq!(v.cursor_seq(), Some(2));
+        assert_eq!(cursor_seq(&v), Some(2));
         v.handle_key('h');
         v.handle_key('h'); // clamped at the start
-        assert_eq!(v.cursor_seq(), Some(1));
+        assert_eq!(cursor_seq(&v), Some(1));
         v.handle_key('l');
-        assert_eq!(v.cursor_seq(), Some(2));
+        assert_eq!(cursor_seq(&v), Some(2));
         assert!(!v.quit_requested());
         v.handle_key('q');
         assert!(v.quit_requested());
@@ -405,10 +403,10 @@ mod tests {
     fn push_follows_the_tail_only_when_parked_on_it() {
         let mut v = view();
         v.push(snapshot(4));
-        assert_eq!(v.cursor_seq(), Some(4), "tail cursor follows new data");
+        assert_eq!(cursor_seq(&v), Some(4), "tail cursor follows new data");
         v.handle_key('h');
         v.push(snapshot(5));
-        assert_eq!(v.cursor_seq(), Some(3), "history cursor stays put");
+        assert_eq!(cursor_seq(&v), Some(3), "history cursor stays put");
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub fn run() -> String {
         record("ablate-buffers", ("buffers", buffers.to_string()), t);
     }
     println!("  (the virtual clock charges device time, not host stalls, so buffer");
-    println!("   count shows up in wall clock — see the stream_pipeline Criterion bench)");
+    println!("   count shows up in wall clock — see io.stream_read_gbps in benchmark/)");
 
     println!("\n=== Ablation 4: ring queue depth ===");
     let mut prev = Duration::MAX;

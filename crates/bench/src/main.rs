@@ -29,13 +29,14 @@ mod figures {
     pub mod fig_delta;
     pub mod fig_divergence;
     pub mod fig_multirun;
+    pub mod micro;
     pub mod table1;
     pub mod table2;
 }
 
 use figures::{
     ablate, daemon, fig10, fig5, fig6, fig7, fig8, fig9, fig_dedup, fig_delta, fig_divergence,
-    fig_multirun, table1, table2,
+    fig_multirun, micro, table1, table2,
 };
 
 /// What an entry's numbers are, which decides where its file goes.
@@ -95,6 +96,7 @@ const ENTRIES: &[Entry] = &[
     ),
     entry("fig_telemetry", Kind::Measured, daemon::fig_telemetry),
     entry("telemetry_profile", Kind::Golden, daemon::telemetry_profile),
+    entry("micro", Kind::Measured, micro::run),
 ];
 
 fn main() -> ExitCode {

@@ -84,7 +84,6 @@ struct Shared {
     barrier: Barrier,
     f64_slots: Mutex<Vec<f64>>,
     f64_result: Mutex<f64>,
-    bytes_slot: Mutex<Vec<u8>>,
     node_clocks: Vec<SimClock>,
     mailboxes: Vec<Mailbox>,
 }
@@ -123,12 +122,6 @@ impl Cluster {
         self.nodes
     }
 
-    /// Ranks per node.
-    #[must_use]
-    pub fn procs_per_node(&self) -> usize {
-        self.procs_per_node
-    }
-
     /// Runs `f` once per rank on its own thread; returns per-rank
     /// results in rank order.
     pub fn run<T, F>(&self, f: F) -> Vec<T>
@@ -141,7 +134,6 @@ impl Cluster {
             barrier: Barrier::new(size),
             f64_slots: Mutex::new(vec![0.0; size]),
             f64_result: Mutex::new(0.0),
-            bytes_slot: Mutex::new(Vec::new()),
             node_clocks: (0..self.nodes).map(|_| SimClock::new()).collect(),
             mailboxes: (0..size).map(|_| unbounded()).collect(),
         });
@@ -265,55 +257,6 @@ impl RankCtx {
         result
     }
 
-    /// All-reduce max in `f64`.
-    #[must_use]
-    pub fn allreduce_max_f64(&self, value: f64) -> f64 {
-        let _ = self.next_salt();
-        self.shared.f64_slots.lock()[self.rank] = value;
-        self.barrier();
-        if self.rank == 0 {
-            let slots = self.shared.f64_slots.lock();
-            *self.shared.f64_result.lock() = slots.iter().copied().fold(f64::MIN, f64::max);
-        }
-        self.barrier();
-        let result = *self.shared.f64_result.lock();
-        self.barrier();
-        result
-    }
-
-    /// Exclusive prefix sum: rank `r` receives the sum of ranks
-    /// `0..r`'s values (rank 0 receives 0).
-    #[must_use]
-    pub fn exscan_sum_f64(&self, value: f64) -> f64 {
-        let all = self.allgather_f64(value);
-        all[..self.rank].iter().sum()
-    }
-
-    /// Gathers one `f64` per rank; every rank receives the full vector
-    /// in rank order (an allgather).
-    #[must_use]
-    pub fn allgather_f64(&self, value: f64) -> Vec<f64> {
-        let _ = self.next_salt();
-        self.shared.f64_slots.lock()[self.rank] = value;
-        self.barrier();
-        let all = self.shared.f64_slots.lock().clone();
-        self.barrier();
-        all
-    }
-
-    /// Broadcasts `bytes` from rank 0 to everyone.
-    #[must_use]
-    pub fn broadcast_bytes(&self, bytes: &[u8]) -> Vec<u8> {
-        let _ = self.next_salt();
-        if self.rank == 0 {
-            *self.shared.bytes_slot.lock() = bytes.to_vec();
-        }
-        self.barrier();
-        let out = self.shared.bytes_slot.lock().clone();
-        self.barrier();
-        out
-    }
-
     /// Gathers one byte buffer per rank at rank 0. The root receives
     /// the buffers in rank order (`Some(vec)` with `vec[r]` from rank
     /// `r`); every other rank receives `None`.
@@ -401,13 +344,13 @@ mod tests {
         let results = cluster.run(|ctx| {
             let a = ctx.allreduce_sum_f32(1.0, ReduceOrder::Ranked);
             let b = ctx.allreduce_sum_f32(2.0, ReduceOrder::Ranked);
-            let c = ctx.allreduce_max_f64(ctx.rank() as f64);
+            let c = ctx.allreduce_sum_f64(ctx.rank() as f64);
             (a, b, c)
         });
         for &(a, b, c) in &results {
             assert_eq!(a, 4.0);
             assert_eq!(b, 8.0);
-            assert_eq!(c, 3.0);
+            assert_eq!(c, 6.0);
         }
     }
 
@@ -441,29 +384,6 @@ mod tests {
             })
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn allgather_returns_rank_order() {
-        let cluster = Cluster::new(2, 2);
-        let results = cluster.run(|ctx| ctx.allgather_f64(ctx.rank() as f64 * 10.0));
-        for r in &results {
-            assert_eq!(r, &vec![0.0, 10.0, 20.0, 30.0]);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_root() {
-        let cluster = Cluster::new(2, 2);
-        let results = cluster.run(|ctx| {
-            let payload = if ctx.rank() == 0 {
-                vec![7, 8, 9]
-            } else {
-                vec![]
-            };
-            ctx.broadcast_bytes(&payload)
-        });
-        assert!(results.iter().all(|r| r == &vec![7, 8, 9]));
     }
 
     #[test]
@@ -545,26 +465,19 @@ mod more_tests {
     use super::*;
 
     #[test]
-    fn exscan_is_exclusive_prefix() {
-        let cluster = Cluster::new(2, 3);
-        let results = cluster.run(|ctx| ctx.exscan_sum_f64((ctx.rank() + 1) as f64));
-        // values 1..=6; exscan: 0,1,3,6,10,15
-        assert_eq!(results, vec![0.0, 1.0, 3.0, 6.0, 10.0, 15.0]);
-    }
-
-    #[test]
     fn mixed_collectives_in_lockstep() {
         let cluster = Cluster::new(2, 2);
         let results = cluster.run(|ctx| {
-            let prefix = ctx.exscan_sum_f64(1.0);
             let total = ctx.allreduce_sum_f64(1.0);
-            let gathered = ctx.allgather_f64(prefix);
-            (prefix, total, gathered)
+            let sum = ctx.allreduce_sum_f32(ctx.rank() as f32, ReduceOrder::Ranked);
+            let gathered = ctx.gather_bytes_to_root(vec![ctx.rank() as u8]);
+            (total, sum, gathered)
         });
-        for (rank, (prefix, total, gathered)) in results.iter().enumerate() {
-            assert_eq!(*prefix, rank as f64);
+        for (rank, (total, sum, gathered)) in results.iter().enumerate() {
             assert_eq!(*total, 4.0);
-            assert_eq!(gathered, &vec![0.0, 1.0, 2.0, 3.0]);
+            assert_eq!(*sum, 6.0);
+            let want = (rank == 0).then(|| vec![vec![0], vec![1], vec![2], vec![3]]);
+            assert_eq!(gathered, &want);
         }
     }
 

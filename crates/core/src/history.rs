@@ -16,15 +16,10 @@
 //! and how the divergence grew over time.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
-
-use reprocmp_obs::CacheStats;
 
 use crate::ctx::Ctx;
 use crate::engine::CompareEngine;
-use crate::metacache::MetaCache;
 use crate::report::CompareReport;
-use crate::schedule::BatchConfig;
 use crate::source::CheckpointSource;
 use crate::{CoreError, CoreResult};
 
@@ -144,106 +139,7 @@ impl HistoryReport {
     }
 }
 
-/// The comparison of N run histories against one baseline history,
-/// scheduled as batches through the metadata cache.
-#[derive(Debug, Clone, Default)]
-pub struct MultiHistoryReport {
-    /// One [`HistoryReport`] per run, in the order the runs were given.
-    pub runs: Vec<HistoryReport>,
-    /// Cache ledger summed over every batch — the cache is shared
-    /// across iterations, so adjudications from one `(rank, iteration)`
-    /// serve later ones too.
-    pub cache: CacheStats,
-    /// Metadata decodes performed: `(runs + 1) × checkpoints`, versus
-    /// `2 × runs × checkpoints` for independent pairwise history
-    /// comparisons.
-    pub trees_decoded: u64,
-    /// Total scheduling time on the driving timeline.
-    pub elapsed: Duration,
-}
-
-impl MultiHistoryReport {
-    /// True when every run matches the baseline everywhere.
-    #[must_use]
-    pub fn identical(&self) -> bool {
-        self.runs.iter().all(HistoryReport::identical)
-    }
-
-    /// Index of the first run (in the given order) that diverges from
-    /// the baseline, with its earliest `(iteration, rank)`.
-    #[must_use]
-    pub fn first_divergent_run(&self) -> Option<(usize, (u64, usize))> {
-        self.runs
-            .iter()
-            .enumerate()
-            .find_map(|(i, r)| r.first_divergence().map(|d| (i, d)))
-    }
-}
-
 impl CompareEngine {
-    /// Compares N run histories against one baseline history as a
-    /// sequence of scheduled batches — one per `(rank, iteration)` key,
-    /// all sharing one [`MetaCache`] so that subtree adjudications and
-    /// chunk verdicts carry across runs *and* iterations. The batches
-    /// run on `ctx.timeline` and record into no observer.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Mismatch`] when any run covers a different
-    /// `(rank, iteration)` set than the baseline; otherwise any batch
-    /// error.
-    pub fn compare_history_many(
-        &self,
-        baseline: &CheckpointHistory,
-        runs: &[&CheckpointHistory],
-        cfg: &BatchConfig,
-        ctx: &Ctx,
-    ) -> CoreResult<MultiHistoryReport> {
-        let t0 = ctx.timeline.now();
-        let keys = baseline.keys();
-        for (i, run) in runs.iter().enumerate() {
-            if run.keys() != keys {
-                return Err(CoreError::Mismatch(format!(
-                    "run {i} covers different checkpoints: baseline has {} entries, run has {}",
-                    baseline.len(),
-                    run.len()
-                )));
-            }
-        }
-        // Iteration-major, like the pairwise walk.
-        let mut keys = keys;
-        keys.sort_by_key(|&(rank, iter)| (iter, rank));
-
-        let mut cache = MetaCache::new();
-        let batch_ctx = Ctx {
-            timeline: ctx.timeline.clone(),
-            ..Ctx::default()
-        };
-        let mut report = MultiHistoryReport {
-            runs: vec![HistoryReport::default(); runs.len()],
-            ..MultiHistoryReport::default()
-        };
-        for (rank, iteration) in keys {
-            let base_src = baseline.get(rank, iteration).expect("key set verified");
-            let run_srcs: Vec<CheckpointSource> = runs
-                .iter()
-                .map(|r| r.get(rank, iteration).expect("key set verified").clone())
-                .collect();
-            let batch = self.compare_many(base_src, &run_srcs, cfg, &mut cache, &batch_ctx)?;
-            report.cache = report.cache.merged(batch.cache);
-            report.trees_decoded += batch.trees_decoded;
-            for (i, job) in batch.jobs.into_iter().enumerate() {
-                report.runs[i].entries.push(HistoryEntryReport {
-                    rank,
-                    iteration,
-                    report: job.report,
-                });
-            }
-        }
-        report.elapsed = ctx.timeline.now() - t0;
-        Ok(report)
-    }
-
     /// Compares two histories pairwise, each pair under `ctx`.
     ///
     /// Pairs are processed iteration-major so that
@@ -412,69 +308,6 @@ mod tests {
             .unwrap();
         assert!(report.identical());
         assert!(report.entries.is_empty());
-    }
-
-    #[test]
-    fn multi_history_matches_pairwise_per_run() {
-        let e = engine();
-        let baseline = history(&e, 2, &[10, 20, 30], None);
-        let r1 = history(&e, 2, &[10, 20, 30], Some(20));
-        let r2 = history(&e, 2, &[10, 20, 30], Some(30));
-        let multi = e
-            .compare_history_many(
-                &baseline,
-                &[&r1, &r2],
-                &BatchConfig::default(),
-                &Ctx::default(),
-            )
-            .unwrap();
-        assert_eq!(multi.runs.len(), 2);
-        let pw1 = e.compare_history(&baseline, &r1, &Ctx::default()).unwrap();
-        let pw2 = e.compare_history(&baseline, &r2, &Ctx::default()).unwrap();
-        assert_eq!(multi.runs[0].total_diffs(), pw1.total_diffs());
-        assert_eq!(multi.runs[1].total_diffs(), pw2.total_diffs());
-        assert_eq!(multi.runs[0].first_divergence(), pw1.first_divergence());
-        assert_eq!(multi.first_divergent_run(), Some((0, (20, 0))));
-        // 3 sources per key × 6 keys.
-        assert_eq!(multi.trees_decoded, 18);
-    }
-
-    #[test]
-    fn multi_history_shares_cache_across_runs() {
-        let e = engine();
-        let baseline = history(&e, 1, &[10, 20], None);
-        // Two runs with the *same* divergence: the second run's batches
-        // should hit what the first run's jobs resolved.
-        let r1 = history(&e, 1, &[10, 20], Some(10));
-        let r2 = history(&e, 1, &[10, 20], Some(10));
-        let multi = e
-            .compare_history_many(
-                &baseline,
-                &[&r1, &r2],
-                &BatchConfig::default(),
-                &Ctx::default(),
-            )
-            .unwrap();
-        assert!(!multi.identical());
-        assert!(multi.cache.node_hits > 0, "{:?}", multi.cache);
-        assert!(multi.cache.verdict_hits > 0, "{:?}", multi.cache);
-        assert_eq!(multi.runs[0].total_diffs(), multi.runs[1].total_diffs());
-    }
-
-    #[test]
-    fn multi_history_key_mismatch_errors() {
-        let e = engine();
-        let baseline = history(&e, 2, &[10, 20], None);
-        let short = history(&e, 2, &[10], None);
-        assert!(matches!(
-            e.compare_history_many(
-                &baseline,
-                &[&short],
-                &BatchConfig::default(),
-                &Ctx::default()
-            ),
-            Err(CoreError::Mismatch(_))
-        ));
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub use baseline::{AllClose, AllCloseReport, Direct};
 pub use breakdown::CostBreakdown;
 pub use ctx::Ctx;
 pub use engine::{CompareEngine, EngineConfig, FailurePolicy};
-pub use history::{CheckpointHistory, HistoryEntryReport, HistoryReport, MultiHistoryReport};
+pub use history::{CheckpointHistory, HistoryEntryReport, HistoryReport};
 pub use metacache::{ChunkVerdict, MetaCache, SubtreeEntry, SubtreeKey};
 pub use online::{OnlineComparator, OnlinePolicy, OnlineVerdict};
 pub use regions::{LocatedDifference, RegionMap, RegionSpan};

@@ -388,13 +388,18 @@ pub fn open_file(path: &Path, tree: Option<&Path>) -> Result<Opened, OpError> {
 /// Reads a checkpoint file whole and builds its ε-metadata in memory,
 /// for the multi-run verbs on files (`history`, `analyze`,
 /// `compare-many` without a store), whose batch scheduler and stage-1
-/// probes need a tree on every side.
+/// probes need a tree on every side. The read buffer becomes the
+/// payload: a VELOC header is drained from it in place, not copied past.
 pub fn open_hashed(path: &Path, engine: &CompareEngine) -> Result<Opened, OpError> {
-    let bytes = std::fs::read(path).map_err(|e| input(e).at(path))?;
+    let mut bytes = std::fs::read(path).map_err(|e| input(e).at(path))?;
     let image = Image::parse(&bytes).map_err(|e| e.at(path))?;
-    let payload = image.nonempty_payload().map_err(|e| e.at(path))?;
-    let source = CheckpointSource::from_payload(payload.to_vec(), engine, CostModel::free(), None)?;
+    image.nonempty_payload().map_err(|e| e.at(path))?;
     let regions = image.regions();
+    if let Some(h) = image.header {
+        bytes.truncate((h.payload_offset + h.payload_len) as usize);
+        bytes.drain(..h.payload_offset as usize);
+    }
+    let source = CheckpointSource::from_payload(bytes, engine, CostModel::free(), None)?;
     Ok(Opened { source, regions })
 }
 

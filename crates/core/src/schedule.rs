@@ -706,8 +706,6 @@ impl CompareEngine {
     }
 }
 
-/// Sum of every source's store-read counters at this instant
-/// (all-zero when no source is store-backed).
 /// One `cache_hit`/`cache_miss` flight-recorder event on the `cache`
 /// lane; a single branch when journaling is off.
 fn emit_cache_event(obs: &Observer, what: &str, hit: bool) {
@@ -726,6 +724,8 @@ fn emit_cache_event(obs: &Observer, what: &str, hit: bool) {
     }
 }
 
+/// Sum of every source's store-read counters at this instant
+/// (all-zero when no source is store-backed).
 fn batch_store_snapshot(sources: &[&CheckpointSource]) -> StoreReadStats {
     sources
         .iter()

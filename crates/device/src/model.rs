@@ -73,16 +73,6 @@ impl TimingModel {
         }
     }
 
-    /// A full 32-core EPYC Milan socket.
-    #[must_use]
-    pub fn cpu_socket() -> Self {
-        TimingModel {
-            launch_latency: Duration::from_micros(5),
-            bandwidth_bytes_per_sec: 150.0e9,
-            ops_per_sec: 9.0e10,
-        }
-    }
-
     /// One NVIDIA A100: ~1.5 TB/s HBM2 and ~1e13 usable scalar ops/s
     /// for integer hashing kernels, 10 µs launch latency.
     #[must_use]

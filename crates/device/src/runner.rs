@@ -23,12 +23,11 @@ enum Backend {
 ///
 /// For a fixed index space, every launch primitive produces results
 /// independent of the worker count: [`Device::parallel_map`] writes
-/// `f(i)` into slot `i` regardless of which thread computed it,
-/// [`Device::parallel_chunks_mut`] hands each chunk its global index,
-/// and [`Device::reduce_sum_f64`] combines per-lane partial sums in
-/// span order. Callers uphold their half by making `f` a pure function
-/// of the index (or commutative, like an atomic counter or a
-/// monotonically-advancing sim clock). Consequently
+/// `f(i)` into slot `i` regardless of which thread computed it, and
+/// [`Device::parallel_chunks_mut`] hands each chunk its global index.
+/// Callers uphold their half by making `f` a pure function of the index
+/// (or commutative, like an atomic counter or a monotonically-advancing
+/// sim clock). Consequently
 /// `Device::host_parallel(k)` for any `k` — including `k` larger than
 /// the item count — computes byte-identical Merkle trees and identical
 /// comparison/batch reports to [`Device::host_serial`]. The batch
@@ -291,42 +290,6 @@ impl Device {
             }
         }
     }
-
-    /// Deterministic parallel sum: each lane reduces its contiguous span
-    /// serially, spans are combined in span order. The result is
-    /// identical for a fixed lane count, which the tests rely on.
-    pub fn reduce_sum_f64<F>(&self, n: usize, workload: Workload, f: F) -> f64
-    where
-        F: Fn(usize) -> f64 + Sync,
-    {
-        self.charge(workload);
-        match self.backend {
-            Backend::Serial => (0..n).map(f).sum(),
-            Backend::Threads(t) => {
-                if n == 0 {
-                    return 0.0;
-                }
-                let workers = t.min(n);
-                let chunk = n.div_ceil(workers);
-                let mut partials = vec![0.0f64; workers];
-                std::thread::scope(|scope| {
-                    for (w, slot) in partials.iter_mut().enumerate() {
-                        let f = &f;
-                        let lo = w * chunk;
-                        let hi = ((w + 1) * chunk).min(n);
-                        scope.spawn(move || {
-                            let mut acc = 0.0;
-                            for i in lo..hi {
-                                acc += f(i);
-                            }
-                            *slot = acc;
-                        });
-                    }
-                });
-                partials.into_iter().sum()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -382,15 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sum_deterministic_and_correct() {
-        let dev = Device::host_parallel(6);
-        let a = dev.reduce_sum_f64(1000, Workload::compute(1000), |i| i as f64);
-        let b = dev.reduce_sum_f64(1000, Workload::compute(1000), |i| i as f64);
-        assert_eq!(a, b);
-        assert_eq!(a, 499_500.0);
-    }
-
-    #[test]
     fn modeled_time_accrues_only_with_model() {
         let plain = Device::host_parallel(2);
         plain.parallel_for(10, Workload::memory(1 << 30), |_| {});
@@ -423,7 +377,6 @@ mod tests {
     fn zero_iterations_is_a_no_op() {
         let dev = Device::host_parallel(4);
         dev.parallel_for(0, Workload::compute(0), |_| panic!("must not run"));
-        assert_eq!(dev.reduce_sum_f64(0, Workload::compute(0), |_| 1.0), 0.0);
     }
 
     #[test]
@@ -431,7 +384,6 @@ mod tests {
         let dev = Device::host_parallel(1);
         let out = dev.parallel_map(1, Workload::compute(1), |i| i + 41);
         assert_eq!(out, vec![41]);
-        assert_eq!(dev.reduce_sum_f64(1, Workload::compute(1), |_| 2.5), 2.5);
     }
 
     #[test]
@@ -474,15 +426,6 @@ mod tests {
         dev.parallel_for(1, Workload::memory(1_000_000_000), |_| {});
         let t = dev.modeled_time();
         assert!((t.as_secs_f64() - 1.0).abs() < 0.01, "{t:?}");
-    }
-
-    #[test]
-    fn serial_reduce_matches_sequential_fold() {
-        let dev = Device::host_serial();
-        let vals: Vec<f64> = (0..257).map(|i| (i as f64) * 0.1).collect();
-        let got = dev.reduce_sum_f64(vals.len(), Workload::compute(257), |i| vals[i]);
-        let want: f64 = vals.iter().sum();
-        assert_eq!(got, want);
     }
 
     #[test]

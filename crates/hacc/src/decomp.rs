@@ -45,14 +45,14 @@ impl SlabDecomposition {
 
     /// The rank owning x-coordinate `x` in a box of size `box_size`.
     #[must_use]
-    pub fn rank_of(&self, x: f32, box_size: f32) -> usize {
+    fn rank_of(&self, x: f32, box_size: f32) -> usize {
         let u = (x / box_size * self.ranks as f32).floor() as isize;
         u.clamp(0, self.ranks as isize - 1) as usize
     }
 
     /// Global particle ids owned by `rank`, ascending.
     #[must_use]
-    pub fn owned_ids(&self, particles: &ParticleSet, box_size: f32, rank: usize) -> Vec<u32> {
+    fn owned_ids(&self, particles: &ParticleSet, box_size: f32, rank: usize) -> Vec<u32> {
         (0..particles.len() as u32)
             .filter(|&i| self.rank_of(particles.x[i as usize], box_size) == rank)
             .collect()

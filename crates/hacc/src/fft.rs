@@ -27,7 +27,7 @@ impl Complex {
 
     /// `e^{iθ}`.
     #[must_use]
-    pub fn from_angle(theta: f64) -> Self {
+    fn from_angle(theta: f64) -> Self {
         Complex {
             re: theta.cos(),
             im: theta.sin(),

@@ -33,12 +33,6 @@ pub enum OrderPolicy {
 }
 
 impl OrderPolicy {
-    /// True when this policy yields bitwise-reproducible runs.
-    #[must_use]
-    pub fn is_deterministic(&self) -> bool {
-        matches!(self, OrderPolicy::Sequential)
-    }
-
     /// The visit order for a loop of `n` items at call site `salt`
     /// (callers pass a distinct salt per loop and timestep so shuffles
     /// decorrelate).
@@ -73,7 +67,6 @@ mod tests {
     fn sequential_is_identity_permutation() {
         let p = OrderPolicy::Sequential.permutation(10, 99);
         assert_eq!(p, (0..10).collect::<Vec<u32>>());
-        assert!(OrderPolicy::Sequential.is_deterministic());
     }
 
     #[test]

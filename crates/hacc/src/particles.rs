@@ -93,8 +93,8 @@ impl ParticleSet {
     }
 
     /// Kinetic energy in f64 (diagnostic; mass-weighted by `mass`).
-    #[must_use]
-    pub fn kinetic_energy(&self, mass: f32) -> f64 {
+    #[cfg(test)]
+    fn kinetic_energy(&self, mass: f32) -> f64 {
         let m = f64::from(mass);
         (0..self.len())
             .map(|i| {

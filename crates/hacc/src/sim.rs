@@ -89,19 +89,19 @@ impl Simulation {
         }
     }
 
-    /// Resumes a simulation from externally restored state (e.g. a
-    /// VELOC restart): the particle set and the step counter replace
-    /// the seeded initial conditions. Restart-then-run reproduces
-    /// continuous runs bitwise under a deterministic [`OrderPolicy`]
-    /// whose shuffles are salted by the step counter — which is why
-    /// the salt is the *global* step, not steps-since-restart.
+    /// Resumes a simulation from restored state: the particle set and
+    /// the step counter replace the seeded initial conditions.
+    /// Restart-then-run reproduces continuous runs bitwise under a
+    /// deterministic [`OrderPolicy`] whose shuffles are salted by the
+    /// step counter — which is why the salt is the *global* step, not
+    /// steps-since-restart.
     ///
     /// # Panics
     ///
     /// If `particles` is empty or its length disagrees with
     /// `config.particles`.
-    #[must_use]
-    pub fn from_state(config: HaccConfig, particles: ParticleSet, step: u64) -> Self {
+    #[cfg(test)]
+    fn from_state(config: HaccConfig, particles: ParticleSet, step: u64) -> Self {
         assert!(!particles.is_empty(), "cannot resume with no particles");
         assert_eq!(
             particles.len(),
@@ -126,15 +126,9 @@ impl Simulation {
     }
 
     /// Steps taken so far (the "iteration" of checkpoint naming).
-    #[must_use]
-    pub fn step_count(&self) -> u64 {
+    #[cfg(test)]
+    fn step_count(&self) -> u64 {
         self.step
-    }
-
-    /// Per-particle mass.
-    #[must_use]
-    pub fn particle_mass(&self) -> f32 {
-        self.mass
     }
 
     /// Read access to the particle state.
@@ -340,9 +334,9 @@ mod tests {
     #[test]
     fn momentum_roughly_conserved_over_short_runs() {
         let mut sim = small_with(OrderPolicy::Sequential);
-        let m0 = sim.particles().momentum(sim.particle_mass());
+        let m0 = sim.particles().momentum(sim.mass);
         sim.run(10);
-        let m1 = sim.particles().momentum(sim.particle_mass());
+        let m1 = sim.particles().momentum(sim.mass);
         for k in 0..3 {
             assert!(
                 (m1[k] - m0[k]).abs() < 0.05,

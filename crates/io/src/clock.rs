@@ -38,17 +38,6 @@ impl SimClock {
         *now += d;
         *now
     }
-
-    /// Moves the clock forward *to* `t` if `t` is later than now
-    /// (overlapped operations complete at their own time; the clock
-    /// tracks the latest completion).
-    pub fn advance_to(&self, t: Duration) -> Duration {
-        let mut now = self.now.lock();
-        if t > *now {
-            *now = t;
-        }
-        *now
-    }
 }
 
 /// A time source for measuring phase durations: either wall-clock or a
@@ -112,16 +101,6 @@ mod tests {
         assert_eq!(c2.now(), Duration::from_millis(5));
         c2.advance(Duration::from_millis(7));
         assert_eq!(c.now(), Duration::from_millis(12));
-    }
-
-    #[test]
-    fn advance_to_never_goes_backwards() {
-        let c = SimClock::new();
-        c.advance(Duration::from_secs(10));
-        c.advance_to(Duration::from_secs(3));
-        assert_eq!(c.now(), Duration::from_secs(10));
-        c.advance_to(Duration::from_secs(15));
-        assert_eq!(c.now(), Duration::from_secs(15));
     }
 
     #[test]

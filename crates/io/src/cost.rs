@@ -145,12 +145,6 @@ impl CostModel {
         submit_time + std::cmp::max(positioning, transfer)
     }
 
-    /// Modeled time for one contiguous sequential read of `bytes`.
-    #[must_use]
-    pub fn sequential_time(&self, bytes: u64) -> Duration {
-        self.submit_latency + self.seek_latency + self.transfer_time(bytes)
-    }
-
     /// Modeled time to read one contiguous region as `n_ops` equal
     /// requests, asynchronously — the per-request-size trade-off in
     /// one number (diagnostic helper).
@@ -203,7 +197,7 @@ mod tests {
         let scattered: Vec<OpSpec> = (0..100).map(|i| (i * 1_000_000, 4096)).collect();
         let total: u64 = 100 * 4096;
         let t_scattered = m.sync_batch_time(&scattered);
-        let t_seq = m.sequential_time(total);
+        let t_seq = m.sync_batch_time(&[(0, total as usize)]);
         assert!(
             t_scattered > t_seq * 10,
             "scattered {t_scattered:?} vs sequential {t_seq:?}"

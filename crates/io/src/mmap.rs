@@ -60,8 +60,8 @@ impl MmapSim {
     }
 
     /// Number of currently resident pages.
-    #[must_use]
-    pub fn resident_pages(&self) -> usize {
+    #[cfg(test)]
+    fn resident_pages(&self) -> usize {
         self.resident.lock().len()
     }
 

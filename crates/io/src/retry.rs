@@ -117,13 +117,6 @@ impl RetryPolicy {
         })
     }
 
-    /// Sets the per-operation deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// The jittered wait before retry number `retry_index` (1-based).
     ///
     /// Exponential in the retry index, capped at
@@ -411,7 +404,10 @@ mod tests {
     fn deadline_cuts_retries_short() {
         let clock = SimClock::new();
         // Deadline shorter than even one backoff wait: no retry happens.
-        let p = RetryPolicy::with_attempts(10).with_deadline(Duration::from_nanos(1));
+        let p = RetryPolicy {
+            deadline: Some(Duration::from_nanos(1)),
+            ..RetryPolicy::with_attempts(10)
+        };
         let mut calls = 0;
         let (result, _): (IoResult<()>, u32) =
             p.run(Some(&clock), &Journal::disabled(), "io", || {

@@ -9,7 +9,6 @@
 //! * [`StdFsStorage`] — a real file accessed with positioned reads, used
 //!   by the CLI when pointed at actual checkpoint files.
 
-use parking_lot::RwLock;
 use std::fs::File;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
@@ -95,7 +94,7 @@ pub trait Storage: Send + Sync + std::fmt::Debug {
 /// Cloning is cheap and clones share both the bytes and the clock.
 #[derive(Debug, Clone)]
 pub struct MemStorage {
-    bytes: Arc<RwLock<Vec<u8>>>,
+    bytes: Arc<Vec<u8>>,
     model: CostModel,
     clock: SimClock,
 }
@@ -105,7 +104,7 @@ impl MemStorage {
     #[must_use]
     pub fn with_model(bytes: Vec<u8>, model: CostModel) -> Self {
         MemStorage {
-            bytes: Arc::new(RwLock::new(bytes)),
+            bytes: Arc::new(bytes),
             model,
             clock: SimClock::new(),
         }
@@ -116,7 +115,7 @@ impl MemStorage {
     #[must_use]
     pub fn with_clock(bytes: Vec<u8>, model: CostModel, clock: SimClock) -> Self {
         MemStorage {
-            bytes: Arc::new(RwLock::new(bytes)),
+            bytes: Arc::new(bytes),
             model,
             clock,
         }
@@ -140,34 +139,20 @@ impl MemStorage {
         self.model
     }
 
-    /// Overwrites `buf.len()` bytes at `offset`, extending the object if
-    /// needed, charging one sequential write.
-    pub fn write_at(&self, offset: u64, buf: &[u8]) -> IoResult<()> {
-        let mut bytes = self.bytes.write();
-        let end = offset as usize + buf.len();
-        if bytes.len() < end {
-            bytes.resize(end, 0);
-        }
-        bytes[offset as usize..end].copy_from_slice(buf);
-        self.clock
-            .advance(self.model.sequential_time(buf.len() as u64));
-        Ok(())
-    }
-
     /// Copies the full contents out (test helper).
     #[must_use]
     pub fn snapshot(&self) -> Vec<u8> {
-        self.bytes.read().clone()
+        self.bytes.to_vec()
     }
 }
 
 impl Storage for MemStorage {
     fn len(&self) -> u64 {
-        self.bytes.read().len() as u64
+        self.bytes.len() as u64
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> IoResult<()> {
-        let bytes = self.bytes.read();
+        let bytes = &self.bytes;
         let end = offset as usize + buf.len();
         if end > bytes.len() {
             return Err(IoError::OutOfBounds {
@@ -301,16 +286,6 @@ mod tests {
         a.charge_batch(&ops, AccessMode::Sync);
         b.charge_batch(&ops, AccessMode::Async { depth: 64 });
         assert!(a.elapsed() > b.elapsed() * 4);
-    }
-
-    #[test]
-    fn write_at_extends_and_round_trips() {
-        let s = MemStorage::free(Vec::new());
-        s.write_at(10, &[1, 2, 3]).unwrap();
-        assert_eq!(s.len(), 13);
-        let mut buf = vec![0u8; 3];
-        s.read_at(10, &mut buf).unwrap();
-        assert_eq!(buf, vec![1, 2, 3]);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! does. Data integrity is unaffected — only the virtual clock sees
 //! the striping.
 
-use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,7 +28,7 @@ use crate::{IoError, IoResult};
 /// Clones share bytes and clock.
 #[derive(Debug, Clone)]
 pub struct StripedStorage {
-    bytes: Arc<RwLock<Vec<u8>>>,
+    bytes: Arc<Vec<u8>>,
     model: CostModel,
     stripe_size: u64,
     ost_count: usize,
@@ -48,7 +47,7 @@ impl StripedStorage {
         assert!(stripe_size > 0, "stripe size must be non-zero");
         assert!(ost_count > 0, "need at least one OST");
         StripedStorage {
-            bytes: Arc::new(RwLock::new(bytes)),
+            bytes: Arc::new(bytes),
             model,
             stripe_size,
             ost_count,
@@ -103,11 +102,11 @@ impl StripedStorage {
 
 impl Storage for StripedStorage {
     fn len(&self) -> u64 {
-        self.bytes.read().len() as u64
+        self.bytes.len() as u64
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> IoResult<()> {
-        let bytes = self.bytes.read();
+        let bytes = &self.bytes;
         let end = offset as usize + buf.len();
         if end > bytes.len() {
             return Err(IoError::OutOfBounds {

@@ -60,18 +60,6 @@ impl CacheStats {
         }
     }
 
-    /// Total stage-1 subtree lookups (hits + misses).
-    #[must_use]
-    pub fn node_lookups(&self) -> u64 {
-        self.node_hits + self.node_misses
-    }
-
-    /// Total stage-2 verdict lookups (hits + misses).
-    #[must_use]
-    pub fn verdict_lookups(&self) -> u64 {
-        self.verdict_hits + self.verdict_misses
-    }
-
     /// True when no cache was consulted at all — the state every plain
     /// pairwise report carries.
     #[must_use]
@@ -99,8 +87,8 @@ mod tests {
         let m = a.merged(a);
         assert_eq!(m.node_hits, 2);
         assert_eq!(m.bytes_saved, 14);
-        assert_eq!(m.node_lookups(), 6);
-        assert_eq!(m.verdict_lookups(), 14);
+        assert_eq!(m.node_hits + m.node_misses, 6);
+        assert_eq!(m.verdict_hits + m.verdict_misses, 14);
         assert!(!m.is_zero());
     }
 

@@ -103,7 +103,7 @@ impl Default for Histogram {
 
 /// Bucket index of `v`: 0 for 0, else `floor(log2 v) + 1`.
 #[must_use]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -169,7 +169,7 @@ impl Histogram {
 /// linear interpolation inside the bucket holding rank `ceil(q·count)`.
 /// Exact to within one log2 bucket's width; zero for an empty histogram.
 #[must_use]
-pub fn quantile_from_buckets(buckets: &[HistogramBucket], count: u64, q: f64) -> u64 {
+fn quantile_from_buckets(buckets: &[HistogramBucket], count: u64, q: f64) -> u64 {
     if count == 0 {
         return 0;
     }
@@ -210,7 +210,7 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of observations.
     pub sum: u64,
-    /// Estimated median (see [`quantile_from_buckets`]).
+    /// Estimated median, interpolated inside its log2 bucket.
     pub p50: u64,
     /// Estimated 95th percentile.
     pub p95: u64,

@@ -135,7 +135,7 @@ impl StageBreakdown {
 
     /// Time in the compare phases (BFS + stream + verify).
     #[must_use]
-    pub fn compare_time(&self) -> Duration {
+    fn compare_time(&self) -> Duration {
         self.bfs.time + self.stage2_stream.time + self.verify.time
     }
 

@@ -293,12 +293,6 @@ impl Sampler {
         }
     }
 
-    /// The configured cadence.
-    #[must_use]
-    pub fn period(&self) -> Duration {
-        self.period
-    }
-
     /// Whether a sample is due. When due, returns the index of the
     /// most recent tick boundary passed and advances past it (missed
     /// boundaries coalesce into this one poll).
@@ -325,7 +319,7 @@ impl Sampler {
 /// Sanitizes a registry metric name into the Prometheus grammar:
 /// every character outside `[a-zA-Z0-9_]` becomes `_`.
 #[must_use]
-pub fn prometheus_name(name: &str) -> String {
+fn prometheus_name(name: &str) -> String {
     name.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '_' {

@@ -10,8 +10,8 @@
 //! the "atomically swapped index" that makes GC crash-safe — on clean
 //! close, inside `gc`/`compact`, after a rebuild, and once the
 //! operations since the last write outnumber the entries it held (see
-//! [`ChunkStore::open_observed_with`](crate::ChunkStore::open_observed_with) for
-//! when the file is trusted). Format:
+//! [`ChunkStore::open_with`](crate::ChunkStore::open_with) for when the
+//! file is trusted). Format:
 //!
 //! ```text
 //! magic "RCMPIDX1" (8) | format u32 = 1 | n_entries u64

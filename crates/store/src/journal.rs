@@ -153,7 +153,7 @@ impl IntentRecord {
 
     /// True for begin (intent-declaring) records.
     #[must_use]
-    pub fn is_begin(&self) -> bool {
+    fn is_begin(&self) -> bool {
         matches!(
             self,
             IntentRecord::IngestBegin { .. }

@@ -229,12 +229,6 @@ impl Manifest {
         self.total_len() - self.own_bytes()
     }
 
-    /// Chunk references this capture skipped (borrowed from the chain).
-    #[must_use]
-    pub fn skipped_refs(&self) -> u64 {
-        self.chunk_refs() - self.own_chunk_lens().count() as u64
-    }
-
     /// Serializes to the on-disk format: format 1 for full manifests
     /// (byte-identical to the pre-delta store), format 2 for deltas.
     #[must_use]
@@ -484,7 +478,6 @@ mod tests {
         assert_eq!(full.inherited_chunk_lens().count(), 0);
         assert_eq!(full.own_bytes(), 25);
         assert_eq!(full.skipped_bytes(), 0);
-        assert_eq!(full.skipped_refs(), 0);
 
         let delta = sample_delta();
         // The delta owns region chunks 0 and 2 (8 + 4 bytes) and
@@ -495,7 +488,6 @@ mod tests {
         assert_eq!(inherited, vec![5, 8]);
         assert_eq!(delta.own_bytes(), 12);
         assert_eq!(delta.skipped_bytes(), 13);
-        assert_eq!(delta.skipped_refs(), 2);
         // Owned + inherited is exactly the dense reader view.
         assert_eq!(
             delta.own_chunk_lens().count() + delta.inherited_chunk_lens().count(),

@@ -48,7 +48,7 @@ pub const PACK_MAGIC_V2: &[u8; 8] = b"RCMPPAK2";
 /// Bytes of one record header (digest + length) preceding chunk bytes.
 pub const RECORD_HEADER_BYTES: u64 = 20;
 
-/// Default number of data chunks per XOR parity group.
+/// Data chunks per XOR parity group in every pack the store writes.
 pub const DEFAULT_PARITY_GROUP_WIDTH: u32 = 8;
 
 /// One chunk's location inside a pack file, as recovered by a scan.

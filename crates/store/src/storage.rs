@@ -117,12 +117,6 @@ impl StoreStorage {
     pub fn counters(&self) -> StoreReadCounters {
         self.counters.clone()
     }
-
-    /// Number of distinct packs this object's chunks live in.
-    #[must_use]
-    pub fn pack_count(&self) -> usize {
-        self.packs.len()
-    }
 }
 
 impl Storage for StoreStorage {

@@ -67,16 +67,13 @@ pub const QUARANTINE_FILE: &str = "quarantine.bin";
 
 /// File name of the advisory lock within the store root. Present iff
 /// some process opened the store exclusively (see
-/// [`ChunkStore::open_exclusive`]); its contents are the owner tag.
+/// [`StoreConfig::exclusive`]); its contents are the owner tag.
 pub const LOCK_FILE: &str = "store.lock";
 
 /// Store-wide tunables. The default is what production callers want;
 /// the torture harness swaps in a crash-injecting [`StoreFs`].
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Data chunks per XOR parity group in sealed packs. `0` disables
-    /// parity (legacy v1 packs, repairable never).
-    pub parity_group_width: u32,
     /// The filesystem seam every mutation crosses.
     pub fs: Arc<dyn StoreFs>,
     /// When set, the open acquires the store-root advisory lock under
@@ -89,7 +86,6 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            parity_group_width: DEFAULT_PARITY_GROUP_WIDTH,
             fs: real_fs(),
             exclusive_owner: None,
         }
@@ -142,7 +138,7 @@ impl Default for DeltaPolicy {
 impl DeltaPolicy {
     /// Would a delta at `depth` (parent depth + 1) violate the policy?
     #[must_use]
-    pub fn forces_anchor(&self, depth: u64) -> bool {
+    fn forces_anchor(&self, depth: u64) -> bool {
         depth >= self.anchor_every || depth > self.max_depth
     }
 }
@@ -366,7 +362,6 @@ pub struct ChunkStore {
     root: PathBuf,
     metrics: StoreMetrics,
     fs: Arc<dyn StoreFs>,
-    parity_width: u32,
     obs: JournalSlot,
     /// Advisory lock file this handle owns (removed on drop), if the
     /// store was opened exclusively.
@@ -401,29 +396,7 @@ impl ChunkStore {
     ///
     /// Filesystem failures, or corrupt manifests/packs.
     pub fn open(root: &Path) -> StoreResult<Self> {
-        Self::open_observed_with(root, StoreMetrics::detached(), StoreConfig::default())
-    }
-
-    /// As [`ChunkStore::open`] with an explicit [`StoreConfig`] — how
-    /// the torture harness injects a crash-point [`StoreFs`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ChunkStore::open`].
-    pub fn open_with(root: &Path, config: StoreConfig) -> StoreResult<Self> {
-        Self::open_observed_with(root, StoreMetrics::detached(), config)
-    }
-
-    /// As [`ChunkStore::open`], but acquires the store-root advisory
-    /// lock under `owner` first — how a daemon claims sole ownership.
-    /// The lock is released when the returned store is dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Locked`] when another process already holds the
-    /// lock; otherwise as [`ChunkStore::open`].
-    pub fn open_exclusive(root: &Path, owner: impl Into<String>) -> StoreResult<Self> {
-        Self::open_with(root, StoreConfig::default().exclusive(owner))
+        Self::open_with(root, StoreConfig::default())
     }
 
     /// Reports who holds the advisory lock at `root`, if anyone.
@@ -456,10 +429,11 @@ impl ChunkStore {
         }
     }
 
-    /// The full-control constructor: store traffic is recorded into
-    /// `metrics` (build them with [`StoreMetrics::in_registry`] to
-    /// surface the `store.*` ledger in an external
-    /// [`Registry`](reprocmp_obs::Registry)).
+    /// As [`ChunkStore::open`] with an explicit [`StoreConfig`] — how
+    /// the torture harness injects a crash-point [`StoreFs`]. Store
+    /// traffic is recorded into [`ChunkStore::metrics`], a private
+    /// registry's `store.*` ledger.
+    ///
     /// Recovery happens here, in order:
     ///
     /// 1. orphaned `*.tmp` staging files are swept;
@@ -484,11 +458,8 @@ impl ChunkStore {
     /// # Errors
     ///
     /// Filesystem failures, or corrupt manifests/packs.
-    pub fn open_observed_with(
-        root: &Path,
-        metrics: StoreMetrics,
-        config: StoreConfig,
-    ) -> StoreResult<Self> {
+    pub fn open_with(root: &Path, config: StoreConfig) -> StoreResult<Self> {
+        let metrics = StoreMetrics::detached();
         let packs_dir = root.join("packs");
         let manifests_dir = root.join("manifests");
         std::fs::create_dir_all(&packs_dir)?;
@@ -655,7 +626,6 @@ impl ChunkStore {
             root: root.to_path_buf(),
             metrics,
             fs: config.fs,
-            parity_width: config.parity_group_width,
             obs: JournalSlot::new(),
             lock,
             inner: Mutex::new(Inner {
@@ -988,7 +958,12 @@ impl ChunkStore {
         // Publish step 1: the pack (only if something is new).
         if let Some(pack_id) = pack_id {
             let path = self.packs_dir().join(pack_file_name(pack_id));
-            let records = write_pack(self.fs.as_ref(), &path, &new_chunks, self.parity_width)?;
+            let records = write_pack(
+                self.fs.as_ref(),
+                &path,
+                &new_chunks,
+                DEFAULT_PARITY_GROUP_WIDTH,
+            )?;
             for r in records {
                 // A repointed chunk keeps the references its
                 // quarantined copy had accumulated.
@@ -1193,8 +1168,8 @@ impl ChunkStore {
     }
 
     /// Ids of currently quarantined packs, ascending.
-    #[must_use]
-    pub fn quarantined_packs(&self) -> Vec<u32> {
+    #[cfg(test)]
+    fn quarantined_packs(&self) -> Vec<u32> {
         let mut ids: Vec<u32> = self.inner.lock().quarantined.iter().copied().collect();
         ids.sort_unstable();
         ids
@@ -1468,7 +1443,12 @@ impl ChunkStore {
             ..CompactStats::default()
         };
         let dst_path = self.packs_dir().join(pack_file_name(dst));
-        let records = write_pack(self.fs.as_ref(), &dst_path, &chunks, self.parity_width)?;
+        let records = write_pack(
+            self.fs.as_ref(),
+            &dst_path,
+            &chunks,
+            DEFAULT_PARITY_GROUP_WIDTH,
+        )?;
         inner.next_pack += 1;
         for r in &records {
             stats.chunks_migrated += 1;
@@ -2043,7 +2023,9 @@ mod tests {
     #[test]
     fn exclusive_lock_excludes_every_other_open_until_dropped() {
         let root = temp_root("lock");
-        let exclusive = ChunkStore::open_exclusive(&root, "daemon pid=1234").unwrap();
+        let open_exclusive =
+            |owner: &str| ChunkStore::open_with(&root, StoreConfig::default().exclusive(owner));
+        let exclusive = open_exclusive("daemon pid=1234").unwrap();
         assert_eq!(
             ChunkStore::lock_owner(&root).as_deref(),
             Some("daemon pid=1234")
@@ -2051,10 +2033,7 @@ mod tests {
 
         // Plain and exclusive contenders both get the typed error
         // naming the holder.
-        for contender in [
-            ChunkStore::open(&root),
-            ChunkStore::open_exclusive(&root, "other"),
-        ] {
+        for contender in [ChunkStore::open(&root), open_exclusive("other")] {
             match contender {
                 Err(StoreError::Locked { root: r, owner }) => {
                     assert_eq!(r, root);
@@ -2535,13 +2514,7 @@ mod tests {
     #[test]
     fn stats_ledger_matches_metrics_across_many_ingests() {
         let root = temp_root("ledger");
-        let registry = reprocmp_obs::Registry::new();
-        let store = ChunkStore::open_observed_with(
-            &root,
-            StoreMetrics::in_registry(&registry, "store"),
-            StoreConfig::default(),
-        )
-        .unwrap();
+        let store = ChunkStore::open(&root).unwrap();
         let base = payload(8192, 50);
         for v in 1..=4u64 {
             let mut data = base.clone();
@@ -2550,16 +2523,17 @@ mod tests {
             data[at..at + 256].copy_from_slice(&payload(256, 100 + v));
             store.ingest("run", v, &[("x", &data)], 256, &[]).unwrap();
         }
-        let logical = registry.counter("store.bytes_logical").get();
-        let physical = registry.counter("store.bytes_physical").get();
-        let deduped = registry.counter("store.bytes_deduped").get();
+        let metrics = store.metrics();
+        let logical = metrics.bytes_logical.get();
+        let physical = metrics.bytes_physical.get();
+        let deduped = metrics.bytes_deduped.get();
         assert_eq!(logical, 4 * 8192);
         assert_eq!(logical, physical + deduped, "ledger is exact");
         assert!(physical < logical, "dedup saved something");
         let s = store.stats();
         assert_eq!(s.bytes_logical, logical);
         assert_eq!(s.bytes_physical, physical);
-        assert_eq!(registry.gauge("store.objects").get(), 4);
+        assert_eq!(metrics.objects.get(), 4);
         std::fs::remove_dir_all(&root).ok();
     }
 

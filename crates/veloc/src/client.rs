@@ -12,7 +12,7 @@
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use reprocmp_io::{MutationKind, RetryPolicy};
-use reprocmp_obs::{Counter, EventKind, Histogram, Journal, Registry};
+use reprocmp_obs::{Counter, EventKind, Histogram, JournalSlot};
 use reprocmp_store::{real_fs, ChunkStore, DeltaPolicy, StoreError, StoreFs};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -55,14 +55,6 @@ pub struct VelocConfig {
     /// [`Client::restart_latest`] then treat store-resident versions as
     /// durable even if the flat PFS copy is gone.
     pub store: Option<Arc<ChunkStore>>,
-    /// Root of a capture store to attach *lazily* — opened on first
-    /// use by [`Client::recover`] / [`Client::versions`] /
-    /// [`Client::restart_latest`] rather than at construction, so a
-    /// store currently owned by a `reprocmp-server` daemon surfaces as
-    /// a typed [`VelocError::StoreLocked`] from those calls instead of
-    /// failing client construction (or panicking). Ignored when
-    /// [`VelocConfig::store`] is already set.
-    pub store_root: Option<PathBuf>,
     /// Chunk size for store ingestion (ignored without a store).
     pub store_chunk_bytes: usize,
     /// Full vs. differential store capture (ignored without a store).
@@ -88,7 +80,6 @@ impl VelocConfig {
             flush_threads: 2,
             flush_retry: RetryPolicy::with_attempts(3),
             store: None,
-            store_root: None,
             store_chunk_bytes: 4096,
             capture_mode: CaptureMode::default(),
             delta_policy: DeltaPolicy::default(),
@@ -100,14 +91,6 @@ impl VelocConfig {
     #[must_use]
     pub fn with_store(mut self, store: Arc<ChunkStore>) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// This config reading the capture store at `root`, opened lazily
-    /// on first use (see [`VelocConfig::store_root`]).
-    #[must_use]
-    pub fn with_store_at(mut self, root: &Path) -> Self {
-        self.store_root = Some(root.to_path_buf());
         self
     }
 
@@ -152,16 +135,6 @@ pub enum VelocError {
         /// Checkpoint version.
         version: u64,
     },
-    /// The capture store is advisorily locked by another process —
-    /// typically a `reprocmp-server` daemon holding it exclusively.
-    /// Recovery and restart must wait for the daemon to release it (or
-    /// go through the daemon's own API).
-    StoreLocked {
-        /// The locked store root.
-        root: PathBuf,
-        /// The owner tag recorded in the lock file.
-        owner: String,
-    },
 }
 
 impl std::fmt::Display for VelocError {
@@ -175,12 +148,6 @@ impl std::fmt::Display for VelocError {
             VelocError::FlushFailed { name, version } => {
                 write!(f, "background flush of {name} v{version} failed")
             }
-            VelocError::StoreLocked { root, owner } => write!(
-                f,
-                "capture store {} is locked by {owner}; stop that process (or force-unlock a \
-                 stale lock) before recovering here",
-                root.display()
-            ),
         }
     }
 }
@@ -224,15 +191,13 @@ pub struct ClientStats {
     pub persistent_bytes: u64,
 }
 
-/// Registry-backed capture/flush metrics (see [`Client::metrics`]).
+/// Capture/flush metrics (see [`Client::metrics`]).
 ///
-/// Counters track the capture lifecycle (`{prefix}.checkpoints`, and
-/// `{prefix}.flush.completed` / `.retried` / `.gave_up` for the
-/// background copies); the `{prefix}.flush.bytes` histogram records the
-/// size of every successful flush. Handles are cheap atomics shared
-/// with the registry, so an external [`Registry`] snapshot sees live
-/// client traffic.
-#[derive(Debug, Clone)]
+/// Counters track the capture lifecycle (`checkpoints`, and
+/// `completed` / `retried` / `gave_up` for the background copies); the
+/// `flush_bytes` histogram records the size of every successful flush.
+/// Handles are cheap atomics shared by the client's flush threads.
+#[derive(Debug, Clone, Default)]
 pub struct FlushMetrics {
     /// Checkpoints taken (local write succeeded).
     pub checkpoints: Counter,
@@ -244,38 +209,10 @@ pub struct FlushMetrics {
     pub gave_up: Counter,
     /// Bytes copied per successful flush.
     pub flush_bytes: Histogram,
-    /// Flight-recorder sink; disabled unless attached with
-    /// [`FlushMetrics::with_journal`].
-    journal: Journal,
-}
-
-impl FlushMetrics {
-    /// Metrics registered in `registry` under `prefix` (see type docs).
-    #[must_use]
-    pub fn in_registry(registry: &Registry, prefix: &str) -> Self {
-        FlushMetrics {
-            checkpoints: registry.counter(&format!("{prefix}.checkpoints")),
-            completed: registry.counter(&format!("{prefix}.flush.completed")),
-            retried: registry.counter(&format!("{prefix}.flush.retried")),
-            gave_up: registry.counter(&format!("{prefix}.flush.gave_up")),
-            flush_bytes: registry.histogram(&format!("{prefix}.flush.bytes")),
-            journal: Journal::disabled(),
-        }
-    }
-
-    /// Attaches a flight-recorder journal: every flush outcome emits a
-    /// `flush` event (destination file name, bytes copied, success) on
-    /// the `veloc` lane.
-    #[must_use]
-    pub fn with_journal(mut self, journal: Journal) -> Self {
-        self.journal = journal;
-        self
-    }
-
-    /// Metrics bound to a private registry nobody else reads.
-    fn detached() -> Self {
-        FlushMetrics::in_registry(&Registry::new(), "veloc")
-    }
+    /// Flight-recorder slot: once a journal is [`set`](JournalSlot::set)
+    /// in it, every flush outcome emits a `flush` event (destination
+    /// file name, bytes copied, success) on the `veloc` lane.
+    pub journal: JournalSlot,
 }
 
 type Key = (String, u64);
@@ -299,29 +236,17 @@ pub struct Client {
     flush_tx: Option<Sender<(Key, PathBuf, PathBuf)>>,
     flushers: Vec<JoinHandle<()>>,
     metrics: FlushMetrics,
-    /// Cache for the lazily opened [`VelocConfig::store_root`] store.
-    lazy_store: Mutex<Option<Arc<ChunkStore>>>,
 }
 
 impl Client {
-    /// Creates the tier directories and starts the flush pool, with
-    /// metrics in a private registry.
+    /// Creates the tier directories and starts the flush pool; its
+    /// metrics are read through [`Client::metrics`].
     ///
     /// # Errors
     ///
     /// Directory creation failures.
     pub fn new(config: VelocConfig) -> Result<Self, VelocError> {
-        Self::new_observed(config, FlushMetrics::detached())
-    }
-
-    /// As [`Client::new`], but capture/flush traffic is recorded into
-    /// `metrics` — build them with [`FlushMetrics::in_registry`] to
-    /// surface the client in an external [`Registry`].
-    ///
-    /// # Errors
-    ///
-    /// Directory creation failures.
-    pub fn new_observed(config: VelocConfig, metrics: FlushMetrics) -> Result<Self, VelocError> {
+        let metrics = FlushMetrics::default();
         std::fs::create_dir_all(&config.scratch_dir)?;
         std::fs::create_dir_all(&config.persistent_dir)?;
         let tracker = Arc::new(Tracker::default());
@@ -362,40 +287,7 @@ impl Client {
             flush_tx: Some(tx),
             flushers,
             metrics,
-            lazy_store: Mutex::new(None),
         })
-    }
-
-    /// The capture store this client reads durable versions from:
-    /// [`VelocConfig::store`] when set, else the store at
-    /// [`VelocConfig::store_root`] opened (and cached) on first use,
-    /// else `None`.
-    ///
-    /// # Errors
-    ///
-    /// [`VelocError::StoreLocked`] when the store at `store_root` is
-    /// advisorily locked by another process (e.g. a daemon); other
-    /// open failures as [`VelocError::Io`].
-    fn attached_store(&self) -> Result<Option<Arc<ChunkStore>>, VelocError> {
-        if let Some(store) = &self.config.store {
-            return Ok(Some(Arc::clone(store)));
-        }
-        let Some(root) = &self.config.store_root else {
-            return Ok(None);
-        };
-        let mut cached = self.lazy_store.lock();
-        if let Some(store) = &*cached {
-            return Ok(Some(Arc::clone(store)));
-        }
-        match ChunkStore::open(root) {
-            Ok(store) => {
-                let store = Arc::new(store);
-                *cached = Some(Arc::clone(&store));
-                Ok(Some(store))
-            }
-            Err(StoreError::Locked { root, owner }) => Err(VelocError::StoreLocked { root, owner }),
-            Err(e) => Err(VelocError::Io(store_io_error(e))),
-        }
     }
 
     /// The client's live metric handles.
@@ -508,11 +400,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Directory listing or file removal failures;
-    /// [`VelocError::StoreLocked`] when the configured store root is
-    /// held by a daemon (recovery must not race its ingests).
+    /// Directory listing or file removal failures.
     pub fn recover(&self) -> Result<Vec<(String, u64)>, VelocError> {
-        let attached = self.attached_store()?;
+        let attached = self.config.store.as_deref();
         // 1. Sweep torn temporaries off the persistent tier.
         for entry in std::fs::read_dir(&self.config.persistent_dir)? {
             let entry = entry?;
@@ -530,9 +420,7 @@ impl Client {
             };
             let key = (name.clone(), version);
             let remote = self.persistent_path(&name, version);
-            let store_durable = attached
-                .as_deref()
-                .is_some_and(|s| s.contains(&name, version));
+            let store_durable = attached.is_some_and(|s| s.contains(&name, version));
             if remote.exists() || store_durable {
                 self.tracker
                     .states
@@ -558,7 +446,7 @@ impl Client {
                         );
                         if ok {
                             capture_into_store(
-                                attached.as_deref(),
+                                attached,
                                 &key,
                                 &remote,
                                 self.config.store_chunk_bytes,
@@ -673,8 +561,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Directory listing failures; [`VelocError::StoreLocked`] when
-    /// the configured store root is held by a daemon.
+    /// Directory listing failures.
     pub fn versions(&self, name: &str) -> Result<Vec<u64>, VelocError> {
         let prefix = format!("{name}.v");
         let mut versions = Vec::new();
@@ -690,7 +577,7 @@ impl Client {
                 }
             }
         }
-        if let Some(store) = self.attached_store()? {
+        if let Some(store) = &self.config.store {
             versions.extend(store.versions(name));
         }
         versions.sort_unstable();
@@ -706,9 +593,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// I/O or decode failures; [`VelocError::StoreLocked`] when the
-    /// configured store root is held by a daemon;
-    /// [`VelocError::UnknownCheckpoint`] if the version vanished from
+    /// I/O or decode failures; [`VelocError::UnknownCheckpoint`] if the version vanished from
     /// every tier between listing and reading (no tier holds it now).
     pub fn restart_latest(&self, name: &str) -> Result<Option<RestoredCheckpoint>, VelocError> {
         let Some(&version) = self.versions(name)?.last() else {
@@ -721,12 +606,14 @@ impl Client {
             // The flat copy is gone, so the listing came from a store
             // tier — but never trust that race-free: surface a typed
             // error instead of panicking if no tier holds it anymore.
-            let store = self
-                .attached_store()?
-                .ok_or_else(|| VelocError::UnknownCheckpoint {
-                    name: name.to_owned(),
-                    version,
-                })?;
+            let store =
+                self.config
+                    .store
+                    .as_ref()
+                    .ok_or_else(|| VelocError::UnknownCheckpoint {
+                        name: name.to_owned(),
+                        version,
+                    })?;
             store.materialize(name, version).map_err(|e| match e {
                 StoreError::NotFound { name, version } => {
                     VelocError::UnknownCheckpoint { name, version }
@@ -820,14 +707,12 @@ fn flush_file(
     let tmp = tmp_path(to);
     let attempts = retry.max_attempts.max(1);
     let flush_event = |bytes: u64, ok: bool| {
-        if metrics.journal.is_enabled() {
-            let name = to
-                .file_name()
-                .map_or_else(|| to.display().to_string(), |n| n.to_string_lossy().into());
-            metrics
-                .journal
-                .emit("veloc", EventKind::Flush { name, bytes, ok });
-        }
+        let name = to
+            .file_name()
+            .map_or_else(|| to.display().to_string(), |n| n.to_string_lossy().into());
+        metrics
+            .journal
+            .emit("veloc", EventKind::Flush { name, bytes, ok });
     };
     for attempt in 1..=attempts {
         let result = std::fs::read(from).and_then(|bytes| {
@@ -860,6 +745,7 @@ fn flush_file(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reprocmp_obs::Journal;
 
     fn temp_client(tag: &str) -> (Client, PathBuf) {
         let base =
@@ -927,45 +813,6 @@ mod tests {
         let err = client.wait("ghost", 3).unwrap_err();
         assert!(matches!(err, VelocError::UnknownCheckpoint { .. }));
         assert!(err.to_string().contains("ghost"));
-        std::fs::remove_dir_all(&base).ok();
-    }
-
-    #[test]
-    fn daemon_locked_store_surfaces_typed_error_not_panic() {
-        let base =
-            std::env::temp_dir().join(format!("reprocmp-veloc-locked-{}", std::process::id()));
-        std::fs::remove_dir_all(&base).ok();
-        let store_root = base.join("store");
-
-        // Seed the store with one version, then let a "daemon" claim it.
-        {
-            let store = ChunkStore::open(&store_root).unwrap();
-            store
-                .ingest("sim.rank0", 7, &[("x", &[1u8, 2, 3, 4])], 4, &[])
-                .unwrap();
-        }
-        let daemon = ChunkStore::open_exclusive(&store_root, "reprocmp-server").unwrap();
-
-        let client = Client::new(VelocConfig::rooted_at(&base).with_store_at(&store_root)).unwrap();
-        for result in [
-            client.recover().map(|_| ()),
-            client.versions("sim.rank0").map(|_| ()),
-            client.restart_latest("sim.rank0").map(|_| ()),
-        ] {
-            match result {
-                Err(VelocError::StoreLocked { root, owner }) => {
-                    assert_eq!(root, store_root);
-                    assert_eq!(owner, "reprocmp-server");
-                }
-                other => panic!("expected StoreLocked, got {other:?}"),
-            }
-        }
-
-        // The daemon releasing the lock unblocks the same client: the
-        // lazy attach retries on the next call.
-        drop(daemon);
-        assert_eq!(client.versions("sim.rank0").unwrap(), vec![7]);
-        client.recover().unwrap();
         std::fs::remove_dir_all(&base).ok();
     }
 
@@ -1044,26 +891,20 @@ mod tests {
         let base =
             std::env::temp_dir().join(format!("reprocmp-veloc-metrics-{}", std::process::id()));
         std::fs::remove_dir_all(&base).ok();
-        let registry = Registry::new();
-        let client = Client::new_observed(
-            VelocConfig::rooted_at(&base),
-            FlushMetrics::in_registry(&registry, "veloc"),
-        )
-        .unwrap();
+        let client = Client::new(VelocConfig::rooted_at(&base)).unwrap();
         for v in [1u64, 2, 3] {
             client
                 .checkpoint("m", v, &[("x", &field(256, 1.0))])
                 .unwrap();
         }
         client.wait_all().unwrap();
-        assert_eq!(registry.counter("veloc.checkpoints").get(), 3);
-        assert_eq!(registry.counter("veloc.flush.completed").get(), 3);
-        assert_eq!(registry.counter("veloc.flush.gave_up").get(), 0);
-        let h = registry.histogram("veloc.flush.bytes").snapshot();
+        let metrics = client.metrics();
+        assert_eq!(metrics.checkpoints.get(), 3);
+        assert_eq!(metrics.completed.get(), 3);
+        assert_eq!(metrics.gave_up.get(), 0);
+        let h = metrics.flush_bytes.snapshot();
         assert_eq!(h.count, 3);
         assert_eq!(h.sum, client.stats().persistent_bytes);
-        // The client's own handles are the same atomics.
-        assert_eq!(client.metrics().checkpoints.get(), 3);
         std::fs::remove_dir_all(&base).ok();
     }
 
@@ -1073,11 +914,8 @@ mod tests {
             std::env::temp_dir().join(format!("reprocmp-veloc-journal-{}", std::process::id()));
         std::fs::remove_dir_all(&base).ok();
         let journal = Journal::new(reprocmp_obs::ObsClock::wall());
-        let client = Client::new_observed(
-            VelocConfig::rooted_at(&base),
-            FlushMetrics::detached().with_journal(journal.clone()),
-        )
-        .unwrap();
+        let client = Client::new(VelocConfig::rooted_at(&base)).unwrap();
+        client.metrics().journal.set(journal.clone());
         client
             .checkpoint("j", 1, &[("x", &field(128, 1.0))])
             .unwrap();

@@ -6,7 +6,8 @@
 //! reads each payload byte once and holds a few stage-2 slices of it,
 //! never a whole payload. A delta ingest hashes an ε-leaf for no more
 //! chunks than changed since its parent, and its metadata is still
-//! byte for byte a fresh capture's. The read budget counts `rchar` from
+//! byte for byte a fresh capture's. A run opened for hashing in memory
+//! holds its payload once. The read budget counts `rchar` from
 //! `/proc/self/io`, which every `read`/`pread` in the process adds to,
 //! page-cache hits included, and the live heap through a counting
 //! allocator. Both counters are per process, so this file holds exactly
@@ -34,6 +35,10 @@ const STREAM_SLACK: u64 = 1 << 10;
 /// Heap a compare without trees may grow by: a few 1 MiB stage-2 slices
 /// a side, against the 16 MiB of either payload.
 const STREAM_HEAP: usize = 12 << 20;
+
+/// Heap a file opened for hashing in memory may grow by beyond its
+/// payload: the tree and the raw leaf digests, not a second copy.
+const HASHED_SLACK: usize = 1 << 20;
 
 #[global_allocator]
 static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
@@ -287,6 +292,27 @@ fn compare_with_trees_reads_headers_trees_and_flagged_chunks_only() {
             .ends_with("checkpoint file truncated"),
         "{header_only}"
     );
+
+    // A run opened for hashing in memory holds its payload once: the
+    // read buffer becomes the source's payload.
+    const RAW_VALUES: usize = 2 << 20;
+    let raw = file("raw.f32");
+    let raw_bytes: Vec<u8> = values(4, RAW_VALUES)
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    std::fs::write(&raw, &raw_bytes).unwrap();
+    drop(raw_bytes);
+    let (held, opened) = alloc::peak_growth(|| ops::open_run(None, path_str(&raw), &engine));
+    let opened = opened.expect("raw open");
+    assert_eq!(opened.source.payload_len, (RAW_VALUES * 4) as u64);
+    let budget = RAW_VALUES * 4 + HASHED_SLACK;
+    assert!(
+        held <= budget,
+        "opening an 8 MiB raw run grew the heap by {held} B; budget {budget} B = payload \
+         + {HASHED_SLACK}"
+    );
+    drop(opened);
 
     delta_capture_hashes_only_changed_chunks(&dir);
 

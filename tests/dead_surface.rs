@@ -1,10 +1,7 @@
-//! A ratchet on dead public surface: every non-test `pub fn` in
-//! `crates/*/src` whose name appears in no other file under `crates/`,
-//! `src/`, `tests/`, `examples/` or `benchmark/src/` must be on
-//! [`KEPT`], and every entry on [`KEPT`] must still be such a name. A
-//! new function without a caller fails the first check; giving a kept
-//! one a caller, or deleting it, fails the second until its entry goes.
-//! So the list can only shrink.
+//! No dead public surface: every non-test `pub fn` in `crates/*/src`
+//! must be named by some other file under `crates/`, `src/`, `tests/`,
+//! `examples/` or `benchmark/src/`. A new function without a caller
+//! fails: give it a caller, make it private, or delete it.
 //!
 //! The scan is textual: a name counts as used wherever it appears as a
 //! whole word, comments included. A `pub fn` counts as test code when an
@@ -14,66 +11,6 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
-
-/// `(file, function, the ROADMAP item that decides it)`: public API no
-/// other file names, each kept until its item gives it a caller or
-/// deletes it.
-const KEPT: &[(&str, &str, &str)] = &[
-    ("crates/analyze/src/front.rs", "first_flagged", "item 11"),
-    (
-        "crates/analyze/src/tui/explorer.rs",
-        "cursor_iteration",
-        "item 11",
-    ),
-    ("crates/analyze/src/tui/top.rs", "cursor_seq", "item 11"),
-    ("crates/cluster/src/lib.rs", "allgather_f64", "item 20"),
-    ("crates/cluster/src/lib.rs", "allreduce_max_f64", "item 20"),
-    ("crates/cluster/src/lib.rs", "broadcast_bytes", "item 20"),
-    ("crates/cluster/src/lib.rs", "exscan_sum_f64", "item 20"),
-    ("crates/cluster/src/lib.rs", "procs_per_node", "item 20"),
-    (
-        "crates/core/src/history.rs",
-        "compare_history_many",
-        "item 22",
-    ),
-    (
-        "crates/core/src/history.rs",
-        "first_divergent_run",
-        "item 22",
-    ),
-    ("crates/device/src/model.rs", "cpu_socket", "item 20"),
-    ("crates/device/src/runner.rs", "reduce_sum_f64", "item 20"),
-    ("crates/hacc/src/decomp.rs", "owned_ids", "item 20"),
-    ("crates/hacc/src/decomp.rs", "rank_of", "item 20"),
-    ("crates/hacc/src/fft.rs", "from_angle", "item 20"),
-    ("crates/hacc/src/nondet.rs", "is_deterministic", "item 20"),
-    ("crates/hacc/src/particles.rs", "kinetic_energy", "item 20"),
-    ("crates/hacc/src/sim.rs", "from_state", "item 20"),
-    ("crates/hacc/src/sim.rs", "particle_mass", "item 20"),
-    ("crates/hacc/src/sim.rs", "step_count", "item 20"),
-    ("crates/io/src/clock.rs", "advance_to", "item 11"),
-    ("crates/io/src/mmap.rs", "resident_pages", "item 11"),
-    ("crates/io/src/retry.rs", "with_deadline", "item 11"),
-    ("crates/io/src/storage.rs", "write_at", "item 11"),
-    ("crates/obs/src/cache.rs", "node_lookups", "item 22"),
-    ("crates/obs/src/cache.rs", "verdict_lookups", "item 22"),
-    ("crates/obs/src/metrics.rs", "bucket_index", "item 15"),
-    (
-        "crates/obs/src/metrics.rs",
-        "quantile_from_buckets",
-        "item 15",
-    ),
-    ("crates/obs/src/stage.rs", "compare_time", "item 15"),
-    ("crates/obs/src/telemetry.rs", "period", "item 11"),
-    ("crates/obs/src/telemetry.rs", "prometheus_name", "item 11"),
-    ("crates/store/src/journal.rs", "is_begin", "item 11"),
-    ("crates/store/src/manifest.rs", "skipped_refs", "item 11"),
-    ("crates/store/src/storage.rs", "pack_count", "item 11"),
-    ("crates/store/src/store.rs", "forces_anchor", "item 11"),
-    ("crates/store/src/store.rs", "quarantined_packs", "item 11"),
-    ("crates/veloc/src/client.rs", "new_observed", "item 11"),
-    ("crates/veloc/src/client.rs", "with_store_at", "item 19"),
-];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -147,7 +84,7 @@ fn dead_surface(root: &Path) -> BTreeSet<(String, String)> {
     for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
         rust_files(&root.join(dir), &mut files);
     }
-    // This file names every kept function; it is not a caller.
+    // This file is not a caller of anything it scans.
     files.retain(|f| !f.ends_with(file!()));
     let texts: Vec<String> = files
         .iter()
@@ -185,22 +122,12 @@ fn dead_surface(root: &Path) -> BTreeSet<(String, String)> {
 }
 
 #[test]
-fn public_functions_without_a_caller_are_the_kept_ones() {
+fn every_public_function_has_a_caller() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let dead = dead_surface(root);
-    let kept: BTreeSet<(String, String)> = KEPT
-        .iter()
-        .map(|&(file, name, _)| (file.to_owned(), name.to_owned()))
-        .collect();
-    let new: Vec<_> = dead.difference(&kept).collect();
-    let revived: Vec<_> = kept.difference(&dead).collect();
     assert!(
-        new.is_empty(),
+        dead.is_empty(),
         "public functions nothing else names: give each a caller, make it private, \
-         or keep it with the ROADMAP item that decides it: {new:#?}"
-    );
-    assert!(
-        revived.is_empty(),
-        "kept entries that now have a caller or are gone; drop them: {revived:#?}"
+         or delete it: {dead:#?}"
     );
 }

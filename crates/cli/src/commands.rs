@@ -93,19 +93,12 @@ pub fn create_tree(map: &ArgMap) -> Result<String, CliError> {
 /// The `--json` report object: the serialized [`CompareReport`] plus
 /// additive `"histograms"` (quantiles, sums, and log2 bucket arrays)
 /// and `"gauges"` keys from the registry.
-fn report_with_histograms(
-    report: &reprocmp_core::CompareReport,
-    obs: &reprocmp_obs::Observer,
-) -> serde::Value {
-    use serde::Serialize as _;
-    let baseline =
-        reprocmp_obs::ProfileBaseline::from_registry(report.stages, &obs.registry.snapshot());
-    let mut value = report.to_value();
-    if let serde::Value::Object(fields) = &mut value {
-        fields.push(("histograms".to_owned(), baseline.histograms.to_value()));
-        fields.push(("gauges".to_owned(), baseline.gauges.to_value()));
-    }
-    value
+#[derive(serde::Serialize)]
+struct JsonReport {
+    #[serde(flatten)]
+    report: reprocmp_core::CompareReport,
+    histograms: Vec<reprocmp_obs::HistogramQuantiles>,
+    gauges: Vec<reprocmp_obs::MetricValue>,
 }
 
 /// `compare`: compare two checkpoint files, or — with `--store D` —
@@ -195,8 +188,14 @@ pub fn compare(map: &ArgMap) -> Result<String, CliError> {
     // profile, I/O counters, and registry histogram quantiles) instead
     // of the human rendering.
     if map.flag("json") {
-        let mut s =
-            serde_json::to_string_pretty(&report_with_histograms(&report, obs)).map_err(fail)?;
+        let registry = obs.registry.snapshot();
+        let baseline = reprocmp_obs::ProfileBaseline::from_registry(report.stages, &registry);
+        let json = JsonReport {
+            report,
+            histograms: baseline.histograms,
+            gauges: baseline.gauges,
+        };
+        let mut s = serde_json::to_string_pretty(&json).map_err(fail)?;
         s.push('\n');
         if strict_violation {
             return Err(CliError::Failed(s));

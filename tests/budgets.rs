@@ -20,7 +20,7 @@ mod alloc;
 use std::path::{Path, PathBuf};
 
 use reprocmp::core::ops::{self, Image};
-use reprocmp::core::{CompareEngine, EngineConfig};
+use reprocmp::core::{CheckpointSource, CompareEngine, Ctx, EngineConfig};
 use reprocmp::store::{ChunkStore, DeltaPolicy};
 use reprocmp::veloc::{decode_checkpoint, encode_checkpoint};
 use serde::Value;
@@ -39,6 +39,11 @@ const STREAM_HEAP: usize = 12 << 20;
 /// Heap a file opened for hashing in memory may grow by beyond its
 /// payload: the tree and the raw leaf digests, not a second copy.
 const HASHED_SLACK: usize = 1 << 20;
+
+/// Heap rendering a report as JSON may grow by, in tenths of the text
+/// it writes: the output buffer as it doubles, not a copy of the
+/// document as a tree.
+const RENDER_TENTHS: usize = 25;
 
 #[global_allocator]
 static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
@@ -151,6 +156,36 @@ fn delta_capture_hashes_only_changed_chunks(dir: &Path) {
         );
         prev = Some(payload.clone());
     }
+}
+
+/// A report at the recorded-difference cap (about 100 KB of pretty
+/// JSON) renders into its text and nothing the size of the document
+/// besides.
+fn rendering_a_report_holds_its_text_not_a_tree() {
+    const VALUES: usize = 1 << 16;
+    let engine = CompareEngine::new(EngineConfig::default());
+    let a = values(5, VALUES);
+    let b: Vec<f32> = a
+        .iter()
+        .enumerate()
+        .map(|(i, v)| if i % 48 == 0 { v + 0.5 } else { *v })
+        .collect();
+    let a = CheckpointSource::in_memory(&a, &engine).expect("source a");
+    let b = CheckpointSource::in_memory(&b, &engine).expect("source b");
+    let report = engine.compare(&a, &b, &Ctx::default()).expect("compare");
+    assert_eq!(
+        report.differences.len(),
+        1024,
+        "the recorded-difference cap"
+    );
+    let (held, text) = alloc::peak_growth(|| serde_json::to_string_pretty(&report));
+    let text = text.expect("render");
+    let budget = text.len() * RENDER_TENTHS / 10;
+    assert!(
+        held <= budget,
+        "rendering a {} B report grew the heap by {held} B; budget {budget} B",
+        text.len()
+    );
 }
 
 fn report_u64(report: &Value, section: &str, field: &str) -> u64 {
@@ -315,6 +350,7 @@ fn compare_with_trees_reads_headers_trees_and_flagged_chunks_only() {
     drop(opened);
 
     delta_capture_hashes_only_changed_chunks(&dir);
+    rendering_a_report_holds_its_text_not_a_tree();
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,4 +1,4 @@
-//! Registry-backed store metrics: the `store.*` ledger.
+//! Store metrics: the ledger of counters and gauges a store keeps.
 //!
 //! The central invariant, checked by the acceptance tests: per ingest
 //! and cumulatively, `bytes_logical == bytes_physical + bytes_deduped`
@@ -8,11 +8,12 @@
 //! capture would have written per chunk); per-record pack headers are
 //! accounted separately in [`StoreStats`](crate::StoreStats).
 
-use reprocmp_obs::{Counter, Gauge, Registry};
+use reprocmp_obs::{Counter, Gauge};
 
-/// Live metric handles for one [`ChunkStore`](crate::ChunkStore).
-/// Cheap atomics shared with the registry they were built from.
-#[derive(Debug, Clone)]
+/// Live metric handles for one [`ChunkStore`](crate::ChunkStore):
+/// cheap atomics its clones share, read through
+/// [`ChunkStore::metrics`](crate::ChunkStore::metrics).
+#[derive(Debug, Clone, Default)]
 pub struct StoreMetrics {
     /// Chunks written to a pack for the first time.
     pub chunks_stored: Counter,
@@ -57,62 +58,4 @@ pub struct StoreMetrics {
     pub objects: Gauge,
     /// Chain depth of the most recent differential capture.
     pub chain_depth: Gauge,
-}
-
-impl StoreMetrics {
-    /// Metrics registered in `registry` under `prefix` (conventionally
-    /// `"store"`, giving `store.chunks_stored`, `store.bytes_logical`,
-    /// …).
-    #[must_use]
-    pub fn in_registry(registry: &Registry, prefix: &str) -> Self {
-        StoreMetrics {
-            chunks_stored: registry.counter(&format!("{prefix}.chunks_stored")),
-            chunks_deduped: registry.counter(&format!("{prefix}.chunks_deduped")),
-            chunks_skipped: registry.counter(&format!("{prefix}.capture.chunks_skipped")),
-            bytes_logical: registry.counter(&format!("{prefix}.bytes_logical")),
-            bytes_physical: registry.counter(&format!("{prefix}.bytes_physical")),
-            bytes_deduped: registry.counter(&format!("{prefix}.bytes_deduped")),
-            bytes_skipped: registry.counter(&format!("{prefix}.capture.bytes_skipped")),
-            gc_packs: registry.counter(&format!("{prefix}.gc.packs")),
-            gc_reclaimed_bytes: registry.counter(&format!("{prefix}.gc.reclaimed_bytes")),
-            scrub_chunks: registry.counter(&format!("{prefix}.scrub.chunks")),
-            scrub_failures: registry.counter(&format!("{prefix}.scrub.failures")),
-            repair_chunks: registry.counter(&format!("{prefix}.repair.chunks")),
-            repair_packs: registry.counter(&format!("{prefix}.repair.packs")),
-            quarantine_packs: registry.counter(&format!("{prefix}.quarantine.packs")),
-            quarantine_chunks: registry.counter(&format!("{prefix}.quarantine.chunks")),
-            journal_replays: registry.counter(&format!("{prefix}.journal.replays")),
-            packs: registry.gauge(&format!("{prefix}.packs")),
-            objects: registry.gauge(&format!("{prefix}.objects")),
-            chain_depth: registry.gauge(&format!("{prefix}.chain.depth")),
-        }
-    }
-
-    /// Metrics bound to a private registry nobody else reads.
-    #[must_use]
-    pub fn detached() -> Self {
-        StoreMetrics::in_registry(&Registry::new(), "store")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_names_follow_the_store_prefix() {
-        let reg = Registry::new();
-        let m = StoreMetrics::in_registry(&reg, "store");
-        m.chunks_stored.add(2);
-        m.bytes_logical.add(100);
-        m.packs.set(1);
-        assert_eq!(reg.counter("store.chunks_stored").get(), 2);
-        assert_eq!(reg.counter("store.bytes_logical").get(), 100);
-        assert_eq!(reg.gauge("store.packs").get(), 1);
-        assert_eq!(reg.counter("store.scrub.failures").get(), 0);
-        m.bytes_skipped.add(7);
-        m.chain_depth.set(3);
-        assert_eq!(reg.counter("store.capture.bytes_skipped").get(), 7);
-        assert_eq!(reg.gauge("store.chain.depth").get(), 3);
-    }
 }

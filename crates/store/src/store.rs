@@ -459,7 +459,7 @@ impl ChunkStore {
     ///
     /// Filesystem failures, or corrupt manifests/packs.
     pub fn open_with(root: &Path, config: StoreConfig) -> StoreResult<Self> {
-        let metrics = StoreMetrics::detached();
+        let metrics = StoreMetrics::default();
         let packs_dir = root.join("packs");
         let manifests_dir = root.join("manifests");
         std::fs::create_dir_all(&packs_dir)?;

@@ -17,20 +17,10 @@
 
 use crate::journal::{Event, EventKind, JournalLedger};
 use crate::span::SpanRecord;
-use serde::Value;
+use serde::{Serialize, Sink};
 
 /// The process id every lane renders under.
 const PID: u64 = 1;
-
-fn us(ns: u64) -> Value {
-    // Trace-event timestamps are microseconds; keep nanosecond
-    // resolution as fractional digits (sim clocks tick in ns).
-    Value::Float(ns as f64 / 1000.0)
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
 
 fn category(kind: &EventKind) -> &'static str {
     match kind {
@@ -62,7 +52,7 @@ fn category(kind: &EventKind) -> &'static str {
 /// intervals with exact durations.
 #[must_use]
 pub fn chrome_trace(spans: &[SpanRecord], events: &[Event], ledger: &JournalLedger) -> String {
-    let mut lanes: Vec<&str> = events
+    let events: Vec<&Event> = events
         .iter()
         .filter(|e| {
             !matches!(
@@ -70,117 +60,159 @@ pub fn chrome_trace(spans: &[SpanRecord], events: &[Event], ledger: &JournalLedg
                 EventKind::SpanBegin { .. } | EventKind::SpanEnd { .. }
             )
         })
+        .collect();
+    let mut lanes: Vec<&str> = events
+        .iter()
         .map(|e| e.lane.as_str())
         .filter(|l| *l != "main")
         .collect();
     lanes.sort_unstable();
     lanes.dedup();
-    let tid_of = |lane: &str| -> u64 {
-        if lane == "main" {
-            0
-        } else {
-            1 + lanes.iter().position(|l| *l == lane).unwrap_or(0) as u64
-        }
+    let trace = Trace {
+        spans,
+        events,
+        ledger,
+        lanes,
     };
+    serde_json::to_string_pretty(&trace).unwrap_or_default()
+}
 
-    let mut trace_events: Vec<Value> = Vec::new();
-    trace_events.push(obj(vec![
-        ("name", Value::String("process_name".into())),
-        ("ph", Value::String("M".into())),
-        ("pid", Value::UInt(PID)),
-        ("tid", Value::UInt(0)),
-        (
-            "args",
-            obj(vec![("name", Value::String("reprocmp".into()))]),
-        ),
-    ]));
-    for lane in std::iter::once("main").chain(lanes.iter().copied()) {
-        trace_events.push(obj(vec![
-            ("name", Value::String("thread_name".into())),
-            ("ph", Value::String("M".into())),
-            ("pid", Value::UInt(PID)),
-            ("tid", Value::UInt(tid_of(lane))),
-            ("args", obj(vec![("name", Value::String(lane.into()))])),
-        ]));
+/// The trace document, written as it is walked.
+struct Trace<'a> {
+    spans: &'a [SpanRecord],
+    /// The journal events, span markers left out.
+    events: Vec<&'a Event>,
+    ledger: &'a JournalLedger,
+    /// Every lane but `main`, sorted: lane `i` renders as tid `i + 1`.
+    lanes: Vec<&'a str>,
+}
+
+impl Trace<'_> {
+    fn tid(&self, lane: &str) -> u64 {
+        self.lanes
+            .iter()
+            .position(|l| *l == lane)
+            .map_or(0, |i| i as u64 + 1)
     }
+}
 
-    // Spans, in deterministic (start, seq) order.
-    let mut ordered: Vec<&SpanRecord> = spans.iter().collect();
-    ordered.sort_by_key(|r| (r.start, r.seq));
-    for r in ordered {
-        let start_ns = u64::try_from(r.start.as_nanos()).unwrap_or(u64::MAX);
-        let dur_ns = u64::try_from(r.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        trace_events.push(obj(vec![
-            ("name", Value::String(r.name.clone())),
-            ("cat", Value::String("span".into())),
-            ("ph", Value::String("X".into())),
-            ("pid", Value::UInt(PID)),
-            ("tid", Value::UInt(0)),
-            ("ts", us(start_ns)),
-            ("dur", us(dur_ns)),
-            (
-                "args",
-                obj(vec![
-                    ("seq", Value::UInt(r.seq)),
-                    ("depth", Value::UInt(r.depth)),
-                ]),
-            ),
-        ]));
+fn entry<S: Sink + ?Sized, T: Serialize + ?Sized>(out: &mut S, key: &str, value: &T) {
+    out.key(key);
+    value.serialize(out);
+}
+
+/// Opens one trace event and writes its leading entries: `name`,
+/// `cat` if it has one, `ph`, an instant's thread scope, `pid`, `tid`.
+fn begin_event<S: Sink + ?Sized>(out: &mut S, name: &str, cat: Option<&str>, ph: &str, tid: u64) {
+    out.begin_object();
+    entry(out, "name", name);
+    if let Some(cat) = cat {
+        entry(out, "cat", cat);
     }
+    entry(out, "ph", ph);
+    if ph == "i" {
+        entry(out, "s", "t");
+    }
+    entry(out, "pid", &PID);
+    entry(out, "tid", &tid);
+}
 
-    // Journal events, already in seq order from `Journal::events`.
-    for e in events {
-        if matches!(
-            e.kind,
-            EventKind::SpanBegin { .. } | EventKind::SpanEnd { .. }
-        ) {
-            continue;
+/// A trace-event time: microseconds, keeping nanosecond resolution as
+/// fractional digits (sim clocks tick in ns).
+fn micros<S: Sink + ?Sized>(out: &mut S, key: &str, ns: u128) {
+    entry(
+        out,
+        key,
+        &(ns.min(u128::from(u64::MAX)) as u64 as f64 / 1000.0),
+    );
+}
+
+impl Serialize for Trace<'_> {
+    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
+        out.begin_object();
+        entry(out, "displayTimeUnit", "ms");
+        out.key("traceEvents");
+        out.begin_array();
+        let lanes = std::iter::once("main").chain(self.lanes.iter().copied());
+        for (name, tid, arg) in std::iter::once(("process_name", 0, "reprocmp"))
+            .chain(lanes.map(|lane| ("thread_name", self.tid(lane), lane)))
+        {
+            begin_event(out, name, None, "M", tid);
+            out.key("args");
+            out.begin_object();
+            entry(out, "name", arg);
+            out.end_object();
+            out.end_object();
         }
-        let tid = tid_of(&e.lane);
-        let mut args = vec![("seq".to_owned(), Value::UInt(e.seq))];
-        args.extend(
-            match e.kind.to_args() {
-                Value::Object(fields) => fields,
-                _ => Vec::new(),
+        // Spans, in deterministic (start, seq) order.
+        let mut ordered: Vec<&SpanRecord> = self.spans.iter().collect();
+        ordered.sort_by_key(|r| (r.start, r.seq));
+        for r in ordered {
+            begin_event(out, &r.name, Some("span"), "X", 0);
+            micros(out, "ts", r.start.as_nanos());
+            micros(out, "dur", r.elapsed().as_nanos());
+            out.key("args");
+            out.begin_object();
+            entry(out, "seq", &r.seq);
+            entry(out, "depth", &r.depth);
+            out.end_object();
+            out.end_object();
+        }
+        // Journal events, already in seq order from `Journal::events`.
+        for e in &self.events {
+            let latency_ns = e.kind.latency_ns();
+            let ph = if latency_ns.is_some() { "X" } else { "i" };
+            let cat = Some(category(&e.kind));
+            begin_event(out, e.kind.type_name(), cat, ph, self.tid(&e.lane));
+            let start_ns = e.ts_ns.saturating_sub(latency_ns.unwrap_or(0));
+            micros(out, "ts", start_ns.into());
+            if let Some(latency_ns) = latency_ns {
+                micros(out, "dur", latency_ns.into());
             }
-            .into_iter()
-            .filter(|(k, _)| k != "latency_ns"),
-        );
-        let mut fields = vec![
-            ("name", Value::String(e.kind.type_name().into())),
-            ("cat", Value::String(category(&e.kind).into())),
-        ];
-        if let Some(latency_ns) = e.kind.latency_ns() {
-            let start_ns = e.ts_ns().saturating_sub(latency_ns);
-            fields.push(("ph", Value::String("X".into())));
-            fields.push(("pid", Value::UInt(PID)));
-            fields.push(("tid", Value::UInt(tid)));
-            fields.push(("ts", us(start_ns)));
-            fields.push(("dur", us(latency_ns)));
-        } else {
-            fields.push(("ph", Value::String("i".into())));
-            fields.push(("s", Value::String("t".into())));
-            fields.push(("pid", Value::UInt(PID)));
-            fields.push(("tid", Value::UInt(tid)));
-            fields.push(("ts", us(e.ts_ns())));
+            out.key("args");
+            out.begin_object();
+            entry(out, "seq", &e.seq);
+            e.kind.serialize_fields(&mut Args { out, skip: false });
+            out.end_object();
+            out.end_object();
         }
-        fields.push(("args", Value::Object(args)));
-        trace_events.push(obj(fields));
+        out.end_array();
+        entry(out, "otherData", self.ledger);
+        out.end_object();
     }
+}
 
-    let root = obj(vec![
-        ("displayTimeUnit", Value::String("ms".into())),
-        ("traceEvents", Value::Array(trace_events)),
-        (
-            "otherData",
-            obj(vec![
-                ("events_emitted", Value::UInt(ledger.events_emitted)),
-                ("events_written", Value::UInt(ledger.events_written)),
-                ("events_dropped", Value::UInt(ledger.events_dropped)),
-            ]),
-        ),
-    ]);
-    serde_json::to_string_pretty(&root).unwrap_or_default()
+/// Forwards an event kind's entries as trace-event `args`, minus its
+/// `type` tag (the event's `name`) and its `latency_ns` (its `dur`).
+/// Every entry of a kind is a scalar.
+struct Args<'a, S: ?Sized> {
+    out: &'a mut S,
+    /// Whether the value after the last key is dropped.
+    skip: bool,
+}
+
+macro_rules! forward_scalars {
+    ($($method:ident($($v:ident: $t:ty)?)),*) => {$(
+        fn $method(&mut self, $($v: $t)?) {
+            if !self.skip {
+                self.out.$method($($v)?);
+            }
+        }
+    )*};
+}
+
+impl<S: Sink + ?Sized> Sink for Args<'_, S> {
+    fn key(&mut self, key: &str) {
+        self.skip = matches!(key, "type" | "latency_ns");
+        if !self.skip {
+            self.out.key(key);
+        }
+    }
+    fn begin_object(&mut self) {}
+    fn end_object(&mut self) {}
+    fn begin_array(&mut self) {}
+    fn end_array(&mut self) {}
+    forward_scalars!(null(), bool(v: bool), u64(v: u64), i64(v: i64), f64(v: f64), str(v: &str));
 }
 
 /// Renders the span tree as folded stacks (`a;b;c self_ns` lines,

@@ -24,7 +24,7 @@
 //! Perfetto/flamegraph exporters in [`crate::export`] consume.
 
 use crate::ObsClock;
-use serde::{Deserialize, Serialize, Tag, Value};
+use serde::{Deserialize, Serialize, Tag};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -213,17 +213,6 @@ impl EventKind {
             | EventKind::Kernel { latency_ns, .. } => Some(*latency_ns),
             _ => None,
         }
-    }
-
-    /// The kind's payload fields as a JSON object (used by exporters):
-    /// its serialized form without the `type` tag.
-    #[must_use]
-    pub fn to_args(&self) -> Value {
-        let mut v = self.to_value();
-        if let Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != "type");
-        }
-        v
     }
 }
 

@@ -27,7 +27,7 @@ pub enum RegionDType {
 impl RegionDType {
     /// Bytes per element.
     #[must_use]
-    pub fn width(self) -> u64 {
+    fn width(self) -> u64 {
         match self {
             RegionDType::F32 => 4,
             RegionDType::F64 => 8,
@@ -108,15 +108,9 @@ impl TypedRegionMap {
         })))
     }
 
-    /// The spans, in payload order.
-    #[must_use]
-    pub fn spans(&self) -> &[TypedRegionSpan] {
-        &self.spans
-    }
-
     /// Total payload bytes the map describes.
     #[must_use]
-    pub fn payload_bytes(&self) -> u64 {
+    fn payload_bytes(&self) -> u64 {
         self.spans
             .last()
             .map_or(0, |s| s.byte_offset + s.count * s.dtype.width())
@@ -254,7 +248,7 @@ mod tests {
         let map =
             TypedRegionMap::from_f32_regions(&[("x".to_owned(), 12), ("e".to_owned(), 0)]).unwrap();
         assert_eq!(map.payload_bytes(), 12);
-        assert_eq!(map.spans()[1].count, 0, "empty regions keep their place");
+        assert_eq!(map.spans[1].count, 0, "empty regions keep their place");
         assert!(TypedRegionMap::from_f32_regions(&[("x".to_owned(), 10)]).is_none());
         assert!(TypedRegionMap::from_f32_regions(&[]).is_none());
     }

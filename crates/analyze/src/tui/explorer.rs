@@ -42,7 +42,7 @@ pub struct IterationDiff {
 impl IterationDiff {
     /// True when no node mismatched at this iteration.
     #[must_use]
-    pub fn clean(&self) -> bool {
+    fn clean(&self) -> bool {
         self.levels.iter().all(|&(_, m)| m == 0)
     }
 }
@@ -60,7 +60,7 @@ impl Explorer {
     /// Builds an explorer directly from per-iteration diffs. The
     /// cursor starts on the first non-clean iteration (or 0).
     #[must_use]
-    pub fn new(iterations: Vec<IterationDiff>) -> Self {
+    fn new(iterations: Vec<IterationDiff>) -> Self {
         let cursor = iterations.iter().position(|d| !d.clean()).unwrap_or(0);
         Explorer {
             iterations,

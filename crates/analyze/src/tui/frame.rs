@@ -25,18 +25,6 @@ impl Frame {
         }
     }
 
-    /// Frame width in cells.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Frame height in cells.
-    #[must_use]
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// Sets one cell; writes outside the frame are silently clipped.
     pub fn put(&mut self, x: usize, y: usize, c: char) {
         if x < self.width && y < self.height {

@@ -329,7 +329,6 @@ mod tests {
     fn snapshot(seq: u64) -> TelemetrySnapshot {
         let registry = Registry::new();
         registry.counter("jobs.done").add(seq * 2);
-        registry.gauge("drr.lanes").set(3);
         let h = registry.histogram("job.cost");
         for v in [1u64, 2, 3, 700 + seq] {
             h.record(v);
@@ -374,7 +373,13 @@ mod tests {
                 bytes_garbage: 0,
                 pack_file_bytes: 12800,
             },
-            registry: registry.snapshot(),
+            registry: reprocmp_obs::metrics::RegistrySnapshot {
+                gauges: vec![reprocmp_obs::metrics::MetricValue {
+                    name: "drr.lanes".into(),
+                    value: 3,
+                }],
+                ..registry.snapshot()
+            },
             ..TelemetrySnapshot::default()
         }
     }

@@ -62,7 +62,7 @@ impl std::error::Error for CliError {}
 
 /// Top-level usage text.
 #[must_use]
-pub fn usage() -> String {
+fn usage() -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,

@@ -116,12 +116,6 @@ impl Cluster {
         self.nodes * self.procs_per_node
     }
 
-    /// Node count.
-    #[must_use]
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
     /// Runs `f` once per rank on its own thread; returns per-rank
     /// results in rank order.
     pub fn run<T, F>(&self, f: F) -> Vec<T>
@@ -149,7 +143,6 @@ impl Cluster {
                         rank,
                         size,
                         node: rank / ppn,
-                        local_rank: rank % ppn,
                         collective_count: std::cell::Cell::new(0),
                         shared,
                     };
@@ -169,7 +162,6 @@ pub struct RankCtx {
     rank: usize,
     size: usize,
     node: usize,
-    local_rank: usize,
     collective_count: std::cell::Cell<u64>,
     shared: Arc<Shared>,
 }
@@ -185,18 +177,6 @@ impl RankCtx {
     #[must_use]
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// The node this rank lives on.
-    #[must_use]
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
-    /// This rank's index within its node.
-    #[must_use]
-    pub fn local_rank(&self) -> usize {
-        self.local_rank
     }
 
     /// The virtual storage clock shared by all ranks on this node.
@@ -240,57 +220,6 @@ impl RankCtx {
         result
     }
 
-    /// All-reduce sum in `f64` (rank order; used for diagnostics where
-    /// determinism is wanted regardless of policy).
-    #[must_use]
-    pub fn allreduce_sum_f64(&self, value: f64) -> f64 {
-        let _ = self.next_salt();
-        self.shared.f64_slots.lock()[self.rank] = value;
-        self.barrier();
-        if self.rank == 0 {
-            let slots = self.shared.f64_slots.lock();
-            *self.shared.f64_result.lock() = slots.iter().sum();
-        }
-        self.barrier();
-        let result = *self.shared.f64_result.lock();
-        self.barrier();
-        result
-    }
-
-    /// Gathers one byte buffer per rank at rank 0. The root receives
-    /// the buffers in rank order (`Some(vec)` with `vec[r]` from rank
-    /// `r`); every other rank receives `None`.
-    ///
-    /// Frames are rank-tagged on the wire, so the result is
-    /// deterministic no matter what order the mailbox delivers them in
-    /// — the collective that lets rank 0 batch-compare checkpoint
-    /// payloads produced by the whole cluster.
-    #[must_use]
-    pub fn gather_bytes_to_root(&self, bytes: Vec<u8>) -> Option<Vec<Vec<u8>>> {
-        let _ = self.next_salt();
-        let result = if self.rank == 0 {
-            let mut out: Vec<Vec<u8>> = vec![Vec::new(); self.size];
-            out[0] = bytes;
-            for _ in 1..self.size {
-                let mut frame = self.recv();
-                assert!(frame.len() >= 8, "gather frame too short");
-                let payload = frame.split_off(8);
-                let sender =
-                    u64::from_le_bytes(frame[..8].try_into().expect("8-byte rank tag")) as usize;
-                assert!(sender > 0 && sender < self.size, "bad gather sender tag");
-                out[sender] = payload;
-            }
-            Some(out)
-        } else {
-            let mut frame = (self.rank as u64).to_le_bytes().to_vec();
-            frame.extend_from_slice(&bytes);
-            self.send(0, frame);
-            None
-        };
-        self.barrier();
-        result
-    }
-
     /// Sends a byte message to `to` (buffered, non-blocking).
     ///
     /// # Panics
@@ -322,11 +251,10 @@ mod tests {
     fn topology_is_exposed_correctly() {
         let cluster = Cluster::new(3, 4);
         assert_eq!(cluster.size(), 12);
-        let ids = cluster.run(|ctx| (ctx.rank(), ctx.node(), ctx.local_rank()));
-        for (rank, &(r, n, l)) in ids.iter().enumerate() {
+        let ids = cluster.run(|ctx| (ctx.rank(), ctx.node));
+        for (rank, &(r, n)) in ids.iter().enumerate() {
             assert_eq!(r, rank);
             assert_eq!(n, rank / 4);
-            assert_eq!(l, rank % 4);
         }
     }
 
@@ -344,7 +272,7 @@ mod tests {
         let results = cluster.run(|ctx| {
             let a = ctx.allreduce_sum_f32(1.0, ReduceOrder::Ranked);
             let b = ctx.allreduce_sum_f32(2.0, ReduceOrder::Ranked);
-            let c = ctx.allreduce_sum_f64(ctx.rank() as f64);
+            let c = ctx.allreduce_sum_f32(ctx.rank() as f32, ReduceOrder::Shuffled { seed: 3 });
             (a, b, c)
         });
         for &(a, b, c) in &results {
@@ -399,46 +327,14 @@ mod tests {
     }
 
     #[test]
-    fn gather_to_root_is_rank_ordered() {
-        let cluster = Cluster::new(2, 3);
-        let results = cluster.run(|ctx| {
-            // Variable-length, rank-specific payloads sent in a rank-
-            // dependent order (higher ranks send before lower ones
-            // reach the collective often enough to matter).
-            let payload = vec![ctx.rank() as u8; ctx.rank() + 1];
-            ctx.gather_bytes_to_root(payload)
-        });
-        let gathered = results[0].as_ref().expect("root holds the gather");
-        for (rank, buf) in gathered.iter().enumerate() {
-            assert_eq!(buf, &vec![rank as u8; rank + 1]);
-        }
-        assert!(results[1..].iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn gather_composes_with_other_collectives() {
-        let cluster = Cluster::new(1, 4);
-        let results = cluster.run(|ctx| {
-            let total = ctx.allreduce_sum_f64(1.0);
-            let g = ctx.gather_bytes_to_root(vec![ctx.rank() as u8]);
-            let after = ctx.allreduce_sum_f64(2.0);
-            (total, g, after)
-        });
-        assert_eq!(results[0].0, 4.0);
-        assert_eq!(results[0].2, 8.0);
-        let g = results[0].1.as_ref().unwrap();
-        assert_eq!(g, &vec![vec![0], vec![1], vec![2], vec![3]]);
-    }
-
-    #[test]
     fn node_clocks_shared_within_node_distinct_across() {
         let cluster = Cluster::new(2, 2);
         let results = cluster.run(|ctx| {
             // Local rank 0 advances its node clock; after the barrier,
             // everyone reports what they see.
-            if ctx.local_rank() == 0 {
+            if ctx.rank % 2 == 0 {
                 ctx.node_clock()
-                    .advance(std::time::Duration::from_millis(ctx.node() as u64 + 1));
+                    .advance(std::time::Duration::from_millis(ctx.node as u64 + 1));
             }
             ctx.barrier();
             ctx.node_clock().now().as_millis() as u64
@@ -449,8 +345,8 @@ mod tests {
     #[test]
     fn large_cluster_runs_to_completion() {
         let cluster = Cluster::new(32, 4); // 128 ranks — the paper's max
-        let results = cluster.run(|ctx| ctx.allreduce_sum_f64(1.0));
-        assert!(results.iter().all(|&v| (v - 128.0).abs() < 1e-12));
+        let results = cluster.run(|ctx| ctx.allreduce_sum_f32(1.0, ReduceOrder::Ranked));
+        assert!(results.iter().all(|&v| v == 128.0));
     }
 
     #[test]
@@ -468,16 +364,16 @@ mod more_tests {
     fn mixed_collectives_in_lockstep() {
         let cluster = Cluster::new(2, 2);
         let results = cluster.run(|ctx| {
-            let total = ctx.allreduce_sum_f64(1.0);
+            let total = ctx.allreduce_sum_f32(1.0, ReduceOrder::Shuffled { seed: 9 });
             let sum = ctx.allreduce_sum_f32(ctx.rank() as f32, ReduceOrder::Ranked);
-            let gathered = ctx.gather_bytes_to_root(vec![ctx.rank() as u8]);
-            (total, sum, gathered)
+            ctx.send((ctx.rank() + 1) % ctx.size(), vec![ctx.rank() as u8]);
+            ctx.barrier();
+            (total, sum, ctx.recv())
         });
-        for (rank, (total, sum, gathered)) in results.iter().enumerate() {
+        for (rank, (total, sum, from)) in results.iter().enumerate() {
             assert_eq!(*total, 4.0);
             assert_eq!(*sum, 6.0);
-            let want = (rank == 0).then(|| vec![vec![0], vec![1], vec![2], vec![3]]);
-            assert_eq!(gathered, &want);
+            assert_eq!(from, &vec![((rank + 3) % 4) as u8]);
         }
     }
 

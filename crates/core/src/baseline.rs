@@ -49,18 +49,7 @@ pub struct AllCloseReport {
     pub bytes_compared: u64,
 }
 
-impl AllCloseReport {
-    /// Comparison throughput under the Figure 5 metric.
-    #[must_use]
-    pub fn throughput_bytes_per_sec(&self) -> f64 {
-        let s = self.duration.as_secs_f64();
-        if s == 0.0 {
-            f64::INFINITY
-        } else {
-            self.bytes_compared as f64 / s
-        }
-    }
-}
+impl AllCloseReport {}
 
 /// The NumPy-`allclose`-style baseline.
 #[derive(Debug, Clone)]

@@ -54,15 +54,6 @@ impl CheckpointHistory {
         self.entries.keys().copied().collect()
     }
 
-    /// Distinct iterations present, ascending.
-    #[must_use]
-    pub fn iterations(&self) -> Vec<u64> {
-        let mut its: Vec<u64> = self.entries.keys().map(|&(_, it)| it).collect();
-        its.sort_unstable();
-        its.dedup();
-        its
-    }
-
     /// Number of checkpoints registered.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -116,17 +107,6 @@ impl HistoryReport {
             .filter(|e| !e.report.identical())
             .map(|e| (e.iteration, e.rank))
             .min()
-    }
-
-    /// Differences summed per iteration, ascending — the divergence
-    /// growth curve.
-    #[must_use]
-    pub fn diffs_by_iteration(&self) -> BTreeMap<u64, u64> {
-        let mut map = BTreeMap::new();
-        for e in &self.entries {
-            *map.entry(e.iteration).or_insert(0) += e.report.stats.diff_count;
-        }
-        map
     }
 
     /// Bytes re-read across all pairs (the affordability metric).
@@ -248,7 +228,10 @@ mod tests {
         assert!(!report.identical());
         assert_eq!(report.first_divergence(), Some((20, 0)));
         // Divergence curve grows.
-        let curve = report.diffs_by_iteration();
+        let mut curve = std::collections::BTreeMap::new();
+        for e in &report.entries {
+            *curve.entry(e.iteration).or_insert(0) += e.report.stats.diff_count;
+        }
         assert_eq!(curve[&10], 0);
         assert!(curve[&20] > 0);
         assert!(curve[&40] > curve[&20]);
@@ -290,7 +273,6 @@ mod tests {
         let h = history(&e, 2, &[10, 30], None);
         assert_eq!(h.len(), 4);
         assert!(!h.is_empty());
-        assert_eq!(h.iterations(), vec![10, 30]);
         assert!(h.get(1, 30).is_some());
         assert!(h.get(2, 30).is_none());
         assert!(h.get(1, 40).is_none());

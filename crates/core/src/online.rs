@@ -192,18 +192,6 @@ impl OnlineComparator {
         })
     }
 
-    /// All observations so far, in arrival order.
-    #[must_use]
-    pub fn entries(&self) -> &[OnlineEntry] {
-        &self.entries
-    }
-
-    /// Total differences across the session.
-    #[must_use]
-    pub fn total_diffs(&self) -> u64 {
-        self.total_diffs
-    }
-
     /// The earliest `(iteration, rank)` observed to diverge.
     #[must_use]
     pub fn first_divergence(&self) -> Option<(u64, usize)> {
@@ -212,12 +200,6 @@ impl OnlineComparator {
             .filter(|e| e.stats.diff_count > 0)
             .map(|e| (e.iteration, e.rank))
             .min()
-    }
-
-    /// True once the abort policy tripped.
-    #[must_use]
-    pub fn halted(&self) -> bool {
-        self.halted
     }
 
     /// Reference bytes fetched across the whole session — the I/O
@@ -309,7 +291,7 @@ mod tests {
             OnlineVerdict::Clean { .. } => {}
             other => panic!("expected clean, got {other:?}"),
         }
-        assert_eq!(online.total_diffs(), 0);
+        assert_eq!(online.total_diffs, 0);
     }
 
     #[test]
@@ -323,13 +305,13 @@ mod tests {
             OnlineVerdict::Diverged { diff_count, .. } => assert_eq!(diff_count, 300),
             other => panic!("{other:?}"),
         }
-        assert!(online.halted());
+        assert!(online.halted);
         assert!(matches!(
             online.observe(0, 20, &payloads[1]).unwrap(),
             OnlineVerdict::Halted
         ));
         // The halted observation was not recorded.
-        assert_eq!(online.entries().len(), 1);
+        assert_eq!(online.entries.len(), 1);
     }
 
     #[test]
@@ -342,7 +324,7 @@ mod tests {
                 .with_journal(journal.clone());
         let live: Vec<f32> = payloads[0].iter().map(|v| v + 1.0).collect();
         online.observe(0, 10, &live).unwrap();
-        assert!(online.halted());
+        assert!(online.halted);
         let events: Vec<_> = journal
             .events()
             .into_iter()

@@ -186,7 +186,7 @@ impl<'a> Image<'a> {
 
     /// The named regions of a VELOC payload; a raw image names none.
     #[must_use]
-    pub fn regions(&self) -> Option<Regions> {
+    fn regions(&self) -> Option<Regions> {
         self.header.as_ref().map(regions_of)
     }
 

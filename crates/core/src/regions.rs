@@ -53,27 +53,11 @@ impl std::fmt::Display for LocatedDifference {
 /// The flat-payload layout of named regions.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct RegionMap {
-    spans: Vec<RegionSpan>,
+    /// The spans, in payload order.
+    pub spans: Vec<RegionSpan>,
 }
 
 impl RegionMap {
-    /// Builds a map from `(name, value_count)` pairs laid out
-    /// contiguously in order — the layout `reprocmp-veloc` writes.
-    #[must_use]
-    pub fn from_lengths<'a>(regions: impl IntoIterator<Item = (&'a str, u64)>) -> Self {
-        let mut spans = Vec::new();
-        let mut offset = 0u64;
-        for (name, count) in regions {
-            spans.push(RegionSpan {
-                name: name.to_owned(),
-                offset,
-                count,
-            });
-            offset += count;
-        }
-        RegionMap { spans }
-    }
-
     /// Builds a map from `(name, byte_len)` segments using the store's
     /// payload semantics: segments named `header_name` are dropped
     /// only while **leading** (the payload starts after them — the
@@ -84,7 +68,7 @@ impl RegionMap {
     /// a value belongs to the segment holding its first byte, so
     /// segments whose byte length is not a multiple of the value size
     /// still tile the index space exactly — no span shifts, no gaps.
-    /// (`from_lengths`-style `len / 4` truncation shifts every span
+    /// (Per-segment `len / 4` truncation shifts every span
     /// after the first unaligned or interior-header segment, which is
     /// exactly the boundary misattribution this constructor fixes.)
     #[must_use]
@@ -114,21 +98,9 @@ impl RegionMap {
         RegionMap { spans }
     }
 
-    /// The spans, in payload order.
-    #[must_use]
-    pub fn spans(&self) -> &[RegionSpan] {
-        &self.spans
-    }
-
-    /// Total values covered.
-    #[must_use]
-    pub fn value_count(&self) -> u64 {
-        self.spans.iter().map(|s| s.count).sum()
-    }
-
     /// Locates a flat value index: `(region_name, index_within)`.
     #[must_use]
-    pub fn locate(&self, flat_index: u64) -> Option<(&str, u64)> {
+    fn locate(&self, flat_index: u64) -> Option<(&str, u64)> {
         self.spans
             .iter()
             .find(|s| flat_index >= s.offset && flat_index < s.offset + s.count)
@@ -182,17 +154,18 @@ mod tests {
     use crate::source::CheckpointSource;
 
     fn table1_map(n: u64) -> RegionMap {
-        RegionMap::from_lengths(
+        RegionMap::from_segment_bytes(
             ["x", "y", "z", "vx", "vy", "vz", "phi"]
                 .into_iter()
-                .map(|f| (f, n)),
+                .map(|f| (f, 4 * n)),
+            "",
         )
     }
 
     #[test]
     fn locate_maps_flat_indices() {
         let map = table1_map(100);
-        assert_eq!(map.value_count(), 700);
+        assert_eq!(map.spans.iter().map(|s| s.count).sum::<u64>(), 700);
         assert_eq!(map.locate(0), Some(("x", 0)));
         assert_eq!(map.locate(99), Some(("x", 99)));
         assert_eq!(map.locate(100), Some(("y", 0)));
@@ -247,7 +220,7 @@ mod tests {
     #[test]
     fn empty_map_is_harmless() {
         let map = RegionMap::default();
-        assert_eq!(map.value_count(), 0);
+        assert!(map.spans.is_empty());
         assert!(map.locate(0).is_none());
         assert!(map.diffs_per_region(&[]).is_empty());
     }

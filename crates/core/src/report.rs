@@ -157,18 +157,6 @@ impl CompareReport {
     pub fn unverified_chunks(&self) -> u64 {
         self.unverified.iter().map(|r| r.count).sum()
     }
-
-    /// Comparison throughput: checkpoint data volume (both runs) over
-    /// total runtime — the paper's Figure 5 metric.
-    #[must_use]
-    pub fn throughput_bytes_per_sec(&self) -> f64 {
-        let total = self.breakdown.total().as_secs_f64();
-        if total == 0.0 {
-            f64::INFINITY
-        } else {
-            (2 * self.stats.total_bytes) as f64 / total
-        }
-    }
 }
 
 #[cfg(test)]
@@ -218,7 +206,6 @@ mod tests {
             capture: CaptureStats::default(),
             chain: ChainInfo::default(),
         };
-        assert!((report.throughput_bytes_per_sec() - 1_000_000.0).abs() < 1.0);
         assert!(report.identical());
         assert!(report.fully_verified());
     }

@@ -18,6 +18,22 @@ use reprocmp_core::{
 
 const HEADER: &str = "__header";
 
+/// Values the map covers.
+fn value_count(map: &RegionMap) -> u64 {
+    map.spans.iter().map(|s| s.count).sum()
+}
+
+/// Where `map` places flat value `index`: its region and in-region
+/// index.
+fn locate(map: &RegionMap, index: u64) -> (Option<String>, u64) {
+    let located = &map.annotate(&[Difference {
+        index,
+        a: 0.0,
+        b: 1.0,
+    }])[0];
+    (located.region.clone(), located.index)
+}
+
 fn engine(chunk_bytes: usize) -> CompareEngine {
     CompareEngine::new(EngineConfig {
         chunk_bytes,
@@ -60,7 +76,7 @@ fn boundary_straddling_chunk_attributes_exactly() {
     assert_eq!(per_region, vec![("a".to_owned(), 1), ("b".to_owned(), 1)]);
 }
 
-/// The exact trap `from_lengths` + filtering falls into: an interior
+/// The exact trap `len / 4` spans + filtering fall into: an interior
 /// header segment and a non-4-aligned segment both occupy payload
 /// bytes, so dropping or truncating them shifts all later spans.
 #[test]
@@ -71,8 +87,8 @@ fn interior_headers_and_unaligned_segments_do_not_shift_spans() {
     let map =
         RegionMap::from_segment_bytes([(HEADER, 12u64), ("x", 10), (HEADER, 6), ("y", 12)], HEADER);
     assert_eq!(
-        map.spans(),
-        &[
+        map.spans,
+        [
             RegionSpan {
                 name: "x".to_owned(),
                 offset: 0,
@@ -92,9 +108,16 @@ fn interior_headers_and_unaligned_segments_do_not_shift_spans() {
     );
     // The broken construction (filter headers everywhere + len/4)
     // would place y at offset 2 — two values early.
-    let broken = RegionMap::from_lengths([("x", 10 / 4), ("y", 12 / 4)]);
-    assert_eq!(broken.locate(4), Some(("y", 2)));
-    assert_eq!(map.locate(4), Some(("y", 0)));
+    let span = |name: &str, offset, count| RegionSpan {
+        name: name.to_owned(),
+        offset,
+        count,
+    };
+    let broken = RegionMap {
+        spans: vec![span("x", 0, 10 / 4), span("y", 10 / 4, 12 / 4)],
+    };
+    assert_eq!(locate(&broken, 4), (Some("y".to_owned()), 2));
+    assert_eq!(locate(&map, 4), (Some("y".to_owned()), 0));
 }
 
 /// Leading headers are skipped entirely (the payload starts after
@@ -103,14 +126,14 @@ fn interior_headers_and_unaligned_segments_do_not_shift_spans() {
 fn leading_headers_are_skipped_interior_ones_are_not() {
     let map = RegionMap::from_segment_bytes([(HEADER, 100u64), (HEADER, 28), ("only", 16)], HEADER);
     assert_eq!(
-        map.spans(),
-        &[RegionSpan {
+        map.spans,
+        [RegionSpan {
             name: "only".to_owned(),
             offset: 0,
             count: 4
         }]
     );
-    assert_eq!(map.value_count(), 4);
+    assert_eq!(value_count(&map), 4);
 }
 
 // ---------------------------------------------------------------------
@@ -147,7 +170,7 @@ proptest! {
             HEADER,
         );
         let mut next = 0u64;
-        for span in map.spans() {
+        for span in &map.spans {
             prop_assert!(span.offset == next, "gap or overlap before {}", span.name);
             prop_assert!(span.count > 0, "empty span {} retained", span.name);
             next = span.offset + span.count;
@@ -158,7 +181,7 @@ proptest! {
             .map(|(_, l)| *l)
             .sum();
         prop_assert_eq!(next, payload_bytes.div_ceil(4));
-        prop_assert_eq!(map.value_count(), next);
+        prop_assert_eq!(value_count(&map), next);
     }
 
     /// Every annotated difference lands inside its named span, at an
@@ -180,7 +203,7 @@ proptest! {
             match &located.region {
                 Some(name) => {
                     let span = map
-                        .spans()
+                        .spans
                         .iter()
                         .find(|s| &s.name == name && located.index < s.count
                             && s.offset + located.index == located.difference.index)
@@ -192,7 +215,7 @@ proptest! {
                     );
                 }
                 None => prop_assert!(
-                    located.difference.index >= map.value_count(),
+                    located.difference.index >= value_count(&map),
                     "index {} inside the payload but unattributed",
                     located.difference.index
                 ),
@@ -203,7 +226,7 @@ proptest! {
         let total_attributed: u64 = per_region.iter().map(|(_, c)| c).sum();
         let expected = differences
             .iter()
-            .filter(|d| d.index < map.value_count())
+            .filter(|d| d.index < value_count(&map))
             .count() as u64;
         prop_assert_eq!(total_attributed, expected);
     }

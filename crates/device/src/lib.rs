@@ -28,7 +28,7 @@
 //! use reprocmp_device::{Device, Workload};
 //!
 //! let dev = Device::host_parallel(4);
-//! let squares = dev.parallel_map(16, Workload::compute(16), |i| i * i);
+//! let squares = dev.parallel_map(16, Workload::new(0, 16), |i| i * i);
 //! assert_eq!(squares[5], 25);
 //! ```
 

@@ -21,25 +21,10 @@ impl Workload {
         Workload { bytes, ops: 0 }
     }
 
-    /// A kernel dominated by arithmetic.
-    #[must_use]
-    pub fn compute(ops: u64) -> Self {
-        Workload { bytes: 0, ops }
-    }
-
     /// A kernel with both memory and compute demand.
     #[must_use]
     pub fn new(bytes: u64, ops: u64) -> Self {
         Workload { bytes, ops }
-    }
-
-    /// Component-wise sum of two workloads.
-    #[must_use]
-    pub fn plus(self, other: Workload) -> Workload {
-        Workload {
-            bytes: self.bytes + other.bytes,
-            ops: self.ops + other.ops,
-        }
     }
 }
 
@@ -115,7 +100,7 @@ mod tests {
             bandwidth_bytes_per_sec: 1e18,
             ops_per_sec: 1e6,
         };
-        let t = m.kernel_time(Workload::compute(3_000_000));
+        let t = m.kernel_time(Workload::new(0, 3_000_000));
         assert!((t.as_secs_f64() - 3.0).abs() < 1e-9);
     }
 
@@ -135,11 +120,5 @@ mod tests {
         let gpu = TimingModel::gpu_a100().kernel_time(w);
         let ratio = cpu.as_secs_f64() / gpu.as_secs_f64();
         assert!(ratio > 500.0, "ratio {ratio} too small");
-    }
-
-    #[test]
-    fn workload_plus_adds_components() {
-        let w = Workload::new(10, 20).plus(Workload::new(1, 2));
-        assert_eq!(w, Workload::new(11, 22));
     }
 }

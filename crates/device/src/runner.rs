@@ -99,22 +99,6 @@ impl Device {
         }
     }
 
-    /// A device with a caller-supplied model and thread count.
-    #[must_use]
-    pub fn with_model(name: &'static str, threads: usize, model: TimingModel) -> Self {
-        let backend = if threads <= 1 {
-            Backend::Serial
-        } else {
-            Backend::Threads(threads)
-        };
-        Device {
-            name,
-            backend,
-            model: Some(model),
-            modeled_ns: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
     /// Human-readable backend name.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -302,7 +286,7 @@ mod tests {
         let n = 10_000;
         for dev in [Device::host_serial(), Device::host_parallel(7)] {
             let hits = AtomicUsize::new(0);
-            dev.parallel_for(n, Workload::compute(n as u64), |_| {
+            dev.parallel_for(n, Workload::new(0, n as u64), |_| {
                 hits.fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(hits.load(Ordering::Relaxed), n);
@@ -312,7 +296,7 @@ mod tests {
     #[test]
     fn parallel_map_preserves_index_order() {
         let dev = Device::host_parallel(5);
-        let out = dev.parallel_map(100, Workload::compute(100), |i| i * 3);
+        let out = dev.parallel_map(100, Workload::new(0, 100), |i| i * 3);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * 3);
         }
@@ -376,20 +360,20 @@ mod tests {
     #[test]
     fn zero_iterations_is_a_no_op() {
         let dev = Device::host_parallel(4);
-        dev.parallel_for(0, Workload::compute(0), |_| panic!("must not run"));
+        dev.parallel_for(0, Workload::new(0, 0), |_| panic!("must not run"));
     }
 
     #[test]
     fn single_iteration_and_single_worker() {
         let dev = Device::host_parallel(1);
-        let out = dev.parallel_map(1, Workload::compute(1), |i| i + 41);
+        let out = dev.parallel_map(1, Workload::new(0, 1), |i| i + 41);
         assert_eq!(out, vec![41]);
     }
 
     #[test]
     fn more_workers_than_items() {
         let dev = Device::host_parallel(64);
-        let out = dev.parallel_map(3, Workload::compute(3), |i| i * 2);
+        let out = dev.parallel_map(3, Workload::new(0, 3), |i| i * 2);
         assert_eq!(out, vec![0, 2, 4]);
     }
 
@@ -420,7 +404,12 @@ mod tests {
             bandwidth_bytes_per_sec: 1e9,
             ops_per_sec: 1e9,
         };
-        let dev = Device::with_model("custom", 1, model);
+        let dev = Device {
+            name: "custom",
+            backend: Backend::Serial,
+            model: Some(model),
+            modeled_ns: Arc::new(AtomicU64::new(0)),
+        };
         assert_eq!(dev.name(), "custom");
         assert_eq!(dev.lanes(), 1);
         dev.parallel_for(1, Workload::memory(1_000_000_000), |_| {});

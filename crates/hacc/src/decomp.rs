@@ -37,12 +37,6 @@ impl SlabDecomposition {
         SlabDecomposition { ranks }
     }
 
-    /// Rank count.
-    #[must_use]
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     /// The rank owning x-coordinate `x` in a box of size `box_size`.
     #[must_use]
     fn rank_of(&self, x: f32, box_size: f32) -> usize {

@@ -86,7 +86,7 @@ pub fn fft(data: &mut [Complex]) {
 /// # Panics
 ///
 /// If the length is not a power of two.
-pub fn ifft(data: &mut [Complex]) {
+fn ifft(data: &mut [Complex]) {
     transform(data, true);
     let scale = 1.0 / data.len() as f64;
     for v in data.iter_mut() {

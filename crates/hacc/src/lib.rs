@@ -65,7 +65,7 @@ pub mod sim;
 pub use decomp::SlabDecomposition;
 pub use halo::{find_halos, halo_census, Halo, HaloCensus};
 pub use nondet::OrderPolicy;
-pub use observables::{clustering_strength, power_spectrum, velocity_dispersion, PowerShell};
+pub use observables::clustering_strength;
 pub use particles::ParticleSet;
 pub use sim::{HaccConfig, Simulation};
 

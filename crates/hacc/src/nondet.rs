@@ -45,23 +45,17 @@ impl OrderPolicy {
         }
         order
     }
-
-    /// Sums `values` in policy order, in `f32` — the order-sensitive
-    /// reduction primitive used by collectives and diagnostics.
-    #[must_use]
-    pub fn sum_f32(&self, values: &[f32], salt: u64) -> f32 {
-        let order = self.permutation(values.len(), salt);
-        let mut acc = 0.0f32;
-        for &i in &order {
-            acc += values[i as usize];
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `values` summed in `policy`'s order, in `f32`.
+    fn sum_f32(policy: OrderPolicy, values: &[f32], salt: u64) -> f32 {
+        let order = policy.permutation(values.len(), salt);
+        order.iter().map(|&i| values[i as usize]).sum()
+    }
 
     #[test]
     fn sequential_is_identity_permutation() {
@@ -97,10 +91,10 @@ mod tests {
         let values: Vec<f32> = (0..10_000)
             .map(|i| ((i * 2654435761u64 % 1000) as f32 - 500.0) * 1.0e-3 + 1.0)
             .collect();
-        let seq = OrderPolicy::Sequential.sum_f32(&values, 0);
+        let seq = sum_f32(OrderPolicy::Sequential, &values, 0);
         let mut any_differs = false;
         for seed in 0..20 {
-            let shuffled = OrderPolicy::Shuffled { seed }.sum_f32(&values, 0);
+            let shuffled = sum_f32(OrderPolicy::Shuffled { seed }, &values, 0);
             // Always close…
             assert!((f64::from(seq) - f64::from(shuffled)).abs() < 1e-1);
             // …but not always bitwise equal.
@@ -113,7 +107,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_sums() {
-        assert_eq!(OrderPolicy::Sequential.sum_f32(&[], 0), 0.0);
-        assert_eq!(OrderPolicy::Shuffled { seed: 1 }.sum_f32(&[4.25], 0), 4.25);
+        assert_eq!(sum_f32(OrderPolicy::Sequential, &[], 0), 0.0);
+        assert_eq!(sum_f32(OrderPolicy::Shuffled { seed: 1 }, &[4.25], 0), 4.25);
     }
 }

@@ -3,8 +3,8 @@
 //! Reproducibility studies need *science-level* quantities, not just
 //! raw arrays: the paper's related work discusses validating runs via
 //! derived quantities, and cosmology's workhorse derived quantity is
-//! the matter power spectrum. This module provides it (plus simple
-//! kinematic summaries) so tests and examples can ask "did the physics
+//! the matter power spectrum. This module folds it into one number,
+//! [`clustering_strength`], so a test can ask "did the physics
 //! change?" alongside "did the bytes change?".
 
 use crate::fft::{fft3, Complex};
@@ -14,14 +14,14 @@ use crate::particles::ParticleSet;
 
 /// One shell of the isotropic power spectrum.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerShell {
+struct PowerShell {
     /// Mean wavenumber of the shell (in units of the fundamental,
     /// `2π / box_size`).
-    pub k: f64,
+    k: f64,
     /// Shell-averaged power `⟨|δ_k|²⟩`.
-    pub power: f64,
+    power: f64,
     /// Modes averaged in this shell.
-    pub modes: usize,
+    modes: usize,
 }
 
 /// Computes the isotropic matter power spectrum of a snapshot on an
@@ -35,7 +35,7 @@ pub struct PowerShell {
 ///
 /// If `n` is not a power of two or the snapshot is empty.
 #[must_use]
-pub fn power_spectrum(particles: &ParticleSet, n: usize, box_size: f32) -> Vec<PowerShell> {
+fn power_spectrum(particles: &ParticleSet, n: usize, box_size: f32) -> Vec<PowerShell> {
     assert!(n.is_power_of_two(), "mesh size must be a power of two");
     assert!(!particles.is_empty(), "need particles to measure");
 
@@ -108,27 +108,6 @@ pub fn clustering_strength(particles: &ParticleSet, n: usize, box_size: f32) -> 
         .sum()
 }
 
-/// One-dimensional velocity dispersion `σ_v` (RMS of all velocity
-/// components about their means).
-#[must_use]
-pub fn velocity_dispersion(particles: &ParticleSet) -> f64 {
-    let n = particles.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let comps = [&particles.vx, &particles.vy, &particles.vz];
-    let mut total = 0.0f64;
-    for comp in comps {
-        let mean: f64 = comp.iter().map(|&v| f64::from(v)).sum::<f64>() / n as f64;
-        total += comp
-            .iter()
-            .map(|&v| (f64::from(v) - mean).powi(2))
-            .sum::<f64>()
-            / n as f64;
-    }
-    (total / 3.0).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,18 +173,6 @@ mod tests {
         assert!(max_k <= (3f64.sqrt() * 4.0).ceil());
         let total_modes: usize = spectrum.iter().map(|s| s.modes).sum();
         assert_eq!(total_modes, 8 * 8 * 8 - 1, "every non-DC mode binned once");
-    }
-
-    #[test]
-    fn velocity_dispersion_on_known_input() {
-        let mut p = ParticleSet::with_len(2);
-        p.vx = vec![1.0, -1.0];
-        p.vy = vec![0.0, 0.0];
-        p.vz = vec![0.0, 0.0];
-        // var(vx)=1, others 0 → sigma = sqrt(1/3).
-        let sigma = velocity_dispersion(&p);
-        assert!((sigma - (1.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert_eq!(velocity_dispersion(&ParticleSet::with_len(0)), 0.0);
     }
 
     /// Two nondeterministic runs agree on the physics (power spectrum)

@@ -107,8 +107,8 @@ impl ParticleSet {
     }
 
     /// Total momentum vector in f64 (diagnostic).
-    #[must_use]
-    pub fn momentum(&self, mass: f32) -> [f64; 3] {
+    #[cfg(test)]
+    pub(crate) fn momentum(&self, mass: f32) -> [f64; 3] {
         let m = f64::from(mass);
         let mut p = [0.0f64; 3];
         for i in 0..self.len() {

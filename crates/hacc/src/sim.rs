@@ -42,22 +42,6 @@ impl HaccConfig {
             order: OrderPolicy::Sequential,
         }
     }
-
-    /// A heavier configuration for benchmarks: 32 768 particles on a
-    /// 32³ grid.
-    #[must_use]
-    pub fn medium() -> Self {
-        HaccConfig {
-            particles: 32_768,
-            grid: 32,
-            box_size: 1.0,
-            dt: 0.005,
-            softening: 0.01,
-            pp_cutoff: 0.08,
-            ic_seed: 0xC05_0C0DE,
-            order: OrderPolicy::Sequential,
-        }
-    }
 }
 
 /// A running mini-HACC simulation.

@@ -279,24 +279,12 @@ fn le_f32(bytes: &[u8], i: usize) -> f32 {
     f32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().expect("4 bytes"))
 }
 
-/// Snaps `f64` values onto an `ε`-spaced grid — the double-precision
-/// twin of [`Quantizer`], for checkpoints (or checkpoint *regions*)
-/// whose payload is stored as `f64`.
-///
-/// The conservative guarantee is identical: if
-/// `quantize(a) == quantize(b)` both values share one half-open grid
-/// cell of width `ε`, hence `|a − b| < ε` — equal codes can never hide
-/// a real difference. Values within the bound may still straddle a
-/// grid line (a false positive), which element-wise verification
-/// discards via [`QuantizerF64::differs`].
-///
-/// Non-finite handling matches the `f32` path exactly: all NaNs share
-/// one sentinel code, `+∞`/`−∞` get dedicated codes, and extreme
-/// finite magnitudes saturate strictly inside the sentinels.
+/// The `|a − b| > ε` predicate for `f64` payloads: the double-precision
+/// twin of [`Quantizer::differs`], which attribution uses on `f64`
+/// regions. It has no grid codes, because no `f64` value is ever hashed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantizerF64 {
     bound: f64,
-    inv_bound: f64,
 }
 
 impl QuantizerF64 {
@@ -310,44 +298,7 @@ impl QuantizerF64 {
         if !(bound.is_finite() && bound > 0.0) {
             return Err(QuantizerError::InvalidBound);
         }
-        Ok(QuantizerF64 {
-            bound,
-            inv_bound: 1.0 / bound,
-        })
-    }
-
-    /// The absolute error bound `ε` this quantizer was built with.
-    #[must_use]
-    pub fn bound(&self) -> f64 {
-        self.bound
-    }
-
-    /// Quantizes one value to its grid code.
-    ///
-    /// Finite values map to `floor(x / ε)`; NaN, `+∞` and `−∞` map to
-    /// the same dedicated sentinel codes as the `f32` quantizer.
-    #[must_use]
-    #[inline]
-    pub fn quantize(&self, x: f64) -> i64 {
-        grid_code(x, x * self.inv_bound)
-    }
-
-    /// Quantizes a slice into a caller-provided buffer of codes.
-    ///
-    /// `out` is resized to `data.len()`.
-    pub fn quantize_into(&self, data: &[f64], out: &mut Vec<i64>) {
-        out.clear();
-        out.reserve(data.len());
-        out.extend(data.iter().map(|&x| self.quantize(x)));
-    }
-
-    /// Quantizes a slice directly into little-endian code bytes, the
-    /// form consumed by the chunk hasher.
-    pub fn quantize_to_bytes(&self, data: &[f64], out: &mut Vec<u8>) {
-        out.resize(data.len() * 8, 0);
-        for (code, &x) in out.chunks_exact_mut(8).zip(data) {
-            code.copy_from_slice(&self.quantize(x).to_le_bytes());
-        }
+        Ok(QuantizerF64 { bound })
     }
 
     /// Returns `true` when `a` and `b` count as *different* under this
@@ -469,13 +420,12 @@ mod tests {
     fn fast_floor_is_floor_across_its_whole_range() {
         // At ε = 1 the code is floor(x) itself; walk every binade up to
         // and past the 2^51 edge with quarter, half and ulp fractions.
-        let q = QuantizerF64::new(1.0).unwrap();
         for exp in 0..56 {
             let base = 2f64.powi(exp);
             for frac in [0.0, 0.25, 0.5, 0.75, -0.25, -0.5] {
                 for x in [base + frac, -(base + frac), base - base * f64::EPSILON] {
-                    assert_eq!(q.quantize(x), x.floor() as i64, "x = {x}");
-                    assert_eq!(q.quantize(-x), (-x).floor() as i64, "x = {}", -x);
+                    assert_eq!(grid_code(x, x), x.floor() as i64, "x = {x}");
+                    assert_eq!(grid_code(-x, -x), (-x).floor() as i64, "x = {}", -x);
                 }
             }
         }
@@ -495,7 +445,6 @@ mod tests {
         let q = QuantizerF64::new(1e-12).unwrap();
         let a = 1.0f64;
         let b = 1.0f64 + 5e-12;
-        assert_ne!(q.quantize(a), q.quantize(b));
         assert!(q.differs(a, b));
         // The same pair collapses to one f32, so the f32 quantizer is
         // structurally blind to it.
@@ -503,53 +452,13 @@ mod tests {
     }
 
     #[test]
-    fn f64_equal_codes_imply_within_bound() {
-        let q = QuantizerF64::new(1e-9).unwrap();
-        let pairs = [
-            (0.100_000_000_1f64, 0.100_000_000_4f64),
-            (-3.000_000_000_1, -3.000_000_000_4),
-        ];
-        for (a, b) in pairs {
-            if q.quantize(a) == q.quantize(b) {
-                assert!((a - b).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
     fn f64_nan_and_infinities_mirror_f32_semantics() {
         let q = QuantizerF64::new(1e-6).unwrap();
         let nan2 = f64::from_bits(0x7ff8_0000_0000_0001); // distinct payload
-        assert_eq!(q.quantize(f64::NAN), q.quantize(nan2));
         assert!(!q.differs(f64::NAN, nan2));
         assert!(q.differs(f64::NAN, 0.0));
-        assert_ne!(q.quantize(f64::INFINITY), q.quantize(f64::NEG_INFINITY));
-        assert_ne!(q.quantize(f64::INFINITY), q.quantize(f64::NAN));
-        assert_ne!(q.quantize(f64::MAX), q.quantize(f64::INFINITY));
-    }
-
-    #[test]
-    fn f64_extreme_magnitudes_saturate_without_sentinel_collision() {
-        let q = QuantizerF64::new(1e-7).unwrap();
-        let big = q.quantize(f64::MAX);
-        let small = q.quantize(f64::MIN);
-        assert_ne!(big, CODE_POS_INF);
-        assert_ne!(big, CODE_NAN);
-        assert_ne!(small, CODE_NEG_INF);
-        assert_ne!(big, small);
-    }
-
-    #[test]
-    fn f64_quantize_to_bytes_layout() {
-        let q = QuantizerF64::new(1.0).unwrap();
-        let mut buf = Vec::new();
-        q.quantize_to_bytes(&[2.5, -1.5], &mut buf);
-        assert_eq!(buf.len(), 16);
-        assert_eq!(i64::from_le_bytes(buf[..8].try_into().unwrap()), 2);
-        assert_eq!(i64::from_le_bytes(buf[8..].try_into().unwrap()), -2);
-        let mut codes = Vec::new();
-        q.quantize_into(&[2.5, -1.5], &mut codes);
-        assert_eq!(codes, vec![2, -2]);
+        assert!(q.differs(f64::INFINITY, f64::NEG_INFINITY));
+        assert!(q.differs(f64::MAX, f64::INFINITY));
     }
 
     #[test]
@@ -558,6 +467,5 @@ mod tests {
         assert!(!q.differs(1.0, 1.0 + 9e-3));
         assert!(q.differs(1.0, 1.0 + 2e-2));
         assert!(!q.differs(-1.0, -1.0));
-        assert_eq!(q.bound(), 1e-2);
     }
 }

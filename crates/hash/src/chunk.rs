@@ -139,12 +139,6 @@ impl ChunkHasher {
         &self.quantizer
     }
 
-    /// The chaining block size in bytes.
-    #[must_use]
-    pub fn block_bytes(&self) -> usize {
-        self.block_bytes
-    }
-
     /// Hashes one chunk of floats: quantize, then chain 128-bit blocks.
     #[must_use]
     pub fn hash_chunk(&self, chunk: &[f32]) -> Digest128 {

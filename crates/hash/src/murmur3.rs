@@ -135,7 +135,7 @@ impl Murmur3x64_128 {
     /// Creates a hasher with the reference 32-bit seed (both lanes start
     /// at the seed value, as in the reference implementation).
     #[must_use]
-    pub fn new(seed: u32) -> Self {
+    fn new(seed: u32) -> Self {
         Murmur3x64_128 {
             h1: u64::from(seed),
             h2: u64::from(seed),

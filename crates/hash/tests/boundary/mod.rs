@@ -33,24 +33,3 @@ pub fn boundary_value(k: i64, eps: f64, ulps: i32) -> f32 {
         _ => v,
     }
 }
-
-/// The next f64 toward +∞.
-pub fn next_up_f64(x: f64) -> f64 {
-    assert!(x.is_finite());
-    let bits = x.to_bits();
-    let next = if x == 0.0 {
-        1 // +0 and -0 both step to the smallest positive subnormal
-    } else if bits >> 63 == 0 {
-        bits + 1
-    } else if bits == 0x8000_0000_0000_0001 {
-        0x8000_0000_0000_0000 // -min_subnormal steps to -0
-    } else {
-        bits - 1
-    };
-    f64::from_bits(next)
-}
-
-/// The next f64 toward −∞.
-pub fn next_down_f64(x: f64) -> f64 {
-    -next_up_f64(-x)
-}

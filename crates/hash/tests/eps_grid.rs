@@ -10,7 +10,7 @@
 
 mod boundary;
 
-use boundary::{boundary_value, next_down_f64, next_up_f64};
+use boundary::boundary_value;
 use proptest::prelude::*;
 use reprocmp_hash::{ChunkHasher, Quantizer};
 
@@ -73,88 +73,47 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The f64 grid: same adversarial ±1-ulp probing, double precision
+// The saturation threshold: |x/ε| ≈ 2^63
 // ---------------------------------------------------------------------
 
-use reprocmp_hash::QuantizerF64;
-
-/// An f64 on (or as near as representable to) the grid boundary
-/// `k·ε`, nudged `ulps` steps: −1, 0, or +1. At f64 precision a ±1-ulp
-/// nudge sits ~16 orders of magnitude inside the cell, which is
-/// exactly why these are the fragile inputs for `floor(x/ε)`.
-fn boundary_value_f64(k: i64, eps: f64, ulps: i32) -> f64 {
-    let v = k as f64 * eps;
-    match ulps {
-        -1 => next_down_f64(v),
-        1 => next_up_f64(v),
-        _ => v,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// f64 twin of the zero-false-negative property: boundary
-    /// values (±1 ulp) that really differ by more than ε under the
-    /// direct predicate always receive different codes. Bounds reach
-    /// down to 1e-12 — far below anything the f32 grid can resolve.
-    #[test]
-    fn f64_boundary_neighbours_never_share_a_code_when_truly_different(
-        bound_pow in 3i32..13,                 // ε ∈ {1e-3 … 1e-12}
-        k1 in -(1i64 << 20)..(1i64 << 20),
-        k2 in -(1i64 << 20)..(1i64 << 20),
-        ulps1 in -1i32..2,
-        ulps2 in -1i32..2,
-    ) {
-        let eps = 10f64.powi(-bound_pow);
-        let q = QuantizerF64::new(eps).unwrap();
-        let a = boundary_value_f64(k1, eps, ulps1);
-        let b = boundary_value_f64(k2, eps, ulps2);
-
-        prop_assume!(q.differs(a, b));
-
-        prop_assert!(
-            q.quantize(a) != q.quantize(b),
-            "false negative: {a} and {b} differ by more than ε={eps} yet share a code"
-        );
-    }
-
-    /// f64 twin of the conservative direction: equal codes at the
-    /// boundary always mean the pair agrees under the direct
-    /// predicate — the ≤ε slack never loses a real difference.
-    #[test]
-    fn f64_equal_codes_imply_within_bound_at_boundaries(
-        bound_pow in 3i32..13,
-        k in -(1i64 << 20)..(1i64 << 20),
-        ulps1 in -1i32..2,
-        ulps2 in -1i32..2,
-    ) {
-        let eps = 10f64.powi(-bound_pow);
-        let q = QuantizerF64::new(eps).unwrap();
-        let a = boundary_value_f64(k, eps, ulps1);
-        let b = boundary_value_f64(k, eps, ulps2);
-        if q.quantize(a) == q.quantize(b) {
-            prop_assert!(
-                !q.differs(a, b),
-                "values {} and {} share a code but differ by more than ε={}",
-                a, b, eps
-            );
+/// Every 2^8-th f32 bit pattern of the binade below the one holding
+/// `|x/ε| = 2^63`, that binade and the one above, on both signs, each
+/// paired with its next value away from zero. Codes are monotone, so
+/// adjacent pairs are where equal codes would hide a difference. The
+/// number of pairs that share a code yet differ by more than ε.
+fn false_negatives_around_saturation(eps: f64) -> usize {
+    let q = Quantizer::new(eps).unwrap();
+    let exponent = (2f64.powi(63) * eps).log2().floor() as i32;
+    let mut misses = 0;
+    for e in exponent - 1..=exponent + 1 {
+        let first = 2f32.powi(e).to_bits();
+        for bits in (first..first + (1 << 23)).step_by(1 << 8) {
+            for sign in [0, 1 << 31] {
+                let a = f32::from_bits(bits | sign);
+                let b = f32::from_bits((bits + 1) | sign);
+                if q.quantize(a) == q.quantize(b) && q.differs(a, b) {
+                    misses += 1;
+                }
+            }
         }
     }
+    misses
+}
 
-    /// The two grids agree wherever both can see: for values exactly
-    /// representable in f32 and bounds within f32 reach, the f64
-    /// quantizer assigns the same code as the f32 one.
-    #[test]
-    fn f64_grid_is_a_refinement_of_the_f32_grid(
-        bound_pow in 3i32..8,
-        k in -(1i64 << 20)..(1i64 << 20),
-        ulps in -1i32..2,
-    ) {
-        let eps = 10f64.powi(-bound_pow);
-        let q32 = Quantizer::new(eps).unwrap();
-        let q64 = QuantizerF64::new(eps).unwrap();
-        let v32 = boundary_value(k, eps, ulps);
-        prop_assert_eq!(q32.quantize(v32), q64.quantize(f64::from(v32)));
-    }
+#[test]
+#[ignore = "item 24: grid codes saturate past |x/ε| ≈ 2^63"]
+fn equal_codes_imply_within_bound_around_saturation_at_1e_3() {
+    assert_eq!(false_negatives_around_saturation(1e-3), 0);
+}
+
+#[test]
+#[ignore = "item 24: grid codes saturate past |x/ε| ≈ 2^63"]
+fn equal_codes_imply_within_bound_around_saturation_at_1e_5() {
+    assert_eq!(false_negatives_around_saturation(1e-5), 0);
+}
+
+#[test]
+#[ignore = "item 24: grid codes saturate past |x/ε| ≈ 2^63"]
+fn equal_codes_imply_within_bound_around_saturation_at_1e_7() {
+    assert_eq!(false_negatives_around_saturation(1e-7), 0);
 }

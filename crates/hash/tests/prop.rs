@@ -2,7 +2,7 @@
 
 mod boundary;
 
-use boundary::{boundary_value, next_down, next_down_f64, next_up, next_up_f64};
+use boundary::{boundary_value, next_down, next_up};
 use proptest::prelude::*;
 use reprocmp_hash::{murmur3::murmur3_x64_128, ChunkHasher, Quantizer};
 
@@ -248,4 +248,25 @@ proptest! {
         let manual: Vec<_> = values.chunks(chunk_len).map(|c| h.hash_chunk(c)).collect();
         prop_assert_eq!(leaves, manual);
     }
+}
+
+/// The next f64 toward +∞.
+pub fn next_up_f64(x: f64) -> f64 {
+    assert!(x.is_finite());
+    let bits = x.to_bits();
+    let next = if x == 0.0 {
+        1 // +0 and -0 both step to the smallest positive subnormal
+    } else if bits >> 63 == 0 {
+        bits + 1
+    } else if bits == 0x8000_0000_0000_0001 {
+        0x8000_0000_0000_0000 // -min_subnormal steps to -0
+    } else {
+        bits - 1
+    };
+    f64::from_bits(next)
+}
+
+/// The next f64 toward −∞.
+pub fn next_down_f64(x: f64) -> f64 {
+    -next_up_f64(-x)
 }

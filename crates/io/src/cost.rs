@@ -56,19 +56,6 @@ impl CostModel {
         }
     }
 
-    /// A node-local NVMe tier: lower bandwidth ceiling than the striped
-    /// PFS but far cheaper seeks.
-    #[must_use]
-    pub fn node_local_nvme() -> Self {
-        CostModel {
-            submit_latency: Duration::from_micros(1),
-            seek_latency: Duration::from_micros(20),
-            rpc_latency: Duration::from_micros(4),
-            bandwidth_bytes_per_sec: 3.0e9,
-            queue_depth: 128,
-        }
-    }
-
     /// An instantaneous device for tests that only care about data flow.
     #[must_use]
     pub fn free() -> Self {
@@ -92,7 +79,7 @@ impl CostModel {
     /// Counts the seeks in a batch: an op pays a seek unless it starts
     /// exactly where the previous op ended.
     #[must_use]
-    pub fn count_seeks(ops: &[OpSpec]) -> usize {
+    pub(crate) fn count_seeks(ops: &[OpSpec]) -> usize {
         let mut seeks = 0;
         let mut pos: Option<u64> = None;
         for &(offset, len) in ops {
@@ -143,29 +130,6 @@ impl CostModel {
         // The device is busy for whichever dominates: positioning or
         // streaming; host submission adds on top.
         submit_time + std::cmp::max(positioning, transfer)
-    }
-
-    /// Modeled time to read one contiguous region as `n_ops` equal
-    /// requests, asynchronously — the per-request-size trade-off in
-    /// one number (diagnostic helper).
-    #[must_use]
-    pub fn contiguous_read_time(&self, bytes: u64, n_ops: usize) -> Duration {
-        if n_ops == 0 {
-            return Duration::ZERO;
-        }
-        let len = (bytes / n_ops as u64).max(1);
-        let mut ops: Vec<OpSpec> = Vec::with_capacity(n_ops);
-        let mut off = 0u64;
-        for i in 0..n_ops {
-            // Last op carries the remainder so every byte is counted.
-            let this = if i + 1 == n_ops { bytes - off } else { len };
-            if this == 0 {
-                break;
-            }
-            ops.push((off, this as usize));
-            off += this;
-        }
-        self.async_batch_time(&ops, self.queue_depth)
     }
 }
 

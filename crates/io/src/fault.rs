@@ -51,23 +51,6 @@ pub enum MutationKind {
     Telemetry,
 }
 
-impl MutationKind {
-    /// Stable label for reports and traces.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            MutationKind::TmpWrite => "tmp_write",
-            MutationKind::Rename => "rename",
-            MutationKind::PackSeal => "pack_seal",
-            MutationKind::ManifestPublish => "manifest_publish",
-            MutationKind::IndexSwap => "index_swap",
-            MutationKind::JournalAppend => "journal_append",
-            MutationKind::Unlink => "unlink",
-            MutationKind::Telemetry => "telemetry",
-        }
-    }
-}
-
 /// How the power failure at the chosen mutation manifests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashMode {
@@ -427,7 +410,7 @@ mod tests {
         let mut pipeline = StreamPipeline::start(faulty, ops, cfg);
         let mut oks = 0;
         let mut errs = 0;
-        while let Some(result) = pipeline.next_slice() {
+        for result in pipeline.by_ref() {
             match result {
                 Ok(_) => oks += 1,
                 Err(_) => errs += 1,
@@ -457,7 +440,11 @@ mod tests {
         let mut buf = vec![0u8; 8];
         for _ in 0..3 {
             let err = s.read_at(0, &mut buf).unwrap_err();
-            assert!(err.is_transient(), "FirstN faults must be transient");
+            assert_eq!(
+                err.class(),
+                crate::retry::ErrorClass::Transient,
+                "FirstN faults must be transient"
+            );
         }
         // Healed: every subsequent read succeeds.
         for _ in 0..10 {
@@ -492,7 +479,10 @@ mod tests {
         let mut buf = vec![0u8; 8];
         // Counter-based plans emit transient errors.
         let s = FaultyStorage::new(base(1024), FaultPlan::EveryNth { n: 1 });
-        assert!(s.read_at(0, &mut buf).unwrap_err().is_transient());
+        assert_eq!(
+            s.read_at(0, &mut buf).unwrap_err().class(),
+            crate::retry::ErrorClass::Transient
+        );
         // A bad sector is permanent: retrying the same offset can't help.
         let s = FaultyStorage::new(base(1024), FaultPlan::Range { start: 0, end: 64 });
         let err = s.read_at(0, &mut buf).unwrap_err();

@@ -113,12 +113,6 @@ impl IoError {
             IoError::OutOfBounds { .. } | IoError::EngineShutDown => ErrorClass::Permanent,
         }
     }
-
-    /// Shorthand for `class() == ErrorClass::Transient`.
-    #[must_use]
-    pub fn is_transient(&self) -> bool {
-        self.class() == ErrorClass::Transient
-    }
 }
 
 impl std::fmt::Display for IoError {

@@ -10,8 +10,8 @@
 //! ranges are rounded out to page boundaries, a non-resident page
 //! triggers a *synchronous* fault that loads a readahead window
 //! (kernel fault-around), and a resident set models the page cache
-//! (re-touching a page is free until [`MmapSim::evict_all`], the
-//! `vmtouch -e` of the experiments). Readahead is what keeps real
+//! (re-touching a page is free for the mapping's lifetime).
+//! Readahead is what keeps real
 //! mmap only ~3x slower than io_uring rather than orders of
 //! magnitude: each synchronous device round-trip amortizes over the
 //! window, but the faulting thread still stalls once per window and
@@ -51,24 +51,10 @@ impl MmapSim {
         }
     }
 
-    /// Overrides the readahead window (1 = fault strictly one page at
-    /// a time, the pre-readahead worst case).
-    #[must_use]
-    pub fn with_readahead(mut self, pages: usize) -> Self {
-        self.readahead_pages = pages.max(1);
-        self
-    }
-
     /// Number of currently resident pages.
     #[cfg(test)]
     fn resident_pages(&self) -> usize {
         self.resident.lock().len()
-    }
-
-    /// Drops the entire resident set, like `vmtouch -e` /
-    /// `POSIX_FADV_DONTNEED` before each experiment.
-    pub fn evict_all(&self) {
-        self.resident.lock().clear();
     }
 
     /// Charges the faults of touching `(offset, len)` through the
@@ -154,20 +140,12 @@ mod tests {
     }
 
     #[test]
-    fn evict_all_restores_fault_cost() {
-        let (map, mem) = charged(1 << 16);
-        map.fault(0, 64);
-        let t1 = mem.elapsed();
-        map.evict_all();
-        assert_eq!(map.resident_pages(), 0);
-        map.fault(0, 64);
-        assert_eq!(mem.elapsed(), t1 * 2);
-    }
-
-    #[test]
     fn range_spanning_pages_faults_each_page() {
         let (map, _) = charged(1 << 16);
-        let map = map.with_readahead(1);
+        let map = MmapSim {
+            readahead_pages: 1,
+            ..map
+        };
         map.fault(PAGE_SIZE as u64 - 10, 20); // spans 2 pages
         assert_eq!(map.resident_pages(), 2);
     }
@@ -175,7 +153,10 @@ mod tests {
     #[test]
     fn readahead_window_becomes_resident_in_one_fault() {
         let (map, mem) = charged(1 << 20);
-        let map = map.with_readahead(16);
+        let map = MmapSim {
+            readahead_pages: 16,
+            ..map
+        };
         map.fault(0, 8);
         assert_eq!(map.resident_pages(), 16);
         // Touching anywhere inside the window is free.
@@ -188,9 +169,12 @@ mod tests {
     fn small_read_still_faults_whole_window_cost() {
         // 8 bytes wanted, but the charge covers the readahead window.
         let (map, mem) = charged(1 << 16);
-        let map = map.with_readahead(4);
+        let map = MmapSim {
+            readahead_pages: 4,
+            ..map
+        };
         map.fault(0, 8);
-        let expected = mem.model().sync_batch_time(&[(0, 4 * PAGE_SIZE)]);
+        let expected = CostModel::lustre_pfs().sync_batch_time(&[(0, 4 * PAGE_SIZE)]);
         assert_eq!(mem.elapsed(), expected);
     }
 
@@ -210,7 +194,7 @@ mod tests {
     fn tail_page_shorter_than_page_size() {
         let (map, mem) = charged(PAGE_SIZE + 100);
         map.fault(PAGE_SIZE as u64, 100);
-        let expected = mem.model().sync_batch_time(&[(PAGE_SIZE as u64, 100)]);
+        let expected = CostModel::lustre_pfs().sync_batch_time(&[(PAGE_SIZE as u64, 100)]);
         assert_eq!(mem.elapsed(), expected, "only the bytes the object has");
         let (got, data, _) = read_through(
             BackendKind::Mmap,
@@ -235,7 +219,7 @@ mod tests {
         let (map, mem) = charged(PAGE_SIZE);
         map.fault(4000, 200);
         assert_eq!(map.resident_pages(), 1);
-        let expected = mem.model().sync_batch_time(&[(0, PAGE_SIZE)]);
+        let expected = CostModel::lustre_pfs().sync_batch_time(&[(0, PAGE_SIZE)]);
         assert_eq!(mem.elapsed(), expected);
         // Entirely past the end: nothing to fault.
         map.fault(2 * PAGE_SIZE as u64, 10);

@@ -193,20 +193,6 @@ pub struct Slice {
 }
 
 impl Slice {
-    /// Payload bytes of the `i`-th op within this slice.
-    ///
-    /// # Panics
-    ///
-    /// If `i` is out of range.
-    #[must_use]
-    pub fn payload(&self, i: usize) -> &[u8] {
-        let mut start = 0usize;
-        for &(_, len) in &self.ops[..i] {
-            start += len;
-        }
-        &self.data[start..start + self.ops[i].1]
-    }
-
     /// Iterates `(global_op_index, payload)` pairs.
     pub fn payloads(&self) -> impl Iterator<Item = (usize, &[u8])> {
         let mut start = 0usize;
@@ -690,20 +676,13 @@ impl StreamPipeline {
     }
 
     /// Blocks for the next slice; `None` when the stream is exhausted.
-    pub fn next_slice(&mut self) -> Option<IoResult<Slice>> {
+    fn next_slice(&mut self) -> Option<IoResult<Slice>> {
         let mut next = self.rx.recv().ok()?;
         if let Ok(slice) = &mut next {
             self.pool.lend();
             slice.pool = Some(Arc::clone(&self.pool));
         }
         Some(next)
-    }
-
-    /// The shared traffic counters (live handle; clone before consuming
-    /// the pipeline to read final statistics afterwards).
-    #[must_use]
-    pub fn counters(&self) -> Arc<RingCounters> {
-        Arc::clone(&self.counters)
     }
 
     /// A snapshot of traffic through this pipeline so far.
@@ -806,9 +785,9 @@ mod tests {
         );
         let slice = pipeline.next_slice().unwrap().unwrap();
         assert_eq!(slice.ops.len(), 3);
-        assert_eq!(slice.payload(1), &data[50_000..50_200]);
         let collected: Vec<(usize, Vec<u8>)> =
             slice.payloads().map(|(i, p)| (i, p.to_vec())).collect();
+        assert_eq!(&collected[1].1[..], &data[50_000..50_200]);
         assert_eq!(collected[2].0, 2);
         assert_eq!(&collected[2].1[..], &data[1_000..1_050]);
         assert!(pipeline.next_slice().is_none());
@@ -904,7 +883,7 @@ mod tests {
         let mut failed_ops = Vec::new();
         let mut total = 0usize;
         let pipeline = StreamPipeline::start(Arc::clone(&faulty), ops.clone(), cfg);
-        let counters = pipeline.counters();
+        let counters = Arc::clone(&pipeline.counters);
         for slice in pipeline {
             let slice = slice.expect("stream never terminates on a per-op error");
             total += slice.data.len();
@@ -976,7 +955,7 @@ mod tests {
             };
             let pipeline =
                 StreamPipeline::start_observed(Arc::clone(&storage), ops.clone(), cfg, metrics);
-            let counters = pipeline.counters();
+            let counters = Arc::clone(&pipeline.counters);
             let mut total = 0usize;
             for slice in pipeline {
                 total += slice.unwrap().data.len();
@@ -1039,7 +1018,12 @@ mod tests {
             }
             let want = (submit, ops.len(), slices);
             assert_eq!((submits, reads, fills), want, "backend {backend:?}");
-            assert!(journal.ledger().balanced(), "backend {backend:?}");
+            let ledger = journal.ledger();
+            assert_eq!(
+                ledger.events_emitted,
+                ledger.events_written + ledger.events_dropped,
+                "backend {backend:?}"
+            );
         }
     }
 
@@ -1137,7 +1121,7 @@ mod tests {
             let sim = Arc::new(MemStorage::free(data.clone())) as Arc<dyn Storage>;
             let want = collect_payloads(StreamPipeline::start(sim, ops.clone(), cfg));
             let pipeline = StreamPipeline::start(file.storage(), ops.clone(), cfg);
-            let counters = pipeline.counters();
+            let counters = Arc::clone(&pipeline.counters);
             assert_eq!(collect_payloads(pipeline), want, "round {round}: {ops:?}");
             let st = counters.snapshot();
             assert_eq!((st.submitted, st.completed), (40, 40), "round {round}");
@@ -1164,7 +1148,7 @@ mod tests {
             ..PipelineConfig::default()
         };
         let pipeline = StreamPipeline::start(faulty, ops.clone(), cfg);
-        let counters = pipeline.counters();
+        let counters = Arc::clone(&pipeline.counters);
         let mut failed_ops = Vec::new();
         for slice in pipeline {
             let slice = slice.unwrap();

@@ -132,18 +132,6 @@ impl MemStorage {
     pub fn clock(&self) -> SimClock {
         self.clock.clone()
     }
-
-    /// The cost model in effect.
-    #[must_use]
-    pub fn model(&self) -> CostModel {
-        self.model
-    }
-
-    /// Copies the full contents out (test helper).
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<u8> {
-        self.bytes.to_vec()
-    }
 }
 
 impl Storage for MemStorage {

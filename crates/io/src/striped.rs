@@ -43,7 +43,7 @@ impl StripedStorage {
     ///
     /// If `stripe_size` is zero or `ost_count` is zero.
     #[must_use]
-    pub fn new(bytes: Vec<u8>, model: CostModel, stripe_size: u64, ost_count: usize) -> Self {
+    fn new(bytes: Vec<u8>, model: CostModel, stripe_size: u64, ost_count: usize) -> Self {
         assert!(stripe_size > 0, "stripe size must be non-zero");
         assert!(ost_count > 0, "need at least one OST");
         StripedStorage {
@@ -67,18 +67,6 @@ impl StripedStorage {
         let mut s = Self::new(bytes, model, stripe_size, ost_count);
         s.clock = clock;
         s
-    }
-
-    /// The clock this storage charges.
-    #[must_use]
-    pub fn clock(&self) -> SimClock {
-        self.clock.clone()
-    }
-
-    /// Number of OSTs the file is striped over.
-    #[must_use]
-    pub fn ost_count(&self) -> usize {
-        self.ost_count
     }
 
     /// Splits one file-offset op into per-OST fragments at *object*
@@ -250,7 +238,7 @@ mod tests {
     fn works_under_the_ring_engine() {
         let data: Vec<u8> = (0..1 << 18).map(|i| (i % 253) as u8).collect();
         let s = StripedStorage::new(data.clone(), model(), 16 << 10, 4);
-        let clock = s.clock();
+        let clock = s.clock.clone();
         let ops: Vec<OpSpec> = (0..16).map(|i| (i * 16_000, 1024)).collect();
         let got = read_all(Arc::new(s), &ops, PipelineConfig::default()).unwrap();
         for (buf, &(off, len)) in got.chunks(1024).zip(&ops) {

@@ -25,6 +25,7 @@ use reprocmp_io::{
 };
 use reprocmp_obs::{EventKind, Journal, ObsClock, Registry};
 use std::sync::Arc;
+use std::time::Duration;
 
 const FILE_BYTES: usize = 1 << 20;
 const SLICE_BYTES: usize = 32 << 10;
@@ -72,7 +73,15 @@ fn op_list(name: &str) -> Vec<OpSpec> {
 fn model(name: &str) -> CostModel {
     match name {
         "lustre" => CostModel::lustre_pfs(),
-        "nvme" => CostModel::node_local_nvme(),
+        // A node-local NVMe tier: a lower bandwidth ceiling than the
+        // striped PFS but far cheaper seeks.
+        "nvme" => CostModel {
+            submit_latency: Duration::from_micros(1),
+            seek_latency: Duration::from_micros(20),
+            rpc_latency: Duration::from_micros(4),
+            bandwidth_bytes_per_sec: 3.0e9,
+            queue_depth: 128,
+        },
         _ => unreachable!("{name}"),
     }
 }
@@ -133,8 +142,8 @@ fn observe(
         continue_on_error,
         ..PipelineConfig::default()
     };
+    let counters = Arc::clone(&metrics.counters);
     let pipeline = StreamPipeline::start_observed(storage, op_list(ops), config, metrics);
-    let counters = pipeline.counters();
     for slice in pipeline {
         slice.expect("every pinned case streams to the end");
     }

@@ -40,7 +40,8 @@ proptest! {
             covered = range.end;
         }
         prop_assert_eq!(covered, t.node_count());
-        prop_assert_eq!(t.node_count(), 2 * t.padded_leaf_count() - 1);
+        // A full binary tree over the leaves padded to a power of two.
+        prop_assert_eq!(t.node_count(), 2 * t.leaf_count().next_power_of_two() - 1);
     }
 
     /// Codec round trip for arbitrary payloads.

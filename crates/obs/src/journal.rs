@@ -255,14 +255,6 @@ pub struct JournalLedger {
     pub events_dropped: u64,
 }
 
-impl JournalLedger {
-    /// Whether the ledger balances.
-    #[must_use]
-    pub fn balanced(&self) -> bool {
-        self.events_emitted == self.events_written + self.events_dropped
-    }
-}
-
 #[derive(Debug, Default)]
 struct Stripe {
     buf: VecDeque<Event>,
@@ -298,7 +290,7 @@ impl Journal {
     /// An enabled journal retaining at most `capacity` events in total
     /// (rounded up to a whole number per stripe, minimum one each).
     #[must_use]
-    pub fn with_capacity(clock: ObsClock, capacity: usize) -> Self {
+    fn with_capacity(clock: ObsClock, capacity: usize) -> Self {
         let stripe_capacity = capacity.div_ceil(STRIPES).max(1);
         Journal {
             inner: Some(Arc::new(JournalInner {
@@ -507,7 +499,11 @@ mod tests {
         let ledger = j.ledger();
         assert_eq!(ledger.events_emitted, 1000);
         assert!(ledger.events_dropped > 0);
-        assert!(ledger.balanced(), "emitted = written + dropped");
+        assert_eq!(
+            ledger.events_emitted,
+            ledger.events_written + ledger.events_dropped,
+            "emitted = written + dropped"
+        );
         let events = j.events();
         assert_eq!(events.len() as u64, ledger.events_written);
         // The survivors are the newest events of each stripe.
@@ -552,7 +548,10 @@ mod tests {
         }
         let ledger = j.ledger();
         assert_eq!(ledger.events_emitted, 2000);
-        assert!(ledger.balanced());
+        assert_eq!(
+            ledger.events_emitted,
+            ledger.events_written + ledger.events_dropped
+        );
         // Sequence numbers are unique.
         let events = j.events();
         let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();

@@ -25,12 +25,6 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A fresh counter at zero (detached from any registry).
-    #[must_use]
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
@@ -53,12 +47,6 @@ impl Counter {
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    /// A fresh gauge at zero (detached from any registry).
-    #[must_use]
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
     /// Sets the value.
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
@@ -112,12 +100,6 @@ fn bucket_index(v: u64) -> usize {
 }
 
 impl Histogram {
-    /// A fresh histogram (detached from any registry).
-    #[must_use]
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
     /// Records one observation.
     pub fn record(&self, v: u64) {
         self.inner.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
@@ -223,7 +205,6 @@ pub struct HistogramSnapshot {
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
@@ -258,12 +239,6 @@ impl Registry {
         get_or_create(&self.inner.counters, name)
     }
 
-    /// The gauge named `name`, created at zero on first use.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Gauge {
-        get_or_create(&self.inner.gauges, name)
-    }
-
     /// The histogram named `name`, created empty on first use.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Histogram {
@@ -284,17 +259,6 @@ impl Registry {
                 value: v.get() as i64,
             })
             .collect();
-        let gauges = self
-            .inner
-            .gauges
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| MetricValue {
-                name: k.clone(),
-                value: v.get(),
-            })
-            .collect();
         let histograms = self
             .inner
             .histograms
@@ -308,7 +272,7 @@ impl Registry {
             .collect();
         RegistrySnapshot {
             counters,
-            gauges,
+            gauges: Vec::new(),
             histograms,
         }
     }
@@ -360,7 +324,7 @@ mod tests {
 
     #[test]
     fn gauges_set_and_add() {
-        let g = Registry::new().gauge("lanes");
+        let g = Gauge::default();
         g.set(7);
         g.add(-2);
         assert_eq!(g.get(), 5);
@@ -380,7 +344,7 @@ mod tests {
 
     #[test]
     fn histogram_counts_sum_and_buckets_agree() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in [0u64, 1, 2, 3, 4, 1000, 1024] {
             h.record(v);
         }
@@ -395,7 +359,7 @@ mod tests {
 
     #[test]
     fn histogram_bucket_bounds_contain_their_values() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in [1u64, 5, 17, 300, 70_000, u64::MAX] {
             h.record(v);
         }
@@ -409,13 +373,13 @@ mod tests {
 
     #[test]
     fn quantiles_of_an_empty_histogram_are_zero() {
-        let snap = Histogram::new().snapshot();
+        let snap = Histogram::default().snapshot();
         assert_eq!((snap.p50, snap.p95, snap.p99), (0, 0, 0));
     }
 
     #[test]
     fn quantiles_of_a_point_mass_hit_the_point_bucket() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for _ in 0..100 {
             h.record(512); // exact power of two: bucket [512, 1023]
         }
@@ -428,7 +392,7 @@ mod tests {
 
     #[test]
     fn quantiles_interpolate_across_buckets() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         // 90 small observations, 10 large ones: p50 stays small, p95/p99
         // land in the large bucket.
         for _ in 0..90 {
@@ -482,12 +446,10 @@ mod tests {
         let reg = Registry::new();
         reg.counter("b").inc();
         reg.counter("a").add(2);
-        reg.gauge("g").set(-4);
         reg.histogram("h").record(9);
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["a", "b"]);
-        assert_eq!(snap.gauges[0].value, -4);
         assert_eq!(snap.histograms[0].histogram.count, 1);
     }
 

@@ -137,7 +137,7 @@ pub struct Regression {
 impl Regression {
     /// `new / old` (infinite when the baseline was zero).
     #[must_use]
-    pub fn ratio(&self) -> f64 {
+    fn ratio(&self) -> f64 {
         if self.old == 0.0 {
             f64::INFINITY
         } else {

@@ -129,7 +129,7 @@ impl StageBreakdown {
 
     /// Time in the capture phases (tree construction).
     #[must_use]
-    pub fn capture_time(&self) -> Duration {
+    fn capture_time(&self) -> Duration {
         self.quantize.time + self.leaf_hash.time + self.level_build.time
     }
 

@@ -183,13 +183,12 @@ impl TelemetrySnapshot {
 // The bounded history ring.
 // -------------------------------------------------------------------
 
-/// A bounded FIFO of snapshots with an exact eviction count — the
-/// in-memory twin of the persisted `telemetry.jsonl`.
+/// A bounded FIFO of snapshots — the in-memory twin of the persisted
+/// `telemetry.jsonl`.
 #[derive(Debug, Clone)]
 pub struct TelemetryRing {
     entries: VecDeque<TelemetrySnapshot>,
     capacity: usize,
-    evicted: u64,
 }
 
 impl TelemetryRing {
@@ -199,7 +198,6 @@ impl TelemetryRing {
         TelemetryRing {
             entries: VecDeque::new(),
             capacity: capacity.max(1),
-            evicted: 0,
         }
     }
 
@@ -221,17 +219,10 @@ impl TelemetryRing {
         self.entries.is_empty()
     }
 
-    /// Snapshots evicted (oldest-first) to respect the bound.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
     /// Appends a snapshot, evicting the oldest when full.
     pub fn push(&mut self, snapshot: TelemetrySnapshot) {
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
-            self.evicted += 1;
         }
         self.entries.push_back(snapshot);
     }
@@ -240,12 +231,6 @@ impl TelemetryRing {
     #[must_use]
     pub fn snapshots(&self) -> Vec<TelemetrySnapshot> {
         self.entries.iter().cloned().collect()
-    }
-
-    /// The most recent snapshot.
-    #[must_use]
-    pub fn latest(&self) -> Option<&TelemetrySnapshot> {
-        self.entries.back()
     }
 
     /// The retained history as JSON Lines (one snapshot per line,
@@ -512,7 +497,6 @@ mod tests {
     fn sample_snapshot(seq: u64) -> TelemetrySnapshot {
         let registry = Registry::new();
         registry.counter("jobs.done").add(5);
-        registry.gauge("drr.lanes").set(-2);
         let h = registry.histogram("job.cost");
         for v in [1u64, 2, 3, 900] {
             h.record(v);
@@ -563,7 +547,13 @@ mod tests {
                 events_written: 900,
                 events_dropped: 100,
             },
-            registry: registry.snapshot(),
+            registry: crate::metrics::RegistrySnapshot {
+                gauges: vec![crate::metrics::MetricValue {
+                    name: "drr.lanes".into(),
+                    value: -2,
+                }],
+                ..registry.snapshot()
+            },
         }
     }
 
@@ -594,10 +584,8 @@ mod tests {
             ring.push(sample_snapshot(seq));
         }
         assert_eq!(ring.len(), 3);
-        assert_eq!(ring.evicted(), 2);
         let seqs: Vec<u64> = ring.snapshots().iter().map(|s| s.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4], "oldest evicted first");
-        assert_eq!(ring.latest().unwrap().seq, 4);
     }
 
     #[test]

@@ -204,12 +204,6 @@ impl ServerClient {
         Self::over(Box::new(TcpConn::connect(addr)?), client)
     }
 
-    /// The hello answer this session opened with.
-    #[must_use]
-    pub fn server_info(&self) -> &ServerInfo {
-        &self.info
-    }
-
     fn call(&mut self, req: &Request) -> ClientResult<Response> {
         Ok(self.call_for_section(req)?.0)
     }

@@ -4,8 +4,8 @@
 //! # Framing
 //!
 //! Every message is one frame: a little-endian `u32` byte length
-//! followed by that many bytes of UTF-8 JSON. [`write_frame`] /
-//! [`read_frame`] implement it over any `Write`/`Read`.
+//! followed by that many bytes of UTF-8 JSON. [`read_frame`] reads it
+//! from any `Read`; a connection writes it with one `write` per frame.
 //!
 //! # Raw sections
 //!
@@ -78,25 +78,17 @@ impl From<std::io::Error> for ProtoError {
     }
 }
 
-/// Writes one length-prefixed frame with a single `write`: the length
-/// and the payload leave in one buffer, so a frame is never split
-/// across two segments with the peer's delayed ACK between them.
+/// Writes one length-prefixed frame of the payload `head` followed by
+/// `tail` with a single `write`: the length and the payload leave in
+/// one buffer, `scratch`, so a frame is never split across two
+/// segments with the peer's delayed ACK between them. A connection
+/// keeps `scratch` from one frame to the next (see [`recycle`]), so a
+/// raw section is copied once, into the frame.
 ///
 /// One buffer and not `write_vectored`: on a socket that is
 /// `writev(2)`, which the kernel accounts as file output (`wchar` in
 /// `/proc/self/io`) where `send(2)` is not — every payload byte would
 /// then count as a byte the store wrote.
-///
-/// # Errors
-///
-/// Underlying write failures.
-pub fn write_frame(w: &mut dyn std::io::Write, payload: &[u8]) -> std::io::Result<()> {
-    write_frame_with(w, &mut Vec::new(), payload, &[])
-}
-
-/// [`write_frame`] of the payload `head` followed by `tail`, assembled
-/// in `scratch`, which a connection keeps from one frame to the next
-/// (see [`recycle`]): a raw section is copied once, into the frame.
 ///
 /// # Errors
 ///
@@ -855,6 +847,10 @@ fn decode_value<T: Deserialize>(value: Value) -> Result<T, ProtoError> {
 mod tests {
     use super::*;
 
+    fn write_frame(w: &mut dyn std::io::Write, payload: &[u8]) -> std::io::Result<()> {
+        write_frame_with(w, &mut Vec::new(), payload, &[])
+    }
+
     #[test]
     fn every_request_round_trips_through_its_frame() {
         let reqs = vec![
@@ -1084,7 +1080,7 @@ mod tests {
         }
     }
 
-    /// Counts the calls `write_frame` makes, accepting every byte.
+    /// Counts the calls a frame write makes, accepting every byte.
     #[derive(Default)]
     struct CountingWriter {
         calls: usize,

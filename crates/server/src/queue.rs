@@ -156,12 +156,6 @@ impl JobQueue {
         self.capacity
     }
 
-    /// Jobs currently counting against the bound (queued + executing).
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.state.lock().in_flight
-    }
-
     /// Admits one job for `client`, or refuses without blocking.
     ///
     /// # Errors
@@ -280,12 +274,6 @@ impl JobQueue {
     pub fn shutdown(&self) {
         self.state.lock().shutting_down = true;
         self.wake.notify_all();
-    }
-
-    /// Jobs admitted but not yet served.
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.state.lock().queued
     }
 
     /// All pressure counters in one consistent reading.

@@ -272,7 +272,7 @@ impl JobSpec {
 
     /// The wire verb, for status displays.
     #[must_use]
-    pub fn verb(&self) -> &'static str {
+    fn verb(&self) -> &'static str {
         match self {
             JobSpec::Ingest { .. } => "ingest",
             JobSpec::Compare { .. } => "compare",
@@ -284,7 +284,7 @@ impl JobSpec {
     /// DRR cost: cheap verbs cost 1; ingests are charged one unit per
     /// 64 KiB of payload so bulk uploads cannot crowd out compares.
     #[must_use]
-    pub fn cost(&self) -> u64 {
+    fn cost(&self) -> u64 {
         match self {
             JobSpec::Ingest { data, .. } => 1 + (data.len() as u64) / (64 * 1024),
             _ => 1,
@@ -935,12 +935,6 @@ impl Server {
     #[must_use]
     pub fn sample_telemetry_now(&self) -> TelemetrySnapshot {
         self.telemetry.sample_now()
-    }
-
-    /// The retained telemetry history, oldest first.
-    #[must_use]
-    pub fn telemetry_history(&self) -> Vec<TelemetrySnapshot> {
-        self.telemetry.shared.0.lock().ring.snapshots()
     }
 
     /// Blocks until at least one snapshot with `seq > after` exists,

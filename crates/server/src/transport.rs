@@ -87,7 +87,7 @@ pub struct TcpConn {
 impl TcpConn {
     /// Wraps a connected stream.
     #[must_use]
-    pub fn new(stream: TcpStream) -> Self {
+    fn new(stream: TcpStream) -> Self {
         TcpConn {
             stream,
             frame: Vec::new(),

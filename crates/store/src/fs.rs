@@ -101,12 +101,6 @@ impl CrashFs {
     pub fn new(plan: Arc<CrashPlan>) -> Self {
         CrashFs { plan }
     }
-
-    /// The governing plan (for arming and inspecting).
-    #[must_use]
-    pub fn plan(&self) -> &Arc<CrashPlan> {
-        &self.plan
-    }
 }
 
 impl StoreFs for CrashFs {
@@ -187,7 +181,7 @@ mod tests {
         // Mutation 1 = tmp write (succeeds), 2 = rename (crashes).
         let plan = CrashPlan::at(2, CrashMode::Before);
         let fs = CrashFs::new(Arc::clone(&plan));
-        fs.plan().arm();
+        plan.arm();
         let err = fs
             .write_atomic(&path, b"payload", MutationKind::IndexSwap)
             .unwrap_err();
@@ -209,8 +203,8 @@ mod tests {
         let dir = temp_dir("torn");
         let path = dir.join("file.bin");
         let plan = CrashPlan::at(1, CrashMode::Torn { seed: 3 });
-        let fs = CrashFs::new(plan);
-        fs.plan().arm();
+        let fs = CrashFs::new(Arc::clone(&plan));
+        plan.arm();
         assert!(fs
             .write_atomic(&path, &[7u8; 256], MutationKind::ManifestPublish)
             .is_err());

@@ -55,7 +55,7 @@ pub type Index = HashMap<Digest128, IndexEntry>;
 /// digest, so the same logical index always produces the same bytes
 /// (the property the rebuild-equivalence tests pin down).
 #[must_use]
-pub fn encode_index(index: &Index) -> Vec<u8> {
+fn encode_index(index: &Index) -> Vec<u8> {
     let mut entries: Vec<(&Digest128, &IndexEntry)> = index.iter().collect();
     entries.sort_by_key(|(d, _)| **d);
     let mut out = Vec::with_capacity(20 + entries.len() * 36);

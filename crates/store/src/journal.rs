@@ -136,7 +136,7 @@ pub enum IntentRecord {
 impl IntentRecord {
     /// The record's sequence number.
     #[must_use]
-    pub fn seq(&self) -> u64 {
+    fn seq(&self) -> u64 {
         match self {
             IntentRecord::IngestBegin { seq, .. }
             | IntentRecord::IngestCommit { seq }

@@ -50,8 +50,8 @@ pub use metrics::StoreMetrics;
 pub use pack::{PackRecord, PackRepair, DEFAULT_PARITY_GROUP_WIDTH};
 pub use storage::StoreStorage;
 pub use store::{
-    ChainLink, ChunkStore, CompactStats, DeltaPolicy, Digested, FsckReport, GcStats, IngestStats,
-    ObjectLayout, ScrubFailure, ScrubReport, StoreConfig, StoreStats, LOCK_FILE, QUARANTINE_FILE,
+    ChainLink, ChunkStore, DeltaPolicy, Digested, FsckReport, GcStats, IngestStats, ObjectLayout,
+    ScrubFailure, ScrubReport, StoreConfig, StoreStats, LOCK_FILE, QUARANTINE_FILE,
 };
 
 /// Reserved segment name for non-payload prefix bytes (e.g. a VELOC
@@ -99,9 +99,8 @@ pub enum StoreError {
     },
     /// The store is advisorily locked by another owner (typically a
     /// `reprocmp-server` daemon holding it exclusively). Shut the
-    /// daemon down — or remove the stale lock file with
-    /// [`ChunkStore::force_unlock`](crate::ChunkStore::force_unlock) if
-    /// its process died — before opening the store here.
+    /// daemon down — or, if its process died, remove the stale
+    /// [`LOCK_FILE`](crate::LOCK_FILE) — before opening the store here.
     Locked {
         /// The store root that is locked.
         root: std::path::PathBuf,

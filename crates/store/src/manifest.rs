@@ -99,19 +99,6 @@ pub struct Segment {
     pub changed: Option<Vec<u32>>,
 }
 
-impl Segment {
-    /// A segment owning all of its chunks (the full-capture shape).
-    #[must_use]
-    pub fn full(name: String, len: u64, digests: Vec<Digest128>) -> Segment {
-        Segment {
-            name,
-            len,
-            digests,
-            changed: None,
-        }
-    }
-}
-
 /// A complete checkpoint description: identity, chunk geometry, opaque
 /// metadata, and per-segment chunk addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,7 +120,7 @@ pub struct Manifest {
 
 /// Number of `chunk_bytes`-sized chunks covering `len` bytes.
 #[must_use]
-pub fn chunk_count(len: u64, chunk_bytes: u32) -> u64 {
+fn chunk_count(len: u64, chunk_bytes: u32) -> u64 {
     len.div_ceil(u64::from(chunk_bytes.max(1)))
 }
 
@@ -403,15 +390,14 @@ mod tests {
         let chunk_bytes = 8u32;
         let header = vec![0xAAu8; 5];
         let region = vec![0x42u8; 20];
-        let seg = |name: &str, bytes: &[u8]| {
-            Segment::full(
-                name.into(),
-                bytes.len() as u64,
-                bytes
-                    .chunks(chunk_bytes as usize)
-                    .map(raw_chunk_digest)
-                    .collect(),
-            )
+        let seg = |name: &str, bytes: &[u8]| Segment {
+            name: name.into(),
+            len: bytes.len() as u64,
+            digests: bytes
+                .chunks(chunk_bytes as usize)
+                .map(raw_chunk_digest)
+                .collect(),
+            changed: None,
         };
         Manifest {
             name: "temperature".into(),

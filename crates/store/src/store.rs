@@ -186,21 +186,6 @@ pub struct GcStats {
     pub bytes_reclaimed: u64,
 }
 
-/// What one [`ChunkStore::compact`] pass migrated.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct CompactStats {
-    /// Source packs rewritten away (mixed live/dead packs unlinked).
-    pub packs_rewritten: u64,
-    /// Live chunks migrated into the new pack.
-    pub chunks_migrated: u64,
-    /// Live chunk bytes migrated.
-    pub bytes_migrated: u64,
-    /// Pack file bytes reclaimed (sources unlinked minus the new pack).
-    pub bytes_reclaimed: u64,
-    /// Id of the pack the live chunks landed in, if anything moved.
-    pub pack: Option<u32>,
-}
-
 /// One chunk whose stored bytes no longer hash to their content
 /// address — bit rot, a torn write, or tampering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,11 +276,10 @@ pub struct StoreStats {
     pub bytes_logical: u64,
     /// Chunk payload bytes across all indexed chunks.
     pub bytes_physical: u64,
-    /// Indexed chunk bytes at refcount 0 — garbage awaiting
-    /// [`ChunkStore::gc`] (fully dead packs) or
-    /// [`ChunkStore::compact`] (dead chunks inside live packs). When
-    /// this is zero, `bytes_logical == bytes_physical + bytes_deduped`
-    /// exactly.
+    /// Indexed chunk bytes at refcount 0 — garbage that
+    /// [`ChunkStore::gc`] reclaims once their whole pack is dead; dead
+    /// chunks beside live ones stay until then. When this is zero,
+    /// `bytes_logical == bytes_physical + bytes_deduped` exactly.
     pub bytes_garbage: u64,
     /// Bytes saved by index-level dedup
     /// (`logical − live physical − skipped`).
@@ -397,36 +381,6 @@ impl ChunkStore {
     /// Filesystem failures, or corrupt manifests/packs.
     pub fn open(root: &Path) -> StoreResult<Self> {
         Self::open_with(root, StoreConfig::default())
-    }
-
-    /// Reports who holds the advisory lock at `root`, if anyone.
-    #[must_use]
-    pub fn lock_owner(root: &Path) -> Option<String> {
-        let raw = std::fs::read_to_string(root.join(LOCK_FILE)).ok()?;
-        let owner = raw.trim();
-        Some(if owner.is_empty() {
-            "unknown".to_string()
-        } else {
-            owner.to_string()
-        })
-    }
-
-    /// Removes a stale advisory lock left behind by a dead daemon,
-    /// returning the owner tag it recorded (if any). Only call this
-    /// after confirming the owning process is gone: breaking a live
-    /// daemon's lock invites two writers into one store.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem failures removing the lock file (absence is not an
-    /// error).
-    pub fn force_unlock(root: &Path) -> StoreResult<Option<String>> {
-        let owner = Self::lock_owner(root);
-        match std::fs::remove_file(root.join(LOCK_FILE)) {
-            Ok(()) => Ok(owner),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(StoreError::Io(e)),
-        }
     }
 
     /// As [`ChunkStore::open`] with an explicit [`StoreConfig`] — how
@@ -1247,8 +1201,8 @@ impl ChunkStore {
     /// refcount of every chunk it *owned* — all of them for a full
     /// manifest, only the changed set for a delta, so borrowed
     /// references stay accounted to their owners. Physical bytes are
-    /// reclaimed later, by [`ChunkStore::gc`] /
-    /// [`ChunkStore::compact`]. Journaled: a crash mid-remove is
+    /// reclaimed later, by [`ChunkStore::gc`], once a whole pack is
+    /// dead. Journaled: a crash mid-remove is
     /// finished by the next open.
     ///
     /// A manifest some live delta still names as parent is **pinned**:
@@ -1372,117 +1326,6 @@ impl ChunkStore {
         self.metrics.gc_packs.add(stats.packs_deleted);
         self.metrics.gc_reclaimed_bytes.add(stats.bytes_reclaimed);
         self.metrics.packs.add(-(stats.packs_deleted as i64));
-        Ok(stats)
-    }
-
-    /// Rewrites packs that hold a mix of live and dead chunks: the
-    /// live chunks of every such pack migrate into one new sealed pack
-    /// (fresh parity), the index is repointed, and the source packs
-    /// are unlinked. Running [`ChunkStore::gc`] then
-    /// [`ChunkStore::compact`] drives [`StoreStats::bytes_garbage`] to
-    /// zero, restoring the exact `logical == physical + deduped`
-    /// ledger. Quarantined packs are never compacted (their bytes are
-    /// suspect); journaled like every other multi-file operation.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem failures.
-    pub fn compact(&self) -> StoreResult<CompactStats> {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let mut live_by_pack: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut dead_by_pack: BTreeMap<u32, u64> = BTreeMap::new();
-        for e in inner.index.values() {
-            let slot = if e.refcount > 0 {
-                &mut live_by_pack
-            } else {
-                &mut dead_by_pack
-            };
-            *slot.entry(e.pack).or_default() += 1;
-        }
-        let srcs: Vec<u32> = dead_by_pack
-            .keys()
-            .filter(|id| live_by_pack.contains_key(id) && !inner.quarantined.contains(id))
-            .copied()
-            .collect();
-        if srcs.is_empty() {
-            return Ok(CompactStats::default());
-        }
-        let src_set: HashSet<u32> = srcs.iter().copied().collect();
-
-        // Collect the live chunks to migrate, in deterministic
-        // (pack, offset) order, reading each source pack once.
-        let mut migrate: Vec<(Digest128, u32, u64, u32)> = inner
-            .index
-            .iter()
-            .filter(|(_, e)| e.refcount > 0 && src_set.contains(&e.pack))
-            .map(|(d, e)| (*d, e.pack, e.data_offset, e.len))
-            .collect();
-        migrate.sort_by_key(|&(_, pack, off, _)| (pack, off));
-        let mut pack_bytes: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-        for &id in &srcs {
-            pack_bytes.insert(
-                id,
-                std::fs::read(self.packs_dir().join(pack_file_name(id)))?,
-            );
-        }
-        let chunks: Vec<(Digest128, &[u8])> = migrate
-            .iter()
-            .map(|&(d, pack, off, len)| (d, &pack_bytes[&pack][off as usize..][..len as usize]))
-            .collect();
-
-        let dst = inner.next_pack;
-        let seq = self.begin_intent(inner, |seq| IntentRecord::CompactBegin {
-            seq,
-            src_packs: srcs.clone(),
-            dst_pack: dst,
-        })?;
-
-        let mut stats = CompactStats {
-            pack: Some(dst),
-            ..CompactStats::default()
-        };
-        let dst_path = self.packs_dir().join(pack_file_name(dst));
-        let records = write_pack(
-            self.fs.as_ref(),
-            &dst_path,
-            &chunks,
-            DEFAULT_PARITY_GROUP_WIDTH,
-        )?;
-        inner.next_pack += 1;
-        for r in &records {
-            stats.chunks_migrated += 1;
-            stats.bytes_migrated += u64::from(r.len);
-        }
-        // Repoint migrated digests, drop the sources' dead entries.
-        for r in records {
-            if let Some(e) = inner.index.get_mut(&r.digest) {
-                e.pack = dst;
-                e.data_offset = r.data_offset;
-            }
-        }
-        inner
-            .index
-            .retain(|_, e| !(src_set.contains(&e.pack) && e.refcount == 0));
-        save_index(self.fs.as_ref(), &self.index_path(), &inner.index)?;
-        let mut src_file_bytes = 0u64;
-        for id in &srcs {
-            let path = self.packs_dir().join(pack_file_name(*id));
-            if let Ok(meta) = std::fs::metadata(&path) {
-                src_file_bytes += meta.len();
-            }
-            self.fs.remove(&path, MutationKind::Unlink)?;
-            stats.packs_rewritten += 1;
-        }
-        self.commit_intent(inner, &IntentRecord::CompactCommit { seq })?;
-        // As in `gc`: the swapped-in index is current.
-        self.journal_reset(inner, self.fs.as_ref())?;
-        let dst_file_bytes = std::fs::metadata(&dst_path).map(|m| m.len()).unwrap_or(0);
-        stats.bytes_reclaimed = src_file_bytes.saturating_sub(dst_file_bytes);
-        self.metrics.gc_reclaimed_bytes.add(stats.bytes_reclaimed);
-        self.metrics
-            .packs
-            .add(1 - i64::try_from(stats.packs_rewritten).unwrap_or(i64::MAX));
         Ok(stats)
     }
 
@@ -2026,9 +1869,10 @@ mod tests {
         let open_exclusive =
             |owner: &str| ChunkStore::open_with(&root, StoreConfig::default().exclusive(owner));
         let exclusive = open_exclusive("daemon pid=1234").unwrap();
+        let lock = root.join(crate::LOCK_FILE);
         assert_eq!(
-            ChunkStore::lock_owner(&root).as_deref(),
-            Some("daemon pid=1234")
+            std::fs::read_to_string(&lock).unwrap().trim(),
+            "daemon pid=1234"
         );
 
         // Plain and exclusive contenders both get the typed error
@@ -2045,25 +1889,7 @@ mod tests {
 
         // Dropping the owner releases the lock; the store reopens.
         drop(exclusive);
-        assert_eq!(ChunkStore::lock_owner(&root), None);
-        ChunkStore::open(&root).unwrap();
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn force_unlock_clears_a_stale_lock() {
-        let root = temp_root("stale-lock");
-        std::fs::create_dir_all(&root).unwrap();
-        std::fs::write(root.join(crate::LOCK_FILE), "dead-daemon\n").unwrap();
-        assert!(matches!(
-            ChunkStore::open(&root),
-            Err(StoreError::Locked { .. })
-        ));
-        assert_eq!(
-            ChunkStore::force_unlock(&root).unwrap().as_deref(),
-            Some("dead-daemon")
-        );
-        assert_eq!(ChunkStore::force_unlock(&root).unwrap(), None);
+        assert!(!lock.exists());
         ChunkStore::open(&root).unwrap();
         std::fs::remove_dir_all(&root).ok();
     }
@@ -2221,43 +2047,6 @@ mod tests {
         assert_eq!(gc.chunks_dropped, 8);
         assert_eq!(store.materialize("b", 1).unwrap(), b);
         assert!(store.scrub().unwrap().is_clean());
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn compact_migrates_live_chunks_and_zeroes_garbage() {
-        let root = temp_root("compact");
-        let store = ChunkStore::open(&root).unwrap();
-        let shared = payload(4096, 7);
-        let unique1 = payload(4096, 8);
-        let mut run1 = shared.clone();
-        run1.extend_from_slice(&unique1);
-        store.ingest("r1", 1, &[("x", &run1)], 256, &[]).unwrap();
-        store.ingest("r2", 1, &[("x", &shared)], 256, &[]).unwrap();
-        store.remove("r1", 1).unwrap();
-        // r1's pack holds shared (live, via r2) + unique1 (dead): a
-        // mixed pack gc cannot touch.
-        assert_eq!(store.gc().unwrap().packs_deleted, 0);
-        assert!(store.stats().bytes_garbage > 0);
-        let c = store.compact().unwrap();
-        assert_eq!(c.packs_rewritten, 1);
-        assert_eq!(c.chunks_migrated, 16, "4096/256 shared chunks migrated");
-        assert_eq!(c.bytes_migrated, 4096);
-        let s = store.stats();
-        assert_eq!(s.bytes_garbage, 0, "compaction drove garbage to zero");
-        assert_eq!(
-            s.bytes_logical,
-            s.bytes_physical + s.bytes_deduped,
-            "exact ledger restored"
-        );
-        assert_eq!(store.materialize("r2", 1).unwrap(), shared);
-        assert!(store.scrub().unwrap().is_clean());
-        // Nothing left to compact.
-        assert_eq!(store.compact().unwrap(), CompactStats::default());
-        // Reopen: state survives.
-        drop(store);
-        let store = ChunkStore::open(&root).unwrap();
-        assert_eq!(store.materialize("r2", 1).unwrap(), shared);
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -2653,7 +2442,6 @@ mod tests {
         // the chunks the flattened manifest now owns outright.
         store.remove("run", 1).unwrap();
         store.gc().unwrap();
-        store.compact().unwrap();
         assert_eq!(store.materialize("run", 2).unwrap(), expect2);
         assert!(store.scrub().unwrap().is_clean());
         assert_eq!(store.stats().bytes_skipped, 0);

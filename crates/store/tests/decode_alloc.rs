@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use reprocmp_hash::{raw_chunk_digest, Digest128};
-use reprocmp_store::index::{encode_index, load_index, Index};
+use reprocmp_store::index::{load_index, save_index, Index};
 use reprocmp_store::journal::encode_record;
 use reprocmp_store::pack::{parse_pack, write_pack};
 use reprocmp_store::{
@@ -92,11 +92,12 @@ fn put_le(bytes: &mut [u8], at: usize, width: usize, value: u64) {
 fn no_reseal(_: &mut [u8]) {}
 
 fn segment(name: &str, bytes: &[u8], chunk_bytes: usize) -> Segment {
-    Segment::full(
-        name.into(),
-        bytes.len() as u64,
-        bytes.chunks(chunk_bytes).map(raw_chunk_digest).collect(),
-    )
+    Segment {
+        name: name.into(),
+        len: bytes.len() as u64,
+        digests: bytes.chunks(chunk_bytes).map(raw_chunk_digest).collect(),
+        changed: None,
+    }
 }
 
 fn manifest(delta: bool) -> Format {
@@ -163,9 +164,16 @@ fn index() -> Format {
             },
         );
     }
+    // The image as the store writes it.
+    let dir = std::env::temp_dir().join(format!("reprocmp-index-image-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("index.bin");
+    save_index(real_fs().as_ref(), &path, &idx).unwrap();
+    let image = std::fs::read(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
     Format {
         name: "index.bin",
-        image: encode_index(&idx),
+        image,
         fields: vec![(12, 8)],
         decode: |b| load_index(b).ok().map(|i| i.len()),
         reseal: no_reseal,

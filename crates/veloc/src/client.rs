@@ -86,21 +86,6 @@ impl VelocConfig {
             fs: real_fs(),
         }
     }
-
-    /// This config with flushes also captured into `store`.
-    #[must_use]
-    pub fn with_store(mut self, store: Arc<ChunkStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// This config with differential store capture under `policy`.
-    #[must_use]
-    pub fn with_differential_capture(mut self, policy: DeltaPolicy) -> Self {
-        self.capture_mode = CaptureMode::Differential;
-        self.delta_policy = policy;
-        self
-    }
 }
 
 /// Lifecycle of one checkpoint version.
@@ -319,7 +304,7 @@ impl Client {
 
     /// Path of a checkpoint on the scratch tier.
     #[must_use]
-    pub fn scratch_path(&self, name: &str, version: u64) -> PathBuf {
+    fn scratch_path(&self, name: &str, version: u64) -> PathBuf {
         self.config.scratch_dir.join(Self::file_name(name, version))
     }
 
@@ -472,16 +457,6 @@ impl Client {
         Ok(requeued)
     }
 
-    /// Current state of a checkpoint, if it was taken by this client.
-    #[must_use]
-    pub fn state(&self, name: &str, version: u64) -> Option<CheckpointState> {
-        self.tracker
-            .states
-            .lock()
-            .get(&(name.to_owned(), version))
-            .copied()
-    }
-
     /// Blocks until checkpoint `name`/`version` is durable.
     ///
     /// # Errors
@@ -562,7 +537,7 @@ impl Client {
     /// # Errors
     ///
     /// Directory listing failures.
-    pub fn versions(&self, name: &str) -> Result<Vec<u64>, VelocError> {
+    fn versions(&self, name: &str) -> Result<Vec<u64>, VelocError> {
         let prefix = format!("{name}.v");
         let mut versions = Vec::new();
         for entry in std::fs::read_dir(&self.config.persistent_dir)? {
@@ -747,6 +722,11 @@ mod tests {
     use super::*;
     use reprocmp_obs::Journal;
 
+    fn state(client: &Client, name: &str, version: u64) -> Option<CheckpointState> {
+        let key = (name.to_owned(), version);
+        client.tracker.states.lock().get(&key).copied()
+    }
+
     fn temp_client(tag: &str) -> (Client, PathBuf) {
         let base =
             std::env::temp_dir().join(format!("reprocmp-veloc-{tag}-{}", std::process::id()));
@@ -769,7 +749,7 @@ mod tests {
             .unwrap();
         client.wait("hacc.rank0", 10).unwrap();
         assert_eq!(
-            client.state("hacc.rank0", 10),
+            state(&client, "hacc.rank0", 10),
             Some(CheckpointState::Flushed)
         );
 
@@ -1031,10 +1011,10 @@ mod tests {
         std::fs::remove_dir_all(&base).ok();
         let store = Arc::new(ChunkStore::open(&base.join("store")).unwrap());
         let config = VelocConfig {
+            store: Some(Arc::clone(&store)),
             store_chunk_bytes: 256,
             ..VelocConfig::rooted_at(&base)
-        }
-        .with_store(Arc::clone(&store));
+        };
         (Client::new(config).unwrap(), store, base)
     }
 
@@ -1085,7 +1065,10 @@ mod tests {
         ));
         std::fs::remove_dir_all(&base).ok();
         let store = Arc::new(ChunkStore::open(&base.join("store")).unwrap());
-        let config = VelocConfig::rooted_at(&base).with_store(Arc::clone(&store));
+        let config = VelocConfig {
+            store: Some(Arc::clone(&store)),
+            ..VelocConfig::rooted_at(&base)
+        };
         {
             let client = Client::new(config.clone()).unwrap();
             client
@@ -1098,7 +1081,7 @@ mod tests {
         std::fs::remove_file(base.join("pfs").join("r.v000001.ckpt")).unwrap();
         let client = Client::new(config).unwrap();
         assert_eq!(client.recover().unwrap(), vec![]);
-        assert_eq!(client.state("r", 1), Some(CheckpointState::Flushed));
+        assert_eq!(state(&client, "r", 1), Some(CheckpointState::Flushed));
         std::fs::remove_dir_all(&base).ok();
     }
 
@@ -1111,7 +1094,7 @@ mod tests {
         let bytes = std::fs::read(client.persistent_path("fmt", 5)).unwrap();
         let file = crate::format::decode_checkpoint(&bytes).unwrap();
         assert_eq!(file.checkpoint_version, 5);
-        assert_eq!(file.value_count(), 100);
+        assert_eq!(file.payload_len / 4, 100);
         std::fs::remove_dir_all(&base).ok();
     }
 }

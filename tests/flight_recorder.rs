@@ -294,7 +294,7 @@ fn folded_stacks_cover_the_compare_tree() {
 /// with its `divergence` type tag.
 #[test]
 fn online_abort_emits_a_typed_divergence_event() {
-    use reprocmp::core::{CheckpointHistory, OnlineComparator, OnlinePolicy};
+    use reprocmp::core::{CheckpointHistory, OnlineComparator, OnlinePolicy, OnlineVerdict};
 
     let engine = engine_for(BackendKind::Blocking);
     let (reference, _) = generate(21, 8 << 10);
@@ -321,9 +321,15 @@ fn online_abort_emits_a_typed_divergence_event() {
     // halted: still exactly one event.
     online.observe(0, 10, &reference).expect("clean observe");
     let diverged: Vec<f32> = reference.iter().map(|v| v + 0.5).collect();
-    online.observe(0, 20, &diverged).expect("diverged observe");
-    online.observe(0, 30, &diverged).expect("halted observe");
-    assert!(online.halted());
+    let OnlineVerdict::Diverged { diff_count, .. } =
+        online.observe(0, 20, &diverged).expect("diverged observe")
+    else {
+        panic!("iteration 20 must diverge")
+    };
+    assert!(matches!(
+        online.observe(0, 30, &diverged).expect("halted observe"),
+        OnlineVerdict::Halted
+    ));
 
     let events: Vec<_> = journal
         .events()
@@ -341,7 +347,7 @@ fn online_abort_emits_a_typed_divergence_event() {
         unreachable!()
     };
     assert_eq!((*rank, *iteration, *threshold), (0, 20, 10));
-    assert_eq!(*total_diffs, online.total_diffs());
+    assert_eq!(*total_diffs, diff_count);
     assert!(*total_diffs > *threshold);
 
     // JSONL spelling: lane `online`, type `divergence`, all fields.
@@ -357,7 +363,7 @@ fn online_abort_emits_a_typed_divergence_event() {
     assert_eq!(line.get("threshold").and_then(Value::as_u64), Some(10));
     assert_eq!(
         line.get("total_diffs").and_then(Value::as_u64),
-        Some(online.total_diffs())
+        Some(diff_count)
     );
 }
 

@@ -153,8 +153,8 @@ fn tree_construction_is_identical_across_worker_counts() {
 }
 
 /// The cluster flow the scheduler was built for: every rank produces
-/// its own run payload, the payloads gather at rank 0 through the
-/// rank-tagged collective, and the root batch-compares them all
+/// its own run payload, the payloads gather at rank 0 as rank-tagged
+/// messages, and the root batch-compares them all
 /// against the baseline with one shared metadata cache.
 #[test]
 fn root_rank_batch_compares_gathered_runs() {
@@ -177,7 +177,19 @@ fn root_rank_batch_compares_gathered_runs() {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
 
-        let gathered = ctx.gather_bytes_to_root(bytes)?;
+        // Gather at rank 0, each payload tagged with its sender.
+        if ctx.rank() > 0 {
+            let mut frame = vec![ctx.rank() as u8];
+            frame.extend_from_slice(&bytes);
+            ctx.send(0, frame);
+            return None;
+        }
+        let mut gathered = vec![Vec::new(); ctx.size()];
+        gathered[0] = bytes;
+        for _ in 1..ctx.size() {
+            let frame = ctx.recv();
+            gathered[usize::from(frame[0])] = frame[1..].to_vec();
+        }
 
         // Rank 0 reconstructs every run and batch-compares against the
         // unperturbed baseline.

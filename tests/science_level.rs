@@ -21,7 +21,10 @@ fn table1_payload(sim: &Simulation) -> (Vec<f32>, RegionMap) {
     for field in CHECKPOINT_FIELDS {
         values.extend_from_slice(p.field(field).unwrap());
     }
-    let map = RegionMap::from_lengths(CHECKPOINT_FIELDS.iter().map(|&f| (f, p.len() as u64)));
+    let map = RegionMap::from_segment_bytes(
+        CHECKPOINT_FIELDS.iter().map(|&f| (f, 4 * p.len() as u64)),
+        "",
+    );
     (values, map)
 }
 

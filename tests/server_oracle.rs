@@ -536,7 +536,7 @@ proptest! {
                         next_id += 1;
                     }
                     Err(AdmitError::Backpressure { in_flight, capacity: cap }) => {
-                        prop_assert_eq!(in_flight, queue.in_flight());
+                        prop_assert_eq!(in_flight, queue.stats().in_flight);
                         prop_assert!(in_flight >= cap, "reject only at the bound");
                     }
                     Err(AdmitError::ShuttingDown) => prop_assert!(false, "never shut down"),

@@ -31,8 +31,18 @@ use std::sync::Arc;
 use reprocmp::server::{execute_spec, JobSpec, JobState, ObjectRef, Server, ServerConfig};
 use reprocmp_core::{CompareEngine, EngineConfig};
 use reprocmp_io::{CrashMode, CrashPlan};
-use reprocmp_store::{ChunkStore, CrashFs, StoreFs};
+use reprocmp_store::{ChunkStore, CrashFs, StoreFs, LOCK_FILE};
 use serde::Value;
+
+/// A job's wire verb, for failure messages.
+fn verb(spec: &JobSpec) -> &'static str {
+    match spec {
+        JobSpec::Ingest { .. } => "ingest",
+        JobSpec::Compare { .. } => "compare",
+        JobSpec::CompareMany { .. } => "compare_many",
+        JobSpec::Materialize { .. } => "materialize",
+    }
+}
 
 const CHUNK: usize = 64;
 const VALUES_PER_OBJECT: usize = 64;
@@ -144,7 +154,7 @@ fn run_lifecycle(
     let server = Server::start(daemon_config(root, fs))
         .unwrap_or_else(|e| panic!("{ctx}: daemon start: {e}"));
     assert!(
-        ChunkStore::lock_owner(root).is_some(),
+        root.join(LOCK_FILE).exists(),
         "{ctx}: a running daemon must hold the advisory lock"
     );
     if let Some(plan) = arm {
@@ -155,7 +165,7 @@ fn run_lifecycle(
     for spec in ingest_specs() {
         let id = server
             .submit("torture", spec.clone())
-            .unwrap_or_else(|e| panic!("{ctx}: submit {}: {e}", spec.verb()));
+            .unwrap_or_else(|e| panic!("{ctx}: submit {}: {e}", verb(&spec)));
         ids.push((id, spec));
     }
     // Barrier: read jobs only go in once every ingest is terminal, so
@@ -166,7 +176,7 @@ fn run_lifecycle(
     for spec in read_specs() {
         let id = server
             .submit("torture", spec.clone())
-            .unwrap_or_else(|e| panic!("{ctx}: submit {}: {e}", spec.verb()));
+            .unwrap_or_else(|e| panic!("{ctx}: submit {}: {e}", verb(&spec)));
         ids.push((id, spec));
     }
 
@@ -183,7 +193,7 @@ fn run_lifecycle(
             assert!(
                 status.state.is_terminal(),
                 "{ctx}: job {id} ({}) not drained: {:?}",
-                spec.verb(),
+                verb(&spec),
                 status.state
             );
             (
@@ -196,7 +206,7 @@ fn run_lifecycle(
         .collect();
     drop(server);
     assert!(
-        ChunkStore::lock_owner(root).is_none(),
+        !root.join(LOCK_FILE).exists(),
         "{ctx}: dropping the daemon must release the advisory lock"
     );
     outcomes
@@ -277,9 +287,6 @@ fn verify_recovery(
         scrub.failures
     );
     store.gc().unwrap_or_else(|e| panic!("{ctx}: gc: {e}"));
-    store
-        .compact()
-        .unwrap_or_else(|e| panic!("{ctx}: compact: {e}"));
     let stats = store.stats();
     let logical: u64 = ingest_specs()
         .iter()
@@ -306,14 +313,14 @@ fn verify_recovery(
         let outcome = execute_spec(&store, &engine, &spec);
         let value = outcome
             .result
-            .unwrap_or_else(|e| panic!("{ctx}: {} on recovered store: {e}", spec.verb()));
+            .unwrap_or_else(|e| panic!("{ctx}: {} on recovered store: {e}", verb(&spec)));
         let got = encode_value(&value);
         let golden = &golden_reports[&format!("{spec:?}")];
         assert_eq!(
             &got,
             golden,
             "{ctx}: {} report drifted across crash recovery",
-            spec.verb()
+            verb(&spec)
         );
     }
 }
@@ -338,7 +345,7 @@ fn torture_daemon_lifecycle_every_crash_point() {
             *state,
             JobState::Done,
             "counting pass: {} must succeed (error: {error:?})",
-            spec.verb()
+            verb(spec)
         );
         if !matches!(spec, JobSpec::Ingest { .. }) {
             golden_reports.insert(
@@ -378,7 +385,7 @@ fn torture_daemon_lifecycle_every_crash_point() {
                     assert!(
                         !message.is_empty(),
                         "{ctx}: failed {} must carry an error message",
-                        spec.verb()
+                        verb(spec)
                     );
                 }
             }

@@ -40,13 +40,11 @@ fn capture_run(store: &Arc<ChunkStore>, base: &Path, run_name: &str, steps: u64)
     let box_size = cfg.box_size;
     let mut sim = Simulation::new(cfg);
     let decomp = SlabDecomposition::new(1);
-    let client = Client::new(
-        VelocConfig {
-            store_chunk_bytes: 512,
-            ..VelocConfig::rooted_at(base)
-        }
-        .with_store(Arc::clone(store)),
-    )
+    let client = Client::new(VelocConfig {
+        store: Some(Arc::clone(store)),
+        store_chunk_bytes: 512,
+        ..VelocConfig::rooted_at(base)
+    })
     .expect("client");
     for step in 1..=steps {
         sim.step();

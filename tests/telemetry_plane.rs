@@ -141,7 +141,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The ring keeps exactly the newest `capacity` snapshots, in
-    /// order, and counts every eviction.
+    /// order.
     #[test]
     fn ring_retains_newest_snapshots_and_counts_evictions(
         capacity in 1usize..12,
@@ -155,7 +155,6 @@ proptest! {
             });
         }
         prop_assert_eq!(ring.len(), pushes.min(capacity));
-        prop_assert_eq!(ring.evicted(), pushes.saturating_sub(capacity) as u64);
         let seqs: Vec<u64> = ring.snapshots().iter().map(|s| s.seq).collect();
         let expected: Vec<u64> = (pushes.saturating_sub(capacity) + 1..=pushes)
             .map(|i| i as u64)
@@ -260,7 +259,7 @@ fn subscribe_streams_match_ring_and_persisted_jsonl() {
             })
             .collect();
 
-        let ring = server.telemetry_history();
+        let ring = server.wait_telemetry_after(0);
         assert_eq!(ring.len() as u64, SAMPLES);
         for stream in &streams {
             assert_eq!(stream, &ring, "subscriber stream diverged from the ring");
@@ -301,7 +300,11 @@ fn restart_replays_persisted_history_and_continues_the_sequence() {
     for _ in 0..3 {
         let _ = first.sample_telemetry_now();
     }
-    let seqs: Vec<u64> = first.telemetry_history().iter().map(|s| s.seq).collect();
+    let seqs: Vec<u64> = first
+        .wait_telemetry_after(0)
+        .iter()
+        .map(|s| s.seq)
+        .collect();
     assert_eq!(seqs, vec![1, 2, 3]);
     first.shutdown();
     drop(first);
@@ -315,7 +318,11 @@ fn restart_replays_persisted_history_and_continues_the_sequence() {
     std::fs::write(&jsonl, history).expect("append hostile lines");
 
     let second = Server::start(config()).expect("second life");
-    let replayed: Vec<u64> = second.telemetry_history().iter().map(|s| s.seq).collect();
+    let replayed: Vec<u64> = second
+        .wait_telemetry_after(0)
+        .iter()
+        .map(|s| s.seq)
+        .collect();
     assert_eq!(replayed, vec![1, 2, 3], "history survives the restart");
     let next = second.sample_telemetry_now();
     assert_eq!(next.seq, 4, "sequence continues after restart");
@@ -362,7 +369,11 @@ fn telemetry_jsonl_stays_within_twice_the_retention() {
         "open left {}",
         lines_on_disk()
     );
-    let replayed: Vec<u64> = server.telemetry_history().iter().map(|s| s.seq).collect();
+    let replayed: Vec<u64> = server
+        .wait_telemetry_after(0)
+        .iter()
+        .map(|s| s.seq)
+        .collect();
     let newest: Vec<u64> = (2 * RETENTION as u64 + 1..=3 * RETENTION as u64).collect();
     assert_eq!(replayed, newest, "the ring keeps the newest lines");
 
@@ -439,7 +450,7 @@ fn top_history() -> Vec<TelemetrySnapshot> {
     for _ in 0..3 {
         let _ = server.sample_telemetry_now();
     }
-    server.telemetry_history()
+    server.wait_telemetry_after(0)
 }
 
 /// `TopView` over the deterministic history renders the committed

@@ -2,10 +2,12 @@
 # runs every step of CI's `verify` job: release build, the whole test
 # suite, lints as errors, formatting, byte-identical goldens and figure
 # results, the benchmark package's tests and smoke runs, and the gate.
+# `make loc BASE=<rev>` prints the two line counts a simplicity change
+# quotes: non-test code in crates, src and examples, then vendor/.
 
 CARGO ?= cargo
 
-.PHONY: verify build test lint fmt goldens goldens-check figures-check benchmark-test benchmark-smoke gate bench-figures trace-demo analyze-demo top-demo perf-diff
+.PHONY: verify build test lint fmt goldens goldens-check figures-check benchmark-test benchmark-smoke gate bench-figures trace-demo analyze-demo top-demo perf-diff loc
 
 verify: build test lint fmt goldens-check figures-check benchmark-test benchmark-smoke gate
 
@@ -51,6 +53,14 @@ benchmark-smoke:
 		grep -q '"correct":true,' $$wl-smoke.json && \
 		grep -q '"failed":0,' $$wl-smoke.json || exit 1; \
 	done
+
+# Lines changed since $(BASE), the counts ROADMAP's ground rules ask a
+# simplicity change to report: code outside the crates' tests/ trees,
+# then the vendored stand-ins.
+BASE ?= HEAD
+loc:
+	git diff --shortstat $(BASE) -- crates src examples ':!crates/*/tests/*'
+	git diff --shortstat $(BASE) -- vendor
 
 # Regenerate the golden CompareReport JSONs, the analyze divergence
 # document, and the TUI frame snapshots after an intentional change

@@ -117,8 +117,8 @@ impl TypedRegionMap {
     }
 
     /// Compares two payloads region by region under the matching
-    /// ε-quantizer per dtype. Both payloads must be at least
-    /// [`TypedRegionMap::payload_bytes`] long.
+    /// ε-quantizer per dtype. Both payloads must reach the end of the
+    /// last span.
     ///
     /// # Errors
     ///

@@ -49,8 +49,6 @@ pub struct AllCloseReport {
     pub bytes_compared: u64,
 }
 
-impl AllCloseReport {}
-
 /// The NumPy-`allclose`-style baseline.
 #[derive(Debug, Clone)]
 pub struct AllClose {

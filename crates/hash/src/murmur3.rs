@@ -122,9 +122,9 @@ pub(crate) fn finish(mut h1: u64, mut h2: u64, len: u64) -> Digest128 {
 
 /// The MurmurHash3 x64 128-bit hasher.
 ///
-/// Construct with a 32-bit seed ([`Murmur3x64_128::new`]) for
-/// reference-compatible output, or with a full previous digest
-/// ([`Murmur3x64_128::with_digest_seed`]) for block chaining.
+/// [`murmur3_x64_128`] hashes under a 32-bit seed for
+/// reference-compatible output; [`Murmur3x64_128::with_digest_seed`]
+/// seeds with a full previous digest for block chaining.
 #[derive(Debug, Clone, Copy)]
 pub struct Murmur3x64_128 {
     h1: u64,
@@ -157,8 +157,8 @@ impl Murmur3x64_128 {
     /// Hashes `data` and returns the 128-bit digest.
     ///
     /// One-shot (non-incremental) — matches the reference
-    /// `MurmurHash3_x64_128` byte-for-byte when constructed via
-    /// [`Murmur3x64_128::new`].
+    /// `MurmurHash3_x64_128` byte-for-byte when seeded with a 32-bit
+    /// seed, as [`murmur3_x64_128`] does.
     #[must_use]
     pub fn hash(self, data: &[u8]) -> Digest128 {
         let mut h1 = self.h1;

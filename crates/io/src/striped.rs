@@ -55,7 +55,12 @@ impl StripedStorage {
         }
     }
 
-    /// As [`StripedStorage::new`] but charging an existing clock.
+    /// Stripes `bytes` over `ost_count` object targets of `stripe_size`
+    /// bytes each, charging `model`'s costs to `clock`.
+    ///
+    /// # Panics
+    ///
+    /// If `stripe_size` is zero or `ost_count` is zero.
     #[must_use]
     pub fn with_clock(
         bytes: Vec<u8>,

@@ -100,7 +100,7 @@ pub enum StoreError {
     /// The store is advisorily locked by another owner (typically a
     /// `reprocmp-server` daemon holding it exclusively). Shut the
     /// daemon down — or, if its process died, remove the stale
-    /// [`LOCK_FILE`](crate::LOCK_FILE) — before opening the store here.
+    /// [`LOCK_FILE`] — before opening the store here.
     Locked {
         /// The store root that is locked.
         root: std::path::PathBuf,

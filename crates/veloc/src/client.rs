@@ -51,9 +51,9 @@ pub struct VelocConfig {
     /// Optional persistent capture store. When set, every successful
     /// flush also ingests the checkpoint into the store, content-
     /// addressed and deduplicated against every earlier version and
-    /// run; [`Client::recover`], [`Client::versions`], and
-    /// [`Client::restart_latest`] then treat store-resident versions as
-    /// durable even if the flat PFS copy is gone.
+    /// run; [`Client::recover`] and [`Client::restart_latest`] then
+    /// treat store-resident versions as durable even if the flat PFS
+    /// copy is gone.
     pub store: Option<Arc<ChunkStore>>,
     /// Chunk size for store ingestion (ignored without a store).
     pub store_chunk_bytes: usize,

@@ -6,17 +6,19 @@
 //! Non-test code is `crates/*/src`, `src/`, `examples/` and
 //! `benchmark/src/`, minus `#[cfg(test)]` items (a module or function
 //! up to its closing brace at its own indent, as `rustfmt` lays it
-//! out). Comments, string literals and `use` lines are not callers, so
-//! a `pub use` re-export keeps nothing alive.
+//! out) and the files such a module loads. Comments, string literals
+//! and `use` lines are not callers, so a `pub use` re-export keeps
+//! nothing alive.
 //!
 //! A function resolves to `Type::method` through the `impl` block
 //! around it, or to `module::function` when it is free. A caller is:
 //! - for a method, a path `Type::method` (or `Self::method` inside an
-//!   `impl Type`), or a call `.method(` in a file that could mean
+//!   `impl Type`), or a call `.method(` in a file that can hold a
 //!   `Type`: `Type` is the only type with a public `method`, or the
-//!   file names `Type`, or it names none of the types that have one.
-//!   So a live `A::quantize` keeps no `B::quantize` alive in a file
-//!   that names only `A`;
+//!   file reaches `Type` (names it, or calls a function or reads a
+//!   field whose declaration names it), or it reaches none of the
+//!   types that have one. So a live `A::quantize` keeps no
+//!   `B::quantize` alive in a file that reaches only `A`;
 //! - for a free function, its name outside a method call or a
 //!   `Type::` path, unless a path names another module that has a
 //!   function of that name.
@@ -138,7 +140,7 @@ fn blank_comments_and_literals(text: &str) -> String {
             '\'' => {
                 // A character literal, not a lifetime such as `'a`.
                 let end = if c.get(i + 1) == Some(&'\\') {
-                    (i + 2..c.len()).find(|&j| c[j] == '\'')
+                    (i + 3..c.len()).find(|&j| c[j] == '\'')
                 } else if c.get(i + 2) == Some(&'\'') {
                     Some(i + 2)
                 } else {
@@ -740,7 +742,7 @@ fn a_re_export_does_not_count() {
 fn a_comment_or_a_string_does_not_count() {
     let lib = "pub fn compact() {}\n";
     let user = "// compact() runs here\n/* a::compact() */\nfn main() {\n    \
-                let s = \"a::compact()\";\n    let c = 'c';\n}\n";
+                let s = \"a::compact()\";\n    let c = ['c', '\\'', '\\\\'];\n}\n";
     let dead = dead_in(&[(LIB, lib), ("examples/e.rs", user)]);
     assert_eq!(dead, BTreeSet::from(["a::compact".to_owned()]));
 }
